@@ -1,7 +1,8 @@
-"""Engine speedup — predecoded engine vs the reference oracle.
+"""Engine speedup — the fast engine vs the reference oracle.
 
-Acceptance gate for the predecoded execution engine
-(:mod:`repro.sim.engine`): across the workload sweep it must deliver
+Acceptance gate for the fast execution engine (:mod:`repro.sim.engine`
+predecoded stepping plus :mod:`repro.sim.fused` compiled hot runs, at
+its default heat gate): across the workload sweep it must deliver
 >= 3x instructions/sec on both the vanilla and the SOFIA machine while
 producing bit-identical ``ExecutionResult`` fields (status, cycles,
 instructions, exit code, I-cache stats) on every workload.
@@ -46,27 +47,27 @@ def _timed(make_machine, engine):
 
 
 def _compare_engines(make_machine, label):
-    """Run both engines; assert bit-identity; return (instr, t_ref, t_pre)."""
+    """Run both engines; assert bit-identity; return (instr, t_ref, t_fast)."""
     ref, t_ref = _timed(make_machine, "reference")
-    pre, t_pre = _timed(make_machine, "predecoded")
-    assert _fields(ref) == _fields(pre), (
+    fast, t_fast = _timed(make_machine, "fast")
+    assert _fields(ref) == _fields(fast), (
         f"{label}: engines diverged\nreference: {_fields(ref)}\n"
-        f"predecoded: {_fields(pre)}")
-    return ref.instructions, t_ref, t_pre
+        f"fast: {_fields(fast)}")
+    return ref.instructions, t_ref, t_fast
 
 
 def test_engine_equivalence_smoke():
     """CI smoke: one workload, both machines, divergence fails the job."""
     workload, exe, image = _build("crc32", "small")
-    n, t_ref, t_pre = _compare_engines(
+    n, t_ref, t_fast = _compare_engines(
         lambda engine: VanillaMachine(exe, engine=engine), "crc32/vanilla")
     print(f"\ncrc32 vanilla: {n:,d} instr, reference {n / t_ref:,.0f} i/s, "
-          f"predecoded {n / t_pre:,.0f} i/s ({t_ref / t_pre:.2f}x)")
-    n, t_ref, t_pre = _compare_engines(
+          f"fast {n / t_fast:,.0f} i/s ({t_ref / t_fast:.2f}x)")
+    n, t_ref, t_fast = _compare_engines(
         lambda engine: SofiaMachine(image, KEYS, engine=engine),
         "crc32/sofia")
     print(f"crc32 sofia:   {n:,d} instr, reference {n / t_ref:,.0f} i/s, "
-          f"predecoded {n / t_pre:,.0f} i/s ({t_ref / t_pre:.2f}x)")
+          f"fast {n / t_fast:,.0f} i/s ({t_ref / t_fast:.2f}x)")
     result = SofiaMachine(image, KEYS).run()
     assert result.output_ints == workload.expected_output
 
@@ -75,24 +76,24 @@ def test_engine_speedup_sweep():
     """Full sweep: >= 3x aggregate instructions/sec on both machines."""
     totals = {"vanilla": [0, 0.0, 0.0], "sofia": [0, 0.0, 0.0]}
     header = (f"{'workload':<10s} {'machine':<8s} {'instr':>10s} "
-              f"{'ref i/s':>12s} {'pre i/s':>12s} {'speedup':>8s}")
+              f"{'ref i/s':>12s} {'fast i/s':>12s} {'speedup':>8s}")
     lines = [header, "-" * len(header)]
     for name in workload_names():
         _, exe, image = _build(name, "medium")
         for machine, make in (
                 ("vanilla", lambda e: VanillaMachine(exe, engine=e)),
                 ("sofia", lambda e: SofiaMachine(image, KEYS, engine=e))):
-            n, t_ref, t_pre = _compare_engines(make, f"{name}/{machine}")
+            n, t_ref, t_fast = _compare_engines(make, f"{name}/{machine}")
             totals[machine][0] += n
             totals[machine][1] += t_ref
-            totals[machine][2] += t_pre
+            totals[machine][2] += t_fast
             lines.append(f"{name:<10s} {machine:<8s} {n:>10,d} "
-                         f"{n / t_ref:>12,.0f} {n / t_pre:>12,.0f} "
-                         f"{t_ref / t_pre:>7.2f}x")
+                         f"{n / t_ref:>12,.0f} {n / t_fast:>12,.0f} "
+                         f"{t_ref / t_fast:>7.2f}x")
     print("\n" + "\n".join(lines))
-    for machine, (n, t_ref, t_pre) in totals.items():
-        speedup = t_ref / t_pre
+    for machine, (n, t_ref, t_fast) in totals.items():
+        speedup = t_ref / t_fast
         print(f"{machine} sweep aggregate: {n:,d} instr, "
-              f"{n / t_ref:,.0f} -> {n / t_pre:,.0f} i/s ({speedup:.2f}x)")
+              f"{n / t_ref:,.0f} -> {n / t_fast:,.0f} i/s ({speedup:.2f}x)")
         assert speedup >= 3.0, (
             f"{machine} sweep speedup {speedup:.2f}x below the 3x target")

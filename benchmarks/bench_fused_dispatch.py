@@ -1,31 +1,31 @@
-"""E21 — fused-superblock dispatch throughput (instructions/sec).
+"""E21 — hot-tier dispatch throughput (instructions/sec).
 
-Acceptance gate for the fused execution engine (:mod:`repro.sim.fused`):
+Acceptance gate for the fast engine's hot tier (:mod:`repro.sim.fused`):
 in steady state — handlers compiled, every straight-line run dispatched
 as ONE specialized Python call — the SOFIA core must deliver >= 1.8x
-instructions/sec over the predecoded engine, aggregated across the
-medium workload sweep, while every :class:`ExecutionResult` stays
-bit-identical (status, cycles, instructions, I-cache stats, MAC fetch
-cycles, outputs).
+instructions/sec over the same engine pinned to its interpret-only cold
+tier, aggregated across the medium workload sweep, while every
+:class:`ExecutionResult` stays bit-identical (status, cycles,
+instructions, I-cache stats, MAC fetch cycles, outputs).  The tiers are
+pinned by patching :data:`repro.sim.fused.COMPILE_THRESHOLD`: ``1``
+compiles every edge on its first traversal, a threshold no run reaches
+never compiles.
 
-The economics: the predecoded loop pays ~15 interpreter dispatches per
+The economics: predecoded stepping pays ~15 interpreter dispatches per
 instruction slot (operand decode dict lookups, cycle-table indexing,
-per-run tag probes); a fused handler pays one dict hit on the
+per-run tag probes); a compiled handler pays one dict hit on the
 ``(prev_pc, pc)`` edge and runs straight-line specialized bytecode with
-constant-folded cycle tables.  Compilation is amortized by a hotness
-threshold (:data:`repro.sim.fused.COMPILE_THRESHOLD`): cold edges run a
-protocol-compatible interpreter, so one-shot code never pays compile
-latency.  Cold-start ratios are printed for honesty but not gated — the
-paper's campaign workloads (fuzz/attacksynth/DSE victims, fault
-populations) re-enter the same blocks thousands of times, which is the
-regime the gate models.
+constant-folded cycle tables.  The default heat gate amortizes
+compilation: cold edges are stepped, so one-shot code never pays compile
+latency.  Cold-start ratios (default threshold vs interpret-only) are
+printed for honesty but not gated — the paper's campaign workloads
+(fuzz/attacksynth/DSE victims, fault populations) re-enter the same
+blocks thousands of times, which is the regime the gate models.
 
 The second test re-runs E18's mixed-model regime: MASKED fault
-specimens "peel off" the lockstep batch and run their whole suffix on a
-scalar engine.  That suffix now runs fused (:func:`fork_machine` forks
-onto ``engine="fused"``), so the suffix cost drops and the mixed-model
-speedup — E18's weak regime — improves; results stay field-for-field
-identical to per-specimen scalar runs.
+specimens "peel off" the lockstep batch and run their whole suffix on
+the fast engine; results stay field-for-field identical to per-specimen
+runs.
 
 ``test_fused_dispatch_smoke`` is the cheap CI guard: identity only, no
 timing.
@@ -34,6 +34,7 @@ timing.
 import json
 import time
 
+import repro.sim.fused as fused
 from repro.crypto import DeviceKeys
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
 from repro.isa import assemble
@@ -45,6 +46,10 @@ KEYS = DeviceKeys.from_seed(0xBEEF2016)
 NONCE = 0x2016
 BUDGET = 50_000_000
 GATE = 1.8
+
+#: COMPILE_THRESHOLD per pinned tier
+HOT = 1
+INTERPRETED = 1 << 62
 
 
 def _build(name, scale):
@@ -60,25 +65,26 @@ def _fields(result):
             result.output_ints, result.trap_reason)
 
 
-def _steady(image, engine, repeats=2):
-    """Best-of-N steady-state run: warm one machine to populate the
-    front-end memos, transplant them onto fresh machines, time those.
+def _steady(monkeypatch, image, threshold, repeats=2):
+    """Best-of-N steady-state run at one tier: warm one machine to
+    populate the front-end memos, transplant them onto fresh machines,
+    time those.
 
-    The transplanted memos (block cache, fused edge handlers, heat) are
-    pure functions of the untampered image + keys, so sharing them
+    The transplanted memos (block cache, compiled edge handlers, heat)
+    are pure functions of the untampered image + keys, so sharing them
     between machines of the same image is value-identical — the same
     argument :func:`repro.sim.batch.fork_machine` makes for forks.
     """
-    warm = SofiaMachine(image, KEYS, engine=engine)
+    monkeypatch.setattr(fused, "COMPILE_THRESHOLD", threshold)
+    warm = SofiaMachine(image, KEYS)
     warm_result = warm.run(BUDGET)
     best = None
     for _ in range(repeats):
-        machine = SofiaMachine(image, KEYS, engine=engine)
+        machine = SofiaMachine(image, KEYS)
         machine._block_cache = warm._block_cache
-        if engine == "fused":
-            machine._fused_edges = warm._fused_edges
-            machine._fused_hook_edges = warm._fused_hook_edges
-            machine._fused_heat = warm._fused_heat
+        machine._fused_edges = warm._fused_edges
+        machine._fused_hook_edges = warm._fused_hook_edges
+        machine._fused_heat = warm._fused_heat
         started = time.perf_counter()
         result = machine.run(BUDGET)
         elapsed = time.perf_counter() - started
@@ -87,80 +93,85 @@ def _steady(image, engine, repeats=2):
     return warm_result, best
 
 
-def _cold(image, engine):
-    machine = SofiaMachine(image, KEYS, engine=engine)
+def _cold(monkeypatch, image, threshold):
+    monkeypatch.setattr(fused, "COMPILE_THRESHOLD", threshold)
+    machine = SofiaMachine(image, KEYS)
     started = time.perf_counter()
     result = machine.run(BUDGET)
     return result, time.perf_counter() - started
 
 
-def test_fused_dispatch_smoke():
-    """CI smoke: fused results bit-identical to predecoded on both
-    machines, tiny scale, no timing."""
+def test_fused_dispatch_smoke(monkeypatch):
+    """CI smoke: both pinned tiers bit-identical to the reference oracle
+    on both machines, tiny scale, no timing."""
     for name in ("sort", "crc32", "controller"):
         program, image = _build(name, "tiny")
         exe = assemble(program)
         for make in (lambda e: VanillaMachine(exe, engine=e),
                      lambda e: SofiaMachine(image, KEYS, engine=e)):
-            pre = make("predecoded").run(BUDGET)
-            fused = make("fused").run(BUDGET)
-            assert _fields(fused) == _fields(pre), name
+            reference = make("reference").run(BUDGET)
+            for threshold in (HOT, INTERPRETED):
+                monkeypatch.setattr(fused, "COMPILE_THRESHOLD", threshold)
+                assert _fields(make("fast").run(BUDGET)) == \
+                    _fields(reference), name
 
 
-def test_fused_dispatch_speedup(tmp_path, bench_environment):
-    """E21 gate: >= 1.8x SOFIA instructions/sec over predecoded in
-    steady state, aggregated over the medium workload sweep; results
-    bit-identical; cold-start ratios printed unguarded."""
+def test_fused_dispatch_speedup(monkeypatch, tmp_path, bench_environment):
+    """E21 gate: >= 1.8x SOFIA instructions/sec of the hot tier over the
+    interpret-only tier in steady state, aggregated over the medium
+    workload sweep; results bit-identical; cold-start ratios printed
+    unguarded."""
+    default = fused.COMPILE_THRESHOLD
     rows = []
-    total = {"instructions": 0, "predecoded": 0.0, "fused": 0.0}
+    total = {"instructions": 0, "interpreted": 0.0, "hot": 0.0}
     for name in workload_names():
         _, image = _build(name, "medium")
-        pre_result, t_pre = _steady(image, "predecoded")
-        fused_result, t_fused = _steady(image, "fused")
-        assert _fields(fused_result) == _fields(pre_result), name
-        _, t_pre_cold = _cold(image, "predecoded")
-        _, t_fused_cold = _cold(image, "fused")
-        n = pre_result.instructions
+        cold_result, t_cold = _steady(monkeypatch, image, INTERPRETED)
+        hot_result, t_hot = _steady(monkeypatch, image, HOT)
+        assert _fields(hot_result) == _fields(cold_result), name
+        _, t_cold_start = _cold(monkeypatch, image, INTERPRETED)
+        _, t_default_start = _cold(monkeypatch, image, default)
+        n = cold_result.instructions
         total["instructions"] += n
-        total["predecoded"] += t_pre
-        total["fused"] += t_fused
+        total["interpreted"] += t_cold
+        total["hot"] += t_hot
         rows.append({
             "workload": name, "instructions": n,
-            "predecoded_mips": round(n / t_pre / 1e6, 2),
-            "fused_mips": round(n / t_fused / 1e6, 2),
-            "steady_speedup": round(t_pre / t_fused, 2),
-            "cold_speedup": round(t_pre_cold / t_fused_cold, 2),
+            "interpreted_mips": round(n / t_cold / 1e6, 2),
+            "hot_mips": round(n / t_hot / 1e6, 2),
+            "steady_speedup": round(t_cold / t_hot, 2),
+            "cold_speedup": round(t_cold_start / t_default_start, 2),
             "identical": 1,
         })
 
-    aggregate = total["predecoded"] / total["fused"]
-    header = (f"{'workload':<12s} {'instrs':>10s} {'pre Mi/s':>9s} "
-              f"{'fused Mi/s':>10s} {'steady':>7s} {'cold':>6s}")
+    aggregate = total["interpreted"] / total["hot"]
+    header = (f"{'workload':<12s} {'instrs':>10s} {'cold Mi/s':>9s} "
+              f"{'hot Mi/s':>10s} {'steady':>7s} {'start':>6s}")
     print("\n" + header)
     print("-" * len(header))
     for row in rows:
         print(f"{row['workload']:<12s} {row['instructions']:>10d} "
-              f"{row['predecoded_mips']:>9.2f} {row['fused_mips']:>10.2f} "
+              f"{row['interpreted_mips']:>9.2f} {row['hot_mips']:>10.2f} "
               f"{row['steady_speedup']:>6.2f}x {row['cold_speedup']:>5.2f}x")
     print(f"{'AGGREGATE':<12s} {total['instructions']:>10d} "
-          f"{total['instructions'] / total['predecoded'] / 1e6:>9.2f} "
-          f"{total['instructions'] / total['fused'] / 1e6:>10.2f} "
+          f"{total['instructions'] / total['interpreted'] / 1e6:>9.2f} "
+          f"{total['instructions'] / total['hot'] / 1e6:>10.2f} "
           f"{aggregate:>6.2f}x")
 
     record = {"experiment": "E21", "gate": GATE,
               "aggregate_steady_speedup": round(aggregate, 2),
-              "rows": rows, "environment": bench_environment("fused")}
+              "rows": rows, "environment": bench_environment("fast")}
     (tmp_path / "e21_fused_dispatch.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     assert aggregate >= GATE, (
-        f"fused steady-state aggregate {aggregate:.2f}x < {GATE}x gate")
+        f"hot-tier steady-state aggregate {aggregate:.2f}x < {GATE}x gate")
 
 
 def test_peel_off_suffix_rerun(bench_environment):
-    """E18 re-run, mixed-model regime: MASKED specimens' scalar suffixes
-    now run on the fused engine, dropping the peel-off cost.  Identity
-    is the gate; the speedup is printed as evidence."""
+    """E18 re-run, mixed-model regime: MASKED specimens' suffixes run on
+    the fast engine after peeling off the lockstep leader.  Identity is
+    the gate; the speedup is printed as evidence."""
     program, image = _build("crc32", "small")
     golden = SofiaMachine(image, KEYS).run(BUDGET)
     assert golden.ok, golden.summary()
@@ -178,8 +189,8 @@ def test_peel_off_suffix_rerun(bench_environment):
     fields = lambda r: (r.fault, r.model, r.outcome, r.description,
                         r.status, r.detail)  # noqa: E731
     assert [fields(r) for r in scalar] == [fields(r) for r in batch], \
-        "fused-suffix batch campaign diverged from scalar runs"
+        "lockstep campaign diverged from per-specimen runs"
     n = len(faults)
-    print(f"\nE18 rerun (mixed models, fused peel-off): {n} specimens, "
-          f"scalar {n / t_scalar:.1f}/s, batch {n / t_batch:.1f}/s, "
+    print(f"\nE18 rerun (mixed models, peel-off): {n} specimens, "
+          f"per-specimen {n / t_scalar:.1f}/s, lockstep {n / t_batch:.1f}/s, "
           f"speedup {t_scalar / t_batch:.2f}x")

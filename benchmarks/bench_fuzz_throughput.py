@@ -1,7 +1,7 @@
 """E15 — fuzzing throughput and coverage growth (ISSUE 3).
 
 The fuzzer only earns its keep if (a) it pushes specimens through the
-four-engine differential oracle fast enough to matter and (b) its
+four-run differential oracle fast enough to matter and (b) its
 coverage map keeps growing as the campaign runs — a flat curve would
 mean the generators collapse onto a few shapes and the "as many
 scenarios as you can imagine" goal is not being met.
@@ -63,7 +63,7 @@ def test_fuzz_throughput(keys):
         lines.append(f"{index:>6d} {new_keys:>9d} {cumulative:>11d}")
     print("\n" + "\n".join(lines))
     print(f"throughput: {total} specimens in {elapsed:.1f}s "
-          f"= {rate:,.1f} programs/sec (4 engine runs each)")
+          f"= {rate:,.1f} programs/sec (4 simulator runs each)")
 
     # coverage grows every batch, front-loaded on the first
     assert all(new_keys > 0 for new_keys, _ in curve)
@@ -107,7 +107,7 @@ def test_telemetry_overhead(tmp_path, bench_environment):
         "seconds_plain": round(t_plain, 3),
         "seconds_telemetry": round(t_observed, 3),
         "overhead": round(overhead, 4),
-        "environment": bench_environment(engine="predecoded"),
+        "environment": bench_environment(engine="fast"),
     }
     path = tmp_path / "e15_telemetry_overhead.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -4,7 +4,8 @@
 Walks the whole subsystem end to end:
 
 1. grow single specimens from genomes and inspect their shapes;
-2. run one specimen through the four-engine differential oracle;
+2. run one specimen through the four-run differential oracle (vanilla
+   and SOFIA, each on the fast engine and the reference oracle);
 3. run a small deterministic campaign, watch coverage accumulate, and
    persist the deduplicated corpus + coverage map + campaign report;
 4. replay one corpus entry from its stored genome — the corpus is

@@ -39,6 +39,7 @@ from ..runner import (ResultStore, ShardSpec, run_tasks, run_tasks_stored,
                       task_key, task_rng)
 from ..runner.cache import DEFAULT_KEY_SEED
 from ..security.bounds import EmpiricalCheck, empirical_check
+from ..sim.batch import warm_front_end
 from ..sim.sofia import SofiaMachine
 from ..sim.vanilla import VanillaMachine
 from ..transform.image import SofiaImage
@@ -63,8 +64,7 @@ _WORKER_CTX: Optional[tuple] = None
 def _init_synth_worker(key_seed: int, campaign_seed: int,
                        per_program: Optional[int],
                        include_baselines: bool,
-                       profile: ProtectionProfile,
-                       engine: Optional[str] = None) -> None:
+                       profile: ProtectionProfile) -> None:
     global _WORKER_CTX
     # provision the device for the campaign's design point: the keys
     # bind to the profile's cipher exactly as a manufactured device would
@@ -72,18 +72,18 @@ def _init_synth_worker(key_seed: int, campaign_seed: int,
     xor_key = derive_key(key_seed, "xor-isr") & 0xFFFFFFFF
     ecb_key = derive_key(key_seed, "ecb-isr")
     _WORKER_CTX = (keys, key_seed, campaign_seed, per_program,
-                   include_baselines, xor_key, ecb_key, profile, engine)
+                   include_baselines, xor_key, ecb_key, profile)
 
 
-def _clean_sofia(image: SofiaImage, keys: DeviceKeys,
-                 engine: Optional[str] = None):
+def _clean_sofia(image: SofiaImage, keys: DeviceKeys):
     """Clean run + the traversed block bases + the machine itself.
 
-    With ``engine="batch"`` the clean machine bit-slice-warms the image's
-    whole front end on its first ``run()``; the caller then reuses it as
-    the cache donor for every attack-instance machine.
+    The clean machine bit-slice-warms the image's whole front end before
+    it runs (:func:`~repro.sim.batch.warm_front_end`); the caller then
+    reuses it as the cache donor for every attack-instance machine.
     """
-    machine = SofiaMachine(image, keys, engine=engine)
+    machine = SofiaMachine(image, keys)
+    warm_front_end(machine)
     traversed = set()
     block_base_of = image.block_base_of
     machine.on_commit = lambda pc, _instr: traversed.add(block_base_of(pc))
@@ -97,7 +97,7 @@ def _program_label(index: int, genome: Genome) -> str:
 
 
 def _sofia_instance_result(instance, image: SofiaImage, keys: DeviceKeys,
-                           clean_obs, donor=None
+                           clean_obs, donor: SofiaMachine
                            ) -> Tuple[InstanceResult, bool]:
     """Run one instance on the SOFIA core into a fresh result record."""
     result = InstanceResult(
@@ -115,7 +115,7 @@ def _sofia_instance_result(instance, image: SofiaImage, keys: DeviceKeys,
 def _synth_task(task: Tuple[int, Genome]) -> ProgramOutcome:
     """Worker: build one program, enumerate and run all its attacks."""
     (keys, key_seed, campaign_seed, per_program,
-     include_baselines, xor_key, ecb_key, profile, engine) = _WORKER_CTX
+     include_baselines, xor_key, ecb_key, profile) = _WORKER_CTX
     index, genome = task
     outcome = ProgramOutcome(index=index,
                              label=_program_label(index, genome))
@@ -138,9 +138,7 @@ def _synth_task(task: Tuple[int, Genome]) -> ProgramOutcome:
         plain_targets.append(
             (TARGET_ECB, lambda: EcbIsrMachine(exe, ecb_key)))
 
-    sofia_clean, traversed, clean_machine = _clean_sofia(image, keys,
-                                                         engine=engine)
-    donor = clean_machine if engine == "batch" else None
+    sofia_clean, traversed, donor = _clean_sofia(image, keys)
     plain_clean = {}
     for name, make in plain_targets:
         plain_clean[name] = make().run(max_instructions=PLAIN_BUDGET)
@@ -384,7 +382,6 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
                     key_seed: int = DEFAULT_KEY_SEED,
                     profile: Optional[ProtectionProfile] = None,
                     export_path=None, csv_path=None,
-                    engine: Optional[str] = None,
                     store_dir=None,
                     shard: Optional[ShardSpec] = None,
                     telemetry=None) -> SynthReport:
@@ -394,10 +391,10 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     still picks the block geometry); the enumerator and the §IV-A bound
     cross-check adapt to the image's actual profile.
 
-    ``engine="batch"`` bit-slice-warms each victim's front end once on
-    the clean run and shares the pure keystream/seal memos with every
-    attack-instance machine; the report and its exports stay
-    byte-identical (the export carries no engine field by design).
+    Each victim's front end is bit-slice-warmed once on the clean run,
+    and the pure keystream/seal memos are shared with every
+    attack-instance machine (the warmed donor); that is observationally
+    invisible, so the report and its exports are what cold machines give.
 
     ``store_dir`` memoizes each program's full :class:`ProgramOutcome`
     in a persistent :class:`~repro.runner.store.ResultStore` (one entry
@@ -429,15 +426,15 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
                    "per_program": per_program,
                    "baselines": include_baselines, "profile": profile}
         keys = [task_key("attacksynth", context,
-                         {"index": index, "genome": genome},
-                         engine=engine) for index, genome in tasks]
+                         {"index": index, "genome": genome})
+                for index, genome in tasks]
 
     def execute(missing: List[Tuple[int, Genome]]) -> List[ProgramOutcome]:
         return run_tasks(
             _synth_task, missing, jobs=jobs, parallel=parallel,
             initializer=_init_synth_worker,
             initargs=(key_seed, seed, per_program, include_baselines,
-                      profile, engine), telemetry=telemetry)
+                      profile), telemetry=telemetry)
 
     with obs_phase(telemetry, "execute"):
         run = run_tasks_stored(execute, tasks, keys, store=store,
@@ -455,8 +452,7 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
 def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
                           per_program: Optional[int] = None,
                           key_seed: int = DEFAULT_KEY_SEED,
-                          export_path=None, csv_path=None,
-                          engine: Optional[str] = None) -> SynthReport:
+                          export_path=None, csv_path=None) -> SynthReport:
     """Observational sweep over one explicit (metadata-less) image.
 
     Deserialized images carry no layout metadata, so enumeration is
@@ -471,8 +467,9 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
                          profile=image.profile)
     outcome = ProgramOutcome(index=0, label="image")
     outcome.blocks = image.num_blocks
-    clean_machine = SofiaMachine(image, keys, engine=engine)
-    clean = clean_machine.run(max_instructions=SOFIA_BUDGET)
+    donor = SofiaMachine(image, keys)
+    warm_front_end(donor)
+    clean = donor.run(max_instructions=SOFIA_BUDGET)
     if not clean.ok:
         # without a clean baseline every mutated run "detects" too — a
         # wrong key seed must be an error, not a perfect-looking matrix
@@ -483,7 +480,6 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
         report.elapsed_seconds = time.perf_counter() - started
         return report
     clean_obs = observables(clean)
-    donor = clean_machine if engine == "batch" else None
     rng = task_rng(seed, "attacksynth-image")
     instances = enumerate_geometric(image, rng)
     if per_program is not None:

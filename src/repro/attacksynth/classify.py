@@ -98,8 +98,8 @@ def run_sofia_instance(instance: AttackInstance, image: SofiaImage,
     itself* passed the decrypt/verify front-end — a reset on the very
     first block traversal means it did not.
 
-    ``donor`` (batch-engine campaigns) seeds the instance machine's pure
-    keystream/seal memos from an already-warmed clean machine via
+    ``donor`` (the campaign's warmed clean machine) seeds the instance
+    machine's pure keystream/seal memos via
     :func:`~repro.sim.batch.adopt_caches`; the sharing rules there
     guarantee the classification is byte-identical to a cold run.
     """

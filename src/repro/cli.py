@@ -31,14 +31,10 @@ provisions the device keys for the image's embedded profile.  The
 ``attack``, ``experiments`` and ``dse`` commands accept ``--jobs N`` to
 fan their campaigns across N worker processes via :mod:`repro.runner`
 (``--jobs 0`` means one per CPU; the default of 1 runs the bit-identical
-serial path).  ``run`` and ``run-protected`` accept ``--engine`` with
-any registered engine (:data:`repro.sim.engine.ENGINES`) to pin the
-execution engine; ``fuzz``, ``attacksynth`` and ``dse`` accept
-``--engine`` with any campaign-grade engine
-(:data:`repro.sim.engine.CAMPAIGN_ENGINES` — the bit-sliced batch
-engine of :mod:`repro.sim.batch` or the fused-superblock engine of
-:mod:`repro.sim.fused`); results are bit-identical to the default
-scalar path either way.  ``dse --hw`` folds the profile-derived
+serial path).  ``run`` and ``run-protected`` accept ``--engine
+reference`` to run the semantics oracle instead of the default fast
+engine (:data:`repro.sim.engine.ENGINES`); results are bit-identical
+either way.  ``dse --hw`` folds the profile-derived
 hardware cost model (:mod:`repro.hwmodel.profilecost`) into the sweep —
 ``--unroll LIST`` picks the cipher unroll factors (default ``min``, each
 cipher's fetch-sustaining minimum) — and the export becomes the unified
@@ -82,7 +78,7 @@ from .eval import (experiment_adpcm, experiment_blocksize,
                    experiment_workloads, format_overhead_rows,
                    render_blocksize, render_muxtree, render_unroll)
 from .isa.disassembler import dump
-from .sim.engine import CAMPAIGN_ENGINES, DEFAULT_ENGINE, ENGINES
+from .sim.engine import DEFAULT_ENGINE, ENGINES
 from .sim.trace import list_image, trace_vanilla
 from .sim.vanilla import VanillaMachine
 from .transform.config import TransformConfig
@@ -312,20 +308,19 @@ def cmd_attacksynth(args) -> int:
         report = run_attacksynth_image(
             image, seed=args.seed, per_program=args.per_program,
             key_seed=args.key_seed, export_path=args.export,
-            csv_path=args.csv, engine=args.engine)
+            csv_path=args.csv)
     else:
         programs = args.programs if args.programs is not None else 200
         telemetry = _make_telemetry(args)
         with obs.campaign(telemetry, "attacksynth",
                           {"programs": programs, "seed": args.seed,
-                           "jobs": args.jobs,
-                           "engine": args.engine or DEFAULT_ENGINE}):
+                           "jobs": args.jobs}):
             report = run_attacksynth(
                 programs, seed=args.seed, per_program=args.per_program,
                 parallel=parallel, jobs=jobs, corpus_dir=args.corpus,
                 include_baselines=args.baselines, key_seed=args.key_seed,
                 profile=profile, export_path=args.export,
-                csv_path=args.csv, engine=args.engine,
+                csv_path=args.csv,
                 store_dir=args.resume, shard=args.shard,
                 telemetry=telemetry)
     if report.instances == 0 and report.complete:
@@ -380,13 +375,12 @@ def cmd_dse(args) -> int:
     telemetry = _make_telemetry(args)
     with obs.campaign(telemetry, "dse",
                       {"profiles": len(profiles), "seed": args.seed,
-                       "scale": args.scale, "jobs": args.jobs,
-                       "engine": args.engine or DEFAULT_ENGINE}):
+                       "scale": args.scale, "jobs": args.jobs}):
         report = run_dse(profiles, seed=args.seed, key_seed=args.key_seed,
                          scale=args.scale, programs=args.programs,
                          per_model=args.per_model, parallel=parallel,
                          jobs=jobs, export_path=args.export,
-                         csv_path=args.csv, engine=args.engine,
+                         csv_path=args.csv,
                          store_dir=args.resume, shard=args.shard,
                          telemetry=telemetry, **kwargs)
     print(report.render())
@@ -410,15 +404,13 @@ def cmd_fuzz(args) -> int:
     telemetry = _make_telemetry(args)
     with obs.campaign(telemetry, "fuzz",
                       {"seeds": args.seeds, "seed": args.seed,
-                       "batch": args.batch, "jobs": args.jobs,
-                       "engine": args.engine or DEFAULT_ENGINE}):
+                       "batch": args.batch, "jobs": args.jobs}):
         report = run_fuzz(seeds=args.seeds, seed=args.seed,
                           batch=args.batch,
                           parallel=parallel, jobs=jobs,
                           corpus_dir=args.corpus,
                           time_budget=args.time_budget,
                           include_baselines=args.baselines,
-                          engine=args.engine,
                           store_dir=args.resume, shard=args.shard,
                           telemetry=telemetry)
     print(report.render())
@@ -458,13 +450,12 @@ def cmd_fault(args) -> int:
     with obs.campaign(telemetry, "fault",
                       {"workload": args.workload, "scale": args.scale,
                        "per_model": args.per_model, "seed": args.seed,
-                       "jobs": args.jobs,
-                       "engine": args.engine or DEFAULT_ENGINE}):
+                       "jobs": args.jobs}):
         results, summary = run_fault_campaign(
             victim.compile().program, keys, victim.expected_output,
             per_model=args.per_model, seed=args.seed,
             parallel=parallel, jobs=jobs, export_path=args.export,
-            engine=args.engine, profile=profile,
+            profile=profile,
             store_dir=args.resume, shard=args.shard, telemetry=telemetry)
     print(summary.render())
     if any(result is None for result in results):
@@ -595,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-O", "--optimize", action="store_true",
                    help="enable the minicc peephole optimizer")
     p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="execution engine (default: predecoded)")
+                   help=f"execution engine (default: {DEFAULT_ENGINE})")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("protect", help="build a SOFIA image")
@@ -622,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-instructions", type=int, default=50_000_000)
     p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="execution engine (default: predecoded)")
+                   help=f"execution engine (default: {DEFAULT_ENGINE})")
     p.set_defaults(func=cmd_run_protected)
 
     p = sub.add_parser("disasm", help="disassemble (vanilla layout)")
@@ -669,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", metavar="SPEC",
                    help="seal the victims under this design point "
                         "(e.g. present-80:mac32:fixed)")
-    p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="route the campaign through this engine "
-                        "(results are byte-identical)")
     _add_store_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_attacksynth)
@@ -706,9 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the sweep record as canonical JSON")
     p.add_argument("--csv", metavar="FILE",
                    help="write the Pareto table as CSV")
-    p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="route each point's campaigns through this "
-                        "engine (byte-identical)")
     p.add_argument("--hw", action="store_true",
                    help="fold the hardware axes in: per-point area/clock "
                         "from the profile cost model and the unified "
@@ -739,9 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="specimens per scheduling round (default 50)")
     p.add_argument("--baselines", action="store_true",
                    help="also lockstep the XOR/ECB ISR baseline machines")
-    p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="widen the engine axis to a three-way "
-                        "reference/predecoded/ENGINE lockstep")
     _add_store_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_fuzz)
@@ -765,9 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", metavar="SPEC",
                    help="seal the victim under this design point "
                         "(e.g. present-80:mac32:fixed)")
-    p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="route the specimens through this lockstep "
-                        "engine (results are byte-identical)")
     _add_store_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_fault)

@@ -90,7 +90,7 @@ def run_vanilla(executable: Executable,
                 engine: Optional[str] = None) -> ExecutionResult:
     """Run an unprotected binary on the vanilla core.
 
-    ``engine`` selects the execution engine (``"predecoded"`` by default,
+    ``engine`` selects the execution engine (``"fast"`` by default,
     ``"reference"`` for the semantics-oracle loop; see
     :mod:`repro.sim.engine`).
     """

@@ -1,6 +1,6 @@
 """Bit-sliced batch evaluation of RECTANGLE-80 and PRESENT-80.
 
-The batch simulation engine (:mod:`repro.sim.batch`) wants to pay the
+Batch simulation (:mod:`repro.sim.batch`) wants to pay the
 cipher's Python interpretation overhead once per *batch* of blocks, not
 once per block.  Both ciphers are substitution-permutation networks over
 4-bit S-boxes, so the classic bit-slicing transform applies: pack bit

@@ -221,11 +221,9 @@ def _hw_point_rows(profiles: Sequence[ProtectionProfile],
 
 
 def _init_dse_worker(key_seed: int, seed: int, workloads: Tuple[str, ...],
-                     scale: str, programs: int, per_model: int,
-                     engine: Optional[str] = None) -> None:
+                     scale: str, programs: int, per_model: int) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (key_seed, seed, workloads, scale, programs, per_model,
-                   engine)
+    _WORKER_CTX = (key_seed, seed, workloads, scale, programs, per_model)
 
 
 def _round(value: float) -> float:
@@ -235,8 +233,7 @@ def _round(value: float) -> float:
 
 def _dse_task(task: Tuple[int, ProtectionProfile]) -> DesignPointRow:
     """Worker: evaluate one design point end to end."""
-    (key_seed, seed, workloads, scale, programs, per_model,
-     engine) = _WORKER_CTX
+    key_seed, seed, workloads, scale, programs, per_model = _WORKER_CTX
     _index, profile = task
     row = DesignPointRow(
         label=profile.label, cipher=profile.cipher,
@@ -267,8 +264,7 @@ def _dse_task(task: Tuple[int, ProtectionProfile]) -> DesignPointRow:
         from ..attacksynth.campaign import run_attacksynth
         synth = run_attacksynth(
             programs, seed=task_seed(seed, "dse-synth", profile.label),
-            key_seed=key_seed, profile=profile, parallel=False,
-            engine=engine)
+            key_seed=key_seed, profile=profile, parallel=False)
         bounds = synth.bounds()
         row.synth_instances = synth.instances
         row.synth_attempts = bounds.attempts
@@ -287,7 +283,7 @@ def _dse_task(task: Tuple[int, ProtectionProfile]) -> DesignPointRow:
             victim.compile().program, keys, victim.expected_output,
             per_model=per_model,
             seed=task_seed(seed, "dse-fault", profile.label),
-            profile=profile, parallel=False, engine=engine)
+            profile=profile, parallel=False)
         totals = {outcome.value: 0 for outcome in FaultOutcome}
         for per_model_counts in summary.counts.values():
             for outcome, count in per_model_counts.items():
@@ -485,7 +481,6 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
             per_model: int = DEFAULT_PER_MODEL,
             parallel: bool = False, jobs: Optional[int] = None,
             export_path=None, csv_path=None,
-            engine: Optional[str] = None,
             store_dir=None, shard: Optional[ShardSpec] = None,
             telemetry=None, hw: bool = False,
             unrolls: Optional[Sequence[UnrollSpec]] = None) -> DseReport:
@@ -500,11 +495,6 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
     enters the result-store keys (one store serves ``hw`` on and off),
     and with ``hw=False`` the exports stay byte-identical to pre-hardware
     releases.
-
-    ``engine="batch"`` routes each point's attack-synthesis and
-    fault-injection campaigns through the bit-sliced batch engine; the
-    overhead measurements stay scalar (they time the scalar engines) and
-    the JSON/CSV artifacts are byte-identical either way.
 
     ``store_dir`` caches each grid point's :class:`DesignPointRow` in a
     persistent :class:`~repro.runner.store.ResultStore` (keyed by code
@@ -542,7 +532,7 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
         context = {"seed": seed, "key_seed": key_seed, "scale": scale,
                    "workloads": list(workloads), "programs": programs,
                    "per_model": per_model}
-        keys = [task_key("dse", context, profile, engine=engine)
+        keys = [task_key("dse", context, profile)
                 for _index, profile in tasks]
 
     def execute(missing: List[Tuple[int, ProtectionProfile]]
@@ -551,7 +541,7 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
             _dse_task, missing, jobs=jobs, parallel=parallel,
             initializer=_init_dse_worker,
             initargs=(key_seed, seed, tuple(workloads), scale, programs,
-                      per_model, engine), telemetry=telemetry)
+                      per_model), telemetry=telemetry)
 
     with obs_phase(telemetry, "execute"):
         run = run_tasks_stored(execute, tasks, keys, store=store,

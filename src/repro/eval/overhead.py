@@ -149,7 +149,7 @@ class OverheadPoint:
     timing: TimingParams = DEFAULT_TIMING
     config: TransformConfig = DEFAULT_CONFIG
     max_instructions: int = 50_000_000
-    #: execution engine (None = the default predecoded engine); rows are
+    #: execution engine (None = the default fast engine); rows are
     #: bit-identical across engines, this pins one for A/B validation
     engine: Optional[str] = None
     #: full design point; supersedes ``config`` when set (E17 sweeps)

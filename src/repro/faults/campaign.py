@@ -15,9 +15,13 @@ silent corruption and hijacks into detection; faults on the unprotected
 surface (register file, a glitched MAC comparator) can still cause SDC —
 quantifying exactly where the paper's guarantee ends.
 
-Campaigns are embarrassingly parallel: every specimen runs a fresh
-machine against the same shared image.  ``run_campaign(parallel=True,
-jobs=N)`` fans the specimen list across a process pool via
+Every specimen is a pure function of (image, fault): :func:`run_fault`
+runs one on a fresh machine and is the per-specimen reference.  The
+campaign itself always runs specimens in lockstep groups of
+:data:`~repro.sim.batch.BATCH_WIDTH` (:func:`run_fault_batch`): one leader
+executes the shared clean prefix once and each specimen forks off at its
+trigger, byte-identical to per-specimen runs.  ``run_campaign(parallel=
+True, jobs=N)`` fans the groups across a process pool via
 :mod:`repro.runner`; the image is built once in the parent and shipped
 to each worker through the pool initializer, and results come back in
 specimen order, so parallel classification counts are byte-identical to
@@ -118,10 +122,9 @@ def _classify_fault(fault: FaultSpec, description: str, result,
 
 def run_fault(image: SofiaImage, keys: DeviceKeys, fault: FaultSpec,
               golden_output: Sequence[int],
-              max_instructions: int = 2_000_000,
-              engine: Optional[str] = None) -> FaultResult:
+              max_instructions: int = 2_000_000) -> FaultResult:
     """Inject one fault into a fresh protected run and classify it."""
-    machine = SofiaMachine(image, keys, engine=engine)
+    machine = SofiaMachine(image, keys)
     if fault.trigger_instructions > 0:
         machine.run(max_instructions=fault.trigger_instructions)
     description = fault.inject(machine)
@@ -137,7 +140,7 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
 
     One leader machine (with a bit-slice-warmed front end) runs the
     shared clean prefix exactly once; each specimen forks off at its
-    trigger point, injects, and resumes on the scalar engine.  Results
+    trigger point, injects, and resumes on its own machine.  Results
     come back in the *submission* order of ``faults`` and are
     byte-identical to per-specimen :func:`run_fault` calls — the scalar
     prefix cost ``sum(t_i)`` collapses to ``max(t_i)``.
@@ -212,20 +215,13 @@ _WORKER_CTX: Optional[tuple] = None
 
 def _init_fault_worker(image: SofiaImage, keys: DeviceKeys,
                        golden_output: List[int],
-                       max_instructions: int,
-                       engine: Optional[str] = None) -> None:
+                       max_instructions: int) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (image, keys, golden_output, max_instructions, engine)
-
-
-def _fault_task(fault: FaultSpec) -> FaultResult:
-    image, keys, golden_output, max_instructions, engine = _WORKER_CTX
-    return run_fault(image, keys, fault, golden_output, max_instructions,
-                     engine=engine)
+    _WORKER_CTX = (image, keys, golden_output, max_instructions)
 
 
 def _fault_batch_task(group: List[FaultSpec]) -> List[FaultResult]:
-    image, keys, golden_output, max_instructions, _engine = _WORKER_CTX
+    image, keys, golden_output, max_instructions = _WORKER_CTX
     return run_fault_batch(image, keys, group, golden_output,
                            max_instructions)
 
@@ -236,8 +232,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                  max_instructions: int = 2_000_000,
                  rng: Optional[random.Random] = None,
                  parallel: bool = False, jobs: Optional[int] = None,
-                 export_path=None, engine: Optional[str] = None,
-                 profile=None, batch_width: int = BATCH_WIDTH,
+                 export_path=None, profile=None,
                  models: Optional[Sequence[str]] = None,
                  store_dir=None, shard: Optional[ShardSpec] = None,
                  telemetry=None
@@ -245,22 +240,20 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     """Full campaign on one program; returns per-fault results + summary.
 
     The protected image is built and golden-checked exactly once; every
-    specimen then runs against it.  With ``parallel=True`` the specimen
-    list is dispatched across ``jobs`` worker processes (default: one per
-    CPU); serial and parallel runs classify identically because each
-    ``run_fault`` is a pure function of (image, fault).  ``export_path``
-    writes the campaign's parameters and per-specimen results as JSON.
-
-    ``engine="batch"`` routes the specimens through the lockstep batch
-    engine in submission-order groups of ``batch_width`` (one pool task
-    per group; the partition depends only on the width, so any ``--jobs``
-    stays byte-identical) — results and exports match the scalar path
-    exactly, just faster.  ``models`` restricts the sampled population to
-    the named fault models (default: all six).
+    specimen then runs against it, in submission-order lockstep groups of
+    :data:`~repro.sim.batch.BATCH_WIDTH` (:func:`run_fault_batch`, one
+    pool task per group).  With ``parallel=True`` the groups are
+    dispatched across ``jobs`` worker processes (default: one per CPU);
+    the partition depends only on the width, and grouping never changes
+    a result, so serial and parallel runs classify identically and match
+    per-specimen :func:`run_fault` calls.  ``export_path`` writes the
+    campaign's parameters and per-specimen results as JSON.  ``models``
+    restricts the sampled population to the named fault models (default:
+    all six).
 
     ``store_dir`` makes the campaign incremental: each specimen's result
     is content-addressed by (code version, image + run context, fault
-    spec, engine) in a :class:`~repro.runner.store.ResultStore` there,
+    spec) in a :class:`~repro.runner.store.ResultStore` there,
     cached specimens are loaded instead of simulated, and a killed
     campaign resumed over the same store produces an export
     byte-identical to an uninterrupted run (store-backed exports are
@@ -278,8 +271,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
         keys = keys.for_profile(profile)
     with obs_phase(telemetry, "build"):
         image = transform(program, keys, nonce=nonce, profile=profile)
-        baseline = SofiaMachine(image, keys,
-                                engine=engine).run(max_instructions)
+        baseline = SofiaMachine(image, keys).run(max_instructions)
     if list(baseline.output_ints) != list(golden_output) or not baseline.ok:
         raise AssertionError(
             f"golden run broken: {baseline.summary()} "
@@ -301,27 +293,21 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
             "golden": list(golden_output),
             "max_instructions": max_instructions,
         }
-        fault_keys = [task_key("fault-injection", context, fault,
-                               engine=engine) for fault in faults]
+        fault_keys = [task_key("fault-injection", context, fault)
+                      for fault in faults]
     global _WORKER_CTX
     try:
-        initargs = (image, keys, list(golden_output), max_instructions,
-                    engine)
+        initargs = (image, keys, list(golden_output), max_instructions)
 
         def execute(missing: List[FaultSpec]) -> List[FaultResult]:
-            # the batch engine is byte-identical to per-specimen runs at
+            # lockstep groups are byte-identical to per-specimen runs at
             # any grouping, so grouping only the missing faults is safe
-            if engine == "batch":
-                groups = make_batches(missing, batch_width)
-                return [result for group_results in run_tasks(
-                    _fault_batch_task, groups, jobs=jobs,
-                    parallel=parallel, initializer=_init_fault_worker,
-                    initargs=initargs, telemetry=telemetry)
-                    for result in group_results]
-            return run_tasks(
-                _fault_task, missing, jobs=jobs, parallel=parallel,
+            groups = make_batches(missing, BATCH_WIDTH)
+            return [result for group_results in run_tasks(
+                _fault_batch_task, groups, jobs=jobs, parallel=parallel,
                 initializer=_init_fault_worker, initargs=initargs,
                 telemetry=telemetry)
+                for result in group_results]
 
         with obs_phase(telemetry, "execute"):
             run = run_tasks_stored(execute, faults, fault_keys,

@@ -17,7 +17,7 @@ and the PR 1 parallel runner into a standing scenario-generation engine:
 
 :mod:`repro.fuzz.oracle`
     differential oracles over protect → {vanilla, SOFIA} x
-    {reference, predecoded}: any divergence in registers, PC, data
+    {reference, fast}: any divergence in registers, PC, data
     memory, cycles, I-cache stats or detection verdicts is a finding.
 
 :mod:`repro.fuzz.corpus`

@@ -40,16 +40,15 @@ from .oracle import OracleReport, run_oracle
 _WORKER_CTX: Optional[tuple] = None
 
 
-def _init_fuzz_worker(keys: DeviceKeys, include_baselines: bool,
-                      engine: Optional[str] = None) -> None:
+def _init_fuzz_worker(keys: DeviceKeys, include_baselines: bool) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (keys, include_baselines, engine)
+    _WORKER_CTX = (keys, include_baselines)
 
 
 def _fuzz_task(genome: Genome) -> OracleReport:
-    keys, include_baselines, engine = _WORKER_CTX
+    keys, include_baselines = _WORKER_CTX
     return run_oracle(generate(genome), keys,
-                      include_baselines=include_baselines, engine=engine)
+                      include_baselines=include_baselines)
 
 
 @dataclass
@@ -138,7 +137,6 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
              minimize_failures: bool = True,
              max_failures: int = 8,
              key_seed: int = DEFAULT_KEY_SEED,
-             engine: Optional[str] = None,
              store_dir=None, shard: Optional[ShardSpec] = None,
              telemetry=None) -> FuzzReport:
     """Run a campaign of ``seeds`` specimens; returns the full report.
@@ -148,13 +146,10 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
     is loaded first, so campaigns accumulate across invocations.
     ``max_failures`` caps how many *distinct* failing specimens are
     minimized and triaged (minimization re-runs the oracle many times).
-    ``engine="batch"`` or ``engine="fused"`` widens every specimen's
-    engine axes to a three-way reference/predecoded/ENGINE lockstep
-    (see :func:`~repro.fuzz.oracle.run_oracle`).
 
     ``store_dir`` caches every specimen's :class:`OracleReport` in a
     persistent :class:`~repro.runner.store.ResultStore` keyed by code
-    version + (key seed, baselines, engine) + genome: a killed campaign
+    version + (key seed, baselines) + genome: a killed campaign
     resumed over the same store replays its finished specimens and only
     simulates the rest, converging on the same report.  ``shard``
     distributes fuzzing round-by-round: each invocation executes its
@@ -185,7 +180,7 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
         return run_tasks(_fuzz_task, missing,
                          jobs=jobs, parallel=parallel,
                          initializer=_init_fuzz_worker,
-                         initargs=(keys, include_baselines, engine),
+                         initargs=(keys, include_baselines),
                          telemetry=telemetry)
 
     failing_reports: List[OracleReport] = []
@@ -200,8 +195,8 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
                               report.coverage, report.corpus)
         genome_keys = None
         if store is not None:
-            genome_keys = [task_key("fuzz", context, genome,
-                                    engine=engine) for genome in genomes]
+            genome_keys = [task_key("fuzz", context, genome)
+                           for genome in genomes]
         run = run_tasks_stored(execute, genomes, genome_keys,
                                store=store, shard=shard,
                                telemetry=telemetry)

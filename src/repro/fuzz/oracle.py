@@ -1,7 +1,7 @@
-"""Differential oracles: one specimen, four engines, every observable.
+"""Differential oracles: one specimen, four runs, every observable.
 
 ``run_oracle`` drives a specimen through protect → {vanilla, SOFIA} x
-{reference, predecoded} and flags *any* observable disagreement:
+{reference, fast} and flags *any* observable disagreement:
 
 * **engine axes** (``vanilla-engine``, ``sofia-engine``) — the two
   engines of one machine must be bit-identical in every
@@ -27,7 +27,7 @@ fetch-path variants stand in for the paper's interrupt-enabled builds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..crypto.keys import DeviceKeys
 from ..errors import ReproError
@@ -93,44 +93,38 @@ _FIELD_NAMES = ("status", "cycles", "instructions", "exit_code",
 
 
 def _compare_engines(axis: str, make_machine, budget: int,
-                     divergences: List[Divergence],
-                     engines: Tuple[str, ...] = ("reference",)):
-    """Run ``engines`` against the predecoded engine of one machine; flag
-    every differing observable.
+                     divergences: List[Divergence]):
+    """Run the reference oracle against the fast engine of one machine;
+    flag every differing observable.
 
-    Returns the predecoded run's (machine, result) — the pair the rest
-    of the oracle keeps reasoning about.  Each extra engine (the
-    ``--engine`` opt-in adds ``"batch"`` or ``"fused"``) is held to the
-    same bit-identical contract.
+    Returns the fast run's (machine, result) — the pair the rest of the
+    oracle keeps reasoning about.
     """
-    pre = make_machine("predecoded")
-    pre_result = pre.run(max_instructions=budget)
-    pre_fields = _result_fields(pre_result)
-    for engine in engines:
-        other = make_machine(engine)
-        other_result = other.run(max_instructions=budget)
-        other_fields = _result_fields(other_result)
-        for name, a, b in zip(_FIELD_NAMES, other_fields, pre_fields):
-            if a != b:
-                divergences.append(Divergence(
-                    axis, name, f"{engine}={a!r} predecoded={b!r}"))
-        if other.state.regs != pre.state.regs:
-            delta = [i for i in range(32)
-                     if other.state.regs[i] != pre.state.regs[i]]
+    fast = make_machine("fast")
+    fast_result = fast.run(max_instructions=budget)
+    ref = make_machine("reference")
+    ref_result = ref.run(max_instructions=budget)
+    for name, a, b in zip(_FIELD_NAMES, _result_fields(ref_result),
+                          _result_fields(fast_result)):
+        if a != b:
             divergences.append(Divergence(
-                axis, "regs", f"registers differ at {delta}"))
-        if other.state.pc != pre.state.pc:
-            divergences.append(Divergence(
-                axis, "pc",
-                f"{engine}=0x{other.state.pc:08x} "
-                f"predecoded=0x{pre.state.pc:08x}"))
-        if other.memory.ram != pre.memory.ram:
-            first = next(
-                i for i, (x, y) in
-                enumerate(zip(other.memory.ram, pre.memory.ram)) if x != y)
-            divergences.append(Divergence(
-                axis, "ram", f"data RAM differs from byte offset {first}"))
-    return pre, pre_result
+                axis, name, f"reference={a!r} fast={b!r}"))
+    if ref.state.regs != fast.state.regs:
+        delta = [i for i in range(32)
+                 if ref.state.regs[i] != fast.state.regs[i]]
+        divergences.append(Divergence(
+            axis, "regs", f"registers differ at {delta}"))
+    if ref.state.pc != fast.state.pc:
+        divergences.append(Divergence(
+            axis, "pc",
+            f"reference=0x{ref.state.pc:08x} fast=0x{fast.state.pc:08x}"))
+    if ref.memory.ram != fast.memory.ram:
+        first = next(
+            i for i, (x, y) in
+            enumerate(zip(ref.memory.ram, fast.memory.ram)) if x != y)
+        divergences.append(Divergence(
+            axis, "ram", f"data RAM differs from byte offset {first}"))
+    return fast, fast_result
 
 
 def build_program(specimen: Specimen) -> AsmProgram:
@@ -145,20 +139,12 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
                timing: TimingParams = DEFAULT_TIMING,
                include_baselines: bool = False,
                vanilla_budget: int = VANILLA_BUDGET,
-               sofia_budget: int = SOFIA_BUDGET,
-               engine: Optional[str] = None) -> OracleReport:
+               sofia_budget: int = SOFIA_BUDGET) -> OracleReport:
     """The full differential pipeline for one specimen.
 
     The budgets exist for the minimizer: a reduced candidate can loop
     forever, so reduction probes run with budgets scaled to the
     original failure instead of the full campaign budgets.
-
-    ``engine="batch"`` or ``engine="fused"`` widens the SOFIA engine
-    axis to a three-way lockstep — reference and the chosen engine each
-    compared bit-for-bit against predecoded — so every fuzzing campaign
-    that opts in also differential-tests that engine on generated
-    programs.  ``"fused"`` additionally widens the vanilla axis (the
-    fused engine exists on both cores; batch is SOFIA-only).
     """
     report = OracleReport(specimen=specimen)
     genome = specimen.genome
@@ -179,17 +165,14 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
     report.features.extend(image_features(image, timing.icache_line_words))
 
     divergences = report.divergences
-    extra = () if engine in (None, "predecoded") else (engine,)
-    vanilla_engines = ("reference",) + (extra if engine == "fused" else ())
     _, vanilla = _compare_engines(
         "vanilla-engine",
-        lambda eng: VanillaMachine(executable, timing, engine=eng),
-        vanilla_budget, divergences, engines=vanilla_engines)
-    sofia_engines = ("reference",) + extra
+        lambda engine: VanillaMachine(executable, timing, engine=engine),
+        vanilla_budget, divergences)
     _, sofia = _compare_engines(
         "sofia-engine",
-        lambda eng: SofiaMachine(image, keys, timing, engine=eng),
-        sofia_budget, divergences, engines=sofia_engines)
+        lambda engine: SofiaMachine(image, keys, timing, engine=engine),
+        sofia_budget, divergences)
 
     report.vanilla_status = vanilla.status.value
     report.sofia_status = sofia.status.value

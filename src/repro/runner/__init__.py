@@ -31,7 +31,7 @@ across CPU cores:
 :mod:`repro.runner.store`
     ``ResultStore`` / ``task_key`` / ``run_tasks_stored`` — a
     persistent, content-addressed result cache keyed by
-    (code version, context digest, task digest, engine), making every
+    (code version, context digest, task digest), making every
     campaign incremental and resumable (``--resume``).
 
 :mod:`repro.runner.shard`

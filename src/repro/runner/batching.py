@@ -1,7 +1,7 @@
 """Deterministic batch planning for width-grouped campaign tasks.
 
-The batch simulation engine (:mod:`repro.sim.batch`) processes specimens
-in lockstep groups of up to :data:`~repro.sim.batch.BATCH_WIDTH`.  To
+The fault campaign runs its specimens in lockstep groups of up to
+:data:`~repro.sim.batch.BATCH_WIDTH` (:mod:`repro.sim.batch`).  To
 keep every campaign's byte-identical-at-any-``--jobs`` invariant, the
 partition of a specimen list into groups must depend **only** on the
 submission order and the batch width — never on worker count, scheduling

@@ -2,11 +2,11 @@
 
 Every campaign in this reproduction is an ordered list of *pure*,
 deterministic tasks: a result is fully determined by (the code that
-computed it, the shared worker context, the task payload, the execution
-engine).  That is exactly the property that makes results safely
-cacheable — so this module gives each task a content address
+computed it, the shared worker context, the task payload).  That is
+exactly the property that makes results safely cacheable — so this
+module gives each task a content address
 
-    ``sha256(campaign, code_version, context, task, engine)``
+    ``sha256(campaign, code_version, context, task)``
 
 and persists its pickled result under that key in a directory store::
 
@@ -101,7 +101,6 @@ def stable_digest(value: Any) -> str:
 
 
 def task_key(campaign: str, context: Any, task: Any, *,
-             engine: Optional[str] = None,
              code: Optional[str] = None) -> str:
     """The content address of one task's result.
 
@@ -116,7 +115,6 @@ def task_key(campaign: str, context: Any, task: Any, *,
         "code": code if code is not None else code_version(),
         "context": to_jsonable(context),
         "task": to_jsonable(task),
-        "engine": engine,
     }
     return hashlib.sha256(
         json.dumps(material, sort_keys=True, separators=(",", ":"))

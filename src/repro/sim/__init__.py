@@ -4,8 +4,8 @@ from .batch import (BATCH_WIDTH, LockstepLeader, adopt_caches, fork_machine,
                     warm_front_end)
 from .cache import CacheStats, DirectMappedCache
 from .core import CPUState, ExecOutcome, execute, to_signed
-from .engine import (CAMPAIGN_ENGINES, DEFAULT_ENGINE, ENGINES,
-                     compile_handler, predecode, resolve_engine)
+from .engine import (DEFAULT_ENGINE, ENGINES, compile_handler, predecode,
+                     resolve_engine)
 from .fused import compile_sofia_block, compile_vanilla_run
 from .memory import Memory, MMIODevice
 from .result import ExecutionResult, Status, ViolationRecord
@@ -23,7 +23,7 @@ __all__ = [
     "ExecutionResult", "Status", "ViolationRecord",
     "VanillaMachine", "run_executable",
     "SofiaMachine", "run_image",
-    "DEFAULT_ENGINE", "ENGINES", "CAMPAIGN_ENGINES", "resolve_engine",
+    "DEFAULT_ENGINE", "ENGINES", "resolve_engine",
     "BATCH_WIDTH", "LockstepLeader", "warm_front_end", "fork_machine",
     "adopt_caches",
     "compile_sofia_block", "compile_vanilla_run",

@@ -1,4 +1,4 @@
-"""Bit-sliced batch simulation: lockstep campaign specimens (engine E18).
+"""Bit-sliced batch simulation: the campaign strategies of experiment E18.
 
 Campaign runs (fault injection, attack synthesis, DSE grid points) execute
 thousands of *near-identical* specimens: each one replays the same clean
@@ -29,16 +29,16 @@ any terminal (non-LIMIT) status because re-running a halted machine
 re-executes block payload — forks made after that point replicate the
 terminal state, exactly like the scalar path.
 
-Specimens resume on the fused-superblock engine (one compiled call per
-verified block, bit-identical to the scalar predecoded loop — see
-:mod:`repro.sim.fused`), so every per-commit observable (registers, PC,
-memory, cycles, I-cache stats) is byte-identical to a fresh scalar run —
-the batch differential suite and the W=1 == scalar determinism tests gate
-this, and the peel-off suffixes no longer pay the per-instruction
-dispatch that capped E18.
+Specimens resume on the fast engine, so every per-commit observable
+(registers, PC, memory, cycles, I-cache stats) is byte-identical to a
+fresh run — the batch differential suite and the W=1 == per-specimen
+determinism tests gate this.
 
-``SofiaMachine(..., engine="batch")`` means: the fused run loop over a
-batch-warmed front end (warmed lazily on the first ``run()``).
+These are campaign strategies, not engines: the fault campaign always
+runs its specimens through :class:`LockstepLeader` in groups of
+:data:`BATCH_WIDTH`, and attack synthesis always warms the clean machine
+with :func:`warm_front_end` and shares its memos with every instance
+machine through :func:`adopt_caches`.
 """
 
 from __future__ import annotations
@@ -152,8 +152,7 @@ def fork_machine(source: SofiaMachine) -> SofiaMachine:
     clears and repopulates *its own* copy from its own memory.
     """
     clone = SofiaMachine(source.image, source.keys, timing=source.timing,
-                         memoize=source.memoize, engine="fused",
-                         profile=source.profile)
+                         memoize=source.memoize, profile=source.profile)
     clone.state.regs[:] = source.state.regs
     clone.state.pc = source.state.pc
     clone.prev_pc = source.prev_pc
@@ -189,7 +188,7 @@ class LockstepLeader:
     def __init__(self, image, keys, timing: TimingParams = DEFAULT_TIMING,
                  profile=None, warm: bool = True) -> None:
         self.machine = SofiaMachine(image, keys, timing=timing,
-                                    engine="fused", profile=profile)
+                                    profile=profile)
         if warm:
             warm_front_end(self.machine)
         self.executed = 0

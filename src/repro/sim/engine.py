@@ -1,4 +1,4 @@
-"""Predecoded execution engine: compile instructions once, step closures.
+"""Predecoded handlers: compile instructions once, step closures.
 
 :func:`repro.sim.core.execute` is the *reference semantics oracle*: a
 ~40-arm mnemonic dispatch that re-reads every operand field, allocates a
@@ -12,8 +12,12 @@ Instruction` exactly once into a specialized *handler* — a closure drawn
 from a per-mnemonic dispatch table that binds the operand indices,
 immediates and masks as default arguments (locals, not cell lookups) —
 paired with its two precomputed cycle costs from
-:func:`~repro.sim.timing.cycle_costs`.  The machines then step cached
-handlers; ``engine="reference"`` keeps the oracle loop selectable.
+:func:`~repro.sim.timing.cycle_costs`.  The ``"fast"`` engine steps these
+cached handlers as its cold tier (code below the
+:data:`~repro.sim.fused.COMPILE_THRESHOLD` heat gate, plus the exact
+budget tail of a vanilla run) and source-compiles hot code with
+:mod:`repro.sim.fused`; ``engine="reference"`` keeps the oracle loop
+selectable.
 
 Handler contract
 ----------------
@@ -52,22 +56,14 @@ SIGN_BIT = 0x80000000
 #: address can be negative, so it never collides with a branch target)
 HALT = -1
 
-#: the engines a machine can run; the predecoded engine is the default,
-#: ``"reference"`` selects the original ``core.execute`` oracle loop,
-#: ``"batch"`` the bit-slice-warmed front end (:mod:`repro.sim.batch`)
-#: whose runs execute fused, and ``"fused"`` the superblock engine that
-#: source-compiles each straight-line run into one call
-#: (:mod:`repro.sim.fused`).  This tuple is the single home of the engine
-#: name surface: CLI choices, fuzz-oracle axes and campaign plumbing all
-#: derive from it.
-ENGINES = ("predecoded", "reference", "batch", "fused")
-DEFAULT_ENGINE = "predecoded"
-
-#: the engines campaign drivers accept beyond the default: everything that
-#: is not the default scalar loop or the reference oracle (derived, never
-#: repeated as a literal tuple elsewhere)
-CAMPAIGN_ENGINES = tuple(e for e in ENGINES
-                         if e not in (DEFAULT_ENGINE, "reference"))
+#: the engines a machine can run: the tiered ``"fast"`` engine (predecoded
+#: stepping while code is cold, one source-compiled call per block or
+#: straight-line run once it is hot) and the ``"reference"`` oracle loop
+#: over ``core.execute`` that the differential suites lockstep against.
+#: Both are bit-identical; this tuple is the single home of the engine
+#: name surface (CLI choices, telemetry counter suffixes).
+ENGINES = ("fast", "reference")
+DEFAULT_ENGINE = "fast"
 
 Handler = Callable[[list, Memory, int], Optional[int]]
 
@@ -532,27 +528,24 @@ def compile_handler(instr: Instruction) -> Handler:
     return compiler(instr)
 
 
-#: predecoded step:
-#: (handler, cycles_not_taken, cycles_taken, is_store, instruction).
-#: ``is_store`` gates the MMIO-exit poll: only a store can set the exit
-#: register, so every other step skips the device read entirely.
-PredecodedStep = Tuple[Handler, int, int, bool, Instruction]
+#: step kinds: what a committed step can do beyond writing registers/RAM.
+#: INERT handlers provably return ``None`` and cannot end a block or a
+#: straight-line run, so the hook-less loops skip every post-commit check
+#: for them; only a STORE can set the MMIO exit register.
+KIND_INERT = 0   # ALU / load / nop: no control effect, cannot set exit
+KIND_STORE = 1   # may write the MMIO exit register
+KIND_CTI = 2     # ends the block: branch / jump / call / indirect
+KIND_HALT = 3    # handler returns HALT
+
+#: predecoded vanilla step:
+#: (handler, cycles_not_taken, cycles_taken, kind, instruction).
+PredecodedStep = Tuple[Handler, int, int, int, Instruction]
 
 
 def predecode(instr: Instruction, timing: TimingParams) -> PredecodedStep:
     """Compile an instruction and precompute both cycle costs."""
     seq, taken = cycle_costs(instr, timing)
-    return (compile_handler(instr), seq, taken, instr.spec.is_store, instr)
-
-
-#: step kinds for the SOFIA inner loop: what a committed step can do
-#: beyond writing registers/RAM.  INERT handlers provably return ``None``
-#: and cannot end the block, so the fast (hook-less) loop skips every
-#: post-commit check for them.
-KIND_INERT = 0   # ALU / load / nop: no control effect, cannot set exit
-KIND_STORE = 1   # may write the MMIO exit register
-KIND_CTI = 2     # ends the block: branch / jump / call / indirect
-KIND_HALT = 3    # handler returns HALT
+    return (compile_handler(instr), seq, taken, step_kind(instr), instr)
 
 #: predecoded SOFIA payload slot:
 #: (handler, cycles_not_taken, cycles_taken, kind, address, instruction)

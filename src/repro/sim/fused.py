@@ -1,11 +1,13 @@
-"""Fused-superblock execution engine: one compiled call per straight-line run.
+"""The hot tier of the fast engine: one compiled call per straight-line run.
 
-The predecoded engine (:mod:`repro.sim.engine`) removed per-step re-decoding
-but still pays one Python closure call, one tuple unpack and one kind/store
-check **per instruction**.  This module removes that too: each straight-line
-run — a SOFIA ``_VerifiedBlock`` payload, or the vanilla per-PC chain up to
-and including the next CTI / store / halt — is *source-compiled* into a
-single specialized Python function.  The same operand/immediate constant
+Predecoded stepping (:mod:`repro.sim.engine`, the fast engine's cold tier)
+removed per-step re-decoding but still pays one Python closure call, one
+tuple unpack and one kind/store check **per instruction**.  This module
+removes that too for hot code: each straight-line run — a SOFIA
+``_VerifiedBlock`` payload, or the vanilla per-PC chain up to and including
+the next CTI / store / halt — is *source-compiled* into a single
+specialized Python function once it has been traversed
+:data:`COMPILE_THRESHOLD` times.  The same operand/immediate constant
 binding ``engine.py`` does per instruction is inlined into one body, cycle
 costs are folded into compile-time run constants, and the I-cache tag
 checks collapse to one literal comparison per cache line.
@@ -18,7 +20,7 @@ A SOFIA block handler is called as ``fn(regs, load, store, mmio, tags)``
 
 * ``n``          — instructions committed (the k-th trap commits exactly k);
 * ``cycles``     — ``max(fetch_cycles, exec_cycles)`` for the whole block,
-  the bottleneck model of ``SofiaMachine._run_predecoded`` verbatim.  The
+  the bottleneck model of ``SofiaMachine._run_reference`` verbatim.  The
   possible values are a *compile-time constant tuple* indexed by the miss
   count, so the hot path does no cycle arithmetic at all;
 * ``hits``/``miss_runs`` — I-cache accounting (``hits = n_fetch - mr``);
@@ -35,6 +37,9 @@ A vanilla run handler returns ``(n, cycles, hits, misses, code, arg)`` with
 per-instruction ``max(fetch, exec)`` charging and code 1 continue-at-`arg`,
 2 halt, 3 exit, 4 trap.
 
+The cold tiers (``SofiaMachine._interp_block``, ``VanillaMachine._step_run``)
+speak the same protocols, so the driving loops never ask which tier ran.
+
 Trap equivalence
 ----------------
 A ``SimulationError`` raised by the k-th fused instruction must leave regs,
@@ -43,7 +48,7 @@ Every memory access is therefore wrapped in its own ``try`` whose handler
 returns the run-constants of the first k instructions: cycles are summed as
 compile-time constants per prefix (the trapping instruction's execution
 cycles are *not* charged, its fetch *is* tag-checked and counted, and a
-line fill it triggered stands — all exactly like the predecoded loop).
+line fill it triggered stands — all exactly like predecoded stepping).
 Register writes are in-place on the shared ``regs`` list, so the committed
 prefix needs no replay.
 
@@ -64,15 +69,16 @@ from .engine import MASK32, compile_fetch_runs
 from .timing import TimingParams, cycle_costs
 
 #: vanilla straight-line runs are capped so a single compile stays small
-#: and the budget-boundary tail (delegated back to the predecoded loop)
-#: stays short
+#: and the budget-boundary tail (stepped by the cold tier) stays short
 MAX_RUN = 64
 
-#: a SOFIA edge is interpreted (predecoded hot-tuple stepping) this many
-#: traversals before its block is source-compiled: a CPython compile costs
-#: on the order of 100 µs while a fused traversal only saves a couple of
-#: µs over an interpreted one, so compiling pays off only for genuinely
-#: hot blocks — warm-up traversals run at predecoded speed regardless
+#: the heat gate of both machines: a SOFIA edge or a vanilla run start PC
+#: is stepped by the predecoded cold tier this many traversals before its
+#: code is source-compiled.  A CPython compile costs on the order of
+#: 100 µs while a compiled traversal only saves a couple of µs over a
+#: stepped one, so compiling pays off only for genuinely hot code —
+#: one-shot runs (attack instances, fuzz specimens) never compile.  Read
+#: at every cold traversal, so tests can pin either tier by patching it.
 COMPILE_THRESHOLD = 16
 
 _M = "4294967295"       # MASK32 literal
@@ -121,7 +127,7 @@ def _mem_source(instr: Instruction, data_base: int, ram_size: int):
     body, and the fallback call into the memory system (MMIO, code reads,
     traps).  Only the ``slow`` call can raise.  With a shadowed RAM
     window (``ram_size < 0``) the guard is constant-false and ``cond`` is
-    ``None`` — the caller emits the fallback alone, exactly the predecoded
+    ``None`` — the caller emits the fallback alone, exactly the stepped
     behaviour.  Register values are already 32-bit masked, so ``imm == 0``
     addresses skip the mask.
     """
@@ -276,7 +282,7 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
     """Compile one ``_VerifiedBlock`` into a single run-handler.
 
     Returns the handler function, cached on the block (the same place
-    ``_compile_hot`` memoizes predecoded steps, with the same lifetime:
+    ``_predecode_block`` memoizes predecoded steps, with the same lifetime:
     any code write drops the block and the handler with it).  Everything
     the driving loop needs — I-cache accounting, the seal-fetch charge,
     the successor edge key, the terminal status — comes back in the
@@ -284,7 +290,7 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
     bottleneck collapses to a constant tuple indexed by the miss count.
 
     ``hooked=True`` builds the traced variant mirroring the *generic*
-    predecoded inner loop — hook after every commit, unconditional MMIO
+    cold-tier inner loop — hook after every commit, unconditional MMIO
     exit poll — used whenever ``on_commit`` is installed or a resumed run
     starts with the exit register already written.
     """
@@ -463,11 +469,12 @@ def compile_vanilla_run(machine, start_pc: int,
     store or halt (stores terminate runs so self-modifying code can never
     execute a stale compiled suffix), capped at :data:`MAX_RUN`.  A decode
     or fetch fault *past* the first instruction truncates the run — the
-    faulting PC becomes its own (trapping) run, preserving the predecoded
-    loop's exact trap point and reason.
+    faulting PC becomes its own (trapping) run, preserving the exact
+    stepped trap point and reason.
 
     Returns ``(fn, n_max, covered_addresses)``; when the first fetch/decode
-    itself faults, ``(None, trap_reason, (start_pc,))``.
+    itself faults, ``(None, trap_reason, (start_pc,))`` — the machine then
+    leaves the run to its cold tier, which traps identically.
     """
     timing = machine.timing
     icache = machine.icache
@@ -492,7 +499,7 @@ def compile_vanilla_run(machine, start_pc: int,
     lines_mask = icache.lines - 1
     lines_shift = icache.lines.bit_length() - 1
     pen = timing.icache_miss_penalty
-    # unmasked on purpose: the predecoded loop advances ``pc += 4`` without
+    # unmasked on purpose: the stepping loops advance ``pc + 4`` without
     # wrapping, and bit-identity beats tidiness
     next_pc = start_pc + 4 * n
 

@@ -34,6 +34,7 @@ from ..obs import hook as obs_hook
 from ..transform.config import RESET_PREV_PC
 from ..transform.encrypt import unseal_block
 from ..transform.image import SofiaImage
+from . import fused
 from .cache import DirectMappedCache
 from .core import CPUState, execute
 from .engine import compile_fetch_runs, predecode_payload, resolve_engine
@@ -54,16 +55,16 @@ class _VerifiedBlock:
     payload: Tuple[Tuple[Instruction, int, int], ...] = ()  # (instr, addr, slot)
     violation: Optional[ViolationRecord] = None
     decode_failure: Optional[Tuple[int, str]] = None  # (slot, reason)
-    #: everything the predecoded engine needs per traversal, precompiled
-    #: into one tuple on the block's first traversal (dies with the block
-    #: on any code write); see ``SofiaMachine._compile_hot``
-    hot: Optional[tuple] = None
-    #: the fused-superblock run handlers (repro.sim.fused): the whole
-    #: payload source-compiled into one call, cached exactly like ``hot``
-    #: (and invalidated with it); ``fused_hook`` is the traced/generic
-    #: variant, compiled lazily only when a hook or pending exit needs it.
-    #: Handlers bind no machine state, so forks sharing block objects
-    #: share the compiled code too.
+    #: everything the cold tier needs per traversal, predecoded into one
+    #: tuple on the block's first traversal (dies with the block on any
+    #: code write); see ``SofiaMachine._predecode_block``
+    predecoded: Optional[tuple] = None
+    #: the hot tier's run handlers (repro.sim.fused): the whole payload
+    #: source-compiled into one call once the edge is hot, cached exactly
+    #: like ``predecoded`` (and invalidated with it); ``fused_hook`` is the
+    #: traced/generic variant, compiled only when a hook or pending exit
+    #: needs it.  Handlers bind no machine state, so forks sharing block
+    #: objects share the compiled code too.
     fused: Optional[Callable] = None
     fused_hook: Optional[Callable] = None
 
@@ -104,14 +105,14 @@ class SofiaMachine:
         self.prev_pc = RESET_PREV_PC
         self._config = self.profile.to_config(code_base=image.code_base)
         self._block_cache: Dict[Tuple[int, int], _VerifiedBlock] = {}
-        #: flat edge -> fused-run-handler memos so the fused hot loop is a
-        #: single dict probe (rebuilt lazily from the block memos; forks
-        #: start empty but reuse the handlers shared via the blocks)
+        #: flat edge -> compiled-handler memos so the hot loop is a single
+        #: dict probe (rebuilt lazily from the block memos; forks start
+        #: empty but reuse the handlers shared via the blocks)
         self._fused_edges: Dict[Tuple[int, int], Callable] = {}
         self._fused_hook_edges: Dict[Tuple[int, int], Callable] = {}
-        #: edges seen exactly once by the fused engine: the first
-        #: traversal is interpreted over the predecoded hot tuple, only
-        #: the second pays the source compile (one-shot code never does)
+        #: traversals per edge not yet compiled: an edge is interpreted by
+        #: the predecoded cold tier until it reaches COMPILE_THRESHOLD
+        #: (one-shot code never pays a source compile)
         self._fused_heat: Dict[Tuple[int, int], int] = {}
         self.memory.add_code_listener(self._on_code_write)
         #: fault-injection hooks (see repro.faults): a glitched comparator
@@ -120,8 +121,8 @@ class SofiaMachine:
         self.verify_skip_budget = 0
         self.pending_fetch_restore: Optional[Tuple[int, int]] = None
         #: pure seal memo (kind, payload words) -> computed MAC, shared
-        #: across forked/donor machines by the batch engine; ``None``
-        #: keeps the scalar per-traversal recompute path
+        #: across forked/donor machines by the campaign strategies of
+        #: repro.sim.batch; ``None`` keeps the per-traversal recompute path
         self._mac_cache: Optional[Dict[Tuple[str, Tuple[int, ...]],
                                        Tuple[int, ...]]] = None
         #: optional tracing hook, called as on_commit(pc, instr) after each
@@ -301,15 +302,8 @@ class SofiaMachine:
     def run(self, max_instructions: int = 50_000_000) -> ExecutionResult:
         if self.engine == "reference":
             result = self._run_reference(max_instructions)
-        elif self.engine == "predecoded":
-            result = self._run_predecoded(max_instructions)
         else:
-            if self.engine == "batch" and self._mac_cache is None:
-                # batch engine == the fused run loop over a front end
-                # warmed in one bit-sliced sweep (lazy import: cycle)
-                from .batch import warm_front_end
-                warm_front_end(self)
-            result = self._run_fused(max_instructions)
+            result = self._run_fast(max_instructions)
         obs = self._obs
         if obs is not None:
             # run-level throughput counters, read off the finished
@@ -416,13 +410,16 @@ class SofiaMachine:
             blocks_executed=blocks_executed,
             mac_fetch_cycles=mac_fetch_cycles)
 
-    def _compile_hot(self, block: _VerifiedBlock) -> tuple:
-        """Precompile one verified block for the predecoded engine.
+    def _predecode_block(self, block: _VerifiedBlock) -> tuple:
+        """Predecode one verified block for the cold tier.
 
         Returns ``(ok, n_fetch, fetch_runs, mac_cycles, steps,
         fallthrough_prev, fallthrough_pc, violation, trap_reason)`` — the
-        whole per-traversal working set in one tuple, so the run loop
-        unpacks once instead of walking dataclass attributes.
+        whole per-traversal working set in one tuple, so
+        :meth:`_interp_block` unpacks once instead of walking dataclass
+        attributes.  The fetch addresses are collapsed into same-cache-line
+        runs (one tag check per line instead of per word, with identical
+        statistics).
         """
         icache = self.icache
         runs = compile_fetch_runs(block.fetch_addresses,
@@ -440,171 +437,27 @@ class SofiaMachine:
                 block.base + block_bytes - 4, block.base + block_bytes,
                 block.violation, trap_reason)
 
-    def _run_predecoded(self, max_instructions: int) -> ExecutionResult:
-        """The fast loop: verified blocks carry precompiled hot tuples.
+    def _run_fast(self, max_instructions: int) -> ExecutionResult:
+        """The tiered loop: one call per verified block.
 
-        Behaviour is bit-identical to :meth:`_run_reference` — same
-        commit/hook ordering, same cycle, MAC-slot and I-cache accounting,
-        same reset/trap points.  The decrypt/verify front-end is shared
-        (and memoized) with the reference engine; each verified block
-        additionally caches a hot tuple (:meth:`_compile_hot`) holding its
-        compiled payload steps and its fetch addresses collapsed into
-        same-cache-line runs (one tag check per line instead of per word,
-        with identical statistics).  When no ``on_commit`` hook is
-        installed (bind it before calling :meth:`run`), an inner loop
-        specialized by step kind skips every post-commit check an inert
-        step provably cannot need; the generic inner loop mirrors the
-        reference ordering check for check.
-        """
-        state = self.state
-        icache = self.icache
-        memory = self.memory
-        mmio = memory.mmio
-        regs = state.regs
-        on_commit = self.on_commit
-        get_block = self._block_cache.get
-        miss_penalty = self.timing.icache_miss_penalty
-        tags = icache._tags
-        hits = 0
-        misses = 0
-        pc = state.pc
-        prev_pc = self.prev_pc
-        cycles = 0
-        executed = 0
-        blocks_executed = 0
-        mac_fetch_cycles = 0
-        status: Optional[Status] = None
-        trap_reason = ""
-        violation: Optional[ViolationRecord] = None
-        # a resumed run can start with the exit register already written;
-        # the oracle still executes one instruction before noticing — the
-        # generic loop polls unconditionally, so take it in that case
-        generic = (on_commit is not None) or mmio.exit_code is not None
-
-        while executed < max_instructions:
-            block = get_block((prev_pc, pc))
-            if block is None:
-                block = self.decrypt_and_verify(prev_pc, pc)
-            hot = block.hot
-            if hot is None:
-                hot = block.hot = self._compile_hot(block)
-            (ok, fetch_cycles, runs, mac_cycles, steps,
-             fallthrough_prev, fallthrough_pc, block_violation,
-             block_trap) = hot
-            blocks_executed += 1
-            for index, tag, count in runs:
-                if tags[index] == tag:
-                    hits += count
-                else:
-                    tags[index] = tag
-                    misses += 1
-                    hits += count - 1
-                    fetch_cycles += miss_penalty
-            mac_fetch_cycles += mac_cycles
-            if not ok:
-                cycles += fetch_cycles
-                status = Status.RESET
-                violation = block_violation
-                break
-
-            transferred = False
-            exec_cycles = 0
-            if generic:
-                for run_h, cyc_seq, cyc_taken, kind, address, instr in steps:
-                    try:
-                        target = run_h(regs, memory, address)
-                    except SimulationError as exc:
-                        status, trap_reason = Status.TRAP, str(exc)
-                        break
-                    executed += 1
-                    exec_cycles += cyc_seq if target is None else cyc_taken
-                    if on_commit is not None:
-                        on_commit(address, instr)
-                    if target == -1:  # engine.HALT
-                        status = Status.HALT
-                        break
-                    if mmio.exit_code is not None:
-                        status = Status.EXIT
-                        break
-                    if kind == 2:  # KIND_CTI
-                        prev_pc = address
-                        pc = target if target is not None else fallthrough_pc
-                        transferred = True
-                        break
-            else:
-                for run_h, cyc_seq, cyc_taken, kind, address, instr in steps:
-                    try:
-                        target = run_h(regs, memory, address)
-                    except SimulationError as exc:
-                        status, trap_reason = Status.TRAP, str(exc)
-                        break
-                    executed += 1
-                    if kind == 0:          # inert: target is always None
-                        exec_cycles += cyc_seq
-                        continue
-                    if kind == 1:          # store: may have set exit
-                        exec_cycles += cyc_seq
-                        if mmio.exit_code is not None:
-                            status = Status.EXIT
-                            break
-                        continue
-                    if kind == 2:          # CTI: always ends the block
-                        if target is None:
-                            exec_cycles += cyc_seq
-                            pc = fallthrough_pc
-                        else:
-                            exec_cycles += cyc_taken
-                            pc = target
-                        prev_pc = address
-                        transferred = True
-                        break
-                    exec_cycles += cyc_seq  # halt
-                    status = Status.HALT
-                    break
-            cycles += fetch_cycles if fetch_cycles > exec_cycles \
-                else exec_cycles
-            if self.pending_fetch_restore is not None:
-                address, original = self.pending_fetch_restore
-                self.pending_fetch_restore = None
-                memory.poke_code(address, original)
-            if status is not None:
-                break
-            if block_trap is not None and not transferred:
-                status = Status.TRAP
-                trap_reason = block_trap
-                break
-            if not transferred:
-                # sequential fall-through into the next block
-                prev_pc = fallthrough_prev
-                pc = fallthrough_pc
-        self.state.pc = pc
-        self.prev_pc = prev_pc
-        icache.stats.hits += hits
-        icache.stats.misses += misses
-        return ExecutionResult(
-            status=status if status is not None else Status.LIMIT,
-            cycles=cycles, instructions=executed,
-            exit_code=mmio.exit_code, mmio=mmio, violation=violation,
-            trap_reason=trap_reason, icache=icache.stats,
-            blocks_executed=blocks_executed,
-            mac_fetch_cycles=mac_fetch_cycles)
-
-    def _run_fused(self, max_instructions: int) -> ExecutionResult:
-        """The fused-superblock loop: one compiled call per block.
-
-        Bit-identical to :meth:`_run_predecoded` (and thus to the
-        reference oracle): each verified block's payload is
-        source-compiled into a single run handler
-        (:func:`repro.sim.fused.compile_sofia_block`) cached on the block
-        right next to the predecoded ``hot`` tuple, with the same
-        lifetime — any code write drops the block memo and the handler
-        with it.  Mid-run traps, MMIO exits, halts, taken/not-taken
-        costs, I-cache statistics and the block-level
-        ``max(fetch, exec)`` bottleneck are all folded into the handler's
-        compile-time constants (see the module docstring of
-        :mod:`repro.sim.fused` for the trap-equivalence argument).
-        Compiles are cold paths: the ``sim.fused_compile`` counter fires
-        only there, so telemetry-off runs never touch the sink.
+        Bit-identical to the reference oracle — same commit/hook
+        ordering, same cycle, MAC-slot and I-cache accounting, same
+        reset/trap points.  The decrypt/verify front end is shared (and
+        memoized) with the reference engine.  Each edge is driven by one
+        handler speaking the run-handler protocol of
+        :mod:`repro.sim.fused`: while the edge is cold, a predecoded
+        traversal (:meth:`_interp_block`); once it reaches
+        :data:`repro.sim.fused.COMPILE_THRESHOLD`, the block's payload
+        source-compiled into a single call
+        (:func:`repro.sim.fused.compile_sofia_block`) and cached on the
+        block, with its lifetime — any code write drops the block memo
+        and the handler with it (see :meth:`_edge_handler`).  Mid-run
+        traps, MMIO exits, halts, taken/not-taken costs, I-cache
+        statistics and the block-level ``max(fetch, exec)`` bottleneck are
+        folded into the compiled handler's constants (see the module
+        docstring of :mod:`repro.sim.fused` for the trap-equivalence
+        argument).  Install an ``on_commit`` hook before calling
+        :meth:`run`: a hook selects the traced handler variants.
         """
         state = self.state
         icache = self.icache
@@ -625,8 +478,9 @@ class SofiaMachine:
         status: Optional[Status] = None
         trap_reason = ""
         violation: Optional[ViolationRecord] = None
-        # same rule as the predecoded loop: a hook or an already-written
-        # exit register selects the generic (polling) variant
+        # a resumed run can start with the exit register already written;
+        # the oracle still executes one instruction before noticing — the
+        # generic (polling) handler variants cover that and the hook
         generic = (on_commit is not None) or mmio.exit_code is not None
         get_edge = (self._fused_hook_edges if generic
                     else self._fused_edges).get
@@ -642,7 +496,7 @@ class SofiaMachine:
         while executed < max_instructions:
             fn = get_edge(key)
             if fn is None:
-                fn = self._fused_handler(key, generic)
+                fn = self._edge_handler(key, generic)
                 restore_check = True
             if generic:
                 n, cyc, h, mr, mc, key2, arg = fn(regs, ld, st, mmio,
@@ -678,7 +532,7 @@ class SofiaMachine:
                 violation = payload
             break
         # terminal handlers return no successor, leaving pc/prev_pc at the
-        # block entry — exactly where the predecoded loop leaves them
+        # block entry — exactly where the reference loop leaves them
         self.prev_pc, self.state.pc = key
         icache.stats.hits += hits
         icache.stats.misses += misses
@@ -690,14 +544,13 @@ class SofiaMachine:
             blocks_executed=blocks_executed,
             mac_fetch_cycles=mac_fetch_cycles)
 
-    def _fused_handler(self, key: Tuple[int, int], generic: bool):
-        """Cold path of :meth:`_run_fused`: produce one edge's handler.
+    def _edge_handler(self, key: Tuple[int, int], generic: bool):
+        """Cold path of :meth:`_run_fast`: produce one edge's handler.
 
-        Warm-up policy: the first ``COMPILE_THRESHOLD - 1`` traversals of
-        an edge are executed by :meth:`_fused_interp` — the predecoded
-        inner loop itself, speaking the fused return protocol — and only
-        a genuinely hot edge pays the source compile, so one-shot and
-        lukewarm code never compiles at all.  Compiled
+        Heat policy: the first ``COMPILE_THRESHOLD - 1`` traversals of an
+        edge are executed by :meth:`_interp_block` — the predecoded cold
+        tier — and only a genuinely hot edge pays the source compile, so
+        one-shot and lukewarm code never compiles at all.  Compiled
         handlers are cached on the block (forks sharing block objects
         share the code) and memoized in the flat edge dict probed by the
         hot loop.  Transient blocks — a glitched comparator's one-shot
@@ -705,7 +558,6 @@ class SofiaMachine:
         always interpreted and never reach the edge dict, preserving
         their re-verify-next-traversal semantics.
         """
-        from .fused import COMPILE_THRESHOLD, compile_sofia_block
         block = self._block_cache.get(key)
         transient = False
         if block is None:
@@ -714,16 +566,16 @@ class SofiaMachine:
         fn = block.fused_hook if generic else block.fused
         if fn is None:
             heat = self._fused_heat.get(key, 0) + 1
-            if transient or heat < COMPILE_THRESHOLD:
+            if transient or heat < fused.COMPILE_THRESHOLD:
                 if not transient:
                     self._fused_heat[key] = heat
                 if generic:
                     return (lambda r, ld, st, mmio, tags, ram, h,
-                            _b=block: self._fused_interp(_b, True))
+                            _b=block: self._interp_block(_b, True))
                 return (lambda r, ld, st, mmio, tags, ram,
-                        _b=block: self._fused_interp(_b, False))
+                        _b=block: self._interp_block(_b, False))
             self._fused_heat.pop(key, None)
-            fn = compile_sofia_block(
+            fn = fused.compile_sofia_block(
                 block, self.timing, self.icache, self.memory,
                 self.image.block_bytes, hooked=generic)
             if generic:
@@ -736,22 +588,23 @@ class SofiaMachine:
          else self._fused_edges)[key] = fn
         return fn
 
-    def _fused_interp(self, block: _VerifiedBlock, generic: bool):
-        """One predecoded traversal of ``block``, fused return protocol.
+    def _interp_block(self, block: _VerifiedBlock, generic: bool):
+        """The cold tier: one predecoded traversal of ``block``.
 
-        This is the inner block body of :meth:`_run_predecoded`
-        transliterated (same hot tuple, same step handlers, same
-        ordering), used by :meth:`_fused_handler` to warm an edge up
-        before spending a source compile on it.  Returns the same
-        ``(n, cycles, hits, misses, mac_cycles, next_key, arg)`` a
-        compiled handler would.
+        Steps the block's predecoded payload (:meth:`_predecode_block`) and
+        returns the same ``(n, cycles, hits, misses, mac_cycles,
+        next_key, arg)`` a compiled handler would.  The ``generic`` inner
+        loop mirrors the reference ordering check for check (hook after
+        every commit, unconditional exit poll); the hook-less loop,
+        specialized by step kind, skips every post-commit check an inert
+        step provably cannot need.
         """
-        hot = block.hot
-        if hot is None:
-            hot = block.hot = self._compile_hot(block)
+        predecoded = block.predecoded
+        if predecoded is None:
+            predecoded = block.predecoded = self._predecode_block(block)
         (ok, fetch_cycles, runs, mac_cycles, steps,
          fallthrough_prev, fallthrough_pc, block_violation,
-         block_trap) = hot
+         block_trap) = predecoded
         memory = self.memory
         mmio = memory.mmio
         regs = self.state.regs

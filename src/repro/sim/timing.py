@@ -74,7 +74,7 @@ def instruction_cycles(instr: Instruction, params: TimingParams,
 def cycle_costs(instr: Instruction, params: TimingParams) -> tuple:
     """Both possible :func:`instruction_cycles` values, precomputed.
 
-    Returns ``(not_taken, taken)`` for the predecoded engine: only a
+    Returns ``(not_taken, taken)`` for the fast engine's tiers: only a
     conditional branch has two distinct costs; unconditional transfers
     carry the jump penalty in both slots (they always "take"), and every
     other instruction costs the same either way.

@@ -6,11 +6,12 @@ it happily runs injected or tampered code — the attack suite uses exactly
 that property for its differential experiments.
 
 Two execution engines drive the same architectural model (see
-:mod:`repro.sim.engine`): the default ``"predecoded"`` engine steps
-per-PC-cached compiled handlers, and the ``"reference"`` engine steps
-:func:`repro.sim.core.execute` — the semantics oracle the differential
-suite locksteps against.  Both produce bit-identical
-:class:`~repro.sim.result.ExecutionResult`\\ s.
+:mod:`repro.sim.engine`): the default ``"fast"`` engine steps
+per-PC-cached predecoded handlers while code is cold and source-compiles
+each straight-line run once it is hot (:mod:`repro.sim.fused`), and the
+``"reference"`` engine steps :func:`repro.sim.core.execute` — the
+semantics oracle the differential suite locksteps against.  Both produce
+bit-identical :class:`~repro.sim.result.ExecutionResult`\\ s.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from ..isa.encoding import decode
 from ..isa.instructions import Instruction
 from ..isa.program import Executable
 from ..obs import hook as obs_hook
+from . import fused
 from .cache import DirectMappedCache
 from .core import CPUState, execute
-from .engine import PredecodedStep, predecode, resolve_engine
+from .engine import KIND_STORE, PredecodedStep, predecode, resolve_engine
 from .memory import Memory
 from .result import ExecutionResult, Status
 from .timing import DEFAULT_TIMING, TimingParams, instruction_cycles
@@ -48,13 +50,16 @@ class VanillaMachine:
         self.state = CPUState.reset(executable.entry)
         self._decoded: Dict[int, Instruction] = {}
         self._predecoded: Dict[int, PredecodedStep] = {}
-        #: fused-superblock run handlers (repro.sim.fused), keyed by the
-        #: run's start PC; ``_fused_cover`` maps every covered address back
-        #: to its start PCs so one code write invalidates exactly the runs
+        #: compiled run handlers (repro.sim.fused), keyed by the run's
+        #: start PC; ``_fused_cover`` maps every covered address back to
+        #: its start PCs so one code write invalidates exactly the runs
         #: that compiled that word (mirroring the per-PC predecode pops)
         self._fused_runs: Dict[int, tuple] = {}
         self._fused_hook_runs: Dict[int, tuple] = {}
         self._fused_cover: Dict[int, set] = {}
+        #: traversals per run start PC not yet compiled: a run is stepped
+        #: by the predecoded cold tier until it reaches COMPILE_THRESHOLD
+        self._fused_heat: Dict[int, int] = {}
         #: optional tracing hook, called as on_commit(pc, instr) after each
         #: committed instruction (see repro.sim.trace); fires identically
         #: under both engines
@@ -98,10 +103,8 @@ class VanillaMachine:
         """Run to completion (halt/exit/trap) or the instruction budget."""
         if self.engine == "reference":
             result = self._run_reference(max_instructions)
-        elif self.engine == "fused":
-            result = self._run_fused(max_instructions)
         else:
-            result = self._run_predecoded(max_instructions)
+            result = self._run_fast(max_instructions)
         obs = self._obs
         if obs is not None:
             engine = self.engine
@@ -158,118 +161,26 @@ class VanillaMachine:
                                trap_reason=trap_reason,
                                icache=icache.stats)
 
-    def _run_predecoded(self, max_instructions: int) -> ExecutionResult:
-        """The fast loop: step per-PC-cached compiled handlers.
+    def _run_fast(self, max_instructions: int) -> ExecutionResult:
+        """The tiered loop: one call per straight-line run.
 
-        Observable behaviour is bit-identical to :meth:`_run_reference`
-        at every commit: same register/memory effects, same cycle and
-        I-cache accounting, same hook firing order, same trap points.
-        Loop invariants are hoisted hard: the I-cache lookup is inlined
-        (local tag list and hit/miss counters flushed to ``icache.stats``
-        on exit), the ``on_commit`` hook and register file are bound once
-        (install the hook before calling :meth:`run`), and the MMIO exit
-        poll only runs after stores — the only steps that can set it.
-        """
-        state = self.state
-        memory = self.memory
-        timing = self.timing
-        icache = self.icache
-        mmio = memory.mmio
-        regs = state.regs
-        on_commit = self.on_commit
-        get_step = self._predecoded.get
-        predecoded = self._predecoded
-        miss_penalty = timing.icache_miss_penalty
-        tags = icache._tags
-        line_shift = icache.line_bytes.bit_length() - 1
-        lines_mask = icache.lines - 1
-        lines_shift = icache.lines.bit_length() - 1
-        hits = 0
-        misses = 0
-        cycles = 0
-        executed = 0
-        status = Status.LIMIT
-        trap_reason = ""
-        pc = state.pc
-        # a resumed run can start with the exit register already written;
-        # the oracle still executes one instruction before noticing
-        force_exit = mmio.exit_code is not None
-        while executed < max_instructions:
-            step = get_step(pc)
-            if step is None:
-                try:
-                    instr = self._fetch_decode(pc)
-                except (DecodingError, SimulationError) as exc:
-                    status, trap_reason = Status.TRAP, str(exc)
-                    break
-                step = predecode(instr, timing)
-                predecoded[pc] = step
-            run_h, cyc_seq, cyc_taken, is_store, instr = step
-            line_number = pc >> line_shift
-            index = line_number & lines_mask
-            tag = line_number >> lines_shift
-            if tags[index] == tag:
-                hits += 1
-                fetch_cycles = 1
-            else:
-                tags[index] = tag
-                misses += 1
-                fetch_cycles = 1 + miss_penalty
-            try:
-                target = run_h(regs, memory, pc)
-            except SimulationError as exc:
-                status, trap_reason = Status.TRAP, str(exc)
-                break
-            executed += 1
-            if target is None:
-                cycles += fetch_cycles if fetch_cycles > cyc_seq else cyc_seq
-                if on_commit is not None:
-                    on_commit(pc, instr)
-                if (is_store or force_exit) and mmio.exit_code is not None:
-                    status = Status.EXIT
-                    break
-                pc += 4
-                state.pc = pc
-            else:
-                cycles += fetch_cycles if fetch_cycles > cyc_taken else cyc_taken
-                if on_commit is not None:
-                    on_commit(pc, instr)
-                if target == -1:  # engine.HALT
-                    status = Status.HALT
-                    break
-                if (is_store or force_exit) and mmio.exit_code is not None:
-                    status = Status.EXIT
-                    break
-                pc = target
-                state.pc = pc
-        icache.stats.hits += hits
-        icache.stats.misses += misses
-        return ExecutionResult(status=status, cycles=cycles,
-                               instructions=executed,
-                               exit_code=mmio.exit_code, mmio=mmio,
-                               trap_reason=trap_reason,
-                               icache=icache.stats)
-
-    def _run_fused(self, max_instructions: int) -> ExecutionResult:
-        """The fused-superblock loop: one compiled call per straight run.
-
-        Bit-identical to :meth:`_run_predecoded`: each straight-line chain
-        up to the next CTI/store/halt is source-compiled into one handler
-        (:func:`repro.sim.fused.compile_vanilla_run`) cached per start PC
-        and invalidated by the same code-write listener that pops
-        predecoded steps.  Two predecoded behaviours are delegated rather
-        than re-implemented, both by running the predecoded loop itself so
-        equivalence is by construction: a resumed run whose exit register
-        is already written (the per-instruction ``force_exit`` poll), and
-        the tail of a run that would overshoot the instruction budget
-        (the predecoded loop is per-instruction exact; fused runs only
-        whole runs).
+        A run is the chain of consecutive PCs up to and including the
+        next CTI, store or halt (capped at :data:`repro.sim.fused.MAX_RUN`).
+        Each run start PC counts its traversals; until it reaches
+        :data:`repro.sim.fused.COMPILE_THRESHOLD` the run is stepped by
+        the predecoded cold tier (:meth:`_step_run`), after that it is
+        source-compiled once (:func:`repro.sim.fused.compile_vanilla_run`)
+        and cached per start PC, invalidated by the same code-write
+        listener that pops predecoded steps.  One-shot code therefore
+        never pays a compile.  The cold tier also covers the two cases a
+        compiled run cannot: the tail of a run that would overshoot the
+        instruction budget (stepping is per-instruction exact) and a
+        resumed run whose exit register is already written (the oracle
+        executes one instruction before noticing).  Both tiers speak the
+        same run-handler protocol, so this loop is tier-agnostic.
         """
         memory = self.memory
         mmio = memory.mmio
-        if mmio.exit_code is not None:
-            return self._run_predecoded(max_instructions)
-        from .fused import compile_vanilla_run
         state = self.state
         icache = self.icache
         regs = state.regs
@@ -278,11 +189,10 @@ class VanillaMachine:
         ram = memory.ram
         on_commit = self.on_commit
         hooked = on_commit is not None
-        runs = self._fused_hook_runs if hooked else self._fused_runs
-        get_run = runs.get
-        cover = self._fused_cover
+        get_run = (self._fused_hook_runs if hooked
+                   else self._fused_runs).get
         tags = icache._tags
-        obs = self._obs
+        max_run = fused.MAX_RUN
         hits = 0
         misses = 0
         cycles = 0
@@ -290,44 +200,22 @@ class VanillaMachine:
         status = Status.LIMIT
         trap_reason = ""
         pc = state.pc
+        resumed_exit = mmio.exit_code is not None
         while executed < max_instructions:
             entry = get_run(pc)
             if entry is None:
-                fn, n_max, covered = compile_vanilla_run(self, pc,
-                                                         hooked=hooked)
-                entry = (fn, n_max)
-                runs[pc] = entry
-                for address in covered:
-                    starts = cover.get(address)
-                    if starts is None:
-                        cover[address] = starts = set()
-                    starts.add(pc)
-                if obs is not None:
-                    obs.count("sim.fused_compile")
-            fn, n_max = entry
-            if fn is None:
-                # the first fetch/decode of this run faults every time;
-                # n_max carries the (deterministic) trap reason
-                status, trap_reason = Status.TRAP, n_max
-                break
-            if n_max > max_instructions - executed:
-                # budget boundary inside the run: hand the exact
-                # per-instruction tail to the predecoded loop
-                icache.stats.hits += hits
-                icache.stats.misses += misses
-                state.pc = pc
-                tail = self._run_predecoded(max_instructions - executed)
-                return ExecutionResult(
-                    status=tail.status, cycles=cycles + tail.cycles,
-                    instructions=executed + tail.instructions,
-                    exit_code=mmio.exit_code, mmio=mmio,
-                    trap_reason=tail.trap_reason, icache=icache.stats)
-            if hooked:
-                n, cyc, h, mr, code, arg = fn(regs, ld, st, mmio, tags,
-                                              ram, on_commit)
+                entry = self._heat_run(pc, hooked)
+            remaining = max_instructions - executed
+            if entry is None or entry[1] > remaining or resumed_exit:
+                resumed_exit = False
+                n, cyc, h, mr, code, arg = self._step_run(
+                    pc, remaining if remaining < max_run else max_run)
+            elif hooked:
+                n, cyc, h, mr, code, arg = entry[0](regs, ld, st, mmio,
+                                                    tags, ram, on_commit)
             else:
-                n, cyc, h, mr, code, arg = fn(regs, ld, st, mmio, tags,
-                                              ram)
+                n, cyc, h, mr, code, arg = entry[0](regs, ld, st, mmio,
+                                                    tags, ram)
             executed += n
             cycles += cyc
             hits += h
@@ -354,6 +242,107 @@ class VanillaMachine:
                                exit_code=mmio.exit_code, mmio=mmio,
                                trap_reason=trap_reason,
                                icache=icache.stats)
+
+    def _heat_run(self, pc: int, hooked: bool) -> Optional[tuple]:
+        """Cold path of :meth:`_run_fast`: count one traversal of the run
+        at ``pc``; compile it once it is hot.
+
+        Returns the cached ``(handler, n_max)`` entry, or ``None`` to step
+        the run in the cold tier.  A run whose first fetch/decode faults
+        is never cached: stepping traps at the same point with the same
+        reason.
+        """
+        heat = self._fused_heat.get(pc, 0) + 1
+        if heat < fused.COMPILE_THRESHOLD:
+            self._fused_heat[pc] = heat
+            return None
+        fn, n_max, covered = fused.compile_vanilla_run(self, pc,
+                                                       hooked=hooked)
+        if fn is None:
+            return None
+        self._fused_heat.pop(pc, None)
+        entry = (fn, n_max)
+        (self._fused_hook_runs if hooked else self._fused_runs)[pc] = entry
+        cover = self._fused_cover
+        for address in covered:
+            starts = cover.get(address)
+            if starts is None:
+                cover[address] = starts = set()
+            starts.add(pc)
+        if self._obs is not None:
+            self._obs.count("sim.fused_compile")
+        return entry
+
+    def _step_run(self, pc: int, limit: int) -> tuple:
+        """The cold tier: step one straight-line run, predecoded.
+
+        Executes per-PC-cached predecoded handlers from ``pc`` until a
+        CTI, store or halt commits, or ``limit`` instructions ran, and
+        returns ``(n, cycles, hits, misses, code, arg)`` exactly like a
+        compiled run handler.  Observable behaviour is bit-identical to
+        :meth:`_run_reference` at every commit: same register/memory
+        effects, same cycle and I-cache accounting, same hook firing
+        order, same trap points.  The MMIO exit poll only runs after
+        stores — the only steps that can set it — unless the run began
+        with the register already written.
+        """
+        memory = self.memory
+        mmio = memory.mmio
+        regs = self.state.regs
+        on_commit = self.on_commit
+        predecoded = self._predecoded
+        timing = self.timing
+        miss_penalty = timing.icache_miss_penalty
+        icache = self.icache
+        tags = icache._tags
+        line_shift = icache.line_bytes.bit_length() - 1
+        lines_mask = icache.lines - 1
+        lines_shift = icache.lines.bit_length() - 1
+        force_exit = mmio.exit_code is not None
+        hits = 0
+        misses = 0
+        cycles = 0
+        n = 0
+        while n < limit:
+            step = predecoded.get(pc)
+            if step is None:
+                try:
+                    instr = self._fetch_decode(pc)
+                except (DecodingError, SimulationError) as exc:
+                    return (n, cycles, hits, misses, 4, str(exc))
+                step = predecoded[pc] = predecode(instr, timing)
+            run_h, cyc_seq, cyc_taken, kind, instr = step
+            line_number = pc >> line_shift
+            index = line_number & lines_mask
+            tag = line_number >> lines_shift
+            if tags[index] == tag:
+                hits += 1
+                fetch_cycles = 1
+            else:
+                tags[index] = tag
+                misses += 1
+                fetch_cycles = 1 + miss_penalty
+            try:
+                target = run_h(regs, memory, pc)
+            except SimulationError as exc:
+                return (n, cycles, hits, misses, 4, str(exc))
+            n += 1
+            if target is None:
+                cycles += fetch_cycles if fetch_cycles > cyc_seq else cyc_seq
+            else:
+                cycles += (fetch_cycles if fetch_cycles > cyc_taken
+                           else cyc_taken)
+            if on_commit is not None:
+                on_commit(pc, instr)
+            if target == -1:  # engine.HALT
+                return (n, cycles, hits, misses, 2, None)
+            if ((kind == KIND_STORE or force_exit)
+                    and mmio.exit_code is not None):
+                return (n, cycles, hits, misses, 3, None)
+            pc = pc + 4 if target is None else target
+            if kind:
+                return (n, cycles, hits, misses, 1, pc)
+        return (n, cycles, hits, misses, 1, pc)
 
 
 def run_executable(executable: Executable,

@@ -82,7 +82,7 @@ def unseal_block(kind: str, fetched_words: Sequence[int], keys: DeviceKeys,
     payload (the skipped M1 copy never appears).  In both cases the
     first ``mac_words`` entries are the stored seal.
 
-    ``mac_cache`` (the batch engine's shared seal memo, see
+    ``mac_cache`` (the campaigns' shared seal memo, see
     :mod:`repro.sim.batch`) memoizes the recomputation by
     ``(kind, payload)``; the seal is a pure function of those plus the
     fixed keys and width, so the memo is observationally invisible.

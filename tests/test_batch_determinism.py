@@ -1,11 +1,14 @@
-"""Determinism contract of the batch engine: byte-identical everywhere.
+"""Determinism contract of the lockstep fault campaign: byte-identical.
 
-The batch partition (:func:`repro.runner.make_batches`) depends only on
-submission order and width, so a batched campaign must be byte-identical
+The fault campaign always runs its specimens in lockstep groups, and the
+partition (:func:`repro.runner.make_batches`) depends only on submission
+order and :data:`~repro.sim.batch.BATCH_WIDTH`, so a campaign must be
 
-* to the scalar campaign (the W=1 degenerate case *and* any other W),
-* at any ``--jobs`` value (serial vs process pool),
-* across batch widths (W=64 groups vs W=7 groups),
+* byte-identical to per-specimen :func:`~repro.faults.campaign.run_fault`
+  runs — the store-backed export equals one built from ``run_fault``
+  results, at ``--jobs 1`` and ``4``;
+* independent of the grouping (width 1, 5 and 64 classify identically);
+* independent of ``--jobs`` (serial vs process pool),
 
 and the E18 export helpers must emit byte-for-byte pinned artifacts for
 a fixed record — the goldens here are what the CI smoke re-derives.
@@ -15,13 +18,21 @@ import json
 
 import pytest
 
+import repro.faults.campaign as fault_campaign
 from repro.crypto import DeviceKeys
 from repro.eval.export import batch_csv, batch_json
-from repro.faults.campaign import run_campaign
-from repro.runner import make_batches
+from repro.faults.campaign import run_campaign, run_fault, sample_faults
+from repro.runner import campaign_record, make_batches, write_campaign
+from repro.sim import SofiaMachine
+from repro.transform import transform
 from repro.workloads import make_workload
 
 KEYS = DeviceKeys.from_seed(0xBEEF2016)
+PER_MODEL = 3
+SEED = 41
+MAX_INSTRUCTIONS = 200_000
+#: run_campaign's default per-binary nonce
+NONCE = 0xFA17
 
 _VICTIM = {}
 
@@ -37,10 +48,28 @@ def victim():
 def classify(**kwargs):
     program, golden = victim()
     results, summary = run_campaign(
-        program, KEYS, golden, per_model=3, seed=41,
-        max_instructions=200_000, **kwargs)
+        program, KEYS, golden, per_model=PER_MODEL, seed=SEED,
+        max_instructions=MAX_INSTRUCTIONS, **kwargs)
     return ([(r.model, r.outcome, r.description, r.status, r.detail)
              for r in results], summary.counts)
+
+
+def per_specimen_export(path):
+    """The canonical fault export, built from one fresh ``run_fault``
+    machine per specimen instead of the campaign's lockstep groups."""
+    program, golden = victim()
+    image = transform(program, KEYS, nonce=NONCE)
+    baseline = SofiaMachine(image, KEYS).run(MAX_INSTRUCTIONS)
+    faults = sample_faults(image, baseline.instructions,
+                           per_model=PER_MODEL, seed=SEED)
+    results = [run_fault(image, KEYS, fault, golden, MAX_INSTRUCTIONS)
+               for fault in faults]
+    parameters = {"nonce": NONCE, "per_model": PER_MODEL, "seed": SEED,
+                  "max_instructions": MAX_INSTRUCTIONS,
+                  "baseline_instructions": baseline.instructions}
+    write_campaign(path, campaign_record("fault-injection", parameters,
+                                         results))
+    return path.read_bytes()
 
 
 class TestMakeBatches:
@@ -57,38 +86,40 @@ class TestMakeBatches:
 
 
 class TestCampaignDeterminism:
-    def test_batch_equals_scalar(self):
-        assert classify(engine="batch") == classify()
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_store_export_equals_per_specimen_runs(self, tmp_path, jobs):
+        program, golden = victim()
+        path = tmp_path / "campaign.json"
+        run_campaign(program, KEYS, golden, per_model=PER_MODEL, seed=SEED,
+                     max_instructions=MAX_INSTRUCTIONS, export_path=path,
+                     parallel=jobs > 1, jobs=jobs,
+                     store_dir=tmp_path / "store")
+        assert path.read_bytes() == per_specimen_export(
+            tmp_path / "per-specimen.json")
 
-    def test_width_one_equals_scalar(self):
-        assert classify(engine="batch", batch_width=1) == classify()
-
-    def test_any_width_is_byte_identical(self):
-        assert (classify(engine="batch", batch_width=64)
-                == classify(engine="batch", batch_width=7))
+    @pytest.mark.parametrize("width", [1, 5, 64])
+    def test_grouping_never_changes_results(self, monkeypatch, width):
+        expected = classify()
+        monkeypatch.setattr(fault_campaign, "BATCH_WIDTH", width)
+        assert classify() == expected
 
     def test_any_jobs_is_byte_identical(self):
-        serial = classify(engine="batch")
-        pooled = classify(engine="batch", parallel=True, jobs=4)
-        assert serial == pooled
+        assert classify() == classify(parallel=True, jobs=4)
 
-    def test_export_is_jobs_and_width_free(self, tmp_path):
+    def test_export_is_jobs_free(self, tmp_path):
         program, golden = victim()
 
         def export(**kwargs):
             path = tmp_path / "campaign.json"
-            run_campaign(program, KEYS, golden, per_model=3, seed=41,
-                         max_instructions=200_000, export_path=path,
-                         **kwargs)
+            run_campaign(program, KEYS, golden, per_model=PER_MODEL,
+                         seed=SEED, max_instructions=MAX_INSTRUCTIONS,
+                         export_path=path, **kwargs)
             record = json.loads(path.read_text())
             # jobs and wall-clock are the only legitimately volatile keys
             record.pop("jobs"), record.pop("elapsed_seconds")
             return json.dumps(record, sort_keys=True)
 
-        scalar = export()
-        assert export(engine="batch") == scalar
-        assert export(engine="batch", batch_width=5) == scalar
-        assert export(engine="batch", parallel=True, jobs=4) == scalar
+        assert export() == export(parallel=True, jobs=4)
 
 
 # --- pinned E18 export goldens ---------------------------------------------

@@ -1,4 +1,4 @@
-"""Differential suite for the bit-sliced batch engine (PR 2 style).
+"""Differential suite for the bit-sliced batch strategies (PR 2 style).
 
 Four layers, each held to byte-identity against its scalar twin:
 
@@ -7,9 +7,10 @@ Four layers, each held to byte-identity against its scalar twin:
   PRESENT-80 circuits lane-for-lane against the scalar ciphers
   (including PRESENT's published test vector through the batch path),
   and ``batch_mac_stream`` against the scalar ``mac_stream``;
-* **warmed front end** — a batch-engine machine's every
-  ``ExecutionResult`` field equals the cold scalar machine's, across
-  vanilla/SOFIA/ISR baselines and every E17 profile grid point;
+* **warmed front end** — a machine warmed by ``warm_front_end``, and an
+  instance machine that ``adopt_caches`` from such a donor, match a cold
+  machine in every ``ExecutionResult`` field, on every E17 profile grid
+  point and on tampered, resealed and renonce'd images;
 * **lockstep leader** — ``LockstepLeader.fork_at(t)`` reproduces the
   state a fresh scalar machine reaches after ``t`` instructions, and a
   forked specimen that diverges (fault injection) classifies exactly
@@ -30,11 +31,13 @@ from repro.crypto.cbcmac import mac_stream
 from repro.crypto.present import Present80
 from repro.crypto.rectangle import Rectangle80
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
-from repro.isa import assemble, parse
-from repro.sim import SofiaMachine, VanillaMachine
-from repro.sim.batch import LockstepLeader, fork_machine, warm_front_end
+from repro.isa import assemble
+from repro.sim import SofiaMachine
+from repro.sim.batch import (LockstepLeader, adopt_caches, fork_machine,
+                             warm_front_end)
 from repro.transform import transform
 from repro.transform.profile import profile_grid
+from repro.transform.renonce import rotate_nonce
 from repro.workloads import make_workload
 
 KEYS = DeviceKeys.from_seed(0xBEEF2016)
@@ -123,33 +126,23 @@ class TestBatchMacStream:
 
 # --- warmed front end ------------------------------------------------------
 
-class TestBatchEngineParity:
+def warmed(image, keys):
+    machine = SofiaMachine(image, keys)
+    warm_front_end(machine)
+    return machine
+
+
+class TestWarmFrontEndParity:
     @pytest.mark.parametrize("name", ["sort", "rle"])
-    def test_sofia_batch_equals_predecoded(self, name):
+    def test_warmed_equals_cold(self, name):
         workload, _, image = build(name)
-        batch = SofiaMachine(image, KEYS, engine="batch")
-        scalar = SofiaMachine(image, KEYS)
-        br, sr = batch.run(), scalar.run()
-        assert result_fields(br) == result_fields(sr)
-        assert batch.state.regs == scalar.state.regs
-        assert batch.state.pc == scalar.state.pc
-        assert batch.memory.ram == scalar.memory.ram
-        assert br.output_ints == workload.expected_output
-
-    def test_vanilla_accepts_batch_engine(self):
-        _, exe, _ = build("sort")
-        br = VanillaMachine(exe, engine="batch").run()
-        sr = VanillaMachine(exe).run()
-        assert result_fields(br) == result_fields(sr)
-
-    def test_isr_baselines_accept_batch_engine(self):
-        from repro.baselines import EcbIsrMachine, XorIsrMachine
-        _, exe, _ = build("sort")
-        for make in (lambda e: XorIsrMachine(exe, 0xA5A5F00D, engine=e),
-                     lambda e: EcbIsrMachine(exe, 0xBEEF2016CAFE,
-                                             engine=e)):
-            assert (result_fields(make("batch").run())
-                    == result_fields(make(None).run()))
+        warm, cold = warmed(image, KEYS), SofiaMachine(image, KEYS)
+        wr, cr = warm.run(), cold.run()
+        assert result_fields(wr) == result_fields(cr)
+        assert warm.state.regs == cold.state.regs
+        assert warm.state.pc == cold.state.pc
+        assert warm.memory.ram == cold.memory.ram
+        assert wr.output_ints == workload.expected_output
 
     @pytest.mark.parametrize("profile", profile_grid(),
                              ids=lambda p: p.label)
@@ -158,10 +151,10 @@ class TestBatchEngineParity:
         program = workload.compile().program
         keys = KEYS.for_profile(profile)
         image = transform(program, keys, nonce=NONCE, profile=profile)
-        br = SofiaMachine(image, keys, engine="batch").run()
-        sr = SofiaMachine(image, keys).run()
-        assert result_fields(br) == result_fields(sr)
-        assert br.output_ints == workload.expected_output
+        wr = warmed(image, keys).run()
+        cr = SofiaMachine(image, keys).run()
+        assert result_fields(wr) == result_fields(cr)
+        assert wr.output_ints == workload.expected_output
 
     def test_warm_front_end_is_observationally_invisible(self):
         _, _, image = build("sort")
@@ -172,6 +165,52 @@ class TestBatchEngineParity:
         assert warm_front_end(warmed) == 0
         cold = SofiaMachine(image, KEYS)
         assert result_fields(warmed.run()) == result_fields(cold.run())
+
+
+class TestAdoptCaches:
+    """The attack-synthesis strategy: instance machines adopt a warmed
+    clean machine's pure memos and still classify exactly like cold
+    machines, whatever the instance did to the image."""
+
+    @staticmethod
+    def instance(donor, image):
+        machine = SofiaMachine(image, KEYS)
+        adopt_caches(machine, donor)
+        return machine
+
+    def test_shares_pure_memos_only(self):
+        _, _, image = build("sort")
+        donor = warmed(image, KEYS)
+        same = self.instance(donor, image)
+        assert same.keystream._cache is donor.keystream._cache
+        assert same._mac_cache is donor._mac_cache
+        assert same._block_cache is not donor._block_cache
+        # a renonce'd image decrypts under a different nonce: its
+        # keystream must never come from the donor
+        renonced = self.instance(donor, rotate_nonce(image, KEYS))
+        assert renonced.keystream._cache is not donor.keystream._cache
+
+    @pytest.mark.parametrize("mutation", ["clean", "tamper", "renonce"])
+    def test_instance_equals_cold(self, mutation):
+        _, _, image = build("sort")
+        donor = warmed(image, KEYS)
+        donor.run()
+        target = image
+        if mutation == "tamper":
+            words = list(image.words)
+            words[1] ^= 1 << 7   # inside the entry block: always fetched
+            target = image.with_words(words)
+        elif mutation == "renonce":
+            target = rotate_nonce(image, KEYS)
+        adopted, cold = self.instance(donor, target), SofiaMachine(target,
+                                                                   KEYS)
+        ar, cr = adopted.run(), cold.run()
+        assert result_fields(ar) == result_fields(cr)
+        assert adopted.state.regs == cold.state.regs
+        if mutation == "tamper":
+            assert cr.status.name == "RESET"
+        else:
+            assert cr.ok
 
 
 # --- lockstep leader and peel-off ------------------------------------------

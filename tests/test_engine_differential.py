@@ -1,9 +1,10 @@
-"""Lockstep differential suite: predecoded engine vs the reference oracle.
+"""Lockstep differential suite: the fast engine vs the reference oracle.
 
-The predecoded engine (:mod:`repro.sim.engine`) must be observationally
-indistinguishable from ``core.execute`` stepped by the reference loops —
-not just in final results but at *every committed instruction*.  These
-tests pin that contract:
+The fast engine (:mod:`repro.sim.engine` predecoded stepping while code is
+cold, :mod:`repro.sim.fused` compiled runs once it is hot) must be
+observationally indistinguishable from ``core.execute`` stepped by the
+reference loops — not just in final results but at *every committed
+instruction*.  These tests pin that contract:
 
 * lockstep traces via the ``on_commit`` hook — registers, PC and data
   memory after every commit — for every workload on both machines;
@@ -13,17 +14,20 @@ tests pin that contract:
 * Hypothesis property tests over random valid instruction sequences
   (word-level, reusing the decode-fuzz strategy idea) and random
   structured assembly programs (reusing ``test_equivalence`` strategies);
-* cache-invalidation parity for self-modifying code, the ISR baselines'
-  overridden fetch path, and the fault campaign's ``engine`` plumbing;
-* renonce rotation-epoch images held to the same lockstep contract.
+* cache-invalidation parity for self-modifying code and the ISR
+  baselines' overridden fetch path;
+* renonce rotation-epoch images, every E17 profile grid point and
+  mid-run traps held to the same lockstep contract.
 
-``assert_lockstep`` and the shared ``engine`` fixture (tests/conftest.py)
-range over every registered engine, so the bit-sliced batch engine is
-held to the identical per-commit contract as the reference oracle.
+Every contract runs at both settings of the shared ``tier`` fixture
+(tests/conftest.py): compile-on-first-traversal and interpret-only, so
+each tier is held to the oracle on its own.  ``TestTierPolicy`` pins the
+heat gate itself and the paths the cold tier owns: the exact vanilla
+budget tail and a run resumed with the exit register already written.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import DeviceKeys
@@ -42,6 +46,11 @@ KEYS = DeviceKeys.from_seed(1)
 NONCE = 0x2016
 
 _STORE_SIZES = {"sw": 4, "sh": 2, "sb": 1}
+
+#: the ``tier`` fixture is function-scoped, but it only patches a module
+#: constant that every Hypothesis example shares, so reuse is sound
+TIERED = settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+                  deadline=None)
 
 #: per-module build cache: workload name -> (workload, exe, image)
 _BUILDS = {}
@@ -96,64 +105,78 @@ def lockstep_trace(machine, max_instructions=2_000_000):
 
 
 def assert_lockstep(make_machine):
-    """Build a machine per registered engine; every engine's lockstep
-    trace must match the predecoded one commit for commit."""
-    pre = make_machine("predecoded")
-    pre_result, pre_events = lockstep_trace(pre)
-    for engine in ENGINES:
-        if engine == "predecoded":
-            continue
-        other = make_machine(engine)
-        other_result, other_events = lockstep_trace(other)
-        for i, (a, b) in enumerate(zip(other_events, pre_events)):
-            assert a == b, (f"first divergence at commit {i}: "
-                            f"{engine}={a!r} predecoded={b!r}")
-        assert len(other_events) == len(pre_events)
-        assert other.memory.ram == pre.memory.ram
-        assert other.state.regs == pre.state.regs
-        assert other.state.pc == pre.state.pc
-        assert result_fields(other_result) == result_fields(pre_result)
+    """The fast engine's lockstep trace must match the reference oracle's
+    commit for commit, and so must every final observable."""
+    ref = make_machine("reference")
+    ref_result, ref_events = lockstep_trace(ref)
+    fast = make_machine("fast")
+    fast_result, fast_events = lockstep_trace(fast)
+    for i, (a, b) in enumerate(zip(fast_events, ref_events)):
+        assert a == b, (f"first divergence at commit {i}: "
+                        f"fast={a!r} reference={b!r}")
+    assert len(fast_events) == len(ref_events)
+    assert fast.memory.ram == ref.memory.ram
+    assert fast.state.regs == ref.state.regs
+    assert fast.state.pc == ref.state.pc
+    assert result_fields(fast_result) == result_fields(ref_result)
+
+
+def assert_same_run(make_machine, budget):
+    """Hook-less runs of both engines agree on every final observable."""
+    ref = make_machine("reference")
+    ref_result = ref.run(budget)
+    fast = make_machine("fast")
+    fast_result = fast.run(budget)
+    assert result_fields(fast_result) == result_fields(ref_result)
+    assert fast.state.regs == ref.state.regs
+    assert fast.state.pc == ref.state.pc
+    assert fast.memory.ram == ref.memory.ram
+    if isinstance(fast, SofiaMachine):
+        assert fast.prev_pc == ref.prev_pc
+    return fast, fast_result
 
 
 class TestLockstepWorkloads:
     @pytest.mark.parametrize("name", workload_names())
-    def test_vanilla_lockstep(self, name):
+    def test_vanilla_lockstep(self, name, tier):
         _, exe, _ = build(name)
         assert_lockstep(lambda engine: VanillaMachine(exe, engine=engine))
 
     @pytest.mark.parametrize("name", workload_names())
-    def test_sofia_lockstep(self, name):
+    def test_sofia_lockstep(self, name, tier):
         workload, _, image = build(name)
         assert_lockstep(
             lambda engine: SofiaMachine(image, KEYS, engine=engine))
-        # the golden output is produced under the predecoded engine too
-        result = SofiaMachine(image, KEYS).run()
+        # the golden output is produced under the hook-less loop too
+        _, result = assert_same_run(
+            lambda engine: SofiaMachine(image, KEYS, engine=engine),
+            50_000_000)
         assert result.output_ints == workload.expected_output
 
 
 class TestCycleAccountingParity:
     """Overhead-sweep configs must yield bit-identical cycles and stats
-    under every registered engine (the shared ``engine`` fixture)."""
+    on both tiers of the fast engine."""
 
     @pytest.mark.parametrize("name", workload_names())
     @pytest.mark.parametrize("timing", [DEFAULT_TIMING,
                                         LEON3_MINIMAL_TIMING],
                              ids=["default", "leon3-minimal"])
-    def test_both_machines(self, name, timing, engine):
+    def test_both_machines(self, name, timing, tier):
         _, exe, image = build(name)
-        vr = VanillaMachine(exe, timing, engine=engine).run()
-        vp = VanillaMachine(exe, timing, engine="predecoded").run()
-        assert result_fields(vr) == result_fields(vp)
-        sr = SofiaMachine(image, KEYS, timing, engine=engine).run()
-        sp = SofiaMachine(image, KEYS, timing, engine="predecoded").run()
-        assert result_fields(sr) == result_fields(sp)
+        assert_same_run(
+            lambda engine: VanillaMachine(exe, timing, engine=engine),
+            50_000_000)
+        assert_same_run(
+            lambda engine: SofiaMachine(image, KEYS, timing, engine=engine),
+            50_000_000)
 
 
 class TestEngineSelection:
-    def test_default_is_predecoded(self):
+    def test_default_is_fast(self):
         _, exe, image = build("sort")
-        assert VanillaMachine(exe).engine == "predecoded"
-        assert SofiaMachine(image, KEYS).engine == "predecoded"
+        assert VanillaMachine(exe).engine == "fast"
+        assert SofiaMachine(image, KEYS).engine == "fast"
 
     def test_every_engine_selectable(self, engine):
         _, exe, image = build("sort")
@@ -167,17 +190,19 @@ class TestEngineSelection:
             VanillaMachine(exe, engine="jit")
         with pytest.raises(ValueError):
             resolve_engine("turbo")
-        assert resolve_engine(None) == "predecoded"
-        assert set(ENGINES) == {"predecoded", "reference", "batch",
-                                "fused"}
+        for retired in ("predecoded", "batch", "fused"):
+            with pytest.raises(ValueError):
+                resolve_engine(retired)
+        assert resolve_engine(None) == "fast"
+        assert ENGINES == ("fast", "reference")
 
     def test_facade_engine_kwarg(self):
         from repro import core
         prog = core.build_assembly("main: li a0, 2\n add a0, a0, a0\n halt\n")
         exe = core.link_vanilla(prog)
         ref = core.run_vanilla(exe, engine="reference")
-        pre = core.run_vanilla(exe, engine="predecoded")
-        assert result_fields(ref) == result_fields(pre)
+        fast = core.run_vanilla(exe, engine="fast")
+        assert result_fields(ref) == result_fields(fast)
 
 
 # --- Hypothesis property tests -------------------------------------------
@@ -194,20 +219,13 @@ class TestRandomWordDifferential:
 
     @given(raw=st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF),
                         min_size=1, max_size=24))
-    @settings(max_examples=60, deadline=None)
-    def test_word_sequences(self, raw):
+    @settings(TIERED, max_examples=60)
+    def test_word_sequences(self, raw, tier):
         words = [w for w in raw if is_valid_word(w)]
         words.append(encode(parse("main: halt\n").instructions[0]))
         exe = _word_program(words)
-        ref = VanillaMachine(exe, engine="reference")
-        ref_result = ref.run(max_instructions=3_000)
-        for engine in ("predecoded", "fused"):
-            other = VanillaMachine(exe, engine=engine)
-            other_result = other.run(max_instructions=3_000)
-            assert result_fields(ref_result) == result_fields(other_result)
-            assert ref.state.regs == other.state.regs
-            assert ref.state.pc == other.state.pc
-            assert ref.memory.ram == other.memory.ram
+        assert_same_run(lambda engine: VanillaMachine(exe, engine=engine),
+                        3_000)
 
 
 class TestRandomProgramDifferential:
@@ -215,33 +233,22 @@ class TestRandomProgramDifferential:
     engines agree on both machines, trap behaviour and cycles included."""
 
     @given(source=assembly_programs())
-    @settings(max_examples=20, deadline=None)
-    def test_vanilla_engines_agree(self, source):
-        program = parse(source)
-        exe = assemble(program)
-        ref = VanillaMachine(exe, engine="reference")
-        ref_fields = result_fields(ref.run(200_000))
-        for engine in ("predecoded", "fused"):
-            other = VanillaMachine(exe, engine=engine)
-            assert ref_fields == result_fields(other.run(200_000))
-            assert ref.state.regs == other.state.regs
-            assert ref.memory.ram == other.memory.ram
+    @settings(TIERED, max_examples=20)
+    def test_vanilla_engines_agree(self, source, tier):
+        exe = assemble(parse(source))
+        assert_same_run(lambda engine: VanillaMachine(exe, engine=engine),
+                        200_000)
 
     @given(source=assembly_programs(), nonce=st.integers(0, 0xFFFF))
-    @settings(max_examples=10, deadline=None)
-    def test_sofia_engines_agree(self, source, nonce):
-        program = parse(source)
-        image = transform(program, KEYS, nonce=nonce)
-        ref = SofiaMachine(image, KEYS, engine="reference")
-        ref_fields = result_fields(ref.run(400_000))
-        for engine in ("predecoded", "fused"):
-            other = SofiaMachine(image, KEYS, engine=engine)
-            assert ref_fields == result_fields(other.run(400_000))
-            assert ref.state.regs == other.state.regs
-            assert ref.prev_pc == other.prev_pc
+    @settings(TIERED, max_examples=10)
+    def test_sofia_engines_agree(self, source, nonce, tier):
+        image = transform(parse(source), KEYS, nonce=nonce)
+        assert_same_run(
+            lambda engine: SofiaMachine(image, KEYS, engine=engine),
+            400_000)
 
 
-# --- cache-invalidation and plumbing parity -------------------------------
+# --- cache-invalidation parity ---------------------------------------------
 
 SELF_MODIFYING = """
 main:
@@ -267,33 +274,21 @@ src:
 
 
 class TestInvalidationParity:
-    def test_self_modifying_code(self):
-        """A stale predecoded handler would replay the pre-patch nop."""
+    def test_self_modifying_code(self, tier):
+        """A stale cached handler would replay the pre-patch nop."""
         exe = assemble(parse(SELF_MODIFYING))
         assert_lockstep(lambda engine: VanillaMachine(exe, engine=engine))
-        result = VanillaMachine(exe).run()
+        _, result = assert_same_run(
+            lambda engine: VanillaMachine(exe, engine=engine), 10_000)
         assert result.output_ints == [7]
 
-    def test_isr_baselines_both_engines(self):
+    def test_isr_baselines_both_engines(self, tier):
         from repro.baselines import EcbIsrMachine, XorIsrMachine
         _, exe, _ = build("sort")
         assert_lockstep(
             lambda engine: XorIsrMachine(exe, 0xA5A5F00D, engine=engine))
         assert_lockstep(
             lambda engine: EcbIsrMachine(exe, 0xBEEF2016CAFE, engine=engine))
-
-    def test_fault_campaign_engine_parity(self, engine):
-        from repro.faults import run_campaign
-        workload, _, _ = build("sort")
-        program = workload.compile().program
-
-        def classify(eng):
-            results, summary = run_campaign(
-                program, KEYS, workload.expected_output, per_model=2,
-                seed=99, max_instructions=100_000, engine=eng)
-            return [(r.model, r.outcome, r.status) for r in results]
-
-        assert classify(engine) == classify("predecoded")
 
 
 class TestRenonceRotationLockstep:
@@ -302,7 +297,7 @@ class TestRenonceRotationLockstep:
     renonce path into the differential suite, which previously only
     exercised first-epoch images."""
 
-    def test_rotated_epoch_lockstep(self):
+    def test_rotated_epoch_lockstep(self, tier):
         from repro.transform.renonce import rotate_nonce
         workload, _, image = build("sort")
         rotated = rotate_nonce(image, KEYS)
@@ -313,7 +308,7 @@ class TestRenonceRotationLockstep:
         assert result.ok
         assert result.output_ints == workload.expected_output
 
-    def test_double_rotation_lockstep(self):
+    def test_double_rotation_lockstep(self, tier):
         from repro.transform.renonce import rotate_nonce
         _, _, image = build("rle")
         twice = rotate_nonce(rotate_nonce(image, KEYS), KEYS)
@@ -323,29 +318,22 @@ class TestRenonceRotationLockstep:
 
 class TestProfileGridLockstep:
     """Every E17 design point (2 ciphers x 3 seal widths x both renonce
-    policies) holds the fused engine to the same per-commit lockstep
-    contract as predecoded and the reference oracle — the fused cycle
-    constants are specialized per profile (seal geometry changes fetch
-    slots and block layout), so one point passing says nothing about the
-    others."""
+    policies) holds both tiers to the per-commit lockstep contract — the
+    compiled cycle constants are specialized per profile (seal geometry
+    changes fetch slots and block layout), so one point passing says
+    nothing about the others."""
 
     @pytest.mark.parametrize(
         "profile", profile_grid(),
         ids=lambda p: f"{p.cipher}-{32 * p.mac_words}b-{p.renonce}")
-    def test_grid_point_lockstep(self, profile):
+    def test_grid_point_lockstep(self, profile, tier):
         workload, _, _ = build("rle")
         program = workload.compile().program
         image = transform(program, KEYS, nonce=NONCE, profile=profile)
         keys = KEYS.for_profile(profile)
-        pre = SofiaMachine(image, keys, engine="predecoded")
-        pre_result, pre_events = lockstep_trace(pre)
-        for engine in ("reference", "fused"):
-            other = SofiaMachine(image, keys, engine=engine)
-            other_result, other_events = lockstep_trace(other)
-            assert other_events == pre_events
-            assert result_fields(other_result) == result_fields(pre_result)
-            assert other.state.pc == pre.state.pc
-            assert other.prev_pc == pre.prev_pc
+        make = lambda engine: SofiaMachine(image, keys, engine=engine)
+        assert_lockstep(make)
+        assert_same_run(make, 50_000_000)
 
 
 MID_BLOCK_TRAP = """
@@ -361,32 +349,94 @@ main:
 
 
 class TestMidRunTrapEquivalence:
-    """A bus error / misaligned access in the middle of a fused run must
-    leave registers, memory, cycles and the I-cache exactly as k stepped
+    """A bus error / misaligned access in the middle of a run must leave
+    registers, memory, cycles and the I-cache exactly as k stepped
     iterations would: the committed prefix (a1..a3 writes) stands, the
     instruction after the faulting load never executes."""
 
     @pytest.mark.parametrize("offset,reason", [
         (0, "bus error"),            # below data RAM, past code
-        (2, "misaligned load"),      # rejects the fused fast-path guard
+        (2, "misaligned load"),      # rejects the compiled fast-path guard
     ])
-    def test_vanilla_and_sofia_trap_prefix(self, offset, reason):
+    def test_vanilla_and_sofia_trap_prefix(self, offset, reason, tier):
         source = MID_BLOCK_TRAP.format(offset=offset)
         program = parse(source)
         exe = assemble(program)
         image = transform(program, KEYS, nonce=NONCE)
         for make in (lambda e: VanillaMachine(exe, engine=e),
                      lambda e: SofiaMachine(image, KEYS, engine=e)):
-            pre = make("predecoded")
-            pre_result = pre.run(10_000)
-            assert pre_result.status.name == "TRAP"
-            assert reason in pre_result.trap_reason
-            assert pre.state.regs[5:8] == [1, 2, 3]  # a1, a2, a3 (r5-r7)
-            for engine in ("reference", "fused"):
-                other = make(engine)
-                other_result = other.run(10_000)
-                assert (result_fields(other_result)
-                        == result_fields(pre_result))
-                assert other.state.regs == pre.state.regs
-                assert other.state.pc == pre.state.pc
-                assert other.memory.ram == pre.memory.ram
+            fast, result = assert_same_run(make, 10_000)
+            assert result.status.name == "TRAP"
+            assert reason in result.trap_reason
+            assert fast.state.regs[5:8] == [1, 2, 3]  # a1, a2, a3 (r5-r7)
+
+
+# --- the heat policy and the cold tier's own paths ---------------------------
+
+COUNTER = """
+main:
+    li t0, 0
+    li t1, 40
+loop:
+    addi t0, t0, 1
+    blt t0, t1, loop
+    li a1, 0xFFFF0004
+    sw t0, 0(a1)
+    li a1, 0xFFFF0008
+    sw zero, 0(a1)
+    halt
+"""
+
+STRAIGHT = """
+main:
+    li a0, 5
+    addi a0, a0, 3
+    li a1, 0xFFFF0004
+    sw a0, 0(a1)
+    halt
+"""
+
+
+class TestTierPolicy:
+    def test_one_shot_code_never_compiles(self):
+        program = parse(STRAIGHT)
+        vanilla = VanillaMachine(assemble(program))
+        sofia = SofiaMachine(transform(program, KEYS, nonce=NONCE), KEYS)
+        assert vanilla.run().output_ints == [8]
+        assert sofia.run().output_ints == [8]
+        assert not vanilla._fused_runs
+        assert not sofia._fused_edges
+
+    def test_hot_loop_compiles(self):
+        program = parse(COUNTER)
+        vanilla = VanillaMachine(assemble(program))
+        sofia = SofiaMachine(transform(program, KEYS, nonce=NONCE), KEYS)
+        assert vanilla.run().output_ints == [40]
+        assert sofia.run().output_ints == [40]
+        # 40 loop iterations cross the default threshold of 16
+        assert vanilla._fused_runs
+        assert sofia._fused_edges
+
+    def test_vanilla_budget_tail_is_exact(self, tier):
+        """A budget that ends inside a run is finished by the cold tier
+        instruction by instruction — at every possible boundary."""
+        exe = assemble(parse(COUNTER))
+        for budget in range(1, 130):
+            assert_same_run(
+                lambda engine: VanillaMachine(exe, engine=engine), budget)
+
+    def test_resumed_run_after_exit(self, tier):
+        """A second run() starts with the exit register already written;
+        the oracle executes one more instruction before noticing, and so
+        must both tiers on both machines."""
+        program = parse(COUNTER)
+        exe = assemble(program)
+        image = transform(program, KEYS, nonce=NONCE)
+        for make in (lambda e: VanillaMachine(exe, engine=e),
+                     lambda e: SofiaMachine(image, KEYS, engine=e)):
+            ref, fast = make("reference"), make("fast")
+            for _ in range(2):
+                assert (result_fields(fast.run())
+                        == result_fields(ref.run()))
+                assert fast.state.pc == ref.state.pc
+                assert fast.state.regs == ref.state.regs

@@ -170,7 +170,7 @@ class TestTelemetry:
             telemetry.expect_tasks([0, 1])
             for index in telemetry.claim_indices(2):
                 telemetry.task_completed(
-                    (4321, 0.0, 0.25, {"sim.runs.predecoded": 1}),
+                    (4321, 0.0, 0.25, {"sim.runs.fast": 1}),
                     index)
         telemetry.finish()
         telemetry.finish()  # idempotent
@@ -187,7 +187,7 @@ class TestTelemetry:
 
         metrics = load_metrics(tmp_path / "tel")
         assert metrics["counters"]["tasks.completed"] == 2
-        assert metrics["counters"]["sim.runs.predecoded"] == 2
+        assert metrics["counters"]["sim.runs.fast"] == 2
 
         trace = json.loads((tmp_path / "tel" / "trace.json").read_text())
         assert any(e.get("ph") == "X" for e in trace["traceEvents"])
@@ -213,12 +213,12 @@ class TestTelemetry:
                 pass
 
 
-class TestFusedTelemetry:
-    """The fused engine honors the observability invariants: telemetry
+class TestFastEngineTelemetry:
+    """The fast engine honors the observability invariants: telemetry
     never changes an exported byte, per-engine throughput derives from
-    the counters, and cold superblock compiles are visible."""
+    the counters, and hot-tier compiles are visible."""
 
-    def test_fused_export_identical_telemetry_on_off(self, tmp_path):
+    def test_export_identical_telemetry_on_off(self, tmp_path):
         from repro.attacksynth import run_attacksynth
         exports, counters = {}, None
         for label in ("off", "on"):
@@ -226,18 +226,19 @@ class TestFusedTelemetry:
             telemetry = Telemetry() if label == "on" else None
             with obs.campaign(telemetry, "attacksynth", {"label": label}):
                 run_attacksynth(1, seed=0x0B5, per_program=2,
-                                key_seed=0x50F1A, engine="fused",
+                                key_seed=0x50F1A,
                                 export_path=str(export),
                                 telemetry=telemetry)
             exports[label] = export.read_bytes()
             if telemetry is not None:
                 counters = dict(telemetry.metrics.counters)
         assert exports["on"] == exports["off"], \
-            "fused attacksynth export differs with telemetry attached"
-        assert counters["sim.runs.fused"] > 0
-        assert counters["sim.instructions.fused"] > 0
+            "attacksynth export differs with telemetry attached"
+        assert counters["sim.runs.fast"] > 0
+        assert counters["sim.instructions.fast"] > 0
+        assert counters["sim.vanilla.runs.fast"] > 0
 
-    def test_fused_compile_counter_fires_on_hot_blocks(self):
+    def test_compile_counter_fires_on_hot_blocks(self):
         from repro.crypto.keys import DeviceKeys
         from repro.sim import SofiaMachine
         from repro.transform import transform
@@ -247,27 +248,27 @@ class TestFusedTelemetry:
         image = transform(workload.compile().program, keys, nonce=0x2016)
         telemetry = Telemetry()
         with obs.campaign(telemetry, "demo", {}):
-            machine = SofiaMachine(image, keys, engine="fused")
+            machine = SofiaMachine(image, keys)
             result = machine.run(2_000_000)
         assert result.ok
         counters = telemetry.metrics.counters
         # crc32's inner loop crosses the hotness threshold, so at least
-        # one superblock must have been source-compiled
+        # one block must have been source-compiled
         assert counters["sim.fused_compile"] > 0
-        baseline = SofiaMachine(image, keys, engine="predecoded")
+        baseline = SofiaMachine(image, keys, engine="reference")
         assert baseline.run(2_000_000).instructions == result.instructions
 
     def test_stats_derives_per_engine_throughput(self, tmp_path):
         telemetry = Telemetry(directory=tmp_path / "tel")
         telemetry.begin("demo", {})
         telemetry.task_completed(
-            (100, 0.0, 0.5, {"sim.instructions.fused": 5000,
-                             "sim.vanilla.instructions.fused": 3000}), 0)
+            (100, 0.0, 0.5, {"sim.instructions.fast": 5000,
+                             "sim.vanilla.instructions.fast": 3000}), 0)
         telemetry.finish()
         text, problems = summarize(tmp_path / "tel")
         assert problems == 0
-        assert "instructions/s (fused sofia, campaign wall)" in text
-        assert "instructions/s (fused vanilla, campaign wall)" in text
+        assert "instructions/s (fast sofia, campaign wall)" in text
+        assert "instructions/s (fast vanilla, campaign wall)" in text
 
 
 class TestNoteQuiet:

@@ -8,9 +8,9 @@ store (store-backed exports are canonical: no wall-clock or worker-count
 field), and every export must be byte-equal to every other.
 
 Merged metric totals must also be deterministic: the counter sums from a
-serial run and a 4-worker run of the same campaign are identical
-(scalar engines only — the batch engine's per-worker caches make memo
-counters partition-dependent by design).
+serial run and a 4-worker run of the same campaign are identical (the
+fault campaign's lockstep groups, whose memos are per group, depend only
+on the batch width, never on the worker count).
 """
 
 import pytest
@@ -63,8 +63,10 @@ class TestFaultInvisibility:
         assert len(set(exports.values())) == 1, \
             "fault export differs between telemetry/jobs variants"
         assert counters["j1-on"] == counters["j4-on"]
-        assert counters["j1-on"]["tasks.completed"] == 12  # 6 models x 2
-        assert counters["j1-on"]["sim.runs.predecoded"] > 0
+        # 6 models x 2 specimens: one lockstep group, one pool task
+        assert counters["j1-on"]["tasks.completed"] == 1
+        assert counters["j1-on"]["sim.lockstep.forks"] == 12
+        assert counters["j1-on"]["sim.runs.fast"] > 0
 
 
 class TestAttacksynthInvisibility:

@@ -1,8 +1,9 @@
 """Machine-level tests: vanilla and SOFIA run loops, traps, violations.
 
 Behavioural tests take the shared ``engine`` fixture (tests/conftest.py)
-so every registered execution engine — reference, predecoded, batch —
-satisfies the same machine-level contract.
+so both registered execution engines — fast and reference — and the fast
+engine pinned to each of its tiers satisfy the same machine-level
+contract.
 """
 
 import pytest

@@ -40,8 +40,6 @@ class TestTaskKey:
         assert task_key("fault", {"seed": 2}, {"bit": 3}) != base
         assert task_key("fault", {"seed": 1}, {"bit": 4}) != base
         assert task_key("fault", {"seed": 1}, {"bit": 3},
-                        engine="batch") != base
-        assert task_key("fault", {"seed": 1}, {"bit": 3},
                         code="other") != base
 
     def test_set_valued_context_is_order_free(self):
