@@ -18,6 +18,13 @@ and batch-friendly; MASKED specimens run their whole suffix on their
 own machine, so mixed-model populations land lower — both regimes are
 printed below.
 
+The per-specimen baseline runs every specimen on a copy of the image
+without its front-end memo, so each machine starts from empty keystream
+and seal memos — the cold per-specimen campaign the 5x target was set
+against.  Per-specimen machines on the sealed image itself adopt the
+memo ``seal`` left there and are much faster; that *warm* baseline is
+printed beside the gated one (``warm/s``, ``vs warm``) but not gated.
+
 ``test_batch_lockstep_smoke`` is the cheap CI guard: identity only, no
 timing.  The full gate (``test_fault_campaign_speedup``) prints the E18
 table and writes the JSON/CSV artifacts via
@@ -26,6 +33,7 @@ table and writes the JSON/CSV artifacts via
 
 import json
 import time
+from dataclasses import replace
 
 from repro.crypto import DeviceKeys
 from repro.eval.export import batch_csv, batch_json
@@ -64,42 +72,58 @@ def _fault_fields(r):
     return (r.fault, r.model, r.outcome, r.description, r.status, r.detail)
 
 
+def _cold(image):
+    """``image`` without its front-end memo (a fresh copy per specimen,
+    so no specimen inherits what an earlier one computed)."""
+    return replace(image, front_end=None)
+
+
 def _measure(image, keys, faults, golden):
-    """Time scalar per-specimen runs vs one lockstep batch; assert
-    byte-identity; return (scalar_s, batch_s, identical)."""
+    """Time cold and warm per-specimen runs vs one lockstep batch; assert
+    byte-identity; return (scalar_s, warm_s, batch_s, identical)."""
     started = time.perf_counter()
-    scalar = [run_fault(image, keys, f, golden.output_ints,
+    scalar = [run_fault(_cold(image), keys, f, golden.output_ints,
                         max_instructions=BUDGET) for f in faults]
     t_scalar = time.perf_counter() - started
+    started = time.perf_counter()
+    warm = [run_fault(image, keys, f, golden.output_ints,
+                      max_instructions=BUDGET) for f in faults]
+    t_warm = time.perf_counter() - started
     started = time.perf_counter()
     batch = run_fault_batch(image, keys, faults, golden.output_ints,
                             max_instructions=BUDGET)
     t_batch = time.perf_counter() - started
     identical = ([_fault_fields(r) for r in scalar]
+                 == [_fault_fields(r) for r in warm]
                  == [_fault_fields(r) for r in batch])
     assert identical, "batch campaign diverged from scalar runs"
-    return t_scalar, t_batch, identical
+    return t_scalar, t_warm, t_batch, identical
 
 
-def _row(workload, faults, t_scalar, t_batch, identical):
+def _row(workload, faults, t_scalar, t_warm, t_batch, identical):
     n = len(faults)
     return {"workload": workload, "specimens": n,
             "scalar_specimens_per_s": round(n / t_scalar, 1),
+            "warm_specimens_per_s": round(n / t_warm, 1),
             "batch_specimens_per_s": round(n / t_batch, 1),
             "speedup": round(t_scalar / t_batch, 2),
+            "speedup_vs_warm": round(t_warm / t_batch, 2),
             "identical": int(identical)}
 
 
 def _print_rows(rows):
     header = (f"{'workload':<18s} {'specimens':>9s} {'scalar/s':>10s} "
-              f"{'batch/s':>10s} {'speedup':>8s}")
+              f"{'batch/s':>10s} {'speedup':>8s} {'warm/s':>10s} "
+              f"{'vs warm':>8s}")
     print("\n" + header)
     print("-" * len(header))
     for row in rows:
         print(f"{row['workload']:<18s} {row['specimens']:>9d} "
               f"{row['scalar_specimens_per_s']:>10.1f} "
               f"{row['batch_specimens_per_s']:>10.1f} "
-              f"{row['speedup']:>7.2f}x")
+              f"{row['speedup']:>7.2f}x "
+              f"{row['warm_specimens_per_s']:>10.1f} "
+              f"{row['speedup_vs_warm']:>7.2f}x")
 
 
 def test_batch_lockstep_smoke():
@@ -124,22 +148,20 @@ def test_fault_campaign_speedup(tmp_path, bench_environment):
     _, image, keys = _build("crc32", "small")
     golden, faults = _population(image, keys, per_model=32,
                                  models=PROTECTED_MODELS)
-    t_scalar, t_batch, identical = _measure(image, keys, faults, golden)
-    rows.append(_row("crc32/protected", faults, t_scalar, t_batch,
-                     identical))
+    rows.append(_row("crc32/protected", faults,
+                     *_measure(image, keys, faults, golden)))
     headline = rows[0]["speedup"]
 
     # stretch regime: pure PCGlitch (resets within a block of the trigger)
     pc_faults = [f for f in faults if type(f).__name__ == "PCGlitch"]
-    t_scalar, t_batch, identical = _measure(image, keys, pc_faults, golden)
-    rows.append(_row("crc32/pcglitch", pc_faults, t_scalar, t_batch,
-                     identical))
+    rows.append(_row("crc32/pcglitch", pc_faults,
+                     *_measure(image, keys, pc_faults, golden)))
 
     # mixed-model regime: MASKED suffixes cap the win — reported, no floor
     mixed = sample_faults(image, golden.instructions, per_model=8,
                           seed=SEED)
-    t_scalar, t_batch, identical = _measure(image, keys, mixed, golden)
-    rows.append(_row("crc32/mixed", mixed, t_scalar, t_batch, identical))
+    rows.append(_row("crc32/mixed", mixed,
+                     *_measure(image, keys, mixed, golden)))
 
     # an E17 design point away from the paper's: PRESENT-80, 32-bit seals
     profile = next(p for p in profile_grid()
@@ -148,15 +170,14 @@ def test_fault_campaign_speedup(tmp_path, bench_environment):
     _, image17, keys17 = _build("sort", "small", profile=profile)
     golden17, faults17 = _population(image17, keys17, per_model=16,
                                      models=PROTECTED_MODELS)
-    t_scalar, t_batch, identical = _measure(image17, keys17, faults17,
-                                            golden17)
-    rows.append(_row(f"sort/{profile.label}", faults17, t_scalar, t_batch,
-                     identical))
+    rows.append(_row(f"sort/{profile.label}", faults17,
+                     *_measure(image17, keys17, faults17, golden17)))
 
     _print_rows(rows)
     print(f"headline (crc32/protected): {headline:.2f}x "
           f"(target >= 5x, stretch >= 10x on pcglitch: "
-          f"{rows[1]['speedup']:.2f}x)")
+          f"{rows[1]['speedup']:.2f}x); vs warm per-specimen runs "
+          f"{rows[0]['speedup_vs_warm']:.2f}x (not gated)")
 
     record = {
         "experiment": "E18",

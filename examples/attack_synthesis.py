@@ -53,7 +53,7 @@ def main() -> None:
     program = build_assembly(VICTIM)
     exe = assemble(program)
     image = transform(program, KEYS, nonce=0x2016)
-    clean, traversed, _machine = _clean_sofia(image, KEYS)
+    clean, traversed = _clean_sofia(image, KEYS)
     instances = enumerate_instances(image, exe, KEYS, traversed,
                                     task_rng(1, "example"), KEY_SEED)
     print(f"{len(image.words)}-word image, "

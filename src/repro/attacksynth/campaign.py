@@ -39,7 +39,6 @@ from ..runner import (ResultStore, ShardSpec, run_tasks, run_tasks_stored,
                       task_key, task_rng)
 from ..runner.cache import DEFAULT_KEY_SEED
 from ..security.bounds import EmpiricalCheck, empirical_check
-from ..sim.batch import warm_front_end
 from ..sim.sofia import SofiaMachine
 from ..sim.vanilla import VanillaMachine
 from ..transform.image import SofiaImage
@@ -76,19 +75,13 @@ def _init_synth_worker(key_seed: int, campaign_seed: int,
 
 
 def _clean_sofia(image: SofiaImage, keys: DeviceKeys):
-    """Clean run + the traversed block bases + the machine itself.
-
-    The clean machine bit-slice-warms the image's whole front end before
-    it runs (:func:`~repro.sim.batch.warm_front_end`); the caller then
-    reuses it as the cache donor for every attack-instance machine.
-    """
+    """Clean run + the traversed block bases."""
     machine = SofiaMachine(image, keys)
-    warm_front_end(machine)
     traversed = set()
     block_base_of = image.block_base_of
     machine.on_commit = lambda pc, _instr: traversed.add(block_base_of(pc))
     result = machine.run(max_instructions=SOFIA_BUDGET)
-    return result, traversed, machine
+    return result, traversed
 
 
 def _program_label(index: int, genome: Genome) -> str:
@@ -97,15 +90,14 @@ def _program_label(index: int, genome: Genome) -> str:
 
 
 def _sofia_instance_result(instance, image: SofiaImage, keys: DeviceKeys,
-                           clean_obs, donor: SofiaMachine
-                           ) -> Tuple[InstanceResult, bool]:
+                           clean_obs) -> Tuple[InstanceResult, bool]:
     """Run one instance on the SOFIA core into a fresh result record."""
     result = InstanceResult(
         family=instance.family, name=instance.name,
         description=instance.description, expected=instance.expected,
         expected_plain=instance.expected_plain)
     sofia_out, hijacked, violation, edge_ok = run_sofia_instance(
-        instance, image, keys, clean_obs, donor=donor)
+        instance, image, keys, clean_obs)
     result.outcomes[TARGET_SOFIA] = sofia_out
     result.violation = violation
     result.edge_ok = edge_ok
@@ -138,7 +130,7 @@ def _synth_task(task: Tuple[int, Genome]) -> ProgramOutcome:
         plain_targets.append(
             (TARGET_ECB, lambda: EcbIsrMachine(exe, ecb_key)))
 
-    sofia_clean, traversed, donor = _clean_sofia(image, keys)
+    sofia_clean, traversed = _clean_sofia(image, keys)
     plain_clean = {}
     for name, make in plain_targets:
         plain_clean[name] = make().run(max_instructions=PLAIN_BUDGET)
@@ -163,7 +155,7 @@ def _synth_task(task: Tuple[int, Genome]) -> ProgramOutcome:
 
     for instance in instances:
         result, hij = _sofia_instance_result(instance, image, keys,
-                                             sofia_obs, donor=donor)
+                                             sofia_obs)
         hijacked = [TARGET_SOFIA] if hij else []
         for name, make in plain_targets:
             if not instance.plain_applicable:
@@ -391,11 +383,6 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     still picks the block geometry); the enumerator and the §IV-A bound
     cross-check adapt to the image's actual profile.
 
-    Each victim's front end is bit-slice-warmed once on the clean run,
-    and the pure keystream/seal memos are shared with every
-    attack-instance machine (the warmed donor); that is observationally
-    invisible, so the report and its exports are what cold machines give.
-
     ``store_dir`` memoizes each program's full :class:`ProgramOutcome`
     in a persistent :class:`~repro.runner.store.ResultStore` (one entry
     per victim, keyed by code version + campaign context + genome), so
@@ -467,9 +454,7 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
                          profile=image.profile)
     outcome = ProgramOutcome(index=0, label="image")
     outcome.blocks = image.num_blocks
-    donor = SofiaMachine(image, keys)
-    warm_front_end(donor)
-    clean = donor.run(max_instructions=SOFIA_BUDGET)
+    clean = SofiaMachine(image, keys).run(max_instructions=SOFIA_BUDGET)
     if not clean.ok:
         # without a clean baseline every mutated run "detects" too — a
         # wrong key seed must be an error, not a perfect-looking matrix
@@ -486,7 +471,7 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
         instances = instances[:per_program]
     for instance in instances:
         result, hij = _sofia_instance_result(instance, image, keys,
-                                             clean_obs, donor=donor)
+                                             clean_obs)
         result.hijacked = (TARGET_SOFIA,) if hij else ()
         outcome.instances.append(result)
     report.programs = [outcome]

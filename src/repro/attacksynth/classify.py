@@ -88,8 +88,7 @@ def materialize_image(instance: AttackInstance, image: SofiaImage,
 
 def run_sofia_instance(instance: AttackInstance, image: SofiaImage,
                        keys: DeviceKeys, clean: Observables,
-                       max_instructions: int = SOFIA_BUDGET,
-                       donor: Optional[SofiaMachine] = None
+                       max_instructions: int = SOFIA_BUDGET
                        ) -> Tuple[str, bool, Optional[str], Optional[bool]]:
     """Run one instance on the SOFIA core.
 
@@ -97,16 +96,8 @@ def run_sofia_instance(instance: AttackInstance, image: SofiaImage,
     ``edge_ok`` (bend instances only) reports whether the *bent edge
     itself* passed the decrypt/verify front-end — a reset on the very
     first block traversal means it did not.
-
-    ``donor`` (the campaign's warmed clean machine) seeds the instance
-    machine's pure keystream/seal memos via
-    :func:`~repro.sim.batch.adopt_caches`; the sharing rules there
-    guarantee the classification is byte-identical to a cold run.
     """
     machine = SofiaMachine(materialize_image(instance, image, keys), keys)
-    if donor is not None:
-        from ..sim.batch import adopt_caches
-        adopt_caches(machine, donor)
     if instance.entry_pc is not None:
         machine.state.pc = instance.entry_pc
         if instance.prev_pc is not None:

@@ -13,13 +13,18 @@ The 16+24+24 packing fills RECTANGLE's 64-bit block exactly (DESIGN.md,
 
 Keystream values are memoized per (prevPC, PC) edge: during a valid
 execution every traversal of a CFG edge uses the same counter, so loops pay
-for the cipher only once per static edge.
+for the cipher only once per static edge.  The memo can be handed in
+(``cache=``): a sealed image carries the words its sealer computed
+(:class:`~repro.transform.image.FrontEndMemo`), and
+:meth:`EdgeKeystream.keystream_many` fills many edges with one
+bit-sliced cipher pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from .bitslice import encrypt_batch
 from .primitives import MASK32
 from .rectangle import Rectangle80
 
@@ -48,12 +53,16 @@ def pack_counter(nonce: int, prev_pc: int, pc: int) -> int:
 class EdgeKeystream:
     """Generates (and memoizes) per-edge 32-bit keystream words."""
 
-    def __init__(self, cipher: Rectangle80, nonce: int) -> None:
+    def __init__(self, cipher: Rectangle80, nonce: int,
+                 cache: Optional[Dict[Tuple[int, int], int]] = None) -> None:
         if nonce >> NONCE_BITS:
             raise ValueError(f"nonce 0x{nonce:x} exceeds {NONCE_BITS} bits")
         self.cipher = cipher
         self.nonce = nonce
-        self._cache: Dict[Tuple[int, int], int] = {}
+        #: edge -> keystream word; ``cache`` must hold words of this
+        #: cipher and nonce only (it is filled in place)
+        self._cache: Dict[Tuple[int, int], int] = (
+            {} if cache is None else cache)
 
     def keystream(self, prev_pc: int, pc: int) -> int:
         """32-bit keystream word for the edge ``prev_pc -> pc``."""
@@ -64,6 +73,18 @@ class EdgeKeystream:
             cached = self.cipher.encrypt(counter) & MASK32
             self._cache[key] = cached
         return cached
+
+    def keystream_many(self, edges: Iterable[Tuple[int, int]]) -> List[int]:
+        """Keystream words of many edges, in order; the uncached ones are
+        encrypted in one :func:`~repro.crypto.bitslice.encrypt_batch`."""
+        edges = list(edges)
+        cache = self._cache
+        todo = [edge for edge in dict.fromkeys(edges) if edge not in cache]
+        counters = [pack_counter(self.nonce, prev_pc, pc)
+                    for prev_pc, pc in todo]
+        for edge, block in zip(todo, encrypt_batch(self.cipher, counters)):
+            cache[edge] = block & MASK32
+        return [cache[edge] for edge in edges]
 
     def encrypt_word(self, word: int, prev_pc: int, pc: int) -> int:
         """Encrypt a plaintext 32-bit word for the given control-flow edge."""

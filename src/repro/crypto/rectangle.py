@@ -82,42 +82,33 @@ _GATHER: Optional[List[List[int]]] = None
 
 
 def _build_tables() -> None:
+    """Build the four 16-bit tables from 8-bit half tables.
+
+    Every table entry is a function of the two bytes of its index that
+    lands in disjoint bit ranges, so each 65536-entry table is one
+    comprehension over (high byte, low byte) pairs of 256-entry halves —
+    about 65k list stores per table instead of a per-bit loop per entry.
+    """
     global _SPREAD, _SUB16, _SUB16_INV, _GATHER
     if _SPREAD is not None:
         return
-    spread = [0] * 65536
-    for x in range(65536):
-        v = 0
-        bits = x
-        pos = 0
-        while bits:
-            if bits & 1:
-                v |= 1 << pos
-            bits >>= 1
-            pos += 4
-        spread[x] = v
-    sub16 = [0] * 65536
-    sub16_inv = [0] * 65536
-    for x in range(65536):
-        s = (SBOX[x & 0xF]
-             | (SBOX[(x >> 4) & 0xF] << 4)
-             | (SBOX[(x >> 8) & 0xF] << 8)
-             | (SBOX[(x >> 12) & 0xF] << 12))
-        sub16[x] = s
-        t = (SBOX_INV[x & 0xF]
-             | (SBOX_INV[(x >> 4) & 0xF] << 4)
-             | (SBOX_INV[(x >> 8) & 0xF] << 8)
-             | (SBOX_INV[(x >> 12) & 0xF] << 12))
-        sub16_inv[x] = t
-    gather = [[0] * 65536 for _ in range(4)]
-    for x in range(65536):
-        for k in range(4):
-            g = 0
-            for nib in range(4):
-                if (x >> (4 * nib + k)) & 1:
-                    g |= 1 << nib
-            gather[k][x] = g
-    _SPREAD, _SUB16, _SUB16_INV, _GATHER = spread, sub16, sub16_inv, gather
+    # byte -> its 8 bits at positions 4*i (the low half of a spread row)
+    spread8 = [sum(((b >> i) & 1) << (4 * i) for i in range(8))
+               for b in range(256)]
+    sub8 = [SBOX[b & 0xF] | (SBOX[b >> 4] << 4) for b in range(256)]
+    sub8_inv = [SBOX_INV[b & 0xF] | (SBOX_INV[b >> 4] << 4)
+                for b in range(256)]
+    # byte -> bits k and 4+k (nibble offset k of its two nibbles), packed
+    gather8 = [[((b >> k) & 1) | (((b >> (4 + k)) & 1) << 1)
+                for b in range(256)] for k in range(4)]
+
+    def combine(low, high, shift):
+        return [h | lo for h in [v << shift for v in high] for lo in low]
+
+    _GATHER = [combine(g, g, 2) for g in gather8]
+    _SUB16 = combine(sub8, sub8, 8)
+    _SUB16_INV = combine(sub8_inv, sub8_inv, 8)
+    _SPREAD = combine(spread8, spread8, 32)
 
 
 def _rows_to_block(rows: Sequence[int]) -> int:

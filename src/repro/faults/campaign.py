@@ -34,7 +34,7 @@ import enum
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..crypto.keys import DeviceKeys
@@ -138,14 +138,23 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
                     max_instructions: int = 2_000_000) -> List[FaultResult]:
     """Lockstep-batched :func:`run_fault` over one specimen group.
 
-    One leader machine (with a bit-slice-warmed front end) runs the
-    shared clean prefix exactly once; each specimen forks off at its
-    trigger point, injects, and resumes on its own machine.  Results
-    come back in the *submission* order of ``faults`` and are
-    byte-identical to per-specimen :func:`run_fault` calls — the scalar
-    prefix cost ``sum(t_i)`` collapses to ``max(t_i)``.
+    One leader machine runs the shared clean prefix exactly once; each
+    specimen forks off at its trigger point, injects, and resumes on its
+    own machine.  Results come back in the *submission* order of
+    ``faults`` and are byte-identical to per-specimen :func:`run_fault`
+    calls — the scalar prefix cost ``sum(t_i)`` collapses to
+    ``max(t_i)``.
+
+    The group works on its own copy of the image's front-end memo, so
+    what its specimens add (faulted payloads' seals, glitched edges'
+    keystream words) never reaches another group: the telemetry memo
+    counters then depend only on the group, not on which groups a
+    process ran before it, and their totals are the same at any
+    ``--jobs``.
     """
     results: List[Optional[FaultResult]] = [None] * len(faults)
+    if image.front_end is not None:
+        image = replace(image, front_end=image.front_end.copy())
     leader = LockstepLeader(image, keys)
     order = sorted(range(len(faults)),
                    key=lambda i: faults[i].trigger_instructions)

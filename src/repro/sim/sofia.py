@@ -17,7 +17,12 @@ every other offset is an invalid entry and pulls reset.
 Per-edge decrypt/verify results are memoized — a valid execution decrypts a
 given (prevPC, entry) pair identically every time, so loops pay for the
 cipher once.  Any write to program memory flushes the memo, exactly like
-hardware where each fetch re-decrypts and re-verifies.
+hardware where each fetch re-decrypts and re-verifies.  Below it sit the
+pure keystream and seal memos, adopted from the image's
+:class:`~repro.transform.image.FrontEndMemo` (filled by ``seal``): their
+values depend only on keys, nonce and edge or payload, never on the code
+words, so they survive code writes and are shared by every machine whose
+keys, nonce and seal width match the memo's tags.
 """
 
 from __future__ import annotations
@@ -99,8 +104,16 @@ class SofiaMachine:
                              data=image.data, data_base=image.data_base)
         self.icache = DirectMappedCache(timing.icache_lines,
                                         timing.icache_line_words)
-        self.keystream = EdgeKeystream(self.keys.encryption_cipher,
-                                       image.nonce)
+        # the pure keystream and seal memos come from the image's front-end
+        # memo when it was computed under these keys, this nonce and this
+        # seal width (a wrong-key device, a renonce'd image or strict
+        # hardware with another width starts empty); a memo-less image
+        # gets one attached here, so later machines on it share the work
+        memo = image.front_end_memo(keys, self.profile.mac_words)
+        self.keystream = EdgeKeystream(
+            keys.encryption_cipher, image.nonce,
+            cache=memo.keystream_for(keys, image.nonce))
+        self._mac_cache = memo.seal_for(keys, self.profile.mac_words)
         self.state = CPUState.reset(image.entry)
         self.prev_pc = RESET_PREV_PC
         self._config = self.profile.to_config(code_base=image.code_base)
@@ -120,11 +133,6 @@ class SofiaMachine:
         #: restores program memory after the next block traversal.
         self.verify_skip_budget = 0
         self.pending_fetch_restore: Optional[Tuple[int, int]] = None
-        #: pure seal memo (kind, payload words) -> computed MAC, shared
-        #: across forked/donor machines by the campaign strategies of
-        #: repro.sim.batch; ``None`` keeps the per-traversal recompute path
-        self._mac_cache: Optional[Dict[Tuple[str, Tuple[int, ...]],
-                                       Tuple[int, ...]]] = None
         #: optional tracing hook, called as on_commit(pc, instr) after each
         #: committed instruction (see repro.sim.trace)
         self.on_commit = None
@@ -138,8 +146,6 @@ class SofiaMachine:
         self._fused_edges.clear()
         self._fused_hook_edges.clear()
         self._fused_heat.clear()
-        self.keystream = EdgeKeystream(self.keys.encryption_cipher,
-                                       self.image.nonce)
 
     # -- the fetch/decrypt/verify unit -----------------------------------
 
@@ -217,8 +223,7 @@ class SofiaMachine:
         # word chains on its canonical predecessor word.
         if obs is not None:
             keystream_cached = self.keystream.cache_size()
-            mac_cached = len(self._mac_cache) \
-                if self._mac_cache is not None else 0
+            mac_cached = len(self._mac_cache)
         plaintext = []
         for position, index in enumerate(word_indices):
             address = base + 4 * index
@@ -243,10 +248,9 @@ class SofiaMachine:
             obs.count("sim.keystream.words", len(word_indices))
             obs.count("sim.keystream.memo_misses",
                       self.keystream.cache_size() - keystream_cached)
-            if self._mac_cache is not None:
-                obs.count("sim.mac.memo_lookups")
-                obs.count("sim.mac.memo_misses",
-                          len(self._mac_cache) - mac_cached)
+            obs.count("sim.mac.memo_lookups")
+            obs.count("sim.mac.memo_misses",
+                      len(self._mac_cache) - mac_cached)
         mac_slots = self.profile.mac_words
         if expected != stored and not force_accept:
             run_hex = "".join(f"{w:08x}" for w in expected)

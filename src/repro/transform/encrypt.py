@@ -18,12 +18,21 @@ seal packing: every producer (the transformer, the renonce tool, the
 attack-synthesis forgery hook) and every consumer (the offline verifier,
 the simulated hardware front-end) goes through this pair, so a profile's
 MAC width and cipher cannot drift between the paths.
+
+:func:`seal` does a whole image's cipher work in batches — every payload
+MACed by :func:`~repro.crypto.bitslice.batch_mac_stream` in groups of
+equal kind and length, every word's keystream from one
+:meth:`~repro.crypto.ctr.EdgeKeystream.keystream_many` pass over the
+deduplicated edges — and keeps both results on the image as its
+:class:`~repro.transform.image.FrontEndMemo`, which every machine that
+runs the image adopts when its keys, nonce and seal width match.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..crypto.bitslice import batch_mac_stream
 from ..crypto.cbcmac import mac_stream
 from ..crypto.ctr import EdgeKeystream
 from ..crypto.keys import DeviceKeys
@@ -31,7 +40,7 @@ from ..errors import EncodingError, TransformError
 from ..isa.encoding import encode
 from ..isa.program import AsmProgram, DATA_BASE, resolve_data_references
 from .blocks import Block, BlockKind
-from .image import BlockRecord, SofiaImage
+from .image import BlockRecord, FrontEndMemo, SofiaImage
 from .layout import Layout
 from .profile import DEFAULT_PROFILE, ProtectionProfile
 
@@ -55,6 +64,13 @@ def block_mac_cipher(keys: DeviceKeys, kind: str):
     return keys.exec_mac_cipher if kind == "exec" else keys.mux_mac_cipher
 
 
+def _interleave(kind: str, macs: Sequence[int],
+                payload: Sequence[int]) -> List[int]:
+    if kind == "exec":
+        return list(macs) + list(payload)
+    return [macs[0], macs[0]] + list(macs[1:]) + list(payload)
+
+
 def seal_block(kind: str, payload_words: Sequence[int], keys: DeviceKeys,
                mac_words: int = 2) -> List[int]:
     """Seal a payload: MAC words + payload in block layout order.
@@ -65,10 +81,30 @@ def seal_block(kind: str, payload_words: Sequence[int], keys: DeviceKeys,
     ``mac_words`` is the profile seal width ``w``.
     """
     payload = list(payload_words)
-    macs = mac_stream(block_mac_cipher(keys, kind), payload, mac_words)
-    if kind == "exec":
-        return list(macs) + payload
-    return [macs[0], macs[0]] + list(macs[1:]) + payload
+    return _interleave(kind, block_macs(kind, payload, keys, mac_words),
+                       payload)
+
+
+def block_macs(kind: str, payload_words: Sequence[int], keys: DeviceKeys,
+               mac_words: int = 2, mac_cache: Optional[Dict] = None
+               ) -> Tuple[int, ...]:
+    """The ``mac_words`` seal words of one payload.
+
+    ``mac_cache`` (an image's seal memo, see
+    :class:`~repro.transform.image.FrontEndMemo`) memoizes the result by
+    ``(kind, payload)``; the seal is a pure function of those plus the
+    keys and width the memo is tagged with, so the memo is
+    observationally invisible.
+    """
+    if mac_cache is None:
+        return mac_stream(block_mac_cipher(keys, kind), payload_words,
+                          mac_words)
+    key = (kind, tuple(payload_words))
+    macs = mac_cache.get(key)
+    if macs is None:
+        macs = mac_cache[key] = mac_stream(block_mac_cipher(keys, kind),
+                                           payload_words, mac_words)
+    return macs
 
 
 def unseal_block(kind: str, fetched_words: Sequence[int], keys: DeviceKeys,
@@ -80,12 +116,8 @@ def unseal_block(kind: str, fetched_words: Sequence[int], keys: DeviceKeys,
     one block traversal: for execution blocks all ``block_words`` words;
     for multiplexors the entry's M1 copy followed by ``M2..Mw`` and the
     payload (the skipped M1 copy never appears).  In both cases the
-    first ``mac_words`` entries are the stored seal.
-
-    ``mac_cache`` (the campaigns' shared seal memo, see
-    :mod:`repro.sim.batch`) memoizes the recomputation by
-    ``(kind, payload)``; the seal is a pure function of those plus the
-    fixed keys and width, so the memo is observationally invisible.
+    first ``mac_words`` entries are the stored seal.  ``mac_cache`` is
+    passed to :func:`block_macs`.
 
     Returns ``(payload_words, stored_macs, computed_macs)``; the block
     verifies iff ``stored_macs == computed_macs``.
@@ -93,17 +125,8 @@ def unseal_block(kind: str, fetched_words: Sequence[int], keys: DeviceKeys,
     fetched = list(fetched_words)
     stored = tuple(fetched[:mac_words])
     payload = fetched[mac_words:]
-    if mac_cache is None:
-        computed = mac_stream(block_mac_cipher(keys, kind), payload,
-                              mac_words)
-    else:
-        key = (kind, tuple(payload))
-        computed = mac_cache.get(key)
-        if computed is None:
-            computed = mac_stream(block_mac_cipher(keys, kind), payload,
-                                  mac_words)
-            mac_cache[key] = computed
-    return payload, stored, computed
+    return payload, stored, block_macs(kind, payload, keys, mac_words,
+                                       mac_cache)
 
 
 def interleave_mac(kind: str, payload_words: List[int], keys: DeviceKeys,
@@ -185,39 +208,58 @@ def reseal_block(image: SofiaImage, record: BlockRecord,
     for slot, instr in enumerate(payload):
         pc = base + 4 * (mac_count + slot)
         words.append(encode(instr, pc))
-    plain = seal_block(record.kind, words, keys, profile.mac_words)
+    nonce = image.nonce if nonce is None else nonce
+    memo = image.front_end_memo(keys, profile.mac_words)
+    macs = block_macs(record.kind, words, keys, profile.mac_words,
+                      memo.seal_for(keys, profile.mac_words))
+    plain = _interleave(record.kind, macs, words)
     prevs = chain_prev_pcs(record.kind, base, len(plain),
                            list(record.entry_prev_pcs))
-    keystream = EdgeKeystream(
-        keys.encryption_cipher,
-        image.nonce if nonce is None else nonce)
-    return [keystream.encrypt_word(word, prev, base + 4 * j)
-            for j, (word, prev) in enumerate(zip(plain, prevs))]
+    keystream = EdgeKeystream(keys.encryption_cipher, nonce,
+                              cache=memo.keystream_for(keys, nonce))
+    stream = keystream.keystream_many(
+        (prev, base + 4 * j) for j, prev in enumerate(prevs))
+    return [word ^ key for word, key in zip(plain, stream)]
 
 
 def seal(layout: Layout, program: AsmProgram, keys: DeviceKeys,
          nonce: int, data_base: int = DATA_BASE,
          profile: Optional[ProtectionProfile] = None) -> SofiaImage:
-    """Produce the encrypted :class:`SofiaImage` for a layout."""
+    """Produce the encrypted :class:`SofiaImage` for a layout.
+
+    The image carries the keystream words and seals computed here as its
+    :class:`~repro.transform.image.FrontEndMemo`; its words are the same
+    as a per-word scalar seal's.
+    """
     if profile is None:
         profile = ProtectionProfile.from_config(layout.config)
     keys = keys.for_profile(profile)
-    keystream = EdgeKeystream(keys.encryption_cipher, nonce)
-    words: List[int] = []
+    mac_words = profile.mac_words
+    memo = FrontEndMemo.empty(keys, nonce, mac_words)
+    payloads = [(block.kind.value, tuple(encode_block_payload(block)))
+                for block in layout.blocks]
+    _batch_macs(keys, mac_words, payloads, memo.seal)
+    plain: List[int] = []
+    edges: List[Tuple[int, int]] = []
     records: List[BlockRecord] = []
-    for block in layout.blocks:
-        plain = block_plain_words(block, keys)
+    for block, sealed in zip(layout.blocks, payloads):
+        kind, payload = sealed
+        block_plain = _interleave(kind, memo.seal[sealed], payload)
         entry_prevs = layout.entry_prev_pcs(block)
         prevs = word_prev_pcs(block, entry_prevs)
-        for j, (word, prev) in enumerate(zip(plain, prevs)):
-            address = block.base + 4 * j
-            words.append(keystream.encrypt_word(word, prev, address))
+        plain.extend(block_plain)
+        edges.extend((prev, block.base + 4 * j)
+                     for j, prev in enumerate(prevs))
         records.append(BlockRecord(
-            base=block.base, kind=block.kind.value, capacity=block.capacity,
+            base=block.base, kind=kind, capacity=block.capacity,
             labels=tuple(block.labels), leader=block.leader,
             is_forwarder=block.is_forwarder,
-            plain_payload=tuple(plain[block.mac_words:]),
+            plain_payload=payload,
             entry_prev_pcs=tuple(entry_prevs)))
+    keystream = EdgeKeystream(keys.encryption_cipher, nonce,
+                              cache=memo.keystream)
+    words = [word ^ key for word, key
+             in zip(plain, keystream.keystream_many(edges))]
     symbols: Dict[str, int] = dict(resolve_data_references(program, data_base))
     for label, index in program.labels.items():
         located = layout.block_of_instr.get(index)
@@ -233,4 +275,24 @@ def seal(layout: Layout, program: AsmProgram, keys: DeviceKeys,
                       data=bytes(program.data), data_base=data_base,
                       block_words=layout.config.block_words,
                       blocks=records, stats=layout.stats, symbols=symbols,
-                      profile=profile)
+                      profile=profile, front_end=memo)
+
+
+def _batch_macs(keys: DeviceKeys, mac_words: int,
+                payloads: Sequence[Tuple[str, Tuple[int, ...]]],
+                mac_cache: Dict) -> None:
+    """Fill ``mac_cache`` with the seal of every ``(kind, payload)``.
+
+    Distinct payloads are grouped by kind and length so every group's
+    CBC chains line up lane for lane in
+    :func:`~repro.crypto.bitslice.batch_mac_stream`.
+    """
+    groups: Dict[Tuple[str, int], Dict[Tuple[int, ...], None]] = {}
+    for kind, payload in payloads:
+        groups.setdefault((kind, len(payload)), {})[payload] = None
+    for (kind, _length), group in groups.items():
+        ordered = list(group)
+        macs = batch_mac_stream(block_mac_cipher(keys, kind), ordered,
+                                mac_words)
+        for payload, value in zip(ordered, macs):
+            mac_cache[(kind, payload)] = value

@@ -19,13 +19,19 @@ seal width, renonce policy, store scheduling — via
 ``ProtectionProfile.to_code``; ``block_words`` carries the remaining
 profile axis.  Old images (reserved = 0) therefore deserialize to the
 default profile unchanged.
+
+A sealed image also carries a :class:`FrontEndMemo` — the keystream words
+and seal values :func:`~repro.transform.encrypt.seal` computed — so every
+machine that runs the image starts from that work instead of redoing it.
+The memo is a pure cache: it is excluded from equality, ``repr`` and
+:meth:`SofiaImage.to_bytes`, and a deserialized image simply has none.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ImageError
 from .layout import LayoutStats
@@ -51,6 +57,65 @@ class BlockRecord:
     entry_prev_pcs: tuple = ()
 
 
+def keystream_tag(keys, nonce: int) -> tuple:
+    """The values a keystream word depends on besides its edge."""
+    return (keys.cipher_factory, keys.k1, nonce)
+
+
+def seal_tag(keys, mac_words: int) -> tuple:
+    """The values a block's seal depends on besides its kind and payload."""
+    return (keys.cipher_factory, keys.k2, keys.k3, mac_words)
+
+
+@dataclass
+class FrontEndMemo:
+    """Pure front-end cipher work of one image, shared by its machines.
+
+    Two planes, each valid only under the values of its tag:
+
+    * ``keystream`` — (prevPC, PC) -> 32-bit keystream word, under
+      ``keystream_tag`` = (cipher type, k1, nonce);
+    * ``seal`` — (block kind, plaintext payload) -> computed seal words,
+      under ``seal_tag`` = (cipher type, k2, k3, seal width).
+
+    Tags compare by value, so they survive pickling and match equal keys
+    provisioned separately.  A consumer whose own tag differs (a
+    wrong-key device, a renonce'd image, strict hardware with another
+    seal width) gets a fresh private plane instead — never the values
+    computed under someone else's keys.  Planes only ever grow with
+    values every matching consumer would compute itself, so sharing
+    them is observationally invisible.
+    """
+
+    keystream_tag: tuple
+    keystream: Dict[Tuple[int, int], int]
+    seal_tag: tuple
+    seal: Dict[Tuple[str, Tuple[int, ...]], Tuple[int, ...]]
+
+    @classmethod
+    def empty(cls, keys, nonce: int, mac_words: int) -> "FrontEndMemo":
+        return cls(keystream_tag(keys, nonce), {},
+                   seal_tag(keys, mac_words), {})
+
+    def copy(self) -> "FrontEndMemo":
+        """An independent memo holding the same entries."""
+        return FrontEndMemo(self.keystream_tag, dict(self.keystream),
+                            self.seal_tag, dict(self.seal))
+
+    def keystream_for(self, keys, nonce: int) -> Dict[Tuple[int, int], int]:
+        """The keystream plane if it holds ``keys``/``nonce`` words."""
+        if self.keystream_tag == keystream_tag(keys, nonce):
+            return self.keystream
+        return {}
+
+    def seal_for(self, keys, mac_words: int
+                 ) -> Dict[Tuple[str, Tuple[int, ...]], Tuple[int, ...]]:
+        """The seal plane if it holds ``keys``/``mac_words`` seals."""
+        if self.seal_tag == seal_tag(keys, mac_words):
+            return self.seal
+        return {}
+
+
 @dataclass
 class SofiaImage:
     """A transformed, MACed and encrypted SOFIA binary."""
@@ -70,6 +135,10 @@ class SofiaImage:
     #: its checks from this, never from module constants.  ``None`` at
     #: construction means the default profile at this block geometry.
     profile: Optional[ProtectionProfile] = None
+    #: cipher work already done for this image (see FrontEndMemo); shared
+    #: by every copy ``with_words`` makes, never serialized or compared
+    front_end: Optional[FrontEndMemo] = field(default=None, compare=False,
+                                              repr=False)
 
     def __post_init__(self) -> None:
         if self.profile is None:
@@ -78,6 +147,13 @@ class SofiaImage:
             raise ImageError(
                 f"profile geometry ({self.profile.block_words} words) "
                 f"disagrees with the image ({self.block_words} words)")
+
+    def front_end_memo(self, keys, mac_words: int) -> FrontEndMemo:
+        """This image's memo, attaching an empty one tagged for ``keys``
+        and ``mac_words`` first if it has none."""
+        if self.front_end is None:
+            self.front_end = FrontEndMemo.empty(keys, self.nonce, mac_words)
+        return self.front_end
 
     @property
     def code_size_bytes(self) -> int:

@@ -24,8 +24,7 @@ from ..crypto.ctr import EdgeKeystream
 from ..crypto.keys import DeviceKeys
 from ..errors import ImageError
 from .encrypt import chain_prev_pcs
-from .image import SofiaImage
-from .verify import ImageVerifier
+from .image import FrontEndMemo, SofiaImage, keystream_tag
 
 
 def reencrypt(image: SofiaImage, keys: DeviceKeys,
@@ -35,42 +34,50 @@ def reencrypt(image: SofiaImage, keys: DeviceKeys,
     Requires the transformer's block metadata (the provider keeps it with
     the build artifacts).  The result verifies under the same keys and
     runs identically; no two words of ciphertext survive unchanged
-    (distinct nonces give independent keystreams).
+    (distinct nonces give independent keystreams).  It carries a front-end
+    memo for its new nonce (the seal plane is shared with ``image``'s).
     """
     if not image.blocks:
         raise ImageError("re-encryption needs the block metadata")
     if new_nonce == image.nonce:
         raise ImageError("the new nonce must differ from the current one")
-    verifier = ImageVerifier(image, keys)
-    keys = verifier.keys  # bound to the image profile's cipher
-    new_stream = EdgeKeystream(keys.encryption_cipher, new_nonce)
-    words: List[int] = list(image.words)
+    profile = image.profile
+    keys = keys.for_profile(profile)  # bound to the image profile's cipher
+    memo = image.front_end_memo(keys, profile.mac_words)
+    old_stream = EdgeKeystream(keys.encryption_cipher, image.nonce,
+                               cache=memo.keystream_for(keys, image.nonce))
+    # the MACs cover plaintext, so the seal plane carries over as is
+    renonced = FrontEndMemo(keystream_tag(keys, new_nonce), {},
+                            memo.seal_tag, memo.seal)
+    new_stream = EdgeKeystream(keys.encryption_cipher, new_nonce,
+                               cache=renonced.keystream)
     bw = image.block_words
+    edges = []
     for record in image.blocks:
         if not record.entry_prev_pcs:
             raise ImageError(
                 f"block 0x{record.base:08x} has no sealed entry")
-        # recover the plaintext via the first sealed edge, then re-seal
-        # every word along the canonical chain (chain_prev_pcs is the
-        # single home of the per-word prevPC scheme).
-        plain_primary = verifier._decrypt_block(record, 0,
-                                                record.entry_prev_pcs[0])
-        base = record.base
-        base_index = (base - image.code_base) // 4
-        if record.kind == "exec":
-            plaintext = plain_primary
-        else:
-            # path-1 decryption leaves index 1 (M1e2) unrecovered; it is a
-            # copy of M1, so take it from index 0.
-            plaintext = list(plain_primary)
-            plaintext[1] = plain_primary[0]
-        prevs = chain_prev_pcs(record.kind, base, bw,
+        # every word's edge along the canonical chain (chain_prev_pcs is
+        # the single home of the per-word prevPC scheme)
+        prevs = chain_prev_pcs(record.kind, record.base, bw,
                                list(record.entry_prev_pcs))
+        edges.extend((prev, record.base + 4 * j)
+                     for j, prev in enumerate(prevs))
+    old_keys = old_stream.keystream_many(edges)
+    new_keys = new_stream.keystream_many(edges)
+    words: List[int] = list(image.words)
+    for number, record in enumerate(image.blocks):
+        base_index = (record.base - image.code_base) // 4
+        first = number * bw
+        plaintext = [words[base_index + j] ^ old_keys[first + j]
+                     for j in range(bw)]
+        if record.kind == "mux":
+            # recover the plaintext along the first sealed edge: index 1
+            # (M1e2) is a copy of M1, so take it from index 0
+            plaintext[1] = plaintext[0]
         for j in range(bw):
-            address = base + 4 * j
-            words[base_index + j] = new_stream.encrypt_word(
-                plaintext[j], prevs[j], address)
-    return replace(image, words=words, nonce=new_nonce)
+            words[base_index + j] = plaintext[j] ^ new_keys[first + j]
+    return replace(image, words=words, nonce=new_nonce, front_end=renonced)
 
 
 def rotate_nonce(image: SofiaImage, keys: DeviceKeys) -> SofiaImage:

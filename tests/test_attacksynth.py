@@ -70,7 +70,7 @@ def built(keys):
 @pytest.fixture(scope="module")
 def enumerated(built, keys):
     exe, image = built
-    clean, traversed, _machine = _clean_sofia(image, keys)
+    clean, traversed = _clean_sofia(image, keys)
     assert clean.ok
     rng = task_rng(1, "test-enum")
     instances = enumerate_instances(image, exe, keys, traversed, rng,
@@ -109,7 +109,7 @@ class TestEnumeration:
 
     def test_enumeration_is_deterministic(self, built, keys):
         exe, image = built
-        _clean, traversed, _machine = _clean_sofia(image, keys)
+        _clean, traversed = _clean_sofia(image, keys)
         first = enumerate_instances(image, exe, keys, traversed,
                                     task_rng(1, "det"), KEY_SEED)
         second = enumerate_instances(image, exe, keys, traversed,
@@ -118,7 +118,7 @@ class TestEnumeration:
 
     def test_plan_quotas_can_disable_any_family(self, built, keys):
         exe, image = built
-        _clean, traversed, _machine = _clean_sofia(image, keys)
+        _clean, traversed = _clean_sofia(image, keys)
         instances = enumerate_instances(
             image, exe, keys, traversed, task_rng(1, "plan"), KEY_SEED,
             plan={"inject-plain": 0, "stale-nonce": 0,

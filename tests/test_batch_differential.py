@@ -7,10 +7,12 @@ Four layers, each held to byte-identity against its scalar twin:
   PRESENT-80 circuits lane-for-lane against the scalar ciphers
   (including PRESENT's published test vector through the batch path),
   and ``batch_mac_stream`` against the scalar ``mac_stream``;
-* **warmed front end** — a machine warmed by ``warm_front_end``, and an
-  instance machine that ``adopt_caches`` from such a donor, match a cold
-  machine in every ``ExecutionResult`` field, on every E17 profile grid
-  point and on tampered, resealed and renonce'd images;
+* **image front-end memo** — a machine that adopts the keystream and
+  seal memos ``seal`` left on the image matches a machine on the same
+  image with the memo removed in every ``ExecutionResult`` field, its
+  registers and RAM, on every E17 profile grid point and on wrong-key,
+  renonce'd, strict-profile, tampered, spliced and pickled cases; the
+  batched ``seal`` writes the words of a scalar per-word reference seal;
 * **lockstep leader** — ``LockstepLeader.fork_at(t)`` reproduces the
   state a fresh scalar machine reaches after ``t`` instructions, and a
   forked specimen that diverges (fault injection) classifies exactly
@@ -19,8 +21,11 @@ Four layers, each held to byte-identity against its scalar twin:
   order, results field-for-field identical to per-specimen scalar runs.
 """
 
+import pickle
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import DeviceKeys
@@ -28,17 +33,21 @@ from repro.crypto.bitslice import (WIDTH, batch_mac_stream, bitsliced_for,
                                    encrypt_batch, pack_planes,
                                    transpose_bits, unpack_planes)
 from repro.crypto.cbcmac import mac_stream
+from repro.crypto.ctr import EdgeKeystream
 from repro.crypto.present import Present80
 from repro.crypto.rectangle import Rectangle80
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
-from repro.isa import assemble
+from repro.isa import assemble, parse
 from repro.sim import SofiaMachine
-from repro.sim.batch import (LockstepLeader, adopt_caches, fork_machine,
-                             warm_front_end)
-from repro.transform import transform
+from repro.sim.batch import LockstepLeader, fork_machine
+from repro.transform import prepare, transform, word_prev_pcs
+from repro.transform.encrypt import block_mac_cipher, encode_block_payload
+from repro.transform.image import SofiaImage
 from repro.transform.profile import profile_grid
-from repro.transform.renonce import rotate_nonce
+from repro.transform.renonce import reencrypt, rotate_nonce
 from repro.workloads import make_workload
+
+from test_equivalence import assembly_programs
 
 KEYS = DeviceKeys.from_seed(0xBEEF2016)
 NONCE = 0x2016
@@ -53,6 +62,13 @@ def build(name):
         _BUILDS[name] = (workload, assemble(program),
                          transform(program, KEYS, nonce=NONCE))
     return _BUILDS[name]
+
+
+def fresh_image(name):
+    """A newly sealed image, whose memo holds only what ``seal`` put
+    there (the cached ``build`` images share theirs across tests)."""
+    return transform(make_workload(name, "tiny").compile().program, KEYS,
+                     nonce=NONCE)
 
 
 def result_fields(result):
@@ -106,6 +122,29 @@ class TestBitslicedCiphers:
         cipher = Present80(0)
         assert encrypt_batch(cipher, [0] * 7)[3] == 0x5579C1387B228445
 
+    @pytest.mark.parametrize("cipher_cls", [Rectangle80, Present80],
+                             ids=["rectangle", "present"])
+    def test_chunks_below_the_crossover_run_scalar(self, cipher_cls,
+                                                   monkeypatch):
+        cipher = cipher_cls(0x0000FFFF_0000_FFFF_1234)
+        engine = bitsliced_for(cipher)
+        sliced = engine.encrypt_batch
+        lanes = []
+        monkeypatch.setattr(engine, "encrypt_batch",
+                            lambda blocks: lanes.append(len(blocks))
+                            or sliced(blocks))
+        crossover = engine.min_lanes
+        assert 1 < crossover <= WIDTH
+        blocks = [(0x9E3779B97F4A7C15 * (i + 1)) & ((1 << 64) - 1)
+                  for i in range(WIDTH + crossover - 1)]
+        assert encrypt_batch(cipher, blocks) == [
+            cipher.encrypt(b) for b in blocks]
+        assert lanes == [WIDTH]      # the narrow tail chunk ran scalar
+        lanes.clear()
+        encrypt_batch(cipher, blocks[:crossover])
+        encrypt_batch(cipher, blocks[:crossover - 1])
+        assert lanes == [crossover]
+
     def test_unknown_cipher_returns_none(self):
         class Weird:
             key = 1
@@ -124,25 +163,30 @@ class TestBatchMacStream:
             assert mac == mac_stream(cipher, list(payload), count)
 
 
-# --- warmed front end ------------------------------------------------------
+# --- image front-end memo --------------------------------------------------
 
-def warmed(image, keys):
-    machine = SofiaMachine(image, keys)
-    warm_front_end(machine)
-    return machine
+def cleared(image):
+    """The same image without its front-end memo: a machine on it starts
+    from empty keystream and seal memos, like a deserialized image."""
+    return replace(image, front_end=None)
 
 
-class TestWarmFrontEndParity:
+def assert_same_machine_run(memo_machine, cold_machine):
+    mr, cr = memo_machine.run(), cold_machine.run()
+    assert result_fields(mr) == result_fields(cr)
+    assert memo_machine.state.regs == cold_machine.state.regs
+    assert memo_machine.state.pc == cold_machine.state.pc
+    assert memo_machine.memory.ram == cold_machine.memory.ram
+    return cr
+
+
+class TestFrontEndMemoParity:
     @pytest.mark.parametrize("name", ["sort", "rle"])
-    def test_warmed_equals_cold(self, name):
+    def test_memo_equals_cold(self, name):
         workload, _, image = build(name)
-        warm, cold = warmed(image, KEYS), SofiaMachine(image, KEYS)
-        wr, cr = warm.run(), cold.run()
-        assert result_fields(wr) == result_fields(cr)
-        assert warm.state.regs == cold.state.regs
-        assert warm.state.pc == cold.state.pc
-        assert warm.memory.ram == cold.memory.ram
-        assert wr.output_ints == workload.expected_output
+        cr = assert_same_machine_run(SofiaMachine(image, KEYS),
+                                     SofiaMachine(cleared(image), KEYS))
+        assert cr.output_ints == workload.expected_output
 
     @pytest.mark.parametrize("profile", profile_grid(),
                              ids=lambda p: p.label)
@@ -151,66 +195,188 @@ class TestWarmFrontEndParity:
         program = workload.compile().program
         keys = KEYS.for_profile(profile)
         image = transform(program, keys, nonce=NONCE, profile=profile)
-        wr = warmed(image, keys).run()
-        cr = SofiaMachine(image, keys).run()
-        assert result_fields(wr) == result_fields(cr)
-        assert wr.output_ints == workload.expected_output
+        cr = assert_same_machine_run(SofiaMachine(image, keys),
+                                     SofiaMachine(cleared(image), keys))
+        assert cr.output_ints == workload.expected_output
 
-    def test_warm_front_end_is_observationally_invisible(self):
-        _, _, image = build("sort")
-        warmed = SofiaMachine(image, KEYS)
-        edges = warm_front_end(warmed)
-        assert edges > 0
-        # warming is idempotent: everything is already in the memos
-        assert warm_front_end(warmed) == 0
-        cold = SofiaMachine(image, KEYS)
-        assert result_fields(warmed.run()) == result_fields(cold.run())
-
-
-class TestAdoptCaches:
-    """The attack-synthesis strategy: instance machines adopt a warmed
-    clean machine's pure memos and still classify exactly like cold
-    machines, whatever the instance did to the image."""
-
-    @staticmethod
-    def instance(donor, image):
+    def test_image_memo_is_observationally_invisible(self):
+        image = fresh_image("sort")
+        memo = image.front_end
+        # seal computed every sealed word's keystream and every block's
+        # seal; a machine adopts both planes instead of recomputing
+        assert len(memo.keystream) >= len(image.words) > 0
+        assert {payload for _kind, payload in memo.seal} == {
+            record.plain_payload for record in image.blocks}
         machine = SofiaMachine(image, KEYS)
-        adopt_caches(machine, donor)
-        return machine
+        assert machine.keystream._cache is memo.keystream
+        assert machine._mac_cache is memo.seal
+        sizes = (len(memo.keystream), len(memo.seal))
+        assert_same_machine_run(machine, SofiaMachine(cleared(image), KEYS))
+        # a clean run only traverses sealed edges: nothing left to compute
+        assert (len(memo.keystream), len(memo.seal)) == sizes
+
+    def test_memo_is_not_part_of_the_image_value(self):
+        _, _, image = build("sort")
+        bare = cleared(image)
+        assert bare == image
+        assert bare.to_bytes() == image.to_bytes()
+        assert repr(bare) == repr(image)
+        assert SofiaImage.from_bytes(image.to_bytes()).front_end is None
+
+
+class TestMemoAdoption:
+    """Tag safety: a machine adopts a memo plane only when it was
+    computed under the machine's own keys, nonce and seal width, and
+    every case runs byte-identically to the memo-less image."""
 
     def test_shares_pure_memos_only(self):
         _, _, image = build("sort")
-        donor = warmed(image, KEYS)
-        same = self.instance(donor, image)
-        assert same.keystream._cache is donor.keystream._cache
-        assert same._mac_cache is donor._mac_cache
-        assert same._block_cache is not donor._block_cache
-        # a renonce'd image decrypts under a different nonce: its
-        # keystream must never come from the donor
-        renonced = self.instance(donor, rotate_nonce(image, KEYS))
-        assert renonced.keystream._cache is not donor.keystream._cache
+        first, second = SofiaMachine(image, KEYS), SofiaMachine(image, KEYS)
+        assert second.keystream._cache is first.keystream._cache
+        assert second._mac_cache is first._mac_cache
+        assert second._block_cache is not first._block_cache
+        copy = SofiaMachine(image.with_words(image.words), KEYS)
+        assert copy.keystream._cache is first.keystream._cache
+        # a renonce'd image decrypts under a different nonce: it carries
+        # its own keystream plane and shares only the seal plane
+        renonced = SofiaMachine(rotate_nonce(image, KEYS), KEYS)
+        assert renonced.keystream._cache is not first.keystream._cache
+        assert renonced._mac_cache is first._mac_cache
 
-    @pytest.mark.parametrize("mutation", ["clean", "tamper", "renonce"])
-    def test_instance_equals_cold(self, mutation):
+    def test_memo_less_image_gets_one_attached(self):
         _, _, image = build("sort")
-        donor = warmed(image, KEYS)
-        donor.run()
-        target = image
-        if mutation == "tamper":
+        bare = cleared(image)
+        first = SofiaMachine(bare, KEYS)
+        assert bare.front_end is not None
+        assert not bare.front_end.keystream and not bare.front_end.seal
+        first.run()
+        mutated = bare.with_words(bare.words)
+        later = SofiaMachine(mutated, KEYS)
+        assert later.keystream._cache is first.keystream._cache
+        assert later.keystream.cache_size() > 0
+
+    def test_wrong_key_device_starts_empty(self):
+        _, _, image = build("sort")
+        wrong = DeviceKeys.from_seed(0xBAD)
+        machine = SofiaMachine(image, wrong)
+        assert machine.keystream._cache is not image.front_end.keystream
+        assert machine._mac_cache is not image.front_end.seal
+        cr = assert_same_machine_run(machine,
+                                     SofiaMachine(cleared(image), wrong))
+        assert cr.status.name == "RESET"
+        assert cr.violation.kind == "integrity"
+
+    def test_wrong_key_memo_never_reaches_the_right_device(self):
+        _, _, image = build("sort")
+        bare = cleared(image)
+        SofiaMachine(bare, DeviceKeys.from_seed(0xBAD)).run()
+        right = SofiaMachine(bare, KEYS)
+        assert right.keystream._cache is not bare.front_end.keystream
+        assert right._mac_cache is not bare.front_end.seal
+        assert assert_same_machine_run(
+            right, SofiaMachine(cleared(image), KEYS)).ok
+
+    @pytest.mark.parametrize("renonce", ["reencrypt", "rotate_nonce"])
+    def test_renonced_image(self, renonce):
+        _, _, image = build("sort")
+        if renonce == "reencrypt":
+            target = reencrypt(image, KEYS, NONCE ^ 0x5A5A)
+        else:
+            target = rotate_nonce(image, KEYS)
+        memo = target.front_end
+        assert memo.keystream_tag[-1] == target.nonce
+        assert len(memo.keystream) >= len(target.words)
+        assert target.to_bytes() == reencrypt(
+            cleared(image), KEYS, target.nonce).to_bytes()
+        assert assert_same_machine_run(
+            SofiaMachine(target, KEYS),
+            SofiaMachine(cleared(target), KEYS)).ok
+
+    def test_tampered_header_nonce(self):
+        # the memo travels with the words, but its keystream plane only
+        # holds the sealed nonce's words: a header naming another nonce
+        # must decrypt (and fail) with that nonce's keystream
+        _, _, image = build("sort")
+        target = replace(image, nonce=image.nonce ^ 1)
+        assert target.front_end is image.front_end
+        machine = SofiaMachine(target, KEYS)
+        assert machine.keystream._cache is not image.front_end.keystream
+        cr = assert_same_machine_run(machine,
+                                     SofiaMachine(cleared(target), KEYS))
+        assert cr.status.name == "RESET"
+
+    @pytest.mark.parametrize("mac_words", [1, 3])
+    def test_strict_profile_with_another_seal_width(self, mac_words):
+        # the downgrade case: hardware whose fused seal width differs
+        # from the image's must never read seals of the image's width
+        _, _, image = build("sort")
+        strict = replace(image.profile, mac_words=mac_words)
+        machine = SofiaMachine(image, KEYS, profile=strict)
+        assert machine._mac_cache is not image.front_end.seal
+        cr = assert_same_machine_run(
+            machine, SofiaMachine(cleared(image), KEYS, profile=strict))
+        assert cr.status.name == "RESET"
+
+    @pytest.mark.parametrize("mutation", ["with_words", "replace_block"])
+    def test_attack_mutations(self, mutation):
+        _, _, image = build("sort")
+        if mutation == "with_words":
             words = list(image.words)
             words[1] ^= 1 << 7   # inside the entry block: always fetched
             target = image.with_words(words)
-        elif mutation == "renonce":
-            target = rotate_nonce(image, KEYS)
-        adopted, cold = self.instance(donor, target), SofiaMachine(target,
-                                                                   KEYS)
-        ar, cr = adopted.run(), cold.run()
-        assert result_fields(ar) == result_fields(cr)
-        assert adopted.state.regs == cold.state.regs
-        if mutation == "tamper":
-            assert cr.status.name == "RESET"
         else:
-            assert cr.ok
+            # splice the entry block over the second block
+            target = image.replace_block_words(
+                image.code_base + image.block_bytes,
+                image.block_words_at(image.code_base))
+        assert target.front_end is image.front_end
+        cr = assert_same_machine_run(SofiaMachine(target, KEYS),
+                                     SofiaMachine(cleared(target), KEYS))
+        if mutation == "with_words":
+            assert cr.status.name == "RESET"
+
+    def test_pickled_image(self):
+        # fault-campaign workers receive the image through initargs
+        _, _, image = build("sort")
+        restored = pickle.loads(pickle.dumps(image))
+        assert restored.front_end.keystream == image.front_end.keystream
+        machine = SofiaMachine(restored, KEYS)
+        assert machine.keystream._cache is restored.front_end.keystream
+        assert machine._mac_cache is restored.front_end.seal
+        assert assert_same_machine_run(
+            machine, SofiaMachine(cleared(restored), KEYS)).ok
+
+
+def scalar_seal_words(program, keys, nonce, profile):
+    """A per-word reference seal: one scalar ``mac_stream`` per block
+    and one ``EdgeKeystream.encrypt_word`` per word."""
+    layout = prepare(program, config=None, profile=profile)
+    stream = EdgeKeystream(keys.encryption_cipher, nonce)
+    words = []
+    for block in layout.blocks:
+        kind = block.kind.value
+        payload = encode_block_payload(block)
+        macs = list(mac_stream(block_mac_cipher(keys, kind), payload,
+                               profile.mac_words))
+        plain = (macs if kind == "exec" else [macs[0]] + macs) + payload
+        prevs = word_prev_pcs(block, layout.entry_prev_pcs(block))
+        words.extend(stream.encrypt_word(word, prev, block.base + 4 * j)
+                     for j, (word, prev) in enumerate(zip(plain, prevs)))
+    return words
+
+
+class TestBatchedSealDifferential:
+    @given(source=assembly_programs(),
+           profile=st.sampled_from(profile_grid()),
+           nonce=st.integers(0, 0xFFFF))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_batched_seal_matches_scalar_seal(self, source, profile, nonce):
+        program = parse(source)
+        keys = KEYS.for_profile(profile)
+        image = transform(program, keys, nonce=nonce, profile=profile)
+        assert image.words == scalar_seal_words(program, keys, nonce,
+                                                profile)
 
 
 # --- lockstep leader and peel-off ------------------------------------------
@@ -281,6 +447,25 @@ class TestPeelOffMerge:
             assert (a.fault, a.model, a.outcome, a.description, a.status,
                     a.detail) == (b.fault, b.model, b.outcome,
                                   b.description, b.status, b.detail)
+
+    def test_groups_leave_the_image_memo_as_it_came(self):
+        # what one lockstep group's specimens add to the memo must not
+        # reach the next group in the same process: that keeps the
+        # telemetry memo counters the same at any --jobs
+        image = fresh_image("sort")
+        golden = SofiaMachine(image, KEYS).run(200_000)
+        faults = sample_faults(image, golden.instructions, per_model=4,
+                               seed=123)
+        memo = image.front_end
+        sizes = (len(memo.keystream), len(memo.seal))
+        run_fault_batch(image, KEYS, faults, golden.output_ints,
+                        max_instructions=200_000)
+        assert (len(memo.keystream), len(memo.seal)) == sizes
+        # the same specimens run per specimen do add entries to it
+        for fault in faults:
+            run_fault(image, KEYS, fault, golden.output_ints,
+                      max_instructions=200_000)
+        assert (len(memo.keystream), len(memo.seal)) != sizes
 
     def test_fork_machine_is_byte_exact(self):
         _, _, image = build("rle")

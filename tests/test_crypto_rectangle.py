@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import rectangle
 from repro.crypto.primitives import MASK64, hamming_weight
 from repro.crypto.rectangle import (ROUNDS, Rectangle80, SBOX, SBOX_INV,
                                     round_constants)
@@ -113,3 +114,22 @@ class TestCipher:
     def test_round_key_count(self):
         cipher = Rectangle80(3)
         assert len(cipher._round_keys) == ROUNDS + 1
+
+
+class TestTables:
+    """The half-table build against the direct per-bit definitions."""
+
+    def test_every_entry_matches_its_definition(self):
+        rectangle._build_tables()
+        for x in range(1 << 16):
+            bits = [(x >> i) & 1 for i in range(16)]
+            nibbles = [(x >> (4 * i)) & 0xF for i in range(4)]
+            assert rectangle._SPREAD[x] == sum(
+                bit << (4 * i) for i, bit in enumerate(bits))
+            assert rectangle._SUB16[x] == sum(
+                SBOX[n] << (4 * i) for i, n in enumerate(nibbles))
+            assert rectangle._SUB16_INV[x] == sum(
+                SBOX_INV[n] << (4 * i) for i, n in enumerate(nibbles))
+            for k in range(4):
+                assert rectangle._GATHER[k][x] == sum(
+                    bits[4 * nib + k] << nib for nib in range(4))
