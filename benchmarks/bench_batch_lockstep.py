@@ -14,9 +14,11 @@ The economics: a scalar campaign pays ``sum(t_i)`` clean-prefix
 instructions across specimens, the lockstep leader pays ``max(t_i)``
 once.  Detected specimens reset within a block of their trigger, so
 detect-heavy populations (CodeBitFlip, PCGlitch) are prefix-dominated
-and batch-friendly; MASKED specimens run their whole suffix on their
-own machine, so mixed-model populations land lower — both regimes are
-printed below.
+and batch-friendly; MASKED specimens run their suffix on their own
+machine until they rejoin the golden run at one of its checkpoints
+(:class:`~repro.sim.batch.GoldenTrace`) or to the end, so mixed-model
+populations land lower — both regimes are printed below, each with the
+number of specimens that converged.
 
 The per-specimen baseline runs every specimen on a copy of the image
 without its front-end memo, so each machine starts from empty keystream
@@ -38,7 +40,8 @@ from dataclasses import replace
 from repro.crypto import DeviceKeys
 from repro.eval.export import batch_csv, batch_json
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
-from repro.sim import SofiaMachine
+from repro.obs import hook as obs_hook
+from repro.sim import GoldenTrace
 from repro.transform import transform
 from repro.transform.profile import profile_grid
 from repro.workloads import make_workload
@@ -61,11 +64,22 @@ def _build(name, scale, profile=None):
 
 
 def _population(image, keys, per_model, models):
-    golden = SofiaMachine(image, keys).run(max_instructions=BUDGET)
-    assert golden.ok, golden.summary()
-    faults = sample_faults(image, golden.instructions, per_model=per_model,
-                           seed=SEED, models=models)
-    return golden, faults
+    trace = GoldenTrace.record(image, keys, BUDGET)
+    assert trace.result.ok, trace.result.summary()
+    faults = sample_faults(image, trace.result.instructions,
+                           per_model=per_model, seed=SEED, models=models)
+    return trace, faults
+
+
+class _ConvergedSink:
+    """Telemetry sink that keeps only the ``faults.converged`` count."""
+
+    def __init__(self):
+        self.converged = 0
+
+    def count(self, name, n=1):
+        if name == "faults.converged":
+            self.converged += n
 
 
 def _fault_fields(r):
@@ -78,9 +92,11 @@ def _cold(image):
     return replace(image, front_end=None)
 
 
-def _measure(image, keys, faults, golden):
+def _measure(image, keys, faults, trace):
     """Time cold and warm per-specimen runs vs one lockstep batch; assert
-    byte-identity; return (scalar_s, warm_s, batch_s, identical)."""
+    byte-identity; return (scalar_s, warm_s, batch_s, identical,
+    converged)."""
+    golden = trace.result
     started = time.perf_counter()
     scalar = [run_fault(_cold(image), keys, f, golden.output_ints,
                         max_instructions=BUDGET) for f in faults]
@@ -89,18 +105,24 @@ def _measure(image, keys, faults, golden):
     warm = [run_fault(image, keys, f, golden.output_ints,
                       max_instructions=BUDGET) for f in faults]
     t_warm = time.perf_counter() - started
-    started = time.perf_counter()
-    batch = run_fault_batch(image, keys, faults, golden.output_ints,
-                            max_instructions=BUDGET)
-    t_batch = time.perf_counter() - started
+    sink = _ConvergedSink()
+    obs_hook.install(sink)
+    try:
+        started = time.perf_counter()
+        batch = run_fault_batch(image, keys, faults, golden.output_ints,
+                                trace, max_instructions=BUDGET)
+        t_batch = time.perf_counter() - started
+    finally:
+        obs_hook.uninstall()
     identical = ([_fault_fields(r) for r in scalar]
                  == [_fault_fields(r) for r in warm]
                  == [_fault_fields(r) for r in batch])
     assert identical, "batch campaign diverged from scalar runs"
-    return t_scalar, t_warm, t_batch, identical
+    return t_scalar, t_warm, t_batch, identical, sink.converged
 
 
-def _row(workload, faults, t_scalar, t_warm, t_batch, identical):
+def _row(workload, faults, t_scalar, t_warm, t_batch, identical,
+         converged):
     n = len(faults)
     return {"workload": workload, "specimens": n,
             "scalar_specimens_per_s": round(n / t_scalar, 1),
@@ -108,13 +130,14 @@ def _row(workload, faults, t_scalar, t_warm, t_batch, identical):
             "batch_specimens_per_s": round(n / t_batch, 1),
             "speedup": round(t_scalar / t_batch, 2),
             "speedup_vs_warm": round(t_warm / t_batch, 2),
+            "converged": converged,
             "identical": int(identical)}
 
 
 def _print_rows(rows):
     header = (f"{'workload':<18s} {'specimens':>9s} {'scalar/s':>10s} "
               f"{'batch/s':>10s} {'speedup':>8s} {'warm/s':>10s} "
-              f"{'vs warm':>8s}")
+              f"{'vs warm':>8s} {'converged':>9s}")
     print("\n" + header)
     print("-" * len(header))
     for row in rows:
@@ -123,16 +146,18 @@ def _print_rows(rows):
               f"{row['batch_specimens_per_s']:>10.1f} "
               f"{row['speedup']:>7.2f}x "
               f"{row['warm_specimens_per_s']:>10.1f} "
-              f"{row['speedup_vs_warm']:>7.2f}x")
+              f"{row['speedup_vs_warm']:>7.2f}x "
+              f"{row['converged']:>9d}")
 
 
 def test_batch_lockstep_smoke():
     """CI smoke: merged batch results byte-identical to scalar, no timing."""
     _, image, keys = _build("sort", "tiny")
-    golden, faults = _population(image, keys, per_model=3, models=None)
+    trace, faults = _population(image, keys, per_model=3, models=None)
+    golden = trace.result
     scalar = [run_fault(image, keys, f, golden.output_ints,
                         max_instructions=BUDGET) for f in faults]
-    batch = run_fault_batch(image, keys, faults, golden.output_ints,
+    batch = run_fault_batch(image, keys, faults, golden.output_ints, trace,
                             max_instructions=BUDGET)
     assert [_fault_fields(r) for r in scalar] == [
         _fault_fields(r) for r in batch]
@@ -146,32 +171,33 @@ def test_fault_campaign_speedup(tmp_path, bench_environment):
 
     # E15 victim, protected-surface population — the headline row
     _, image, keys = _build("crc32", "small")
-    golden, faults = _population(image, keys, per_model=32,
-                                 models=PROTECTED_MODELS)
+    trace, faults = _population(image, keys, per_model=32,
+                                models=PROTECTED_MODELS)
     rows.append(_row("crc32/protected", faults,
-                     *_measure(image, keys, faults, golden)))
+                     *_measure(image, keys, faults, trace)))
     headline = rows[0]["speedup"]
 
     # stretch regime: pure PCGlitch (resets within a block of the trigger)
     pc_faults = [f for f in faults if type(f).__name__ == "PCGlitch"]
     rows.append(_row("crc32/pcglitch", pc_faults,
-                     *_measure(image, keys, pc_faults, golden)))
+                     *_measure(image, keys, pc_faults, trace)))
 
-    # mixed-model regime: MASKED suffixes cap the win — reported, no floor
-    mixed = sample_faults(image, golden.instructions, per_model=8,
+    # mixed-model regime: MASKED suffixes cap the win unless they rejoin
+    # the golden run (the converged column) — reported, no floor
+    mixed = sample_faults(image, trace.result.instructions, per_model=8,
                           seed=SEED)
     rows.append(_row("crc32/mixed", mixed,
-                     *_measure(image, keys, mixed, golden)))
+                     *_measure(image, keys, mixed, trace)))
 
     # an E17 design point away from the paper's: PRESENT-80, 32-bit seals
     profile = next(p for p in profile_grid()
                    if p.cipher == "present-80" and p.mac_words == 1
                    and p.renonce == "sequential")
     _, image17, keys17 = _build("sort", "small", profile=profile)
-    golden17, faults17 = _population(image17, keys17, per_model=16,
-                                     models=PROTECTED_MODELS)
+    trace17, faults17 = _population(image17, keys17, per_model=16,
+                                    models=PROTECTED_MODELS)
     rows.append(_row(f"sort/{profile.label}", faults17,
-                     *_measure(image17, keys17, faults17, golden17)))
+                     *_measure(image17, keys17, faults17, trace17)))
 
     _print_rows(rows)
     print(f"headline (crc32/protected): {headline:.2f}x "

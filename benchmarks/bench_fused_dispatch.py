@@ -23,9 +23,9 @@ printed for honesty but not gated — the paper's campaign workloads
 blocks thousands of times, which is the regime the gate models.
 
 The second test re-runs E18's mixed-model regime: MASKED fault
-specimens "peel off" the lockstep batch and run their whole suffix on
-the fast engine; results stay field-for-field identical to per-specimen
-runs.
+specimens "peel off" the lockstep batch and run their suffix on the
+fast engine until they rejoin the golden run (or to the end); results
+stay field-for-field identical to per-specimen runs.
 
 ``test_fused_dispatch_smoke`` is the cheap CI guard: identity only, no
 timing.
@@ -38,7 +38,7 @@ import repro.sim.fused as fused
 from repro.crypto import DeviceKeys
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
 from repro.isa import assemble
-from repro.sim import SofiaMachine, VanillaMachine
+from repro.sim import GoldenTrace, SofiaMachine, VanillaMachine
 from repro.transform import transform
 from repro.workloads import make_workload, workload_names
 
@@ -173,7 +173,8 @@ def test_peel_off_suffix_rerun(bench_environment):
     the fast engine after peeling off the lockstep leader.  Identity is
     the gate; the speedup is printed as evidence."""
     program, image = _build("crc32", "small")
-    golden = SofiaMachine(image, KEYS).run(BUDGET)
+    trace = GoldenTrace.record(image, KEYS, BUDGET)
+    golden = trace.result
     assert golden.ok, golden.summary()
     faults = sample_faults(image, golden.instructions, per_model=8, seed=77)
 
@@ -182,7 +183,7 @@ def test_peel_off_suffix_rerun(bench_environment):
                         max_instructions=BUDGET) for f in faults]
     t_scalar = time.perf_counter() - started
     started = time.perf_counter()
-    batch = run_fault_batch(image, KEYS, faults, golden.output_ints,
+    batch = run_fault_batch(image, KEYS, faults, golden.output_ints, trace,
                             max_instructions=BUDGET)
     t_batch = time.perf_counter() - started
 

@@ -20,12 +20,15 @@ runs one on a fresh machine and is the per-specimen reference.  The
 campaign itself always runs specimens in lockstep groups of
 :data:`~repro.sim.batch.BATCH_WIDTH` (:func:`run_fault_batch`): one leader
 executes the shared clean prefix once and each specimen forks off at its
-trigger, byte-identical to per-specimen runs.  ``run_campaign(parallel=
-True, jobs=N)`` fans the groups across a process pool via
-:mod:`repro.runner`; the image is built once in the parent and shipped
-to each worker through the pool initializer, and results come back in
-specimen order, so parallel classification counts are byte-identical to
-the serial ones.
+trigger, byte-identical to per-specimen runs; a specimen whose state
+rejoins the clean run at one of its checkpoints takes the clean run's
+outcome instead of simulating the rest
+(:class:`~repro.sim.batch.GoldenTrace`, recorded once per campaign from
+the golden run).  ``run_campaign(parallel=True, jobs=N)`` fans the
+groups across a process pool via :mod:`repro.runner`; the image and the
+golden trace are built once in the parent and shipped to each worker
+through the pool initializer, and results come back in specimen order,
+so parallel classification counts are byte-identical to the serial ones.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..crypto.keys import DeviceKeys
 from ..isa.program import AsmProgram
+from ..obs import hook as obs_hook
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, campaign_record,
                       make_batches, resolve_jobs, run_tasks,
                       run_tasks_stored, task_key, write_campaign)
-from ..sim.batch import BATCH_WIDTH, LockstepLeader
+from ..sim.batch import BATCH_WIDTH, GoldenTrace, LockstepLeader
 from ..sim.result import Status
 from ..sim.sofia import SofiaMachine
 from ..transform.image import SofiaImage
@@ -134,7 +138,7 @@ def run_fault(image: SofiaImage, keys: DeviceKeys, fault: FaultSpec,
 
 def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
                     faults: Sequence[FaultSpec],
-                    golden_output: Sequence[int],
+                    golden_output: Sequence[int], trace: GoldenTrace,
                     max_instructions: int = 2_000_000) -> List[FaultResult]:
     """Lockstep-batched :func:`run_fault` over one specimen group.
 
@@ -144,6 +148,12 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
     ``faults`` and are byte-identical to per-specimen :func:`run_fault`
     calls — the scalar prefix cost ``sum(t_i)`` collapses to
     ``max(t_i)``.
+
+    ``trace`` is the clean run of this ``image`` under these ``keys``
+    (:meth:`GoldenTrace.record`): a specimen that rejoins it at a
+    checkpoint takes its final result without simulating the rest
+    (:meth:`GoldenTrace.resume`), counted as ``faults.converged`` and
+    ``faults.instructions_skipped``.
 
     The group works on its own copy of the image's front-end memo, so
     what its specimens add (faulted payloads' seals, glitched edges'
@@ -156,13 +166,18 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
     if image.front_end is not None:
         image = replace(image, front_end=image.front_end.copy())
     leader = LockstepLeader(image, keys)
+    obs = obs_hook.SIM
     order = sorted(range(len(faults)),
                    key=lambda i: faults[i].trigger_instructions)
     for index in order:
         fault = faults[index]
         machine = leader.fork_at(fault.trigger_instructions)
         description = fault.inject(machine)
-        result = machine.run(max_instructions=max_instructions)
+        result, skipped = trace.resume(machine, leader.executed,
+                                       max_instructions)
+        if skipped is not None and obs is not None:
+            obs.count("faults.converged")
+            obs.count("faults.instructions_skipped", skipped)
         results[index] = _classify_fault(fault, description, result,
                                          golden_output)
     return results
@@ -223,15 +238,15 @@ _WORKER_CTX: Optional[tuple] = None
 
 
 def _init_fault_worker(image: SofiaImage, keys: DeviceKeys,
-                       golden_output: List[int],
+                       golden_output: List[int], trace: GoldenTrace,
                        max_instructions: int) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (image, keys, golden_output, max_instructions)
+    _WORKER_CTX = (image, keys, golden_output, trace, max_instructions)
 
 
 def _fault_batch_task(group: List[FaultSpec]) -> List[FaultResult]:
-    image, keys, golden_output, max_instructions = _WORKER_CTX
-    return run_fault_batch(image, keys, group, golden_output,
+    image, keys, golden_output, trace, max_instructions = _WORKER_CTX
+    return run_fault_batch(image, keys, group, golden_output, trace,
                            max_instructions)
 
 
@@ -280,7 +295,8 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
         keys = keys.for_profile(profile)
     with obs_phase(telemetry, "build"):
         image = transform(program, keys, nonce=nonce, profile=profile)
-        baseline = SofiaMachine(image, keys).run(max_instructions)
+        trace = GoldenTrace.record(image, keys, max_instructions)
+        baseline = trace.result
     if list(baseline.output_ints) != list(golden_output) or not baseline.ok:
         raise AssertionError(
             f"golden run broken: {baseline.summary()} "
@@ -306,7 +322,8 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                       for fault in faults]
     global _WORKER_CTX
     try:
-        initargs = (image, keys, list(golden_output), max_instructions)
+        initargs = (image, keys, list(golden_output), trace,
+                    max_instructions)
 
         def execute(missing: List[FaultSpec]) -> List[FaultResult]:
             # lockstep groups are byte-identical to per-specimen runs at

@@ -66,10 +66,11 @@ class FetchGlitch(FaultSpec):
         original = machine.memory.fetch_word(self.address)
         machine.memory.poke_code(self.address, original ^ self.xor_mask)
 
-        # restore after one block traversal: hook the block cache flush
-        # (the poke cleared it; the next decrypt sees the glitched word).
-        # A subsequent poke restores memory and flushes again, modelling a
-        # transient that affected exactly one traversal window.
+        # restore after one block traversal: the poke dropped every
+        # cached block that fetches this word, so the next decrypt of one
+        # sees the glitched word; the machine pokes the original back
+        # after the next traversal (dropping those blocks again),
+        # modelling a transient that affected exactly one traversal window.
         machine.pending_fetch_restore = (self.address, original)
         return f"fetch glitch @ 0x{self.address:08x} mask 0x{self.xor_mask:x}"
 

@@ -76,6 +76,12 @@ def summarize(directory) -> Tuple[str, int]:
             out.append("  counters")
             for name in sorted(counters):
                 out.append(f"    {name:<32} {counters[name]:,d}")
+        if "faults.converged" in counters:
+            out.append(
+                f"  converged   {counters['faults.converged']:,d} fault "
+                "specimen(s) rejoined the golden run; "
+                f"{counters.get('faults.instructions_skipped', 0):,d} "
+                "golden instructions not simulated")
         if campaign_seconds:
             for name, value in sorted(counters.items()):
                 if name.startswith("sim.instructions."):

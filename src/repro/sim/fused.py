@@ -54,7 +54,7 @@ prefix needs no replay.
 
 Self-modifying code invalidates fused handlers exactly like predecoded
 steps: SOFIA handlers live on the ``_VerifiedBlock`` (dies with the block
-memo on any code write), vanilla handlers live in per-start-PC dicts popped
+memo on a write to any word the block fetches), vanilla handlers live in per-start-PC dicts popped
 by the same code-write listener.  Stores always terminate a vanilla run, so
 a code write can never outrun its own compiled suffix.
 """
@@ -283,11 +283,12 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
 
     Returns the handler function, cached on the block (the same place
     ``_predecode_block`` memoizes predecoded steps, with the same lifetime:
-    any code write drops the block and the handler with it).  Everything
-    the driving loop needs — I-cache accounting, the seal-fetch charge,
-    the successor edge key, the terminal status — comes back in the
-    handler's return tuple; the block-level ``max(fetch, exec)``
-    bottleneck collapses to a constant tuple indexed by the miss count.
+    a write to any word the block fetches drops the block and the
+    handler with it).  Everything the driving loop needs — I-cache
+    accounting, the seal-fetch charge, the successor edge key, the
+    terminal status — comes back in the handler's return tuple; the
+    block-level ``max(fetch, exec)`` bottleneck collapses to a constant
+    tuple indexed by the miss count.
 
     ``hooked=True`` builds the traced variant mirroring the *generic*
     cold-tier inner loop — hook after every commit, unconditional MMIO

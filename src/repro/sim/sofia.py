@@ -16,13 +16,15 @@ every other offset is an invalid entry and pulls reset.
 
 Per-edge decrypt/verify results are memoized — a valid execution decrypts a
 given (prevPC, entry) pair identically every time, so loops pay for the
-cipher once.  Any write to program memory flushes the memo, exactly like
-hardware where each fetch re-decrypts and re-verifies.  Below it sit the
-pure keystream and seal memos, adopted from the image's
-:class:`~repro.transform.image.FrontEndMemo` (filled by ``seal``): their
-values depend only on keys, nonce and edge or payload, never on the code
-words, so they survive code writes and are shared by every machine whose
-keys, nonce and seal width match the memo's tags.
+cipher once.  A verified block is a pure function of the words at its
+fetch addresses (plus keys, nonce and profile), so a write to program
+memory drops exactly the edges whose blocks fetch the written word — the
+next traversal of each re-decrypts and re-verifies, as hardware does on
+every fetch.  Below it sit the pure keystream and seal memos, adopted
+from the image's :class:`~repro.transform.image.FrontEndMemo` (filled by
+``seal``): their values depend only on keys, nonce and edge or payload,
+never on the code words, so they survive code writes and are shared by
+every machine whose keys, nonce and seal width match the memo's tags.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class _VerifiedBlock:
     violation: Optional[ViolationRecord] = None
     decode_failure: Optional[Tuple[int, str]] = None  # (slot, reason)
     #: everything the cold tier needs per traversal, predecoded into one
-    #: tuple on the block's first traversal (dies with the block on any
-    #: code write); see ``SofiaMachine._predecode_block``
+    #: tuple on the block's first traversal (dies with the block on a
+    #: write to any word it fetches); see ``SofiaMachine._predecode_block``
     predecoded: Optional[tuple] = None
     #: the hot tier's run handlers (repro.sim.fused): the whole payload
     #: source-compiled into one call once the edge is hot, cached exactly
@@ -141,11 +143,16 @@ class SofiaMachine:
         #: guarded by one ``is not None`` check, the hot loops never look
         self._obs = obs_hook.SIM
 
-    def _on_code_write(self, _address: int) -> None:
-        self._block_cache.clear()
-        self._fused_edges.clear()
-        self._fused_hook_edges.clear()
-        self._fused_heat.clear()
+    def _on_code_write(self, address: int) -> None:
+        # per-block invalidation: every other block still reads the same
+        # words, so its decrypt, verify and compiled handler stay valid
+        stale = [key for key, block in self._block_cache.items()
+                 if address in block.fetch_addresses]
+        for key in stale:
+            del self._block_cache[key]
+            self._fused_edges.pop(key, None)
+            self._fused_hook_edges.pop(key, None)
+            self._fused_heat.pop(key, None)
 
     # -- the fetch/decrypt/verify unit -----------------------------------
 
@@ -454,8 +461,9 @@ class SofiaMachine:
         :data:`repro.sim.fused.COMPILE_THRESHOLD`, the block's payload
         source-compiled into a single call
         (:func:`repro.sim.fused.compile_sofia_block`) and cached on the
-        block, with its lifetime — any code write drops the block memo
-        and the handler with it (see :meth:`_edge_handler`).  Mid-run
+        block, with its lifetime — a write to any word the block fetches
+        drops the block memo and the handler with it (see
+        :meth:`_on_code_write`).  Mid-run
         traps, MMIO exits, halts, taken/not-taken costs, I-cache
         statistics and the block-level ``max(fetch, exec)`` bottleneck are
         folded into the compiled handler's constants (see the module

@@ -39,7 +39,7 @@ from repro.crypto.rectangle import Rectangle80
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
 from repro.isa import assemble, parse
 from repro.sim import SofiaMachine
-from repro.sim.batch import LockstepLeader, fork_machine
+from repro.sim.batch import GoldenTrace, LockstepLeader, fork_machine
 from repro.transform import prepare, transform, word_prev_pcs
 from repro.transform.encrypt import block_mac_cipher, encode_block_payload
 from repro.transform.image import SofiaImage
@@ -434,14 +434,15 @@ class TestLockstepLeader:
 class TestPeelOffMerge:
     def test_run_fault_batch_matches_scalar(self):
         workload, _, image = build("sort")
-        golden = SofiaMachine(image, KEYS).run(200_000)
+        trace = GoldenTrace.record(image, KEYS, 200_000)
+        golden = trace.result
         assert golden.ok
         faults = sample_faults(image, golden.instructions, per_model=4,
                                seed=123)
         scalar = [run_fault(image, KEYS, f, golden.output_ints,
                             max_instructions=200_000) for f in faults]
         batch = run_fault_batch(image, KEYS, faults, golden.output_ints,
-                                max_instructions=200_000)
+                                trace, max_instructions=200_000)
         assert len(scalar) == len(batch)
         for a, b in zip(scalar, batch):
             assert (a.fault, a.model, a.outcome, a.description, a.status,
@@ -453,12 +454,13 @@ class TestPeelOffMerge:
         # reach the next group in the same process: that keeps the
         # telemetry memo counters the same at any --jobs
         image = fresh_image("sort")
-        golden = SofiaMachine(image, KEYS).run(200_000)
+        trace = GoldenTrace.record(image, KEYS, 200_000)
+        golden = trace.result
         faults = sample_faults(image, golden.instructions, per_model=4,
                                seed=123)
         memo = image.front_end
         sizes = (len(memo.keystream), len(memo.seal))
-        run_fault_batch(image, KEYS, faults, golden.output_ints,
+        run_fault_batch(image, KEYS, faults, golden.output_ints, trace,
                         max_instructions=200_000)
         assert (len(memo.keystream), len(memo.seal)) == sizes
         # the same specimens run per specimen do add entries to it

@@ -270,6 +270,18 @@ class TestFastEngineTelemetry:
         assert "instructions/s (fast sofia, campaign wall)" in text
         assert "instructions/s (fast vanilla, campaign wall)" in text
 
+    def test_stats_reports_fault_convergence(self, tmp_path):
+        telemetry = Telemetry(directory=tmp_path / "tel")
+        telemetry.begin("demo", {})
+        telemetry.task_completed(
+            (100, 0.0, 0.5, {"faults.converged": 27,
+                             "faults.instructions_skipped": 1_900_000}), 0)
+        telemetry.finish()
+        text, problems = summarize(tmp_path / "tel")
+        assert problems == 0
+        assert ("converged   27 fault specimen(s) rejoined the golden run; "
+                "1,900,000 golden instructions not simulated") in text
+
 
 class TestNoteQuiet:
     def test_note_writes_unless_quiet(self, capsys):

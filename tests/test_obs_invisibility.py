@@ -10,7 +10,8 @@ field), and every export must be byte-equal to every other.
 Merged metric totals must also be deterministic: the counter sums from a
 serial run and a 4-worker run of the same campaign are identical (the
 fault campaign's lockstep groups, whose memos are per group, depend only
-on the batch width, never on the worker count).
+on the batch width, never on the worker count, and whether a specimen
+rejoins the golden run depends only on the specimen and the trace).
 """
 
 import pytest
@@ -67,6 +68,10 @@ class TestFaultInvisibility:
         assert counters["j1-on"]["tasks.completed"] == 1
         assert counters["j1-on"]["sim.lockstep.forks"] == 12
         assert counters["j1-on"]["sim.runs.fast"] > 0
+        # convergence depends only on the specimen and the golden trace,
+        # so its counters are among the jobs-invariant totals above
+        assert counters["j1-on"]["faults.converged"] > 0
+        assert counters["j1-on"]["faults.instructions_skipped"] > 0
 
 
 class TestAttacksynthInvisibility:

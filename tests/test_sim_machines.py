@@ -170,12 +170,65 @@ class TestSofiaMachine:
         assert r1.output_ints == r2.output_ints
         assert r1.cycles == r2.cycles
 
-    def test_code_write_flushes_block_cache(self):
+    def test_code_write_drops_exactly_the_blocks_fetching_it(self, tier):
+        # a verified block is a pure function of the words it fetches, so
+        # a poke drops exactly the edges whose blocks fetch that word —
+        # memo, compiled handlers and heat alike — and keeps every other
         m, image = build_sofia(COUNTER)
-        m.run(max_instructions=20)
-        assert m._block_cache
-        m.memory.poke_code(image.code_base, image.words[0])
-        assert not m._block_cache
+        m.run(max_instructions=60)
+        target = image.symbols["loop"] + 8
+        cache = dict(m._block_cache)
+        survivors = {key: block for key, block in cache.items()
+                     if target not in block.fetch_addresses}
+        assert survivors and len(survivors) < len(cache)
+        m.memory.poke_code(target, m.memory.fetch_word(target))
+        assert m._block_cache == survivors
+        assert all(m._block_cache[key] is block
+                   for key, block in survivors.items())
+        for edges in (m._fused_edges, m._fused_hook_edges, m._fused_heat):
+            assert set(edges) <= set(survivors)
+        if tier == "compiled":
+            assert m._fused_edges
+
+    def test_interleaved_code_writes_match_reference_and_unmemoized(
+            self, tier):
+        # stints with pokes between them: rewrites of fetched words, a
+        # tamper that resets the next stint and is then undone (the run
+        # after it must re-verify the restored block and go on), then a
+        # tamper left in place — the memoized fast machine must agree
+        # with the reference engine and a machine that memoizes nothing
+        _, image = build_sofia(COUNTER)
+        loop = image.symbols["loop"]
+        pokes = [(loop, None), (loop + 8, 0x12345678), (loop + 8, None),
+                 (image.code_base, None), (loop + 4, None),
+                 (loop + 12, 0xDEADBEEF)]
+
+        def drive(machine):
+            trail = []
+            for address, word in pokes:
+                result = machine.run(max_instructions=9)
+                trail.append((result.status, result.cycles,
+                              result.instructions, result.blocks_executed,
+                              result.mac_fetch_cycles,
+                              str(result.violation), list(machine.state.regs),
+                              machine.state.pc, machine.prev_pc,
+                              result.icache.hits, result.icache.misses))
+                if word is None:   # rewrite the stored word, or undo
+                    word = image.words[(address - image.code_base) >> 2]
+                machine.memory.poke_code(address, word)
+            result = machine.run()
+            trail.append((result.status, result.cycles, result.instructions,
+                          str(result.violation), result.output_ints))
+            return trail
+
+        fast = SofiaMachine(image, KEYS)
+        reference = SofiaMachine(image, KEYS, engine="reference")
+        unmemoized = SofiaMachine(image, KEYS, memoize=False)
+        trail = drive(fast)
+        assert trail == drive(reference) == drive(unmemoized)
+        assert [step[0] for step in trail] == [
+            Status.LIMIT, Status.LIMIT, Status.RESET, Status.LIMIT,
+            Status.LIMIT, Status.LIMIT, Status.RESET]
 
     def test_runtime_injection_detected(self, engine):
         # tamper *while running*: the next traversal of the loop block
