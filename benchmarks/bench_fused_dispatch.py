@@ -73,7 +73,7 @@ def _steady(monkeypatch, image, threshold, repeats=2):
     The transplanted memos (block cache, compiled edge handlers, heat)
     are pure functions of the untampered image + keys, so sharing them
     between machines of the same image is value-identical — the same
-    argument :func:`repro.sim.batch.fork_machine` makes for forks.
+    argument :meth:`repro.sim.batch.GoldenTrace.fork_at` makes for forks.
     """
     monkeypatch.setattr(fused, "COMPILE_THRESHOLD", threshold)
     warm = SofiaMachine(image, KEYS)
@@ -170,7 +170,7 @@ def test_fused_dispatch_speedup(monkeypatch, tmp_path, bench_environment):
 
 def test_peel_off_suffix_rerun(bench_environment):
     """E18 re-run, mixed-model regime: MASKED specimens' suffixes run on
-    the fast engine after peeling off the lockstep leader.  Identity is
+    the fast engine after forking off the golden trace.  Identity is
     the gate; the speedup is printed as evidence."""
     program, image = _build("crc32", "small")
     trace = GoldenTrace.record(image, KEYS, BUDGET)

@@ -18,14 +18,14 @@ quantifying exactly where the paper's guarantee ends.
 Every specimen is a pure function of (image, fault): :func:`run_fault`
 runs one on a fresh machine and is the per-specimen reference.  The
 campaign itself always runs specimens in lockstep groups of
-:data:`~repro.sim.batch.BATCH_WIDTH` (:func:`run_fault_batch`): one leader
-executes the shared clean prefix once and each specimen forks off at its
-trigger, byte-identical to per-specimen runs; a specimen whose state
-rejoins the clean run at one of its checkpoints takes the clean run's
+:data:`~repro.sim.batch.BATCH_WIDTH` (:func:`run_fault_batch`): each
+specimen forks off the golden run's nearest checkpoint before its
+trigger, byte-identical to per-specimen runs, and a specimen whose state
+rejoins the golden run at one of its checkpoints takes the golden
 outcome instead of simulating the rest
-(:class:`~repro.sim.batch.GoldenTrace`, recorded once per campaign from
-the golden run).  ``run_campaign(parallel=True, jobs=N)`` fans the
-groups across a process pool via :mod:`repro.runner`; the image and the
+(:class:`~repro.sim.batch.GoldenTrace`, recorded once per campaign).
+``run_campaign(parallel=True, jobs=N)`` fans the groups across a
+process pool via :mod:`repro.runner`; the image and the
 golden trace are built once in the parent and shipped to each worker
 through the pool initializer, and results come back in specimen order,
 so parallel classification counts are byte-identical to the serial ones.
@@ -47,7 +47,7 @@ from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, campaign_record,
                       make_batches, resolve_jobs, run_tasks,
                       run_tasks_stored, task_key, write_campaign)
-from ..sim.batch import BATCH_WIDTH, GoldenTrace, LockstepLeader
+from ..sim.batch import BATCH_WIDTH, GoldenTrace
 from ..sim.result import Status
 from ..sim.sofia import SofiaMachine
 from ..transform.image import SofiaImage
@@ -140,46 +140,40 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
                     faults: Sequence[FaultSpec],
                     golden_output: Sequence[int], trace: GoldenTrace,
                     max_instructions: int = 2_000_000) -> List[FaultResult]:
-    """Lockstep-batched :func:`run_fault` over one specimen group.
-
-    One leader machine runs the shared clean prefix exactly once; each
-    specimen forks off at its trigger point, injects, and resumes on its
-    own machine.  Results come back in the *submission* order of
-    ``faults`` and are byte-identical to per-specimen :func:`run_fault`
-    calls — the scalar prefix cost ``sum(t_i)`` collapses to
-    ``max(t_i)``.
+    """Golden-trace-forked :func:`run_fault` over one specimen group.
 
     ``trace`` is the clean run of this ``image`` under these ``keys``
-    (:meth:`GoldenTrace.record`): a specimen that rejoins it at a
-    checkpoint takes its final result without simulating the rest
-    (:meth:`GoldenTrace.resume`), counted as ``faults.converged`` and
-    ``faults.instructions_skipped``.
+    (:meth:`GoldenTrace.record`).  Each specimen forks off it at its
+    trigger (:meth:`GoldenTrace.fork_at`: the nearest checkpoint plus at
+    most one stint), injects, and resumes on its own machine; one
+    that rejoins the golden run at a checkpoint takes its final result
+    without simulating the rest (:meth:`GoldenTrace.resume`), counted as
+    ``faults.converged`` and ``faults.instructions_skipped``.  Results
+    come back in the order of ``faults``, byte-identical to per-specimen
+    :func:`run_fault` calls.
 
-    The group works on its own copy of the image's front-end memo, so
-    what its specimens add (faulted payloads' seals, glitched edges'
-    keystream words) never reaches another group: the telemetry memo
-    counters then depend only on the group, not on which groups a
-    process ran before it, and their totals are the same at any
-    ``--jobs``.
+    The group works on its own copies of the image's front-end memo and
+    of the golden blocks, so what its specimens add (faulted payloads'
+    seals, glitched edges' keystream words, predecoded and compiled
+    blocks) never reaches another group: the telemetry counters then
+    depend only on the group, not on which groups a process ran before
+    it, and their totals are the same at any ``--jobs``.
     """
-    results: List[Optional[FaultResult]] = [None] * len(faults)
     if image.front_end is not None:
         image = replace(image, front_end=image.front_end.copy())
-    leader = LockstepLeader(image, keys)
+    trace = trace.copy()
     obs = obs_hook.SIM
-    order = sorted(range(len(faults)),
-                   key=lambda i: faults[i].trigger_instructions)
-    for index in order:
-        fault = faults[index]
-        machine = leader.fork_at(fault.trigger_instructions)
+    results = []
+    for fault in faults:
+        machine, start = trace.fork_at(image, keys,
+                                       fault.trigger_instructions)
         description = fault.inject(machine)
-        result, skipped = trace.resume(machine, leader.executed,
-                                       max_instructions)
+        result, skipped = trace.resume(machine, start, max_instructions)
         if skipped is not None and obs is not None:
             obs.count("faults.converged")
             obs.count("faults.instructions_skipped", skipped)
-        results[index] = _classify_fault(fault, description, result,
-                                         golden_output)
+        results.append(_classify_fault(fault, description, result,
+                                       golden_output))
     return results
 
 

@@ -1,6 +1,6 @@
 """Processor simulation substrate (vanilla LEON3-like core + SOFIA core)."""
 
-from .batch import BATCH_WIDTH, GoldenTrace, LockstepLeader, fork_machine
+from .batch import BATCH_WIDTH, GoldenTrace
 from .cache import CacheStats, DirectMappedCache
 from .core import CPUState, ExecOutcome, execute, to_signed
 from .engine import (DEFAULT_ENGINE, ENGINES, compile_handler, predecode,
@@ -23,7 +23,7 @@ __all__ = [
     "VanillaMachine", "run_executable",
     "SofiaMachine", "run_image",
     "DEFAULT_ENGINE", "ENGINES", "resolve_engine",
-    "BATCH_WIDTH", "GoldenTrace", "LockstepLeader", "fork_machine",
+    "BATCH_WIDTH", "GoldenTrace",
     "compile_sofia_block", "compile_vanilla_run",
     "compile_handler", "predecode",
     "TimingParams", "DEFAULT_TIMING", "LEON3_MINIMAL_TIMING",

@@ -1,130 +1,67 @@
-"""Lockstep batch simulation: the fault campaign's strategy (experiment E18).
+"""Golden-trace forking: the fault campaign's strategy (experiment E18).
 
-Fault campaigns execute thousands of *near-identical* specimens: each one
-replays the same clean prefix of the same protected image before
-diverging — at a fault trigger, a tampered block, a detection reset.
-:class:`LockstepLeader` runs that clean prefix once, in stints, and
-:func:`fork_machine` peels a byte-exact specimen machine off at each
-trigger point.  Soundness of stinted advancement: ``run()`` only ever
-stops at a block-commit boundary, overshooting its budget to the *first
-boundary >= budget*; the boundary sequence of the deterministic clean
-run is fixed, so advancing to ascending triggers ``t1 <= t2 <= ...``
-visits exactly the states a fresh scalar ``run(max_instructions=t_i)``
-would reach.  The leader stops advancing at any terminal (non-LIMIT)
-status because re-running a halted machine re-executes block payload —
-forks made after that point replicate the terminal state, exactly like
-the scalar path.
+Fault campaign specimens are *near-identical*: each replays the same clean
+prefix of the same protected image before diverging at its fault trigger.
+:class:`GoldenTrace` runs that clean (golden) run once, in stints of
+:data:`CHECK_EVERY` instructions, keeping the whole resumable machine
+state at every stint boundary and, at the end, the golden verified-block
+cache; :meth:`GoldenTrace.fork_at` adopts those blocks, restores the
+nearest checkpoint at or before a trigger and runs the rest, so a
+specimen's prefix costs at most one stint.  Soundness: ``run()`` only
+ever stops at a block-commit boundary, overshooting its budget to the
+*first boundary >= budget*; the boundaries of the deterministic clean run
+are fixed, so running ``t - c`` more instructions from the checkpoint at
+``c <= t`` stops where a fresh ``run(max_instructions=t)`` stops — and at
+a terminal status, so a trigger past the golden end replicates it.  A
+verified block is a pure function of the words it fetches (see
+:mod:`repro.sim.sofia`): a fork re-writes every word the golden run ever
+writes with its checkpoint value through ``poke_code``, which drops each
+adopted block fetching one.  Specimens resume on the fast engine, so every
+per-commit observable is byte-identical to a fresh run; the keystream and
+seal memos come with the image (:class:`~repro.transform.image.FrontEndMemo`).
 
-Specimens resume on the fast engine, so every per-commit observable
-(registers, PC, memory, cycles, I-cache stats) is byte-identical to a
-fresh run — the batch differential suite and the W=1 == per-specimen
-determinism tests gate this.  The cipher work needs no strategy of its
-own here: the leader, like every machine, adopts the keystream and seal
-memos the image carries from ``seal``
-(:class:`~repro.transform.image.FrontEndMemo`).
-
-:class:`GoldenTrace` ends a specimen early once it provably rejoins the
-clean run.  The clean run is recorded once, in stints of
-:data:`CHECK_EVERY` instructions, with a checkpoint at every stint
-boundary; a fork resumes in stints that end on those same boundaries
-(each stint asks for ``min(next checkpoint - absolute, budget left)``,
-so by the stint argument above a LIMIT still lands where one
+A specimen also ends early once it provably rejoins the golden run.  It
+resumes in stints that end on the checkpoints (each asks for ``min(next
+checkpoint - absolute, budget left)``, so a LIMIT still lands where one
 ``run(max_instructions)`` call would).  A fork that stops on a
-checkpoint's exact instruction count and equals it on everything the
-golden suffix can observe — pc and prevPC, every register the golden run
-ever reads, every code word it ever fetches or loads, all of RAM, the
-MMIO logs — with no fetch glitch pending, and whose remaining budget
-covers the golden suffix, executes that suffix instruction for
-instruction, so its outcome *is* the golden outcome and the rest of the
-run is skipped.  A pending comparator glitch (``verify_skip_budget``)
-may differ: the suffix fetches only the recorded, equal words, and none
-of them fails its MAC.  A golden run that writes code records no
-checkpoints, so convergence never applies to it.
+checkpoint's exact count and equals it on everything the golden suffix
+can observe — pc and prevPC, every register the golden run ever reads,
+every code word it ever fetches or loads, all of RAM, the MMIO logs —
+with no fetch glitch pending, and whose remaining budget covers the
+golden suffix, executes that suffix instruction for instruction, so its
+outcome *is* the golden outcome.  A pending comparator glitch
+(``verify_skip_budget``) may differ: the suffix fetches only recorded,
+equal words, none of which fails its MAC.  A golden run that writes code
+never converges (its final block cache would under-report what it
+fetched), though its checkpoints still serve forks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from copy import copy
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from ..crypto.bitslice import WIDTH
 from .result import ExecutionResult, Status
 from .sofia import SofiaMachine
-from .timing import DEFAULT_TIMING, TimingParams
 
 #: specimens per lockstep chunk — one per bit-slice lane.
 BATCH_WIDTH = WIDTH
 
-#: instructions per golden-run stint: the spacing of the checkpoints a
-#: fork is compared with (a fixed constant, not a tuning option)
+#: instructions per golden-run stint: the spacing of the checkpoints
+#: forks start from and meet (a fixed constant, not a tuning option)
 CHECK_EVERY = 2048
 
 #: granularity of a checkpoint's RAM snapshot: only pages that differ from
 #: the image's initial RAM are kept
 PAGE_BYTES = 4096
 
-
-def fork_machine(source: SofiaMachine) -> SofiaMachine:
-    """A byte-exact, independently runnable copy of ``source``.
-
-    The architectural state (registers, PC, prevPC, code, RAM, MMIO logs,
-    I-cache tags and stats, fault hooks) is copied; the pure keystream and
-    seal memos come from the image's front-end memo, as for any machine;
-    the block cache is copied, not shared — a specimen that tampers with
-    code clears and repopulates *its own* copy from its own memory.
-    """
-    clone = SofiaMachine(source.image, source.keys, timing=source.timing,
-                         memoize=source.memoize, profile=source.profile)
-    clone.state.regs[:] = source.state.regs
-    clone.state.pc = source.state.pc
-    clone.prev_pc = source.prev_pc
-    memory, donor = clone.memory, source.memory
-    memory.code[:] = donor.code
-    memory.ram[:] = donor.ram
-    mmio, donor_mmio = memory.mmio, donor.mmio
-    mmio.chars[:] = donor_mmio.chars
-    mmio.ints[:] = donor_mmio.ints
-    mmio.words[:] = donor_mmio.words
-    mmio.actuator[:] = donor_mmio.actuator
-    mmio.exit_code = donor_mmio.exit_code
-    clone.icache._tags[:] = source.icache._tags
-    clone.icache.stats.hits = source.icache.stats.hits
-    clone.icache.stats.misses = source.icache.stats.misses
-    clone._block_cache = dict(source._block_cache)
-    clone.verify_skip_budget = source.verify_skip_budget
-    clone.pending_fetch_restore = source.pending_fetch_restore
-    return clone
-
-
-class LockstepLeader:
-    """One shared clean run; per-specimen machines fork off at triggers.
-
-    ``fork_at`` must be called with non-decreasing trigger instruction
-    counts (sort the specimens first); each call advances the leader by a
-    stint and returns a fork whose state is byte-identical to a fresh
-    scalar machine run for ``trigger`` instructions.
-    """
-
-    def __init__(self, image, keys, timing: TimingParams = DEFAULT_TIMING,
-                 profile=None) -> None:
-        self.machine = SofiaMachine(image, keys, timing=timing,
-                                    profile=profile)
-        self.executed = 0
-        self.halted = False
-
-    def fork_at(self, trigger: int) -> SofiaMachine:
-        if not self.halted and trigger > self.executed:
-            result = self.machine.run(max_instructions=trigger - self.executed)
-            self.executed += result.instructions
-            if result.status is not Status.LIMIT:
-                # terminal state: re-running would re-execute the block,
-                # so later forks replicate this state instead
-                self.halted = True
-        obs = self.machine._obs
-        if obs is not None:
-            obs.count("sim.lockstep.forks")
-        return fork_machine(self.machine)
+#: RAM beyond the data segment starts and mostly stays zero: a diff
+#: compares it a chunk at a time before looking at its pages
+CHUNK_BYTES = 16 * PAGE_BYTES
 
 
 def _join(total: Optional[ExecutionResult],
@@ -147,37 +84,45 @@ def _join(total: Optional[ExecutionResult],
 
 
 _ZERO_PAGE = bytes(PAGE_BYTES)
+_ZERO_CHUNK = bytes(CHUNK_BYTES)
 
 
 def _changed_pages(ram: bytearray, data: bytes) -> Dict[int, bytes]:
     """``offset -> page`` for every page of ``ram`` that differs from a
     fresh machine's RAM: the image's data segment, zero beyond it (see
     :class:`~repro.sim.memory.Memory`)."""
+    size = len(ram)
+    zero_from = -(-len(data) // PAGE_BYTES) * PAGE_BYTES
+    lows = list(range(0, zero_from, PAGE_BYTES))
+    for chunk in range(zero_from, size, CHUNK_BYTES):
+        # one comparison, without a copy, for a chunk still all zero
+        if not ram.startswith(_ZERO_CHUNK, chunk):
+            lows.extend(range(chunk, min(chunk + CHUNK_BYTES, size),
+                              PAGE_BYTES))
     changed = {}
-    for low in range(0, len(ram), PAGE_BYTES):
+    for low in lows:
+        if low >= len(data) and ram.startswith(_ZERO_PAGE, low):
+            continue
         page = ram[low:low + PAGE_BYTES]
-        if low >= len(data) and len(page) == PAGE_BYTES:
-            if page == _ZERO_PAGE:   # the common case, without a copy
-                continue
-        else:
-            initial = data[low:low + PAGE_BYTES]
-            if page == initial + _ZERO_PAGE[len(initial):len(page)]:
-                continue
-        changed[low] = bytes(page)
+        initial = data[low:low + PAGE_BYTES]
+        if page != initial + _ZERO_PAGE[len(initial):len(page)]:
+            changed[low] = bytes(page)
     return changed
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """The golden machine's observable state at one stint boundary."""
+    """The golden machine's whole resumable state at one stint boundary;
+    ``pages`` and ``code`` hold only what differs from the image."""
 
     instructions: int                 # absolute count at the boundary
     pc: int
     prev_pc: int
-    regs: Tuple[int, ...]             # GoldenTrace.read_regs, in order
+    regs: Tuple[int, ...]             # all 32 registers
     mmio: tuple                       # (chars, ints, words, actuator, exit)
-    pages: Dict[int, bytes]           # offset -> page, where RAM differs
-                                      # from the image's initial RAM
+    pages: Dict[int, bytes]           # offset -> page where RAM differs
+    code: Dict[int, int]              # index -> word where code differs
+    icache: tuple                     # (tags, hits, misses)
 
 
 def _mmio_state(machine: SofiaMachine) -> tuple:
@@ -188,15 +133,17 @@ def _mmio_state(machine: SofiaMachine) -> tuple:
 
 @dataclass(frozen=True)
 class GoldenTrace:
-    """The clean run of one image, checkpointed for fork convergence.
+    """The clean run of one image, checkpointed for forks and convergence.
 
     ``result`` is the clean run's final :class:`ExecutionResult` (its
     counts cover the whole run).  ``read_regs`` are the registers any
     verified payload instruction of the run names as ``rs1``/``rs2``;
     ``code_at`` are the indices of every code word the run fetches or
-    loads, ``code_words`` those words; ``checkpoints`` is empty when the
-    run writes code or does not terminate within its budget.  Record one
-    with :meth:`record`, then finish forks with :meth:`resume`.
+    loads, ``code_words`` those words, ``written`` the indices it writes.
+    ``blocks``, the golden machine's final verified-block cache, stays in
+    its process: compiled handlers do not pickle, so pickling drops it
+    and forks verify afresh.  Record a trace with :meth:`record`, build
+    forks with :meth:`fork_at`, finish them with :meth:`resume`.
     """
 
     result: ExecutionResult
@@ -204,17 +151,34 @@ class GoldenTrace:
     code_at: Tuple[int, ...]
     code_words: Tuple[int, ...]
     checkpoints: Tuple[Checkpoint, ...]
+    written: Tuple[int, ...]
+    blocks: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["blocks"] = {}
+        return state
+
+    @cached_property
+    def counts(self) -> List[int]:   # the checkpoints', ascending
+        return [checkpoint.instructions for checkpoint in self.checkpoints]
+
+    @property
+    def converges(self) -> bool:
+        """Whether a fork may take the golden result at a checkpoint: the
+        run terminated within its budget and wrote no code."""
+        return not self.written and self.result.status is not Status.LIMIT
 
     @classmethod
     def record(cls, image, keys, max_instructions: int) -> "GoldenTrace":
         """Run ``image`` cleanly for up to ``max_instructions``, in
         :data:`CHECK_EVERY` stints, checkpointing every stint boundary —
-        on a default machine, like the forks :class:`LockstepLeader`
-        makes."""
+        on a default machine, like the forks :meth:`fork_at` makes."""
         machine = SofiaMachine(image, keys)
         memory = machine.memory
-        code_writes = []
-        memory.add_code_listener(code_writes.append)
+        written = set()
+        memory.add_code_listener(
+            lambda address: written.add((address - memory.code_base) >> 2))
         # code words read as data are as much a part of the golden
         # suffix's input as fetched ones; this machine's loads note them
         loaded = set()
@@ -226,7 +190,7 @@ class GoldenTrace:
             return plain_load(address, size, signed)
 
         memory.load = load
-        snapshots = []
+        checkpoints = []
         pages: Dict[int, bytes] = {}
         mmio_state = None
         result = None
@@ -244,28 +208,69 @@ class GoldenTrace:
                      in _changed_pages(memory.ram, image.data).items()}
             mmio = _mmio_state(machine)
             mmio_state = mmio if mmio != mmio_state else mmio_state
-            snapshots.append((result.instructions, machine.state.pc,
-                              machine.prev_pc, tuple(machine.state.regs),
-                              mmio_state, pages))
-        blocks = machine._block_cache.values()
+            code = {index: memory.code[index] for index in written
+                    if memory.code[index] != image.words[index]}
+            stats = machine.icache.stats
+            checkpoints.append(Checkpoint(
+                result.instructions, machine.state.pc, machine.prev_pc,
+                tuple(machine.state.regs), mmio_state, pages, code,
+                (tuple(machine.icache._tags), stats.hits, stats.misses)))
+        blocks = machine._block_cache
         read_regs = tuple(sorted({
-            reg for block in blocks if block.ok
+            reg for block in blocks.values() if block.ok
             for instr, _address, _slot in block.payload
             for reg in (instr.rs1, instr.rs2) if reg is not None}))
-        fetched = {address for block in blocks
+        fetched = {address for block in blocks.values()
                    for address in block.fetch_addresses} | loaded
         code_at = tuple((address - memory.code_base) >> 2
                         for address in sorted(fetched))
         code_words = tuple(memory.code[index] for index in code_at)
-        checkpoints = ()
-        if not code_writes and result.status is not Status.LIMIT:
-            checkpoints = tuple(
-                Checkpoint(count, pc, prev_pc,
-                           tuple(regs[reg] for reg in read_regs),
-                           mmio, snapshot_pages)
-                for count, pc, prev_pc, regs, mmio, snapshot_pages
-                in snapshots)
-        return cls(result, read_regs, code_at, code_words, checkpoints)
+        return cls(result, read_regs, code_at, code_words,
+                   tuple(checkpoints), tuple(sorted(written)), blocks)
+
+    def copy(self) -> "GoldenTrace":
+        """This trace with a shallow copy of every golden block: what the
+        copy's forks predecode or compile onto them stays with it."""
+        return replace(self, blocks={key: copy(block) for key, block
+                                     in self.blocks.items()})
+
+    def fork_at(self, image, keys,
+                trigger: int) -> Tuple[SofiaMachine, int]:
+        """A fresh machine on ``image`` (the recorded one, perhaps with its
+        own memo copy) in the state ``run(max_instructions=trigger)``
+        reaches, and the absolute instruction count there."""
+        machine = SofiaMachine(image, keys)
+        machine._block_cache.update(self.blocks)
+        memory = machine.memory
+        start = 0
+        code: Dict[int, int] = {}
+        index = bisect_right(self.counts, trigger)
+        if index:
+            checkpoint = self.checkpoints[index - 1]
+            start, code = checkpoint.instructions, checkpoint.code
+            state = machine.state
+            state.regs[:] = checkpoint.regs
+            state.pc = checkpoint.pc
+            machine.prev_pc = checkpoint.prev_pc
+            for low, page in checkpoint.pages.items():
+                memory.ram[low:low + len(page)] = page
+            mmio = memory.mmio
+            (mmio.chars[:], mmio.ints[:], mmio.words[:], mmio.actuator[:],
+             mmio.exit_code) = checkpoint.mmio
+            icache = machine.icache
+            tags, icache.stats.hits, icache.stats.misses = checkpoint.icache
+            icache._tags[:] = tags
+        # each word the golden run writes takes its checkpoint value; the
+        # write drops every adopted block that fetches it
+        for word in self.written:
+            memory.poke_code(memory.code_base + 4 * word,
+                             code.get(word, image.words[word]))
+        if trigger > start:
+            start += machine.run(trigger - start).instructions
+        obs = machine._obs
+        if obs is not None:
+            obs.count("sim.lockstep.forks")
+        return machine, start
 
     def matches(self, machine: SofiaMachine, checkpoint: Checkpoint) -> bool:
         """True when ``machine`` is at ``checkpoint`` on everything the
@@ -275,8 +280,8 @@ class GoldenTrace:
                 or state.pc != checkpoint.pc
                 or machine.prev_pc != checkpoint.prev_pc):
             return False
-        regs = state.regs
-        if tuple(regs[reg] for reg in self.read_regs) != checkpoint.regs:
+        regs, golden = state.regs, checkpoint.regs
+        if any(regs[reg] != golden[reg] for reg in self.read_regs):
             return False
         if _mmio_state(machine) != checkpoint.mmio:
             return False
@@ -302,12 +307,12 @@ class GoldenTrace:
         fork's own and ``skipped`` is ``None``.
         """
         golden = self.result
-        checkpoints = self.checkpoints
-        if not checkpoints or golden.instructions - start >= max_instructions:
+        if (not self.converges
+                or golden.instructions - start >= max_instructions):
             # no checkpoint to meet, or the budget would cut the golden
             # suffix short: the plain run is the only sound answer
             return machine.run(max_instructions), None
-        counts = [checkpoint.instructions for checkpoint in checkpoints]
+        checkpoints, counts = self.checkpoints, self.counts
         index = bisect_right(counts, start)
         result = None
         executed = 0

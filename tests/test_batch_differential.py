@@ -13,10 +13,11 @@ Four layers, each held to byte-identity against its scalar twin:
   registers and RAM, on every E17 profile grid point and on wrong-key,
   renonce'd, strict-profile, tampered, spliced and pickled cases; the
   batched ``seal`` writes the words of a scalar per-word reference seal;
-* **lockstep leader** — ``LockstepLeader.fork_at(t)`` reproduces the
-  state a fresh scalar machine reaches after ``t`` instructions, and a
-  forked specimen that diverges (fault injection) classifies exactly
-  like the scalar :func:`~repro.faults.campaign.run_fault`;
+* **golden-trace forks** — ``GoldenTrace.fork_at(t)`` reproduces the
+  state a fresh scalar machine reaches after ``t`` instructions (every
+  checkpoint count -1/+0/+1, the golden end and past it; the default
+  design point, PRESENT-80 with 32-bit seals and a golden run that writes
+  code), and a fork's tampering never reaches the trace;
 * **peel-off/merge** — ``run_fault_batch`` returns, in submission
   order, results field-for-field identical to per-specimen scalar runs.
 """
@@ -38,8 +39,8 @@ from repro.crypto.present import Present80
 from repro.crypto.rectangle import Rectangle80
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
 from repro.isa import assemble, parse
-from repro.sim import SofiaMachine
-from repro.sim.batch import GoldenTrace, LockstepLeader, fork_machine
+from repro.sim import SofiaMachine, Status, fused
+from repro.sim.batch import GoldenTrace
 from repro.transform import prepare, transform, word_prev_pcs
 from repro.transform.encrypt import block_mac_cipher, encode_block_payload
 from repro.transform.image import SofiaImage
@@ -379,56 +380,181 @@ class TestBatchedSealDifferential:
                                                 profile)
 
 
-# --- lockstep leader and peel-off ------------------------------------------
+# --- golden-trace forks and peel-off ---------------------------------------
 
-class TestLockstepLeader:
-    @pytest.mark.parametrize("trigger", [0, 1, 7, 123, 999])
-    def test_fork_matches_fresh_scalar_run(self, trigger):
-        _, _, image = build("sort")
-        leader = LockstepLeader(image, KEYS)
-        fork = leader.fork_at(trigger)
-        fresh = SofiaMachine(image, KEYS)
-        if trigger:
-            fresh.run(max_instructions=trigger)
-        assert fork.state.regs == fresh.state.regs
-        assert fork.state.pc == fresh.state.pc
-        assert fork.prev_pc == fresh.prev_pc
-        assert result_fields(fork.run()) == result_fields(fresh.run())
+#: a golden run that writes code: it calls ``body``, corrupts a word every
+#: path into ``body`` fetches, spins across checkpoints, restores the word
+#: and calls ``body`` from another site, so the final block cache holds a
+#: block the checkpoints' code makes stale; ``{body}`` is its sealed address
+CODE_WRITER = """
+main:
+    li s0, {body}
+    lw s1, 28(s0)
+    li t0, 0
+    li t1, 20
+first:
+    call body
+    addi t0, t0, 1
+    blt t0, t1, first
+    xori s2, s1, 1
+    sw s2, 28(s0)
+    li t0, 0
+    li t1, 2000
+spin:
+    addi t0, t0, 1
+    blt t0, t1, spin
+    sw s1, 28(s0)
+    li t0, 0
+    li t1, 300
+again:
+    call body
+    addi t0, t0, 1
+    blt t0, t1, again
+    li t2, 0xFFFF0004
+    sw a0, 0(t2)
+    halt
+body:
+    addi a0, a0, 1
+    ret
+"""
 
-    def test_ascending_stints_reach_every_state(self):
-        _, _, image = build("rle")
-        leader = LockstepLeader(image, KEYS)
-        for trigger in (3, 10, 64, 500):
-            fork = leader.fork_at(trigger)
-            fresh = SofiaMachine(image, KEYS)
-            fresh.run(max_instructions=trigger)
-            assert (fork.state.regs, fork.state.pc, fork.prev_pc) == (
-                fresh.state.regs, fresh.state.pc, fresh.prev_pc)
+#: the E17 design point away from the paper's: PRESENT-80, 32-bit seals
+PRESENT = next(p for p in profile_grid()
+               if p.cipher == "present-80" and p.mac_words == 1
+               and p.renonce == "sequential")
 
-    def test_fork_is_independent_of_the_leader(self):
-        _, _, image = build("sort")
-        leader = LockstepLeader(image, KEYS)
-        fork = leader.fork_at(50)
-        # running the fork to completion must not advance the leader
-        executed = leader.executed
-        fork.run()
-        assert leader.executed == executed
-        # a second fork at the same trigger still matches the trigger
-        # state — the completed fork mutated only its own copies
-        again = leader.fork_at(50)
-        fresh = SofiaMachine(image, KEYS)
-        fresh.run(max_instructions=50)
-        assert again.state.regs == fresh.state.regs
+_FORK_CASES = {}
 
-    def test_diverged_fork_keeps_its_own_block_cache(self):
-        _, _, image = build("sort")
-        leader = LockstepLeader(image, KEYS)
-        fork = leader.fork_at(30)
-        # tampering the fork's code must not leak into the leader's run
+
+def fork_case(design):
+    """``(image, keys, trace)`` for one fork design point."""
+    if design not in _FORK_CASES:
+        keys = KEYS
+        if design == "default":
+            image = fresh_image("crc32")
+        elif design == "present":
+            keys = KEYS.for_profile(PRESENT)
+            image = transform(make_workload("sort", "tiny").compile().program,
+                              keys, nonce=NONCE, profile=PRESENT)
+        else:
+            # seal once to learn where ``body`` lands, then for real
+            probe = transform(parse(CODE_WRITER.format(body=4)), KEYS,
+                              nonce=NONCE)
+            image = transform(parse(CODE_WRITER.format(
+                body=probe.symbols["body"])), KEYS, nonce=NONCE)
+            assert image.symbols == probe.symbols
+        _FORK_CASES[design] = (image, keys,
+                               GoldenTrace.record(image, keys, 200_000))
+    return _FORK_CASES[design]
+
+
+def machine_state(machine):
+    memory, icache = machine.memory, machine.icache
+    mmio = memory.mmio
+    return (list(machine.state.regs), machine.state.pc, machine.prev_pc,
+            list(memory.code), bytes(memory.ram),
+            (list(mmio.chars), list(mmio.ints), list(mmio.words),
+             list(mmio.actuator), mmio.exit_code),
+            list(icache._tags), icache.stats.hits, icache.stats.misses)
+
+
+def fresh_run(image, keys, trigger):
+    """A fresh machine run for ``trigger`` instructions, and its count."""
+    machine = SofiaMachine(image, keys)
+    return machine, machine.run(max_instructions=trigger).instructions
+
+
+def fork_triggers(trace):
+    """0, every checkpoint count -1, +0 and +1, the golden end and past."""
+    end = trace.result.instructions
+    return sorted({0, end, end + 1000}.union(
+        *({count - 1, count, count + 1} for count in trace.counts)))
+
+
+class TestGoldenFork:
+    @pytest.mark.parametrize("design", ["default", "present",
+                                        "code-writer"])
+    def test_fork_at_matches_a_fresh_run(self, design):
+        image, keys, trace = fork_case(design)
+        assert trace.result.ok and len(trace.checkpoints) >= 4
+        for trigger in fork_triggers(trace):
+            fork, absolute = trace.fork_at(image, keys, trigger)
+            fresh, executed = fresh_run(image, keys, trigger)
+            assert absolute == executed, trigger
+            assert machine_state(fork) == machine_state(fresh), trigger
+            assert result_fields(fork.run()) == result_fields(
+                fresh.run()), trigger
+
+    def test_code_writer_restores_a_code_diff_and_drops_stale_blocks(self):
+        image, keys, trace = fork_case("code-writer")
+        [word] = trace.written
+        address = image.code_base + 4 * word
+        corrupted = [c for c in trace.checkpoints if word in c.code]
+        assert corrupted and trace.checkpoints[-1].code == {}
+        # a block the final cache verified against the restored word
+        stale = [key for key, block in trace.blocks.items()
+                 if address in block.fetch_addresses]
+        assert stale
+        for checkpoint in corrupted:
+            fork, _ = trace.fork_at(image, keys, checkpoint.instructions)
+            fresh, _ = fresh_run(image, keys, checkpoint.instructions)
+            assert fork.memory.code[word] == checkpoint.code[word]
+            assert not set(stale) & set(fork._block_cache)
+            # glitch both into the stale edge: the corrupted word must
+            # fail its MAC on the fork exactly as on the fresh machine
+            for machine in (fork, fresh):
+                machine.prev_pc, machine.state.pc = stale[0]
+            expected = fresh.run()
+            assert expected.status is Status.RESET
+            assert result_fields(fork.run()) == result_fields(expected)
+
+    def test_forks_are_independent_of_the_trace(self):
+        image, keys, trace = fork_case("default")
+        trigger = trace.counts[1] + 7
+        fork, _ = trace.fork_at(image, keys, trigger)
+        # tampering with a fork and running it to completion must leave
+        # the trace as it was: the next fork still matches a fresh run
         fork.memory.poke_code(image.code_base + 8, image.words[2] ^ 1)
-        leader_fork = leader.fork_at(30)
-        assert leader_fork.memory.code == SofiaMachine(image,
-                                                       KEYS).memory.code
+        fork.state.regs[5] ^= 1
+        fork.run()
+        again, _ = trace.fork_at(image, keys, trigger)
+        fresh, _ = fresh_run(image, keys, trigger)
+        assert machine_state(again) == machine_state(fresh)
+
+    def test_a_copy_shares_no_block_with_its_trace(self):
+        image, keys, trace = fork_case("default")
+        group = trace.copy()
+        assert group.blocks.keys() == trace.blocks.keys()
+        assert not {id(block) for block in group.blocks.values()} & {
+            id(block) for block in trace.blocks.values()}
+        before = [(block.predecoded, block.fused, block.fused_hook)
+                  for block in trace.blocks.values()]
+        # a hooked run compiles the traced variant onto the copy only
+        fork, _ = group.fork_at(image, keys, trace.counts[0])
+        fork.on_commit = lambda pc, instr: None
+        fork.run()
+        assert any(block.fused_hook is not None
+                   for block in group.blocks.values())
+        assert [(block.predecoded, block.fused, block.fused_hook)
+                for block in trace.blocks.values()] == before
+
+    def test_pickled_trace_forks_without_its_blocks(self):
+        image, keys, trace = fork_case("default")
+        assert any(block.fused is not None
+                   for block in trace.blocks.values())
+        shipped = pickle.loads(pickle.dumps(trace))
+        assert shipped.blocks == {}
+        assert shipped == trace
+        faults = sample_faults(image, trace.result.instructions,
+                               per_model=3, seed=321)
+        golden = trace.result.output_ints
+        fields = [(r.fault, r.model, r.outcome, r.description, r.status,
+                   r.detail) for r in run_fault_batch(
+                       image, keys, faults, golden, trace, 200_000)]
+        assert fields == [(r.fault, r.model, r.outcome, r.description,
+                           r.status, r.detail) for r in run_fault_batch(
+                               image, keys, faults, golden, shipped,
+                               200_000)]
 
 
 class TestPeelOffMerge:
@@ -449,6 +575,33 @@ class TestPeelOffMerge:
                     a.detail) == (b.fault, b.model, b.outcome,
                                   b.description, b.status, b.detail)
 
+    def test_groups_leave_the_golden_blocks_as_they_came(self, monkeypatch):
+        # likewise for the golden blocks forks adopt: recorded on the
+        # interpreted tier they carry no handler, and what a group's forks
+        # then compile onto them on the compiled tier stays with the group
+        image = fresh_image("sort")
+        monkeypatch.setattr(fused, "COMPILE_THRESHOLD", 1 << 62)
+        trace = GoldenTrace.record(image, KEYS, 200_000)
+        monkeypatch.setattr(fused, "COMPILE_THRESHOLD", 1)
+        golden = trace.result
+
+        def compiled():
+            return any(block.fused or block.fused_hook
+                       for block in trace.blocks.values())
+
+        faults = sample_faults(image, golden.instructions, per_model=4,
+                               seed=123)
+        run_fault_batch(image, KEYS, faults, golden.output_ints, trace,
+                        max_instructions=200_000)
+        assert not compiled()
+        # the same specimens forked off the trace itself do compile there
+        for fault in faults:
+            machine, start = trace.fork_at(image, KEYS,
+                                           fault.trigger_instructions)
+            fault.inject(machine)
+            trace.resume(machine, start, 200_000)
+        assert compiled()
+
     def test_groups_leave_the_image_memo_as_it_came(self):
         # what one lockstep group's specimens add to the memo must not
         # reach the next group in the same process: that keeps the
@@ -468,16 +621,3 @@ class TestPeelOffMerge:
             run_fault(image, KEYS, fault, golden.output_ints,
                       max_instructions=200_000)
         assert (len(memo.keystream), len(memo.seal)) != sizes
-
-    def test_fork_machine_is_byte_exact(self):
-        _, _, image = build("rle")
-        source = SofiaMachine(image, KEYS)
-        source.run(max_instructions=40)
-        clone = fork_machine(source)
-        assert clone.state.regs == source.state.regs
-        assert clone.state.regs is not source.state.regs
-        assert clone.memory.ram == source.memory.ram
-        assert clone.memory.ram is not source.memory.ram
-        assert clone.icache._tags == source.icache._tags
-        assert result_fields(clone.run()) == result_fields(
-            fork_machine(source).run())

@@ -5,13 +5,16 @@
 everything the golden suffix observes (DESIGN.md "Golden convergence").
 Each test here builds the exact condition it names — a fault that must
 converge, one that must not, a budget too small for the golden suffix, a
-self-modifying golden run, a leader that halted before the trigger — and
+self-modifying golden run, a trigger past the golden end — and
 checks the outcome against the unconverged per-specimen oracle
 :func:`~repro.faults.campaign.run_fault`.  A Hypothesis differential then
 holds :func:`~repro.faults.campaign.run_fault_batch` field-for-field equal
 to ``run_fault`` over two workloads, all six fault models and two design
-points.
+points, and another holds the checkpoints' RAM page diff to a per-page
+oracle.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +26,8 @@ from repro.faults.campaign import (FaultOutcome, run_fault, run_fault_batch,
 from repro.faults.models import (CodeBitFlip, CombinedFault, FetchGlitch,
                                  PCGlitch, RegisterFault, VerifySkip)
 from repro.isa import parse
-from repro.sim.batch import CHECK_EVERY, GoldenTrace, LockstepLeader
+from repro.sim.batch import (CHECK_EVERY, PAGE_BYTES, GoldenTrace,
+                             _changed_pages)
 from repro.transform import transform
 from repro.transform.profile import profile_grid
 from repro.workloads import make_workload
@@ -52,11 +56,10 @@ def build(name, profile=None):
 
 
 def specimen(image, keys, trace, fault, budget=BUDGET):
-    """One fault through a lockstep fork: ``(result, skipped)``."""
-    leader = LockstepLeader(image, keys)
-    machine = leader.fork_at(fault.trigger_instructions)
+    """One fault through a golden-trace fork: ``(result, skipped)``."""
+    machine, start = trace.fork_at(image, keys, fault.trigger_instructions)
     fault.inject(machine)
-    return trace.resume(machine, leader.executed, budget)
+    return trace.resume(machine, start, budget)
 
 
 def fields(result):
@@ -130,8 +133,7 @@ class TestMatches:
     def test_each_recorded_field(self, perturb, expected):
         image, keys, trace = build("crc32")
         checkpoint = trace.checkpoints[2]
-        leader = LockstepLeader(image, keys)
-        machine = leader.fork_at(checkpoint.instructions)
+        machine, _ = trace.fork_at(image, keys, checkpoint.instructions)
         assert trace.matches(machine, checkpoint)
         perturb(machine, trace, image)
         assert trace.matches(machine, checkpoint) is expected
@@ -201,9 +203,8 @@ class TestDoesNotConverge:
     def test_fetch_glitch_cannot_converge_before_its_restore(self):
         image, keys, trace = build("crc32")
         checkpoint = trace.checkpoints[1]
-        leader = LockstepLeader(image, keys)
-        machine = leader.fork_at(checkpoint.instructions)
-        assert leader.executed == checkpoint.instructions
+        machine, start = trace.fork_at(image, keys, checkpoint.instructions)
+        assert start == checkpoint.instructions
         assert trace.matches(machine, checkpoint)
         # glitch a word the golden run never fetches: every recorded
         # field still matches, only the pending restore differs
@@ -225,9 +226,8 @@ class TestDoesNotConverge:
     def test_budget_too_small_for_the_golden_suffix_stays_hung(self):
         image, keys, trace = build("crc32")
         fault = VerifySkip(50)
-        leader = LockstepLeader(image, keys)
-        leader.fork_at(fault.trigger_instructions)
-        remaining = trace.result.instructions - leader.executed
+        _, start = trace.fork_at(image, keys, fault.trigger_instructions)
+        remaining = trace.result.instructions - start
         assert remaining > 3 * CHECK_EVERY  # a checkpoint lies in reach
         budget = remaining // 2
         result, skipped = specimen(image, keys, trace, fault, budget)
@@ -243,7 +243,7 @@ class TestDoesNotConverge:
                                           remaining)
         assert outcome.outcome is FaultOutcome.MASKED
 
-    def test_leader_halted_before_the_trigger(self):
+    def test_trigger_past_the_golden_end(self):
         image, keys, trace = build("crc32")
         late = trace.result.instructions + 1000
         faults = [VerifySkip(late), RegisterFault(late, reg=5, bit=1),
@@ -306,11 +306,13 @@ def assemble_image(source):
 
 
 class TestGoldenRunShape:
-    def test_self_modifying_golden_run_records_no_checkpoints(self):
+    def test_self_modifying_golden_run_never_converges(self):
         image, trace = assemble_image(SELF_WRITING)
         assert trace.result.ok
         assert trace.result.instructions > 2 * CHECK_EVERY
-        assert trace.checkpoints == ()
+        # its checkpoints still serve forks, but none is met
+        assert trace.checkpoints and trace.written
+        assert not trace.converges
         faults = [VerifySkip(100), RegisterFault(100, reg=20, bit=2)]
         for fault in faults:
             _, skipped = specimen(image, KEYS, trace, fault)
@@ -321,7 +323,7 @@ class TestGoldenRunShape:
         # a flip in a word the golden run never fetches but does load
         # changes the output: the fork must not take the golden result
         image, trace = assemble_image(CODE_READER)
-        assert trace.checkpoints
+        assert trace.converges
         address = image.symbols["unused"]
         assert (address - image.code_base) >> 2 in fetched_words(trace)
         fault = CodeBitFlip(100, address=address, bit=5)
@@ -383,3 +385,40 @@ class TestDifferential:
         converged = sum(specimen(image, keys, trace, fault)[1] is not None
                         for fault in faults)
         assert converged > 0
+
+
+def pages_oracle(ram, data):
+    """Per-page reference for ``_changed_pages``: every page on its own."""
+    changed = {}
+    for low in range(0, len(ram), PAGE_BYTES):
+        page = bytes(ram[low:low + PAGE_BYTES])
+        initial = data[low:low + PAGE_BYTES]
+        if page != initial + bytes(len(page) - len(initial)):
+            changed[low] = page
+    return changed
+
+
+class TestChangedPages:
+    @settings(max_examples=150, deadline=None)
+    @given(pages=st.integers(1, 40),
+           short=st.sampled_from([0, 1, 100, PAGE_BYTES - 1]),
+           data_pages=st.floats(0.0, 5.0), seed=st.integers(0, 1 << 32),
+           writes=st.integers(0, 12))
+    def test_matches_the_per_page_oracle(self, pages, short, data_pages,
+                                         seed, writes):
+        # RAM of whole pages or with a partial last page, a data segment
+        # ending anywhere, and dirty bytes anywhere — preferably at the
+        # edges: either side of the data end, the last page, the last byte
+        rng = random.Random(seed)
+        size = pages * PAGE_BYTES - short
+        data = rng.randbytes(min(size, int(data_pages * PAGE_BYTES)))
+        ram = bytearray(size)
+        ram[:len(data)] = data
+        edges = [len(data) - 1, len(data), size - PAGE_BYTES // 2, size - 1]
+        for _ in range(writes):
+            at = rng.choice(edges) if rng.random() < 0.4 else rng.randrange(
+                size)
+            if 0 <= at < size:
+                # a rewrite of the initial value must not count as changed
+                ram[at] = rng.choice([0, ram[at], rng.randrange(256)])
+        assert _changed_pages(ram, data) == pages_oracle(ram, data)

@@ -9,9 +9,10 @@ field), and every export must be byte-equal to every other.
 
 Merged metric totals must also be deterministic: the counter sums from a
 serial run and a 4-worker run of the same campaign are identical (the
-fault campaign's lockstep groups, whose memos are per group, depend only
-on the batch width, never on the worker count, and whether a specimen
-rejoins the golden run depends only on the specimen and the trace).
+fault campaign's lockstep groups, whose memos and golden blocks are per
+group, depend only on the batch width, never on the worker count, and
+whether a specimen rejoins the golden run depends only on the specimen
+and the trace).
 """
 
 import pytest
@@ -72,6 +73,27 @@ class TestFaultInvisibility:
         # so its counters are among the jobs-invariant totals above
         assert counters["j1-on"]["faults.converged"] > 0
         assert counters["j1-on"]["faults.instructions_skipped"] > 0
+
+    def test_counters_are_jobs_invariant_across_groups(self, tmp_path,
+                                                       victim):
+        # 6 models x 11 specimens: two lockstep groups (64 + 2), run in
+        # one process at jobs 1 and in separate workers at jobs 4 — the
+        # golden blocks one group predecodes or compiles must not reach
+        # the other
+        program, golden, keys = victim
+        exports, counters = {}, {}
+        for label, jobs in (("j1-on", 1), ("j4-on", 4)):
+            def fn(telemetry, store, export, jobs=jobs):
+                run_fault_campaign(
+                    program, keys, golden, per_model=11, seed=SEED,
+                    parallel=jobs > 1, jobs=jobs, export_path=export,
+                    store_dir=store, telemetry=telemetry)
+            exports[label], counters[label] = _run(
+                tmp_path, label, True, "fault", fn)
+        assert exports["j1-on"] == exports["j4-on"]
+        assert counters["j1-on"] == counters["j4-on"]
+        assert counters["j1-on"]["tasks.completed"] == 2
+        assert counters["j1-on"]["sim.lockstep.forks"] == 66
 
 
 class TestAttacksynthInvisibility:
