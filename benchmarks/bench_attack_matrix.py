@@ -61,7 +61,7 @@ def test_attack_matrix_parallel_equivalence(benchmark):
     serial = run_campaign(seed=1337)
 
     def parallel_campaign():
-        return run_campaign(seed=1337, parallel=True, jobs=4)
+        return run_campaign(seed=1337, jobs=4)
 
     parallel = benchmark.pedantic(parallel_campaign,
                                   iterations=1, rounds=1)

@@ -54,6 +54,5 @@ def test_attacksynth_throughput():
 def test_campaign_is_deterministic_across_worker_counts():
     """The whole report — not just the export — is jobs-invariant."""
     serial = run_attacksynth(programs=3, seed=0xE162)
-    fanned = run_attacksynth(programs=3, seed=0xE162, parallel=True,
-                             jobs=2)
+    fanned = run_attacksynth(programs=3, seed=0xE162, jobs=2)
     assert serial.to_record() == fanned.to_record()

@@ -47,7 +47,7 @@ def test_dse_smoke(tmp_path):
         assert point.fault_counts.get("detected", 0) > 0
     parallel_json = tmp_path / "p.json"
     parallel_csv = tmp_path / "p.csv"
-    fanned = run_dse(grid, parallel=True, jobs=4,
+    fanned = run_dse(grid, jobs=4,
                      export_path=parallel_json, csv_path=parallel_csv,
                      **SMOKE_ARGS)
     assert fanned.to_record() == report.to_record()

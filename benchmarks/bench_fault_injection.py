@@ -70,8 +70,7 @@ def test_fault_campaign_parallel_speedup(benchmark):
 
     def parallel_campaign():
         return run_campaign(program, KEYS, workload.expected_output,
-                            per_model=15, seed=2016, parallel=True,
-                            jobs=4)
+                            per_model=15, seed=2016, jobs=4)
 
     parallel_start = time.perf_counter()
     parallel_results, parallel_summary = benchmark.pedantic(

@@ -47,7 +47,7 @@ def test_hw_pareto_smoke(tmp_path):
     # every measured point got exactly its minimum-unroll variant
     assert ([row.label for row in report.hw_points]
             == [f"{p.label}@u{min_legal_unroll(p)}" for p in grid])
-    fanned = run_dse(grid, parallel=True, jobs=4,
+    fanned = run_dse(grid, jobs=4,
                      export_path=tmp_path / "p.json",
                      csv_path=tmp_path / "p.csv", **SMOKE_ARGS)
     assert fanned.to_record() == report.to_record()

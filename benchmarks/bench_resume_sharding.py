@@ -51,17 +51,17 @@ def test_resume_smoke(tmp_path):
     assert len(store) == len(results)
 
     import repro.faults.campaign as faults_campaign
-    real_run_tasks = faults_campaign.run_tasks
+    real_run_fault_batch = faults_campaign.run_fault_batch
 
     def forbidden(*args, **kwargs):
         raise AssertionError("warm rerun must not simulate any specimen")
 
-    faults_campaign.run_tasks = forbidden
+    faults_campaign.run_fault_batch = forbidden
     try:
         warm = tmp_path / "warm.json"
         _fault_campaign(store_dir, warm, per_model=4)
     finally:
-        faults_campaign.run_tasks = real_run_tasks
+        faults_campaign.run_fault_batch = real_run_fault_batch
     assert warm.read_bytes() == cold.read_bytes()
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Parallel campaign orchestration with ``repro.runner``.
 
-Demonstrates the ``--jobs``/``parallel=True`` surface end to end:
+Demonstrates the ``--jobs``/``jobs=N`` surface end to end:
 
 1. a fault-injection campaign run serially and then across worker
    processes — identical classification counts, wall-clock reported;
@@ -47,7 +47,7 @@ def main() -> None:
     _, parallel_summary = fault_campaign(program, keys,
                                          workload.expected_output,
                                          per_model=6, seed=2016,
-                                         parallel=True, jobs=JOBS)
+                                         jobs=JOBS)
     parallel_s = time.perf_counter() - started
     print(parallel_summary.render())
     identical = serial_summary.counts == parallel_summary.counts
@@ -57,7 +57,7 @@ def main() -> None:
 
     # -- 2: attack matrix, one task per (attack, target) cell ------------
     print(f"attack matrix with jobs={JOBS}:")
-    results = attack_campaign(seed=1337, parallel=True, jobs=JOBS)
+    results = attack_campaign(seed=1337, jobs=JOBS)
     print(format_matrix(results))
     print()
 
@@ -77,7 +77,7 @@ def main() -> None:
 
     # -- 4: JSON export of a campaign ------------------------------------
     fault_campaign(program, keys, workload.expected_output,
-                   per_model=2, seed=7, parallel=True, jobs=JOBS,
+                   per_model=2, seed=7, jobs=JOBS,
                    export_path="fault_campaign.json")
     record = json.loads(open("fault_campaign.json").read())
     print(f"exported fault_campaign.json: {record['num_results']} specimens, "

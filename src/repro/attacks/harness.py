@@ -12,7 +12,7 @@ defender's goal is to prevent *any* effect of tampered code):
 
 The campaign is a task matrix (attack x target) dispatched through
 :mod:`repro.runner`: each cell applies one attack to a fresh machine, so
-cells are independent and ``run_campaign(parallel=True, jobs=N)`` fans
+cells are independent and ``run_campaign(jobs=N)`` fans
 them across worker processes.  Workers rebuild the four targets once per
 process from (seed, nonce) — the per-process build cache for this
 campaign — and results return in matrix order, making parallel outcomes
@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..runner import (campaign_record, resolve_jobs, run_tasks,
+from ..runner import (campaign_record, resolve_jobs, run_tasks_stored,
                       write_campaign)
 from ..sim.result import Status
 from .actions import ATTACKS, Attack
@@ -119,15 +119,15 @@ def _attack_task(task: Tuple[int, str]) -> AttackResult:
                       _WORKER_TARGETS[1][target_name])
 
 
-def run_campaign(seed: int = 1337, parallel: bool = False,
-                 jobs: Optional[int] = None,
+def run_campaign(seed: int = 1337, jobs: Optional[int] = 1,
                  export_path=None) -> List[AttackResult]:
     """The full matrix: every attack against every defense.
 
     Each (attack, target) cell starts from a fresh machine, so the matrix
-    parallelizes cell-by-cell; ``parallel=True`` dispatches it across
-    ``jobs`` worker processes with results in matrix order (identical to
-    the serial traversal).  ``export_path`` writes the campaign as JSON.
+    parallelizes cell-by-cell across ``jobs`` worker processes (``1``
+    runs in-process, ``None`` uses one per CPU) with results in matrix
+    order (identical to the serial traversal).  ``export_path`` writes
+    the campaign as JSON.
     """
     global _WORKER_TARGETS
     started = time.perf_counter()
@@ -138,10 +138,9 @@ def run_campaign(seed: int = 1337, parallel: bool = False,
              for attack_index in range(len(ATTACKS))
              for target in targets]
     try:
-        results = run_tasks(_attack_task, tasks, jobs=jobs,
-                            parallel=parallel,
-                            initializer=_init_attack_worker,
-                            initargs=(seed,))
+        results = run_tasks_stored(_attack_task, tasks, jobs=jobs,
+                                   initializer=_init_attack_worker,
+                                   initargs=(seed,)).results
     finally:
         _WORKER_TARGETS = None  # release the builds pinned for the pool
     if export_path is not None:
@@ -149,7 +148,7 @@ def run_campaign(seed: int = 1337, parallel: bool = False,
             "attack-matrix",
             {"seed": seed, "attacks": [a.name for a in ATTACKS],
              "targets": [t.name for t in targets]},
-            results, jobs=resolve_jobs(jobs) if parallel else 1,
+            results, jobs=resolve_jobs(jobs),
             elapsed_seconds=time.perf_counter() - started))
     return results
 

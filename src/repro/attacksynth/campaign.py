@@ -35,8 +35,8 @@ from ..fuzz.generators import Genome, generate, random_genome
 from ..fuzz.oracle import build_program
 from ..isa.assembler import assemble
 from ..obs import phase as obs_phase
-from ..runner import (ResultStore, ShardSpec, run_tasks, run_tasks_stored,
-                      task_key, task_rng)
+from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_key,
+                      task_rng)
 from ..runner.cache import DEFAULT_KEY_SEED
 from ..security.bounds import EmpiricalCheck, empirical_check
 from ..sim.sofia import SofiaMachine
@@ -368,7 +368,7 @@ def _campaign_genomes(programs: int, seed: int,
 def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
                     seed: int = DEFAULT_SEED,
                     per_program: Optional[int] = None,
-                    parallel: bool = False, jobs: Optional[int] = None,
+                    jobs: Optional[int] = 1,
                     corpus_dir=None,
                     include_baselines: bool = False,
                     key_seed: int = DEFAULT_KEY_SEED,
@@ -416,16 +416,13 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
                          {"index": index, "genome": genome})
                 for index, genome in tasks]
 
-    def execute(missing: List[Tuple[int, Genome]]) -> List[ProgramOutcome]:
-        return run_tasks(
-            _synth_task, missing, jobs=jobs, parallel=parallel,
+    with obs_phase(telemetry, "execute"):
+        run = run_tasks_stored(
+            _synth_task, tasks, keys, jobs=jobs,
             initializer=_init_synth_worker,
             initargs=(key_seed, seed, per_program, include_baselines,
-                      profile), telemetry=telemetry)
-
-    with obs_phase(telemetry, "execute"):
-        run = run_tasks_stored(execute, tasks, keys, store=store,
-                               shard=shard, telemetry=telemetry)
+                      profile),
+            store=store, shard=shard, telemetry=telemetry)
     report.programs = [outcome for outcome in run.results
                        if outcome is not None]
     report.complete = run.complete

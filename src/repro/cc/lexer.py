@@ -52,7 +52,9 @@ def _strip_comments(source: str) -> str:
         elif source.startswith("/*", i):
             end = source.find("*/", i + 2)
             if end < 0:
-                raise CompileError("unterminated block comment")
+                raise CompileError("unterminated block comment",
+                                   source.count("\n", 0, i) + 1,
+                                   i - source.rfind("\n", 0, i))
             # keep newlines so line numbers stay right
             out.append("\n" * source.count("\n", i, end))
             i = end + 2
@@ -94,6 +96,9 @@ def tokenize(source: str) -> List[Token]:
                 i += 2
                 while i < n and text[i] in "0123456789abcdefABCDEF":
                     i += 1
+                if i == start + 2:
+                    raise CompileError("hex literal has no digits", line,
+                                       column)
                 value = int(text[start:i], 16)
             else:
                 while i < n and text[i] in _DIGITS:
@@ -104,7 +109,7 @@ def tokenize(source: str) -> List[Token]:
             column += i - start
             continue
         if ch == "'":
-            if i + 2 < n and text[i + 1] == "\\" and text[i + 3] == "'":
+            if i + 3 < n and text[i + 1] == "\\" and text[i + 3] == "'":
                 escapes = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39}
                 esc = text[i + 2]
                 if esc not in escapes:

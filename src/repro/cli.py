@@ -252,20 +252,18 @@ def _make_telemetry(args):
     return obs.Telemetry(directory=args.telemetry, progress=args.progress)
 
 
-def _parse_jobs(jobs: int) -> "tuple[bool, Optional[int]]":
-    """CLI ``--jobs`` value -> (parallel, jobs) runner arguments.
+def _parse_jobs(jobs: int) -> Optional[int]:
+    """CLI ``--jobs`` value -> the runner's ``jobs`` argument.
 
-    ``1`` (the default) selects the serial path, ``0`` means one worker
-    per CPU, any other N means N workers.
+    ``1`` (the default) runs in-process, ``0`` means one worker per CPU
+    (``None``), any other N means N workers.
     """
-    if jobs == 1:
-        return False, 1
-    return True, (None if jobs == 0 else jobs)
+    return None if jobs == 0 else jobs
 
 
 def cmd_attack(args) -> int:
-    parallel, jobs = _parse_jobs(args.jobs)
-    results = run_campaign(seed=args.seed, parallel=parallel, jobs=jobs,
+    jobs = _parse_jobs(args.jobs)
+    results = run_campaign(seed=args.seed, jobs=jobs,
                            export_path=args.export)
     print(format_matrix(results))
     if args.export:
@@ -275,7 +273,7 @@ def cmd_attack(args) -> int:
 
 def cmd_attacksynth(args) -> int:
     from .attacksynth import run_attacksynth, run_attacksynth_image
-    parallel, jobs = _parse_jobs(args.jobs)
+    jobs = _parse_jobs(args.jobs)
     usage_error = _check_shard(args)
     if usage_error:
         print(f"error: {usage_error}", file=sys.stderr)
@@ -317,7 +315,7 @@ def cmd_attacksynth(args) -> int:
                            "jobs": args.jobs}):
             report = run_attacksynth(
                 programs, seed=args.seed, per_program=args.per_program,
-                parallel=parallel, jobs=jobs, corpus_dir=args.corpus,
+                jobs=jobs, corpus_dir=args.corpus,
                 include_baselines=args.baselines, key_seed=args.key_seed,
                 profile=profile, export_path=args.export,
                 csv_path=args.csv,
@@ -346,7 +344,7 @@ def cmd_dse(args) -> int:
     from .dse import resolve_profiles, run_dse
     from .dse.campaign import check_unroll_specs
     from .hwmodel.profilecost import parse_unroll_specs
-    parallel, jobs = _parse_jobs(args.jobs)
+    jobs = _parse_jobs(args.jobs)
     usage_error = _check_shard(args)
     if usage_error:
         print(f"error: {usage_error}", file=sys.stderr)
@@ -378,7 +376,7 @@ def cmd_dse(args) -> int:
                        "scale": args.scale, "jobs": args.jobs}):
         report = run_dse(profiles, seed=args.seed, key_seed=args.key_seed,
                          scale=args.scale, programs=args.programs,
-                         per_model=args.per_model, parallel=parallel,
+                         per_model=args.per_model,
                          jobs=jobs, export_path=args.export,
                          csv_path=args.csv,
                          store_dir=args.resume, shard=args.shard,
@@ -396,7 +394,7 @@ def cmd_dse(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from .fuzz import run_fuzz
-    parallel, jobs = _parse_jobs(args.jobs)
+    jobs = _parse_jobs(args.jobs)
     usage_error = _check_shard(args)
     if usage_error:
         print(f"error: {usage_error}", file=sys.stderr)
@@ -407,7 +405,7 @@ def cmd_fuzz(args) -> int:
                        "batch": args.batch, "jobs": args.jobs}):
         report = run_fuzz(seeds=args.seeds, seed=args.seed,
                           batch=args.batch,
-                          parallel=parallel, jobs=jobs,
+                          jobs=jobs,
                           corpus_dir=args.corpus,
                           time_budget=args.time_budget,
                           include_baselines=args.baselines,
@@ -426,7 +424,7 @@ def cmd_fuzz(args) -> int:
 def cmd_fault(args) -> int:
     from .faults import run_campaign as run_fault_campaign
     from .workloads import make_workload, workload_names
-    parallel, jobs = _parse_jobs(args.jobs)
+    jobs = _parse_jobs(args.jobs)
     usage_error = _check_shard(args)
     if usage_error:
         print(f"error: {usage_error}", file=sys.stderr)
@@ -454,7 +452,7 @@ def cmd_fault(args) -> int:
         results, summary = run_fault_campaign(
             victim.compile().program, keys, victim.expected_output,
             per_model=args.per_model, seed=args.seed,
-            parallel=parallel, jobs=jobs, export_path=args.export,
+            jobs=jobs, export_path=args.export,
             profile=profile,
             store_dir=args.resume, shard=args.shard, telemetry=telemetry)
     print(summary.render())
@@ -469,17 +467,17 @@ def cmd_fault(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     from .security.montecarlo import forgery_scaling, tamper_detection
-    parallel, jobs = _parse_jobs(args.jobs)
+    jobs = _parse_jobs(args.jobs)
     telemetry = _make_telemetry(args)
     with obs.campaign(telemetry, "montecarlo",
                       {"experiments": args.experiments,
                        "tampers": args.tampers, "seed": args.seed,
                        "jobs": args.jobs}):
         scaling = forgery_scaling(experiments=args.experiments,
-                                  seed=args.seed, parallel=parallel,
+                                  seed=args.seed,
                                   jobs=jobs, telemetry=telemetry)
         escape = tamper_detection(bits=args.bits, tampers=args.tampers,
-                                  seed=args.seed, parallel=parallel,
+                                  seed=args.seed,
                                   jobs=jobs, telemetry=telemetry)
     print("Truncated-MAC Monte-Carlo (E9)")
     print(f"{'bits':>6s} {'mean trials':>14s} {'expected':>12s} "
@@ -530,18 +528,17 @@ def cmd_merge(args) -> int:
 
 
 _EXPERIMENTS = {
-    "table1": lambda parallel, jobs: experiment_table1().render(),
-    "adpcm": lambda parallel, jobs: experiment_adpcm("small").render(),
-    "security": lambda parallel, jobs: experiment_security(
-        100, parallel=parallel, jobs=jobs).render(),
-    "blocksize": lambda parallel, jobs: render_blocksize(
-        experiment_blocksize("tiny", (6, 8), parallel=parallel,
-                             jobs=jobs)),
-    "muxtree": lambda parallel, jobs: render_muxtree(
+    "table1": lambda jobs: experiment_table1().render(),
+    "adpcm": lambda jobs: experiment_adpcm("small").render(),
+    "security": lambda jobs: experiment_security(
+        100, jobs=jobs).render(),
+    "blocksize": lambda jobs: render_blocksize(
+        experiment_blocksize("tiny", (6, 8), jobs=jobs)),
+    "muxtree": lambda jobs: render_muxtree(
         experiment_muxtree((1, 2, 4, 8))),
-    "unroll": lambda parallel, jobs: render_unroll(experiment_unroll()),
-    "workloads": lambda parallel, jobs: format_overhead_rows(
-        experiment_workloads("tiny", parallel=parallel, jobs=jobs)),
+    "unroll": lambda jobs: render_unroll(experiment_unroll()),
+    "workloads": lambda jobs: format_overhead_rows(
+        experiment_workloads("tiny", jobs=jobs)),
 }
 
 
@@ -553,7 +550,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    parallel, jobs = _parse_jobs(args.jobs)
+    jobs = _parse_jobs(args.jobs)
     names = args.names or sorted(_EXPERIMENTS)
     for name in names:
         runner = _EXPERIMENTS.get(name)
@@ -562,7 +559,7 @@ def cmd_experiments(args) -> int:
                   f"known: {sorted(_EXPERIMENTS)}", file=sys.stderr)
             return 2
         print(f"==== {name} ====")
-        print(runner(parallel, jobs))
+        print(runner(jobs))
         print()
     return 0
 

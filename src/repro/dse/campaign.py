@@ -32,7 +32,7 @@ from ..faults.campaign import run_campaign as run_fault_campaign
 from ..hwmodel.profilecost import (CYCLES_BUDGET, UnrollSpec, legal_unrolls,
                                    profile_cost, resolve_unrolls)
 from ..obs import phase as obs_phase
-from ..runner import (DEFAULT_KEY_SEED, ResultStore, ShardSpec, run_tasks,
+from ..runner import (DEFAULT_KEY_SEED, ResultStore, ShardSpec,
                       run_tasks_stored, task_key, task_seed)
 from ..security.bounds import cfi_attack_years, si_forgery_years
 from ..transform.profile import ProtectionProfile
@@ -264,7 +264,7 @@ def _dse_task(task: Tuple[int, ProtectionProfile]) -> DesignPointRow:
         from ..attacksynth.campaign import run_attacksynth
         synth = run_attacksynth(
             programs, seed=task_seed(seed, "dse-synth", profile.label),
-            key_seed=key_seed, profile=profile, parallel=False)
+            key_seed=key_seed, profile=profile)
         bounds = synth.bounds()
         row.synth_instances = synth.instances
         row.synth_attempts = bounds.attempts
@@ -283,7 +283,7 @@ def _dse_task(task: Tuple[int, ProtectionProfile]) -> DesignPointRow:
             victim.compile().program, keys, victim.expected_output,
             per_model=per_model,
             seed=task_seed(seed, "dse-fault", profile.label),
-            profile=profile, parallel=False)
+            profile=profile)
         totals = {outcome.value: 0 for outcome in FaultOutcome}
         for per_model_counts in summary.counts.values():
             for outcome, count in per_model_counts.items():
@@ -479,7 +479,7 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
             scale: str = DEFAULT_SCALE,
             programs: int = DEFAULT_PROGRAMS,
             per_model: int = DEFAULT_PER_MODEL,
-            parallel: bool = False, jobs: Optional[int] = None,
+            jobs: Optional[int] = 1,
             export_path=None, csv_path=None,
             store_dir=None, shard: Optional[ShardSpec] = None,
             telemetry=None, hw: bool = False,
@@ -535,17 +535,13 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
         keys = [task_key("dse", context, profile)
                 for _index, profile in tasks]
 
-    def execute(missing: List[Tuple[int, ProtectionProfile]]
-                ) -> List[DesignPointRow]:
-        return run_tasks(
-            _dse_task, missing, jobs=jobs, parallel=parallel,
+    with obs_phase(telemetry, "execute"):
+        run = run_tasks_stored(
+            _dse_task, tasks, keys, jobs=jobs,
             initializer=_init_dse_worker,
             initargs=(key_seed, seed, tuple(workloads), scale, programs,
-                      per_model), telemetry=telemetry)
-
-    with obs_phase(telemetry, "execute"):
-        run = run_tasks_stored(execute, tasks, keys, store=store,
-                               shard=shard, telemetry=telemetry)
+                      per_model),
+            store=store, shard=shard, telemetry=telemetry)
     report.points = [point for point in run.results if point is not None]
     report.complete = run.complete
     if hw:

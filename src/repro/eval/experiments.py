@@ -6,9 +6,9 @@ side with the published values where applicable.
 
 Experiments that iterate over independent cells (workloads, block sizes,
 cache sizes, attack/target pairs, Monte-Carlo batches) express the loop
-as a task list for :mod:`repro.runner` and accept ``parallel``/``jobs``;
-the default ``parallel=False`` runs the historical serial loop with
-identical results (the CLI's ``--jobs N`` flips these on).
+as a task list for :mod:`repro.runner` and accept ``jobs``; the default
+``jobs=1`` runs the historical serial loop with identical results (the
+CLI's ``--jobs N`` sets it).
 """
 
 from __future__ import annotations
@@ -110,13 +110,11 @@ class SecurityExperiment:
 
 
 def experiment_security(experiments: int = 200,
-                        parallel: bool = False,
-                        jobs: Optional[int] = None) -> SecurityExperiment:
-    escape = tamper_detection(bits=8, parallel=parallel, jobs=jobs)
+                        jobs: Optional[int] = 1) -> SecurityExperiment:
+    escape = tamper_detection(bits=8, jobs=jobs)
     return SecurityExperiment(
         bounds=security_report(),
-        scaling=forgery_scaling(experiments=experiments,
-                                parallel=parallel, jobs=jobs),
+        scaling=forgery_scaling(experiments=experiments, jobs=jobs),
         escape_rate=escape.escape_rate,
         escape_expected=escape.expected_rate)
 
@@ -134,8 +132,7 @@ class BlockSizePoint:
 def experiment_blocksize(scale: str = "small",
                          block_words: Sequence[int] = (6, 8),
                          workload: str = "adpcm",
-                         parallel: bool = False,
-                         jobs: Optional[int] = None) -> List[BlockSizePoint]:
+                         jobs: Optional[int] = 1) -> List[BlockSizePoint]:
     """Rebuild the binary at several block sizes (Fig. 5 vs Fig. 6).
 
     6-word blocks (4 instructions) fit entirely before the MA stage — no
@@ -146,7 +143,7 @@ def experiment_blocksize(scale: str = "small",
     rows = measure_many(
         [OverheadPoint(workload=workload, scale=scale, config=config)
          for config in configs],
-        parallel=parallel, jobs=jobs)
+        jobs=jobs)
     return [BlockSizePoint(
         block_words=config.block_words, exec_capacity=config.exec_capacity,
         store_forbidden=config.exec_store_forbidden, row=row)
@@ -219,21 +216,20 @@ def render_muxtree(points: List[FanInPoint]) -> str:
 
 # -- E8: attack matrix ------------------------------------------------------------
 
-def experiment_attacks(seed: int = 1337, parallel: bool = False,
-                       jobs: Optional[int] = None) -> List[AttackResult]:
-    return run_campaign(seed=seed, parallel=parallel, jobs=jobs)
+def experiment_attacks(seed: int = 1337,
+                       jobs: Optional[int] = 1) -> List[AttackResult]:
+    return run_campaign(seed=seed, jobs=jobs)
 
 
 # -- E10: workload sweep -----------------------------------------------------------
 
 def experiment_workloads(scale: str = "small",
                          timing: TimingParams = DEFAULT_TIMING,
-                         parallel: bool = False,
-                         jobs: Optional[int] = None) -> List[OverheadRow]:
+                         jobs: Optional[int] = 1) -> List[OverheadRow]:
     return measure_many(
         [OverheadPoint(workload=name, scale=scale, timing=timing)
          for name in workload_names()],
-        parallel=parallel, jobs=jobs)
+        jobs=jobs)
 
 
 def render_workloads(rows: List[OverheadRow]) -> str:
@@ -252,8 +248,7 @@ class CachePoint:
 def experiment_cache(scale: str = "tiny",
                      line_counts: Sequence[int] = (8, 32, 128, 512),
                      workload: str = "adpcm",
-                     parallel: bool = False,
-                     jobs: Optional[int] = None) -> List[CachePoint]:
+                     jobs: Optional[int] = 1) -> List[CachePoint]:
     """Cycle overhead vs I-cache size.
 
     SOFIA's ~2x code footprint stresses the I-cache harder than the
@@ -266,7 +261,7 @@ def experiment_cache(scale: str = "tiny",
         [OverheadPoint(workload=workload, scale=scale,
                        timing=TimingParams(icache_lines=lines))
          for lines in line_counts],
-        parallel=parallel, jobs=jobs)
+        jobs=jobs)
     return [CachePoint(lines=lines, cache_bytes=lines * 32, row=row)
             for lines, row in zip(line_counts, rows)]
 

@@ -28,7 +28,8 @@ from ..errors import SimulationError
 from ..hwmodel.design import table1
 from ..isa.assembler import assemble
 from ..isa.program import Executable
-from ..runner import DEFAULT_KEY_SEED, BuildSpec, build_cache, run_tasks
+from ..runner import (DEFAULT_KEY_SEED, BuildSpec, build_cache,
+                      run_tasks_stored)
 from ..sim.sofia import SofiaMachine
 from ..sim.timing import DEFAULT_TIMING, TimingParams
 from ..sim.vanilla import VanillaMachine
@@ -138,8 +139,9 @@ class OverheadPoint:
     """One (workload, build, timing) cell of an overhead sweep.
 
     Points are plain picklable values, so a sweep is a task list for
-    :func:`repro.runner.run_tasks`; the build stages are memoized by the
-    per-process cache keyed on the point's :class:`BuildSpec` fields.
+    :func:`repro.runner.run_tasks_stored`; the build stages are memoized
+    by the per-process cache keyed on the point's :class:`BuildSpec`
+    fields.
     """
 
     workload: str
@@ -175,15 +177,14 @@ def measure_point(point: OverheadPoint) -> OverheadRow:
 
 
 def measure_many(points: List[OverheadPoint], *,
-                 parallel: bool = False,
-                 jobs: Optional[int] = None) -> List[OverheadRow]:
+                 jobs: Optional[int] = 1) -> List[OverheadRow]:
     """Measure a sweep, one row per point, in point order.
 
-    Serial execution measures points in order through the shared cache;
-    ``parallel=True`` fans points across worker processes (each worker
-    caches its own builds).  Rows are deterministic either way.
+    ``jobs=1`` measures points in order through the shared cache; more
+    workers (``None``: one per CPU) fan points across processes, each
+    caching its own builds.  Rows are deterministic either way.
     """
-    return run_tasks(measure_point, points, jobs=jobs, parallel=parallel)
+    return run_tasks_stored(measure_point, points, jobs=jobs).results
 
 
 def format_overhead_rows(rows: List[OverheadRow]) -> str:

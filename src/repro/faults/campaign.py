@@ -24,7 +24,7 @@ trigger, byte-identical to per-specimen runs, and a specimen whose state
 rejoins the golden run at one of its checkpoints takes the golden
 outcome instead of simulating the rest
 (:class:`~repro.sim.batch.GoldenTrace`, recorded once per campaign).
-``run_campaign(parallel=True, jobs=N)`` fans the groups across a
+``run_campaign(jobs=N)`` fans the groups across a
 process pool via :mod:`repro.runner`; the image and the
 golden trace are built once in the parent and shipped to each worker
 through the pool initializer, and results come back in specimen order,
@@ -38,15 +38,15 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..crypto.keys import DeviceKeys
 from ..isa.program import AsmProgram
 from ..obs import hook as obs_hook
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, campaign_record,
-                      make_batches, resolve_jobs, run_tasks,
-                      run_tasks_stored, task_key, write_campaign)
+                      resolve_jobs, run_tasks_stored, task_key,
+                      write_campaign)
 from ..sim.batch import BATCH_WIDTH, GoldenTrace
 from ..sim.result import Status
 from ..sim.sofia import SofiaMachine
@@ -249,7 +249,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                  per_model: int = 25, seed: int = 2016,
                  max_instructions: int = 2_000_000,
                  rng: Optional[random.Random] = None,
-                 parallel: bool = False, jobs: Optional[int] = None,
+                 jobs: Optional[int] = 1,
                  export_path=None, profile=None,
                  models: Optional[Sequence[str]] = None,
                  store_dir=None, shard: Optional[ShardSpec] = None,
@@ -260,22 +260,23 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     The protected image is built and golden-checked exactly once; every
     specimen then runs against it, in submission-order lockstep groups of
     :data:`~repro.sim.batch.BATCH_WIDTH` (:func:`run_fault_batch`, one
-    pool task per group).  With ``parallel=True`` the groups are
-    dispatched across ``jobs`` worker processes (default: one per CPU);
-    the partition depends only on the width, and grouping never changes
-    a result, so serial and parallel runs classify identically and match
-    per-specimen :func:`run_fault` calls.  ``export_path`` writes the
-    campaign's parameters and per-specimen results as JSON.  ``models``
-    restricts the sampled population to the named fault models (default:
-    all six).
+    pool task per group).  ``jobs`` worker processes run the groups
+    (``1``, the default, runs them in-process; ``None`` means one per
+    CPU); the partition depends only on the width, and grouping never
+    changes a result, so serial and parallel runs classify identically
+    and match per-specimen :func:`run_fault` calls.  ``export_path``
+    writes the campaign's parameters and per-specimen results as JSON.
+    ``models`` restricts the sampled population to the named fault
+    models (default: all six).
 
     ``store_dir`` makes the campaign incremental: each specimen's result
     is content-addressed by (code version, image + run context, fault
     spec) in a :class:`~repro.runner.store.ResultStore` there,
-    cached specimens are loaded instead of simulated, and a killed
-    campaign resumed over the same store produces an export
-    byte-identical to an uninterrupted run (store-backed exports are
-    canonical: no wall-clock or worker-count field).  ``shard`` restricts
+    cached specimens are loaded instead of simulated, each group's
+    results are stored as the group finishes, and a killed campaign
+    resumed over the same store produces an export byte-identical to an
+    uninterrupted run (store-backed exports are canonical: no wall-clock
+    or worker-count field).  ``shard`` restricts
     execution to one deterministic slice of the specimen list; the
     summary then covers only the results present, and no export is
     written until a merged store makes the campaign complete.
@@ -316,23 +317,15 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                       for fault in faults]
     global _WORKER_CTX
     try:
-        initargs = (image, keys, list(golden_output), trace,
-                    max_instructions)
-
-        def execute(missing: List[FaultSpec]) -> List[FaultResult]:
-            # lockstep groups are byte-identical to per-specimen runs at
-            # any grouping, so grouping only the missing faults is safe
-            groups = make_batches(missing, BATCH_WIDTH)
-            return [result for group_results in run_tasks(
-                _fault_batch_task, groups, jobs=jobs, parallel=parallel,
-                initializer=_init_fault_worker, initargs=initargs,
-                telemetry=telemetry)
-                for result in group_results]
-
+        # lockstep groups are byte-identical to per-specimen runs at any
+        # grouping, so grouping only the missing faults is safe
         with obs_phase(telemetry, "execute"):
-            run = run_tasks_stored(execute, faults, fault_keys,
-                                   store=store, shard=shard,
-                                   telemetry=telemetry)
+            run = run_tasks_stored(
+                _fault_batch_task, faults, fault_keys, width=BATCH_WIDTH,
+                jobs=jobs, initializer=_init_fault_worker,
+                initargs=(image, keys, list(golden_output), trace,
+                          max_instructions),
+                store=store, shard=shard, telemetry=telemetry)
         results = run.results
     finally:
         _WORKER_CTX = None  # release the image pinned by the serial path
@@ -356,7 +349,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
         else:
             record = campaign_record(
                 "fault-injection", parameters, results,
-                jobs=resolve_jobs(jobs) if parallel else 1,
+                jobs=resolve_jobs(jobs),
                 elapsed_seconds=time.perf_counter() - started)
         with obs_phase(telemetry, "export"):
             write_campaign(export_path, record)

@@ -3,8 +3,8 @@
 A campaign is a sequence of fixed-size *batches*.  Each batch is an
 ordered list of genomes — fresh random ones plus mutations of corpus
 entries that exhibit the rarest coverage keys — dispatched through
-:func:`repro.runner.pool.run_tasks` exactly like the fault and attack
-campaigns: workers are pure (genome -> :class:`OracleReport`), shared
+:func:`repro.runner.store.run_tasks_stored` exactly like the fault and
+attack campaigns: workers are pure (genome -> :class:`OracleReport`), shared
 context (device keys) travels once through the pool initializer, and
 results return in submission order.  All steering state — the coverage
 map, the corpus, failure collection — lives in the parent and is
@@ -27,8 +27,8 @@ from typing import List, Optional
 
 from ..crypto.keys import DeviceKeys
 from ..obs import phase as obs_phase
-from ..runner import (ResultStore, ShardSpec, run_tasks, run_tasks_stored,
-                      task_key, task_rng, write_campaign)
+from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_key,
+                      task_rng, write_campaign)
 from ..runner.cache import DEFAULT_KEY_SEED
 from .corpus import Corpus, specimen_sha
 from .coverage import CoverageMap
@@ -130,7 +130,7 @@ def _plan_batch(seed: int, round_index: int, batch: int,
 
 def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
              batch: int = 50,
-             parallel: bool = False, jobs: Optional[int] = None,
+             jobs: Optional[int] = 1,
              corpus_dir=None,
              time_budget: Optional[float] = None,
              include_baselines: bool = False,
@@ -176,13 +176,6 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
     store = ResultStore(store_dir) if store_dir is not None else None
     context = {"key_seed": key_seed, "baselines": include_baselines}
 
-    def execute(missing: List[Genome]) -> List[OracleReport]:
-        return run_tasks(_fuzz_task, missing,
-                         jobs=jobs, parallel=parallel,
-                         initializer=_init_fuzz_worker,
-                         initargs=(keys, include_baselines),
-                         telemetry=telemetry)
-
     failing_reports: List[OracleReport] = []
     seen_failures = set()
     round_index = 0
@@ -197,7 +190,9 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
         if store is not None:
             genome_keys = [task_key("fuzz", context, genome)
                            for genome in genomes]
-        run = run_tasks_stored(execute, genomes, genome_keys,
+        run = run_tasks_stored(_fuzz_task, genomes, genome_keys,
+                               jobs=jobs, initializer=_init_fuzz_worker,
+                               initargs=(keys, include_baselines),
                                store=store, shard=shard,
                                telemetry=telemetry)
         if not run.complete:

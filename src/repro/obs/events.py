@@ -28,10 +28,11 @@ EVENT_TYPES = frozenset({
     "phase-start",      # phase=name
     "phase-end",        # phase=name, seconds=wall time
     "tasks-planned",    # total / cached / skipped for one dispatch
-    "task-scheduled",   # index (campaign-global when store-routed)
+    "task-scheduled",   # index of the unit's first task (campaign-global)
     "store-hit",        # index served from the persistent store
     "task-started",     # index, worker (pid)
-    "task-completed",   # index, worker, seconds
+    "task-completed",   # index, worker, size (tasks in the unit), seconds
+    "task-failed",      # index, error (exception type), message
     "worker-start",     # worker (pid), first result seen from it
     "worker-exit",      # worker (pid)
     "shard-decision",   # shard=i/n, owned / skipped counts

@@ -3,8 +3,8 @@
 A :class:`Telemetry` object is created by the CLI (from ``--telemetry
 DIR`` / ``--progress``) and threaded — always optionally, default
 ``None`` — through a campaign driver into
-:func:`repro.runner.pool.run_tasks` and
-:func:`repro.runner.store.run_tasks_stored`.  It owns:
+:func:`repro.runner.store.run_tasks_stored`, which labels every
+dispatched unit and feeds it here as its result arrives.  It owns:
 
 - the **event log** (``DIR/events.jsonl``, schema in
   :mod:`repro.obs.events`),
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -47,6 +46,9 @@ from .worker import Span
 
 class Telemetry:
     """Event log + metrics + timeline + progress for one campaign run."""
+
+    #: dispatches install per-worker metric registries for this run
+    enabled = True
 
     def __init__(self, directory=None, progress: bool = False,
                  stream=None) -> None:
@@ -65,8 +67,6 @@ class Telemetry:
         self.campaign: Optional[str] = None
         self._origin = time.perf_counter()
         self._workers: Dict[int, bool] = {}
-        self._pending: deque = deque()
-        self._fallback_index = 0
         self._sim: Optional[MetricsRegistry] = None
         self._previous_sink = None
         self._finished = False
@@ -133,13 +133,10 @@ class Telemetry:
         if self.progress is not None:
             self.progress.plan(total, cached=cached, skipped=skipped)
 
-    def expect_tasks(self, indices) -> None:
-        """Queue the campaign-global indices about to be executed, in
-        dispatch order, so pool-side completions can be labelled."""
-        for index in indices:
-            index = int(index)
-            self._pending.append(index)
-            self.events.emit("task-scheduled", index=index)
+    def task_scheduled(self, index: int) -> None:
+        """One unit is next in the dispatch stream; ``index`` is the
+        campaign-global index of its first task."""
+        self.events.emit("task-scheduled", index=index)
 
     def store_hit(self, index: int) -> None:
         self.events.emit("store-hit", index=int(index))
@@ -153,49 +150,33 @@ class Telemetry:
         self.events.emit("resume", store=str(store),
                          hits=hits, missing=missing)
 
-    def claim_indices(self, n: int) -> List[int]:
-        """Labels for the ``n`` tasks one dispatch is about to run.
+    def task_completed(self, span: Span, index: int, size: int = 1) -> None:
+        """Fold one finished unit's span into events/metrics/trace.
 
-        When the pending queue (from :meth:`expect_tasks`) holds exactly
-        ``n`` entries they are consumed — completions then carry their
-        campaign-global indices.  Any mismatch (e.g. a driver that
-        groups tasks before dispatch, like the fault campaign's batch
-        mode) falls back to a fresh local sequence and clears the queue,
-        so labels never silently shift between dispatches.
+        ``index`` labels the unit (its first task's campaign-global
+        index); ``size`` is how many tasks it ran, so progress advances
+        by tasks while ``tasks.completed`` counts units.
         """
-        if len(self._pending) == n:
-            indices = list(self._pending)
-        else:
-            indices = list(range(self._fallback_index,
-                                 self._fallback_index + n))
-        self._pending.clear()
-        if indices:
-            self._fallback_index = indices[-1] + 1
-        return indices
-
-    def task_completed(self, span: Span,
-                       index: Optional[int] = None) -> None:
-        """Fold one finished task's span into events/metrics/trace."""
         worker, start, end, deltas = span
-        if index is None:
-            if self._pending:
-                index = self._pending.popleft()
-            else:
-                index = self._fallback_index
-            self._fallback_index = index + 1
         if worker not in self._workers:
             self._workers[worker] = True
             self.events.emit("worker-start", worker=worker)
         seconds = max(0.0, end - start)
         self.events.emit("task-started", index=index, worker=worker)
         self.events.emit("task-completed", index=index, worker=worker,
-                         seconds=round(seconds, 6))
+                         size=size, seconds=round(seconds, 6))
         self.metrics.count("tasks.completed")
         self.metrics.observe("task.seconds", seconds)
         self.metrics.merge_counters(deltas)
         self.spans.append((index, worker, start, end))
         if self.progress is not None:
-            self.progress.tick()
+            self.progress.tick(size)
+
+    def task_failed(self, index: int, error: BaseException) -> None:
+        """The unit labelled ``index`` raised ``error``."""
+        self.events.emit("task-failed", index=index,
+                         error=type(error).__name__,
+                         message=str(error)[:200])
 
     # -- convenience passthroughs ------------------------------------
 
@@ -207,6 +188,23 @@ class Telemetry:
 
     def note(self, text: str) -> None:
         self.events.emit("note", text=text)
+
+
+class _Silent:
+    """The telemetry of an unobserved run: every dispatch hook of
+    :class:`Telemetry` accepted and dropped, and no worker registry."""
+
+    enabled = False
+
+    def _drop(self, *args, **kwargs) -> None:
+        pass
+
+    plan = resume = shard_decision = store_hit = count = _drop
+    task_scheduled = task_completed = task_failed = _drop
+
+
+#: stands in for ``telemetry=None`` so dispatch code never branches on it
+SILENT = _Silent()
 
 
 @contextmanager

@@ -8,9 +8,9 @@ tasks.  This package is the one seam through which all of them fan out
 across CPU cores:
 
 :mod:`repro.runner.pool`
-    ``run_tasks`` — submit an ordered task list to a process pool (or run
-    it serially, bit-identically, with ``parallel=False``), with chunked
-    dispatch and ordered result aggregation.
+    ``run_tasks`` — stream an ordered task list through a process pool
+    (or in-process, bit-identically, with ``jobs=1``) as ordered
+    ``(result, span)`` pairs, with chunked dispatch.
 
 :mod:`repro.runner.seeding`
     ``task_seed`` / ``task_rng`` — deterministic per-task seed derivation
@@ -31,8 +31,11 @@ across CPU cores:
 :mod:`repro.runner.store`
     ``ResultStore`` / ``task_key`` / ``run_tasks_stored`` — a
     persistent, content-addressed result cache keyed by
-    (code version, context digest, task digest), making every
-    campaign incremental and resumable (``--resume``).
+    (code version, context digest, task digest), and the one dispatch
+    path every campaign takes: cached results load, missing tasks
+    stream through ``run_tasks`` and are stored, reported and counted
+    as they arrive, making every campaign incremental and resumable
+    (``--resume``).
 
 :mod:`repro.runner.shard`
     ``ShardSpec`` / ``parse_shard`` / ``merge_stores`` — deterministic
@@ -48,13 +51,13 @@ Design contract (every caller relies on these):
   completion order.
 * **Graceful degradation** — on a single-core host (or ``jobs=1``) the
   runner degrades to the serial path with zero multiprocessing overhead.
-
-* **Durability** — store and export writes are atomic; a campaign
-  killed at any instant leaves a store a ``--resume`` run can trust,
-  and resumed/merged artifacts are byte-identical to a cold serial run.
+* **Durability** — store and export writes are atomic, and each result
+  is stored as it arrives; a campaign killed at any instant leaves a
+  store a ``--resume`` run can trust, holding every unit finished before
+  the kill, and resumed/merged artifacts are byte-identical to a cold
+  serial run.
 """
 
-from .batching import make_batches
 from .cache import (DEFAULT_KEY_SEED, BuildCache, BuildSpec, CacheStats,
                     build_cache, clear_build_cache)
 from .export import (atomic_write_text, campaign_record, to_jsonable,
@@ -67,7 +70,6 @@ from .store import (ResultStore, StoredRun, StoreStats, code_version,
 
 __all__ = [
     "run_tasks", "resolve_jobs", "available_cpus", "default_chunksize",
-    "make_batches",
     "task_seed", "task_rng",
     "BuildCache", "BuildSpec", "CacheStats", "build_cache",
     "clear_build_cache", "DEFAULT_KEY_SEED",

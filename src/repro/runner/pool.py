@@ -1,11 +1,20 @@
 """Process-pool task dispatch with a bit-identical serial fallback.
 
-``run_tasks`` is the single entry point: give it a picklable worker
-function and an ordered list of picklable payloads and it returns the
-results in submission order.  With ``parallel=False`` (or one worker, or
-a single-task list) it degrades to a plain in-process loop — the same
-calls in the same order as the pre-runner code paths, so serial results
-are bit-identical to the historical campaign loops.
+``run_tasks`` turns a picklable worker function and an ordered list of
+picklable payloads into an ordered stream of ``(result, span)`` pairs,
+one per payload.  Serial and parallel dispatch differ only in which
+``map`` produces the stream: one worker (``jobs=1``, or a single task)
+maps in-process after calling the initializer, more use
+``ProcessPoolExecutor.map`` with chunked dispatch.  Either way the
+stream arrives in submission order, so a consumer can act on each
+result — store it, report it — the moment it and all its predecessors
+are done.
+
+Every task runs under one worker-side wrapper that times it and
+returns the worker's span (pid, timing, counter deltas; see
+:mod:`repro.obs.worker`) beside the result.  The per-worker metrics
+registry behind the deltas is installed only with ``metrics=True``;
+without it the simulator hook stays unset and the deltas are empty.
 
 Workers that need expensive shared context (a protected image, a target
 matrix) receive it through ``initializer``/``initargs``: the context is
@@ -21,37 +30,15 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from contextlib import contextmanager
+from functools import partial
+from typing import (Callable, Iterable, Iterator, Optional, Tuple,
+                    TypeVar)
+
+from ..obs import worker as obs_worker
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-# worker-global task function for the instrumented parallel path; set by
-# _obs_initializer in each worker process (mirrors the campaign modules'
-# _WORKER_CTX idiom — fork-safe, pickled once per worker, not per task)
-_OBS_FN: Optional[Callable] = None
-
-
-def _obs_initializer(fn: Callable, initializer: Optional[Callable],
-                     initargs: Tuple) -> None:
-    """Pool initializer for instrumented runs: install the per-worker
-    metrics registry, stash the task function, then run the campaign's
-    own initializer."""
-    global _OBS_FN
-    from ..obs import worker as obs_worker
-    obs_worker.install()
-    _OBS_FN = fn
-    if initializer is not None:
-        initializer(*initargs)
-
-
-def _obs_task(task):
-    """Instrumented task wrapper: time the task and piggyback the
-    worker's span (pid, timing, counter deltas) on the result."""
-    from ..obs import worker as obs_worker
-    start = time.perf_counter()
-    result = _OBS_FN(task)
-    return result, obs_worker.span(start, time.perf_counter())
 
 
 def available_cpus() -> int:
@@ -97,72 +84,67 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
-def run_tasks(fn: Callable[[T], R], tasks: Iterable[T], *,
-              jobs: Optional[int] = None,
-              parallel: bool = True,
-              chunksize: Optional[int] = None,
-              initializer: Optional[Callable] = None,
-              initargs: Tuple = (),
-              telemetry=None) -> List[R]:
-    """Run ``fn`` over every task, returning results in task order.
-
-    ``parallel=False`` (or a resolved worker count of one, or fewer than
-    two tasks) executes ``[fn(t) for t in tasks]`` in-process after
-    calling the initializer — the exact historical serial loop.  The
-    parallel path fans the task list across ``jobs`` worker processes
-    with chunked dispatch; ``ProcessPoolExecutor.map`` guarantees the
-    result order matches the submission order regardless of which worker
-    finishes first.
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    turns on per-task collection: each worker installs a process-local
-    metrics registry, times every task, and returns ``(result, span)``
-    through the same result channel; the parent strips the spans and
-    folds them into the campaign telemetry in result order.  With
-    ``telemetry=None`` this function is byte-for-byte the historical
-    dispatch — no wrapper functions, no extra pickling.
-    """
-    task_list = list(tasks)
-    workers = resolve_jobs(jobs)
-    if not parallel or workers == 1 or len(task_list) < 2:
-        if telemetry is None:
-            if initializer is not None:
-                initializer(*initargs)
-            return [fn(task) for task in task_list]
-        from ..obs import worker as obs_worker
-        indices = telemetry.claim_indices(len(task_list))
+def _init_worker(metrics: bool, initializer: Optional[Callable],
+                 initargs: Tuple) -> None:
+    """Set up one worker (or the parent, serially): the metrics
+    registry when asked for, then the campaign's own initializer."""
+    if metrics:
         obs_worker.install()
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _timed(fn: Callable[[T], R], task: T) -> Tuple[R, obs_worker.Span]:
+    """The worker-side wrapper: run one task and close its span."""
+    start = time.perf_counter()
+    result = fn(task)
+    return result, obs_worker.span(start, time.perf_counter())
+
+
+@contextmanager
+def _mapper(workers: int, num_tasks: int, metrics: bool,
+            initializer: Optional[Callable], initargs: Tuple):
+    """The ``map`` one dispatch runs: in-process after the initializer
+    for one worker, else a fork pool's chunked ``map``."""
+    setup = (metrics, initializer, initargs)
+    if workers <= 1:
+        _init_worker(*setup)
         try:
-            if initializer is not None:
-                initializer(*initargs)
-            results = []
-            for index, task in zip(indices, task_list):
-                start = time.perf_counter()
-                result = fn(task)
-                telemetry.task_completed(
-                    obs_worker.span(start, time.perf_counter()), index)
-                results.append(result)
-            return results
+            yield map
         finally:
-            obs_worker.uninstall()
-    workers = min(workers, len(task_list))
-    if chunksize is None:
-        chunksize = default_chunksize(len(task_list), workers)
-    if telemetry is None:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=_fork_context(),
-                                 initializer=initializer,
-                                 initargs=initargs) as pool:
-            return list(pool.map(fn, task_list, chunksize=chunksize))
-    indices = telemetry.claim_indices(len(task_list))
+            if metrics:
+                obs_worker.uninstall()
+        return
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=_fork_context(),
-                             initializer=_obs_initializer,
-                             initargs=(fn, initializer, initargs)) as pool:
-        results = []
-        for index, (result, span) in zip(
-                indices, pool.map(_obs_task, task_list,
-                                  chunksize=chunksize)):
-            telemetry.task_completed(span, index)
-            results.append(result)
-        return results
+                             initializer=_init_worker,
+                             initargs=setup) as pool:
+        yield partial(pool.map,
+                      chunksize=default_chunksize(num_tasks, workers))
+
+
+def run_tasks(fn: Callable[[T], R], tasks: Iterable[T], *,
+              jobs: Optional[int] = 1,
+              initializer: Optional[Callable] = None,
+              initargs: Tuple = (),
+              metrics: bool = False
+              ) -> Iterator[Tuple[R, obs_worker.Span]]:
+    """Stream ``(fn(task), span)`` for every task, in task order.
+
+    ``jobs`` is the worker count: ``1`` (the default) runs in-process,
+    ``None`` means one worker per available CPU, and a single task never
+    pays for a pool.  ``ProcessPoolExecutor.map`` yields in submission
+    order regardless of which worker finishes first, so the stream is
+    the same at any worker count.  Nothing runs — not even the
+    initializer — until the stream is first advanced; a task that raises
+    ends the stream with its exception, after every earlier result.
+
+    ``metrics=True`` installs a process-local metrics registry in each
+    worker (the parent, serially), so spans carry the simulator counter
+    deltas of their task; otherwise no simulator sink is installed.
+    """
+    task_list = list(tasks)
+    workers = min(resolve_jobs(jobs), len(task_list))
+    with _mapper(workers, len(task_list), metrics, initializer,
+                 initargs) as mapper:
+        yield from mapper(partial(_timed, fn), task_list)

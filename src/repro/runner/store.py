@@ -13,15 +13,16 @@ and persists its pickled result under that key in a directory store::
     <root>/objects/<key[:2]>/<key>.pkl
 
 ``run_tasks_stored`` is the campaign-facing seam: given the task list
-and its keys it loads every cached result, executes only the missing
+and its keys it loads every cached result, dispatches only the missing
 tasks (optionally restricted to one :class:`~repro.runner.shard.ShardSpec`
-of the list), stores what it computed, and returns the results in
-submission order.  Campaigns gain ``--resume`` (kill a sweep, rerun it,
-only the unfinished tasks execute; the merged artifact is byte-identical
-to a cold serial run) and ``--shard i/n`` (independent hosts each fill
-their slice of one store; ``repro merge`` unions the stores and a final
-``--resume`` pass emits the serial-identical artifact) without changing
-how their workers or exports behave.
+of the list), stores each result as it streams back from the pool, and
+returns the results in submission order.  Campaigns gain ``--resume``
+(kill a sweep, rerun it, only the unfinished tasks execute; the merged
+artifact is byte-identical to a cold serial run) and ``--shard i/n``
+(independent hosts each fill their slice of one store; ``repro merge``
+unions the stores and a final ``--resume`` pass emits the
+serial-identical artifact) without changing how their workers or
+exports behave.
 
 Keys embed :func:`code_version` — a digest of every ``repro/*.py``
 source file — so any change to the code that could change a result
@@ -33,7 +34,8 @@ heterogeneous fleet, or version a store by release tag).
 
 Writes are atomic (temp file + ``os.replace``): a campaign killed
 mid-``put`` leaves either a complete entry or none, never a truncated
-pickle, so ``--resume`` can always trust what it finds.  Entries that
+pickle, so ``--resume`` can always trust what it finds — and a campaign
+killed mid-task keeps every unit that finished before it.  Entries that
 fail to load (foreign files, partial copies) are treated as missing and
 recomputed.
 """
@@ -45,12 +47,15 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Iterator, List, Optional, Sequence,
-                    TypeVar)
+                    Tuple, TypeVar)
 
+from ..obs.telemetry import SILENT
 from .export import to_jsonable
+from .pool import run_tasks
 from .shard import ShardSpec
 
 T = TypeVar("T")
@@ -256,79 +261,99 @@ class StoredRun:
         return ", ".join(parts)
 
 
-def run_tasks_stored(execute: Callable[[List[T]], List[Any]],
-                     tasks: Sequence[T],
+def run_tasks_stored(fn: Callable, tasks: Sequence[T],
                      keys: Optional[Sequence[str]] = None, *,
+                     width: Optional[int] = None,
+                     jobs: Optional[int] = 1,
+                     initializer: Optional[Callable] = None,
+                     initargs: Tuple = (),
                      store: Optional[ResultStore] = None,
                      shard: Optional[ShardSpec] = None,
                      telemetry=None) -> StoredRun:
-    """Run ``tasks`` through ``execute`` with store-backed memoization.
+    """Run ``fn`` over ``tasks`` with store-backed memoization.
 
-    ``execute`` receives the (ordered) sub-list of tasks that must
-    actually run and returns their results in the same order — campaigns
-    pass a closure over :func:`~repro.runner.pool.run_tasks` so jobs,
-    initializers and batching stay theirs.  With a ``store``, cached
-    results are loaded first and fresh ones persisted; with a ``shard``,
-    only missing tasks *owned* by the shard execute and the rest are
-    reported as skipped.  Results always come back in submission order,
-    so a complete run is indistinguishable from a plain
-    ``execute(tasks)`` call.
+    Cached results are loaded first; the missing tasks — with a
+    ``shard``, only the missing tasks it *owns* — are dispatched through
+    :func:`~repro.runner.pool.run_tasks` (``jobs``, ``initializer`` and
+    ``initargs`` as there), and each result is persisted the moment it
+    arrives, so a campaign killed mid-run keeps every finished unit.
+    Results always come back in submission order, so a complete run is
+    indistinguishable from ``[fn(task) for task in tasks]``.  Without a
+    ``store`` the same dispatch runs and nothing is persisted.
+
+    A *unit* is what one dispatched call runs.  By default it is one
+    task and ``fn`` maps it to its result; with ``width`` the owned
+    missing tasks are grouped, in order, into lists of up to ``width``
+    and ``fn`` maps each list to the list of its results.  The grouping
+    depends only on which tasks are missing, never on ``jobs``.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    records the dispatch plan, per-index store hits, shard/resume
-    decisions, and store counters — purely observationally; it never
-    changes which tasks run or what is stored.
+    records the dispatch plan, store hits, shard/resume decisions, and
+    each unit as scheduled, completed or failed, labelled with its first
+    task's index — purely observationally; it never changes which tasks
+    run or what is stored.  A unit that raises is reported as failed and
+    its exception propagates unchanged.
     """
+    telemetry = telemetry or SILENT
     task_list = list(tasks)
     if shard is not None and store is None:
         raise ValueError("sharding requires a result store "
                          "(--shard without --resume loses the results)")
-    if store is None:
-        if telemetry is not None and task_list:
-            telemetry.plan(len(task_list))
-            telemetry.expect_tasks(range(len(task_list)))
-        results = execute(task_list) if task_list else []
-        if len(results) != len(task_list):
-            raise ValueError(f"execute returned {len(results)} results "
-                             f"for {len(task_list)} tasks")
-        return StoredRun(results=list(results), executed=len(task_list))
-    key_list = list(keys or ())
-    if len(key_list) != len(task_list):
-        raise ValueError(f"{len(task_list)} tasks need exactly that many "
-                         f"keys, got {len(key_list)}")
+    if width is not None and width < 1:
+        raise ValueError(f"unit width must be >= 1, got {width}")
     results: List[Any] = [None] * len(task_list)
-    missing: List[int] = []
+    missing = list(range(len(task_list)))
     cached: List[int] = []
-    hits = 0
-    for index, key in enumerate(key_list):
-        value = store.get(key, _MISSING)
-        if value is _MISSING:
-            missing.append(index)
-        else:
-            results[index] = value
-            cached.append(index)
-            hits += 1
+    if store is not None:
+        key_list = list(keys or ())
+        if len(key_list) != len(task_list):
+            raise ValueError(f"{len(task_list)} tasks need exactly that "
+                             f"many keys, got {len(key_list)}")
+        missing = []
+        for index, key in enumerate(key_list):
+            value = store.get(key, _MISSING)
+            if value is _MISSING:
+                missing.append(index)
+            else:
+                results[index] = value
+                cached.append(index)
     owned = [i for i in missing if shard is None or shard.owns(i)]
     skipped = len(missing) - len(owned)
-    if telemetry is not None:
-        telemetry.plan(len(task_list), cached=hits, skipped=skipped)
-        telemetry.resume(store.root, hits=hits, missing=len(missing))
+    telemetry.plan(len(task_list), cached=len(cached), skipped=skipped)
+    if store is not None:
+        telemetry.resume(store.root, hits=len(cached), missing=len(missing))
         if shard is not None:
             telemetry.shard_decision(shard.label, owned=len(owned),
                                      skipped=skipped)
         for index in cached:
             telemetry.store_hit(index)
-        telemetry.expect_tasks(owned)
         telemetry.count("store.misses", len(missing))
-    if owned:
-        fresh = execute([task_list[i] for i in owned])
-        if len(fresh) != len(owned):
-            raise ValueError(f"execute returned {len(fresh)} results "
-                             f"for {len(owned)} tasks")
-        for index, value in zip(owned, fresh):
-            store.put(key_list[index], value)
-            results[index] = value
-        if telemetry is not None:
-            telemetry.count("store.puts", len(owned))
-    return StoredRun(results=results, hits=hits, executed=len(owned),
-                     skipped=skipped, shard=shard)
+    step = width or 1
+    units = [owned[start:start + step]
+             for start in range(0, len(owned), step)]
+    stream = run_tasks(
+        fn, [[task_list[i] for i in unit] if width else task_list[unit[0]]
+             for unit in units],
+        jobs=jobs, initializer=initializer, initargs=initargs,
+        metrics=telemetry.enabled)
+    with closing(stream):
+        for unit in units:
+            telemetry.task_scheduled(unit[0])
+            try:
+                out, span = next(stream)
+            except Exception as exc:
+                telemetry.task_failed(unit[0], exc)
+                raise
+            values = out if width else [out]
+            if len(values) != len(unit):
+                raise ValueError(f"a unit of {len(unit)} tasks returned "
+                                 f"{len(values)} results")
+            for index, value in zip(unit, values):
+                results[index] = value
+            if store is not None:
+                for index in unit:
+                    store.put(key_list[index], results[index])
+                telemetry.count("store.puts", len(unit))
+            telemetry.task_completed(span, unit[0], len(unit))
+    return StoredRun(results=results, hits=len(cached),
+                     executed=len(owned), skipped=skipped, shard=shard)

@@ -6,12 +6,12 @@ who enumerates candidate MAC values for a tampered block needs on average
 small enough to brute-force (4..16 bits), and measure the probability that
 a random tamper slips past an n-bit verification (expected ``2^-n``).
 
-Both experiments accept ``parallel=True``: batches are dispatched through
-:mod:`repro.runner` with per-task seeds derived by
-:func:`repro.runner.task_seed`, so parallel results are deterministic and
-independent of the worker count.  The ``parallel=False`` default keeps
-the original single-stream sampling, bit-identical to the historical
-serial results (the two modes draw different — statistically equivalent —
+Both experiments take ``jobs``.  Any value but ``1`` dispatches fixed-size
+batches through :mod:`repro.runner` with per-task seeds derived by
+:func:`repro.runner.task_seed`, so batched results are deterministic and
+independent of the worker count.  The ``jobs=1`` default keeps the
+original single-stream sampling, bit-identical to the historical serial
+results (the two modes draw different — statistically equivalent —
 random populations).
 """
 
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..crypto.cbcmac import cbc_mac
 from ..crypto.rectangle import Rectangle80
 from ..obs import phase as obs_phase
-from ..runner import run_tasks, task_rng
+from ..runner import run_tasks_stored, task_rng
 
 
 def truncated_mac(cipher: Rectangle80, words: Sequence[int],
@@ -80,16 +80,15 @@ _BATCH = 50
 def forgery_scaling(bits_list: Sequence[int] = (4, 6, 8, 10, 12),
                     experiments: int = 200,
                     seed: int = 2016,
-                    parallel: bool = False,
-                    jobs: Optional[int] = None,
+                    jobs: Optional[int] = 1,
                     telemetry=None) -> List[ForgeryScaling]:
     """Mean trials-to-forge vs MAC width — should track 2^(n-1).
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    records the dispatch plan and per-batch spans on the parallel path
-    (the serial path is one untimed stream) — observationally only.
+    records the dispatch plan and per-batch spans on the batched path
+    (the ``jobs=1`` path is one untimed stream) — observationally only.
     """
-    if parallel:
+    if jobs != 1:
         tasks = []
         for bits in bits_list:
             remaining = experiments
@@ -98,12 +97,9 @@ def forgery_scaling(bits_list: Sequence[int] = (4, 6, 8, 10, 12),
                 tasks.append((seed, bits, batch, min(_BATCH, remaining)))
                 remaining -= _BATCH
                 batch += 1
-        if telemetry is not None:
-            telemetry.plan(len(tasks))
-            telemetry.expect_tasks(range(len(tasks)))
         with obs_phase(telemetry, "forgery-scaling"):
-            totals = run_tasks(_forgery_batch, tasks, jobs=jobs,
-                               telemetry=telemetry)
+            totals = run_tasks_stored(_forgery_batch, tasks, jobs=jobs,
+                                      telemetry=telemetry).results
         by_bits = {bits: 0 for bits in bits_list}
         for task, total in zip(tasks, totals):
             by_bits[task[1]] += total
@@ -159,15 +155,14 @@ def _tamper_batch(task: Tuple[int, int, int, int]) -> int:
 
 
 def tamper_detection(bits: int = 8, tampers: int = 4000,
-                     seed: int = 99, parallel: bool = False,
-                     jobs: Optional[int] = None,
+                     seed: int = 99, jobs: Optional[int] = 1,
                      telemetry=None) -> TamperEscape:
     """Fraction of random single-word tampers that pass n-bit verification.
 
     With an n-bit MAC an undetected tamper needs the tampered message to
     collide on the truncated MAC: probability 2^-n per attempt.
     """
-    if parallel:
+    if jobs != 1:
         batch_size = _BATCH * 10
         tasks = []
         remaining, batch = tampers, 0
@@ -175,12 +170,10 @@ def tamper_detection(bits: int = 8, tampers: int = 4000,
             tasks.append((seed, bits, batch, min(batch_size, remaining)))
             remaining -= batch_size
             batch += 1
-        if telemetry is not None:
-            telemetry.plan(len(tasks))
-            telemetry.expect_tasks(range(len(tasks)))
         with obs_phase(telemetry, "tamper-detection"):
-            undetected = sum(run_tasks(_tamper_batch, tasks, jobs=jobs,
-                                       telemetry=telemetry))
+            undetected = sum(run_tasks_stored(
+                _tamper_batch, tasks, jobs=jobs,
+                telemetry=telemetry).results)
         return TamperEscape(bits=bits, tampers=tampers,
                             undetected=undetected)
     rng = random.Random(seed)

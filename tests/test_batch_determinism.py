@@ -1,8 +1,9 @@
 """Determinism contract of the lockstep fault campaign: byte-identical.
 
 The fault campaign always runs its specimens in lockstep groups, and the
-partition (:func:`repro.runner.make_batches`) depends only on submission
-order and :data:`~repro.sim.batch.BATCH_WIDTH`, so a campaign must be
+partition (the ``width`` units of :func:`repro.runner.run_tasks_stored`)
+depends only on submission order and :data:`~repro.sim.batch.BATCH_WIDTH`,
+so a campaign must be
 
 * byte-identical to per-specimen :func:`~repro.faults.campaign.run_fault`
   runs — the store-backed export equals one built from ``run_fault``
@@ -22,7 +23,7 @@ import repro.faults.campaign as fault_campaign
 from repro.crypto import DeviceKeys
 from repro.eval.export import batch_csv, batch_json
 from repro.faults.campaign import run_campaign, run_fault, sample_faults
-from repro.runner import campaign_record, make_batches, write_campaign
+from repro.runner import campaign_record, run_tasks_stored, write_campaign
 from repro.sim import SofiaMachine
 from repro.transform import transform
 from repro.workloads import make_workload
@@ -72,17 +73,28 @@ def per_specimen_export(path):
     return path.read_bytes()
 
 
-class TestMakeBatches:
+def units_of(items, width):
+    """The units ``run_tasks_stored`` dispatches for ``items``."""
+    units = []
+
+    def record(unit):
+        units.append(unit)
+        return unit
+
+    run_tasks_stored(record, items, width=width)
+    return units
+
+
+class TestUnitPartition:
     def test_partition_depends_only_on_width(self):
         items = list(range(10))
-        assert make_batches(items, 4) == [[0, 1, 2, 3], [4, 5, 6, 7],
-                                          [8, 9]]
-        assert make_batches(items, 1) == [[i] for i in items]
-        assert make_batches([], 4) == []
+        assert units_of(items, 4) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert units_of(items, 1) == [[i] for i in items]
+        assert units_of([], 4) == []
 
     def test_rejects_non_positive_width(self):
         with pytest.raises(ValueError):
-            make_batches([1], 0)
+            units_of([1], 0)
 
 
 class TestCampaignDeterminism:
@@ -92,7 +104,7 @@ class TestCampaignDeterminism:
         path = tmp_path / "campaign.json"
         run_campaign(program, KEYS, golden, per_model=PER_MODEL, seed=SEED,
                      max_instructions=MAX_INSTRUCTIONS, export_path=path,
-                     parallel=jobs > 1, jobs=jobs,
+                     jobs=jobs,
                      store_dir=tmp_path / "store")
         assert path.read_bytes() == per_specimen_export(
             tmp_path / "per-specimen.json")
@@ -104,7 +116,7 @@ class TestCampaignDeterminism:
         assert classify() == expected
 
     def test_any_jobs_is_byte_identical(self):
-        assert classify() == classify(parallel=True, jobs=4)
+        assert classify() == classify(jobs=4)
 
     def test_export_is_jobs_free(self, tmp_path):
         program, golden = victim()
@@ -119,7 +131,7 @@ class TestCampaignDeterminism:
             record.pop("jobs"), record.pop("elapsed_seconds")
             return json.dumps(record, sort_keys=True)
 
-        assert export() == export(parallel=True, jobs=4)
+        assert export() == export(jobs=4)
 
 
 # --- pinned E18 export goldens ---------------------------------------------

@@ -26,6 +26,19 @@ class TestLexer:
         with pytest.raises(CompileError):
             tokenize("'ab'")
 
+    @pytest.mark.parametrize("text, column", [
+        ("0X", 1), ("0x", 1), ("0xg", 1), ("int a = 0x;", 9)])
+    def test_hex_prefix_without_digits(self, text, column):
+        with pytest.raises(CompileError) as info:
+            tokenize(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text", ["'\\n", "'\\", "'a", "'"])
+    def test_char_literal_cut_off_by_end_of_input(self, text):
+        with pytest.raises(CompileError) as info:
+            tokenize(text)
+        assert (info.value.line, info.value.column) == (1, 1)
+
     def test_operators_longest_match(self):
         tokens = tokenize("a <<= b << c <= d < e")
         ops = [t.text for t in tokens if t.kind == "op"]
@@ -37,8 +50,9 @@ class TestLexer:
         assert idents == ["a", "b"]
 
     def test_unterminated_comment(self):
-        with pytest.raises(CompileError):
-            tokenize("/* no end")
+        with pytest.raises(CompileError) as info:
+            tokenize("int a;\n  /* no end")
+        assert (info.value.line, info.value.column) == (2, 3)
 
     def test_line_numbers(self):
         tokens = tokenize("int a;\nint b;")

@@ -169,7 +169,7 @@ class TestSweep:
         parallel_csv = tmp_path / "p.csv"
         run_dse(PROFILES, export_path=serial_json, csv_path=serial_csv,
                 **SWEEP_ARGS)
-        run_dse(PROFILES, parallel=True, jobs=2,
+        run_dse(PROFILES, jobs=2,
                 export_path=parallel_json, csv_path=parallel_csv,
                 **SWEEP_ARGS)
         assert serial_json.read_bytes() == parallel_json.read_bytes()

@@ -154,7 +154,7 @@ class TestDeterministicReplay:
 
     def test_parallel_matches_serial(self):
         serial = run_fuzz(seeds=24, seed=77)
-        fanned = run_fuzz(seeds=24, seed=77, parallel=True, jobs=2)
+        fanned = run_fuzz(seeds=24, seed=77, jobs=2)
         assert serial.coverage.counts == fanned.coverage.counts
         assert serial.corpus.shas() == fanned.corpus.shas()
         assert serial.divergences == fanned.divergences == 0

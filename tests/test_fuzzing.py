@@ -13,7 +13,7 @@ resolution, section handling, codegen) on every example.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cc import compile_source, tokenize
@@ -154,6 +154,8 @@ class TestCompilerFuzz:
 
     @given(text=st.text(max_size=100))
     @settings(max_examples=60, deadline=None)
+    @example(text="0X")        # hex prefix with no digits
+    @example(text="'\\n")     # escaped char literal cut off by the end
     def test_arbitrary_text_total(self, text):
         # as for the assembler: keep compiler + lexer total over raw
         # unicode soup, not just structurally mangled programs

@@ -271,7 +271,7 @@ class TestHwSweep:
                  for name in ("s.json", "s.csv", "p.json", "p.csv")}
         run_dse(HW_PROFILES, hw=True, export_path=paths["s.json"],
                 csv_path=paths["s.csv"], **SWEEP_ARGS)
-        run_dse(HW_PROFILES, hw=True, parallel=True, jobs=4,
+        run_dse(HW_PROFILES, hw=True, jobs=4,
                 export_path=paths["p.json"], csv_path=paths["p.csv"],
                 **SWEEP_ARGS)
         assert paths["s.json"].read_bytes() == paths["p.json"].read_bytes()

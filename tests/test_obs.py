@@ -167,8 +167,8 @@ class TestTelemetry:
         telemetry.begin("demo", {"seed": 7, "event": "clash"})
         with telemetry.phase("execute"):
             telemetry.plan(2)
-            telemetry.expect_tasks([0, 1])
-            for index in telemetry.claim_indices(2):
+            for index in (0, 1):
+                telemetry.task_scheduled(index)
                 telemetry.task_completed(
                     (4321, 0.0, 0.25, {"sim.runs.fast": 1}),
                     index)
@@ -196,15 +196,28 @@ class TestTelemetry:
         assert problems == 0
         assert "demo" in text
 
-    def test_claim_indices_fallback_on_mismatch(self):
-        telemetry = Telemetry()
-        telemetry.expect_tasks([5, 9, 12])
-        assert telemetry.claim_indices(3) == [5, 9, 12]
-        # a grouped dispatch (batch mode) mismatches the queue size:
-        telemetry.expect_tasks([20, 21, 22, 23])
-        assert telemetry.claim_indices(2) == [13, 14]
-        assert telemetry.claim_indices(1) == [15]
-        telemetry.finish()
+    def test_fault_heartbeat_counts_specimens_and_labels_groups(self):
+        # 6 models x 11 specimens: two lockstep groups (64 + 2); progress
+        # advances by specimens, completions are labelled by each group's
+        # first campaign-global specimen index
+        from repro.crypto.keys import DeviceKeys
+        from repro.faults import run_campaign
+        from repro.workloads import make_workload
+        workload = make_workload("crc32", "tiny")
+        stream = io.StringIO()
+        telemetry = Telemetry(progress=True, stream=stream)
+        with obs.campaign(telemetry, "fault", {}):
+            results, _summary = run_campaign(
+                workload.compile().program, DeviceKeys.from_seed(0xFA),
+                workload.expected_output, per_model=11, seed=9,
+                telemetry=telemetry)
+        assert len(results) == 66
+        last = stream.getvalue().rstrip("\n").split("\r")[-1]
+        assert last.startswith("# fault: 66/66 tasks ")
+        assert last.replace("\x1b[K", "").endswith(" done")
+        assert [span[0] for span in telemetry.spans] == [0, 64]
+        assert telemetry.events.counts["task-scheduled"] == 2
+        assert telemetry.metrics.counters["tasks.completed"] == 2
 
     def test_campaign_and_phase_noop_on_none(self):
         with obs.campaign(None, "x", {"a": 1}) as handle:

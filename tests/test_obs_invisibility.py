@@ -58,7 +58,7 @@ class TestFaultInvisibility:
             def fn(telemetry, store, export, jobs=jobs):
                 run_fault_campaign(
                     program, keys, golden, per_model=2, seed=SEED,
-                    parallel=jobs > 1, jobs=jobs, export_path=export,
+                    jobs=jobs, export_path=export,
                     store_dir=store, telemetry=telemetry)
             exports[label], counters[label] = _run(
                 tmp_path, label, with_telemetry, "fault", fn)
@@ -86,7 +86,7 @@ class TestFaultInvisibility:
             def fn(telemetry, store, export, jobs=jobs):
                 run_fault_campaign(
                     program, keys, golden, per_model=11, seed=SEED,
-                    parallel=jobs > 1, jobs=jobs, export_path=export,
+                    jobs=jobs, export_path=export,
                     store_dir=store, telemetry=telemetry)
             exports[label], counters[label] = _run(
                 tmp_path, label, True, "fault", fn)
@@ -104,7 +104,7 @@ class TestAttacksynthInvisibility:
             def fn(telemetry, store, export, jobs=jobs):
                 run_attacksynth(
                     2, seed=SEED, per_program=2, key_seed=KEY_SEED,
-                    parallel=jobs > 1, jobs=jobs, export_path=export,
+                    jobs=jobs, export_path=export,
                     store_dir=store, telemetry=telemetry)
             exports[label], counters[label] = _run(
                 tmp_path, label, with_telemetry, "attacksynth", fn)
@@ -125,7 +125,7 @@ class TestDseInvisibility:
             def fn(telemetry, store, export, jobs=jobs):
                 run_dse(profiles, seed=SEED, key_seed=KEY_SEED,
                         workloads=("crc32",), scale="tiny", programs=1,
-                        per_model=1, parallel=jobs > 1, jobs=jobs,
+                        per_model=1, jobs=jobs,
                         export_path=export, store_dir=store,
                         telemetry=telemetry)
             exports[label], counters[label] = _run(

@@ -3,10 +3,12 @@
 The durability contract under test: a campaign killed at an arbitrary
 point and resumed over its store — or split across shards whose stores
 are merged — emits artifacts byte-identical to an uninterrupted serial
-run.  The SIGKILL cases run the fault campaign in a subprocess whose
-``ResultStore.put`` kills the process after a deterministic number of
-persisted results; the shard cases split the attack-synthesis and fuzz
-campaigns across invocations at mixed worker counts.
+run.  The SIGKILL cases run a campaign in a subprocess that kills itself
+at a deterministic point: inside ``ResultStore.put`` after N persisted
+results, or inside the task function of the Nth dispatched unit, when
+every earlier unit must already be stored.  The shard cases split the
+attack-synthesis and fuzz campaigns across invocations at mixed worker
+counts.
 """
 
 import os
@@ -17,12 +19,15 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.attacksynth import run_attacksynth
 from repro.crypto import DeviceKeys
 from repro.dse import run_dse
 from repro.faults import run_campaign as fault_campaign
 from repro.fuzz import run_fuzz
-from repro.runner import ResultStore, ShardSpec, merge_stores
+from repro.obs import Telemetry, read_events, summarize
+from repro.runner import (ResultStore, ShardSpec, merge_stores,
+                          run_tasks_stored, task_key)
 from repro.transform import ProtectionProfile
 from repro.workloads import make_workload
 
@@ -59,12 +64,61 @@ _KILLED_CAMPAIGN = textwrap.dedent("""
 """)
 
 
-def _fault_campaign_store(store_dir, export_path, **kwargs):
+#: runs a store-backed campaign (``fault``: crc32-tiny at per_model=11,
+#: 64 + 2 specimens in two lockstep groups; ``attacksynth``: three
+#: programs, one unit each), SIGKILLing the process on entry to the Nth
+#: call of its task function — a crash in the middle of execution
+_KILLED_IN_TASK = textwrap.dedent("""
+    import os, signal, sys
+
+    campaign, kill_on, store_dir, export = sys.argv[1:]
+    calls = [0]
+
+    def killing(real):
+        def task(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] >= int(kill_on):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+        return task
+
+    if campaign == "fault":
+        import repro.faults.campaign as module
+        from repro.crypto import DeviceKeys
+        from repro.workloads import make_workload
+
+        module.run_fault_batch = killing(module.run_fault_batch)
+        workload = make_workload("crc32", "tiny")
+        module.run_campaign(workload.compile().program,
+                            DeviceKeys.from_seed(0xFA),
+                            workload.expected_output, per_model=11, seed=9,
+                            store_dir=store_dir, export_path=export)
+    else:
+        import repro.attacksynth.campaign as module
+
+        module._synth_task = killing(module._synth_task)
+        module.run_attacksynth(3, seed=21, per_program=2,
+                               store_dir=store_dir, export_path=export)
+""")
+
+
+def _fault_campaign_store(store_dir, export_path, per_model=2, **kwargs):
     workload = make_workload("crc32", "tiny")
     return fault_campaign(workload.compile().program, KEYS,
-                          workload.expected_output, per_model=2, seed=9,
-                          store_dir=store_dir, export_path=export_path,
-                          **kwargs)
+                          workload.expected_output, per_model=per_model,
+                          seed=9, store_dir=store_dir,
+                          export_path=export_path, **kwargs)
+
+
+def _killed_in_task(campaign, kill_on, store_dir, export):
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_IN_TASK, campaign, str(kill_on),
+         str(store_dir), str(export)],
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        capture_output=True, text=True)
+    assert proc.returncode == -9, proc.stderr
+    assert not export.exists()  # died before the export
+    return ResultStore(store_dir)
 
 
 class TestKillResume:
@@ -98,18 +152,72 @@ class TestKillResume:
         cold_bytes = export.read_bytes()
 
         import repro.faults.campaign as faults_campaign
-        real_run_tasks = faults_campaign.run_tasks
+        real_run_fault_batch = faults_campaign.run_fault_batch
 
         def forbidden(*args, **kwargs):
             raise AssertionError("warm rerun must not simulate")
 
-        faults_campaign.run_tasks = forbidden
+        faults_campaign.run_fault_batch = forbidden
         try:
             warm = tmp_path / "warm.json"
             _fault_campaign_store(tmp_path / "store", warm)
         finally:
-            faults_campaign.run_tasks = real_run_tasks
+            faults_campaign.run_fault_batch = real_run_fault_batch
         assert warm.read_bytes() == cold_bytes
+
+    def test_kill_inside_second_fault_group_keeps_the_first(self,
+                                                            tmp_path):
+        golden = tmp_path / "golden.json"
+        _fault_campaign_store(tmp_path / "golden-store", golden,
+                              per_model=11)
+        store_dir, export = tmp_path / "store", tmp_path / "resumed.json"
+        partial = _killed_in_task("fault", 2, store_dir, export)
+        assert len(partial) == 64  # the whole first group, nothing more
+        _fault_campaign_store(store_dir, export, per_model=11)
+        assert export.read_bytes() == golden.read_bytes()
+
+    def test_kill_inside_third_program_keeps_the_first_two(self,
+                                                           tmp_path):
+        params = dict(seed=21, per_program=2)
+        golden = tmp_path / "golden.json"
+        run_attacksynth(3, export_path=golden, **params)
+        store_dir, export = tmp_path / "store", tmp_path / "resumed.json"
+        partial = _killed_in_task("attacksynth", 3, store_dir, export)
+        assert len(partial) == 2
+        report = run_attacksynth(3, store_dir=store_dir,
+                                 export_path=export, **params)
+        assert report.complete
+        assert export.read_bytes() == golden.read_bytes()
+
+
+def _fails_at_three(task):
+    if task == 3:
+        raise RuntimeError("no result for task 3")
+    return task * 2
+
+
+class TestFailedTask:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_task_is_reported_after_earlier_units_are_stored(
+            self, tmp_path, jobs):
+        tasks = list(range(6))
+        keys = [task_key("demo", {}, task) for task in tasks]
+        telemetry = Telemetry(directory=tmp_path / "tel")
+        with pytest.raises(RuntimeError, match="no result for task 3"):
+            with obs.campaign(telemetry, "demo"):
+                run_tasks_stored(_fails_at_three, tasks, keys, jobs=jobs,
+                                 store=ResultStore(tmp_path / "store"),
+                                 telemetry=telemetry)
+        store = ResultStore(tmp_path / "store")
+        assert sorted(store.keys()) == sorted(keys[:3])
+        failed = [record for record in
+                  read_events(tmp_path / "tel" / "events.jsonl")
+                  if record["event"] == "task-failed"]
+        assert [(r["index"], r["error"]) for r in failed] == \
+            [(3, "RuntimeError")]
+        text, problems = summarize(tmp_path / "tel")
+        assert problems == 0
+        assert "task-failed      1" in text
 
 
 class TestShardedAttacksynth:
@@ -119,9 +227,7 @@ class TestShardedAttacksynth:
         golden_csv = tmp_path / "golden.csv"
         run_attacksynth(export_path=golden, csv_path=golden_csv, **params)
 
-        job_mix = {1: dict(parallel=True, jobs=2),
-                   2: dict(parallel=False),
-                   3: dict(parallel=True, jobs=3)}
+        job_mix = {1: dict(jobs=2), 2: dict(jobs=1), 3: dict(jobs=3)}
         for index in (1, 2, 3):
             export = tmp_path / f"shard{index}.json"
             report = run_attacksynth(
@@ -197,19 +303,19 @@ class TestStoredDse:
                 export_path=cold_json, csv_path=cold_csv, **self.PARAMS)
 
         import repro.dse.campaign as dse_campaign
-        real_run_tasks = dse_campaign.run_tasks
+        real_dse_task = dse_campaign._dse_task
 
         def forbidden(*args, **kwargs):
             raise AssertionError("warm rerun must not evaluate points")
 
-        dse_campaign.run_tasks = forbidden
+        dse_campaign._dse_task = forbidden
         try:
             warm_json, warm_csv = tmp_path / "w.json", tmp_path / "w.csv"
             report = run_dse(self.PROFILES, store_dir=tmp_path / "store",
                              export_path=warm_json, csv_path=warm_csv,
                              **self.PARAMS)
         finally:
-            dse_campaign.run_tasks = real_run_tasks
+            dse_campaign._dse_task = real_dse_task
         assert report.complete
         assert warm_json.read_bytes() == cold_json.read_bytes()
         assert warm_csv.read_bytes() == cold_csv.read_bytes()

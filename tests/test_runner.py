@@ -48,26 +48,56 @@ def _add_context(x):
     return x + _INIT_VALUE
 
 
+def _results(*args, **kwargs):
+    """The results of one ``run_tasks`` stream, spans dropped."""
+    return [result for result, _span in run_tasks(*args, **kwargs)]
+
+
 class TestPool:
     def test_serial_matches_plain_loop(self):
         tasks = list(range(10))
-        assert run_tasks(_square, tasks, parallel=False) == \
+        assert _results(_square, tasks, jobs=1) == \
             [_square(t) for t in tasks]
 
     def test_parallel_results_are_ordered(self):
         tasks = list(range(23))
-        assert run_tasks(_square, tasks, parallel=True, jobs=3) == \
+        assert _results(_square, tasks, jobs=3) == \
             [_square(t) for t in tasks]
 
     def test_initializer_installs_worker_context(self):
-        results = run_tasks(_add_context, [1, 2, 3], parallel=True,
-                            jobs=2, initializer=_install, initargs=(100,))
+        results = _results(_add_context, [1, 2, 3], jobs=2,
+                           initializer=_install, initargs=(100,))
         assert results == [101, 102, 103]
 
     def test_serial_path_also_runs_initializer(self):
-        results = run_tasks(_add_context, [5, 6], parallel=False,
-                            initializer=_install, initargs=(1000,))
+        results = _results(_add_context, [5, 6], jobs=1,
+                           initializer=_install, initargs=(1000,))
         assert results == [1005, 1006]
+
+    def test_stream_is_lazy_and_spans_are_timed(self):
+        global _INIT_VALUE
+        _INIT_VALUE = None
+        stream = run_tasks(_add_context, [2, 3], initializer=_install,
+                           initargs=(10,))
+        assert _INIT_VALUE is None  # nothing runs before the first pull
+        (first, span), (second, _) = list(stream)
+        assert (first, second) == (12, 13)
+        worker, start, end, deltas = span
+        assert worker == os.getpid() and start <= end and deltas == {}
+
+    def test_metrics_registry_only_when_asked(self):
+        from repro.obs import hook
+        assert hook.SIM is None
+        seen = []
+
+        def probe(task):
+            seen.append(hook.SIM)
+            return task
+
+        _results(probe, [1])
+        _results(probe, [2], metrics=True)
+        assert seen[0] is None and seen[1] is not None
+        assert hook.SIM is None  # the serial path restores the sink
 
     def test_resolve_jobs(self):
         assert resolve_jobs(4) == 4
@@ -91,8 +121,8 @@ class TestPool:
 
     def test_single_task_stays_in_process(self):
         # one task never pays pool startup; context installed in-process
-        assert run_tasks(_add_context, [7], parallel=True, jobs=8,
-                         initializer=_install, initargs=(0,)) == [7]
+        assert _results(_add_context, [7], jobs=8,
+                        initializer=_install, initargs=(0,)) == [7]
 
 
 class TestSeeding:
@@ -129,7 +159,7 @@ class TestCampaignEquivalence:
             program, KEYS, workload.expected_output, per_model=2, seed=9)
         parallel, parallel_summary = fault_campaign(
             program, KEYS, workload.expected_output, per_model=2, seed=9,
-            parallel=True, jobs=2)
+            jobs=2)
         assert [(r.model, r.outcome, r.description, r.status, r.detail)
                 for r in serial] == \
                [(r.model, r.outcome, r.description, r.status, r.detail)
@@ -138,7 +168,7 @@ class TestCampaignEquivalence:
 
     def test_attack_campaign_parallel_matches_serial(self):
         serial = attack_campaign(seed=1337)
-        parallel = attack_campaign(seed=1337, parallel=True, jobs=2)
+        parallel = attack_campaign(seed=1337, jobs=2)
         assert [(r.attack, r.target, r.outcome, r.status, r.detail)
                 for r in serial] == \
                [(r.attack, r.target, r.outcome, r.status, r.detail)
@@ -146,14 +176,12 @@ class TestCampaignEquivalence:
 
     def test_montecarlo_parallel_is_jobs_independent(self):
         two = forgery_scaling(bits_list=(4, 6), experiments=60,
-                              parallel=True, jobs=2)
+                              jobs=2)
         three = forgery_scaling(bits_list=(4, 6), experiments=60,
-                                parallel=True, jobs=3)
+                                jobs=3)
         assert two == three
-        escape2 = tamper_detection(bits=4, tampers=800, parallel=True,
-                                   jobs=2)
-        escape3 = tamper_detection(bits=4, tampers=800, parallel=True,
-                                   jobs=3)
+        escape2 = tamper_detection(bits=4, tampers=800, jobs=2)
+        escape3 = tamper_detection(bits=4, tampers=800, jobs=3)
         assert escape2 == escape3
 
 

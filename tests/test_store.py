@@ -4,7 +4,7 @@ The store's contract: content-addressed keys that move with the code
 version, atomic durable puts, unreadable entries treated as missing,
 conflict-refusing merges, and a ``run_tasks_stored`` seam whose warm
 path does zero execution while staying indistinguishable from a plain
-``execute(tasks)`` call.
+``[fn(task) for task in tasks]`` loop.
 """
 
 import pickle
@@ -71,7 +71,7 @@ class TestResultStore:
         store = ResultStore(tmp_path / "store")
         key = task_key("demo", {}, "none")
         store.put(key, None)
-        run = run_tasks_stored(lambda tasks: [pytest.fail("cache miss")],
+        run = run_tasks_stored(lambda task: pytest.fail("cache miss"),
                                ["none"], [key], store=store)
         assert run.hits == 1 and run.executed == 0
         assert run.results == [None]
@@ -128,13 +128,17 @@ class TestMerge:
             merge_stores(tmp_path / "m", [tmp_path / "a", tmp_path / "b"])
 
 
+def _double(task):
+    return task * 2
+
+
 def _double_all(tasks):
     return [t * 2 for t in tasks]
 
 
 class TestRunTasksStored:
     def test_no_store_is_plain_execute(self):
-        run = run_tasks_stored(_double_all, [1, 2, 3])
+        run = run_tasks_stored(_double, [1, 2, 3])
         assert run.results == [2, 4, 6]
         assert run.complete and run.executed == 3
 
@@ -142,13 +146,13 @@ class TestRunTasksStored:
         store = ResultStore(tmp_path / "store")
         tasks = [1, 2, 3]
         keys = [task_key("demo", {}, t) for t in tasks]
-        cold = run_tasks_stored(_double_all, tasks, keys, store=store)
+        cold = run_tasks_stored(_double, tasks, keys, store=store)
         assert (cold.hits, cold.executed) == (0, 3)
         executed = []
 
-        def spy(missing):
-            executed.extend(missing)
-            return _double_all(missing)
+        def spy(task):
+            executed.append(task)
+            return _double(task)
 
         warm = run_tasks_stored(spy, tasks, keys,
                                 store=ResultStore(tmp_path / "store"))
@@ -164,21 +168,37 @@ class TestRunTasksStored:
         store.put(keys[3], 8)
         executed = []
 
-        def spy(missing):
-            executed.extend(missing)
-            return _double_all(missing)
+        def spy(task):
+            executed.append(task)
+            return _double(task)
 
         run = run_tasks_stored(spy, tasks, keys, store=store)
         assert run.results == [2, 4, 6, 8]
         assert executed == [1, 3]
         assert (run.hits, run.executed) == (2, 2)
 
+    def test_width_groups_only_missing_tasks_in_order(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        tasks = list(range(10))
+        keys = [task_key("demo", {}, t) for t in tasks]
+        store.put(keys[2], 4)
+        units = []
+
+        def spy(unit):
+            units.append(unit)
+            return _double_all(unit)
+
+        run = run_tasks_stored(spy, tasks, keys, width=4, store=store)
+        assert units == [[0, 1, 3, 4], [5, 6, 7, 8], [9]]
+        assert run.results == _double_all(tasks)
+        assert run.executed == 9 and len(store) == 10
+
     def test_shard_executes_only_owned_missing(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         tasks = list(range(6))
         keys = [task_key("demo", {}, t) for t in tasks]
         shard = ShardSpec(index=2, count=3)
-        run = run_tasks_stored(_double_all, tasks, keys, store=store,
+        run = run_tasks_stored(_double, tasks, keys, store=store,
                                shard=shard)
         assert not run.complete
         assert run.results == [None, 2, None, None, 8, None]
@@ -189,31 +209,31 @@ class TestRunTasksStored:
         tasks = list(range(7))
         keys = [task_key("demo", {}, t) for t in tasks]
         for index in (1, 2):
-            run_tasks_stored(_double_all, tasks, keys,
+            run_tasks_stored(_double, tasks, keys,
                              store=ResultStore(tmp_path / f"s{index}"),
                              shard=ShardSpec(index=index, count=2))
         merge_stores(tmp_path / "m", [tmp_path / "s1", tmp_path / "s2"])
         final = run_tasks_stored(
-            lambda missing: pytest.fail("merged store must be complete"),
+            lambda task: pytest.fail("merged store must be complete"),
             tasks, keys, store=ResultStore(tmp_path / "m"))
         assert final.complete and final.hits == 7
         assert final.results == _double_all(tasks)
 
     def test_shard_without_store_is_an_error(self):
         with pytest.raises(ValueError, match="store"):
-            run_tasks_stored(_double_all, [1], shard=ShardSpec(1, 2))
+            run_tasks_stored(_double, [1], shard=ShardSpec(1, 2))
 
     def test_key_count_mismatch_is_an_error(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(ValueError, match="keys"):
-            run_tasks_stored(_double_all, [1, 2], [task_key("d", {}, 1)],
+            run_tasks_stored(_double, [1, 2], [task_key("d", {}, 1)],
                              store=store)
 
     def test_execute_length_mismatch_is_an_error(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(ValueError, match="results"):
-            run_tasks_stored(lambda missing: [], [1],
-                             [task_key("d", {}, 1)], store=store)
+            run_tasks_stored(lambda unit: [], [1],
+                             [task_key("d", {}, 1)], width=2, store=store)
 
 
 class TestShardSpec:
