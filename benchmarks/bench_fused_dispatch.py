@@ -83,7 +83,6 @@ def _steady(monkeypatch, image, threshold, repeats=2):
         machine = SofiaMachine(image, KEYS)
         machine._block_cache = warm._block_cache
         machine._fused_edges = warm._fused_edges
-        machine._fused_hook_edges = warm._fused_hook_edges
         machine._fused_heat = warm._fused_heat
         started = time.perf_counter()
         result = machine.run(BUDGET)

@@ -4,7 +4,9 @@ Paper values: 5,889 slices @ 92.3 MHz vs 7,551 slices @ 50.1 MHz
 (+28.2 % area, clock 84.6 % slower).
 """
 
-from repro.hwmodel import sofia_design, table1, unroll_ablation, vanilla_design
+from repro.hwmodel import (PAPER_UNROLL, leon3_components,
+                           sofia_profile_components, table1, unroll_ablation)
+from repro.transform.profile import DEFAULT_PROFILE
 
 
 def test_table1_regeneration(benchmark):
@@ -23,7 +25,9 @@ def test_table1_regeneration(benchmark):
 
 def test_component_reports(benchmark):
     def render_both():
-        return vanilla_design().report(), sofia_design().report()
+        sofia = sofia_profile_components(DEFAULT_PROFILE, PAPER_UNROLL)
+        return ("\n".join(map(str, leon3_components())),
+                "\n".join(map(str, sofia)))
 
     vanilla_text, sofia_text = benchmark(render_both)
     print()

@@ -2,24 +2,18 @@
 
 from .components import (CIPHER_PROFILES, CIPHER_ROUNDS, CipherProfile,
                          PAPER_UNROLL, PRESENT_PROFILE, RECTANGLE_PROFILE,
-                         Component, cipher_cycles_per_op,
-                         cipher_datapath_slices, cipher_path_ns,
-                         leon3_components, sofia_components)
-from .design import (CipherChoice, HardwareDesign, Table1, Table1Row,
-                     UnrollPoint, cipher_ablation, sofia_design, table1,
-                     unroll_ablation, vanilla_design)
+                         Component, leon3_components)
+from .design import (CipherChoice, Table1, Table1Row, UnrollPoint,
+                     cipher_ablation, table1, unroll_ablation)
 from .profilecost import (CYCLES_BUDGET, ProfileHardware, cipher_hw_profile,
                           hw_point_label, legal_unrolls, min_legal_unroll,
                           parse_unroll_specs, profile_cost, profile_costs,
                           resolve_unrolls, sofia_profile_components)
 
 __all__ = [
-    "Component", "leon3_components", "sofia_components",
-    "cipher_datapath_slices", "cipher_path_ns", "cipher_cycles_per_op",
-    "CIPHER_ROUNDS", "PAPER_UNROLL",
+    "Component", "leon3_components", "CIPHER_ROUNDS", "PAPER_UNROLL",
     "CipherProfile", "CIPHER_PROFILES", "RECTANGLE_PROFILE",
     "PRESENT_PROFILE", "CipherChoice", "cipher_ablation",
-    "HardwareDesign", "vanilla_design", "sofia_design",
     "Table1", "Table1Row", "table1", "UnrollPoint", "unroll_ablation",
     "CYCLES_BUDGET", "ProfileHardware", "cipher_hw_profile",
     "hw_point_label", "legal_unrolls", "min_legal_unroll",

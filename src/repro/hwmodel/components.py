@@ -3,19 +3,20 @@
 Table I of the paper reports only two totals per design (slices and clock),
 so the per-component constants below are *calibrated*: they are plausible
 LEON3-minimal/Virtex-6 figures whose sums and maxima reproduce the paper's
-totals, while the *structure* is predictive — the SOFIA adder list and the
-cipher-unroll scaling laws come from the paper's description (§III): a
-single RECTANGLE instance unrolled 13x placed in the critical path, key
-storage for three 80-bit keys, the CBC-MAC compare, the modified next-PC
-logic, and the reset line.
+totals, while the *structure* is predictive — the cipher-unroll scaling
+laws come from the paper's description (§III): a single RECTANGLE
+instance unrolled 13x placed in the critical path.  The SOFIA adder list
+(key storage for three 80-bit keys, the CBC-MAC compare, the modified
+next-PC logic, the reset line) is built per protection profile by
+:func:`repro.hwmodel.profilecost.sofia_profile_components`.
 
 The model supports the unroll-factor ablation: fewer unrolled rounds
 shorten the critical path (faster clock) but increase the cycles per cipher
 operation; the paper needs a 64-bit operation every 2 cycles to keep the
 fetch stream moving, which forces ``ceil(26 / unroll) <= 2`` i.e.
 ``unroll >= 13`` — exactly the paper's design point.  The profile-aware
-generalization of that constraint (PRESENT's 31 rounds force
-``unroll >= 16``) lives in :mod:`repro.hwmodel.profilecost`.
+form of that constraint (PRESENT's 31 rounds force ``unroll >= 16``)
+lives in :mod:`repro.hwmodel.profilecost`.
 """
 
 from __future__ import annotations
@@ -114,31 +115,4 @@ def leon3_components() -> List[Component]:
         Component("i-cache controller", 702, 8.40),
         Component("d-cache / bus interface", 799, 9.70),
         Component("AHB + peripherals", 432, 7.90),
-    ]
-
-
-def cipher_datapath_slices(unroll: int) -> int:
-    """Area of the RECTANGLE datapath with ``unroll`` combinational rounds."""
-    return RECTANGLE_PROFILE.datapath_slices(unroll)
-
-
-def cipher_path_ns(unroll: int) -> float:
-    """Critical path through ``unroll`` combinational RECTANGLE rounds."""
-    return RECTANGLE_PROFILE.path_ns(unroll)
-
-
-def cipher_cycles_per_op(unroll: int) -> int:
-    """Cycles for one 64-bit cipher operation at a given unroll factor."""
-    return RECTANGLE_PROFILE.cycles_per_op(unroll)
-
-
-def sofia_components(unroll: int = PAPER_UNROLL) -> List[Component]:
-    """SOFIA additions on top of the LEON3 (calibrated to +1,662 slices)."""
-    return [
-        Component(f"RECTANGLE datapath ({unroll}x unrolled)",
-                  cipher_datapath_slices(unroll), cipher_path_ns(unroll)),
-        Component("key storage + schedule", 221, 6.50),
-        Component("CBC-MAC compare + control", 182, 5.90),
-        Component("next-PC / mux-path logic", 88, 4.80),
-        Component("reset + pipeline integration", 53, 3.10),
     ]

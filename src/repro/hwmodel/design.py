@@ -1,52 +1,34 @@
-"""Whole-design area/clock aggregation and the Table I report."""
+"""The Table I report and the hardware design-choice ablations.
+
+Every number here is read off one component model: the calibrated LEON3
+list (:func:`~repro.hwmodel.components.leon3_components`) plus the SOFIA
+additions of a protection profile
+(:func:`~repro.hwmodel.profilecost.sofia_profile_components`), at the
+paper's profile unless a cipher is being compared.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
-from .components import (CIPHER_PROFILES, CipherProfile, Component,
-                         PAPER_UNROLL, cipher_cycles_per_op,
-                         leon3_components, sofia_components)
-
-
-@dataclass(frozen=True)
-class HardwareDesign:
-    """A synthesized design: component list + derived totals."""
-
-    name: str
-    components: List[Component]
-
-    @property
-    def total_slices(self) -> int:
-        return sum(c.slices for c in self.components)
-
-    @property
-    def critical_path_ns(self) -> float:
-        return max(c.path_ns for c in self.components)
-
-    @property
-    def clock_mhz(self) -> float:
-        return 1000.0 / self.critical_path_ns
-
-    def report(self) -> str:
-        lines = [f"== {self.name} =="]
-        lines.extend(str(c) for c in self.components)
-        lines.append(f"{'total':<28s} {self.total_slices:>6d} slices  "
-                     f"{self.critical_path_ns:5.2f} ns "
-                     f"({self.clock_mhz:.1f} MHz)")
-        return "\n".join(lines)
+from ..transform.profile import DEFAULT_PROFILE, ProtectionProfile
+from .components import (CIPHER_PROFILES, PAPER_UNROLL, Component,
+                         leon3_components)
+from .profilecost import cipher_hw_profile, sofia_profile_components
 
 
-def vanilla_design() -> HardwareDesign:
-    """The unmodified LEON3 (Table I row 'Vanilla')."""
-    return HardwareDesign("LEON3 (vanilla)", leon3_components())
+def _totals(components: List[Component]) -> Tuple[int, float]:
+    """``(slices, clock MHz)`` of a synthesized component list."""
+    return (sum(c.slices for c in components),
+            1000.0 / max(c.path_ns for c in components))
 
 
-def sofia_design(unroll: int = PAPER_UNROLL) -> HardwareDesign:
-    """LEON3 + SOFIA (Table I row 'SOFIA')."""
-    return HardwareDesign(f"LEON3 + SOFIA (unroll={unroll})",
-                          leon3_components() + sofia_components(unroll))
+def _sofia_totals(profile: ProtectionProfile,
+                  unroll: int) -> Tuple[int, float]:
+    """``(slices, clock MHz)`` of LEON3 + SOFIA for ``profile``."""
+    return _totals(leon3_components()
+                   + sofia_profile_components(profile, unroll))
 
 
 @dataclass(frozen=True)
@@ -94,11 +76,9 @@ class Table1:
 
 def table1(unroll: int = PAPER_UNROLL) -> Table1:
     """Regenerate Table I from the component model."""
-    vanilla = vanilla_design()
-    sofia = sofia_design(unroll)
     return Table1(
-        vanilla=Table1Row("Vanilla", vanilla.total_slices, vanilla.clock_mhz),
-        sofia=Table1Row("SOFIA", sofia.total_slices, sofia.clock_mhz))
+        vanilla=Table1Row("Vanilla", *_totals(leon3_components())),
+        sofia=Table1Row("SOFIA", *_sofia_totals(DEFAULT_PROFILE, unroll)))
 
 
 @dataclass(frozen=True)
@@ -116,14 +96,14 @@ class UnrollPoint:
 
 def unroll_ablation() -> List[UnrollPoint]:
     """Sweep the unroll factor (design-choice ablation for §III)."""
+    hw = cipher_hw_profile(DEFAULT_PROFILE)
     points = []
-    for unroll in range(1, 27):
-        design = sofia_design(unroll)
-        cycles = cipher_cycles_per_op(unroll)
+    for unroll in range(1, hw.rounds + 1):
+        slices, clock_mhz = _sofia_totals(DEFAULT_PROFILE, unroll)
+        cycles = hw.cycles_per_op(unroll)
         points.append(UnrollPoint(
-            unroll=unroll, slices=design.total_slices,
-            clock_mhz=design.clock_mhz, cipher_cycles=cycles,
-            sustains_fetch=cycles <= 2))
+            unroll=unroll, slices=slices, clock_mhz=clock_mhz,
+            cipher_cycles=cycles, sustains_fetch=cycles <= 2))
     return points
 
 
@@ -149,13 +129,12 @@ def cipher_ablation(cycles_budget: int = 2) -> List[CipherChoice]:
     both ciphers are 64-bit/80-bit, but PRESENT's 31 rounds need a deeper
     unroll to sustain the fetch stream, which costs clock frequency.
     """
-    base_path = max(c.path_ns for c in leon3_components())
     choices = []
-    for profile in CIPHER_PROFILES.values():
-        unroll = profile.min_sustaining_unroll(cycles_budget)
-        path = max(base_path, profile.path_ns(unroll))
+    for hw in CIPHER_PROFILES.values():
+        unroll = hw.min_sustaining_unroll(cycles_budget)
+        profile = ProtectionProfile(cipher=hw.name.lower())
         choices.append(CipherChoice(
-            cipher=profile.name, unroll=unroll,
-            datapath_slices=profile.datapath_slices(unroll),
-            clock_mhz=1000.0 / path))
+            cipher=hw.name, unroll=unroll,
+            datapath_slices=hw.datapath_slices(unroll),
+            clock_mhz=_sofia_totals(profile, unroll)[1]))
     return sorted(choices, key=lambda c: -c.clock_mhz)

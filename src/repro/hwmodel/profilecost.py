@@ -119,10 +119,11 @@ def sofia_profile_components(profile: ProtectionProfile,
                              unroll: int) -> List[Component]:
     """SOFIA additions for this profile at this unroll factor.
 
-    Generalizes :func:`~repro.hwmodel.components.sofia_components` from
-    the paper's fixed design point to the whole profile space; at the
-    default profile and ``unroll=13`` the lists are slice-for-slice
-    identical (Table I calibration).
+    The one component list of the SOFIA hardware: at the default profile
+    and ``unroll=13`` it is Table I's calibration (+1,662 slices, the
+    13x-unrolled RECTANGLE datapath on the critical path).  Any unroll in
+    ``1..rounds`` is accepted, so the unroll ablation can also cost the
+    shallower, fetch-stalling points :func:`profile_cost` rejects.
     """
     hw = cipher_hw_profile(profile)
     compare_slices = (_MAC_COMPARE_BASE_SLICES

@@ -17,7 +17,9 @@ cached handlers as its cold tier (code below the
 :data:`~repro.sim.fused.COMPILE_THRESHOLD` heat gate, plus the exact
 budget tail of a vanilla run) and source-compiles hot code with
 :mod:`repro.sim.fused`; ``engine="reference"`` keeps the oracle loop
-selectable.
+selectable.  The fast engine has one loop per machine and it fires no
+``on_commit`` hook: a run with a hook, or one resumed with the MMIO exit
+register already written, is executed by the oracle on either engine.
 
 Handler contract
 ----------------
@@ -76,6 +78,19 @@ def resolve_engine(engine: Optional[str]) -> str:
         raise ValueError(
             f"unknown execution engine {engine!r}; choose from {ENGINES}")
     return engine
+
+
+def run_loop(engine: str, on_commit, mmio) -> str:
+    """The loop one run executes: ``"reference"`` for that engine, for a
+    run with an ``on_commit`` hook and for a run resumed with the MMIO
+    exit register already written (the oracle executes one more
+    instruction before it notices); ``"fast"`` otherwise.  Hooks and
+    pending exits are observation paths the oracle serves bit for bit,
+    so the fast engine keeps one hook-less loop per machine."""
+    if (engine == "reference" or on_commit is not None
+            or mmio.exit_code is not None):
+        return "reference"
+    return "fast"
 
 
 # -- handler compilers ----------------------------------------------------
@@ -530,26 +545,26 @@ def compile_handler(instr: Instruction) -> Handler:
 
 #: step kinds: what a committed step can do beyond writing registers/RAM.
 #: INERT handlers provably return ``None`` and cannot end a block or a
-#: straight-line run, so the hook-less loops skip every post-commit check
-#: for them; only a STORE can set the MMIO exit register.
+#: straight-line run, so the fast loops skip every post-commit check for
+#: them; only a STORE can set the MMIO exit register.
 KIND_INERT = 0   # ALU / load / nop: no control effect, cannot set exit
 KIND_STORE = 1   # may write the MMIO exit register
 KIND_CTI = 2     # ends the block: branch / jump / call / indirect
 KIND_HALT = 3    # handler returns HALT
 
-#: predecoded vanilla step:
-#: (handler, cycles_not_taken, cycles_taken, kind, instruction).
-PredecodedStep = Tuple[Handler, int, int, int, Instruction]
+#: predecoded vanilla step: (handler, cycles_not_taken, cycles_taken, kind)
+PredecodedStep = Tuple[Handler, int, int, int]
 
 
 def predecode(instr: Instruction, timing: TimingParams) -> PredecodedStep:
     """Compile an instruction and precompute both cycle costs."""
     seq, taken = cycle_costs(instr, timing)
-    return (compile_handler(instr), seq, taken, step_kind(instr), instr)
+    return (compile_handler(instr), seq, taken, step_kind(instr))
+
 
 #: predecoded SOFIA payload slot:
-#: (handler, cycles_not_taken, cycles_taken, kind, address, instruction)
-BlockStep = Tuple[Handler, int, int, int, int, Instruction]
+#: (handler, cycles_not_taken, cycles_taken, kind, address)
+BlockStep = Tuple[Handler, int, int, int, int]
 
 
 def step_kind(instr: Instruction) -> int:
@@ -573,7 +588,7 @@ def predecode_payload(payload, timing: TimingParams) -> Tuple[BlockStep, ...]:
     for instr, address, _slot in payload:
         seq, taken = cycle_costs(instr, timing)
         steps.append((compile_handler(instr), seq, taken,
-                      step_kind(instr), address, instr))
+                      step_kind(instr), address))
     return tuple(steps)
 
 

@@ -14,8 +14,8 @@ checks collapse to one literal comparison per cache line.
 
 Run-handler contract
 --------------------
-A SOFIA block handler is called as ``fn(regs, load, store, mmio, tags)``
-(plus ``hook`` for the traced variant) and returns a 7-tuple
+A SOFIA block handler is called as ``fn(regs, load, store, mmio, tags,
+ram)`` and returns a 7-tuple
 ``(n, cycles, hits, miss_runs, mac_cycles, next_key, arg)``:
 
 * ``n``          — instructions committed (the k-th trap commits exactly k);
@@ -39,6 +39,10 @@ per-instruction ``max(fetch, exec)`` charging and code 1 continue-at-`arg`,
 
 The cold tiers (``SofiaMachine._interp_block``, ``VanillaMachine._step_run``)
 speak the same protocols, so the driving loops never ask which tier ran.
+Handlers fire no ``on_commit`` hook and poll the MMIO exit register only
+after a store, the one instruction that can set it: a run with a hook, or
+one resumed with the exit register already written, is the reference
+oracle's job (see :func:`repro.sim.engine.run_loop`).
 
 Trap equivalence
 ----------------
@@ -278,7 +282,7 @@ def _compile(lines: List[str], namespace: dict):
 # -- SOFIA verified-block compiler ----------------------------------------
 
 def compile_sofia_block(block, timing: TimingParams, icache, memory,
-                        block_bytes: int, hooked: bool = False):
+                        block_bytes: int):
     """Compile one ``_VerifiedBlock`` into a single run-handler.
 
     Returns the handler function, cached on the block (the same place
@@ -289,11 +293,6 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
     terminal status — comes back in the handler's return tuple; the
     block-level ``max(fetch, exec)`` bottleneck collapses to a constant
     tuple indexed by the miss count.
-
-    ``hooked=True`` builds the traced variant mirroring the *generic*
-    cold-tier inner loop — hook after every commit, unconditional MMIO
-    exit poll — used whenever ``on_commit`` is installed or a resumed run
-    starts with the exit register already written.
     """
     runs = compile_fetch_runs(block.fetch_addresses,
                               icache.line_bytes.bit_length() - 1,
@@ -313,12 +312,7 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
     namespace = {"SimulationError": SimulationError,
                  "_sdiv": _sdiv, "_srem": _srem,
                  "_TRAP": block_trap, "_VIOL": block.violation}
-    out = []
-    if hooked:
-        namespace["_INSTRS"] = tuple(i for i, _, _ in block.payload)
-        out.append("def _fused(r, ld, st, mmio, tags, ram, h, _i=_INSTRS):")
-    else:
-        out.append("def _fused(r, ld, st, mmio, tags, ram):")
+    out = ["def _fused(r, ld, st, mmio, tags, ram):"]
     if len(runs) == 1:
         (index, tag, _count), = runs
         out.append(f"    if tags[{index}] != {tag}:")
@@ -349,23 +343,14 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
         out.append("    " + ret(0, 0, "None", "(5, _VIOL)"))
         return _compile(out, namespace)
 
-    def hook(indent: str, k: int, address: int) -> None:
-        out.append(f"{indent}if h is not None:")
-        out.append(f"{indent}    h({address}, _i[{k}])")
-
     ec = 0       # constant exec cycles committed so far
     count = 0    # instructions committed so far
     for instr, address, _slot in block.payload:
         seq, taken = cycle_costs(instr, timing)
         spec = instr.spec
         if spec.is_halt:
-            if hooked:
-                hook("    ", count, address)
-                out.append("    " + ret(count + 1, ec + taken,
-                                        "None", "(2, None)"))
-            else:
-                out.append("    " + ret(count + 1, ec + seq,
-                                        "None", "(2, None)"))
+            out.append("    " + ret(count + 1, ec + seq,
+                                    "None", "(2, None)"))
             break
         if spec.is_cti:
             n = count + 1
@@ -373,19 +358,9 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
                 cond = _branch_cond(instr)
                 target = instr.imm & MASK32
                 out.append(f"    if {cond}:")
-                if hooked:
-                    hook("        ", count, address)
-                    out.append("        if mmio.exit_code is not None:")
-                    out.append("            " + ret(n, ec + taken,
-                                                    "None", "(3, None)"))
                 out.append("        " + ret(n, ec + taken,
                                             f"({ft_prev}, {target})",
                                             "None"))
-                if hooked:
-                    hook("    ", count, address)
-                    out.append("    if mmio.exit_code is not None:")
-                    out.append("        " + ret(n, ec + seq,
-                                                "None", "(3, None)"))
                 out.append("    " + ret(n, ec + seq, ft_key, "None"))
             else:
                 if spec.is_indirect:
@@ -398,11 +373,6 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
                     if spec.is_call:
                         out.append(f"    r[1] = {(address + 4) & MASK32}")
                     key2 = f"({ft_prev}, {instr.imm & MASK32})"
-                if hooked:
-                    hook("    ", count, address)
-                    out.append("    if mmio.exit_code is not None:")
-                    out.append("        " + ret(n, ec + taken,
-                                                "None", "(3, None)"))
                 out.append("    " + ret(n, ec + taken, key2, "None"))
             break
         if spec.is_load or spec.is_store:
@@ -417,7 +387,7 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
                     out.append("        " + stmt)
                 out.append("    except SimulationError as e:")
                 out.append("        " + trap_ret)
-                if not hooked and spec.is_store:
+                if spec.is_store:
                     out.append("    if mmio.exit_code is not None:")
                     out.append("        " + ret(count + 1, ec + seq,
                                                 "None", "(3, None)"))
@@ -431,10 +401,10 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
                     out.append("            " + stmt)
                 out.append("        except SimulationError as e:")
                 out.append("            " + trap_ret)
-                if not hooked and spec.is_store:
+                if spec.is_store:
                     # an in-RAM store can never flip the exit register,
-                    # so the fast path needs no poll (the non-hooked loop
-                    # only runs with the register clear)
+                    # so the fast path needs no poll (the fast loop only
+                    # runs with the register clear)
                     out.append("        if mmio.exit_code is not None:")
                     out.append("            " + ret(count + 1, ec + seq,
                                                     "None", "(3, None)"))
@@ -442,11 +412,6 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
             stmts, _ = _op_source(instr)
             for stmt in stmts:
                 out.append("    " + stmt)
-        if hooked:
-            hook("    ", count, address)
-            out.append("    if mmio.exit_code is not None:")
-            out.append("        " + ret(count + 1, ec + seq,
-                                        "None", "(3, None)"))
         ec += seq
         count += 1
     else:
@@ -462,8 +427,7 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
 
 # -- vanilla straight-line-run compiler -----------------------------------
 
-def compile_vanilla_run(machine, start_pc: int,
-                        hooked: bool = False) -> tuple:
+def compile_vanilla_run(machine, start_pc: int) -> tuple:
     """Walk the per-PC chain at ``start_pc`` and compile it into one call.
 
     The run covers consecutive PCs up to and *including* the first CTI,
@@ -507,14 +471,9 @@ def compile_vanilla_run(machine, start_pc: int,
     namespace = {"SimulationError": SimulationError,
                  "_sdiv": _sdiv, "_srem": _srem}
     memory = machine.memory
-    out = []
-    if hooked:
-        namespace["_INSTRS"] = tuple(instrs)
-        out.append("def _fused(r, ld, st, mmio, tags, ram, h, _i=_INSTRS):")
-    else:
-        out.append("def _fused(r, ld, st, mmio, tags, ram):")
-    out.append("    mr = 0")
-    out.append("    xc = 0")
+    out = ["def _fused(r, ld, st, mmio, tags, ram):",
+           "    mr = 0",
+           "    xc = 0"]
 
     def charge(base: int, flag_extra: int = 0) -> str:
         expr = "xc" if base == 0 else f"{base} + xc"
@@ -568,8 +527,6 @@ def compile_vanilla_run(machine, start_pc: int,
                     out.append(f"        xc += {extra}")
 
         if spec.is_halt:
-            if hooked:
-                out.append(f"    h({address}, _i[{k}])")
             out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
                        f"{n} - mr, mr, 2, None)")
             break
@@ -583,12 +540,8 @@ def compile_vanilla_run(machine, start_pc: int,
                 seq_charge = charge(
                     cyc + hc_seq, extra_seq if branch_flag else 0)
                 out.append(f"    if {cond}:")
-                if hooked:
-                    out.append(f"        h({address}, _i[{k}])")
                 out.append(f"        return ({n}, {taken_charge}, "
                            f"{n} - mr, mr, 1, {target})")
-                if hooked:
-                    out.append(f"    h({address}, _i[{k}])")
                 out.append(f"    return ({n}, {seq_charge}, "
                            f"{n} - mr, mr, 1, {next_pc})")
             else:
@@ -602,8 +555,6 @@ def compile_vanilla_run(machine, start_pc: int,
                     if spec.is_call:
                         out.append(f"    r[1] = {(address + 4) & MASK32}")
                     target = str(instr.imm & MASK32)
-                if hooked:
-                    out.append(f"    h({address}, _i[{k}])")
                 out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
                            f"{n} - mr, mr, 1, {target})")
             break
@@ -636,8 +587,6 @@ def compile_vanilla_run(machine, start_pc: int,
             stmts, _ = _op_source(instr)
             for stmt in stmts:
                 out.append("    " + stmt)
-        if hooked:
-            out.append(f"    h({address}, _i[{k}])")
         cyc += hc_seq
         if spec.is_store:
             out.append("    if mmio.exit_code is not None:")

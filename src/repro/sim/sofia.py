@@ -44,7 +44,8 @@ from ..transform.image import SofiaImage
 from . import fused
 from .cache import DirectMappedCache
 from .core import CPUState, execute
-from .engine import compile_fetch_runs, predecode_payload, resolve_engine
+from .engine import (compile_fetch_runs, predecode_payload, resolve_engine,
+                     run_loop)
 from .memory import Memory
 from .result import ExecutionResult, Status, ViolationRecord
 from .timing import DEFAULT_TIMING, TimingParams, instruction_cycles
@@ -66,14 +67,12 @@ class _VerifiedBlock:
     #: tuple on the block's first traversal (dies with the block on a
     #: write to any word it fetches); see ``SofiaMachine._predecode_block``
     predecoded: Optional[tuple] = None
-    #: the hot tier's run handlers (repro.sim.fused): the whole payload
+    #: the hot tier's run handler (repro.sim.fused): the whole payload
     #: source-compiled into one call once the edge is hot, cached exactly
-    #: like ``predecoded`` (and invalidated with it); ``fused_hook`` is the
-    #: traced/generic variant, compiled only when a hook or pending exit
-    #: needs it.  Handlers bind no machine state, so forks sharing block
-    #: objects share the compiled code too.
+    #: like ``predecoded`` (and invalidated with it).  Handlers bind no
+    #: machine state, so forks sharing block objects share the compiled
+    #: code too.
     fused: Optional[Callable] = None
-    fused_hook: Optional[Callable] = None
 
 
 class SofiaMachine:
@@ -124,7 +123,6 @@ class SofiaMachine:
         #: dict probe (rebuilt lazily from the block memos; forks start
         #: empty but reuse the handlers shared via the blocks)
         self._fused_edges: Dict[Tuple[int, int], Callable] = {}
-        self._fused_hook_edges: Dict[Tuple[int, int], Callable] = {}
         #: traversals per edge not yet compiled: an edge is interpreted by
         #: the predecoded cold tier until it reaches COMPILE_THRESHOLD
         #: (one-shot code never pays a source compile)
@@ -136,7 +134,8 @@ class SofiaMachine:
         self.verify_skip_budget = 0
         self.pending_fetch_restore: Optional[Tuple[int, int]] = None
         #: optional tracing hook, called as on_commit(pc, instr) after each
-        #: committed instruction (see repro.sim.trace)
+        #: committed instruction (see repro.sim.trace); a run with a hook
+        #: is executed by the reference oracle
         self.on_commit = None
         #: telemetry sink captured once at construction (repro.obs.hook);
         #: ``None`` by default — every reporting site is a cold path
@@ -151,7 +150,6 @@ class SofiaMachine:
         for key in stale:
             del self._block_cache[key]
             self._fused_edges.pop(key, None)
-            self._fused_hook_edges.pop(key, None)
             self._fused_heat.pop(key, None)
 
     # -- the fetch/decrypt/verify unit -----------------------------------
@@ -311,15 +309,16 @@ class SofiaMachine:
     # -- the machine loop ---------------------------------------------------
 
     def run(self, max_instructions: int = 50_000_000) -> ExecutionResult:
-        if self.engine == "reference":
+        engine = run_loop(self.engine, self.on_commit, self.memory.mmio)
+        if engine == "reference":
             result = self._run_reference(max_instructions)
         else:
             result = self._run_fast(max_instructions)
         obs = self._obs
         if obs is not None:
             # run-level throughput counters, read off the finished
-            # result — the engine loops themselves are untouched
-            engine = self.engine
+            # result and labelled by the loop that ran — the engine loops
+            # themselves are untouched
             obs.count(f"sim.runs.{engine}")
             obs.count(f"sim.instructions.{engine}", result.instructions)
             obs.count(f"sim.cycles.{engine}", result.cycles)
@@ -451,9 +450,9 @@ class SofiaMachine:
     def _run_fast(self, max_instructions: int) -> ExecutionResult:
         """The tiered loop: one call per verified block.
 
-        Bit-identical to the reference oracle — same commit/hook
-        ordering, same cycle, MAC-slot and I-cache accounting, same
-        reset/trap points.  The decrypt/verify front end is shared (and
+        Bit-identical to the reference oracle — same commit effects,
+        same cycle, MAC-slot and I-cache accounting, same reset/trap
+        points.  The decrypt/verify front end is shared (and
         memoized) with the reference engine.  Each edge is driven by one
         handler speaking the run-handler protocol of
         :mod:`repro.sim.fused`: while the edge is cold, a predecoded
@@ -468,8 +467,9 @@ class SofiaMachine:
         statistics and the block-level ``max(fetch, exec)`` bottleneck are
         folded into the compiled handler's constants (see the module
         docstring of :mod:`repro.sim.fused` for the trap-equivalence
-        argument).  Install an ``on_commit`` hook before calling
-        :meth:`run`: a hook selects the traced handler variants.
+        argument).  Runs only with no commit hook and the MMIO exit
+        register clear (see :meth:`run`), so handlers fire no hook and
+        poll the exit register only after stores.
         """
         state = self.state
         icache = self.icache
@@ -479,7 +479,6 @@ class SofiaMachine:
         ld = memory.load
         st = memory.store
         ram = memory.ram
-        on_commit = self.on_commit
         tags = icache._tags
         hits = 0
         misses = 0
@@ -490,12 +489,7 @@ class SofiaMachine:
         status: Optional[Status] = None
         trap_reason = ""
         violation: Optional[ViolationRecord] = None
-        # a resumed run can start with the exit register already written;
-        # the oracle still executes one instruction before noticing — the
-        # generic (polling) handler variants cover that and the hook
-        generic = (on_commit is not None) or mmio.exit_code is not None
-        get_edge = (self._fused_hook_edges if generic
-                    else self._fused_edges).get
+        get_edge = self._fused_edges.get
         # every handler returns its successor edge as a compile-time
         # constant (or None when the run ends), so the hot path below is
         # one dict probe, one call and one unpack per verified block
@@ -508,14 +502,9 @@ class SofiaMachine:
         while executed < max_instructions:
             fn = get_edge(key)
             if fn is None:
-                fn = self._edge_handler(key, generic)
+                fn = self._edge_handler(key)
                 restore_check = True
-            if generic:
-                n, cyc, h, mr, mc, key2, arg = fn(regs, ld, st, mmio,
-                                                  tags, ram, on_commit)
-            else:
-                n, cyc, h, mr, mc, key2, arg = fn(regs, ld, st, mmio,
-                                                  tags, ram)
+            n, cyc, h, mr, mc, key2, arg = fn(regs, ld, st, mmio, tags, ram)
             blocks_executed += 1
             executed += n
             cycles += cyc
@@ -556,7 +545,7 @@ class SofiaMachine:
             blocks_executed=blocks_executed,
             mac_fetch_cycles=mac_fetch_cycles)
 
-    def _edge_handler(self, key: Tuple[int, int], generic: bool):
+    def _edge_handler(self, key: Tuple[int, int]):
         """Cold path of :meth:`_run_fast`: produce one edge's handler.
 
         Heat policy: the first ``COMPILE_THRESHOLD - 1`` traversals of an
@@ -575,41 +564,31 @@ class SofiaMachine:
         if block is None:
             block = self.decrypt_and_verify(*key)
             transient = self._block_cache.get(key) is not block
-        fn = block.fused_hook if generic else block.fused
+        fn = block.fused
         if fn is None:
             heat = self._fused_heat.get(key, 0) + 1
             if transient or heat < fused.COMPILE_THRESHOLD:
                 if not transient:
                     self._fused_heat[key] = heat
-                if generic:
-                    return (lambda r, ld, st, mmio, tags, ram, h,
-                            _b=block: self._interp_block(_b, True))
                 return (lambda r, ld, st, mmio, tags, ram,
-                        _b=block: self._interp_block(_b, False))
+                        _b=block: self._interp_block(_b))
             self._fused_heat.pop(key, None)
-            fn = fused.compile_sofia_block(
+            fn = block.fused = fused.compile_sofia_block(
                 block, self.timing, self.icache, self.memory,
-                self.image.block_bytes, hooked=generic)
-            if generic:
-                block.fused_hook = fn
-            else:
-                block.fused = fn
+                self.image.block_bytes)
             if self._obs is not None:
                 self._obs.count("sim.fused_compile")
-        (self._fused_hook_edges if generic
-         else self._fused_edges)[key] = fn
+        self._fused_edges[key] = fn
         return fn
 
-    def _interp_block(self, block: _VerifiedBlock, generic: bool):
+    def _interp_block(self, block: _VerifiedBlock):
         """The cold tier: one predecoded traversal of ``block``.
 
         Steps the block's predecoded payload (:meth:`_predecode_block`) and
         returns the same ``(n, cycles, hits, misses, mac_cycles,
-        next_key, arg)`` a compiled handler would.  The ``generic`` inner
-        loop mirrors the reference ordering check for check (hook after
-        every commit, unconditional exit poll); the hook-less loop,
-        specialized by step kind, skips every post-commit check an inert
-        step provably cannot need.
+        next_key, arg)`` a compiled handler would.  The loop is
+        specialized by step kind and skips every post-commit check an
+        inert step provably cannot need.
         """
         predecoded = block.predecoded
         if predecoded is None:
@@ -636,60 +615,37 @@ class SofiaMachine:
             return (0, fetch_cycles, hits, misses, mac_cycles,
                     None, (5, block_violation))
 
-        on_commit = self.on_commit
         executed = 0
         exec_cycles = 0
         arg = None
         key2 = None
-        if generic:
-            for run_h, cyc_seq, cyc_taken, kind, address, instr in steps:
-                try:
-                    target = run_h(regs, memory, address)
-                except SimulationError as exc:
-                    arg = (4, str(exc))
-                    break
-                executed += 1
-                exec_cycles += cyc_seq if target is None else cyc_taken
-                if on_commit is not None:
-                    on_commit(address, instr)
-                if target == -1:  # engine.HALT
-                    arg = (2, None)
-                    break
+        for run_h, cyc_seq, cyc_taken, kind, address in steps:
+            try:
+                target = run_h(regs, memory, address)
+            except SimulationError as exc:
+                arg = (4, str(exc))
+                break
+            executed += 1
+            if kind == 0:          # inert: target is always None
+                exec_cycles += cyc_seq
+                continue
+            if kind == 1:          # store: may have set exit
+                exec_cycles += cyc_seq
                 if mmio.exit_code is not None:
                     arg = (3, None)
                     break
-                if kind == 2:  # KIND_CTI
-                    key2 = (address, target if target is not None
-                            else fallthrough_pc)
-                    break
-        else:
-            for run_h, cyc_seq, cyc_taken, kind, address, instr in steps:
-                try:
-                    target = run_h(regs, memory, address)
-                except SimulationError as exc:
-                    arg = (4, str(exc))
-                    break
-                executed += 1
-                if kind == 0:          # inert: target is always None
+                continue
+            if kind == 2:          # CTI: always ends the block
+                if target is None:
                     exec_cycles += cyc_seq
-                    continue
-                if kind == 1:          # store: may have set exit
-                    exec_cycles += cyc_seq
-                    if mmio.exit_code is not None:
-                        arg = (3, None)
-                        break
-                    continue
-                if kind == 2:          # CTI: always ends the block
-                    if target is None:
-                        exec_cycles += cyc_seq
-                        key2 = (address, fallthrough_pc)
-                    else:
-                        exec_cycles += cyc_taken
-                        key2 = (address, target)
-                    break
-                exec_cycles += cyc_seq  # halt
-                arg = (2, None)
+                    key2 = (address, fallthrough_pc)
+                else:
+                    exec_cycles += cyc_taken
+                    key2 = (address, target)
                 break
+            exec_cycles += cyc_seq  # halt
+            arg = (2, None)
+            break
         cycles = fetch_cycles if fetch_cycles > exec_cycles else exec_cycles
         if arg is None and key2 is None:
             # ran off the payload end: decode-failure trap or sequential

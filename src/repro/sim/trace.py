@@ -48,11 +48,10 @@ class TraceEntry:
 def _record_via_hook(machine, max_instructions: int) -> List[TraceEntry]:
     """Run a machine with the on_commit hook recording every instruction.
 
-    The hook fires identically under both execution engines (see
-    :mod:`repro.sim.engine`): once per committed instruction, after its
-    register/memory effects and before the PC advances — so traces are
-    engine-independent, which is exactly what the lockstep differential
-    suite (``tests/test_engine_differential.py``) relies on.
+    A hooked run is executed by the reference oracle whatever the
+    machine's engine (see :mod:`repro.sim.engine`): the hook fires once
+    per committed instruction, after its register/memory effects and
+    before the PC advances, so traces are engine-independent.
     """
     trace: List[TraceEntry] = []
     last_regs = list(machine.state.regs)

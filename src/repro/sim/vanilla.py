@@ -11,7 +11,10 @@ per-PC-cached predecoded handlers while code is cold and source-compiles
 each straight-line run once it is hot (:mod:`repro.sim.fused`), and the
 ``"reference"`` engine steps :func:`repro.sim.core.execute` — the
 semantics oracle the differential suite locksteps against.  Both produce
-bit-identical :class:`~repro.sim.result.ExecutionResult`\\ s.
+bit-identical :class:`~repro.sim.result.ExecutionResult`\\ s.  A run with
+an ``on_commit`` hook, or one resumed with the MMIO exit register already
+written, is always executed by the oracle, so the fast engine keeps one
+hook-less loop.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from ..obs import hook as obs_hook
 from . import fused
 from .cache import DirectMappedCache
 from .core import CPUState, execute
-from .engine import KIND_STORE, PredecodedStep, predecode, resolve_engine
+from .engine import (KIND_STORE, PredecodedStep, predecode, resolve_engine,
+                     run_loop)
 from .memory import Memory
 from .result import ExecutionResult, Status
 from .timing import DEFAULT_TIMING, TimingParams, instruction_cycles
@@ -55,14 +59,13 @@ class VanillaMachine:
         #: its start PCs so one code write invalidates exactly the runs
         #: that compiled that word (mirroring the per-PC predecode pops)
         self._fused_runs: Dict[int, tuple] = {}
-        self._fused_hook_runs: Dict[int, tuple] = {}
         self._fused_cover: Dict[int, set] = {}
         #: traversals per run start PC not yet compiled: a run is stepped
         #: by the predecoded cold tier until it reaches COMPILE_THRESHOLD
         self._fused_heat: Dict[int, int] = {}
         #: optional tracing hook, called as on_commit(pc, instr) after each
-        #: committed instruction (see repro.sim.trace); fires identically
-        #: under both engines
+        #: committed instruction (see repro.sim.trace); a run with a hook
+        #: is executed by the reference oracle
         self.on_commit = None
         #: telemetry sink captured once at construction (repro.obs.hook);
         #: ``None`` by default, consulted only at the end of run()
@@ -77,17 +80,14 @@ class VanillaMachine:
         starts = self._fused_cover.pop(address, None)
         if starts:
             fused_runs = self._fused_runs
-            hook_runs = self._fused_hook_runs
             for start in starts:
                 fused_runs.pop(start, None)
-                hook_runs.pop(start, None)
 
     def _flush_decoded(self) -> None:
         """Drop every cached decode/predecode (coupled-word encodings)."""
         self._decoded.clear()
         self._predecoded.clear()
         self._fused_runs.clear()
-        self._fused_hook_runs.clear()
         self._fused_cover.clear()
 
     def _fetch_decode(self, pc: int) -> Instruction:
@@ -100,14 +100,16 @@ class VanillaMachine:
         return instr
 
     def run(self, max_instructions: int = 50_000_000) -> ExecutionResult:
-        """Run to completion (halt/exit/trap) or the instruction budget."""
-        if self.engine == "reference":
+        """Run to completion (halt/exit/trap) or the instruction budget on
+        the loop :func:`repro.sim.engine.run_loop` picks."""
+        engine = run_loop(self.engine, self.on_commit, self.memory.mmio)
+        if engine == "reference":
             result = self._run_reference(max_instructions)
         else:
             result = self._run_fast(max_instructions)
         obs = self._obs
         if obs is not None:
-            engine = self.engine
+            # labelled by the loop that ran
             obs.count(f"sim.vanilla.runs.{engine}")
             obs.count(f"sim.vanilla.instructions.{engine}",
                       result.instructions)
@@ -172,12 +174,11 @@ class VanillaMachine:
         source-compiled once (:func:`repro.sim.fused.compile_vanilla_run`)
         and cached per start PC, invalidated by the same code-write
         listener that pops predecoded steps.  One-shot code therefore
-        never pays a compile.  The cold tier also covers the two cases a
-        compiled run cannot: the tail of a run that would overshoot the
-        instruction budget (stepping is per-instruction exact) and a
-        resumed run whose exit register is already written (the oracle
-        executes one instruction before noticing).  Both tiers speak the
-        same run-handler protocol, so this loop is tier-agnostic.
+        never pays a compile.  The cold tier also covers the tail of a
+        run that would overshoot the instruction budget (stepping is
+        per-instruction exact).  Both tiers speak the same run-handler
+        protocol, so this loop is tier-agnostic.  Runs only with no commit
+        hook and the exit register clear (see :meth:`run`).
         """
         memory = self.memory
         mmio = memory.mmio
@@ -187,10 +188,7 @@ class VanillaMachine:
         ld = memory.load
         st = memory.store
         ram = memory.ram
-        on_commit = self.on_commit
-        hooked = on_commit is not None
-        get_run = (self._fused_hook_runs if hooked
-                   else self._fused_runs).get
+        get_run = self._fused_runs.get
         tags = icache._tags
         max_run = fused.MAX_RUN
         hits = 0
@@ -200,19 +198,14 @@ class VanillaMachine:
         status = Status.LIMIT
         trap_reason = ""
         pc = state.pc
-        resumed_exit = mmio.exit_code is not None
         while executed < max_instructions:
             entry = get_run(pc)
             if entry is None:
-                entry = self._heat_run(pc, hooked)
+                entry = self._heat_run(pc)
             remaining = max_instructions - executed
-            if entry is None or entry[1] > remaining or resumed_exit:
-                resumed_exit = False
+            if entry is None or entry[1] > remaining:
                 n, cyc, h, mr, code, arg = self._step_run(
                     pc, remaining if remaining < max_run else max_run)
-            elif hooked:
-                n, cyc, h, mr, code, arg = entry[0](regs, ld, st, mmio,
-                                                    tags, ram, on_commit)
             else:
                 n, cyc, h, mr, code, arg = entry[0](regs, ld, st, mmio,
                                                     tags, ram)
@@ -243,7 +236,7 @@ class VanillaMachine:
                                trap_reason=trap_reason,
                                icache=icache.stats)
 
-    def _heat_run(self, pc: int, hooked: bool) -> Optional[tuple]:
+    def _heat_run(self, pc: int) -> Optional[tuple]:
         """Cold path of :meth:`_run_fast`: count one traversal of the run
         at ``pc``; compile it once it is hot.
 
@@ -256,13 +249,11 @@ class VanillaMachine:
         if heat < fused.COMPILE_THRESHOLD:
             self._fused_heat[pc] = heat
             return None
-        fn, n_max, covered = fused.compile_vanilla_run(self, pc,
-                                                       hooked=hooked)
+        fn, n_max, covered = fused.compile_vanilla_run(self, pc)
         if fn is None:
             return None
         self._fused_heat.pop(pc, None)
-        entry = (fn, n_max)
-        (self._fused_hook_runs if hooked else self._fused_runs)[pc] = entry
+        entry = self._fused_runs[pc] = (fn, n_max)
         cover = self._fused_cover
         for address in covered:
             starts = cover.get(address)
@@ -281,15 +272,13 @@ class VanillaMachine:
         returns ``(n, cycles, hits, misses, code, arg)`` exactly like a
         compiled run handler.  Observable behaviour is bit-identical to
         :meth:`_run_reference` at every commit: same register/memory
-        effects, same cycle and I-cache accounting, same hook firing
-        order, same trap points.  The MMIO exit poll only runs after
-        stores — the only steps that can set it — unless the run began
-        with the register already written.
+        effects, same cycle and I-cache accounting, same trap points.
+        The MMIO exit poll only runs after stores — the only steps that
+        can set it.
         """
         memory = self.memory
         mmio = memory.mmio
         regs = self.state.regs
-        on_commit = self.on_commit
         predecoded = self._predecoded
         timing = self.timing
         miss_penalty = timing.icache_miss_penalty
@@ -298,7 +287,6 @@ class VanillaMachine:
         line_shift = icache.line_bytes.bit_length() - 1
         lines_mask = icache.lines - 1
         lines_shift = icache.lines.bit_length() - 1
-        force_exit = mmio.exit_code is not None
         hits = 0
         misses = 0
         cycles = 0
@@ -311,7 +299,7 @@ class VanillaMachine:
                 except (DecodingError, SimulationError) as exc:
                     return (n, cycles, hits, misses, 4, str(exc))
                 step = predecoded[pc] = predecode(instr, timing)
-            run_h, cyc_seq, cyc_taken, kind, instr = step
+            run_h, cyc_seq, cyc_taken, kind = step
             line_number = pc >> line_shift
             index = line_number & lines_mask
             tag = line_number >> lines_shift
@@ -332,12 +320,9 @@ class VanillaMachine:
             else:
                 cycles += (fetch_cycles if fetch_cycles > cyc_taken
                            else cyc_taken)
-            if on_commit is not None:
-                on_commit(pc, instr)
             if target == -1:  # engine.HALT
                 return (n, cycles, hits, misses, 2, None)
-            if ((kind == KIND_STORE or force_exit)
-                    and mmio.exit_code is not None):
+            if kind == KIND_STORE and mmio.exit_code is not None:
                 return (n, cycles, hits, misses, 3, None)
             pc = pc + 4 if target is None else target
             if kind:

@@ -521,21 +521,23 @@ class TestGoldenFork:
         fresh, _ = fresh_run(image, keys, trigger)
         assert machine_state(again) == machine_state(fresh)
 
-    def test_a_copy_shares_no_block_with_its_trace(self):
+    def test_a_copy_shares_no_block_with_its_trace(self, monkeypatch):
         image, keys, trace = fork_case("default")
         group = trace.copy()
         assert group.blocks.keys() == trace.blocks.keys()
         assert not {id(block) for block in group.blocks.values()} & {
             id(block) for block in trace.blocks.values()}
-        before = [(block.predecoded, block.fused, block.fused_hook)
+        before = [(block.predecoded, block.fused)
                   for block in trace.blocks.values()]
-        # a hooked run compiles the traced variant onto the copy only
+        cold = [key for key, block in group.blocks.items()
+                if block.fused is None]
+        assert cold
+        # a hook-less fork on the compiled tier compiles onto the copy only
+        monkeypatch.setattr(fused, "COMPILE_THRESHOLD", 1)
         fork, _ = group.fork_at(image, keys, trace.counts[0])
-        fork.on_commit = lambda pc, instr: None
         fork.run()
-        assert any(block.fused_hook is not None
-                   for block in group.blocks.values())
-        assert [(block.predecoded, block.fused, block.fused_hook)
+        assert any(group.blocks[key].fused is not None for key in cold)
+        assert [(block.predecoded, block.fused)
                 for block in trace.blocks.values()] == before
 
     def test_pickled_trace_forks_without_its_blocks(self):
@@ -586,8 +588,7 @@ class TestPeelOffMerge:
         golden = trace.result
 
         def compiled():
-            return any(block.fused or block.fused_hook
-                       for block in trace.blocks.values())
+            return any(block.fused for block in trace.blocks.values())
 
         faults = sample_faults(image, golden.instructions, per_model=4,
                                seed=123)

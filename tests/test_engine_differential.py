@@ -3,11 +3,15 @@
 The fast engine (:mod:`repro.sim.engine` predecoded stepping while code is
 cold, :mod:`repro.sim.fused` compiled runs once it is hot) must be
 observationally indistinguishable from ``core.execute`` stepped by the
-reference loops — not just in final results but at *every committed
-instruction*.  These tests pin that contract:
+reference loops — not just in final results but after *every stint* of a
+run cut into short instruction budgets.  These tests pin that contract:
 
-* lockstep traces via the ``on_commit`` hook — registers, PC and data
-  memory after every commit — for every workload on both machines;
+* a hook-less stint lockstep: both engines run the same budget stints
+  (:data:`STINTS`, cycled until the run ends) and after each one PC,
+  ``prev_pc``, registers, ``ExecutionResult`` fields and all of data
+  memory must be equal — for every workload on both machines.  The fast
+  engine never runs with a commit hook (a hooked run goes to the oracle),
+  so the lockstep holds the exact code every campaign runs;
 * bit-identical ``ExecutionResult`` fields (status, cycles, instructions,
   exit code, I-cache stats) under both overhead-sweep timing configs, so
   Table 1 / Fig. 2 reproductions cannot silently drift with the engine;
@@ -22,9 +26,11 @@ instruction*.  These tests pin that contract:
 Every contract runs at both settings of the shared ``tier`` fixture
 (tests/conftest.py): compile-on-first-traversal and interpret-only, so
 each tier is held to the oracle on its own.  ``TestTierPolicy`` pins the
-heat gate itself and the paths the cold tier owns: the exact vanilla
-budget tail and a run resumed with the exit register already written.
+heat gate itself, the exact vanilla budget tail the cold tier owns, and
+the routing of hooked and exit-pending runs to the oracle.
 """
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,9 +39,10 @@ from hypothesis import strategies as st
 from repro.crypto import DeviceKeys
 from repro.isa import assemble, parse
 from repro.isa.encoding import encode, is_valid_word
-from repro.isa.program import CODE_BASE, Executable
+from repro.isa.program import CODE_BASE, MMIO_EXIT, Executable
 from repro.sim import (DEFAULT_TIMING, LEON3_MINIMAL_TIMING, SofiaMachine,
-                       VanillaMachine, run_executable, run_image)
+                       Status, VanillaMachine, fused, run_executable,
+                       run_image)
 from repro.sim.engine import ENGINES, resolve_engine
 from repro.transform import profile_grid, transform
 from repro.workloads import make_workload, workload_names
@@ -45,7 +52,10 @@ from test_equivalence import assembly_programs
 KEYS = DeviceKeys.from_seed(1)
 NONCE = 0x2016
 
-_STORE_SIZES = {"sw": 4, "sh": 2, "sb": 1}
+#: the instruction budgets of the stint lockstep, cycled until the run
+#: ends: single steps and short bursts cut runs and blocks at every
+#: boundary, the long stint lets the compiled tier run whole chains
+STINTS = (1, 2, 5, 64)
 
 #: the ``tier`` fixture is function-scoped, but it only patches a module
 #: constant that every Hypothesis example shares, so reuse is sound
@@ -74,51 +84,27 @@ def result_fields(result):
             str(result.violation) if result.violation else None)
 
 
-def lockstep_trace(machine, max_instructions=2_000_000):
-    """Run a machine recording (pc, registers, store-window) per commit.
-
-    Data memory can only change through stores, so recording the written
-    window after each store commit (plus the full-RAM comparison the
-    caller performs at the end) is equivalent to comparing all of data
-    memory after every committed instruction.
-    """
-    events = []
-    regs = machine.state.regs
-    ram = machine.memory.ram
-    data_base = machine.memory.data_base
-
-    def hook(pc, instr):
-        size = _STORE_SIZES.get(instr.mnemonic)
-        window = None
-        if size is not None:
-            offset = ((regs[instr.rs1] + instr.imm) & 0xFFFFFFFF) - data_base
-            if 0 <= offset <= len(ram) - size:
-                window = (offset, bytes(ram[offset:offset + size]))
-        events.append((pc, tuple(regs), window))
-
-    machine.on_commit = hook
-    try:
-        result = machine.run(max_instructions=max_instructions)
-    finally:
-        machine.on_commit = None
-    return result, events
-
-
 def assert_lockstep(make_machine):
-    """The fast engine's lockstep trace must match the reference oracle's
-    commit for commit, and so must every final observable."""
+    """Hook-less stint lockstep: both engines run the same budget stints
+    and agree on PC, ``prev_pc``, registers, result fields and all of data
+    memory after every stint, until the run halts, exits, traps or
+    resets."""
     ref = make_machine("reference")
-    ref_result, ref_events = lockstep_trace(ref)
     fast = make_machine("fast")
-    fast_result, fast_events = lockstep_trace(fast)
-    for i, (a, b) in enumerate(zip(fast_events, ref_events)):
-        assert a == b, (f"first divergence at commit {i}: "
-                        f"fast={a!r} reference={b!r}")
-    assert len(fast_events) == len(ref_events)
-    assert fast.memory.ram == ref.memory.ram
-    assert fast.state.regs == ref.state.regs
-    assert fast.state.pc == ref.state.pc
-    assert result_fields(fast_result) == result_fields(ref_result)
+    for stint, budget in enumerate(itertools.cycle(STINTS)):
+        ref_result = ref.run(budget)
+        fast_result = fast.run(budget)
+        where = f"after stint {stint} (budget {budget})"
+        assert (result_fields(fast_result)
+                == result_fields(ref_result)), where
+        assert fast.state.pc == ref.state.pc, where
+        assert (getattr(fast, "prev_pc", None)
+                == getattr(ref, "prev_pc", None)), where
+        assert fast.state.regs == ref.state.regs, where
+        # == on the bytearrays: a memcmp, cheap enough for every stint
+        assert fast.memory.ram == ref.memory.ram, where
+        if ref_result.status is not Status.LIMIT:
+            break
 
 
 def assert_same_run(make_machine, budget):
@@ -397,6 +383,30 @@ main:
 """
 
 
+def counter_machines():
+    """Machine factories (engine -> machine) running COUNTER."""
+    program = parse(COUNTER)
+    exe = assemble(program)
+    image = transform(program, KEYS, nonce=NONCE)
+    return (lambda e: VanillaMachine(exe, engine=e),
+            lambda e: SofiaMachine(image, KEYS, engine=e))
+
+
+def compiled_handlers(machine):
+    """The fast engine's compiled-handler memo of either machine."""
+    if isinstance(machine, SofiaMachine):
+        return machine._fused_edges
+    return machine._fused_runs
+
+
+def hooked_run(machine):
+    """Run with a commit hook recording (pc, registers) per commit."""
+    events = []
+    regs = machine.state.regs
+    machine.on_commit = lambda pc, instr: events.append((pc, tuple(regs)))
+    return machine.run(), events
+
+
 class TestTierPolicy:
     def test_one_shot_code_never_compiles(self):
         program = parse(STRAIGHT)
@@ -427,16 +437,48 @@ class TestTierPolicy:
 
     def test_resumed_run_after_exit(self, tier):
         """A second run() starts with the exit register already written;
-        the oracle executes one more instruction before noticing, and so
-        must both tiers on both machines."""
-        program = parse(COUNTER)
-        exe = assemble(program)
-        image = transform(program, KEYS, nonce=NONCE)
-        for make in (lambda e: VanillaMachine(exe, engine=e),
-                     lambda e: SofiaMachine(image, KEYS, engine=e)):
+        the oracle executes one more instruction before noticing, and a
+        fast machine hands that run to the oracle."""
+        for make in counter_machines():
             ref, fast = make("reference"), make("fast")
             for _ in range(2):
                 assert (result_fields(fast.run())
                         == result_fields(ref.run()))
                 assert fast.state.pc == ref.state.pc
                 assert fast.state.regs == ref.state.regs
+
+    def test_hooked_run_goes_to_the_oracle(self, monkeypatch):
+        """A commit hook on a fast machine selects the oracle loop: the
+        same trace and results as ``reference``, and nothing compiles even
+        when every first traversal would."""
+        monkeypatch.setattr(fused, "COMPILE_THRESHOLD", 1)
+        for make in counter_machines():
+            ref_result, ref_events = hooked_run(make("reference"))
+            fast = make("fast")
+            fast_result, fast_events = hooked_run(fast)
+            assert fast_events == ref_events
+            assert len(fast_events) == fast_result.instructions > 80
+            assert result_fields(fast_result) == result_fields(ref_result)
+            assert not compiled_handlers(fast)
+            # the same run without the hook compiles on first traversal
+            unhooked = make("fast")
+            assert result_fields(unhooked.run()) == result_fields(ref_result)
+            assert compiled_handlers(unhooked)
+
+    def test_exit_pending_run_goes_to_the_oracle(self, monkeypatch):
+        """A fast machine resumed with the exit register already written
+        runs the oracle loop: one instruction, then EXIT, exactly like
+        ``reference``, and nothing compiles."""
+        monkeypatch.setattr(fused, "COMPILE_THRESHOLD", 1)
+        for make in counter_machines():
+            ref, fast = make("reference"), make("fast")
+            for machine in (ref, fast):
+                machine.memory.store(MMIO_EXIT, 3, 4)
+            result = fast.run()
+            assert result_fields(result) == result_fields(ref.run())
+            assert result.status is Status.EXIT
+            assert result.instructions == 1
+            assert fast.state.pc == ref.state.pc
+            assert fast.state.regs == ref.state.regs
+            assert fast.memory.ram == ref.memory.ram
+            assert not compiled_handlers(fast)

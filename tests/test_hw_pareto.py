@@ -20,7 +20,7 @@ from repro.errors import HardwareModelError, ReproError
 from repro.hwmodel import (cipher_hw_profile, hw_point_label, legal_unrolls,
                            min_legal_unroll, parse_unroll_specs,
                            profile_cost, profile_costs, resolve_unrolls,
-                           sofia_components, sofia_profile_components)
+                           sofia_profile_components)
 from repro.transform import ProtectionProfile
 
 DEFAULT = ProtectionProfile()
@@ -40,11 +40,13 @@ class TestProfileCost:
         assert hw.label == "rectangle-80/mac64/sequential@u13"
 
     def test_components_match_fixed_point_model(self):
-        # the generalized component list degenerates to the Table I list
-        generalized = sofia_profile_components(DEFAULT, 13)
-        fixed = sofia_components()
-        assert ([(c.slices, c.path_ns) for c in generalized]
-                == [(c.slices, c.path_ns) for c in fixed])
+        # at the paper point the component list is Table I's calibration,
+        # slice for slice and ns for ns: RECTANGLE datapath (13x), key
+        # storage, CBC-MAC compare, next-PC logic, reset integration
+        assert ([(c.slices, c.path_ns)
+                 for c in sofia_profile_components(DEFAULT, 13)]
+                == [(1118, pytest.approx(19.96)), (221, 6.50), (182, 5.90),
+                    (88, 4.80), (53, 3.10)])
 
     def test_min_legal_unroll_per_cipher(self):
         # ceil(rounds / 2): RECTANGLE 26 -> 13, PRESENT 31 -> 16

@@ -4,10 +4,9 @@ import pytest
 
 from repro.errors import HardwareModelError, ReproError
 from repro.hwmodel import (CIPHER_ROUNDS, PAPER_UNROLL, PRESENT_PROFILE,
-                           RECTANGLE_PROFILE, cipher_cycles_per_op,
-                           cipher_datapath_slices, cipher_path_ns,
-                           sofia_design, table1, unroll_ablation,
-                           vanilla_design)
+                           RECTANGLE_PROFILE, leon3_components, profile_cost,
+                           sofia_profile_components, table1, unroll_ablation)
+from repro.transform.profile import DEFAULT_PROFILE
 
 
 class TestTable1:
@@ -39,28 +38,32 @@ class TestTable1:
 
 class TestComponents:
     def test_sofia_is_vanilla_plus_additions(self):
-        extra = sofia_design().total_slices - vanilla_design().total_slices
-        assert extra == 1_662
+        t = table1()
+        assert t.sofia.slices - t.vanilla.slices == 1_662
+        additions = sofia_profile_components(DEFAULT_PROFILE, PAPER_UNROLL)
+        assert sum(c.slices for c in additions) == 1_662
 
     def test_critical_path_dominated_by_cipher(self):
-        design = sofia_design()
+        design = profile_cost(DEFAULT_PROFILE, PAPER_UNROLL)
         assert design.critical_path_ns == pytest.approx(
-            cipher_path_ns(PAPER_UNROLL))
+            RECTANGLE_PROFILE.path_ns(PAPER_UNROLL))
 
     def test_cipher_slices_scale_linearly(self):
-        assert cipher_datapath_slices(26) == pytest.approx(
-            2 * cipher_datapath_slices(13), abs=1)
+        assert RECTANGLE_PROFILE.datapath_slices(26) == pytest.approx(
+            2 * RECTANGLE_PROFILE.datapath_slices(13), abs=1)
 
     def test_invalid_unroll_rejected(self):
         with pytest.raises(ValueError):
-            cipher_datapath_slices(0)
+            RECTANGLE_PROFILE.datapath_slices(0)
         with pytest.raises(ValueError):
-            cipher_path_ns(27)
+            RECTANGLE_PROFILE.path_ns(27)
+        with pytest.raises(ValueError):
+            sofia_profile_components(DEFAULT_PROFILE, 27)
 
     def test_invalid_unroll_raises_typed_error(self):
         # HardwareModelError subclasses ValueError, so both spellings work
         with pytest.raises(HardwareModelError, match="RECTANGLE-80"):
-            cipher_datapath_slices(0)
+            RECTANGLE_PROFILE.datapath_slices(0)
         assert issubclass(HardwareModelError, ReproError)
 
     def test_unroll_bounds_follow_the_cipher_round_count(self):
@@ -76,7 +79,7 @@ class TestComponents:
     def test_zero_unroll_is_a_model_error_not_a_crash(self):
         # regression: cycles_per_op(0) used to raise ZeroDivisionError
         with pytest.raises(HardwareModelError):
-            cipher_cycles_per_op(0)
+            RECTANGLE_PROFILE.cycles_per_op(0)
         with pytest.raises(HardwareModelError):
             RECTANGLE_PROFILE.cycles_per_op(-3)
 
@@ -89,7 +92,9 @@ class TestComponents:
             RECTANGLE_PROFILE.min_sustaining_unroll(0)
 
     def test_report_renders(self):
-        assert "slices" in vanilla_design().report()
+        for component in (leon3_components()
+                          + sofia_profile_components(DEFAULT_PROFILE, 13)):
+            assert "slices" in str(component)
 
 
 class TestUnrollAblation:
@@ -102,8 +107,8 @@ class TestUnrollAblation:
         points = unroll_ablation()
         cycles = [p.cipher_cycles for p in points]
         assert cycles == sorted(cycles, reverse=True)
-        assert cipher_cycles_per_op(26) == 1
-        assert cipher_cycles_per_op(1) == CIPHER_ROUNDS
+        assert RECTANGLE_PROFILE.cycles_per_op(26) == 1
+        assert RECTANGLE_PROFILE.cycles_per_op(1) == CIPHER_ROUNDS
 
     def test_clock_decreases_with_unroll(self):
         points = unroll_ablation()

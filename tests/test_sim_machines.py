@@ -185,7 +185,7 @@ class TestSofiaMachine:
         assert m._block_cache == survivors
         assert all(m._block_cache[key] is block
                    for key, block in survivors.items())
-        for edges in (m._fused_edges, m._fused_hook_edges, m._fused_heat):
+        for edges in (m._fused_edges, m._fused_heat):
             assert set(edges) <= set(survivors)
         if tier == "compiled":
             assert m._fused_edges
