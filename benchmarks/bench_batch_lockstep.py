@@ -47,7 +47,7 @@ from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
 from repro.obs import hook as obs_hook
 from repro.sim import GoldenTrace
 from repro.transform import transform
-from repro.transform.profile import profile_grid
+from repro.transform.profile import DEFAULT_PROFILE, profile_grid
 from repro.workloads import make_workload
 
 KEYS = DeviceKeys.from_seed(0xBEEF2016)
@@ -59,10 +59,10 @@ BUDGET = 2_000_000
 PROTECTED_MODELS = ("CodeBitFlip", "PCGlitch")
 
 
-def _build(name, scale, profile=None):
+def _build(name, scale, profile=DEFAULT_PROFILE):
     workload = make_workload(name, scale)
     program = workload.compile().program
-    keys = KEYS.for_profile(profile) if profile is not None else KEYS
+    keys = KEYS.for_profile(profile)
     image = transform(program, keys, nonce=NONCE, profile=profile)
     return workload, image, keys
 

@@ -8,15 +8,17 @@ blocks; this ablation shows why.
 """
 
 from repro.eval import experiment_blocksize, render_blocksize
-from repro.transform import TransformConfig
+from repro.transform import ProtectionProfile, store_forbidden_slots
 
 
 def test_store_restriction_geometry():
-    fig5 = TransformConfig(block_words=6)
-    fig6 = TransformConfig(block_words=8)
-    assert fig5.exec_capacity == 4 and fig5.exec_store_forbidden == ()
-    assert fig6.exec_capacity == 6 and fig6.exec_store_forbidden == (0, 1)
-    assert fig6.mux_store_forbidden == (0,)
+    fig5 = ProtectionProfile(block_words=6)
+    fig6 = ProtectionProfile(block_words=8)
+    assert fig5.exec_capacity == 4
+    assert store_forbidden_slots(fig5.exec_capacity) == ()
+    assert fig6.exec_capacity == 6
+    assert store_forbidden_slots(fig6.exec_capacity) == (0, 1)
+    assert store_forbidden_slots(fig6.mux_capacity) == (0,)
 
 
 def test_blocksize_ablation(benchmark):

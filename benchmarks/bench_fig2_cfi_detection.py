@@ -71,7 +71,7 @@ def test_frontend_decrypt_verify_latency(benchmark, keys):
     workload = make_workload("crc32", scale="tiny")
     image = transform(workload.compile().program, keys, nonce=0xF2)
     machine = SofiaMachine(image, keys, memoize=False)
-    from repro.transform.config import RESET_PREV_PC
+    from repro.transform.profile import RESET_PREV_PC
 
     block = benchmark(machine.decrypt_and_verify, RESET_PREV_PC, image.entry)
     assert block.ok

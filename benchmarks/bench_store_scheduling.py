@@ -14,10 +14,11 @@ where future toolchain work should actually go.
 from repro.crypto import DeviceKeys
 from repro.isa import assemble
 from repro.sim import SofiaMachine, VanillaMachine
-from repro.transform import TransformConfig, transform, verify_image
+from repro.transform import ProtectionProfile, transform, verify_image
 from repro.workloads import all_workloads
 
 KEYS = DeviceKeys.from_seed(0xE12)
+SCHEDULED = ProtectionProfile(schedule_stores=True)
 
 
 def test_store_scheduling_ablation(benchmark):
@@ -25,10 +26,8 @@ def test_store_scheduling_ablation(benchmark):
         rows = []
         for workload in all_workloads("tiny"):
             program = workload.compile().program
-            base = transform(program, KEYS, nonce=2,
-                             config=TransformConfig())
-            opt = transform(program, KEYS, nonce=2,
-                            config=TransformConfig(schedule_stores=True))
+            base = transform(program, KEYS, nonce=2)
+            opt = transform(program, KEYS, nonce=2, profile=SCHEDULED)
             r_base = SofiaMachine(base, KEYS).run()
             r_opt = SofiaMachine(opt, KEYS).run()
             assert r_base.output_ints == r_opt.output_ints \
@@ -58,8 +57,7 @@ def test_optimized_images_still_verify(benchmark):
     program = workload.compile().program
 
     def build_and_verify():
-        image = transform(program, KEYS, nonce=3,
-                          config=TransformConfig(schedule_stores=True))
+        image = transform(program, KEYS, nonce=3, profile=SCHEDULED)
         return verify_image(image, KEYS)
 
     findings = benchmark.pedantic(build_and_verify, iterations=1, rounds=1)
@@ -73,9 +71,8 @@ def test_padding_breakdown(benchmark):
         for workload in all_workloads("tiny"):
             program = workload.compile().program
             plain = transform(program, KEYS, nonce=4)
-            scheduled = transform(
-                program, KEYS, nonce=4,
-                config=TransformConfig(schedule_stores=True))
+            scheduled = transform(program, KEYS, nonce=4,
+                                  profile=SCHEDULED)
             store_pad = (plain.stats.padding_nops
                          - scheduled.stats.padding_nops)
             out[workload.name] = (store_pad, plain.stats.padding_nops)

@@ -372,7 +372,7 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
                     corpus_dir=None,
                     include_baselines: bool = False,
                     key_seed: int = DEFAULT_KEY_SEED,
-                    profile: Optional[ProtectionProfile] = None,
+                    profile: ProtectionProfile = DEFAULT_PROFILE,
                     export_path=None, csv_path=None,
                     store_dir=None,
                     shard: Optional[ShardSpec] = None,
@@ -398,7 +398,6 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     way.
     """
     started = time.perf_counter()
-    profile = profile or DEFAULT_PROFILE
     with obs_phase(telemetry, "plan"):
         source, genomes = _campaign_genomes(programs, seed, corpus_dir)
     report = SynthReport(seed=seed, key_seed=key_seed, source=source,

@@ -53,6 +53,7 @@ from ..isa.program import Executable
 from ..isa.registers import SP
 from ..transform.encrypt import reseal_block
 from ..transform.image import BlockRecord, SofiaImage
+from ..transform.profile import store_forbidden_slots
 from .model import (AttackInstance, EXPECT_BENIGN, EXPECT_DETECTED,
                     EXPECT_EDGE_OK)
 
@@ -190,7 +191,6 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
     # every structural expectation (store slots, seal width, renonce
     # surface) derives from the image's embedded design point
     profile = image.profile
-    config = profile.to_config(code_base=image.code_base)
     sealed = sealed_edges(image)
     entries = block_entries(image)
     sources = cti_sources(image)
@@ -349,7 +349,7 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
             ("cti", "forge-cti-slot", "forge-cti-slot")):
         if quotas[quota_key] <= 0:
             continue
-        if kind == "store" and not config.store_forbidden_slots(
+        if kind == "store" and not store_forbidden_slots(
                 entry_record.capacity):
             continue  # 6-word geometry: no forbidden slots to abuse (E6)
         payload = _forged_payload(kind, entry_record.capacity, image.entry)

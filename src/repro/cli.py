@@ -81,8 +81,8 @@ from .isa.disassembler import dump
 from .sim.engine import DEFAULT_ENGINE, ENGINES
 from .sim.trace import list_image, trace_vanilla
 from .sim.vanilla import VanillaMachine
-from .transform.config import TransformConfig
 from .transform.image import SofiaImage
+from .transform.profile import ProtectionProfile
 from .transform.verify import verify_image
 
 
@@ -123,29 +123,33 @@ def cmd_run(args) -> int:
     return _print_result(result)
 
 
+def _profile_arg(spec: Optional[str], **geometry) -> ProtectionProfile:
+    """The design point a ``--profile`` spec names; without a spec, the
+    paper's design point at ``geometry`` (``protect``'s
+    ``--block-words``/``--schedule-stores``).  Raises ``ValueError`` for
+    a bad spec or an impossible geometry."""
+    if spec is None:
+        return ProtectionProfile(**geometry)
+    from .dse.grid import parse_profile_spec
+    return parse_profile_spec(spec)
+
+
 def cmd_protect(args) -> int:
+    if args.profile is not None and (args.block_words != 8
+                                     or args.schedule_stores):
+        print("error: --profile already fixes the geometry; drop "
+              "--block-words/--schedule-stores (or fold them into "
+              "the spec as bw<N>/sched)", file=sys.stderr)
+        return 2
+    try:
+        profile = _profile_arg(args.profile, block_words=args.block_words,
+                               schedule_stores=args.schedule_stores)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     program = _load_program(args.source, optimize=args.optimize)
-    keys = DeviceKeys.from_seed(args.seed)
-    profile = None
-    config = None
-    if args.profile is not None:
-        from .dse.grid import parse_profile_spec
-        if args.block_words != 8 or args.schedule_stores:
-            print("error: --profile already fixes the geometry; drop "
-                  "--block-words/--schedule-stores (or fold them into "
-                  "the spec as bw<N>/sched)", file=sys.stderr)
-            return 2
-        try:
-            profile = parse_profile_spec(args.profile)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        keys = keys.for_profile(profile)
-    else:
-        config = TransformConfig(block_words=args.block_words,
-                                 schedule_stores=args.schedule_stores)
-    image = core.protect(program, keys, nonce=args.nonce, config=config,
-                         profile=profile)
+    keys = DeviceKeys.from_seed(args.seed).for_profile(profile)
+    image = core.protect(program, keys, nonce=args.nonce, profile=profile)
     findings = verify_image(image, keys)
     if findings:
         for finding in findings:
@@ -278,14 +282,11 @@ def cmd_attacksynth(args) -> int:
     if usage_error:
         print(f"error: {usage_error}", file=sys.stderr)
         return 2
-    profile = None
-    if args.profile is not None:
-        from .dse.grid import parse_profile_spec
-        try:
-            profile = parse_profile_spec(args.profile)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        profile = _profile_arg(args.profile)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.image is not None:
         conflicts = [flag for flag, given in
                      (("--programs", args.programs is not None),
@@ -429,14 +430,11 @@ def cmd_fault(args) -> int:
     if usage_error:
         print(f"error: {usage_error}", file=sys.stderr)
         return 2
-    profile = None
-    if args.profile is not None:
-        from .dse.grid import parse_profile_spec
-        try:
-            profile = parse_profile_spec(args.profile)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        profile = _profile_arg(args.profile)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         victim = make_workload(args.workload, args.scale)
     except KeyError:

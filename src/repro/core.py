@@ -30,9 +30,8 @@ from .sim.result import ExecutionResult
 from .sim.sofia import SofiaMachine
 from .sim.timing import DEFAULT_TIMING, TimingParams
 from .sim.vanilla import VanillaMachine
-from .transform.config import DEFAULT_CONFIG, TransformConfig
 from .transform.image import SofiaImage
-from .transform.profile import ProtectionProfile
+from .transform.profile import DEFAULT_PROFILE, ProtectionProfile
 from .transform.transformer import transform
 
 ProgramLike = Union[AsmProgram, CompiledProgram, str]
@@ -71,16 +70,13 @@ def link_vanilla(program: ProgramLike) -> Executable:
 
 
 def protect(program: ProgramLike, keys: DeviceKeys, nonce: int,
-            config: Optional[TransformConfig] = None,
-            profile: Optional[ProtectionProfile] = None) -> SofiaImage:
+            profile: ProtectionProfile = DEFAULT_PROFILE) -> SofiaImage:
     """Transform a program into an encrypted, MACed SOFIA image.
 
-    ``profile`` selects a full design point (cipher, seal width, renonce
-    policy, geometry); without one the legacy ``config`` geometry at the
-    paper's design point applies.  Passing both forwards both — the
-    transformer raises when they disagree on shared axes.
+    ``profile`` selects the design point (cipher, seal width, renonce
+    policy, geometry); the default is the paper's.
     """
-    return transform(_as_program(program), keys, nonce=nonce, config=config,
+    return transform(_as_program(program), keys, nonce=nonce,
                      profile=profile)
 
 
@@ -108,11 +104,11 @@ def run_protected(image: SofiaImage, keys: DeviceKeys,
 
 
 def protect_and_run(program: ProgramLike, seed: int = 1, nonce: int = 1,
-                    config: TransformConfig = DEFAULT_CONFIG,
+                    profile: ProtectionProfile = DEFAULT_PROFILE,
                     timing: TimingParams = DEFAULT_TIMING,
                     max_instructions: int = 50_000_000,
                     engine: Optional[str] = None) -> ExecutionResult:
     """One-call convenience: provision keys, protect, run."""
-    keys = make_keys(seed)
-    image = protect(program, keys, nonce, config)
+    keys = make_keys(seed).for_profile(profile)
+    image = protect(program, keys, nonce, profile)
     return run_protected(image, keys, timing, max_instructions, engine=engine)

@@ -27,7 +27,7 @@ from ..security.montecarlo import (ForgeryScaling, forgery_scaling,
 from ..sim.sofia import SofiaMachine
 from ..sim.timing import DEFAULT_TIMING, LEON3_MINIMAL_TIMING, TimingParams
 from ..sim.vanilla import VanillaMachine
-from ..transform.config import TransformConfig
+from ..transform.profile import ProtectionProfile, store_forbidden_slots
 from ..transform.transformer import transform
 from ..workloads.base import make_workload, workload_names
 from .overhead import (OverheadPoint, OverheadRow, format_overhead_rows,
@@ -139,15 +139,17 @@ def experiment_blocksize(scale: str = "small",
     store restriction; 8-word blocks (6 instructions) forbid stores in the
     first two slots but amortize the MAC words over more instructions.
     """
-    configs = [TransformConfig(block_words=bw) for bw in block_words]
+    profiles = [ProtectionProfile(block_words=bw) for bw in block_words]
     rows = measure_many(
-        [OverheadPoint(workload=workload, scale=scale, config=config)
-         for config in configs],
+        [OverheadPoint(workload=workload, scale=scale, profile=profile)
+         for profile in profiles],
         jobs=jobs)
     return [BlockSizePoint(
-        block_words=config.block_words, exec_capacity=config.exec_capacity,
-        store_forbidden=config.exec_store_forbidden, row=row)
-        for config, row in zip(configs, rows)]
+        block_words=profile.block_words,
+        exec_capacity=profile.exec_capacity,
+        store_forbidden=store_forbidden_slots(profile.exec_capacity),
+        row=row)
+        for profile, row in zip(profiles, rows)]
 
 
 def render_blocksize(points: List[BlockSizePoint]) -> str:

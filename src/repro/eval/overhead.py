@@ -10,11 +10,11 @@ workload:
   ``(1 + cycle_ovh) * (f_vanilla / f_sofia) - 1``.  With the paper's
   numbers this is exactly 1.137 * (92.3/50.1) - 1 = 1.095 ≈ 110 %.
 
-Sweeps over many (workload, config, timing) points are expressed as
+Sweeps over many (workload, profile, timing) points are expressed as
 :class:`OverheadPoint` task lists and dispatched via
 :func:`measure_many` through :mod:`repro.runner`; the per-process build
 cache ensures each protected image is compiled/transformed/encrypted
-once per distinct (workload, config, nonce) — points that only vary
+once per distinct (workload, profile, nonce) — points that only vary
 timing parameters (e.g. the I-cache sweep) reuse the cached image.
 """
 
@@ -33,9 +33,8 @@ from ..runner import (DEFAULT_KEY_SEED, BuildSpec, build_cache,
 from ..sim.sofia import SofiaMachine
 from ..sim.timing import DEFAULT_TIMING, TimingParams
 from ..sim.vanilla import VanillaMachine
-from ..transform.config import DEFAULT_CONFIG, TransformConfig
 from ..transform.image import SofiaImage
-from ..transform.profile import ProtectionProfile
+from ..transform.profile import DEFAULT_PROFILE, ProtectionProfile
 from ..transform.transformer import transform
 from ..workloads.base import Workload
 
@@ -108,11 +107,10 @@ def _run_both(workload: Workload, exe: Executable, image: SofiaImage,
 def measure_overhead(workload: Workload,
                      keys: Optional[DeviceKeys] = None,
                      timing: TimingParams = DEFAULT_TIMING,
-                     config: Optional[TransformConfig] = None,
                      nonce: int = 0x2016,
                      max_instructions: int = 50_000_000,
                      engine: Optional[str] = None,
-                     profile: Optional[ProtectionProfile] = None
+                     profile: ProtectionProfile = DEFAULT_PROFILE
                      ) -> OverheadRow:
     """Compile, run on both cores, verify outputs, return the metrics.
 
@@ -120,16 +118,12 @@ def measure_overhead(workload: Workload,
     bit-identical cycle counts); ``engine`` exists so sweeps can pin the
     reference oracle when re-validating paper numbers.  ``profile``
     measures a non-default design point and provisions the keys for its
-    cipher; passing a disagreeing ``config`` alongside it is an error
-    (the transformer enforces agreement).
+    cipher.
     """
-    keys = keys or _DEFAULT_KEYS
-    if profile is not None:
-        keys = keys.for_profile(profile)
+    keys = (keys or _DEFAULT_KEYS).for_profile(profile)
     compiled = workload.compile()
     exe = assemble(compiled.program)
-    image = transform(compiled.program, keys, nonce=nonce, config=config,
-                      profile=profile)
+    image = transform(compiled.program, keys, nonce=nonce, profile=profile)
     return _run_both(workload, exe, image, keys, timing, max_instructions,
                      engine=engine)
 
@@ -149,19 +143,17 @@ class OverheadPoint:
     key_seed: int = DEFAULT_KEY_SEED
     nonce: int = 0x2016
     timing: TimingParams = DEFAULT_TIMING
-    config: TransformConfig = DEFAULT_CONFIG
     max_instructions: int = 50_000_000
     #: execution engine (None = the default fast engine); rows are
     #: bit-identical across engines, this pins one for A/B validation
     engine: Optional[str] = None
-    #: full design point; supersedes ``config`` when set (E17 sweeps)
-    profile: Optional[ProtectionProfile] = None
+    profile: ProtectionProfile = DEFAULT_PROFILE
 
     @property
     def build_spec(self) -> BuildSpec:
         return BuildSpec(workload=self.workload, scale=self.scale,
                          key_seed=self.key_seed, nonce=self.nonce,
-                         config=self.config, profile=self.profile)
+                         profile=self.profile)
 
 
 def measure_point(point: OverheadPoint) -> OverheadRow:

@@ -51,6 +51,7 @@ from ..sim.batch import BATCH_WIDTH, GoldenTrace
 from ..sim.result import Status
 from ..sim.sofia import SofiaMachine
 from ..transform.image import SofiaImage
+from ..transform.profile import DEFAULT_PROFILE, ProtectionProfile
 from ..transform.transformer import transform
 from .models import (CodeBitFlip, CombinedFault, FaultSpec, FetchGlitch,
                      PCGlitch, RegisterFault, VerifySkip)
@@ -250,7 +251,8 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                  max_instructions: int = 2_000_000,
                  rng: Optional[random.Random] = None,
                  jobs: Optional[int] = 1,
-                 export_path=None, profile=None,
+                 export_path=None,
+                 profile: ProtectionProfile = DEFAULT_PROFILE,
                  models: Optional[Sequence[str]] = None,
                  store_dir=None, shard: Optional[ShardSpec] = None,
                  telemetry=None
@@ -286,8 +288,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     observationally: results and exports are byte-identical either way.
     """
     started = time.perf_counter()
-    if profile is not None:
-        keys = keys.for_profile(profile)
+    keys = keys.for_profile(profile)
     with obs_phase(telemetry, "build"):
         image = transform(program, keys, nonce=nonce, profile=profile)
         trace = GoldenTrace.record(image, keys, max_instructions)

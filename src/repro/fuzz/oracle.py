@@ -36,7 +36,7 @@ from ..isa.program import AsmProgram
 from ..sim.sofia import SofiaMachine
 from ..sim.timing import DEFAULT_TIMING, TimingParams
 from ..sim.vanilla import VanillaMachine
-from ..transform.config import TransformConfig
+from ..transform.profile import DEFAULT_PROFILE
 from ..transform.transformer import transform
 from .coverage import (image_features, outcome_features, overhead_feature,
                        program_features)
@@ -151,9 +151,9 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
     try:
         program = build_program(specimen)
         executable = assemble(program)
-        image = transform(program, keys, nonce=genome.nonce,
-                          config=TransformConfig(
-                              block_words=genome.block_words))
+        image = transform(
+            program, keys, nonce=genome.nonce,
+            profile=DEFAULT_PROFILE.with_block_words(genome.block_words))
     except ReproError as exc:
         # a generated specimen must always build — this is a generator
         # or toolchain bug, and exactly what the fuzzer exists to catch
@@ -248,10 +248,9 @@ def reproduces_axis(specimen: Specimen, keys: DeviceKeys, axis: str,
     if axis == "sofia-engine":
         genome = specimen.genome
         try:
-            image = transform(build_program(specimen), keys,
-                              nonce=genome.nonce,
-                              config=TransformConfig(
-                                  block_words=genome.block_words))
+            image = transform(
+                build_program(specimen), keys, nonce=genome.nonce,
+                profile=DEFAULT_PROFILE.with_block_words(genome.block_words))
         except ReproError:
             return False
         divergences = []

@@ -2,7 +2,7 @@
 
 Every evaluation surface of the reproduction — fault-injection campaigns
 (E11), the attack matrix (E8), Monte-Carlo security experiments (E9), and
-workload x config overhead sweeps (E2/E6/E10/E14) — is embarrassingly
+workload x profile overhead sweeps (E2/E6/E10/E14) — is embarrassingly
 parallel: a campaign is an ordered list of independent, deterministic
 tasks.  This package is the one seam through which all of them fan out
 across CPU cores:
@@ -20,7 +20,7 @@ across CPU cores:
 :mod:`repro.runner.cache`
     ``build_cache`` — a per-process memo of compiled workloads and
     protected :class:`~repro.transform.image.SofiaImage` builds, so each
-    image is compiled/transformed/encrypted once per (workload, config,
+    image is compiled/transformed/encrypted once per (workload, profile,
     nonce) per process instead of once per specimen.
 
 :mod:`repro.runner.export`

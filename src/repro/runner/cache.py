@@ -4,11 +4,12 @@ Compiling a workload, assembling it, and transforming + MAC'ing +
 encrypting it into a :class:`~repro.transform.image.SofiaImage` costs
 orders of magnitude more than a single fault or timing task, and the
 whole pipeline is deterministic: the same (workload, scale, key seed,
-nonce, config) always yields the same image.  The cache memoizes each
-stage so a campaign builds every distinct image exactly once **per
-process** — once overall in a serial run, once per worker in a parallel
-run (workers forked after a parent-side build inherit the parent's cache
-copy-on-write and build nothing at all).
+nonce, :class:`~repro.transform.profile.ProtectionProfile`) always yields
+the same image, so a :class:`BuildSpec` names one build and nothing else
+does.  The cache memoizes each stage so a campaign builds every distinct
+image exactly once **per process** — once overall in a serial run, once
+per worker in a parallel run (workers forked after a parent-side build
+inherit the parent's cache copy-on-write and build nothing at all).
 
 The cache is deliberately process-global rather than passed around:
 worker functions must be picklable module-level functions, and the memo
@@ -20,14 +21,13 @@ with :func:`clear_build_cache`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..crypto.keys import DeviceKeys
 from ..isa.assembler import assemble
 from ..isa.program import Executable
-from ..transform.config import DEFAULT_CONFIG, TransformConfig
 from ..transform.image import SofiaImage
-from ..transform.profile import ProtectionProfile
+from ..transform.profile import DEFAULT_PROFILE, ProtectionProfile
 from ..transform.transformer import transform
 from ..workloads.base import Workload, make_workload
 
@@ -43,10 +43,7 @@ class BuildSpec:
     scale: str = "small"
     key_seed: int = DEFAULT_KEY_SEED
     nonce: int = 0x2016
-    config: TransformConfig = DEFAULT_CONFIG
-    #: full design point (cipher/MAC width/renonce); ``None`` keeps the
-    #: legacy config-only build, so existing specs hash identically
-    profile: Optional[ProtectionProfile] = None
+    profile: ProtectionProfile = DEFAULT_PROFILE
 
 
 @dataclass
@@ -100,22 +97,15 @@ class BuildCache:
                                                   SofiaImage, DeviceKeys]:
         """The fully protected build for ``spec`` (memoized per stage).
 
-        When the spec carries a :class:`ProtectionProfile` it supersedes
-        the legacy ``config`` field entirely (the profile implies its
-        config), and the returned keys are provisioned for the profile's
-        cipher.
+        The returned keys are provisioned for the spec profile's cipher.
         """
         instance, exe = self.compiled(spec.workload, spec.scale)
-        keys = self.keys_for(spec.key_seed)
-        if spec.profile is not None:
-            keys = keys.for_profile(spec.profile)
+        keys = self.keys_for(spec.key_seed).for_profile(spec.profile)
         image = self._images.get(spec)
         if image is None:
             self.stats.image_misses += 1
-            image = transform(
-                instance.compile().program, keys, nonce=spec.nonce,
-                config=spec.config if spec.profile is None else None,
-                profile=spec.profile)
+            image = transform(instance.compile().program, keys,
+                              nonce=spec.nonce, profile=spec.profile)
             self._images[spec] = image
         else:
             self.stats.image_hits += 1

@@ -38,9 +38,9 @@ from ..errors import DecodingError, SimulationError
 from ..isa.encoding import decode
 from ..isa.instructions import Instruction
 from ..obs import hook as obs_hook
-from ..transform.config import RESET_PREV_PC
 from ..transform.encrypt import unseal_block
 from ..transform.image import SofiaImage
+from ..transform.profile import RESET_PREV_PC, store_forbidden_slots
 from . import fused
 from .cache import DirectMappedCache
 from .core import CPUState, execute
@@ -117,7 +117,6 @@ class SofiaMachine:
         self._mac_cache = memo.seal_for(keys, self.profile.mac_words)
         self.state = CPUState.reset(image.entry)
         self.prev_pc = RESET_PREV_PC
-        self._config = self.profile.to_config(code_base=image.code_base)
         self._block_cache: Dict[Tuple[int, int], _VerifiedBlock] = {}
         #: flat edge -> compiled-handler memos so the hot loop is a single
         #: dict probe (rebuilt lazily from the block memos; forks start
@@ -283,7 +282,7 @@ class SofiaMachine:
         # hardware store-slot check (paper §III: reset when a store is in a
         # forbidden slot) and the single-exit rule (CTIs only at the last
         # payload slot).
-        forbidden = self._config.store_forbidden_slots(capacity)
+        forbidden = store_forbidden_slots(capacity)
         for instr, address, slot in payload:
             if instr.is_store and slot in forbidden:
                 violation = ViolationRecord(

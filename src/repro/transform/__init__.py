@@ -1,13 +1,12 @@
 """SOFIA binary transformation toolchain."""
 
 from .blocks import Block, BlockKind, EntryAssignment
-from .config import DEFAULT_CONFIG, TransformConfig
-from .encrypt import (block_plain_words, chain_prev_pcs, interleave_mac,
-                      reseal_block, seal, seal_block, unseal_block,
-                      word_prev_pcs)
+from .encrypt import (block_plain_words, chain_prev_pcs, reseal_block,
+                      seal, seal_block, unseal_block, word_prev_pcs)
 from .image import BlockRecord, SofiaImage
 from .layout import Layout, LayoutStats, build_layout
-from .profile import DEFAULT_PROFILE, ProtectionProfile, profile_grid
+from .profile import (DEFAULT_PROFILE, ProtectionProfile, profile_grid,
+                      store_forbidden_slots)
 from .transformer import (canonicalize_returns, prepare,
                           rewrite_indirect_returns, transform)
 from .renonce import reencrypt, rotate_nonce
@@ -15,12 +14,12 @@ from .verify import Finding, ImageVerifier, verify_image
 
 __all__ = [
     "Block", "BlockKind", "EntryAssignment",
-    "TransformConfig", "DEFAULT_CONFIG",
     "ProtectionProfile", "DEFAULT_PROFILE", "profile_grid",
+    "store_forbidden_slots",
     "Layout", "LayoutStats", "build_layout",
     "SofiaImage", "BlockRecord",
     "seal", "block_plain_words", "word_prev_pcs",
-    "interleave_mac", "chain_prev_pcs", "reseal_block",
+    "chain_prev_pcs", "reseal_block",
     "seal_block", "unseal_block",
     "transform", "prepare", "canonicalize_returns",
     "rewrite_indirect_returns",

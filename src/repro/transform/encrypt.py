@@ -38,11 +38,11 @@ from ..crypto.ctr import EdgeKeystream
 from ..crypto.keys import DeviceKeys
 from ..errors import EncodingError, TransformError
 from ..isa.encoding import encode
-from ..isa.program import AsmProgram, DATA_BASE, resolve_data_references
+from ..isa.program import (AsmProgram, CODE_BASE, DATA_BASE,
+                           resolve_data_references)
 from .blocks import Block, BlockKind
 from .image import BlockRecord, FrontEndMemo, SofiaImage
 from .layout import Layout
-from .profile import DEFAULT_PROFILE, ProtectionProfile
 
 
 def encode_block_payload(block: Block) -> List[int]:
@@ -127,12 +127,6 @@ def unseal_block(kind: str, fetched_words: Sequence[int], keys: DeviceKeys,
     payload = fetched[mac_words:]
     return payload, stored, block_macs(kind, payload, keys, mac_words,
                                        mac_cache)
-
-
-def interleave_mac(kind: str, payload_words: List[int], keys: DeviceKeys,
-                   mac_words: int = 2) -> List[int]:
-    """Back-compat alias of :func:`seal_block` (the historical name)."""
-    return seal_block(kind, payload_words, keys, mac_words)
 
 
 def chain_prev_pcs(kind: str, base: int, total: int,
@@ -223,16 +217,16 @@ def reseal_block(image: SofiaImage, record: BlockRecord,
 
 
 def seal(layout: Layout, program: AsmProgram, keys: DeviceKeys,
-         nonce: int, data_base: int = DATA_BASE,
-         profile: Optional[ProtectionProfile] = None) -> SofiaImage:
+         nonce: int, data_base: int = DATA_BASE) -> SofiaImage:
     """Produce the encrypted :class:`SofiaImage` for a layout.
 
-    The image carries the keystream words and seals computed here as its
+    The layout's profile picks the cipher and seal width and becomes the
+    image's embedded profile.  The image carries the keystream words and
+    seals computed here as its
     :class:`~repro.transform.image.FrontEndMemo`; its words are the same
     as a per-word scalar seal's.
     """
-    if profile is None:
-        profile = ProtectionProfile.from_config(layout.config)
+    profile = layout.profile
     keys = keys.for_profile(profile)
     mac_words = profile.mac_words
     memo = FrontEndMemo.empty(keys, nonce, mac_words)
@@ -270,12 +264,11 @@ def seal(layout: Layout, program: AsmProgram, keys: DeviceKeys,
             symbols[label] = block.base       # the block's entry
         else:
             symbols[label] = block.payload_address(slot)
-    return SofiaImage(words=words, code_base=layout.config.code_base,
+    return SofiaImage(words=words, code_base=CODE_BASE,
                       nonce=nonce, entry=layout.entry_address,
                       data=bytes(program.data), data_base=data_base,
-                      block_words=layout.config.block_words,
-                      blocks=records, stats=layout.stats, symbols=symbols,
-                      profile=profile, front_end=memo)
+                      profile=profile, blocks=records, stats=layout.stats,
+                      symbols=symbols, front_end=memo)
 
 
 def _batch_macs(keys: DeviceKeys, mac_words: int,

@@ -18,7 +18,10 @@ design point) packs the image's :class:`ProtectionProfile` — cipher,
 seal width, renonce policy, store scheduling — via
 ``ProtectionProfile.to_code``; ``block_words`` carries the remaining
 profile axis.  Old images (reserved = 0) therefore deserialize to the
-default profile unchanged.
+default profile unchanged.  In memory the geometry lives only on the
+profile, so an image cannot disagree with its own profile; a header
+whose ``code_base`` is not block aligned is rejected with
+:class:`~repro.errors.ImageError`.
 
 A sealed image also carries a :class:`FrontEndMemo` — the keystream words
 and seal values :func:`~repro.transform.encrypt.seal` computed — so every
@@ -126,27 +129,23 @@ class SofiaImage:
     entry: int
     data: bytes
     data_base: int
-    block_words: int
+    #: the design point this image was sealed under; every consumer
+    #: (simulator, verifier, renonce tool, attack enumerator) re-derives
+    #: its checks from this, never from module constants
+    profile: ProtectionProfile
     blocks: List[BlockRecord] = field(default_factory=list)
     stats: Optional[LayoutStats] = None
     symbols: Dict[str, int] = field(default_factory=dict)
-    #: the design point this image was sealed under; every consumer
-    #: (simulator, verifier, renonce tool, attack enumerator) re-derives
-    #: its checks from this, never from module constants.  ``None`` at
-    #: construction means the default profile at this block geometry.
-    profile: Optional[ProtectionProfile] = None
     #: cipher work already done for this image (see FrontEndMemo); shared
     #: by every copy ``with_words`` makes, never serialized or compared
     front_end: Optional[FrontEndMemo] = field(default=None, compare=False,
                                               repr=False)
 
     def __post_init__(self) -> None:
-        if self.profile is None:
-            self.profile = ProtectionProfile(block_words=self.block_words)
-        elif self.profile.block_words != self.block_words:
+        if self.code_base % self.profile.block_bytes:
             raise ImageError(
-                f"profile geometry ({self.profile.block_words} words) "
-                f"disagrees with the image ({self.block_words} words)")
+                f"code_base 0x{self.code_base:08x} is not aligned to "
+                f"{self.profile.block_bytes}-byte blocks")
 
     def front_end_memo(self, keys, mac_words: int) -> FrontEndMemo:
         """This image's memo, attaching an empty one tagged for ``keys``
@@ -161,8 +160,12 @@ class SofiaImage:
         return 4 * len(self.words)
 
     @property
+    def block_words(self) -> int:
+        return self.profile.block_words
+
+    @property
     def block_bytes(self) -> int:
-        return 4 * self.block_words
+        return self.profile.block_bytes
 
     @property
     def num_blocks(self) -> int:
@@ -250,4 +253,4 @@ class SofiaImage:
         data = blob[offset + 4 * n_words: need]
         return cls(words=words, code_base=code_base, nonce=nonce,
                    entry=entry, data=data, data_base=data_base,
-                   block_words=block_words, profile=profile)
+                   profile=profile)

@@ -35,10 +35,11 @@ from ..cfg.builder import is_return
 from ..cfg.graph import ControlFlowGraph
 from ..errors import TransformError
 from ..isa.instructions import Instruction, make_nop
-from ..isa.program import AsmProgram, resolve_data_references
+from ..isa.program import CODE_BASE, AsmProgram, resolve_data_references
 from .blocks import (Block, BlockKind, EdgeKey, EntryAssignment, Token,
                      is_offset0, token_sort_key)
-from .config import TransformConfig
+from .profile import (RESET_PREV_PC, UNREACHABLE_PREV_PC,
+                      ProtectionProfile, store_forbidden_slots)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class Layout:
     leader_blocks: Dict[int, Block]
     overrides: Dict[str, int]
     entry_address: int
-    config: TransformConfig
+    profile: ProtectionProfile
     stats: LayoutStats
 
     def entry_prev_pcs(self, block: Block) -> List[int]:
@@ -95,7 +96,7 @@ class Layout:
             if previous.falls_through:
                 # continuation block entered by physical fall-through
                 return [previous.last_word_address]
-        return [self.config.unreachable_prev_pc]
+        return [UNREACHABLE_PREV_PC]
 
 
 def compute_leaders(cfg: ControlFlowGraph) -> set:
@@ -155,11 +156,11 @@ class _Chunker:
     """Splits the instruction stream into blocks (step 1)."""
 
     def __init__(self, program: AsmProgram, leaders: set,
-                 preds: Dict[int, List[Token]], config: TransformConfig):
+                 preds: Dict[int, List[Token]], profile: ProtectionProfile):
         self.program = program
         self.leaders = leaders
         self.preds = preds
-        self.config = config
+        self.profile = profile
         self.blocks: List[Block] = []
         self.block_of_instr: Dict[int, Tuple[Block, int]] = {}
         self.leader_blocks: Dict[int, Block] = {}
@@ -169,8 +170,8 @@ class _Chunker:
 
     def _capacity(self, kind: BlockKind) -> int:
         if kind is BlockKind.EXEC:
-            return self.config.exec_capacity
-        return self.config.mux_capacity
+            return self.profile.exec_capacity
+        return self.profile.mux_capacity
 
     def _open(self, start_index: int, leader: Optional[int]) -> None:
         labels = self._labels_by_index.get(start_index, [])
@@ -179,13 +180,13 @@ class _Chunker:
                     else BlockKind.EXEC)
             block = Block(kind=kind, capacity=self._capacity(kind),
                           leader=leader, labels=labels,
-                          mac_count=self.config.mac_count(kind.value))
+                          mac_count=self.profile.mac_count(kind.value))
             self.leader_blocks[leader] = block
         else:
             block = Block(kind=BlockKind.EXEC,
-                          capacity=self.config.exec_capacity,
+                          capacity=self.profile.exec_capacity,
                           labels=labels,
-                          mac_count=self.config.exec_mac_words)
+                          mac_count=self.profile.exec_mac_words)
         self._current = block
 
     def _pad(self) -> None:
@@ -219,8 +220,8 @@ class _Chunker:
             return
         if spec.is_store:
             while (len(self._current.payload) in
-                   self.config.store_forbidden_slots(self._current.capacity)):
-                if (self.config.schedule_stores
+                   store_forbidden_slots(self._current.capacity)):
+                if (self.profile.schedule_stores
                         and self._hoist_for_store(index, instr)):
                     continue
                 self._pad()
@@ -273,13 +274,13 @@ class _Chunker:
 
 
 def build_layout(program: AsmProgram, cfg: ControlFlowGraph,
-                 config: TransformConfig,
+                 profile: ProtectionProfile,
                  overrides_hint: Optional[Dict[str, int]] = None) -> Layout:
     """Run the full layout pipeline (chunk, forwarders, trees, resolve)."""
     leaders = compute_leaders(cfg)
     preds = compute_pred_tokens(program, cfg, leaders)
 
-    chunker = _Chunker(program, leaders, preds, config)
+    chunker = _Chunker(program, leaders, preds, profile)
     chunker.run()
     blocks = chunker.blocks
     block_of_instr = chunker.block_of_instr
@@ -292,12 +293,12 @@ def build_layout(program: AsmProgram, cfg: ControlFlowGraph,
     def new_forwarder(kind: BlockKind, leader: int) -> Tuple[Block, Token]:
         fid = next_fid[0]
         next_fid[0] += 1
-        capacity = (config.exec_capacity if kind is BlockKind.EXEC
-                    else config.mux_capacity)
+        capacity = (profile.exec_capacity if kind is BlockKind.EXEC
+                    else profile.mux_capacity)
         payload = [make_nop()] * (capacity - 1) + [Instruction("jmp")]
         block = Block(kind=kind, capacity=capacity, payload=payload,
                       source_indices=[None] * capacity, is_forwarder=True,
-                      mac_count=config.mac_count(kind.value))
+                      mac_count=profile.mac_count(kind.value))
         token = ("tree", fid)
         block.out_edge = (token, leader)
         forwarder_blocks[token] = block
@@ -369,13 +370,13 @@ def build_layout(program: AsmProgram, cfg: ControlFlowGraph,
     blocks = blocks + tree_nodes
     for seq, block in enumerate(blocks):
         block.seq = seq
-        block.base = config.code_base + config.block_bytes * seq
+        block.base = CODE_BASE + profile.block_bytes * seq
 
     # --- step 4b: prevPC of every entry ---
     def token_prev_pc(token: Token, leader: int) -> int:
         kind = token[0]
         if kind == "reset":
-            return config.reset_prev_pc
+            return RESET_PREV_PC
         if kind in ("cti", "ret", "ind"):
             return block_of_instr[token[1]][0].last_word_address
         if kind == "tree":
@@ -460,16 +461,18 @@ def build_layout(program: AsmProgram, cfg: ControlFlowGraph,
     entry_block, entry_slot = assignments[entry_key]
     entry_address = entry_block.entry_address(entry_slot)
 
-    stats = _compute_stats(program, blocks, tree_nodes, offset0_count, config)
+    stats = _compute_stats(program, blocks, tree_nodes, offset0_count,
+                           profile)
     return Layout(blocks=blocks, assignments=assignments,
                   block_of_instr=block_of_instr,
                   leader_blocks=leader_blocks, overrides=overrides,
-                  entry_address=entry_address, config=config, stats=stats)
+                  entry_address=entry_address, profile=profile,
+                  stats=stats)
 
 
 def _compute_stats(program: AsmProgram, blocks: List[Block],
                    tree_nodes: List[Block], offset0_count: int,
-                   config: TransformConfig) -> LayoutStats:
+                   profile: ProtectionProfile) -> LayoutStats:
     payload = sum(len(b.payload) for b in blocks)
     source = len(program.instructions)
     return LayoutStats(
@@ -480,6 +483,6 @@ def _compute_stats(program: AsmProgram, blocks: List[Block],
         mux_blocks=sum(1 for b in blocks if b.kind is BlockKind.MUX),
         tree_nodes=len(tree_nodes),
         offset0_forwarders=offset0_count,
-        code_bytes=config.block_bytes * len(blocks),
+        code_bytes=profile.block_bytes * len(blocks),
         original_code_bytes=4 * source,
     )

@@ -4,7 +4,9 @@ The paper fixes one design point — RECTANGLE-80, a 64-bit CBC-MAC packed
 as 2 (execution) / 3 (multiplexor) seal words, 8-word blocks, and §IV
 argues security and overhead *at that point*.  A
 :class:`ProtectionProfile` lifts every axis of that choice into one
-frozen, hashable value:
+frozen, hashable value, and it is the only value that says how a
+program is protected — the transformer, the image header, the
+simulator, the verifier and the attack enumerator all read it:
 
 * **cipher** — any entry of :mod:`repro.crypto.registry` (RECTANGLE-80,
   the paper's choice, or PRESENT-80 for the cipher-agility study);
@@ -15,8 +17,21 @@ frozen, hashable value:
   unique-ω requirement, enabling the cross-epoch replay surface), while
   ``"fixed"`` deployments never re-encrypt (no renonce tooling, no
   stale-nonce attack surface — but also no update path);
-* **schedule_stores** — the E12 store-scheduling toolchain optimization;
+* **schedule_stores** — the E12 store-scheduling toolchain optimization
+  (paper §V future work): instead of padding a forbidden store slot with
+  a nop, hoist the next *independent* instruction in front of the store;
 * **block_words** — block geometry (the E6 ablation axis).
+
+What the paper fixes in hardware stays a module constant: the code
+base, the reset and unreachable-block prevPCs, and the LEON3's Memory
+Access stage, from which :func:`store_forbidden_slots` derives the
+store-slot restriction.  Integrity verification completes when the last
+word of a block is in IF, at which point the instruction in payload slot
+``s`` is in pipeline stage ``capacity - s``; a store must not yet have
+reached the MA stage (stage 5 of IF ID OF EXE MA XCP WB), so slots
+``s < capacity - 4`` cannot hold stores (paper Figs. 5/6).  With
+4-instruction blocks (``block_words=6``) the restriction disappears,
+exactly as Fig. 5 shows.
 
 The default profile is *exactly* the paper's design point, and images
 built with it are bit-identical to pre-profile builds: the profile
@@ -37,7 +52,6 @@ from typing import Iterable, Tuple
 
 from ..crypto.registry import (DEFAULT_CIPHER, cipher_code,
                                cipher_from_code, get_cipher)
-from .config import TransformConfig
 
 #: renonce policies, in serialization-code order ("sequential" is the
 #: paper-faithful default: ω must be unique across program versions)
@@ -52,6 +66,26 @@ _MAC_FROM_CODE = {code: words for words, code in _MAC_CODE.items()}
 #: size in one byte of words, and a block must fit an I-cache line
 #: multiple — anything past this is an absurd design point, not a sweep
 MAX_BLOCK_WORDS = 256
+
+#: Stage number of Memory Access in the 7-stage LEON3 pipeline (1-based).
+MA_STAGE = 5
+
+#: prevPC presented by the hardware on the reset edge into the entry block.
+RESET_PREV_PC = 0x0
+
+#: Sentinel prevPC used to seal the entry of unreachable blocks; it is the
+#: highest word address, which no real CTI in a small program occupies.
+UNREACHABLE_PREV_PC = ((1 << 24) - 1) << 2
+
+
+def store_forbidden_slots(capacity: int) -> Tuple[int, ...]:
+    """Payload slots of a ``capacity``-slot block that may not hold stores.
+
+    When the block's last word is fetched (verification point), payload
+    slot ``s`` sits in stage ``capacity - s``; forbid slots that would
+    already have reached the MA stage.
+    """
+    return tuple(range(max(0, capacity - (MA_STAGE - 1))))
 
 
 @dataclass(frozen=True)
@@ -78,8 +112,13 @@ class ProtectionProfile:
             raise ValueError(
                 f"block_words must be in 1..{MAX_BLOCK_WORDS}, "
                 f"got {self.block_words}")
-        # delegates the geometry check (block_words vs seal width)
-        self.to_config()
+        if self.block_words < self.mac_words + 3:
+            # a multiplexor block needs mac_words + 1 seal words plus a
+            # jmp slot, and an execution block needs room for a CTI; the
+            # paper's 2-word seal gives the familiar minimum of 5.
+            raise ValueError(
+                f"block_words must be at least {self.mac_words + 3} "
+                f"for a {32 * self.mac_words}-bit seal")
 
     # -- derived views ---------------------------------------------------
 
@@ -106,6 +145,20 @@ class ProtectionProfile:
         return self.exec_mac_words if kind == "exec" else self.mux_mac_words
 
     @property
+    def block_bytes(self) -> int:
+        return 4 * self.block_words
+
+    @property
+    def exec_capacity(self) -> int:
+        """Instructions per execution block."""
+        return self.block_words - self.exec_mac_words
+
+    @property
+    def mux_capacity(self) -> int:
+        """Instructions per multiplexor block."""
+        return self.block_words - self.mux_mac_words
+
+    @property
     def supports_renonce(self) -> bool:
         """Does this deployment ever re-encrypt under a fresh nonce?"""
         return self.renonce != "fixed"
@@ -116,22 +169,6 @@ class ProtectionProfile:
             raise ValueError(
                 "a fixed-nonce deployment never rotates its nonce")
         return nonce % 0xFFFF + 1
-
-    def to_config(self, **overrides) -> TransformConfig:
-        """The :class:`TransformConfig` realizing this profile's layout."""
-        return TransformConfig(block_words=self.block_words,
-                               schedule_stores=self.schedule_stores,
-                               mac_words=self.mac_words, **overrides)
-
-    @classmethod
-    def from_config(cls, config: TransformConfig,
-                    cipher: str = DEFAULT_CIPHER,
-                    renonce: str = "sequential") -> "ProtectionProfile":
-        """Lift a legacy geometry-only config into a full profile."""
-        return cls(cipher=cipher, mac_words=config.mac_words,
-                   renonce=renonce,
-                   schedule_stores=config.schedule_stores,
-                   block_words=config.block_words)
 
     def with_block_words(self, block_words: int) -> "ProtectionProfile":
         """This profile at a different block geometry."""

@@ -21,57 +21,18 @@ Canonicalization passes:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 from ..cfg.builder import build_cfg, function_ranges, returns_of
 from ..cfg.graph import ControlFlowGraph
 from ..crypto.keys import DeviceKeys
-from ..crypto.registry import cipher_name
 from ..errors import TransformError
 from ..isa.instructions import Instruction
 from ..isa.program import AsmProgram, DATA_BASE
-from .config import DEFAULT_CONFIG, TransformConfig
 from .encrypt import seal
 from .image import SofiaImage
 from .layout import Layout, build_layout
-from .profile import ProtectionProfile
-
-
-def _resolve_design(config: Optional[TransformConfig],
-                    profile: Optional[ProtectionProfile],
-                    keys: Optional[DeviceKeys] = None
-                    ) -> "tuple[TransformConfig, ProtectionProfile]":
-    """Reconcile the legacy config knob with the profile knob.
-
-    ``config`` is the historical geometry-only interface (block words,
-    store scheduling); ``profile`` is the full design point.  Passing
-    only one derives the other; passing both requires them to agree on
-    the axes they share, so a caller cannot seal under one geometry and
-    label the image with another.  Without a profile the cipher axis is
-    taken from ``keys`` (the legacy keys-select-the-cipher interface),
-    so the embedded profile always names the cipher that sealed the
-    image.
-    """
-    if profile is None:
-        config = config or DEFAULT_CONFIG
-        try:
-            cipher = (cipher_name(keys.cipher_factory) if keys is not None
-                      else "rectangle-80")
-        except ValueError as exc:
-            raise TransformError(str(exc)) from None
-        return config, ProtectionProfile.from_config(config, cipher=cipher)
-    if config is None:
-        return profile.to_config(), profile
-    if (config.block_words != profile.block_words
-            or config.schedule_stores != profile.schedule_stores
-            or config.mac_words != profile.mac_words):
-        raise TransformError(
-            f"config ({config.block_words} words, mac_words="
-            f"{config.mac_words}, schedule_stores="
-            f"{config.schedule_stores}) disagrees with profile "
-            f"{profile.label}")
-    return config, profile
+from .profile import DEFAULT_PROFILE, ProtectionProfile
 
 
 def _copy_program(program: AsmProgram) -> AsmProgram:
@@ -152,32 +113,26 @@ def rewrite_indirect_returns(program: AsmProgram,
 
 
 def prepare(program: AsmProgram,
-            config: Optional[TransformConfig] = DEFAULT_CONFIG,
-            profile: Optional[ProtectionProfile] = None) -> Layout:
+            profile: ProtectionProfile = DEFAULT_PROFILE) -> Layout:
     """Canonicalize + CFG + layout, without sealing (useful for tests)."""
-    config, _profile = _resolve_design(config, profile)
     canonical = canonicalize_returns(program)
     cfg = build_cfg(canonical)
     rewrite_indirect_returns(canonical, cfg)
-    return build_layout(canonical, cfg, config)
+    return build_layout(canonical, cfg, profile)
 
 
 def transform(program: AsmProgram, keys: DeviceKeys, nonce: int,
-              config: Optional[TransformConfig] = None,
               data_base: int = DATA_BASE,
-              profile: Optional[ProtectionProfile] = None) -> SofiaImage:
+              profile: ProtectionProfile = DEFAULT_PROFILE) -> SofiaImage:
     """Transform a parsed program into an encrypted SOFIA image.
 
-    The design point is given either as a full ``profile`` (cipher, seal
-    width, renonce policy, geometry — the E17 sweep axis) or as the
-    legacy geometry-only ``config``; omitting both builds the paper's
-    default design point.
+    ``profile`` is the design point (cipher, seal width, renonce policy,
+    geometry — the E17 sweep axis); the default is the paper's.  The
+    image is sealed under the profile's cipher whatever cipher ``keys``
+    were bound to.
     """
-    config, profile = _resolve_design(config, profile, keys)
-    keys = keys.for_profile(profile)
     canonical = canonicalize_returns(program)
     cfg = build_cfg(canonical)
     rewrite_indirect_returns(canonical, cfg)
-    layout = build_layout(canonical, cfg, config)
-    return seal(layout, canonical, keys, nonce, data_base=data_base,
-                profile=profile)
+    layout = build_layout(canonical, cfg, profile)
+    return seal(layout, canonical, keys, nonce, data_base=data_base)

@@ -28,6 +28,7 @@ from ..errors import DecodingError
 from ..isa.encoding import decode
 from .encrypt import unseal_block
 from .image import BlockRecord, SofiaImage
+from .profile import store_forbidden_slots
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class ImageVerifier:
         self.keys = keys.for_profile(self.profile)
         self.keystream = EdgeKeystream(self.keys.encryption_cipher,
                                        image.nonce)
-        self.config = self.profile.to_config(code_base=image.code_base)
         self._records: Dict[int, BlockRecord] = {
             record.base: record for record in image.blocks}
 
@@ -121,7 +121,7 @@ class ImageVerifier:
     def _verify_block_payload(self, record: BlockRecord) -> List[Finding]:
         findings = []
         capacity = record.capacity
-        forbidden = self.config.store_forbidden_slots(capacity)
+        forbidden = store_forbidden_slots(capacity)
         mac_count = self.image.block_words - capacity
         for slot, word in enumerate(record.plain_payload):
             address = record.base + 4 * (mac_count + slot)

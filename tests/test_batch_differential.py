@@ -351,7 +351,7 @@ class TestMemoAdoption:
 def scalar_seal_words(program, keys, nonce, profile):
     """A per-word reference seal: one scalar ``mac_stream`` per block
     and one ``EdgeKeystream.encrypt_word`` per word."""
-    layout = prepare(program, config=None, profile=profile)
+    layout = prepare(program, profile=profile)
     stream = EdgeKeystream(keys.encryption_cipher, nonce)
     words = []
     for block in layout.blocks:

@@ -87,6 +87,39 @@ class TestProtectFlow:
                      "--block-words", "6"]) == 0
         assert main(["run-protected", image_path]) == 0
 
+    def test_geometry_flags_and_profile_build_identical_images(
+            self, asm_file, tmp_path, capsys):
+        flags = tmp_path / "flags.sofia"
+        spec = tmp_path / "spec.sofia"
+        assert main(["protect", asm_file, "-o", str(flags),
+                     "--block-words", "6", "--schedule-stores"]) == 0
+        assert main(["protect", asm_file, "-o", str(spec),
+                     "--profile", "bw6:sched"]) == 0
+        assert flags.read_bytes() == spec.read_bytes()
+
+    @pytest.mark.parametrize("geometry", [["--block-words", "4"],
+                                          ["--profile", "bw4"]])
+    def test_impossible_geometry_is_a_usage_error(self, asm_file, tmp_path,
+                                                  capsys, geometry):
+        image_path = tmp_path / "prog.sofia"
+        assert main(["protect", asm_file, "-o", str(image_path)]
+                    + geometry) == 2
+        assert capsys.readouterr().err == (
+            "error: block_words must be at least 5 for a 64-bit seal\n")
+        assert not image_path.exists()
+
+    def test_misaligned_image_header_is_an_image_error(self, asm_file,
+                                                       tmp_path, capsys):
+        image_path = tmp_path / "prog.sofia"
+        assert main(["protect", asm_file, "-o", str(image_path)]) == 0
+        blob = bytearray(image_path.read_bytes())
+        blob[12:16] = (4).to_bytes(4, "big")  # the header's code_base
+        image_path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["run-protected", str(image_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not aligned" in err
+
 
 class TestTools:
     def test_disasm(self, asm_file, capsys):

@@ -9,8 +9,9 @@ from repro.crypto.present import PERMUTATION, PERMUTATION_INV, SBOX
 from repro.hwmodel import cipher_ablation
 from repro.isa import parse
 from repro.sim import SofiaMachine
-from repro.transform import transform, verify_image
+from repro.transform import ProtectionProfile, transform, verify_image
 
+PRESENT = ProtectionProfile(cipher="present-80")
 BLOCKS = st.integers(min_value=0, max_value=(1 << 64) - 1)
 KEYS = st.integers(min_value=0, max_value=(1 << 80) - 1)
 
@@ -60,7 +61,7 @@ class TestCipherAgility:
             ret
         """
         keys = DeviceKeys.from_seed(9, cipher_factory=Present80)
-        image = transform(parse(source), keys, nonce=4)
+        image = transform(parse(source), keys, nonce=4, profile=PRESENT)
         assert verify_image(image, keys) == []
         result = SofiaMachine(image, keys).run()
         assert result.ok and result.output_ints == [20]
@@ -69,13 +70,15 @@ class TestCipherAgility:
         source = "main: li a0, 1\n halt\n"
         present_keys = DeviceKeys.from_seed(9, cipher_factory=Present80)
         rect_keys = DeviceKeys.from_seed(9)  # same key bits, other cipher
-        image = transform(parse(source), present_keys, nonce=4)
+        image = transform(parse(source), present_keys, nonce=4,
+                          profile=PRESENT)
         result = SofiaMachine(image, rect_keys).run()
         assert result.detected
 
     def test_tamper_detected_under_present(self):
         keys = DeviceKeys.from_seed(11, cipher_factory=Present80)
-        image = transform(parse("main: li a0, 1\n halt\n"), keys, nonce=4)
+        image = transform(parse("main: li a0, 1\n halt\n"), keys, nonce=4,
+                          profile=PRESENT)
         machine = SofiaMachine(image, keys)
         machine.memory.poke_code(image.code_base + 8, image.words[2] ^ 4)
         assert machine.run().detected

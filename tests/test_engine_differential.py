@@ -322,6 +322,72 @@ class TestProfileGridLockstep:
         assert_same_run(make, 50_000_000)
 
 
+#: stores then reloads every width with its sign bit set, in a loop that
+#: runs past COMPILE_THRESHOLD: a sign-extending ``lbu``/``lhu`` or a
+#: zero-extending ``lb``/``lh`` on either tier changes a register (and the
+#: printed checksum).  Codegen never emits sub-word ops, so no workload
+#: covers these paths.
+SUBWORD = """
+main:
+    li s0, 24
+    li s1, 0
+    li t0, 0x00100100
+    li t1, 0x80
+    li t2, 0xFF80
+    li t3, 0x80000000
+loop:
+    sw zero, 0(t0)
+    sw zero, 4(t0)
+    sb t1, 1(t0)
+    sh t2, 2(t0)
+    sw t3, 4(t0)
+    lb a0, 1(t0)
+    lbu a1, 1(t0)
+    lh a2, 2(t0)
+    lhu a3, 2(t0)
+    lw a4, 4(t0)
+    lb a5, 4(t0)
+    lhu a6, 4(t0)
+    lh a7, 4(t0)
+    xor s1, s1, a0
+    add s1, s1, a1
+    xor s1, s1, a2
+    add s1, s1, a3
+    xor s1, s1, a4
+    add s1, s1, a5
+    xor s1, s1, a6
+    add s1, s1, a7
+    addi s0, s0, -1
+    bne s0, zero, loop
+    li t4, 0xFFFF000C
+    sw a0, 0(t4)
+    sw a1, 0(t4)
+    sw a2, 0(t4)
+    sw a3, 0(t4)
+    sw a4, 0(t4)
+    sw a5, 0(t4)
+    sw a6, 0(t4)
+    sw a7, 0(t4)
+    sw s1, 0(t4)
+    halt
+"""
+
+
+class TestSubwordMemoryLockstep:
+    def test_every_width_with_sign_bits(self, tier):
+        program = parse(SUBWORD)
+        exe = assemble(program)
+        image = transform(program, KEYS, nonce=NONCE)
+        for make in (lambda e: VanillaMachine(exe, engine=e),
+                     lambda e: SofiaMachine(image, KEYS, engine=e)):
+            assert_lockstep(make)
+            fast, result = assert_same_run(make, 100_000)
+            assert result.ok
+            assert fast.state.regs[4:12] == [
+                0xFFFFFF80, 0x80, 0xFFFFFF80, 0xFF80,
+                0x80000000, 0xFFFFFF80, 0x8000, 0xFFFF8000]
+
+
 MID_BLOCK_TRAP = """
 main:
     li a1, 1

@@ -19,7 +19,7 @@ from repro.cc import compile_source
 from repro.crypto import DeviceKeys
 from repro.isa import assemble, parse
 from repro.sim import SofiaMachine, VanillaMachine
-from repro.transform import TransformConfig, transform
+from repro.transform import ProtectionProfile, transform
 
 KEYS = DeviceKeys.from_seed(1)
 
@@ -89,8 +89,8 @@ class TestAssemblyEquivalence:
     def test_equivalence_with_small_blocks(self, source):
         program = parse(source)
         vanilla = VanillaMachine(assemble(program)).run(200_000)
-        config = TransformConfig(block_words=6)
-        image = transform(program, KEYS, nonce=3, config=config)
+        image = transform(program, KEYS, nonce=3,
+                          profile=ProtectionProfile(block_words=6))
         sofia = SofiaMachine(image, KEYS).run(400_000)
         assert vanilla.output_ints == sofia.output_ints
 

@@ -29,7 +29,7 @@ from repro.isa import parse
 from repro.sim.batch import (CHECK_EVERY, PAGE_BYTES, GoldenTrace,
                              _changed_pages)
 from repro.transform import transform
-from repro.transform.profile import profile_grid
+from repro.transform.profile import DEFAULT_PROFILE, profile_grid
 from repro.workloads import make_workload
 
 KEYS = DeviceKeys.from_seed(0xC0DE)
@@ -44,11 +44,11 @@ PRESENT = next(p for p in profile_grid()
 _BUILDS = {}
 
 
-def build(name, profile=None):
+def build(name, profile=DEFAULT_PROFILE):
     """(image, keys, trace) for a tiny workload, cached per design point."""
     key = (name, profile)
     if key not in _BUILDS:
-        keys = KEYS.for_profile(profile) if profile is not None else KEYS
+        keys = KEYS.for_profile(profile)
         program = make_workload(name, "tiny").compile().program
         image = transform(program, keys, nonce=NONCE, profile=profile)
         _BUILDS[key] = (image, keys, GoldenTrace.record(image, keys, BUDGET))
@@ -364,7 +364,7 @@ class TestDifferential:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(workload=st.sampled_from(["crc32", "sort"]),
-           profile=st.sampled_from([None, PRESENT]),
+           profile=st.sampled_from([DEFAULT_PROFILE, PRESENT]),
            draws=fault_draws)
     def test_batch_equals_run_fault(self, workload, profile, draws):
         image, keys, trace = build(workload, profile)
@@ -374,7 +374,7 @@ class TestDifferential:
         assert_matches_oracle(image, keys, trace, faults)
 
     @pytest.mark.parametrize("workload", ["crc32", "sort"])
-    @pytest.mark.parametrize("profile", [None, PRESENT],
+    @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, PRESENT],
                              ids=["default", "present"])
     def test_sampled_population_converges_and_matches(self, workload,
                                                       profile):

@@ -27,7 +27,7 @@ from repro.fuzz import (Corpus, CoverageMap, Genome, SHAPES, Specimen,
 from repro.isa import assemble
 from repro.runner import task_rng
 from repro.sim import SofiaMachine, VanillaMachine
-from repro.transform import TransformConfig, transform
+from repro.transform import ProtectionProfile, transform
 
 KEYS = DeviceKeys.from_seed(1)
 
@@ -53,7 +53,7 @@ class TestGeneratorValidity:
             assert vanilla.ok, (shape, seed, vanilla.summary())
             image = transform(
                 program, KEYS, nonce=genome.nonce,
-                config=TransformConfig(block_words=genome.block_words))
+                profile=ProtectionProfile(block_words=genome.block_words))
             sofia = SofiaMachine(image, KEYS).run(4 * STEP_CAP)
             assert sofia.ok, (shape, seed, sofia.summary())
             assert vanilla.output_ints == sofia.output_ints

@@ -24,7 +24,7 @@ from repro.crypto.keys import DeviceKeys
 from repro.fuzz import BLOCK_WORDS, SHAPES, Genome, generate
 from repro.fuzz.oracle import build_program
 from repro.isa.encoding import decode
-from repro.transform.config import TransformConfig
+from repro.transform.profile import ProtectionProfile, store_forbidden_slots
 from repro.transform.transformer import transform
 from repro.transform.verify import verify_image
 
@@ -46,7 +46,7 @@ def genomes():
 def build_image(genome):
     program = build_program(generate(genome))
     return transform(program, KEYS, nonce=genome.nonce,
-                     config=TransformConfig(block_words=genome.block_words))
+                     profile=ProtectionProfile(block_words=genome.block_words))
 
 
 def decoded_payload(image, record):
@@ -75,9 +75,8 @@ def test_blocks_are_aligned_and_contiguous(genome):
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 def test_ctis_only_in_final_slots_and_stores_scheduled(genome):
     image = build_image(genome)
-    config = TransformConfig(block_words=genome.block_words)
     for record in image.blocks:
-        forbidden = config.store_forbidden_slots(record.capacity)
+        forbidden = store_forbidden_slots(record.capacity)
         for slot, instr in decoded_payload(image, record):
             if instr.is_cti:
                 assert slot == record.capacity - 1, \

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import DeviceKeys, Present80, Rectangle80, mac_stream, mac_words
-from repro.errors import ImageError, TransformError
+from repro.errors import ImageError
 from repro.isa import parse
 from repro.sim import SofiaMachine, Status
 from repro.sim.vanilla import VanillaMachine
 from repro.isa.assembler import assemble
-from repro.transform import (DEFAULT_CONFIG, DEFAULT_PROFILE,
-                             ProtectionProfile, SofiaImage, TransformConfig,
+from repro.dse import parse_profile_spec
+from repro.transform import (DEFAULT_PROFILE, ProtectionProfile, SofiaImage,
                              profile_grid, seal_block, transform,
                              unseal_block, verify_image)
 
@@ -63,6 +63,20 @@ PRE_PROFILE_GOLDENS = {
     ("calls", 6): ("f4d5642b03623245938a28cdbb3accf926c35c978ff0063c462c1be92efc756c", 58, 17),
     ("calls", 8): ("96bbab4905b8f2ae632092a1c5de602accfc3e7e1c50645bcbf8a9084f707292", 78, 26),
 }
+#: the same fingerprints for the non-default axes (cipher, seal width,
+#: renonce policy, store scheduling, geometry under PRESENT), captured
+#: from the toolchain that still carried the geometry-only config beside
+#: the profile; keyed by (source, profile spec)
+PROFILE_AXIS_GOLDENS = {
+    ("branchy", "present-80:mac32:fixed"): ("c11c4fc3eb8393915ebb7f3d234d4ebf60bcae39e2383969be9f9b74c752069a", 102, 49),
+    ("calls", "present-80:mac32:fixed"): ("5af54824f2996746780615740b5925ca06b4f6261183b727d1999a2324030f55", 79, 31),
+    ("branchy", "rectangle-80:mac96"): ("90c4dd4e495eb2806bd4d868601146193f48016a29aee10021b26d1c61267b3a", 99, 33),
+    ("calls", "rectangle-80:mac96"): ("96151b15c80c4f5f98e8243dc7149f3a14a7fb71ea894e7d19b1bdae5982019f", 78, 21),
+    ("branchy", "sched"): ("0af62816ef080a7fa5497f623e8c2dd68e4984c7ac98288ad23b4ffac6f6fdf3", 99, 41),
+    ("calls", "sched"): ("7e91a3e4c3c250a7d39cad4979f0dfa2ad4b4f229e9714821fe111f2b1ac2a18", 78, 26),
+    ("branchy", "present-80:bw6"): ("b137cb959fb5653effdf3bd510e006f8e230aa91afae8f7f7bc4111013241cb5", 73, 26),
+    ("calls", "present-80:bw6"): ("6f5364fb9c3129df97147ddbd389504ab4ff9f5015057971ff8cf5e7bd2d89cb", 58, 17),
+}
 SOURCES = {"branchy": BRANCHY, "calls": CALLS}
 
 GRID = profile_grid()
@@ -76,7 +90,6 @@ class TestProfileValidation:
         assert DEFAULT_PROFILE.renonce == "sequential"
         assert DEFAULT_PROFILE.block_words == 8
         assert not DEFAULT_PROFILE.schedule_stores
-        assert DEFAULT_PROFILE.to_config() == DEFAULT_CONFIG
 
     def test_unknown_cipher_rejected(self):
         with pytest.raises(ValueError, match="unknown cipher"):
@@ -93,16 +106,20 @@ class TestProfileValidation:
 
     def test_geometry_must_fit_the_seal(self):
         # a 96-bit seal needs 3+1 mux words plus jmp + CTI room
-        with pytest.raises(ValueError, match="block_words"):
+        with pytest.raises(ValueError, match="block_words must be at "
+                                             "least 6 for a 96-bit seal"):
             ProtectionProfile(mac_words=3, block_words=5)
         assert ProtectionProfile(mac_words=3, block_words=6)
+        with pytest.raises(ValueError, match="block_words must be at "
+                                             "least 5 for a 64-bit seal"):
+            ProtectionProfile(block_words=4)
 
     def test_mac_counts_per_kind(self):
         profile = ProtectionProfile(mac_words=3)
         assert profile.mac_count("exec") == 3
         assert profile.mac_count("mux") == 4
-        assert profile.to_config().exec_capacity == 5
-        assert profile.to_config().mux_capacity == 4
+        assert profile.exec_capacity == 5
+        assert profile.mux_capacity == 4
 
     def test_fixed_policy_has_no_successor_nonce(self):
         fixed = ProtectionProfile(renonce="fixed")
@@ -142,7 +159,6 @@ class TestProfileCodec:
             ProtectionProfile.from_code(0x3 << 3, 8)  # bad seal-width code
 
     def test_label_round_trips_through_spec_parser(self):
-        from repro.dse import parse_profile_spec
         for profile in GRID + [ProtectionProfile(block_words=6,
                                                  schedule_stores=True)]:
             assert parse_profile_spec(profile.label) == profile
@@ -224,24 +240,23 @@ class TestDefaultProfileGoldens:
     def test_image_bytes_and_run_fingerprint(self, name, block_words):
         digest, cycles, instructions = PRE_PROFILE_GOLDENS[(name, block_words)]
         image = transform(parse(SOURCES[name]), KEYS, nonce=0x2016,
-                          config=TransformConfig(block_words=block_words))
+                          profile=ProtectionProfile(block_words=block_words))
         assert hashlib.sha256(image.to_bytes()).hexdigest() == digest
         result = SofiaMachine(image, KEYS).run()
         assert result.ok
         assert (result.cycles, result.instructions) == (cycles, instructions)
 
-    def test_profile_and_config_paths_build_identical_bytes(self):
-        via_config = transform(parse(CALLS), KEYS, nonce=0x2016,
-                               config=TransformConfig())
-        via_profile = transform(parse(CALLS), KEYS, nonce=0x2016,
-                                profile=DEFAULT_PROFILE)
-        assert via_config.to_bytes() == via_profile.to_bytes()
-
-    def test_conflicting_config_and_profile_rejected(self):
-        with pytest.raises(TransformError, match="disagrees"):
-            transform(parse(CALLS), KEYS, nonce=1,
-                      config=TransformConfig(block_words=6),
-                      profile=DEFAULT_PROFILE)
+    @pytest.mark.parametrize("name,spec", sorted(PROFILE_AXIS_GOLDENS))
+    def test_every_profile_axis_is_pinned(self, name, spec):
+        digest, cycles, instructions = PROFILE_AXIS_GOLDENS[(name, spec)]
+        profile = parse_profile_spec(spec)
+        keys = KEYS.for_profile(profile)
+        image = transform(parse(SOURCES[name]), keys, nonce=0x2016,
+                          profile=profile)
+        assert hashlib.sha256(image.to_bytes()).hexdigest() == digest
+        result = SofiaMachine(image, keys).run()
+        assert result.ok
+        assert (result.cycles, result.instructions) == (cycles, instructions)
 
 
 class TestImageProfileEmbedding:
@@ -260,17 +275,34 @@ class TestImageProfileEmbedding:
         back = SofiaImage.from_bytes(bytes(blob))
         assert back.profile == DEFAULT_PROFILE
 
-    def test_geometry_mismatch_rejected(self):
-        with pytest.raises(ImageError, match="disagrees"):
-            SofiaImage(words=[0] * 8, code_base=0x1000, nonce=1,
-                       entry=0x1000, data=b"", data_base=0x8000,
-                       block_words=8,
-                       profile=ProtectionProfile(block_words=6))
+    def test_geometry_lives_on_the_profile(self):
+        image = SofiaImage(words=[0] * 12, code_base=0x1800, nonce=1,
+                           entry=0x1800, data=b"", data_base=0x8000,
+                           profile=ProtectionProfile(block_words=6))
+        assert (image.block_words, image.block_bytes) == (6, 24)
+        assert image.num_blocks == 2
 
-    def test_legacy_keys_cipher_lands_in_the_profile(self):
+    def test_misaligned_code_base_rejected(self):
+        with pytest.raises(ImageError, match="not aligned"):
+            SofiaImage(words=[0] * 8, code_base=4, nonce=1, entry=4,
+                       data=b"", data_base=0x8000, profile=DEFAULT_PROFILE)
+
+    def test_misaligned_header_rejected_on_load(self):
+        blob = bytearray(transform(parse(CALLS), KEYS, nonce=4).to_bytes())
+        blob[12:16] = (4).to_bytes(4, "big")  # the header's code_base
+        with pytest.raises(ImageError, match="not aligned"):
+            SofiaImage.from_bytes(bytes(blob))
+
+    def test_cipher_comes_from_the_profile_not_the_keys(self):
         present_keys = DeviceKeys.from_seed(9, cipher_factory=Present80)
         image = transform(parse(CALLS), present_keys, nonce=4)
-        assert image.profile.cipher == "present-80"
+        assert image.profile == DEFAULT_PROFILE
+        rectangle_keys = DeviceKeys.from_seed(9)
+        assert image.to_bytes() == transform(
+            parse(CALLS), rectangle_keys, nonce=4).to_bytes()
+        # a device whose datapath is PRESENT cannot run the image
+        assert SofiaMachine(image, present_keys).run().detected
+        assert SofiaMachine(image, rectangle_keys).run().ok
 
 
 @st.composite
@@ -334,10 +366,3 @@ class TestProfileGridRoundTrip:
         # provisioned device: the header axis is ignored, the image runs
         strict = SofiaMachine(tampered, KEYS, profile=DEFAULT_PROFILE)
         assert strict.run().ok
-
-    def test_protect_forwards_disagreeing_config_and_profile(self):
-        from repro import core
-        with pytest.raises(TransformError, match="disagrees"):
-            core.protect(parse(CALLS), KEYS, nonce=1,
-                         config=TransformConfig(block_words=6),
-                         profile=DEFAULT_PROFILE)

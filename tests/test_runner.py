@@ -217,14 +217,14 @@ class TestBuildCache:
         assert rows[0].sofia_cycles >= rows[2].sofia_cycles
 
     def test_distinct_configs_build_distinct_images(self):
-        from repro.transform.config import TransformConfig
+        from repro.transform import ProtectionProfile
         measure_point(OverheadPoint(workload="crc32", scale="tiny"))
         measure_point(OverheadPoint(
             workload="crc32", scale="tiny",
-            config=TransformConfig(block_words=6)))
+            profile=ProtectionProfile(block_words=6)))
         stats = build_cache().stats
         assert stats.image_misses == 2
-        assert stats.compile_misses == 1  # compile is config-independent
+        assert stats.compile_misses == 1  # compile is profile-independent
 
     def test_cached_point_matches_uncached_measurement(self):
         point = OverheadPoint(workload="crc32", scale="tiny")

@@ -11,14 +11,13 @@ import pytest
 from repro.crypto import DeviceKeys
 from repro.isa import assemble_text, parse
 from repro.sim import SofiaMachine, Status, TimingParams, VanillaMachine
-from repro.transform import TransformConfig, transform
+from repro.transform import DEFAULT_PROFILE, ProtectionProfile, transform
 
 KEYS = DeviceKeys.from_seed(321)
 
 
-def build_sofia(source, nonce=9, config=None, engine=None):
-    image = transform(parse(source), KEYS, nonce=nonce,
-                      config=config or TransformConfig())
+def build_sofia(source, nonce=9, profile=DEFAULT_PROFILE, engine=None):
+    image = transform(parse(source), KEYS, nonce=nonce, profile=profile)
     return SofiaMachine(image, KEYS, engine=engine), image
 
 
@@ -242,8 +241,8 @@ class TestSofiaMachine:
         assert r.violation.kind == "integrity"
 
     def test_small_block_configuration_runs(self, engine):
-        config = TransformConfig(block_words=6)
-        m, image = build_sofia(COUNTER, config=config, engine=engine)
+        m, image = build_sofia(COUNTER, engine=engine,
+                               profile=ProtectionProfile(block_words=6))
         r = m.run()
         assert r.output_ints == [50]
         assert image.block_words == 6

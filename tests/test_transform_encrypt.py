@@ -9,9 +9,9 @@ import pytest
 
 from repro.crypto import DeviceKeys, EdgeKeystream, mac_words
 from repro.isa import decode, parse
-from repro.transform import (BlockKind, DEFAULT_CONFIG, block_plain_words,
+from repro.transform import (BlockKind, DEFAULT_PROFILE, block_plain_words,
                              prepare, transform, word_prev_pcs)
-from repro.transform.config import RESET_PREV_PC
+from repro.transform.profile import RESET_PREV_PC
 
 KEYS = DeviceKeys.from_seed(555)
 NONCE = 0x0D0A
@@ -43,7 +43,7 @@ class TestPlainWords:
         layout, _ = built
         block = next(b for b in layout.blocks if b.kind is BlockKind.EXEC)
         words = block_plain_words(block, KEYS)
-        assert len(words) == DEFAULT_CONFIG.block_words
+        assert len(words) == DEFAULT_PROFILE.block_words
         payload = words[2:]
         assert mac_words(KEYS.exec_mac_cipher, payload) == (words[0], words[1])
 
@@ -60,7 +60,7 @@ class TestPlainWords:
         block = next(b for b in layout.blocks if b.kind is BlockKind.EXEC)
         prevs = word_prev_pcs(block, layout.entry_prev_pcs(block))
         # words 1.. chain on the previous word's address
-        for j in range(1, DEFAULT_CONFIG.block_words):
+        for j in range(1, DEFAULT_PROFILE.block_words):
             assert prevs[j] == block.base + 4 * (j - 1)
 
     def test_word_prev_pcs_mux_m2_rule(self, built):

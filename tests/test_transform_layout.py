@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 
 from repro.errors import TransformError
 from repro.isa import parse
-from repro.transform import (BlockKind, DEFAULT_CONFIG, TransformConfig,
-                             prepare)
+from repro.isa.program import CODE_BASE
+from repro.transform import (BlockKind, DEFAULT_PROFILE, ProtectionProfile,
+                             prepare, store_forbidden_slots)
 from repro.transform.blocks import is_offset0, token_sort_key
+from repro.transform.profile import UNREACHABLE_PREV_PC
 
 
-def layout_of(source, config=DEFAULT_CONFIG):
-    return prepare(parse(source), config)
+def layout_of(source, profile=DEFAULT_PROFILE):
+    return prepare(parse(source), profile)
 
 
 SIMPLE = """
@@ -39,24 +41,24 @@ f:
 
 class TestConfig:
     def test_capacities(self):
-        assert DEFAULT_CONFIG.exec_capacity == 6
-        assert DEFAULT_CONFIG.mux_capacity == 5
-        assert DEFAULT_CONFIG.block_bytes == 32
+        assert DEFAULT_PROFILE.exec_capacity == 6
+        assert DEFAULT_PROFILE.mux_capacity == 5
+        assert DEFAULT_PROFILE.block_bytes == 32
 
     def test_store_forbidden_matches_paper(self):
         # Fig. 6: 6-instruction blocks forbid stores in the first two slots
-        assert DEFAULT_CONFIG.exec_store_forbidden == (0, 1)
+        assert store_forbidden_slots(DEFAULT_PROFILE.exec_capacity) == (0, 1)
         # derived: multiplexor blocks forbid slot 0
-        assert DEFAULT_CONFIG.mux_store_forbidden == (0,)
+        assert store_forbidden_slots(DEFAULT_PROFILE.mux_capacity) == (0,)
 
     def test_four_instruction_blocks_have_no_restriction(self):
-        config = TransformConfig(block_words=6)  # Fig. 5 geometry
-        assert config.exec_capacity == 4
-        assert config.exec_store_forbidden == ()
+        profile = ProtectionProfile(block_words=6)  # Fig. 5 geometry
+        assert profile.exec_capacity == 4
+        assert store_forbidden_slots(profile.exec_capacity) == ()
 
     def test_too_small_block_rejected(self):
         with pytest.raises(ValueError):
-            TransformConfig(block_words=4)
+            ProtectionProfile(block_words=4)
 
     def test_tokens_order_and_offset0(self):
         tokens = [("cti", 5), ("reset",), ("fall", 2), ("tree", 0)]
@@ -69,13 +71,13 @@ class TestConfig:
 
 class TestInvariants:
     def _check(self, layout):
-        config = layout.config
+        block_bytes = layout.profile.block_bytes
         for block in layout.blocks:
             # fixed size
             assert len(block.payload) == block.capacity
-            assert block.base % config.block_bytes == 0
+            assert block.base % block_bytes == 0
             capacity = block.capacity
-            forbidden = config.store_forbidden_slots(capacity)
+            forbidden = store_forbidden_slots(capacity)
             for slot, instr in enumerate(block.payload):
                 if instr.is_cti:
                     assert slot == capacity - 1, \
@@ -90,7 +92,7 @@ class TestInvariants:
         # entry addresses are classifiable by offset
         for (token, leader), (block, slot) in layout.assignments.items():
             address = block.entry_address(slot)
-            offset = (address - config.code_base) % config.block_bytes
+            offset = (address - CODE_BASE) % block_bytes
             if block.kind is BlockKind.EXEC:
                 assert offset == 0
             else:
@@ -101,7 +103,7 @@ class TestInvariants:
 
     def test_entry_address_is_first_block(self):
         layout = layout_of("main: halt\n")
-        assert layout.entry_address == layout.config.code_base
+        assert layout.entry_address == CODE_BASE
 
     def test_store_never_in_first_two_slots(self):
         layout = layout_of("""
@@ -171,7 +173,7 @@ class TestInvariants:
         """)
         dead_block = layout.blocks[1]
         assert layout.entry_prev_pcs(dead_block) == \
-            [layout.config.unreachable_prev_pc]
+            [UNREACHABLE_PREV_PC]
 
     def test_dead_code_after_ret_sealed_with_sentinel(self):
         layout = layout_of("""
@@ -189,7 +191,7 @@ class TestInvariants:
                 if any(i.mnemonic == "addi" for i in b.payload)]
         assert len(dead) == 1
         assert layout.entry_prev_pcs(dead[0]) == \
-            [layout.config.unreachable_prev_pc]
+            [UNREACHABLE_PREV_PC]
 
     def test_program_without_terminator_rejected(self):
         program = parse("main: jmp main\n")
@@ -206,8 +208,7 @@ class TestInvariants:
 
 class TestSmallBlockAblation:
     def test_six_word_blocks_layout(self):
-        config = TransformConfig(block_words=6)
-        layout = layout_of(SIMPLE, config)
+        layout = layout_of(SIMPLE, ProtectionProfile(block_words=6))
         for block in layout.blocks:
             assert len(block.payload) == block.capacity
             assert block.base % 24 == 0
