@@ -91,9 +91,11 @@ class EcbIsrMachine(VanillaMachine):
             entry=executable.entry, code_base=executable.code_base,
             data_base=executable.data_base)
         super().__init__(encrypted, timing, engine=engine)
+
+    def _on_code_write(self, address: int) -> None:
         # ECB pairs couple adjacent words: a write to either invalidates
         # both decoded entries, so just drop everything on any code write.
-        self.memory.add_code_listener(lambda _addr: self._flush_decoded())
+        self._flush_decoded()
 
     def _fetch_decode(self, pc: int) -> Instruction:
         cached = self._decoded.get(pc)

@@ -24,7 +24,8 @@ from typing import Dict, Iterator, Optional
 #: the closed set of event types; see DESIGN.md "Observability".
 EVENT_TYPES = frozenset({
     "campaign-start",   # campaign + its parameters
-    "campaign-end",     # seconds=wall time
+    "campaign-end",     # seconds=wall time, status=completed |
+                        # interrupted (KeyboardInterrupt) | failed
     "phase-start",      # phase=name
     "phase-end",        # phase=name, seconds=wall time
     "tasks-planned",    # total / cached / skipped for one dispatch
@@ -32,7 +33,8 @@ EVENT_TYPES = frozenset({
     "store-hit",        # index served from the persistent store
     "task-started",     # index, worker (pid)
     "task-completed",   # index, worker, size (tasks in the unit), seconds
-    "task-failed",      # index, error (exception type), message
+    "task-failed",      # index, error (exception type), message,
+                        # key (first task's store key, with a store)
     "worker-start",     # worker (pid), first result seen from it
     "worker-exit",      # worker (pid)
     "shard-decision",   # shard=i/n, owned / skipped counts

@@ -26,6 +26,7 @@ def summarize(directory) -> Tuple[str, int]:
     counts = {}
     campaign = "?"
     campaign_seconds = None
+    status = "unfinished"
     last_ts = 0.0
     lines = 0
     workers = set()
@@ -50,6 +51,7 @@ def summarize(directory) -> Tuple[str, int]:
                 campaign = record.get("campaign", "?")
             elif event == "campaign-end":
                 campaign_seconds = record.get("seconds")
+                status = record.get("status", "completed")
             elif event == "worker-start":
                 workers.add(record.get("worker"))
             elif event == "tasks-planned":
@@ -57,6 +59,7 @@ def summarize(directory) -> Tuple[str, int]:
 
     out: List[str] = [f"Telemetry summary: {root}"]
     out.append(f"  campaign    {campaign}")
+    out.append(f"  status      {status}")
     schema = "ok" if not problems else f"{problems} PROBLEMS"
     out.append(f"  events      {lines} lines, schema {schema}")
     for event in sorted(counts):

@@ -86,7 +86,9 @@ class Telemetry:
         self._previous_sink = hook.SIM
         hook.install(self._sim)
 
-    def finish(self) -> None:
+    def finish(self, status: str = "completed") -> None:
+        """Close the campaign; ``status`` is how it ended: ``completed``,
+        ``interrupted`` (Ctrl-C) or ``failed`` (an exception)."""
         if self._finished:
             return
         self._finished = True
@@ -96,7 +98,8 @@ class Telemetry:
         for worker in sorted(self._workers):
             self.events.emit("worker-exit", worker=worker)
         seconds = time.perf_counter() - self._origin
-        self.events.emit("campaign-end", seconds=round(seconds, 6))
+        self.events.emit("campaign-end", seconds=round(seconds, 6),
+                         status=status)
         self.metrics.observe("campaign.seconds", seconds)
         if self.progress is not None:
             self.progress.finish()
@@ -172,11 +175,14 @@ class Telemetry:
         if self.progress is not None:
             self.progress.tick(size)
 
-    def task_failed(self, index: int, error: BaseException) -> None:
-        """The unit labelled ``index`` raised ``error``."""
+    def task_failed(self, index: int, error: BaseException,
+                    key: Optional[str] = None) -> None:
+        """The unit labelled ``index`` raised ``error``; ``key`` is the
+        store key of its first task when the run has a store."""
+        fields = {} if key is None else {"key": key}
         self.events.emit("task-failed", index=index,
                          error=type(error).__name__,
-                         message=str(error)[:200])
+                         message=str(error)[:200], **fields)
 
     # -- convenience passthroughs ------------------------------------
 
@@ -215,10 +221,17 @@ def campaign(telemetry: Optional[Telemetry], name: str,
         yield None
         return
     telemetry.begin(name, parameters)
+    status = "completed"
     try:
         yield telemetry
+    except KeyboardInterrupt:
+        status = "interrupted"
+        raise
+    except BaseException:
+        status = "failed"
+        raise
     finally:
-        telemetry.finish()
+        telemetry.finish(status)
 
 
 @contextmanager

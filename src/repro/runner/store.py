@@ -342,7 +342,9 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
             try:
                 out, span = next(stream)
             except Exception as exc:
-                telemetry.task_failed(unit[0], exc)
+                telemetry.task_failed(
+                    unit[0], exc,
+                    key_list[unit[0]] if store is not None else None)
                 raise
             values = out if width else [out]
             if len(values) != len(unit):

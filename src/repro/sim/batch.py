@@ -45,6 +45,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.bitslice import WIDTH
+from .memory import changed_pages
 from .result import ExecutionResult, Status
 from .sofia import SofiaMachine
 
@@ -54,14 +55,6 @@ BATCH_WIDTH = WIDTH
 #: instructions per golden-run stint: the spacing of the checkpoints
 #: forks start from and meet (a fixed constant, not a tuning option)
 CHECK_EVERY = 2048
-
-#: granularity of a checkpoint's RAM snapshot: only pages that differ from
-#: the image's initial RAM are kept
-PAGE_BYTES = 4096
-
-#: RAM beyond the data segment starts and mostly stays zero: a diff
-#: compares it a chunk at a time before looking at its pages
-CHUNK_BYTES = 16 * PAGE_BYTES
 
 
 def _join(total: Optional[ExecutionResult],
@@ -81,33 +74,6 @@ def _join(total: Optional[ExecutionResult],
                                     + part.blocks_executed),
                    mac_fetch_cycles=(total.mac_fetch_cycles
                                      + part.mac_fetch_cycles))
-
-
-_ZERO_PAGE = bytes(PAGE_BYTES)
-_ZERO_CHUNK = bytes(CHUNK_BYTES)
-
-
-def _changed_pages(ram: bytearray, data: bytes) -> Dict[int, bytes]:
-    """``offset -> page`` for every page of ``ram`` that differs from a
-    fresh machine's RAM: the image's data segment, zero beyond it (see
-    :class:`~repro.sim.memory.Memory`)."""
-    size = len(ram)
-    zero_from = -(-len(data) // PAGE_BYTES) * PAGE_BYTES
-    lows = list(range(0, zero_from, PAGE_BYTES))
-    for chunk in range(zero_from, size, CHUNK_BYTES):
-        # one comparison, without a copy, for a chunk still all zero
-        if not ram.startswith(_ZERO_CHUNK, chunk):
-            lows.extend(range(chunk, min(chunk + CHUNK_BYTES, size),
-                              PAGE_BYTES))
-    changed = {}
-    for low in lows:
-        if low >= len(data) and ram.startswith(_ZERO_PAGE, low):
-            continue
-        page = ram[low:low + PAGE_BYTES]
-        initial = data[low:low + PAGE_BYTES]
-        if page != initial + _ZERO_PAGE[len(initial):len(page)]:
-            changed[low] = bytes(page)
-    return changed
 
 
 @dataclass(frozen=True)
@@ -177,8 +143,9 @@ class GoldenTrace:
         machine = SofiaMachine(image, keys)
         memory = machine.memory
         written = set()
+        code_base = memory.code_base
         memory.add_code_listener(
-            lambda address: written.add((address - memory.code_base) >> 2))
+            lambda address: written.add((address - code_base) >> 2))
         # code words read as data are as much a part of the golden
         # suffix's input as fetched ones; this machine's loads note them
         loaded = set()
@@ -205,7 +172,7 @@ class GoldenTrace:
             previous = pages
             pages = {low: previous[low] if previous.get(low) == page
                      else page for low, page
-                     in _changed_pages(memory.ram, image.data).items()}
+                     in changed_pages(memory.ram, image.data).items()}
             mmio = _mmio_state(machine)
             mmio_state = mmio if mmio != mmio_state else mmio_state
             code = {index: memory.code[index] for index in written
@@ -215,6 +182,9 @@ class GoldenTrace:
                 result.instructions, machine.state.pc, machine.prev_pc,
                 tuple(machine.state.regs), mmio_state, pages, code,
                 (tuple(machine.icache._tags), stats.hits, stats.misses)))
+        # the instrumented load closes over the memory's own bound load:
+        # drop it, so the machine is freed by refcount alone
+        del memory.load
         blocks = machine._block_cache
         read_regs = tuple(sorted({
             reg for block in blocks.values() if block.ok
@@ -222,7 +192,7 @@ class GoldenTrace:
             for reg in (instr.rs1, instr.rs2) if reg is not None}))
         fetched = {address for block in blocks.values()
                    for address in block.fetch_addresses} | loaded
-        code_at = tuple((address - memory.code_base) >> 2
+        code_at = tuple((address - code_base) >> 2
                         for address in sorted(fetched))
         code_words = tuple(memory.code[index] for index in code_at)
         return cls(result, read_regs, code_at, code_words,
@@ -290,7 +260,7 @@ class GoldenTrace:
         if code != machine.image.words and tuple(
                 map(code.__getitem__, self.code_at)) != self.code_words:
             return False
-        return (_changed_pages(memory.ram, machine.image.data)
+        return (changed_pages(memory.ram, machine.image.data)
                 == checkpoint.pages)
 
     def resume(self, machine: SofiaMachine, start: int,

@@ -9,13 +9,28 @@ console/exit devices (bare-metal programs have no OS to call into).
 Writes to the code region are allowed — that is exactly what a code
 injection attack does — and notify registered listeners so the SOFIA
 machine can invalidate its decrypt/verify caches, mirroring hardware where
-every fetch re-decrypts and re-verifies.
+every fetch re-decrypts and re-verifies.  A listener that is a bound
+method is held weakly, so a machine and its memory form no reference
+cycle and a dead machine is freed by refcount alone.
+
+A machine costs what its program touches, not its 1 MiB of RAM.  A
+:class:`Memory` takes its RAM buffer from a small per-process free list
+(at most :data:`POOL_BUFFERS` per size) and returns it when it dies, unless
+anything else still holds the buffer (a kept ``memory.ram`` or a
+``memoryview`` of it keeps its bytes).  A recycled buffer is reset on
+acquire: :func:`changed_pages` finds the pages that differ from the new
+machine's initial RAM — the data segment, zero beyond it — comparing the
+mostly-zero rest a :data:`CHUNK_BYTES` chunk at a time, and only those
+pages are rewritten.
 """
 
 from __future__ import annotations
 
+import sys
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from types import MethodType, SimpleNamespace
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..errors import SimulationError
 from ..isa.program import (CODE_BASE, DATA_BASE, MMIO_ACTUATOR, MMIO_BASE,
@@ -23,6 +38,84 @@ from ..isa.program import (CODE_BASE, DATA_BASE, MMIO_ACTUATOR, MMIO_BASE,
                            MMIO_PUTWORD, STACK_TOP)
 
 MASK32 = 0xFFFFFFFF
+
+#: granularity of a RAM diff: the unit a recycled buffer is reset in and
+#: a golden checkpoint snapshots (repro.sim.batch)
+PAGE_BYTES = 4096
+
+#: RAM beyond the data segment starts and mostly stays zero: a diff
+#: compares it a chunk at a time before looking at its pages
+CHUNK_BYTES = 16 * PAGE_BYTES
+
+#: dead machines' RAM buffers kept per RAM size for the next machines (a
+#: fixed constant, not a tuning option)
+POOL_BUFFERS = 4
+
+_ZERO_PAGE = bytes(PAGE_BYTES)
+_ZERO_CHUNK = bytes(CHUNK_BYTES)
+
+#: RAM size -> free buffers of that size, this process's
+_FREE: Dict[int, List[bytearray]] = {}
+
+
+def _ram_refs(owner) -> int:
+    """``sys.getrefcount`` of ``owner.ram`` as seen from here (0 without
+    one)."""
+    ram = owner.__dict__.get("ram")
+    return 0 if ram is None else sys.getrefcount(ram)
+
+
+#: what :func:`_ram_refs` sees when nothing but its owner holds the
+#: buffer, measured once rather than assumed (interpreters differ in how
+#: many references a local and an argument add)
+_SOLE_OWNER_REFS = _ram_refs(SimpleNamespace(ram=bytearray(1)))
+
+
+def _changed_offsets(ram: bytearray, data: bytes) -> Iterator[int]:
+    """The offset of every page of ``ram`` that differs from a fresh
+    machine's RAM: ``data``, zero beyond it."""
+    size = len(ram)
+    zero_from = -(-len(data) // PAGE_BYTES) * PAGE_BYTES
+    lows = list(range(0, zero_from, PAGE_BYTES))
+    for chunk in range(zero_from, size, CHUNK_BYTES):
+        # one comparison, without a copy, for a chunk still all zero
+        if not ram.startswith(_ZERO_CHUNK, chunk):
+            lows.extend(range(chunk, min(chunk + CHUNK_BYTES, size),
+                              PAGE_BYTES))
+    for low in lows:
+        if low >= len(data) and ram.startswith(_ZERO_PAGE, low):
+            continue
+        page = ram[low:low + PAGE_BYTES]
+        if page != _initial_page(data, low, len(page)):
+            yield low
+
+
+def _initial_page(data: bytes, low: int, size: int) -> bytes:
+    initial = data[low:low + size]
+    return initial + _ZERO_PAGE[len(initial):size]
+
+
+def changed_pages(ram: bytearray, data: bytes) -> Dict[int, bytes]:
+    """``offset -> page`` for every page of ``ram`` that differs from a
+    fresh machine's RAM: ``data``, zero beyond it."""
+    return {low: bytes(ram[low:low + PAGE_BYTES])
+            for low in _changed_offsets(ram, data)}
+
+
+def _acquire_ram(size: int, data: bytes) -> bytearray:
+    """A buffer of ``size`` bytes holding ``data`` and zero beyond it: a
+    dead machine's, reset page by page, or a fresh one."""
+    free = _FREE.get(size)
+    if not free or len(data) > size:
+        # (a data segment longer than RAM extends a fresh buffer)
+        ram = bytearray(size)
+        ram[:len(data)] = data
+        return ram
+    ram = free.pop()
+    for low in _changed_offsets(ram, data):
+        end = min(low + PAGE_BYTES, size)
+        ram[low:end] = _initial_page(data, low, end - low)
+    return ram
 
 
 @dataclass
@@ -73,10 +166,10 @@ class Memory:
         self.code_base = code_base
         self.data_base = data_base
         self.data_limit = data_limit
-        self.ram = bytearray(data_limit - data_base)
-        self.ram[:len(data)] = data
+        self.ram = _acquire_ram(data_limit - data_base, data)
         self.mmio = mmio if mmio is not None else MMIODevice()
-        self._code_listeners: List[Callable[[int], None]] = []
+        #: zero-argument references to the listeners (see poke_code)
+        self._code_listeners: List[Callable[[], Optional[Callable]]] = []
         # the code region never grows or shrinks (poke_code writes in
         # place), so its limit is a plain attribute, not a recomputation
         self.code_limit = code_base + 4 * len(self.code)
@@ -88,14 +181,30 @@ class Memory:
         else:
             self._ram_size = -1
 
+    def __del__(self, ram_refs=_ram_refs, free=_FREE) -> None:
+        # recycle the buffer only when this memory is its sole owner
+        if ram_refs(self) == _SOLE_OWNER_REFS:
+            pool = free.setdefault(len(self.ram), [])
+            if len(pool) < POOL_BUFFERS:
+                pool.append(self.ram)
+
     # -- code region -----------------------------------------------------
 
     def in_code(self, address: int) -> bool:
         return self.code_base <= address < self.code_limit
 
     def add_code_listener(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked with the address of any code write."""
-        self._code_listeners.append(listener)
+        """Register a callback invoked with the address of any code write.
+
+        A bound method is held weakly (a machine registering its own
+        method must not be kept alive by its memory); once its object
+        dies it is skipped.  Any other callable is held strongly."""
+        if isinstance(listener, MethodType):
+            ref = weakref.WeakMethod(listener)
+        else:
+            def ref(listener=listener):
+                return listener
+        self._code_listeners.append(ref)
 
     def fetch_word(self, address: int) -> int:
         """Instruction fetch (no MMIO, code region only)."""
@@ -112,8 +221,10 @@ class Memory:
         if not self.in_code(address):
             raise SimulationError(f"code write outside text 0x{address:08x}")
         self.code[(address - self.code_base) >> 2] = word & MASK32
-        for listener in self._code_listeners:
-            listener(address)
+        for ref in self._code_listeners:
+            listener = ref()
+            if listener is not None:
+                listener(address)
 
     # -- data loads/stores -------------------------------------------------
 

@@ -26,8 +26,8 @@ from repro.faults.campaign import (FaultOutcome, run_fault, run_fault_batch,
 from repro.faults.models import (CodeBitFlip, CombinedFault, FetchGlitch,
                                  PCGlitch, RegisterFault, VerifySkip)
 from repro.isa import parse
-from repro.sim.batch import (CHECK_EVERY, PAGE_BYTES, GoldenTrace,
-                             _changed_pages)
+from repro.sim.batch import CHECK_EVERY, GoldenTrace
+from repro.sim.memory import PAGE_BYTES, changed_pages
 from repro.transform import transform
 from repro.transform.profile import DEFAULT_PROFILE, profile_grid
 from repro.workloads import make_workload
@@ -388,7 +388,7 @@ class TestDifferential:
 
 
 def pages_oracle(ram, data):
-    """Per-page reference for ``_changed_pages``: every page on its own."""
+    """Per-page reference for ``changed_pages``: every page on its own."""
     changed = {}
     for low in range(0, len(ram), PAGE_BYTES):
         page = bytes(ram[low:low + PAGE_BYTES])
@@ -421,4 +421,4 @@ class TestChangedPages:
             if 0 <= at < size:
                 # a rewrite of the initial value must not count as changed
                 ram[at] = rng.choice([0, ram[at], rng.randrange(256)])
-        assert _changed_pages(ram, data) == pages_oracle(ram, data)
+        assert changed_pages(ram, data) == pages_oracle(ram, data)

@@ -184,6 +184,8 @@ class TestTelemetry:
         kinds = [r["event"] for r in records]
         assert kinds.count("task-completed") == 2
         assert "worker-start" in kinds and "worker-exit" in kinds
+        assert (records[-1]["event"], records[-1]["status"]) == \
+            ("campaign-end", "completed")
 
         metrics = load_metrics(tmp_path / "tel")
         assert metrics["counters"]["tasks.completed"] == 2
@@ -195,6 +197,7 @@ class TestTelemetry:
         text, problems = summarize(tmp_path / "tel")
         assert problems == 0
         assert "demo" in text
+        assert "status      completed" in text
 
     def test_fault_heartbeat_counts_specimens_and_labels_groups(self):
         # 6 models x 11 specimens: two lockstep groups (64 + 2); progress

@@ -196,6 +196,12 @@ def _fails_at_three(task):
     return task * 2
 
 
+def _interrupts_at_three(task):
+    if task == 3:
+        raise KeyboardInterrupt
+    return task * 2
+
+
 class TestFailedTask:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raising_task_is_reported_after_earlier_units_are_stored(
@@ -213,11 +219,35 @@ class TestFailedTask:
         failed = [record for record in
                   read_events(tmp_path / "tel" / "events.jsonl")
                   if record["event"] == "task-failed"]
-        assert [(r["index"], r["error"]) for r in failed] == \
-            [(3, "RuntimeError")]
+        assert [(r["index"], r["error"], r["key"]) for r in failed] == \
+            [(3, "RuntimeError", keys[3])]
+        last = list(read_events(tmp_path / "tel" / "events.jsonl"))[-1]
+        assert (last["event"], last["status"]) == ("campaign-end", "failed")
         text, problems = summarize(tmp_path / "tel")
         assert problems == 0
         assert "task-failed      1" in text
+        assert "status      failed" in text
+
+    def test_interrupt_ends_the_campaign_interrupted(self, tmp_path):
+        # Ctrl-C inside the fourth unit: the three before it are stored,
+        # and the campaign still ends, says so and writes its metrics
+        tasks = list(range(6))
+        keys = [task_key("demo", {}, task) for task in tasks]
+        telemetry = Telemetry(directory=tmp_path / "tel")
+        with pytest.raises(KeyboardInterrupt):
+            with obs.campaign(telemetry, "demo"):
+                run_tasks_stored(_interrupts_at_three, tasks, keys, jobs=1,
+                                 store=ResultStore(tmp_path / "store"),
+                                 telemetry=telemetry)
+        store = ResultStore(tmp_path / "store")
+        assert sorted(store.keys()) == sorted(keys[:3])
+        events = list(read_events(tmp_path / "tel" / "events.jsonl"))
+        assert (events[-1]["event"], events[-1]["status"]) == \
+            ("campaign-end", "interrupted")
+        assert (tmp_path / "tel" / "metrics.json").is_file()
+        text, problems = summarize(tmp_path / "tel")
+        assert problems == 0
+        assert "status      interrupted" in text
 
 
 class TestShardedAttacksynth:
