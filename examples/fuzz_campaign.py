@@ -60,21 +60,13 @@ def main() -> None:
     print()
 
     # -- 5: planted engine bug -> caught, minimized, triaged -------------
-    original = engine.COMPILERS["sub"]
-
-    def bad_sub(i):
-        rd, a, b = i.rd, i.rs1, i.rs2
-
-        def run(regs, memory, pc, rd=rd, a=a, b=b):
-            if rd:
-                regs[rd] = (regs[a] - regs[b] - 1) & 0xFFFFFFFF  # off by one
-            return None
-        return run
-
-    engine.COMPILERS["sub"] = bad_sub
+    original = engine.SEMANTICS["sub"]
+    # off by one, in the table entry both tiers of the fast engine render
+    engine.SEMANTICS["sub"] = engine.Semantics(
+        "(r[{rs1}] - r[{rs2}] - 1) & {M}")
     try:
         hunt = run_fuzz(seeds=40, seed=99, max_failures=1)
-        print(f"planted off-by-one in the predecoded 'sub' handler: "
+        print(f"planted off-by-one in the 'sub' semantics entry: "
               f"{len(hunt.failures)} failing specimens, "
               f"{hunt.divergences} divergences")
         record = hunt.failures[0]
@@ -83,7 +75,7 @@ def main() -> None:
         print(f"  divergence: [{record.divergences[0]['axis']}/"
               f"{record.divergences[0]['observable']}]")
     finally:
-        engine.COMPILERS["sub"] = original
+        engine.SEMANTICS["sub"] = original
     clean = run_oracle(generate(Genome(shape="straight", seed=1)), KEYS)
     print(f"engine restored, tree differentially clean again: {clean.ok}")
 

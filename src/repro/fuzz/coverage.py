@@ -6,7 +6,7 @@ corpus has not yet pinned":
 
 ``bi:<m1>><m2>``   mnemonic bigrams over the program's instruction
                    stream (plus ``mn:<m>`` unigrams) — ALU/memory/CTI
-                   semantics and the predecoded dispatch table
+                   semantics and the fast engine's semantics table
 ``bk:...``         block-geometry classes from the protected image:
                    block kind x entry-path count, forwarder blocks,
                    multiplexor-tree size buckets, block-count buckets

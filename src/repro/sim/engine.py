@@ -1,25 +1,39 @@
-"""Predecoded handlers: compile instructions once, step closures.
+"""One instruction-semantics table, rendered for both fast-engine tiers.
 
 :func:`repro.sim.core.execute` is the *reference semantics oracle*: a
-~40-arm mnemonic dispatch that re-reads every operand field, allocates a
-fresh :class:`~repro.sim.core.ExecOutcome` and re-derives
+hand-written mnemonic dispatch that re-reads every operand field,
+allocates a fresh :class:`~repro.sim.core.ExecOutcome` and re-derives
 :func:`~repro.sim.timing.instruction_cycles` on every step.  That is the
 right shape for auditing the ISA against the paper, and the wrong shape
 for the millions of steps a fault campaign or overhead sweep executes.
 
-This module compiles each decoded :class:`~repro.isa.instructions.
-Instruction` exactly once into a specialized *handler* — a closure drawn
-from a per-mnemonic dispatch table that binds the operand indices,
-immediates and masks as default arguments (locals, not cell lookups) —
-paired with its two precomputed cycle costs from
-:func:`~repro.sim.timing.cycle_costs`.  The ``"fast"`` engine steps these
-cached handlers as its cold tier (code below the
-:data:`~repro.sim.fused.COMPILE_THRESHOLD` heat gate, plus the exact
-budget tail of a vanilla run) and source-compiles hot code with
-:mod:`repro.sim.fused`; ``engine="reference"`` keeps the oracle loop
-selectable.  The fast engine has one loop per machine and it fires no
-``on_commit`` hook: a run with a hook, or one resumed with the MMIO exit
-register already written, is executed by the oracle on either engine.
+The ``"fast"`` engine therefore runs generated code, and generates it
+from one definition: :data:`SEMANTICS` gives every SRISC mnemonic exactly
+once, as Python source templates over named operands (:data:`OPERANDS`),
+and :func:`render` applies the rules every rendering shares (a write to
+r0 is compiled out; a zero offset addresses through the base register
+alone; an indirect target is read before the link write).  The two tiers
+of the fast engine are two renderings of that table:
+
+* the **cold tier** (code below the
+  :data:`~repro.sim.fused.COMPILE_THRESHOLD` heat gate, plus the exact
+  budget tail of a vanilla run): :func:`compile_handler` renders an entry
+  once per mnemonic into a factory whose *handlers* bind the operands as
+  default arguments (locals, not cell lookups), and :func:`predecode`
+  pairs each handler with its two precomputed cycle costs from
+  :func:`~repro.sim.timing.cycle_costs`;
+* the **hot tier** (:mod:`repro.sim.fused`) renders the same entries
+  with literal operands into one compiled function per straight-line run.
+
+Loads and stores keep one tier-specific part each (the cold
+``memory.load``/``memory.store`` call, the hot inlined RAM fast path);
+their address, stored value and r0 rule still come from the table.
+``core.execute`` stays hand-written and independent of the table, because
+it is the oracle the differential suites hold both renderings to;
+``engine="reference"`` keeps its loop selectable.  The fast engine has one
+loop per machine and it fires no ``on_commit`` hook: a run with a hook, or
+one resumed with the MMIO exit register already written, is executed by
+the oracle on either engine.
 
 Handler contract
 ----------------
@@ -44,11 +58,10 @@ they call the same :class:`~repro.sim.memory.Memory` methods.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import SimulationError
 from ..isa.instructions import Instruction
-from .memory import Memory
 from .timing import TimingParams, cycle_costs
 
 MASK32 = 0xFFFFFFFF
@@ -66,8 +79,6 @@ HALT = -1
 #: name surface (CLI choices, telemetry counter suffixes).
 ENGINES = ("fast", "reference")
 DEFAULT_ENGINE = "fast"
-
-Handler = Callable[[list, Memory, int], Optional[int]]
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -93,454 +104,253 @@ def run_loop(engine: str, on_commit, mmio) -> str:
     return "fast"
 
 
-# -- handler compilers ----------------------------------------------------
-#
-# One compiler per mnemonic.  Each binds everything the hot path needs as
-# default arguments; writes to r0 are compiled out entirely (the oracle
-# discards them in CPUState.write with no other side effect).
-
-def _run_nop(regs, memory, pc):
-    return None
-
-
-def _run_halt(regs, memory, pc):
-    return HALT
-
-
-def _c_nop(i: Instruction) -> Handler:
-    return _run_nop
-
-
-def _c_halt(i: Instruction) -> Handler:
-    return _run_halt
-
-
-def _c_add(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32):
-        regs[rd] = (regs[a] + regs[b]) & M
-        return None
-    return run
-
-
-def _c_sub(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32):
-        regs[rd] = (regs[a] - regs[b]) & M
-        return None
-    return run
-
-
-def _c_and(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = regs[a] & regs[b]
-        return None
-    return run
-
-
-def _c_or(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = regs[a] | regs[b]
-        return None
-    return run
-
-
-def _c_xor(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = regs[a] ^ regs[b]
-        return None
-    return run
-
-
-def _c_sll(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32):
-        regs[rd] = (regs[a] << (regs[b] & 31)) & M
-        return None
-    return run
-
-
-def _c_srl(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = regs[a] >> (regs[b] & 31)
-        return None
-    return run
-
-
-def _c_sra(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32, S=SIGN_BIT):
-        v = regs[a]
-        if v & S:
-            v -= 0x100000000
-        regs[rd] = (v >> (regs[b] & 31)) & M
-        return None
-    return run
-
-
-def _c_mul(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32):
-        regs[rd] = (regs[a] * regs[b]) & M
-        return None
-    return run
-
-
-def _c_div(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32, S=SIGN_BIT):
-        divisor = regs[b]
-        if divisor & S:
-            divisor -= 0x100000000
-        if rd:
-            if divisor == 0:
-                regs[rd] = M
-            else:
-                dividend = regs[a]
-                if dividend & S:
-                    dividend -= 0x100000000
-                quotient = abs(dividend) // abs(divisor)
-                if (dividend < 0) != (divisor < 0):
-                    quotient = -quotient
-                regs[rd] = quotient & M
-        return None
-    return run
-
-
-def _c_rem(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32, S=SIGN_BIT):
-        divisor = regs[b]
-        if divisor & S:
-            divisor -= 0x100000000
-        if rd:
-            if divisor == 0:
-                regs[rd] = regs[a]
-            else:
-                dividend = regs[a]
-                if dividend & S:
-                    dividend -= 0x100000000
-                quotient = abs(dividend) // abs(divisor)
-                if (dividend < 0) != (divisor < 0):
-                    quotient = -quotient
-                regs[rd] = (dividend - divisor * quotient) & M
-        return None
-    return run
-
-
-def _c_slt(i):
-    # signed compare via sign-bit bias: (x ^ 0x80000000) orders unsigned
-    # 32-bit values exactly like to_signed(x) orders them signed
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, S=SIGN_BIT):
-        regs[rd] = 1 if (regs[a] ^ S) < (regs[b] ^ S) else 0
-        return None
-    return run
-
-
-def _c_sltu(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = 1 if regs[a] < regs[b] else 0
-        return None
-    return run
-
-
-def _c_addi(i):
-    rd, a, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, imm=imm, M=MASK32):
-        regs[rd] = (regs[a] + imm) & M
-        return None
-    return run
-
-
-def _c_andi(i):
-    rd, a, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, imm=imm, M=MASK32):
-        regs[rd] = (regs[a] & imm) & M
-        return None
-    return run
-
-
-def _c_ori(i):
-    rd, a, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, imm=imm, M=MASK32):
-        regs[rd] = (regs[a] | imm) & M
-        return None
-    return run
-
-
-def _c_xori(i):
-    rd, a, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, imm=imm, M=MASK32):
-        regs[rd] = (regs[a] ^ imm) & M
-        return None
-    return run
-
-
-def _c_slli(i):
-    rd, a, sh = i.rd, i.rs1, i.imm & 31
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, sh=sh, M=MASK32):
-        regs[rd] = (regs[a] << sh) & M
-        return None
-    return run
-
-
-def _c_srli(i):
-    rd, a, sh = i.rd, i.rs1, i.imm & 31
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, sh=sh):
-        regs[rd] = regs[a] >> sh
-        return None
-    return run
-
-
-def _c_srai(i):
-    rd, a, sh = i.rd, i.rs1, i.imm & 31
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, sh=sh, M=MASK32, S=SIGN_BIT):
-        v = regs[a]
-        if v & S:
-            v -= 0x100000000
-        regs[rd] = (v >> sh) & M
-        return None
-    return run
-
-
-def _c_slti(i):
-    rd, a = i.rd, i.rs1
-    biased = (i.imm + SIGN_BIT)  # exact: Python ints don't wrap
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, biased=biased, S=SIGN_BIT):
-        regs[rd] = 1 if (regs[a] ^ S) < biased else 0
-        return None
-    return run
-
-
-def _c_sltiu(i):
-    rd, a, cmp = i.rd, i.rs1, i.imm & MASK32
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, cmp=cmp):
-        regs[rd] = 1 if regs[a] < cmp else 0
-        return None
-    return run
-
-
-def _c_lui(i):
-    rd, value = i.rd, (i.imm << 16) & MASK32
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, value=value):
-        regs[rd] = value
-        return None
-    return run
-
-
-def _c_load(size: int, signed: bool):
-    def compiler(i):
-        rd, base, off = i.rd, i.rs1, i.imm
-
-        def run(regs, memory, pc, rd=rd, base=base, off=off,
-                size=size, signed=signed, M=MASK32):
-            # the access must happen even for rd == r0: bus errors and
-            # MMIO loads trap exactly like the oracle
-            value = memory.load((regs[base] + off) & M, size, signed)
-            if rd:
-                regs[rd] = value
-            return None
-        return run
-    return compiler
-
-
-def _c_store(size: int):
-    def compiler(i):
-        data, base, off = i.rs2, i.rs1, i.imm
-
-        def run(regs, memory, pc, data=data, base=base, off=off,
-                size=size, M=MASK32):
-            memory.store((regs[base] + off) & M, regs[data], size)
-            return None
-        return run
-    return compiler
-
-
-def _c_beq(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target):
-        return target if regs[a] == regs[b] else None
-    return run
-
-
-def _c_bne(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target):
-        return target if regs[a] != regs[b] else None
-    return run
-
-
-def _c_blt(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target, S=SIGN_BIT):
-        return target if (regs[a] ^ S) < (regs[b] ^ S) else None
-    return run
-
-
-def _c_bge(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target, S=SIGN_BIT):
-        return target if (regs[a] ^ S) >= (regs[b] ^ S) else None
-    return run
-
-
-def _c_bltu(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target):
-        return target if regs[a] < regs[b] else None
-    return run
-
-
-def _c_bgeu(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target):
-        return target if regs[a] >= regs[b] else None
-    return run
-
-
-def _c_jmp(i):
-    target = i.imm & MASK32
-
-    def run(regs, memory, pc, target=target):
-        return target
-    return run
-
-
-def _c_call(i):
-    target = i.imm & MASK32
-
-    def run(regs, memory, pc, target=target, M=MASK32):
-        regs[1] = (pc + 4) & M  # RA
-        return target
-    return run
-
-
-def _c_jr(i):
-    a = i.rs1
-
-    def run(regs, memory, pc, a=a):
-        return regs[a]
-    return run
-
-
-def _c_jalr(i):
-    rd, a = i.rd, i.rs1
-
-    def run(regs, memory, pc, rd=rd, a=a, M=MASK32):
-        # target is read before the link write (jalr rd == rs1)
-        target = regs[a]
-        if rd:
-            regs[rd] = (pc + 4) & M
-        return target
-    return run
-
-
-#: the per-mnemonic dispatch table: consulted once per decoded
-#: instruction, never on the hot path
-COMPILERS: Dict[str, Callable[[Instruction], Handler]] = {
-    "nop": _c_nop, "halt": _c_halt,
-    "add": _c_add, "sub": _c_sub, "and": _c_and, "or": _c_or,
-    "xor": _c_xor, "sll": _c_sll, "srl": _c_srl, "sra": _c_sra,
-    "mul": _c_mul, "div": _c_div, "rem": _c_rem,
-    "slt": _c_slt, "sltu": _c_sltu,
-    "addi": _c_addi, "andi": _c_andi, "ori": _c_ori, "xori": _c_xori,
-    "slli": _c_slli, "srli": _c_srli, "srai": _c_srai,
-    "slti": _c_slti, "sltiu": _c_sltiu, "lui": _c_lui,
-    "lw": _c_load(4, False), "lh": _c_load(2, True),
-    "lhu": _c_load(2, False), "lb": _c_load(1, True),
-    "lbu": _c_load(1, False),
-    "sw": _c_store(4), "sh": _c_store(2), "sb": _c_store(1),
-    "beq": _c_beq, "bne": _c_bne, "blt": _c_blt, "bge": _c_bge,
-    "bltu": _c_bltu, "bgeu": _c_bgeu,
-    "jmp": _c_jmp, "call": _c_call, "jr": _c_jr, "jalr": _c_jalr,
+# -- the semantics table ----------------------------------------------------
+
+class Semantics(NamedTuple):
+    """One mnemonic's semantics as source templates.
+
+    A template reads registers as ``r[...]`` and names its operands in
+    braces: those of :data:`OPERANDS`, ``{pc}`` (the instruction's own
+    address) and the constants ``{M}`` (:data:`MASK32`) and ``{S}``
+    (:data:`SIGN_BIT`).
+    """
+
+    write: str = ""        # the value written to r[rd]
+    cond: str = ""         # a branch's taken condition
+    target: str = ""       # a control transfer's next PC
+    link: str = ""         # the register a transfer writes pc + 4 to
+    address: str = ""      # a load's or store's effective address
+    data: str = ""         # the value a store writes
+    size: int = 0          # a load's or store's width in bytes
+    signed: bool = False   # a load sign-extends
+
+
+#: the operands a template may name: the decoded fields, and constants
+#: derived from them, as templates over the fields
+OPERANDS = {
+    "rd": "{rd}", "rs1": "{rs1}", "rs2": "{rs2}", "imm": "{imm}",
+    "sh": "{imm} & 31",             # shift amounts wrap at 32
+    "hi": "({imm} << 16) & {M}",    # lui's upper half
+    "biased": "{imm} + {S}",        # slti's bound, sign-biased like r[rs1]
+    "uimm": "{imm} & {M}",          # the immediate as an unsigned word
+}
+
+_CONSTANTS = {"M": str(MASK32), "S": str(SIGN_BIT)}
+
+_ADDRESS = "(r[{rs1}] + {imm}) & {M}"
+#: what ``_ADDRESS`` renders as for a zero offset: the base register
+#: alone, whose value is already a 32-bit word
+_BASE = "r[{rs1}]"
+
+
+def _load(size: int, signed: bool = False) -> Semantics:
+    return Semantics(address=_ADDRESS, size=size, signed=signed)
+
+
+def _store(size: int) -> Semantics:
+    return Semantics(address=_ADDRESS, data="r[{rs2}]", size=size)
+
+
+def _sdiv(x: int, y: int) -> int:
+    """Signed 32-bit division truncating toward zero; ``x / 0`` is all
+    ones (RISC-V style)."""
+    y = (y ^ SIGN_BIT) - SIGN_BIT
+    if y == 0:
+        return MASK32
+    x = (x ^ SIGN_BIT) - SIGN_BIT
+    quotient = abs(x) // abs(y)
+    return (quotient if (x < 0) == (y < 0) else -quotient) & MASK32
+
+
+def _srem(x: int, y: int) -> int:
+    """Signed 32-bit remainder of truncating division (the dividend's
+    sign); ``x % 0`` is ``x``."""
+    y = (y ^ SIGN_BIT) - SIGN_BIT
+    if y == 0:
+        return x
+    x = (x ^ SIGN_BIT) - SIGN_BIT
+    remainder = abs(x) % abs(y)
+    return (-remainder if x < 0 else remainder) & MASK32
+
+
+#: the helpers a rendered template may call, for every generated namespace
+HELPERS = {"_sdiv": _sdiv, "_srem": _srem}
+
+#: every mnemonic's semantics, for both tiers of the fast engine.
+#: ``(x ^ S) - S`` reads a word as signed, and ``x ^ S`` orders words as
+#: their signed views order.
+SEMANTICS: Dict[str, Semantics] = {
+    "nop": Semantics(),
+    # the handler contract's sentinel; a compiled run ends itself on halt
+    "halt": Semantics(target=str(HALT)),
+    "add": Semantics("(r[{rs1}] + r[{rs2}]) & {M}"),
+    "sub": Semantics("(r[{rs1}] - r[{rs2}]) & {M}"),
+    "and": Semantics("r[{rs1}] & r[{rs2}]"),
+    "or": Semantics("r[{rs1}] | r[{rs2}]"),
+    "xor": Semantics("r[{rs1}] ^ r[{rs2}]"),
+    "sll": Semantics("(r[{rs1}] << (r[{rs2}] & 31)) & {M}"),
+    "srl": Semantics("r[{rs1}] >> (r[{rs2}] & 31)"),
+    "sra": Semantics("(((r[{rs1}] ^ {S}) - {S}) >> (r[{rs2}] & 31)) & {M}"),
+    "mul": Semantics("(r[{rs1}] * r[{rs2}]) & {M}"),
+    "div": Semantics("_sdiv(r[{rs1}], r[{rs2}])"),
+    "rem": Semantics("_srem(r[{rs1}], r[{rs2}])"),
+    "slt": Semantics("1 if (r[{rs1}] ^ {S}) < (r[{rs2}] ^ {S}) else 0"),
+    "sltu": Semantics("1 if r[{rs1}] < r[{rs2}] else 0"),
+    "addi": Semantics("(r[{rs1}] + {imm}) & {M}"),
+    "andi": Semantics("r[{rs1}] & {uimm}"),
+    "ori": Semantics("r[{rs1}] | {uimm}"),
+    "xori": Semantics("r[{rs1}] ^ {uimm}"),
+    "slli": Semantics("(r[{rs1}] << {sh}) & {M}"),
+    "srli": Semantics("r[{rs1}] >> {sh}"),
+    "srai": Semantics("(((r[{rs1}] ^ {S}) - {S}) >> {sh}) & {M}"),
+    "slti": Semantics("1 if (r[{rs1}] ^ {S}) < {biased} else 0"),
+    "sltiu": Semantics("1 if r[{rs1}] < {uimm} else 0"),
+    "lui": Semantics("{hi}"),
+    "lw": _load(4), "lh": _load(2, True), "lhu": _load(2),
+    "lb": _load(1, True), "lbu": _load(1),
+    "sw": _store(4), "sh": _store(2), "sb": _store(1),
+    "beq": Semantics(cond="r[{rs1}] == r[{rs2}]", target="{uimm}"),
+    "bne": Semantics(cond="r[{rs1}] != r[{rs2}]", target="{uimm}"),
+    "blt": Semantics(cond="(r[{rs1}] ^ {S}) < (r[{rs2}] ^ {S})",
+                     target="{uimm}"),
+    "bge": Semantics(cond="(r[{rs1}] ^ {S}) >= (r[{rs2}] ^ {S})",
+                     target="{uimm}"),
+    "bltu": Semantics(cond="r[{rs1}] < r[{rs2}]", target="{uimm}"),
+    "bgeu": Semantics(cond="r[{rs1}] >= r[{rs2}]", target="{uimm}"),
+    "jmp": Semantics(target="{uimm}"),
+    "call": Semantics(target="{uimm}", link="1"),  # RA
+    "jr": Semantics(target="r[{rs1}]"),
+    "jalr": Semantics(target="r[{rs1}]", link="{rd}"),
 }
 
 
-def compile_handler(instr: Instruction) -> Handler:
-    """Compile one instruction into its specialized handler."""
+class Rendered(NamedTuple):
+    """One instruction's :class:`Semantics` rendered over an operand map."""
+
+    body: List[str]   # its register writes, in commit order
+    cond: str
+    target: str
+    address: str
+    dest: str         # a load's destination register ("" for r0)
+    data: str
+    size: int
+    signed: bool
+
+
+def semantics(mnemonic: str) -> Semantics:
+    """The table entry of ``mnemonic``."""
     try:
-        compiler = COMPILERS[instr.mnemonic]
+        return SEMANTICS[mnemonic]
     except KeyError:
         raise SimulationError(
-            f"no semantics for mnemonic {instr.mnemonic!r}") from None
-    return compiler(instr)
+            f"no semantics for mnemonic {mnemonic!r}") from None
+
+
+def render(instr: Instruction, operands: Mapping[str, str]) -> Rendered:
+    """Render ``instr``'s table entry, each operand as ``operands[name]``.
+
+    A write to r0 is compiled out (the oracle discards it in
+    ``CPUState.write`` with no other side effect) — a load to r0 still
+    accesses memory, because bus errors and MMIO reads trap exactly like
+    the oracle.  A zero offset renders the address as the base register
+    alone.  An indirect transfer reads its target into ``t`` before its
+    link write (``jalr`` with rd == rs1).
+    """
+    sem = semantics(instr.mnemonic)
+    rd_is_r0 = instr.rd == 0
+
+    def fill(template: str) -> str:
+        return template.format_map(operands) if template else ""
+
+    body = []
+    if sem.write and not rd_is_r0:
+        body.append(fill("r[{rd}] = " + sem.write))
+    target = fill(sem.target)
+    if sem.link and not (rd_is_r0 and sem.link == "{rd}"):
+        if instr.spec.is_indirect:
+            body.append(f"t = {target}")
+            target = "t"
+        body.append(fill("r[" + sem.link + "] = ({pc} + 4) & {M}"))
+    dest = ""
+    if sem.address and not sem.data and not rd_is_r0:
+        dest = fill("{rd}")
+    address = sem.address
+    if instr.imm == 0 and address == _ADDRESS:
+        address = _BASE
+    return Rendered(body, fill(sem.cond), target, fill(address), dest,
+                    fill(sem.data), sem.size, sem.signed)
+
+
+class LiteralOperands(dict):
+    """The hot tier's operand map for ``instr`` at address ``pc``: a field
+    is a literal, and a derived operand, rendered on first use, is a
+    constant expression that ``compile()`` folds to one."""
+
+    def __init__(self, instr: Instruction, pc: int) -> None:
+        super().__init__(_CONSTANTS, pc=str(pc), rd=str(instr.rd),
+                         rs1=str(instr.rs1), rs2=str(instr.rs2),
+                         imm=str(instr.imm))
+
+    def __missing__(self, name: str) -> str:
+        source = self[name] = "(" + OPERANDS[name].format_map(self) + ")"
+        return source
+
+
+class _OperandNames(dict):
+    """The cold tier's operand map: each operand renders as its own name,
+    and the names a rendering used are its handlers' default arguments."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = name
+        return name
+
+
+def _factory(instr: Instruction) -> Callable[[Instruction], Callable]:
+    """Generate the handler factory of ``instr``'s entry and special
+    case."""
+    from .fused import _compile  # the shared source -> code cache
+    operands = _OperandNames(_CONSTANTS, pc="pc")
+    code = render(instr, operands)
+    body = list(code.body)
+    if code.data:
+        body.append(f"memory.store({code.address}, {code.data}, "
+                    f"{code.size})")
+    elif code.address:
+        access = f"memory.load({code.address}, {code.size}, {code.signed})"
+        body.append(f"r[{code.dest}] = {access}" if code.dest else access)
+    if code.cond:
+        body.append(f"return {code.target} if {code.cond} else None")
+    else:
+        body.append(f"return {code.target or None}")
+    fields = dict(_CONSTANTS, rd="i.rd", rs1="i.rs1", rs2="i.rs2",
+                  imm="i.imm")
+    defaults = "".join(f", {name}={OPERANDS[name].format_map(fields)}"
+                       for name in operands if name in OPERANDS)
+    lines = ["def _fused(i):",
+             f"    def run(r, memory, pc{defaults}):"]
+    lines += ["        " + stmt for stmt in body]
+    lines.append("    return run")
+    return _compile(lines, dict(HELPERS))
+
+
+#: (mnemonic, rd is r0, imm is 0) -> (the entry it was built from, its
+#: factory)
+_FACTORIES: Dict[Tuple[str, bool, bool], Tuple[Semantics, Callable]] = {}
+
+
+def compile_handler(instr: Instruction) -> Callable:
+    """Compile one instruction into its specialized handler.
+
+    The factory of each mnemonic and special case (an r0 destination, a
+    zero offset; see :func:`render`) is generated on first use and rebuilt
+    when its table entry is replaced.
+    """
+    key = (instr.mnemonic, instr.rd == 0, instr.imm == 0)
+    sem = SEMANTICS.get(instr.mnemonic)
+    built = _FACTORIES.get(key)
+    if built is None or built[0] is not sem:
+        built = _FACTORIES[key] = (sem, _factory(instr))
+    return built[1](instr)
 
 
 #: step kinds: what a committed step can do beyond writing registers/RAM.
@@ -552,19 +362,12 @@ KIND_STORE = 1   # may write the MMIO exit register
 KIND_CTI = 2     # ends the block: branch / jump / call / indirect
 KIND_HALT = 3    # handler returns HALT
 
-#: predecoded vanilla step: (handler, cycles_not_taken, cycles_taken, kind)
-PredecodedStep = Tuple[Handler, int, int, int]
 
-
-def predecode(instr: Instruction, timing: TimingParams) -> PredecodedStep:
-    """Compile an instruction and precompute both cycle costs."""
+def predecode(instr: Instruction, timing: TimingParams) -> tuple:
+    """Compile an instruction and precompute both cycle costs: the
+    vanilla step ``(handler, cycles_not_taken, cycles_taken, kind)``."""
     seq, taken = cycle_costs(instr, timing)
     return (compile_handler(instr), seq, taken, step_kind(instr))
-
-
-#: predecoded SOFIA payload slot:
-#: (handler, cycles_not_taken, cycles_taken, kind, address)
-BlockStep = Tuple[Handler, int, int, int, int]
 
 
 def step_kind(instr: Instruction) -> int:
@@ -578,8 +381,9 @@ def step_kind(instr: Instruction) -> int:
     return KIND_INERT
 
 
-def predecode_payload(payload, timing: TimingParams) -> Tuple[BlockStep, ...]:
-    """Compile a verified block's payload into handler steps.
+def predecode_payload(payload, timing: TimingParams) -> tuple:
+    """Compile a verified block's payload into handler steps
+    ``(handler, cycles_not_taken, cycles_taken, kind, address)``.
 
     ``payload`` is the :class:`~repro.sim.sofia._VerifiedBlock` payload:
     ``(instr, address, slot)`` triples in fetch order.

@@ -7,10 +7,13 @@ removes that too for hot code: each straight-line run — a SOFIA
 ``_VerifiedBlock`` payload, or the vanilla per-PC chain up to and including
 the next CTI / store / halt — is *source-compiled* into a single
 specialized Python function once it has been traversed
-:data:`COMPILE_THRESHOLD` times.  The same operand/immediate constant
-binding ``engine.py`` does per instruction is inlined into one body, cycle
-costs are folded into compile-time run constants, and the I-cache tag
-checks collapse to one literal comparison per cache line.
+:data:`COMPILE_THRESHOLD` times.  Every instruction's statements are the
+entry of :data:`repro.sim.engine.SEMANTICS` rendered with literal operands
+(:func:`repro.sim.engine.render`), the table the cold tier renders too;
+this module adds only what a run needs around them: cycle costs folded
+into compile-time run constants, I-cache tag checks collapsed to one
+literal comparison per cache line, and the inlined RAM fast path of loads
+and stores.
 
 Run-handler contract
 --------------------
@@ -66,11 +69,12 @@ a code write can never outrun its own compiled suffix.
 from __future__ import annotations
 
 from types import CodeType
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..errors import DecodingError, SimulationError
 from ..isa.instructions import Instruction
-from .engine import MASK32, compile_fetch_runs
+from .engine import (HELPERS, LiteralOperands, Rendered, compile_fetch_runs,
+                     render)
 from .timing import TimingParams, cycle_costs
 
 #: vanilla straight-line runs are capped so a single compile stays small
@@ -86,53 +90,39 @@ MAX_RUN = 64
 #: at every cold traversal, so tests can pin either tier by patching it.
 COMPILE_THRESHOLD = 16
 
-#: generated handler source -> its compiled code, per process: the same
-#: block of the same image in another machine, fork or campaign execs the
-#: cached code instead of compiling it again.  Bounded, oldest entry out
+#: generated source -> its compiled code, per process: the same block of
+#: the same image in another machine, fork or campaign execs the cached
+#: code instead of compiling it again (the cold tier's handler factories
+#: are generated through it too).  Bounded, oldest entry out
 #: first (a fixed constant, not a tuning option).
 CODE_CACHE_ENTRIES = 512
 
 _CODE: Dict[str, CodeType] = {}
 
-_M = "4294967295"       # MASK32 literal
-_S = "2147483648"       # SIGN_BIT literal
+#: the inlined RAM fast path of each load width and signedness: the
+#: big-endian bytes at offset ``o``, exactly what ``Memory.load`` reads
+#: inside the data window
+_LOAD_FAST = {
+    (1, False): "ram[o]",
+    (1, True): "((ram[o] ^ 128) - 128) & 4294967295",
+    (2, False): "(ram[o] << 8) | ram[o + 1]",
+    (2, True): "((((ram[o] << 8) | ram[o + 1]) ^ 32768) - 32768) "
+               "& 4294967295",
+    (4, False): "(ram[o] << 24) | (ram[o + 1] << 16) | (ram[o + 2] << 8) "
+                "| ram[o + 3]",
+}
 
-_LOADS = {"lw": (4, False), "lh": (2, True), "lhu": (2, False),
-          "lb": (1, True), "lbu": (1, False)}
-_STORES = {"sw": 4, "sh": 2, "sb": 1}
-_BRANCHES = {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
-
-
-def _sdiv(x: int, y: int) -> int:
-    """32-bit signed division, semantics of ``engine._c_div`` verbatim."""
-    if y >= 0x80000000:
-        y -= 0x100000000
-    if y == 0:
-        return 0xFFFFFFFF
-    if x >= 0x80000000:
-        x -= 0x100000000
-    quotient = abs(x) // abs(y)
-    if (x < 0) != (y < 0):
-        quotient = -quotient
-    return quotient & 0xFFFFFFFF
-
-
-def _srem(x: int, y: int) -> int:
-    """32-bit signed remainder, semantics of ``engine._c_rem`` verbatim."""
-    if y >= 0x80000000:
-        y -= 0x100000000
-    if y == 0:
-        return x
-    if x >= 0x80000000:
-        x -= 0x100000000
-    quotient = abs(x) // abs(y)
-    if (x < 0) != (y < 0):
-        quotient = -quotient
-    return (x - y * quotient) & 0xFFFFFFFF
+#: the same for each store width, writing the value ``v``
+_STORE_FAST = {
+    1: ["ram[o] = v & 255"],
+    2: ["ram[o] = (v >> 8) & 255", "ram[o + 1] = v & 255"],
+    4: ["ram[o] = v >> 24", "ram[o + 1] = (v >> 16) & 255",
+        "ram[o + 2] = (v >> 8) & 255", "ram[o + 3] = v & 255"],
+}
 
 
-def _mem_source(instr: Instruction, data_base: int, ram_size: int):
-    """The four code pieces of one load/store.
+def _mem_source(code: Rendered, data_base: int, ram_size: int):
+    """The four code pieces of one rendered load/store.
 
     Returns ``(pre, cond, fast, slow)``: address/offset setup, the inline
     fast-path guard (aligned access fully inside data RAM — the exact
@@ -141,146 +131,34 @@ def _mem_source(instr: Instruction, data_base: int, ram_size: int):
     traps).  Only the ``slow`` call can raise.  With a shadowed RAM
     window (``ram_size < 0``) the guard is constant-false and ``cond`` is
     ``None`` — the caller emits the fallback alone, exactly the stepped
-    behaviour.  Register values are already 32-bit masked, so ``imm == 0``
-    addresses skip the mask.
+    behaviour.
     """
-    m = instr.mnemonic
-    rd, a, b, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-    pre = [f"a = r[{a}]" if imm == 0
-           else f"a = (r[{a}] + {imm}) & {_M}"]
-    if m in _LOADS:
-        size, signed = _LOADS[m]
-        slow = [f"r[{rd}] = ld(a, {size}, {signed})" if rd
-                else f"ld(a, {size}, {signed})"]
-        if ram_size < 0:
-            return pre, None, [], slow
-        pre.append(f"o = a - {data_base}")
-        align = "" if size == 1 else f"not (a & {size - 1}) and "
-        cond = f"{align}0 <= o <= {ram_size - size}"
-        if not rd:
-            # r0 loads keep their trap/MMIO effects; an in-RAM read is
-            # side-effect-free, so the fast path is a no-op
-            return pre, cond, ["pass"], slow
-        if m == "lbu":
-            fast = [f"r[{rd}] = ram[o]"]
-        elif m == "lb":
-            fast = ["v = ram[o]",
-                    f"r[{rd}] = v + 4294967040 if v & 128 else v"]
-        elif m == "lhu":
-            fast = [f"r[{rd}] = (ram[o] << 8) | ram[o + 1]"]
-        elif m == "lh":
-            fast = ["v = (ram[o] << 8) | ram[o + 1]",
-                    f"r[{rd}] = v + 4294901760 if v & 32768 else v"]
-        else:
-            fast = [f"r[{rd}] = (ram[o] << 24) | (ram[o + 1] << 16) | "
-                    "(ram[o + 2] << 8) | ram[o + 3]"]
-        return pre, cond, fast, slow
-    size = _STORES[m]
-    slow = [f"st(a, r[{b}], {size})"]
+    size = code.size
+    pre = [f"a = {code.address}"]
+    if code.data:
+        slow = [f"st(a, {code.data}, {size})"]
+    else:
+        load = f"ld(a, {size}, {code.signed})"
+        slow = [f"r[{code.dest}] = {load}" if code.dest else load]
     if ram_size < 0:
         return pre, None, [], slow
     pre.append(f"o = a - {data_base}")
     align = "" if size == 1 else f"not (a & {size - 1}) and "
     cond = f"{align}0 <= o <= {ram_size - size}"
-    if m == "sb":
-        fast = [f"ram[o] = r[{b}] & 255"]
-    elif m == "sh":
-        fast = [f"v = r[{b}]",
-                "ram[o] = (v >> 8) & 255",
-                "ram[o + 1] = v & 255"]
+    if code.data:
+        fast = [f"v = {code.data}"] + _STORE_FAST[size]
+    elif code.dest:
+        fast = [f"r[{code.dest}] = {_LOAD_FAST[size, code.signed]}"]
     else:
-        fast = [f"v = r[{b}]",
-                "ram[o] = v >> 24",
-                "ram[o + 1] = (v >> 16) & 255",
-                "ram[o + 2] = (v >> 8) & 255",
-                "ram[o + 3] = v & 255"]
+        # r0 loads keep their trap/MMIO effects; an in-RAM read is
+        # side-effect-free, so the fast path is a no-op
+        fast = ["pass"]
     return pre, cond, fast, slow
 
 
-def _op_source(instr: Instruction) -> Tuple[List[str], bool]:
-    """Statements for one non-CTI, non-halt, non-memory instruction.
-
-    Mirrors the per-mnemonic compilers in :mod:`repro.sim.engine`
-    exactly: r0 writes are compiled out.  Loads/stores go through
-    :func:`_mem_source` instead.
-    """
-    m = instr.mnemonic
-    rd, a, b, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-    if m == "nop" or rd == 0:
-        # div/rem with rd == r0 also have no architectural effect
-        return [], False
-    if m == "add":
-        return [f"r[{rd}] = (r[{a}] + r[{b}]) & {_M}"], False
-    if m == "sub":
-        return [f"r[{rd}] = (r[{a}] - r[{b}]) & {_M}"], False
-    if m == "and":
-        return [f"r[{rd}] = r[{a}] & r[{b}]"], False
-    if m == "or":
-        return [f"r[{rd}] = r[{a}] | r[{b}]"], False
-    if m == "xor":
-        return [f"r[{rd}] = r[{a}] ^ r[{b}]"], False
-    if m == "sll":
-        return [f"r[{rd}] = (r[{a}] << (r[{b}] & 31)) & {_M}"], False
-    if m == "srl":
-        return [f"r[{rd}] = r[{a}] >> (r[{b}] & 31)"], False
-    if m == "sra":
-        return [f"v = r[{a}]",
-                f"r[{rd}] = (((v - 4294967296) >> (r[{b}] & 31)) & {_M}) "
-                f"if v & {_S} else v >> (r[{b}] & 31)"], False
-    if m == "mul":
-        return [f"r[{rd}] = (r[{a}] * r[{b}]) & {_M}"], False
-    if m == "div":
-        return [f"r[{rd}] = _sdiv(r[{a}], r[{b}])"], False
-    if m == "rem":
-        return [f"r[{rd}] = _srem(r[{a}], r[{b}])"], False
-    if m == "slt":
-        return [f"r[{rd}] = 1 if (r[{a}] ^ {_S}) < (r[{b}] ^ {_S}) "
-                f"else 0"], False
-    if m == "sltu":
-        return [f"r[{rd}] = 1 if r[{a}] < r[{b}] else 0"], False
-    if m == "addi":
-        return [f"r[{rd}] = (r[{a}] + {imm}) & {_M}"], False
-    if m == "andi":
-        return [f"r[{rd}] = (r[{a}] & {imm}) & {_M}"], False
-    if m == "ori":
-        return [f"r[{rd}] = (r[{a}] | {imm}) & {_M}"], False
-    if m == "xori":
-        return [f"r[{rd}] = (r[{a}] ^ {imm}) & {_M}"], False
-    if m == "slli":
-        return [f"r[{rd}] = (r[{a}] << {imm & 31}) & {_M}"], False
-    if m == "srli":
-        return [f"r[{rd}] = r[{a}] >> {imm & 31}"], False
-    if m == "srai":
-        return [f"v = r[{a}]",
-                f"r[{rd}] = (((v - 4294967296) >> {imm & 31}) & {_M}) "
-                f"if v & {_S} else v >> {imm & 31}"], False
-    if m == "slti":
-        return [f"r[{rd}] = 1 if (r[{a}] ^ {_S}) < {imm + 0x80000000} "
-                f"else 0"], False
-    if m == "sltiu":
-        return [f"r[{rd}] = 1 if r[{a}] < {imm & MASK32} else 0"], False
-    if m == "lui":
-        return [f"r[{rd}] = {(imm << 16) & MASK32}"], False
-    raise SimulationError(f"no semantics for mnemonic {m!r}")
-
-
-def _branch_cond(instr: Instruction) -> str:
-    m = instr.mnemonic
-    a, b = instr.rs1, instr.rs2
-    if m == "beq":
-        return f"r[{a}] == r[{b}]"
-    if m == "bne":
-        return f"r[{a}] != r[{b}]"
-    if m == "blt":
-        return f"(r[{a}] ^ {_S}) < (r[{b}] ^ {_S})"
-    if m == "bge":
-        return f"(r[{a}] ^ {_S}) >= (r[{b}] ^ {_S})"
-    if m == "bltu":
-        return f"r[{a}] < r[{b}]"
-    return f"r[{a}] >= r[{b}]"
-
-
 def _compile(lines: List[str], namespace: dict):
+    """Exec generated source defining ``_fused`` into ``namespace`` and
+    return that function, compiling through the shared code cache."""
     source = "\n".join(lines) + "\n"
     code = _CODE.get(source)
     if code is None:
@@ -324,9 +202,8 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
         block_trap = ("illegal instruction in verified block: "
                       f"{block.decode_failure[1]}")
 
-    namespace = {"SimulationError": SimulationError,
-                 "_sdiv": _sdiv, "_srem": _srem,
-                 "_TRAP": block_trap, "_VIOL": block.violation}
+    namespace = dict(HELPERS, SimulationError=SimulationError,
+                     _TRAP=block_trap, _VIOL=block.violation)
     out = ["def _fused(r, ld, st, mmio, tags, ram):"]
     if len(runs) == 1:
         (index, tag, _count), = runs
@@ -367,31 +244,9 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
             out.append("    " + ret(count + 1, ec + seq,
                                     "None", "(2, None)"))
             break
-        if spec.is_cti:
-            n = count + 1
-            if spec.is_branch:
-                cond = _branch_cond(instr)
-                target = instr.imm & MASK32
-                out.append(f"    if {cond}:")
-                out.append("        " + ret(n, ec + taken,
-                                            f"({ft_prev}, {target})",
-                                            "None"))
-                out.append("    " + ret(n, ec + seq, ft_key, "None"))
-            else:
-                if spec.is_indirect:
-                    out.append(f"    t = r[{instr.rs1}]")
-                    if instr.mnemonic == "jalr" and instr.rd:
-                        out.append(f"    r[{instr.rd}] = "
-                                   f"{(address + 4) & MASK32}")
-                    key2 = f"({ft_prev}, t)"
-                else:
-                    if spec.is_call:
-                        out.append(f"    r[1] = {(address + 4) & MASK32}")
-                    key2 = f"({ft_prev}, {instr.imm & MASK32})"
-                out.append("    " + ret(n, ec + taken, key2, "None"))
-            break
+        code = render(instr, LiteralOperands(instr, address))
         if spec.is_load or spec.is_store:
-            pre, cond, fast, slow = _mem_source(instr, memory.data_base,
+            pre, cond, fast, slow = _mem_source(code, memory.data_base,
                                                 memory._ram_size)
             trap_ret = ret(count, ec, "None", "(4, str(e))")
             for stmt in pre:
@@ -424,9 +279,18 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
                     out.append("            " + ret(count + 1, ec + seq,
                                                     "None", "(3, None)"))
         else:
-            stmts, _ = _op_source(instr)
-            for stmt in stmts:
+            for stmt in code.body:
                 out.append("    " + stmt)
+            if spec.is_cti:
+                n = count + 1
+                key2 = f"({ft_prev}, {code.target})"
+                if code.cond:
+                    out.append(f"    if {code.cond}:")
+                    out.append("        " + ret(n, ec + taken, key2, "None"))
+                    out.append("    " + ret(n, ec + seq, ft_key, "None"))
+                else:
+                    out.append("    " + ret(n, ec + taken, key2, "None"))
+                break
         ec += seq
         count += 1
     else:
@@ -483,8 +347,7 @@ def compile_vanilla_run(machine, start_pc: int) -> tuple:
     # wrapping, and bit-identity beats tidiness
     next_pc = start_pc + 4 * n
 
-    namespace = {"SimulationError": SimulationError,
-                 "_sdiv": _sdiv, "_srem": _srem}
+    namespace = dict(HELPERS, SimulationError=SimulationError)
     memory = machine.memory
     out = ["def _fused(r, ld, st, mmio, tags, ram):",
            "    mr = 0",
@@ -545,36 +408,9 @@ def compile_vanilla_run(machine, start_pc: int) -> tuple:
             out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
                        f"{n} - mr, mr, 2, None)")
             break
-        if spec.is_cti:
-            if spec.is_branch:
-                cond = _branch_cond(instr)
-                target = instr.imm & MASK32
-                taken_charge = charge(
-                    cyc + hc_taken,
-                    extra_taken if branch_flag else 0)
-                seq_charge = charge(
-                    cyc + hc_seq, extra_seq if branch_flag else 0)
-                out.append(f"    if {cond}:")
-                out.append(f"        return ({n}, {taken_charge}, "
-                           f"{n} - mr, mr, 1, {target})")
-                out.append(f"    return ({n}, {seq_charge}, "
-                           f"{n} - mr, mr, 1, {next_pc})")
-            else:
-                if spec.is_indirect:
-                    out.append(f"    t = r[{instr.rs1}]")
-                    if instr.mnemonic == "jalr" and instr.rd:
-                        out.append(f"    r[{instr.rd}] = "
-                                   f"{(address + 4) & MASK32}")
-                    target = "t"
-                else:
-                    if spec.is_call:
-                        out.append(f"    r[1] = {(address + 4) & MASK32}")
-                    target = str(instr.imm & MASK32)
-                out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
-                           f"{n} - mr, mr, 1, {target})")
-            break
+        code = render(instr, LiteralOperands(instr, address))
         if may_trap:
-            pre, cond, fast, slow = _mem_source(instr, memory.data_base,
+            pre, cond, fast, slow = _mem_source(code, memory.data_base,
                                                 memory._ram_size)
             trap_ret = (f"return ({k}, {charge(cyc)}, "
                         f"{k + 1} - mr, mr, 4, str(e))")
@@ -599,9 +435,23 @@ def compile_vanilla_run(machine, start_pc: int) -> tuple:
             if head and extra_seq:
                 out.append("    xc += m")
         else:
-            stmts, _ = _op_source(instr)
-            for stmt in stmts:
+            for stmt in code.body:
                 out.append("    " + stmt)
+            if spec.is_cti:
+                if code.cond:
+                    taken_charge = charge(
+                        cyc + hc_taken, extra_taken if branch_flag else 0)
+                    seq_charge = charge(
+                        cyc + hc_seq, extra_seq if branch_flag else 0)
+                    out.append(f"    if {code.cond}:")
+                    out.append(f"        return ({n}, {taken_charge}, "
+                               f"{n} - mr, mr, 1, {code.target})")
+                    out.append(f"    return ({n}, {seq_charge}, "
+                               f"{n} - mr, mr, 1, {next_pc})")
+                else:
+                    out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
+                               f"{n} - mr, mr, 1, {code.target})")
+                break
         cyc += hc_seq
         if spec.is_store:
             out.append("    if mmio.exit_code is not None:")

@@ -29,8 +29,7 @@ from ..obs import hook as obs_hook
 from . import fused
 from .cache import DirectMappedCache
 from .core import CPUState, execute
-from .engine import (KIND_STORE, PredecodedStep, predecode, resolve_engine,
-                     run_loop)
+from .engine import KIND_STORE, predecode, resolve_engine, run_loop
 from .memory import Memory
 from .result import ExecutionResult, Status
 from .timing import DEFAULT_TIMING, TimingParams, instruction_cycles
@@ -53,7 +52,8 @@ class VanillaMachine:
                                         timing.icache_line_words)
         self.state = CPUState.reset(executable.entry)
         self._decoded: Dict[int, Instruction] = {}
-        self._predecoded: Dict[int, PredecodedStep] = {}
+        #: pc -> predecoded step (see :func:`repro.sim.engine.predecode`)
+        self._predecoded: Dict[int, tuple] = {}
         #: compiled run handlers (repro.sim.fused), keyed by the run's
         #: start PC; ``_fused_cover`` maps every covered address back to
         #: its start PCs so one code write invalidates exactly the runs

@@ -228,15 +228,7 @@ class TestFuzz:
     def test_fuzz_divergence_sets_exit_code(self, capsys, monkeypatch):
         import repro.sim.engine as engine
 
-        def bad_add(i):
-            rd, a, b = i.rd, i.rs1, i.rs2
-
-            def run(regs, memory, pc, rd=rd, a=a, b=b):
-                if rd:
-                    regs[rd] = (regs[a] + regs[b] + 1) & 0xFFFFFFFF
-                return None
-            return run
-
-        monkeypatch.setitem(engine.COMPILERS, "add", bad_add)
+        monkeypatch.setitem(engine.SEMANTICS, "add", engine.Semantics(
+            "(r[{rs1}] + r[{rs2}] + 1) & {M}"))
         assert main(["fuzz", "--seeds", "12", "--seed", "9"]) == 1
         assert "divergences" in capsys.readouterr().out

@@ -43,7 +43,7 @@ from repro.isa.program import CODE_BASE, MMIO_EXIT, Executable
 from repro.sim import (DEFAULT_TIMING, LEON3_MINIMAL_TIMING, SofiaMachine,
                        Status, VanillaMachine, fused, run_executable,
                        run_image)
-from repro.sim.engine import ENGINES, resolve_engine
+from repro.sim.engine import ENGINES, SEMANTICS, Semantics, resolve_engine
 from repro.transform import profile_grid, transform
 from repro.workloads import make_workload, workload_names
 
@@ -386,6 +386,22 @@ class TestSubwordMemoryLockstep:
             assert fast.state.regs[4:12] == [
                 0xFFFFFF80, 0x80, 0xFFFFFF80, 0xFF80,
                 0x80000000, 0xFFFFFF80, 0x8000, 0xFFFF8000]
+
+
+class TestPlantedSemanticsBug:
+    """Both tiers render the one semantics table, so a wrong entry must
+    break the lockstep whichever tier runs: on SOFIA every block of the
+    compiled tier runs compiled, so the hot rendering alone is caught."""
+
+    def test_wrong_xor_entry_fails_the_lockstep(self, tier, monkeypatch):
+        monkeypatch.setitem(SEMANTICS, "xor", Semantics("r[{rs1}] | r[{rs2}]"))
+        program = parse(SUBWORD)
+        exe = assemble(program)
+        image = transform(program, KEYS, nonce=NONCE)
+        for make in (lambda e: VanillaMachine(exe, engine=e),
+                     lambda e: SofiaMachine(image, KEYS, engine=e)):
+            with pytest.raises(AssertionError):
+                assert_lockstep(make)
 
 
 MID_BLOCK_TRAP = """

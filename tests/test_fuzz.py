@@ -169,24 +169,11 @@ class TestDeterministicReplay:
 # -- planted bug: the whole loop must catch an engine regression ----------
 
 @pytest.fixture
-def broken_xor_engine():
-    """Corrupt the predecoded ``xor`` handler (computes OR instead)."""
-    original = engine.COMPILERS["xor"]
-
-    def bad_xor(i):
-        rd, a, b = i.rd, i.rs1, i.rs2
-
-        def run(regs, memory, pc, rd=rd, a=a, b=b):
-            if rd:
-                regs[rd] = regs[a] | regs[b]
-            return None
-        return run
-
-    engine.COMPILERS["xor"] = bad_xor
-    try:
-        yield
-    finally:
-        engine.COMPILERS["xor"] = original
+def broken_xor_engine(monkeypatch):
+    """Corrupt the ``xor`` entry of the semantics table (computes OR
+    instead), which both tiers of the fast engine render."""
+    monkeypatch.setitem(engine.SEMANTICS, "xor",
+                        engine.Semantics("r[{rs1}] | r[{rs2}]"))
 
 
 XOR_SPECIMEN = Specimen(

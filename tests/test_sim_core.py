@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.isa import Instruction
-from repro.isa.program import DATA_BASE
-from repro.sim import CPUState, Memory, execute, to_signed
+from repro.isa.instructions import SPECS
+from repro.isa.program import CODE_BASE, DATA_BASE, Executable
+from repro.sim import (CPUState, Memory, VanillaMachine, compile_handler,
+                       compile_vanilla_run, execute, to_signed)
 from repro.sim.core import _trunc_div
+from repro.sim.engine import HALT, SEMANTICS
 
 I32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 S32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
@@ -116,8 +120,8 @@ class TestShiftImmediateMasking:
 
     The decoder rejects encoded shift amounts >= 32, so this only shows
     with hand-constructed instructions (fuzzers, fault models) — but the
-    two forms must agree there too, and the predecoded engine compiles
-    from the same contract.
+    two forms must agree there too (``TestFastTiersAgree`` holds both
+    tiers of the fast engine to the same shift amounts).
     """
 
     VALUE = 0x80000001
@@ -135,20 +139,6 @@ class TestShiftImmediateMasking:
         run_one(state, mem, Instruction(imm_name, rd=8, rs1=5, imm=amount))
         assert state.read(8) == state.read(7), (imm_name, amount)
 
-    @pytest.mark.parametrize("amount", [31, 32, 63])
-    @pytest.mark.parametrize("name", ["slli", "srli", "srai"])
-    def test_predecoded_handler_agrees(self, machine_bits, name, amount):
-        from repro.sim.engine import compile_handler
-        state, mem = machine_bits
-        state.write(5, self.VALUE)
-        instr = Instruction(name, rd=7, rs1=5, imm=amount)
-        run_one(state, mem, instr)
-        oracle = state.read(7)
-        state.write(7, 0)
-        handler = compile_handler(instr)
-        assert handler(state.regs, mem, 0) is None
-        assert state.read(7) == oracle, (name, amount)
-
     def test_boundary_31_exact_values(self, machine_bits):
         state, mem = machine_bits
         state.write(5, self.VALUE)
@@ -163,6 +153,134 @@ class TestShiftImmediateMasking:
         assert state.read(7) == self.VALUE
         run_one(state, mem, Instruction("srai", rd=7, rs1=5, imm=63))
         assert state.read(7) == 0xFFFFFFFF
+
+
+#: register values at the edges of 32-bit arithmetic
+EDGES = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+#: shift amounts at and past the 5-bit mask
+SHIFTS = (31, 32, 63)
+#: immediates: both signs, both 16-bit extremes and the shift edges
+IMMS = (0, 1, -1, 0x7FFF, -0x8000, 0xFFFF) + SHIFTS
+#: the address the instruction under test sits at
+PC = 0x40
+#: a data word at DATA_BASE + 8 and its neighbours, sign bits set
+RAM_PREFIX = bytes([0x80, 0xFF, 0x01, 0x7F, 0x12, 0x34, 0x56, 0x78,
+                    0xFE, 0xDC, 0x80, 0x00, 0xFF, 0xFF, 0x7F, 0x80])
+
+
+def edge_cases(name):
+    """``(instruction, r5, r6)`` cases at the edges of ``name``: rd = r0,
+    rd == rs1, every edge value and shift amount, divide by zero and
+    INT_MIN / -1, sign-extending and misaligned accesses."""
+    spec = SPECS[name]
+    pairs = [(x, y) for x in EDGES for y in EDGES + SHIFTS]
+    if spec.fmt == "R":
+        for rd in (7, 5, 0):
+            for x, y in pairs:
+                yield Instruction(name, rd=rd, rs1=5, rs2=6), x, y
+    elif spec.fmt == "I":
+        for rd in (7, 5, 0):
+            for imm in IMMS:
+                for x in EDGES:
+                    yield Instruction(name, rd=rd, rs1=5, imm=imm), x, 0
+    elif spec.is_load:
+        for rd in (7, 5, 0):
+            for imm in (0, -8, 2, 1, 6, -0x8000):
+                yield Instruction(name, rd=rd, rs1=5, imm=imm), \
+                    DATA_BASE + 8, 0
+    elif spec.is_store:
+        for rs2 in (6, 5):
+            for imm in (0, -8, 2, 1, 6, -0x8000):
+                for y in EDGES:
+                    yield Instruction(name, rs1=5, rs2=rs2, imm=imm), \
+                        DATA_BASE + 8, y
+    elif spec.fmt == "B":
+        for rs2 in (6, 5):
+            for x, y in pairs:
+                yield Instruction(name, rs1=5, rs2=rs2, imm=0x100), x, y
+    elif spec.fmt == "J":
+        yield Instruction(name, imm=0x100), 0, 0
+    elif spec.fmt == "JR":
+        rds = (7, 5, 0) if name == "jalr" else (None,)
+        for rd in rds:
+            for x in EDGES:
+                yield Instruction(name, rd=rd, rs1=5), x, 0
+    else:
+        yield Instruction(name), 0, 0
+
+
+def fresh_bits(r5, r6):
+    state = CPUState.reset(entry=0)
+    state.write(5, r5)
+    state.write(6, r6)
+    memory = Memory(code_words=[0] * 16)
+    memory.ram[:len(RAM_PREFIX)] = RAM_PREFIX
+    return state.regs, memory
+
+
+def oracle_step(instr, r5, r6):
+    """``core.execute``: (registers, RAM, next) where next is "seq",
+    "halt", the next PC or ("trap", reason)."""
+    regs, memory = fresh_bits(r5, r6)
+    try:
+        out = execute(instr, CPUState(regs=regs, pc=PC), memory, PC)
+    except SimulationError as exc:
+        return regs, memory.ram, ("trap", str(exc))
+    if out.halted:
+        return regs, memory.ram, "halt"
+    return regs, memory.ram, "seq" if out.next_pc is None else out.next_pc
+
+
+def cold_step(instr, r5, r6):
+    """The cold tier: the instruction's predecoded handler."""
+    regs, memory = fresh_bits(r5, r6)
+    try:
+        target = compile_handler(instr)(regs, memory, PC)
+    except SimulationError as exc:
+        return regs, memory.ram, ("trap", str(exc))
+    if target == HALT:
+        return regs, memory.ram, "halt"
+    return regs, memory.ram, "seq" if target is None else target
+
+
+def hot_step(instr, r5, r6):
+    """The hot tier: a compiled vanilla run of the instruction alone
+    (a ``halt`` follows it, so a sequential instruction ends the run
+    there)."""
+    machine = VanillaMachine(Executable(code_words=[0] * 16, data=b"",
+                                        symbols={}, entry=CODE_BASE))
+    halt = Instruction("halt")
+    machine._fetch_decode = lambda pc: instr if pc == PC else halt
+    fn, _n, _covered = compile_vanilla_run(machine, PC)
+    regs, memory = fresh_bits(r5, r6)
+    n, _cycles, _hits, _misses, code, arg = fn(
+        regs, memory.load, memory.store, memory.mmio,
+        machine.icache._tags, memory.ram)
+    if code == 4:
+        return regs, memory.ram, ("trap", arg)
+    if code == 2:
+        return regs, memory.ram, "halt" if instr.spec.is_halt else "seq"
+    return regs, memory.ram, "seq" if arg == PC + 4 else arg
+
+
+class TestFastTiersAgree:
+    """Both renderings of the semantics table — the cold tier's handler
+    and the hot tier's compiled run — agree with ``core.execute`` on every
+    mnemonic at the edges of its operands."""
+
+    def test_table_covers_every_mnemonic(self):
+        assert set(SEMANTICS) == set(SPECS)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_predecoded_handler_agrees(self, name):
+        cases = 0
+        for instr, r5, r6 in edge_cases(name):
+            oracle = oracle_step(instr, r5, r6)
+            where = (instr, hex(r5), hex(r6))
+            assert cold_step(instr, r5, r6) == oracle, where
+            assert hot_step(instr, r5, r6) == oracle, where
+            cases += 1
+        assert cases
 
 
 class TestMemoryOps:
