@@ -12,8 +12,10 @@ from one definition: :data:`SEMANTICS` gives every SRISC mnemonic exactly
 once, as Python source templates over named operands (:data:`OPERANDS`),
 and :func:`render` applies the rules every rendering shares (a write to
 r0 is compiled out; a zero offset addresses through the base register
-alone; an indirect target is read before the link write).  The two tiers
-of the fast engine are two renderings of that table:
+alone; an indirect target is read before the link write).  Registers
+are operands too (:data:`REGISTERS`), so each rendering chooses where
+they live.  The two tiers of the fast engine are two renderings of that
+table:
 
 * the **cold tier** (code below the
   :data:`~repro.sim.fused.COMPILE_THRESHOLD` heat gate, plus the exact
@@ -23,7 +25,9 @@ of the fast engine are two renderings of that table:
   pairs each handler with its two precomputed cycle costs from
   :func:`~repro.sim.timing.cycle_costs`;
 * the **hot tier** (:mod:`repro.sim.fused`) renders the same entries
-  with literal operands into one compiled function per straight-line run.
+  with literal operands into one compiled function per vanilla
+  straight-line run or SOFIA region, a region with the registers mapped
+  to its locals.
 
 Loads and stores keep one tier-specific part each (the cold
 ``memory.load``/``memory.store`` call, the hot inlined RAM fast path);
@@ -109,13 +113,13 @@ def run_loop(engine: str, on_commit, mmio) -> str:
 class Semantics(NamedTuple):
     """One mnemonic's semantics as source templates.
 
-    A template reads registers as ``r[...]`` and names its operands in
-    braces: those of :data:`OPERANDS`, ``{pc}`` (the instruction's own
-    address) and the constants ``{M}`` (:data:`MASK32`) and ``{S}``
-    (:data:`SIGN_BIT`).
+    A template names its operands in braces: the registers of
+    :data:`REGISTERS`, the fields and constants of :data:`OPERANDS`,
+    ``{pc}`` (the instruction's own address) and the constants ``{M}``
+    (:data:`MASK32`) and ``{S}`` (:data:`SIGN_BIT`).
     """
 
-    write: str = ""        # the value written to r[rd]
+    write: str = ""        # the value written to rd
     cond: str = ""         # a branch's taken condition
     target: str = ""       # a control transfer's next PC
     link: str = ""         # the register a transfer writes pc + 4 to
@@ -135,12 +139,22 @@ OPERANDS = {
     "uimm": "{imm} & {M}",          # the immediate as an unsigned word
 }
 
+#: the register operands a template may name: the register number as a
+#: template over the fields, and whether the instruction writes it.
+#: Each rendering maps them to its own storage (``r[rs1]`` in the cold
+#: tier, ``r[5]`` in a compiled run, a local ``R5`` in a region)
+REGISTERS = {
+    "src1": ("{rs1}", False), "src2": ("{rs2}", False),
+    "dst": ("{rd}", True),
+    "ra": ("1", True),                  # call's link register
+}
+
 _CONSTANTS = {"M": str(MASK32), "S": str(SIGN_BIT)}
 
-_ADDRESS = "(r[{rs1}] + {imm}) & {M}"
+_ADDRESS = "({src1} + {imm}) & {M}"
 #: what ``_ADDRESS`` renders as for a zero offset: the base register
 #: alone, whose value is already a 32-bit word
-_BASE = "r[{rs1}]"
+_BASE = "{src1}"
 
 
 def _load(size: int, signed: bool = False) -> Semantics:
@@ -148,7 +162,7 @@ def _load(size: int, signed: bool = False) -> Semantics:
 
 
 def _store(size: int) -> Semantics:
-    return Semantics(address=_ADDRESS, data="r[{rs2}]", size=size)
+    return Semantics(address=_ADDRESS, data="{src2}", size=size)
 
 
 def _sdiv(x: int, y: int) -> int:
@@ -183,44 +197,44 @@ SEMANTICS: Dict[str, Semantics] = {
     "nop": Semantics(),
     # the handler contract's sentinel; a compiled run ends itself on halt
     "halt": Semantics(target=str(HALT)),
-    "add": Semantics("(r[{rs1}] + r[{rs2}]) & {M}"),
-    "sub": Semantics("(r[{rs1}] - r[{rs2}]) & {M}"),
-    "and": Semantics("r[{rs1}] & r[{rs2}]"),
-    "or": Semantics("r[{rs1}] | r[{rs2}]"),
-    "xor": Semantics("r[{rs1}] ^ r[{rs2}]"),
-    "sll": Semantics("(r[{rs1}] << (r[{rs2}] & 31)) & {M}"),
-    "srl": Semantics("r[{rs1}] >> (r[{rs2}] & 31)"),
-    "sra": Semantics("(((r[{rs1}] ^ {S}) - {S}) >> (r[{rs2}] & 31)) & {M}"),
-    "mul": Semantics("(r[{rs1}] * r[{rs2}]) & {M}"),
-    "div": Semantics("_sdiv(r[{rs1}], r[{rs2}])"),
-    "rem": Semantics("_srem(r[{rs1}], r[{rs2}])"),
-    "slt": Semantics("1 if (r[{rs1}] ^ {S}) < (r[{rs2}] ^ {S}) else 0"),
-    "sltu": Semantics("1 if r[{rs1}] < r[{rs2}] else 0"),
-    "addi": Semantics("(r[{rs1}] + {imm}) & {M}"),
-    "andi": Semantics("r[{rs1}] & {uimm}"),
-    "ori": Semantics("r[{rs1}] | {uimm}"),
-    "xori": Semantics("r[{rs1}] ^ {uimm}"),
-    "slli": Semantics("(r[{rs1}] << {sh}) & {M}"),
-    "srli": Semantics("r[{rs1}] >> {sh}"),
-    "srai": Semantics("(((r[{rs1}] ^ {S}) - {S}) >> {sh}) & {M}"),
-    "slti": Semantics("1 if (r[{rs1}] ^ {S}) < {biased} else 0"),
-    "sltiu": Semantics("1 if r[{rs1}] < {uimm} else 0"),
+    "add": Semantics("({src1} + {src2}) & {M}"),
+    "sub": Semantics("({src1} - {src2}) & {M}"),
+    "and": Semantics("{src1} & {src2}"),
+    "or": Semantics("{src1} | {src2}"),
+    "xor": Semantics("{src1} ^ {src2}"),
+    "sll": Semantics("({src1} << ({src2} & 31)) & {M}"),
+    "srl": Semantics("{src1} >> ({src2} & 31)"),
+    "sra": Semantics("((({src1} ^ {S}) - {S}) >> ({src2} & 31)) & {M}"),
+    "mul": Semantics("({src1} * {src2}) & {M}"),
+    "div": Semantics("_sdiv({src1}, {src2})"),
+    "rem": Semantics("_srem({src1}, {src2})"),
+    "slt": Semantics("1 if ({src1} ^ {S}) < ({src2} ^ {S}) else 0"),
+    "sltu": Semantics("1 if {src1} < {src2} else 0"),
+    "addi": Semantics("({src1} + {imm}) & {M}"),
+    "andi": Semantics("{src1} & {uimm}"),
+    "ori": Semantics("{src1} | {uimm}"),
+    "xori": Semantics("{src1} ^ {uimm}"),
+    "slli": Semantics("({src1} << {sh}) & {M}"),
+    "srli": Semantics("{src1} >> {sh}"),
+    "srai": Semantics("((({src1} ^ {S}) - {S}) >> {sh}) & {M}"),
+    "slti": Semantics("1 if ({src1} ^ {S}) < {biased} else 0"),
+    "sltiu": Semantics("1 if {src1} < {uimm} else 0"),
     "lui": Semantics("{hi}"),
     "lw": _load(4), "lh": _load(2, True), "lhu": _load(2),
     "lb": _load(1, True), "lbu": _load(1),
     "sw": _store(4), "sh": _store(2), "sb": _store(1),
-    "beq": Semantics(cond="r[{rs1}] == r[{rs2}]", target="{uimm}"),
-    "bne": Semantics(cond="r[{rs1}] != r[{rs2}]", target="{uimm}"),
-    "blt": Semantics(cond="(r[{rs1}] ^ {S}) < (r[{rs2}] ^ {S})",
+    "beq": Semantics(cond="{src1} == {src2}", target="{uimm}"),
+    "bne": Semantics(cond="{src1} != {src2}", target="{uimm}"),
+    "blt": Semantics(cond="({src1} ^ {S}) < ({src2} ^ {S})",
                      target="{uimm}"),
-    "bge": Semantics(cond="(r[{rs1}] ^ {S}) >= (r[{rs2}] ^ {S})",
+    "bge": Semantics(cond="({src1} ^ {S}) >= ({src2} ^ {S})",
                      target="{uimm}"),
-    "bltu": Semantics(cond="r[{rs1}] < r[{rs2}]", target="{uimm}"),
-    "bgeu": Semantics(cond="r[{rs1}] >= r[{rs2}]", target="{uimm}"),
+    "bltu": Semantics(cond="{src1} < {src2}", target="{uimm}"),
+    "bgeu": Semantics(cond="{src1} >= {src2}", target="{uimm}"),
     "jmp": Semantics(target="{uimm}"),
-    "call": Semantics(target="{uimm}", link="1"),  # RA
-    "jr": Semantics(target="r[{rs1}]"),
-    "jalr": Semantics(target="r[{rs1}]", link="{rd}"),
+    "call": Semantics(target="{uimm}", link="{ra}"),
+    "jr": Semantics(target="{src1}"),
+    "jalr": Semantics(target="{src1}", link="{dst}"),
 }
 
 
@@ -231,7 +245,7 @@ class Rendered(NamedTuple):
     cond: str
     target: str
     address: str
-    dest: str         # a load's destination register ("" for r0)
+    dest: str         # the register a load writes ("" for r0)
     data: str
     size: int
     signed: bool
@@ -264,16 +278,16 @@ def render(instr: Instruction, operands: Mapping[str, str]) -> Rendered:
 
     body = []
     if sem.write and not rd_is_r0:
-        body.append(fill("r[{rd}] = " + sem.write))
+        body.append(fill("{dst} = " + sem.write))
     target = fill(sem.target)
-    if sem.link and not (rd_is_r0 and sem.link == "{rd}"):
+    if sem.link and not (rd_is_r0 and sem.link == "{dst}"):
         if instr.spec.is_indirect:
             body.append(f"t = {target}")
             target = "t"
-        body.append(fill("r[" + sem.link + "] = ({pc} + 4) & {M}"))
+        body.append(fill(sem.link + " = ({pc} + 4) & {M}"))
     dest = ""
     if sem.address and not sem.data and not rd_is_r0:
-        dest = fill("{rd}")
+        dest = fill("{dst}")
     address = sem.address
     if instr.imm == 0 and address == _ADDRESS:
         address = _BASE
@@ -283,24 +297,40 @@ def render(instr: Instruction, operands: Mapping[str, str]) -> Rendered:
 
 class LiteralOperands(dict):
     """The hot tier's operand map for ``instr`` at address ``pc``: a field
-    is a literal, and a derived operand, rendered on first use, is a
-    constant expression that ``compile()`` folds to one."""
+    is a literal, a derived operand, rendered on first use, is a constant
+    expression that ``compile()`` folds to one, and register ``n`` is
+    :meth:`register` ``(n)`` — a read of r0 is the constant ``0``."""
 
     def __init__(self, instr: Instruction, pc: int) -> None:
         super().__init__(_CONSTANTS, pc=str(pc), rd=str(instr.rd),
                          rs1=str(instr.rs1), rs2=str(instr.rs2),
                          imm=str(instr.imm))
 
+    def register(self, number: int, written: bool) -> str:
+        return f"r[{number}]"
+
     def __missing__(self, name: str) -> str:
-        source = self[name] = "(" + OPERANDS[name].format_map(self) + ")"
+        if name in REGISTERS:
+            template, written = REGISTERS[name]
+            number = int(template.format_map(self))
+            source = ("0" if number == 0 and not written
+                      else self.register(number, written))
+        else:
+            source = "(" + OPERANDS[name].format_map(self) + ")"
+        self[name] = source
         return source
 
 
 class _OperandNames(dict):
-    """The cold tier's operand map: each operand renders as its own name,
-    and the names a rendering used are its handlers' default arguments."""
+    """The cold tier's operand map: each field or derived operand renders
+    as its own name, a register as ``r[...]`` of its field's, and the
+    names a rendering used are its handlers' default arguments."""
 
     def __missing__(self, name: str) -> str:
+        if name in REGISTERS:
+            number = REGISTERS[name][0].format_map(self)
+            source = self[name] = f"r[{number}]"
+            return source
         self[name] = name
         return name
 
@@ -317,7 +347,7 @@ def _factory(instr: Instruction) -> Callable[[Instruction], Callable]:
                     f"{code.size})")
     elif code.address:
         access = f"memory.load({code.address}, {code.size}, {code.signed})"
-        body.append(f"r[{code.dest}] = {access}" if code.dest else access)
+        body.append(f"{code.dest} = {access}" if code.dest else access)
     if code.cond:
         body.append(f"return {code.target} if {code.cond} else None")
     else:

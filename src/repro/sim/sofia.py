@@ -67,12 +67,13 @@ class _VerifiedBlock:
     #: tuple on the block's first traversal (dies with the block on a
     #: write to any word it fetches); see ``SofiaMachine._predecode_block``
     predecoded: Optional[tuple] = None
-    #: the hot tier's run handler (repro.sim.fused): the whole payload
-    #: source-compiled into one call once the edge is hot, cached exactly
-    #: like ``predecoded`` (and invalidated with it).  Handlers bind no
-    #: machine state, so forks sharing block objects share the compiled
-    #: code too.
-    fused: Optional[Callable] = None
+    #: the hot tier's latest region containing this block
+    #: (repro.sim.fused.Region), cached on every member block.  Regions
+    #: bind no machine state: a machine whose block cache holds every
+    #: member's payload adopts it (forks and golden-trace groups share the
+    #: compiled code); a code write drops the blocks and, in the machine,
+    #: every region entry inlining one of them.
+    region: Optional[fused.Region] = None
 
 
 class SofiaMachine:
@@ -118,9 +119,10 @@ class SofiaMachine:
         self.state = CPUState.reset(image.entry)
         self.prev_pc = RESET_PREV_PC
         self._block_cache: Dict[Tuple[int, int], _VerifiedBlock] = {}
-        #: flat edge -> compiled-handler memos so the hot loop is a single
-        #: dict probe (rebuilt lazily from the block memos; forks start
-        #: empty but reuse the handlers shared via the blocks)
+        #: flat edge -> the entry of a region at that member, so the hot
+        #: loop is a single dict probe (rebuilt lazily from the block
+        #: memos; forks start empty but adopt the regions shared via the
+        #: blocks)
         self._fused_edges: Dict[Tuple[int, int], Callable] = {}
         #: traversals per edge not yet compiled: an edge is interpreted by
         #: the predecoded cold tier until it reaches COMPILE_THRESHOLD
@@ -143,13 +145,20 @@ class SofiaMachine:
 
     def _on_code_write(self, address: int) -> None:
         # per-block invalidation: every other block still reads the same
-        # words, so its decrypt, verify and compiled handler stay valid
-        stale = [key for key, block in self._block_cache.items()
-                 if address in block.fetch_addresses]
+        # words, so its decrypt and verify stay valid — but regions
+        # overlap, so every entry of every region that inlines a stale
+        # block goes, whichever member edge it is registered under
+        stale = {key for key, block in self._block_cache.items()
+                 if address in block.fetch_addresses}
+        if not stale:
+            return
         for key in stale:
             del self._block_cache[key]
-            self._fused_edges.pop(key, None)
             self._fused_heat.pop(key, None)
+        edges = self._fused_edges
+        for key in [key for key, entry in edges.items()
+                    if not stale.isdisjoint(entry.members)]:
+            del edges[key]
 
     # -- the fetch/decrypt/verify unit -----------------------------------
 
@@ -447,28 +456,27 @@ class SofiaMachine:
                 block.violation, trap_reason)
 
     def _run_fast(self, max_instructions: int) -> ExecutionResult:
-        """The tiered loop: one call per verified block.
+        """The tiered loop: one call per hot region or cold block.
 
         Bit-identical to the reference oracle — same commit effects,
         same cycle, MAC-slot and I-cache accounting, same reset/trap
-        points.  The decrypt/verify front end is shared (and
-        memoized) with the reference engine.  Each edge is driven by one
-        handler speaking the run-handler protocol of
-        :mod:`repro.sim.fused`: while the edge is cold, a predecoded
-        traversal (:meth:`_interp_block`); once it reaches
-        :data:`repro.sim.fused.COMPILE_THRESHOLD`, the block's payload
-        source-compiled into a single call
-        (:func:`repro.sim.fused.compile_sofia_block`) and cached on the
-        block, with its lifetime — a write to any word the block fetches
-        drops the block memo and the handler with it (see
-        :meth:`_on_code_write`).  Mid-run
-        traps, MMIO exits, halts, taken/not-taken costs, I-cache
-        statistics and the block-level ``max(fetch, exec)`` bottleneck are
-        folded into the compiled handler's constants (see the module
-        docstring of :mod:`repro.sim.fused` for the trap-equivalence
-        argument).  Runs only with no commit hook and the MMIO exit
-        register clear (see :meth:`run`), so handlers fire no hook and
-        poll the exit register only after stores.
+        points.  The decrypt/verify front end is shared (and memoized)
+        with the reference engine.  Every handler speaks the protocol of
+        :mod:`repro.sim.fused`: called with the instruction budget left,
+        it returns the charges of the blocks it ran, the next edge (the
+        terminal block's own edge with a terminal ``arg``) and ``arg``.
+        While an edge is cold, the handler is one predecoded traversal
+        (:meth:`_interp_block`); once it reaches
+        :data:`repro.sim.fused.COMPILE_THRESHOLD`, a region of verified
+        blocks grown from it (:func:`repro.sim.fused.grow_region`) is
+        source-compiled into a single call that loops over them
+        (:func:`repro.sim.fused.compile_sofia_block`) and registered
+        under every member edge.  The budget is checked at every member
+        boundary, as this loop checks it before every block (see the
+        module docstring of :mod:`repro.sim.fused` for the exit rules and
+        the trap-equivalence argument).  Runs only with no commit hook and
+        the MMIO exit register clear (see :meth:`run`), so handlers fire
+        no hook and poll the exit register only after stores.
         """
         state = self.state
         icache = self.icache
@@ -489,22 +497,19 @@ class SofiaMachine:
         trap_reason = ""
         violation: Optional[ViolationRecord] = None
         get_edge = self._fused_edges.get
-        # every handler returns its successor edge as a compile-time
-        # constant (or None when the run ends), so the hot path below is
-        # one dict probe, one call and one unpack per verified block
         key = (self.prev_pc, state.pc)
-        # a transient fetch glitch (pending_fetch_restore) can only be
-        # armed before the run or while a block is decrypted — i.e. on the
-        # cold path — so the hot loop polls the attribute only then
+        # a transient fetch glitch (pending_fetch_restore) is armed before
+        # the run: its first block then runs alone, through the cold path
         restore_check = self.pending_fetch_restore is not None
 
         while executed < max_instructions:
             fn = get_edge(key)
-            if fn is None:
+            if fn is None or restore_check:
                 fn = self._edge_handler(key)
                 restore_check = True
-            n, cyc, h, mr, mc, key2, arg = fn(regs, ld, st, mmio, tags, ram)
-            blocks_executed += 1
+            n, cyc, h, mr, mc, nb, key, arg = fn(
+                regs, ld, st, mmio, tags, ram, max_instructions - executed)
+            blocks_executed += nb
             executed += n
             cycles += cyc
             hits += h
@@ -516,8 +521,7 @@ class SofiaMachine:
                     address, original = self.pending_fetch_restore
                     self.pending_fetch_restore = None
                     memory.poke_code(address, original)
-            if key2 is not None:
-                key = key2
+            if arg is None:
                 continue
             code, payload = arg
             if code == 2:
@@ -531,8 +535,9 @@ class SofiaMachine:
                 status = Status.RESET
                 violation = payload
             break
-        # terminal handlers return no successor, leaving pc/prev_pc at the
-        # block entry — exactly where the reference loop leaves them
+        # a terminal handler returns its block's own edge, leaving
+        # pc/prev_pc at the block entry — exactly where the reference
+        # loop leaves them
         self.prev_pc, self.state.pc = key
         icache.stats.hits += hits
         icache.stats.misses += misses
@@ -549,44 +554,73 @@ class SofiaMachine:
 
         Heat policy: the first ``COMPILE_THRESHOLD - 1`` traversals of an
         edge are executed by :meth:`_interp_block` — the predecoded cold
-        tier — and only a genuinely hot edge pays the source compile, so
-        one-shot and lukewarm code never compiles at all.  Compiled
-        handlers are cached on the block (forks sharing block objects
-        share the code) and memoized in the flat edge dict probed by the
-        hot loop.  Transient blocks — a glitched comparator's one-shot
-        force-accept, or any block on a ``memoize=False`` machine — are
-        always interpreted and never reach the edge dict, preserving
-        their re-verify-next-traversal semantics.
+        tier — and only a genuinely hot edge pays the source compile of
+        its region, so one-shot and lukewarm code never compiles at all.
+        A block's latest region is cached on it; this machine adopts it
+        when its own block cache holds every member's payload.  Transient
+        blocks — a glitched comparator's one-shot force-accept, or any
+        block on a ``memoize=False`` machine — are always interpreted and
+        never reach the edge dict, preserving their
+        re-verify-next-traversal semantics, and so are blocks that never
+        verified or fail to decode.  While a fetch glitch is pending, the
+        block runs alone on the cold tier, so the glitch is restored after
+        exactly one block.
         """
         block = self._block_cache.get(key)
-        transient = False
         if block is None:
             block = self.decrypt_and_verify(*key)
-            transient = self._block_cache.get(key) is not block
-        fn = block.fused
-        if fn is None:
+            if self._block_cache.get(key) is not block:
+                return (lambda r, ld, st, mmio, tags, ram, budget,
+                        _b=block, _k=key: self._interp_block(_b, _k))
+        if self.pending_fetch_restore is None:
+            region = block.region
+            if region is not None and self._adopt(region):
+                return self._fused_edges[key]
             heat = self._fused_heat.get(key, 0) + 1
-            if transient or heat < fused.COMPILE_THRESHOLD:
-                if not transient:
-                    self._fused_heat[key] = heat
-                return (lambda r, ld, st, mmio, tags, ram,
-                        _b=block: self._interp_block(_b))
-            self._fused_heat.pop(key, None)
-            fn = block.fused = fused.compile_sofia_block(
-                block, self.timing, self.icache, self.memory,
-                self.image.block_bytes)
-            if self._obs is not None:
-                self._obs.count("sim.fused_compile")
-        self._fused_edges[key] = fn
-        return fn
+            if (heat >= fused.COMPILE_THRESHOLD and block.ok
+                    and block.decode_failure is None):
+                return self._compile_region(key)
+            self._fused_heat[key] = heat
+        return (lambda r, ld, st, mmio, tags, ram, budget, _b=block,
+                _k=key: self._interp_block(_b, _k))
 
-    def _interp_block(self, block: _VerifiedBlock):
-        """The cold tier: one predecoded traversal of ``block``.
+    def _compile_region(self, key: Tuple[int, int]):
+        """Grow, compile and adopt the region of hot edge ``key``; cache
+        it on every member block.  Returns ``key``'s entry."""
+        block_bytes = self.image.block_bytes
+        members = fused.grow_region(self._block_cache, key, block_bytes)
+        region = fused.compile_sofia_block(members, self.timing, self.icache,
+                                           self.memory, block_bytes)
+        for _key, member in members:
+            member.region = region
+        self._adopt(region)
+        if self._obs is not None:
+            self._obs.count("sim.fused_compile")
+        return self._fused_edges[key]
+
+    def _adopt(self, region) -> bool:
+        """Register ``region``'s entries if this machine's block cache
+        holds every member's payload (the very objects it was compiled
+        from); False otherwise."""
+        cache = self._block_cache
+        for key, payload in region.members:
+            block = cache.get(key)
+            if block is None or block.payload is not payload:
+                return False
+        self._fused_edges.update(region.entries)
+        heat = self._fused_heat
+        for key in region.entries:
+            heat.pop(key, None)
+        return True
+
+    def _interp_block(self, block: _VerifiedBlock, key: Tuple[int, int]):
+        """The cold tier: one predecoded traversal of ``block``, entered
+        on edge ``key``.
 
         Steps the block's predecoded payload (:meth:`_predecode_block`) and
-        returns the same ``(n, cycles, hits, misses, mac_cycles,
-        next_key, arg)`` a compiled handler would.  The loop is
-        specialized by step kind and skips every post-commit check an
+        returns the same ``(n, cycles, hits, misses, mac_cycles, blocks,
+        next_key, arg)`` a compiled region would, for one block.  The loop
+        is specialized by step kind and skips every post-commit check an
         inert step provably cannot need.
         """
         predecoded = block.predecoded
@@ -611,13 +645,13 @@ class SofiaMachine:
                 hits += count - 1
                 fetch_cycles += miss_penalty
         if not ok:
-            return (0, fetch_cycles, hits, misses, mac_cycles,
-                    None, (5, block_violation))
+            return (0, fetch_cycles, hits, misses, mac_cycles, 1,
+                    key, (5, block_violation))
 
         executed = 0
         exec_cycles = 0
         arg = None
-        key2 = None
+        key2 = key
         for run_h, cyc_seq, cyc_taken, kind, address in steps:
             try:
                 target = run_h(regs, memory, address)
@@ -645,15 +679,15 @@ class SofiaMachine:
             exec_cycles += cyc_seq  # halt
             arg = (2, None)
             break
-        cycles = fetch_cycles if fetch_cycles > exec_cycles else exec_cycles
-        if arg is None and key2 is None:
+        else:
             # ran off the payload end: decode-failure trap or sequential
             # fall-through into the next block
             if block_trap is not None:
                 arg = (4, block_trap)
             else:
                 key2 = (fallthrough_prev, fallthrough_pc)
-        return (executed, cycles, hits, misses, mac_cycles, key2, arg)
+        cycles = fetch_cycles if fetch_cycles > exec_cycles else exec_cycles
+        return (executed, cycles, hits, misses, mac_cycles, 1, key2, arg)
 
 
 def run_image(image: SofiaImage, keys: DeviceKeys,

@@ -527,22 +527,22 @@ class TestGoldenFork:
         assert group.blocks.keys() == trace.blocks.keys()
         assert not {id(block) for block in group.blocks.values()} & {
             id(block) for block in trace.blocks.values()}
-        before = [(block.predecoded, block.fused)
+        before = [(block.predecoded, block.region)
                   for block in trace.blocks.values()]
         cold = [key for key, block in group.blocks.items()
-                if block.fused is None]
+                if block.region is None]
         assert cold
         # a hook-less fork on the compiled tier compiles onto the copy only
         monkeypatch.setattr(fused, "COMPILE_THRESHOLD", 1)
         fork, _ = group.fork_at(image, keys, trace.counts[0])
         fork.run()
-        assert any(group.blocks[key].fused is not None for key in cold)
-        assert [(block.predecoded, block.fused)
+        assert any(group.blocks[key].region is not None for key in cold)
+        assert [(block.predecoded, block.region)
                 for block in trace.blocks.values()] == before
 
     def test_pickled_trace_forks_without_its_blocks(self):
         image, keys, trace = fork_case("default")
-        assert any(block.fused is not None
+        assert any(block.region is not None
                    for block in trace.blocks.values())
         shipped = pickle.loads(pickle.dumps(trace))
         assert shipped.blocks == {}
@@ -588,7 +588,7 @@ class TestPeelOffMerge:
         golden = trace.result
 
         def compiled():
-            return any(block.fused for block in trace.blocks.values())
+            return any(block.region for block in trace.blocks.values())
 
         faults = sample_faults(image, golden.instructions, per_model=4,
                                seed=123)

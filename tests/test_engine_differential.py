@@ -23,11 +23,13 @@ run cut into short instruction budgets.  These tests pin that contract:
 * renonce rotation-epoch images, every E17 profile grid point and
   mid-run traps held to the same lockstep contract.
 
-Every contract runs at both settings of the shared ``tier`` fixture
-(tests/conftest.py): compile-on-first-traversal and interpret-only, so
-each tier is held to the oracle on its own.  ``TestTierPolicy`` pins the
-heat gate itself, the exact vanilla budget tail the cold tier owns, and
-the routing of hooked and exit-pending runs to the oracle.
+Every contract runs at each setting of the shared ``tier`` fixture
+(tests/conftest.py): compile-on-first-traversal, interpret-only, and
+multi-block regions compiled over a warm block cache, so each tier is
+held to the oracle on its own.  ``TestTierPolicy`` pins the heat gate
+itself, the exact vanilla budget tail the cold tier owns, the routing of
+hooked and exit-pending runs to the oracle, and the region a warm loop
+runs as.
 """
 
 import itertools
@@ -528,6 +530,23 @@ class TestTierPolicy:
                         == result_fields(ref.run()))
                 assert fast.state.pc == ref.state.pc
                 assert fast.state.regs == ref.state.regs
+
+    @pytest.mark.parametrize("tier", ["regions"], indirect=True)
+    def test_warm_crc32_loop_body_is_one_region(self, tier):
+        """On a warm block cache the crc32-small loop body — the edges
+        0x19c->0x1a0 ... 0x2fc->0x188 — is registered as entries of one
+        region, each entering at its own member."""
+        workload = make_workload("crc32", "small")
+        image = transform(workload.compile().program, KEYS, nonce=NONCE)
+        machine = SofiaMachine(image, KEYS)
+        assert machine.run().output_ints == workload.expected_output
+        body = {key for key in machine._block_cache
+                if 0x19c <= key[0] <= 0x2fc and 0x188 <= key[1] <= 0x2fc}
+        assert {(0x19c, 0x1a0), (0x2fc, 0x188)} <= body
+        entries = [machine._fused_edges[key] for key in body]
+        assert len({id(entry.__globals__) for entry in entries}) == 1
+        assert all(body <= entry.members for entry in entries)
+        assert len({entry.__defaults__ for entry in entries}) == len(body)
 
     def test_hooked_run_goes_to_the_oracle(self, monkeypatch):
         """A commit hook on a fast machine selects the oracle loop: the

@@ -360,13 +360,20 @@ fault_draws = st.lists(
     min_size=1, max_size=6)
 
 
+#: the differential runs under the heat policy campaigns run and pinned
+#: to each tier of the fast engine (tests/conftest.py)
+TIERS = ("default", "compiled", "interpreted", "regions")
+
+
+@pytest.mark.parametrize("tier", TIERS, indirect=True)
 class TestDifferential:
     @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
     @given(workload=st.sampled_from(["crc32", "sort"]),
            profile=st.sampled_from([DEFAULT_PROFILE, PRESENT]),
            draws=fault_draws)
-    def test_batch_equals_run_fault(self, workload, profile, draws):
+    def test_batch_equals_run_fault(self, workload, profile, draws, tier):
         image, keys, trace = build(workload, profile)
         total = trace.result.instructions
         faults = [_make_fault(image, model, int(where * total), a, b)
@@ -377,7 +384,7 @@ class TestDifferential:
     @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, PRESENT],
                              ids=["default", "present"])
     def test_sampled_population_converges_and_matches(self, workload,
-                                                      profile):
+                                                      profile, tier):
         image, keys, trace = build(workload, profile)
         faults = sample_faults(image, trace.result.instructions,
                                per_model=3, seed=2016)

@@ -180,12 +180,12 @@ class TestHandlerCodeCache:
         assert first.image is not second.image
         first.run()
         second.run()
-        handlers = {key: block.fused
+        handlers = {key: block.region.fn
                     for key, block in first._block_cache.items()
-                    if block.fused is not None}
+                    if block.region is not None}
         assert len(handlers) >= 2
         for key, handler in handlers.items():
-            twin = second._block_cache[key].fused
+            twin = second._block_cache[key].region.fn
             assert twin is not handler
             assert twin.__globals__ is not handler.__globals__
             assert twin.__code__ is handler.__code__
