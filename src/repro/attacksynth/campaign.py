@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..baselines.isr import EcbIsrMachine, XorIsrMachine
 from ..crypto.keys import DeviceKeys, derive_key
-from ..errors import ReproError
+from ..errors import ReproError, check_count
 from ..eval.export import attacksynth_csv, attacksynth_json
 from ..fuzz.corpus import Corpus
 from ..fuzz.generators import Genome, generate, random_genome
@@ -75,13 +75,16 @@ def _init_synth_worker(key_seed: int, campaign_seed: int,
 
 
 def _clean_sofia(image: SofiaImage, keys: DeviceKeys):
-    """Clean run + the traversed block bases."""
+    """Clean run + the traversed block bases.
+
+    A clean run verifies a block only to execute it, and commits at least
+    one of its instructions unless the run fails, so the bases of the
+    machine's verified blocks are the traversed ones: the run needs no
+    commit hook and takes the fast loop.
+    """
     machine = SofiaMachine(image, keys)
-    traversed = set()
-    block_base_of = image.block_base_of
-    machine.on_commit = lambda pc, _instr: traversed.add(block_base_of(pc))
     result = machine.run(max_instructions=SOFIA_BUDGET)
-    return result, traversed
+    return result, machine.verified_bases()
 
 
 def _program_label(index: int, genome: Genome) -> str:
@@ -397,6 +400,9 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     observationally: the report and exports are byte-identical either
     way.
     """
+    check_count("programs", programs)
+    if per_program is not None:
+        check_count("per_program", per_program)
     started = time.perf_counter()
     with obs_phase(telemetry, "plan"):
         source, genomes = _campaign_genomes(programs, seed, corpus_dir)
@@ -442,6 +448,8 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
     geometric and every expected verdict is unknown; the report records
     what the hardware model actually did, cell by cell.
     """
+    if per_program is not None:
+        check_count("per_program", per_program)
     started = time.perf_counter()
     # provision for the image's embedded design point (cipher included)
     keys = DeviceKeys.from_seed(key_seed).for_profile(image.profile)

@@ -22,9 +22,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..crypto.rectangle import Rectangle80
-from ..errors import DecodingError, SimulationError
-from ..isa.encoding import decode
-from ..isa.instructions import Instruction
+from ..errors import SimulationError
 from ..isa.program import Executable
 from ..sim.timing import DEFAULT_TIMING, TimingParams
 from ..sim.vanilla import VanillaMachine
@@ -67,15 +65,12 @@ class XorIsrMachine(VanillaMachine):
             data_base=executable.data_base)
         super().__init__(encrypted, timing, engine=engine)
         self.key = key & 0xFFFFFFFF
+        # the plane is keyed by the decrypted word, so it is the plain
+        # binary's: every core running this program shares its decodes
+        self._plane = executable.step_planes.setdefault(timing, {})
 
-    def _fetch_decode(self, pc: int) -> Instruction:
-        cached = self._decoded.get(pc)
-        if cached is not None:
-            return cached
-        word = self.memory.fetch_word(pc) ^ self.key
-        instr = decode(word, pc)
-        self._decoded[pc] = instr
-        return instr
+    def _fetch_word(self, pc: int) -> int:
+        return self.memory.fetch_word(pc) ^ self.key
 
 
 class EcbIsrMachine(VanillaMachine):
@@ -91,16 +86,14 @@ class EcbIsrMachine(VanillaMachine):
             entry=executable.entry, code_base=executable.code_base,
             data_base=executable.data_base)
         super().__init__(encrypted, timing, engine=engine)
+        self._plane = executable.step_planes.setdefault(timing, {})
 
     def _on_code_write(self, address: int) -> None:
         # ECB pairs couple adjacent words: a write to either invalidates
         # both decoded entries, so just drop everything on any code write.
         self._flush_decoded()
 
-    def _fetch_decode(self, pc: int) -> Instruction:
-        cached = self._decoded.get(pc)
-        if cached is not None:
-            return cached
+    def _fetch_word(self, pc: int) -> int:
         index = (pc - self.memory.code_base) >> 2
         pair_base = pc - 4 * (index & 1)
         high = self.memory.fetch_word(pair_base)
@@ -109,7 +102,5 @@ class EcbIsrMachine(VanillaMachine):
         except SimulationError:
             low = 0
         block = self.cipher.decrypt((high << 32) | low)
-        word = (block >> 32) & 0xFFFFFFFF if pc == pair_base else block & 0xFFFFFFFF
-        instr = decode(word, pc)
-        self._decoded[pc] = instr
-        return instr
+        return (block >> 32) & 0xFFFFFFFF if pc == pair_base \
+            else block & 0xFFFFFFFF

@@ -202,6 +202,19 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
+def _count_arg(minimum: int = 0):
+    """argparse type for a count of at least ``minimum`` (a negative
+    count would silently shrink or empty a campaign, an empty batch
+    would never finish one)."""
+    def count(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {number}")
+        return number
+    return count
+
+
 def _shard_arg(value: str):
     """argparse type for ``--shard``: a 1-based ``i/n`` spec."""
     from .runner import parse_shard
@@ -631,11 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "attacksynth",
         help="enumerate+run synthesized attacks (E16)")
-    p.add_argument("--programs", type=int, default=None,
+    p.add_argument("--programs", type=_count_arg(), default=None,
                    help="fuzz-generated victim programs (default 200)")
     p.add_argument("--seed", type=int, default=0xA77AC2,
                    help="campaign seed (determines programs + sampling)")
-    p.add_argument("--per-program", type=int, default=None,
+    p.add_argument("--per-program", type=_count_arg(), default=None,
                    help="cap on attack instances per program")
     p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
                    help="worker processes (0 = one per CPU, 1 = serial)")
@@ -679,9 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", metavar="NAMES",
                    help="comma-separated workload suite "
                         "(default: crc32,rle,sort)")
-    p.add_argument("--programs", type=int, default=5,
+    p.add_argument("--programs", type=_count_arg(), default=5,
                    help="attack-synthesis victims per design point")
-    p.add_argument("--per-model", type=int, default=3,
+    p.add_argument("--per-model", type=_count_arg(), default=3,
                    help="fault specimens per model per design point")
     p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
                    help="worker processes (0 = one per CPU, 1 = serial)")
@@ -703,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz",
                        help="coverage-guided differential fuzzing (E15)")
-    p.add_argument("--seeds", type=int, default=500,
+    p.add_argument("--seeds", type=_count_arg(), default=500,
                    help="number of specimens to run (default 500)")
     p.add_argument("--seed", type=int, default=0x5EED,
                    help="campaign seed (determines every specimen)")
@@ -715,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", metavar="DIR",
                    help="persist corpus/coverage/triage under DIR "
                         "(an existing corpus there is extended)")
-    p.add_argument("--batch", type=int, default=50,
+    p.add_argument("--batch", type=_count_arg(1), default=50,
                    help="specimens per scheduling round (default 50)")
     p.add_argument("--baselines", action="store_true",
                    help="also lockstep the XOR/ECB ISR baseline machines")
@@ -729,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="victim workload name (default crc32)")
     p.add_argument("--scale", default="tiny",
                    choices=("tiny", "small", "medium"))
-    p.add_argument("--per-model", type=int, default=25,
+    p.add_argument("--per-model", type=_count_arg(), default=25,
                    help="fault specimens per fault model (default 25)")
     p.add_argument("--seed", type=int, default=2016,
                    help="campaign seed (drives the fault sampler)")

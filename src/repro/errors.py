@@ -58,6 +58,18 @@ class SimulationError(ReproError):
     """Raised for simulator misuse (bad memory map, missing entry, ...)."""
 
 
+class CampaignError(ReproError, ValueError):
+    """Raised for an impossible campaign parameter, such as a negative
+    specimen count or an empty scheduling batch."""
+
+
+def check_count(name: str, value: int, minimum: int = 0) -> None:
+    """Raise :class:`CampaignError` unless the count ``value`` is at
+    least ``minimum``."""
+    if value < minimum:
+        raise CampaignError(f"{name} must be >= {minimum}, got {value}")
+
+
 class HardwareModelError(ReproError, ValueError):
     """Raised by :mod:`repro.hwmodel` for out-of-range design parameters.
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..crypto.keys import DeviceKeys
+from ..errors import check_count
 from ..isa.program import AsmProgram
 from ..obs import hook as obs_hook
 from ..obs import phase as obs_phase
@@ -287,6 +288,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     records phases, per-task spans and simulator counters — strictly
     observationally: results and exports are byte-identical either way.
     """
+    check_count("per_model", per_model)
     started = time.perf_counter()
     keys = keys.for_profile(profile)
     with obs_phase(telemetry, "build"):

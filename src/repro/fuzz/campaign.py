@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..crypto.keys import DeviceKeys
+from ..errors import check_count
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_key,
                       task_rng, write_campaign)
@@ -165,6 +166,8 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
     strictly observationally: the report, corpus, and exports are
     byte-identical either way.
     """
+    check_count("seeds", seeds)
+    check_count("batch", batch, 1)
     started = time.perf_counter()
     keys = DeviceKeys.from_seed(key_seed)
     report = FuzzReport(seed=seed)

@@ -89,6 +89,16 @@ class Executable:
     data_base: int = DATA_BASE
     #: per-word source instruction (for tracing/diagnostics)
     source: Optional[List[Instruction]] = None
+    #: the decode planes of the machines that run this binary, one per
+    #: timing (see ``repro.sim.vanilla``): a pure cache, never compared,
+    #: printed, copied by ``replace`` or pickled
+    step_planes: Dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["step_planes"] = {}
+        return state
 
     @property
     def code_size_bytes(self) -> int:

@@ -14,7 +14,8 @@ specialized Python function once it has been traversed
   registers in Python locals (:func:`grow_region`,
   :func:`compile_sofia_block`);
 * on the vanilla core, the per-PC chain up to and including the next
-  CTI / store / halt (:func:`compile_vanilla_run`).
+  CTI / store / halt (:func:`compile_vanilla_run`), looping inside the
+  call when it is an idle loop whose CTI targets its own start.
 
 Every instruction's statements are the entry of
 :data:`repro.sim.engine.SEMANTICS` rendered by
@@ -58,9 +59,16 @@ store may write code: the driving loop then looks the next edge up
 afresh).  Registers are written back on every exit.
 
 A vanilla run handler is called as ``fn(regs, load, store, mmio, tags,
-ram)`` and returns ``(n, cycles, hits, misses, code, arg)`` with
-per-instruction ``max(fetch, exec)`` charging and code 1 continue-at-`arg`,
-2 halt, 3 exit, 4 trap.
+ram, budget)``, ``budget`` being the instructions the run has left (at
+least the run's length: the driving loop steps a shorter tail on the cold
+tier), and returns ``(n, cycles, hits, misses, pc, arg)`` with
+per-instruction ``max(fetch, exec)`` charging: ``pc`` is the next PC, or
+the terminal instruction's own PC when ``arg`` is set, and ``arg`` is
+``None`` while running, else ``(code, payload)`` as above (2 halt, 3 MMIO
+exit, 4 trap).  A run whose direct CTI targets its own start (an idle
+loop) iterates inside the call, starting another iteration only while a
+whole one fits the budget (``n + N <= budget``), so vanilla budgets stay
+exact per instruction.
 
 The cold tiers (``SofiaMachine._interp_block``, ``VanillaMachine._step_run``)
 speak the same protocols, so the driving loops never ask which tier ran.
@@ -504,7 +512,10 @@ def compile_vanilla_run(machine, start_pc: int) -> tuple:
     execute a stale compiled suffix), capped at :data:`MAX_RUN`.  A decode
     or fetch fault *past* the first instruction truncates the run — the
     faulting PC becomes its own (trapping) run, preserving the exact
-    stepped trap point and reason.
+    stepped trap point and reason.  A run whose direct CTI targets
+    ``start_pc`` (an idle loop; it holds no store, which would have ended
+    it) loops inside the call: it starts another iteration only if the
+    whole iteration fits the ``budget``.
 
     Returns ``(fn, n_max, covered_addresses)``; when the first fetch/decode
     itself faults, ``(None, trap_reason, (start_pc,))`` — the machine then
@@ -516,7 +527,7 @@ def compile_vanilla_run(machine, start_pc: int) -> tuple:
     pc = start_pc
     while len(instrs) < MAX_RUN:
         try:
-            instr = machine._fetch_decode(pc)
+            instr = machine._decode(pc)[0]
         except (DecodingError, SimulationError) as exc:
             if not instrs:
                 return (None, str(exc), (start_pc,))
@@ -536,12 +547,15 @@ def compile_vanilla_run(machine, start_pc: int) -> tuple:
     # unmasked on purpose: the stepping loops advance ``pc + 4`` without
     # wrapping, and bit-identity beats tidiness
     next_pc = start_pc + 4 * n
+    last = instrs[-1]
+    loops = last.spec.is_cti and _fold(render(
+        last, LiteralOperands(last, next_pc - 4)).target) == start_pc
+    # the instructions of the iterations already completed
+    done = "i + " if loops else ""
 
     namespace = dict(HELPERS, **_RAM_HELPERS, SimulationError=SimulationError)
     memory = machine.memory
-    out = ["def _fused(r, ld, st, mmio, tags, ram):",
-           "    mr = 0",
-           "    xc = 0"]
+    out = []
 
     def charge(base: int, flag_extra: int = 0) -> str:
         expr = "xc" if base == 0 else f"{base} + xc"
@@ -596,14 +610,14 @@ def compile_vanilla_run(machine, start_pc: int) -> tuple:
 
         if spec.is_halt:
             out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
-                       f"{n} - mr, mr, 2, None)")
+                       f"{n} - mr, mr, {address}, (2, None))")
             break
         code = render(instr, LiteralOperands(instr, address))
         if may_trap:
             pre, cond, fast, slow = _mem_source(code, memory.data_base,
                                                 memory._ram_size)
-            trap_ret = (f"return ({k}, {charge(cyc)}, "
-                        f"{k + 1} - mr, mr, 4, str(e))")
+            trap_ret = (f"return ({done}{k}, {charge(cyc)}, "
+                        f"{done}{k + 1} - mr, mr, {address}, (4, str(e)))")
             for stmt in pre:
                 out.append("    " + stmt)
             if cond is None:
@@ -628,31 +642,46 @@ def compile_vanilla_run(machine, start_pc: int) -> tuple:
             for stmt in code.body:
                 out.append("    " + stmt)
             if spec.is_cti:
+                taken_charge = charge(
+                    cyc + hc_taken, extra_taken if branch_flag else 0)
+                seq_charge = charge(
+                    cyc + hc_seq, extra_seq if branch_flag else 0)
+                ind = "    "
                 if code.cond:
-                    taken_charge = charge(
-                        cyc + hc_taken, extra_taken if branch_flag else 0)
-                    seq_charge = charge(
-                        cyc + hc_seq, extra_seq if branch_flag else 0)
                     out.append(f"    if {code.cond}:")
-                    out.append(f"        return ({n}, {taken_charge}, "
-                               f"{n} - mr, mr, 1, {code.target})")
-                    out.append(f"    return ({n}, {seq_charge}, "
-                               f"{n} - mr, mr, 1, {next_pc})")
+                    ind = "        "
+                if loops:
+                    # back to the start: another iteration if it fits
+                    out += [f"{ind}xc = {taken_charge}", f"{ind}i += {n}",
+                            f"{ind}if i + {n} > budget:",
+                            f"{ind}    return (i, xc, i - mr, mr, "
+                            f"{start_pc}, None)"]
+                    if code.cond:
+                        out.append(f"{ind}continue")
                 else:
-                    out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
-                               f"{n} - mr, mr, 1, {code.target})")
+                    out.append(f"{ind}return ({n}, {taken_charge}, "
+                               f"{n} - mr, mr, {code.target}, None)")
+                if code.cond:
+                    out.append(f"    return ({done}{n}, {seq_charge}, "
+                               f"{done}{n} - mr, mr, {next_pc}, None)")
                 break
         cyc += hc_seq
         if spec.is_store:
             out.append("    if mmio.exit_code is not None:")
             out.append(f"        return ({n}, {charge(cyc)}, "
-                       f"{n} - mr, mr, 3, None)")
+                       f"{n} - mr, mr, {address}, (3, None))")
             out.append(f"    return ({n}, {charge(cyc)}, "
-                       f"{n} - mr, mr, 1, {next_pc})")
+                       f"{n} - mr, mr, {next_pc}, None)")
             break
     else:
         # capped or truncated before a faulting PC: plain continue
         out.append(f"    return ({n}, {charge(cyc)}, "
-                   f"{n} - mr, mr, 1, {next_pc})")
+                   f"{n} - mr, mr, {next_pc}, None)")
 
-    return (_compile(out, namespace), n, covered)
+    prologue = ["def _fused(r, ld, st, mmio, tags, ram, budget):",
+                "    mr = 0",
+                "    xc = 0"]
+    if loops:
+        prologue += ["    i = 0", "    while True:"]
+        out = ["    " + line for line in out]
+    return (_compile(prologue + out, namespace), n, covered)

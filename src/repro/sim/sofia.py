@@ -25,6 +25,9 @@ from the image's :class:`~repro.transform.image.FrontEndMemo` (filled by
 ``seal``): their values depend only on keys, nonce and edge or payload,
 never on the code words, so they survive code writes and are shared by
 every machine whose keys, nonce and seal width match the memo's tags.
+The memo's block plane goes one step further: a block-cache miss fetches
+the block's words and looks the edge and those words up there, so an
+attack instance re-verifies only the blocks its mutation changed.
 """
 
 from __future__ import annotations
@@ -116,6 +119,13 @@ class SofiaMachine:
             keys.encryption_cipher, image.nonce,
             cache=memo.keystream_for(keys, image.nonce))
         self._mac_cache = memo.seal_for(keys, self.profile.mac_words)
+        #: (prev_pc, entry_pc, ciphertext words) -> verified block, shared
+        #: with every machine of the memo under the same keys, profile,
+        #: timing and image layout: a block is a pure function of them
+        self._verified = memo.blocks_for(
+            keys, image.nonce, self.profile, timing,
+            (image.code_base, len(image.words), image.data_base,
+             image.block_words))
         self.state = CPUState.reset(image.entry)
         self.prev_pc = RESET_PREV_PC
         self._block_cache: Dict[Tuple[int, int], _VerifiedBlock] = {}
@@ -159,6 +169,12 @@ class SofiaMachine:
         for key in [key for key, entry in edges.items()
                     if not stale.isdisjoint(entry.members)]:
             del edges[key]
+
+    def verified_bases(self) -> set:
+        """The bases of the blocks this machine verified and still holds
+        (a code write drops the blocks that fetch the written word)."""
+        return {block.base for block in self._block_cache.values()
+                if block.ok}
 
     # -- the fetch/decrypt/verify unit -----------------------------------
 
@@ -215,7 +231,6 @@ class SofiaMachine:
             word_indices = [0] + list(range(2, bw))
         else:                   # path 2: fetch starts at M1e2
             word_indices = list(range(1, bw))
-        mac_words_count = self.profile.mac_count(kind)
 
         addresses = []
         ciphertext = []
@@ -230,7 +245,28 @@ class SofiaMachine:
             return _VerifiedBlock(ok=False, base=base, kind=kind,
                                   fetch_addresses=tuple(addresses),
                                   violation=violation)
+        if force_accept or not self.memoize:
+            # transient: a glitched comparator's one-shot acceptance, or
+            # a machine that re-verifies every traversal
+            return self._verify(prev_pc, entry_pc, kind, base, word_indices,
+                                addresses, ciphertext, force_accept)
+        # another machine may have verified these very words on this edge
+        key = (prev_pc, entry_pc, tuple(ciphertext))
+        block = self._verified.get(key)
+        if block is None:
+            block = self._verified[key] = self._verify(
+                prev_pc, entry_pc, kind, base, word_indices, addresses,
+                ciphertext, False)
+        return block
 
+    def _verify(self, prev_pc: int, entry_pc: int, kind: str, base: int,
+                word_indices: List[int], addresses: List[int],
+                ciphertext: List[int], force_accept: bool) -> _VerifiedBlock:
+        """Decrypt, check and decode the fetched ``ciphertext`` of one
+        block traversal."""
+        obs = self._obs
+        bw = self.image.block_words
+        mac_words_count = self.profile.mac_count(kind)
         # decrypt: the entry word chains on the inbound edge; M2 of a mux
         # block always chains on addr(M1e2) = base+4 (Fig. 8); every other
         # word chains on its canonical predecessor word.

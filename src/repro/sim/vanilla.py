@@ -15,11 +15,17 @@ bit-identical :class:`~repro.sim.result.ExecutionResult`\\ s.  A run with
 an ``on_commit`` hook, or one resumed with the MMIO exit register already
 written, is always executed by the oracle, so the fast engine keeps one
 hook-less loop.
+
+A decoded instruction and its predecoded step are pure functions of the
+fetched word, its pc and the timing, so both engines look them up in a
+plane their :class:`~repro.isa.program.Executable` holds per timing:
+every machine of a program decodes a word once, and a poked word is just
+another key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..errors import DecodingError, SimulationError
 from ..isa.encoding import decode
@@ -51,9 +57,12 @@ class VanillaMachine:
         self.icache = DirectMappedCache(timing.icache_lines,
                                         timing.icache_line_words)
         self.state = CPUState.reset(executable.entry)
-        self._decoded: Dict[int, Instruction] = {}
-        #: pc -> predecoded step (see :func:`repro.sim.engine.predecode`)
-        self._predecoded: Dict[int, tuple] = {}
+        #: (word, pc) -> (instruction, predecoded step), shared by every
+        #: machine of this executable under this timing
+        self._plane = executable.step_planes.setdefault(timing, {})
+        #: pc -> its plane entry ``(instr, step)``, popped by a code write
+        #: (see :func:`repro.sim.engine.predecode` for the step)
+        self._predecoded: Dict[int, Tuple[Instruction, tuple]] = {}
         #: compiled run handlers (repro.sim.fused), keyed by the run's
         #: start PC; ``_fused_cover`` maps every covered address back to
         #: its start PCs so one code write invalidates exactly the runs
@@ -75,7 +84,6 @@ class VanillaMachine:
         self.memory.add_code_listener(self._on_code_write)
 
     def _on_code_write(self, address: int) -> None:
-        self._decoded.pop(address, None)
         self._predecoded.pop(address, None)
         starts = self._fused_cover.pop(address, None)
         if starts:
@@ -84,20 +92,29 @@ class VanillaMachine:
                 fused_runs.pop(start, None)
 
     def _flush_decoded(self) -> None:
-        """Drop every cached decode/predecode (coupled-word encodings)."""
-        self._decoded.clear()
+        """Drop every cached predecode (coupled-word encodings)."""
         self._predecoded.clear()
         self._fused_runs.clear()
         self._fused_cover.clear()
 
-    def _fetch_decode(self, pc: int) -> Instruction:
-        cached = self._decoded.get(pc)
-        if cached is not None:
-            return cached
-        word = self.memory.fetch_word(pc)
-        instr = decode(word, pc)
-        self._decoded[pc] = instr
-        return instr
+    def _fetch_word(self, pc: int) -> int:
+        """The word the decoder sees at ``pc``: the stored one here; the
+        ISR baselines decrypt it."""
+        return self.memory.fetch_word(pc)
+
+    def _decode(self, pc: int) -> Tuple[Instruction, tuple]:
+        """``(instr, step)`` at ``pc``, looked up in the executable's plane
+        by the fetched word (decoded and predecoded only on a plane miss)
+        and cached per pc until a code write.  A fetch fault raises before
+        a decode fault, as in hardware."""
+        word = self._fetch_word(pc)
+        key = (word, pc)
+        entry = self._plane.get(key)
+        if entry is None:
+            instr = decode(word, pc)
+            entry = self._plane[key] = (instr, predecode(instr, self.timing))
+        self._predecoded[pc] = entry
+        return entry
 
     def run(self, max_instructions: int = 50_000_000) -> ExecutionResult:
         """Run to completion (halt/exit/trap) or the instruction budget on
@@ -123,6 +140,7 @@ class VanillaMachine:
         timing = self.timing
         icache = self.icache
         mmio = memory.mmio
+        predecoded = self._predecoded
         cycles = 0
         executed = 0
         status = Status.LIMIT
@@ -130,7 +148,7 @@ class VanillaMachine:
         while executed < max_instructions:
             pc = state.pc
             try:
-                instr = self._fetch_decode(pc)
+                instr = (predecoded.get(pc) or self._decode(pc))[0]
             except (DecodingError, SimulationError) as exc:
                 status, trap_reason = Status.TRAP, str(exc)
                 break
@@ -174,11 +192,13 @@ class VanillaMachine:
         source-compiled once (:func:`repro.sim.fused.compile_vanilla_run`)
         and cached per start PC, invalidated by the same code-write
         listener that pops predecoded steps.  One-shot code therefore
-        never pays a compile.  The cold tier also covers the tail of a
-        run that would overshoot the instruction budget (stepping is
-        per-instruction exact).  Both tiers speak the same run-handler
-        protocol, so this loop is tier-agnostic.  Runs only with no commit
-        hook and the exit register clear (see :meth:`run`).
+        never pays a compile.  A compiled run whose direct CTI targets its
+        own start loops inside its call while a whole iteration fits the
+        budget.  The cold tier also covers the tail of a run that would
+        overshoot the instruction budget (stepping is per-instruction
+        exact).  Both tiers speak the same run-handler protocol (see
+        :mod:`repro.sim.fused`), so this loop is tier-agnostic.  Runs only
+        with no commit hook and the exit register clear (see :meth:`run`).
         """
         memory = self.memory
         mmio = memory.mmio
@@ -204,30 +224,29 @@ class VanillaMachine:
                 entry = self._heat_run(pc)
             remaining = max_instructions - executed
             if entry is None or entry[1] > remaining:
-                n, cyc, h, mr, code, arg = self._step_run(
+                n, cyc, h, mr, pc, arg = self._step_run(
                     pc, remaining if remaining < max_run else max_run)
             else:
-                n, cyc, h, mr, code, arg = entry[0](regs, ld, st, mmio,
-                                                    tags, ram)
+                n, cyc, h, mr, pc, arg = entry[0](regs, ld, st, mmio, tags,
+                                                  ram, remaining)
             executed += n
             cycles += cyc
             hits += h
             misses += mr
-            if code == 1:
-                pc = arg
-                state.pc = pc
+            if arg is None:
                 continue
+            code, payload = arg
             if code == 2:
                 status = Status.HALT
-                state.pc = pc + 4 * (n - 1)
             elif code == 3:
                 status = Status.EXIT
-                state.pc = pc + 4 * (n - 1)
             else:
                 status = Status.TRAP
-                trap_reason = arg
-                state.pc = pc + 4 * n
+                trap_reason = payload
             break
+        # a terminal handler returns its instruction's own pc, exactly
+        # where the reference loop stops
+        state.pc = pc
         icache.stats.hits += hits
         icache.stats.misses += misses
         return ExecutionResult(status=status, cycles=cycles,
@@ -269,7 +288,7 @@ class VanillaMachine:
 
         Executes per-PC-cached predecoded handlers from ``pc`` until a
         CTI, store or halt commits, or ``limit`` instructions ran, and
-        returns ``(n, cycles, hits, misses, code, arg)`` exactly like a
+        returns ``(n, cycles, hits, misses, pc, arg)`` exactly like a
         compiled run handler.  Observable behaviour is bit-identical to
         :meth:`_run_reference` at every commit: same register/memory
         effects, same cycle and I-cache accounting, same trap points.
@@ -280,8 +299,7 @@ class VanillaMachine:
         mmio = memory.mmio
         regs = self.state.regs
         predecoded = self._predecoded
-        timing = self.timing
-        miss_penalty = timing.icache_miss_penalty
+        miss_penalty = self.timing.icache_miss_penalty
         icache = self.icache
         tags = icache._tags
         line_shift = icache.line_bytes.bit_length() - 1
@@ -292,14 +310,13 @@ class VanillaMachine:
         cycles = 0
         n = 0
         while n < limit:
-            step = predecoded.get(pc)
-            if step is None:
+            entry = predecoded.get(pc)
+            if entry is None:
                 try:
-                    instr = self._fetch_decode(pc)
+                    entry = self._decode(pc)
                 except (DecodingError, SimulationError) as exc:
-                    return (n, cycles, hits, misses, 4, str(exc))
-                step = predecoded[pc] = predecode(instr, timing)
-            run_h, cyc_seq, cyc_taken, kind = step
+                    return (n, cycles, hits, misses, pc, (4, str(exc)))
+            run_h, cyc_seq, cyc_taken, kind = entry[1]
             line_number = pc >> line_shift
             index = line_number & lines_mask
             tag = line_number >> lines_shift
@@ -313,7 +330,7 @@ class VanillaMachine:
             try:
                 target = run_h(regs, memory, pc)
             except SimulationError as exc:
-                return (n, cycles, hits, misses, 4, str(exc))
+                return (n, cycles, hits, misses, pc, (4, str(exc)))
             n += 1
             if target is None:
                 cycles += fetch_cycles if fetch_cycles > cyc_seq else cyc_seq
@@ -321,13 +338,13 @@ class VanillaMachine:
                 cycles += (fetch_cycles if fetch_cycles > cyc_taken
                            else cyc_taken)
             if target == -1:  # engine.HALT
-                return (n, cycles, hits, misses, 2, None)
+                return (n, cycles, hits, misses, pc, (2, None))
             if kind == KIND_STORE and mmio.exit_code is not None:
-                return (n, cycles, hits, misses, 3, None)
+                return (n, cycles, hits, misses, pc, (3, None))
             pc = pc + 4 if target is None else target
             if kind:
-                return (n, cycles, hits, misses, 1, pc)
-        return (n, cycles, hits, misses, 1, pc)
+                break
+        return (n, cycles, hits, misses, pc, None)
 
 
 def run_executable(executable: Executable,

@@ -72,14 +72,18 @@ def seal_tag(keys, mac_words: int) -> tuple:
 
 @dataclass
 class FrontEndMemo:
-    """Pure front-end cipher work of one image, shared by its machines.
+    """Pure front-end work of one image, shared by its machines.
 
-    Two planes, each valid only under the values of its tag:
+    Three planes, each valid only under the values of its tag:
 
     * ``keystream`` — (prevPC, PC) -> 32-bit keystream word, under
       ``keystream_tag`` = (cipher type, k1, nonce);
     * ``seal`` — (block kind, plaintext payload) -> computed seal words,
-      under ``seal_tag`` = (cipher type, k2, k3, seal width).
+      under ``seal_tag`` = (cipher type, k2, k3, seal width);
+    * ``blocks`` — one plane per (profile, timing, layout) of the
+      machines whose keys match both tags above: (prevPC, entry PC, the
+      ciphertext words at the block's fetch addresses) -> the machine's
+      verified block (see :meth:`blocks_for`).
 
     Tags compare by value, so they survive pickling and match equal keys
     provisioned separately.  A consumer whose own tag differs (a
@@ -87,13 +91,16 @@ class FrontEndMemo:
     seal width) gets a fresh private plane instead — never the values
     computed under someone else's keys.  Planes only ever grow with
     values every matching consumer would compute itself, so sharing
-    them is observationally invisible.
+    them is observationally invisible.  Verified blocks carry compiled
+    code, so the block planes are dropped on pickle and on :meth:`copy`.
     """
 
     keystream_tag: tuple
     keystream: Dict[Tuple[int, int], int]
     seal_tag: tuple
     seal: Dict[Tuple[str, Tuple[int, ...]], Tuple[int, ...]]
+    blocks: Dict[tuple, dict] = field(default_factory=dict, compare=False,
+                                      repr=False)
 
     @classmethod
     def empty(cls, keys, nonce: int, mac_words: int) -> "FrontEndMemo":
@@ -101,9 +108,15 @@ class FrontEndMemo:
                    seal_tag(keys, mac_words), {})
 
     def copy(self) -> "FrontEndMemo":
-        """An independent memo holding the same entries."""
+        """An independent memo holding the same keystream and seal
+        entries and no verified blocks."""
         return FrontEndMemo(self.keystream_tag, dict(self.keystream),
                             self.seal_tag, dict(self.seal))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["blocks"] = {}
+        return state
 
     def keystream_for(self, keys, nonce: int) -> Dict[Tuple[int, int], int]:
         """The keystream plane if it holds ``keys``/``nonce`` words."""
@@ -116,6 +129,17 @@ class FrontEndMemo:
         """The seal plane if it holds ``keys``/``mac_words`` seals."""
         if self.seal_tag == seal_tag(keys, mac_words):
             return self.seal
+        return {}
+
+    def blocks_for(self, keys, nonce: int, profile, timing,
+                   layout: tuple) -> dict:
+        """The verified-block plane of machines with ``keys``, ``nonce``,
+        ``profile`` and ``timing`` on an image of ``layout`` (the
+        geometry a block and its compiled code depend on), if both other
+        planes hold ``keys``' values; a fresh private plane otherwise."""
+        if (self.keystream_tag == keystream_tag(keys, nonce)
+                and self.seal_tag == seal_tag(keys, profile.mac_words)):
+            return self.blocks.setdefault((profile, timing, layout), {})
         return {}
 
 

@@ -24,6 +24,7 @@ import pytest
 import repro.sim.fused as fused
 from repro.sim import SofiaMachine
 from repro.sim.engine import ENGINES
+from repro.transform.image import FrontEndMemo
 
 #: COMPILE_THRESHOLD per pinned tier (no test traverses anything 2**62
 #: times, so "interpreted" never compiles)
@@ -42,8 +43,8 @@ ENGINE_CASES = ([(name, None) for name in ENGINES]
 
 def warm_start(monkeypatch):
     """Make every new memoizing SofiaMachine adopt the blocks a warm
-    interpret-only run of the same image, keys and profile verified (one
-    warm run each, shared by the test's later machines)."""
+    interpret-only run of the same image, keys, profile and timing
+    verified (one warm run each, shared by the test's later machines)."""
     init = SofiaMachine.__init__
     warm = {}
 
@@ -51,7 +52,8 @@ def warm_start(monkeypatch):
         init(self, image, keys, *args, **kwargs)
         if not self.memoize:
             return
-        key = (id(image), id(keys), self.profile)
+        # predecoded blocks carry the timing's cycle costs
+        key = (id(image), id(keys), self.profile, self.timing)
         if key not in warm:
             twin = SofiaMachine.__new__(SofiaMachine)
             init(twin, image, keys, *args, **kwargs)
@@ -72,10 +74,21 @@ def warm_start(monkeypatch):
 def pin_tier(monkeypatch, tier):
     """Pin the fast engine to ``tier`` for the rest of the test
     (``"default"``, which a module may add to its cases, keeps the heat
-    policy campaigns run)."""
+    policy campaigns run).
+
+    A machine adopts the region it finds on a verified block, and
+    verified blocks are shared through the image's block plane, so each
+    pinned tier gets block planes of its own: an image a module shares
+    across tests never hands one tier's compiled code to another.
+    """
     if tier == "default":
         return
     monkeypatch.setattr(fused, "COMPILE_THRESHOLD", TIER_THRESHOLDS[tier])
+    blocks_for = FrontEndMemo.blocks_for
+    monkeypatch.setattr(
+        FrontEndMemo, "blocks_for",
+        lambda memo, keys, nonce, profile, timing, layout: blocks_for(
+            memo, keys, nonce, profile, timing, (tier, layout)))
     if tier == "regions":
         warm_start(monkeypatch)
 

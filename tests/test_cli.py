@@ -1,8 +1,20 @@
-"""CLI tests (direct main() invocation, no subprocesses)."""
+"""CLI tests (direct main() invocation; the bad-count cases run the real
+entry point in a subprocess, to see its exit code and stderr)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.attacksynth import run_attacksynth
 from repro.cli import main
+from repro.crypto.keys import DeviceKeys
+from repro.errors import CampaignError
+from repro.faults.campaign import run_campaign as run_fault_campaign
+from repro.fuzz import run_fuzz
+from repro.isa import parse
 
 C_SOURCE = "int main() { print_int(11 * 3); return 0; }\n"
 
@@ -232,3 +244,43 @@ class TestFuzz:
             "(r[{rs1}] + r[{rs2}] + 1) & {M}"))
         assert main(["fuzz", "--seeds", "12", "--seed", "9"]) == 1
         assert "divergences" in capsys.readouterr().out
+
+
+class TestBadCounts:
+    """A count that would hang a campaign (an empty fuzz batch) or
+    silently shrink or empty it (a negative count) is a usage error: exit
+    2 with an ``error:`` line and no traceback, and the library raises
+    the typed :class:`~repro.errors.CampaignError`."""
+
+    CASES = [["fuzz", "--batch", "0"], ["fuzz", "--batch", "-1"],
+             ["attacksynth", "--per-program", "-2"],
+             ["fuzz", "--seeds", "-3"], ["fault", "--per-model", "-1"],
+             ["attacksynth", "--programs", "-1"],
+             ["dse", "--per-model", "-1"]]
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_cli_exits_2(self, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 2
+        assert "error:" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("campaign,args,kwargs", [
+        (run_fuzz, (4,), {"batch": 0}), (run_fuzz, (-3,), {}),
+        (run_attacksynth, (1,), {"per_program": -2}),
+        (run_attacksynth, (-1,), {}),
+    ], ids=["fuzz-batch-0", "fuzz-seeds-negative",
+            "attacksynth-per-program-negative",
+            "attacksynth-programs-negative"])
+    def test_library_raises_a_typed_error(self, campaign, args, kwargs):
+        with pytest.raises(CampaignError):
+            campaign(*args, **kwargs)
+
+    def test_fault_campaign_raises_a_typed_error(self):
+        with pytest.raises(CampaignError, match="per_model"):
+            run_fault_campaign(parse("main: halt\n"),
+                               DeviceKeys.from_seed(1), [], per_model=-1)

@@ -250,17 +250,21 @@ def hot_step(instr, r5, r6):
     machine = VanillaMachine(Executable(code_words=[0] * 16, data=b"",
                                         symbols={}, entry=CODE_BASE))
     halt = Instruction("halt")
-    machine._fetch_decode = lambda pc: instr if pc == PC else halt
+    machine._decode = lambda pc: (instr if pc == PC else halt, None)
     fn, _n, _covered = compile_vanilla_run(machine, PC)
     regs, memory = fresh_bits(r5, r6)
-    n, _cycles, _hits, _misses, code, arg = fn(
+    _n, _cycles, _hits, _misses, pc, arg = fn(
         regs, memory.load, memory.store, memory.mmio,
-        machine.icache._tags, memory.ram)
+        machine.icache._tags, memory.ram, 1)
+    if arg is None:
+        return regs, memory.ram, "seq" if pc == PC + 4 else pc
+    code, payload = arg
     if code == 4:
-        return regs, memory.ram, ("trap", arg)
-    if code == 2:
-        return regs, memory.ram, "halt" if instr.spec.is_halt else "seq"
-    return regs, memory.ram, "seq" if arg == PC + 4 else arg
+        return regs, memory.ram, ("trap", payload)
+    # a terminal exit reports its own pc: the halt that ended the run,
+    # or the instruction itself when it halts or its store exits
+    assert pc == (PC + 4 if code == 2 and not instr.spec.is_halt else PC)
+    return regs, memory.ram, "halt" if instr.spec.is_halt else "seq"
 
 
 class TestFastTiersAgree:

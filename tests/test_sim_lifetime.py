@@ -102,9 +102,9 @@ class TestFreedByRefcount:
         # the listener is held weakly, but held: a poke still invalidates
         machine = _ecb()
         machine.run()
-        assert machine._decoded
+        assert machine._predecoded
         machine.memory.poke_code(0, machine.memory.fetch_word(0))
-        assert not machine._decoded
+        assert not machine._predecoded
 
     def test_golden_record_machine_returns_its_buffer(self, pool, tier):
         trace = GoldenTrace.record(_image(), KEYS, 10_000)
