@@ -51,6 +51,7 @@ from ..isa.encoding import decode, encode
 from ..isa.instructions import Instruction, make_nop
 from ..isa.program import Executable
 from ..isa.registers import SP
+from ..transform.blocks import ENTRY_OFFSETS
 from ..transform.encrypt import reseal_block
 from ..transform.image import BlockRecord, SofiaImage
 from ..transform.profile import store_forbidden_slots
@@ -79,27 +80,15 @@ ATTACKER_SEED_SALT = 0xA77ACC
 
 def sealed_edges(image: SofiaImage) -> Set[Tuple[int, int]]:
     """All (prevPC, entry) pairs the image's keystream seals."""
-    edges: Set[Tuple[int, int]] = set()
-    for record in image.blocks:
-        if record.kind == "exec":
-            for prev in record.entry_prev_pcs:
-                edges.add((prev, record.base))
-        else:
-            for slot, prev in enumerate(record.entry_prev_pcs):
-                edges.add((prev, record.base + 4 * (slot + 1)))
-    return edges
+    return {(prev, record.base + ENTRY_OFFSETS[record.kind][slot])
+            for record in image.blocks
+            for slot, prev in enumerate(record.entry_prev_pcs)}
 
 
 def block_entries(image: SofiaImage) -> List[Tuple[BlockRecord, int]]:
     """Every valid entry address of the image, with its block record."""
-    entries: List[Tuple[BlockRecord, int]] = []
-    for record in image.blocks:
-        if record.kind == "exec":
-            entries.append((record, record.base))
-        else:
-            entries.append((record, record.base + 4))
-            entries.append((record, record.base + 8))
-    return entries
+    return [(record, record.base + offset) for record in image.blocks
+            for offset in ENTRY_OFFSETS[record.kind]]
 
 
 def cti_sources(image: SofiaImage) -> List[int]:
@@ -223,8 +212,9 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
     if sources:
         offset_candidates: List[Tuple[int, str]] = []
         for record in image.blocks:
-            wrong = (4, 8, 12) if record.kind == "exec" else (0, 12)
-            for offset in wrong:
+            for offset in (0, 4, 8, 12):
+                if offset in ENTRY_OFFSETS[record.kind]:
+                    continue
                 target = record.base + offset
                 offset_candidates.append(
                     (target, f"offset {offset} of a {record.kind} block"))

@@ -79,7 +79,7 @@ from .eval import (experiment_adpcm, experiment_blocksize,
                    render_blocksize, render_muxtree, render_unroll)
 from .isa.disassembler import dump
 from .sim.engine import DEFAULT_ENGINE, ENGINES
-from .sim.trace import list_image, trace_vanilla
+from .sim.trace import list_image, trace
 from .sim.vanilla import VanillaMachine
 from .transform.image import SofiaImage
 from .transform.profile import ProtectionProfile
@@ -188,7 +188,7 @@ def cmd_disasm(args) -> int:
 def cmd_trace(args) -> int:
     program = _load_program(args.source)
     machine = VanillaMachine(core.link_vanilla(program))
-    for entry in trace_vanilla(machine, max_instructions=args.limit):
+    for entry in trace(machine, max_instructions=args.limit):
         print(entry.render())
     return 0
 

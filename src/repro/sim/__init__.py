@@ -9,8 +9,7 @@ from .fused import compile_sofia_block, compile_vanilla_run
 from .memory import Memory, MMIODevice
 from .result import ExecutionResult, Status, ViolationRecord
 from .sofia import SofiaMachine, run_image
-from .trace import (TraceEntry, diff_traces, list_image, trace_sofia,
-                    trace_vanilla)
+from .trace import TraceEntry, diff_traces, list_image, trace
 from .timing import (DEFAULT_TIMING, LEON3_MINIMAL_TIMING, TimingParams,
                      cycle_costs, instruction_cycles)
 from .vanilla import VanillaMachine, run_executable
@@ -28,6 +27,6 @@ __all__ = [
     "compile_handler", "predecode",
     "TimingParams", "DEFAULT_TIMING", "LEON3_MINIMAL_TIMING",
     "instruction_cycles", "cycle_costs",
-    "TraceEntry", "trace_vanilla", "trace_sofia", "diff_traces",
+    "TraceEntry", "trace", "diff_traces",
     "list_image",
 ]

@@ -12,7 +12,11 @@ Entry classification implements §II-E's call-site convention via block
 alignment (DESIGN.md): a transfer to ``base+0`` executes an execution
 block, ``base+4`` selects multiplexor path 1 (fetch starts at ``M1e1`` and
 skips ``M1e2``), ``base+8`` selects path 2 (fetch starts at ``M1e2``);
-every other offset is an invalid entry and pulls reset.
+every other offset is an invalid entry and pulls reset.  The offsets and
+fetch order come from :mod:`repro.transform.blocks` and each fetched
+word's keystream edge from
+:func:`~repro.transform.encrypt.traversal_edges`, the homes the sealer
+uses too.
 
 Per-edge decrypt/verify results are memoized — a valid execution decrypts a
 given (prevPC, entry) pair identically every time, so loops pay for the
@@ -41,7 +45,8 @@ from ..errors import DecodingError, SimulationError
 from ..isa.encoding import decode
 from ..isa.instructions import Instruction
 from ..obs import hook as obs_hook
-from ..transform.encrypt import unseal_block
+from ..transform.blocks import classify_offset, fetch_indices
+from ..transform.encrypt import traversal_edges, unseal_block
 from ..transform.image import SofiaImage
 from ..transform.profile import RESET_PREV_PC, store_forbidden_slots
 from . import fused
@@ -178,17 +183,6 @@ class SofiaMachine:
 
     # -- the fetch/decrypt/verify unit -----------------------------------
 
-    def _classify(self, entry_pc: int) -> Optional[Tuple[str, int, int]]:
-        """Map an entry address to (kind, base, entry word index)."""
-        offset = (entry_pc - self.image.code_base) % self.image.block_bytes
-        if offset == 0:
-            return "exec", entry_pc, 0
-        if offset == 4:
-            return "mux", entry_pc - 4, 0   # path 1 starts at M1e1
-        if offset == 8:
-            return "mux", entry_pc - 8, 1   # path 2 starts at M1e2
-        return None
-
     def decrypt_and_verify(self, prev_pc: int, entry_pc: int) -> _VerifiedBlock:
         """The hardware pipeline front-end for one block traversal."""
         key = (prev_pc, entry_pc)
@@ -217,25 +211,19 @@ class SofiaMachine:
         obs = self._obs
         if obs is not None:
             obs.count("sim.frontend.decrypts")
-        classified = self._classify(entry_pc)
-        if classified is None:
+        offset = (entry_pc - self.image.code_base) % self.image.block_bytes
+        entry = classify_offset(offset)
+        if entry is None:
             violation = ViolationRecord("invalid-entry", entry_pc, prev_pc,
                                         "entry offset is not 0, 4 or 8")
             return _VerifiedBlock(ok=False, base=entry_pc, kind="?",
                                   violation=violation)
-        kind, base, entry_word = classified
-        bw = self.image.block_words
-        if kind == "exec":
-            word_indices = list(range(bw))
-        elif entry_word == 0:   # path 1: fetch M1e1, skip M1e2
-            word_indices = [0] + list(range(2, bw))
-        else:                   # path 2: fetch starts at M1e2
-            word_indices = list(range(1, bw))
-
+        kind, slot = entry
+        base = entry_pc - offset
         addresses = []
         ciphertext = []
         try:
-            for index in word_indices:
+            for index in fetch_indices(kind, slot, self.image.block_words):
                 address = base + 4 * index
                 addresses.append(address)
                 ciphertext.append(self.memory.fetch_word(address))
@@ -248,42 +236,32 @@ class SofiaMachine:
         if force_accept or not self.memoize:
             # transient: a glitched comparator's one-shot acceptance, or
             # a machine that re-verifies every traversal
-            return self._verify(prev_pc, entry_pc, kind, base, word_indices,
-                                addresses, ciphertext, force_accept)
+            return self._verify(prev_pc, entry_pc, kind, base, slot,
+                                ciphertext, force_accept)
         # another machine may have verified these very words on this edge
         key = (prev_pc, entry_pc, tuple(ciphertext))
         block = self._verified.get(key)
         if block is None:
             block = self._verified[key] = self._verify(
-                prev_pc, entry_pc, kind, base, word_indices, addresses,
-                ciphertext, False)
+                prev_pc, entry_pc, kind, base, slot, ciphertext, False)
         return block
 
     def _verify(self, prev_pc: int, entry_pc: int, kind: str, base: int,
-                word_indices: List[int], addresses: List[int],
-                ciphertext: List[int], force_accept: bool) -> _VerifiedBlock:
+                slot: int, ciphertext: List[int],
+                force_accept: bool) -> _VerifiedBlock:
         """Decrypt, check and decode the fetched ``ciphertext`` of one
-        block traversal."""
+        block traversal through entry ``slot``."""
         obs = self._obs
         bw = self.image.block_words
         mac_words_count = self.profile.mac_count(kind)
-        # decrypt: the entry word chains on the inbound edge; M2 of a mux
-        # block always chains on addr(M1e2) = base+4 (Fig. 8); every other
-        # word chains on its canonical predecessor word.
         if obs is not None:
             keystream_cached = self.keystream.cache_size()
             mac_cached = len(self._mac_cache)
-        plaintext = []
-        for position, index in enumerate(word_indices):
-            address = base + 4 * index
-            if position == 0:
-                prev = prev_pc
-            elif kind == "mux" and index == 2:
-                prev = base + 4
-            else:
-                prev = base + 4 * (index - 1)
-            plaintext.append(self.keystream.decrypt_word(
-                ciphertext[position], prev, address))
+        edges = traversal_edges(kind, base, bw, slot, prev_pc)
+        decrypt = self.keystream.decrypt_word
+        plaintext = [decrypt(word, prev, address) for word, (prev, address)
+                     in zip(ciphertext, edges)]
+        addresses = tuple(address for _prev, address in edges)
 
         # in fetch order both block kinds present the stored seal first
         # (the entry's M1 copy, then M2..Mw), so the unseal split is
@@ -294,7 +272,7 @@ class SofiaMachine:
         if obs is not None:
             # keystream/MAC memo misses show up as cache growth; hits =
             # lookups - misses (rates derived at `repro stats` time)
-            obs.count("sim.keystream.words", len(word_indices))
+            obs.count("sim.keystream.words", len(edges))
             obs.count("sim.keystream.memo_misses",
                       self.keystream.cache_size() - keystream_cached)
             obs.count("sim.mac.memo_lookups")
@@ -308,7 +286,7 @@ class SofiaMachine:
                 "integrity", entry_pc, prev_pc,
                 f"run-time MAC {run_hex} != stored {stored_hex}")
             return _VerifiedBlock(ok=False, base=base, kind=kind,
-                                  fetch_addresses=tuple(addresses),
+                                  fetch_addresses=addresses,
                                   mac_slots=mac_slots, violation=violation)
 
         # decode the verified payload
@@ -334,7 +312,7 @@ class SofiaMachine:
                     "store-slot", entry_pc, prev_pc,
                     f"store in payload slot {slot} at 0x{address:08x}")
                 return _VerifiedBlock(ok=False, base=base, kind=kind,
-                                      fetch_addresses=tuple(addresses),
+                                      fetch_addresses=addresses,
                                       mac_slots=mac_slots,
                                       violation=violation)
             if instr.is_cti and slot != capacity - 1:
@@ -342,11 +320,11 @@ class SofiaMachine:
                     "structure", entry_pc, prev_pc,
                     f"control transfer in mid-block slot {slot}")
                 return _VerifiedBlock(ok=False, base=base, kind=kind,
-                                      fetch_addresses=tuple(addresses),
+                                      fetch_addresses=addresses,
                                       mac_slots=mac_slots,
                                       violation=violation)
         return _VerifiedBlock(ok=True, base=base, kind=kind,
-                              fetch_addresses=tuple(addresses),
+                              fetch_addresses=addresses,
                               mac_slots=mac_slots, payload=tuple(payload),
                               decode_failure=decode_failure)
 

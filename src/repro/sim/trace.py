@@ -2,8 +2,8 @@
 
 Debug tooling around the simulators:
 
-* :func:`trace_vanilla` / :func:`trace_sofia` — single-step a machine and
-  record every committed instruction (pc, disassembly, changed register);
+* :func:`trace` — run a vanilla or SOFIA machine and record every
+  committed instruction (pc, disassembly, changed register);
 * :func:`diff_traces` — align a vanilla trace with a SOFIA trace by
   filtering the padding nops, to localize the first divergence when a
   transformation bug is suspected;
@@ -23,8 +23,6 @@ from ..isa.encoding import decode
 from ..isa.registers import register_name
 from ..transform.image import SofiaImage
 from ..transform.verify import ImageVerifier
-from .sofia import SofiaMachine
-from .vanilla import VanillaMachine
 
 
 @dataclass(frozen=True)
@@ -45,15 +43,17 @@ class TraceEntry:
         return line
 
 
-def _record_via_hook(machine, max_instructions: int) -> List[TraceEntry]:
-    """Run a machine with the on_commit hook recording every instruction.
+def trace(machine, max_instructions: int = 10_000) -> List[TraceEntry]:
+    """Run a vanilla or SOFIA machine, recording each committed instruction.
 
     A hooked run is executed by the reference oracle whatever the
     machine's engine (see :mod:`repro.sim.engine`): the hook fires once
     per committed instruction, after its register/memory effects and
-    before the PC advances, so traces are engine-independent.
+    before the PC advances, so traces are engine-independent.  On a SOFIA
+    machine the instruction text comes straight from the decrypt-verify
+    unit, so no keys are needed.
     """
-    trace: List[TraceEntry] = []
+    entries: List[TraceEntry] = []
     last_regs = list(machine.state.regs)
 
     def hook(pc: int, instr) -> None:
@@ -65,35 +65,17 @@ def _record_via_hook(machine, max_instructions: int) -> List[TraceEntry]:
                 if changed_reg is None:
                     changed_reg, new_value = reg, regs[reg]
                 last_regs[reg] = regs[reg]
-        trace.append(TraceEntry(index=len(trace), pc=pc,
-                                text=instr.render(),
-                                changed_reg=changed_reg,
-                                new_value=new_value))
+        entries.append(TraceEntry(index=len(entries), pc=pc,
+                                  text=instr.render(),
+                                  changed_reg=changed_reg,
+                                  new_value=new_value))
 
     machine.on_commit = hook
     try:
         machine.run(max_instructions=max_instructions)
     finally:
         machine.on_commit = None
-    return trace
-
-
-def trace_vanilla(machine: VanillaMachine,
-                  max_instructions: int = 10_000) -> List[TraceEntry]:
-    """Run a vanilla machine, recording each committed instruction."""
-    return _record_via_hook(machine, max_instructions)
-
-
-def trace_sofia(machine: SofiaMachine, keys: Optional[DeviceKeys] = None,
-                max_instructions: int = 10_000) -> List[TraceEntry]:
-    """Run a SOFIA machine, recording each committed instruction.
-
-    The instruction text comes straight from the decrypt-verify unit
-    (the hook receives decoded instructions), so no keys are needed —
-    the ``keys`` parameter is kept for API symmetry with the listing
-    tools and ignored.
-    """
-    return _record_via_hook(machine, max_instructions)
+    return entries
 
 
 def diff_traces(vanilla: List[TraceEntry],
@@ -129,22 +111,25 @@ def list_image(image: SofiaImage, keys: DeviceKeys) -> str:
         lines.append(f"\nblock @ 0x{record.base:08x} [{record.kind}]"
                      f"{labels}  sealed prevPC: {prevs or 'unreachable'}")
         mac_count = image.block_words - record.capacity
-        if record.entry_prev_pcs:
-            words = verifier._decrypt_block(record, 0,
-                                            record.entry_prev_pcs[0])
-        else:
-            words = [0] * image.block_words
+        # each word as decrypted by the first sealed entry that fetches
+        # it (so a mux block lists both of its M1 copies)
+        words = {}
+        for slot, prev_pc in enumerate(record.entry_prev_pcs):
+            for address, word in verifier.decrypt_traversal(record, slot,
+                                                            prev_pc):
+                words.setdefault(address, word)
         for j in range(mac_count):
             if record.kind == "mux":
                 # mux heads duplicate M1 as the two entry points
                 name = ("M1e1", "M1e2")[j] if j < 2 else f"M{j}"
             else:
                 name = f"M{j + 1}"
-            lines.append(f"  {record.base + 4 * j:08x}:  "
-                         f"{words[j]:08x}  ; MAC word {name}")
+            address = record.base + 4 * j
+            lines.append(f"  {address:08x}:  "
+                         f"{words.get(address, 0):08x}  ; MAC word {name}")
         for slot in range(record.capacity):
             address = record.base + 4 * (mac_count + slot)
-            word = words[mac_count + slot]
+            word = words.get(address, 0)
             try:
                 text = decode(word, address).render()
             except DecodingError:

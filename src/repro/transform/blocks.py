@@ -20,13 +20,18 @@ determines both the branch-target address and the MAC word used as the
 entry (paper §II-E): execution blocks are entered by targeting ``base+0``;
 multiplexor path 1 targets ``base+4`` (fetch starts at ``M1e1``), path 2
 targets ``base+8`` (fetch starts at ``M1e2``).
+
+:data:`ENTRY_OFFSETS`, :func:`classify_offset` and :func:`fetch_indices`
+are the single home of that convention: the layout's branch targets, the
+simulated front-end, the offline verifier, the listing and the attack
+enumerator all read it here.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.instructions import Instruction
 
@@ -35,6 +40,27 @@ EdgeKey = Tuple[Token, int]
 
 #: Tokens that must enter their target block at offset 0.
 OFFSET0_KINDS = ("fall", "ret")
+
+#: Byte offset of each entry slot within a block, by block kind (§II-E).
+ENTRY_OFFSETS: Dict[str, Tuple[int, ...]] = {"exec": (0,), "mux": (4, 8)}
+_ENTRY_AT = {offset: (kind, slot) for kind, offsets in ENTRY_OFFSETS.items()
+             for slot, offset in enumerate(offsets)}
+
+
+def classify_offset(offset: int) -> Optional[Tuple[str, int]]:
+    """``(kind, slot)`` of the entry at byte ``offset`` of a block, or
+    ``None`` when no block kind is entered there (an invalid entry)."""
+    return _ENTRY_AT.get(offset)
+
+
+def fetch_indices(kind: str, slot: int, block_words: int) -> List[int]:
+    """Word indices one traversal through entry ``slot`` fetches, in fetch
+    order: every word of an execution block; for a multiplexor the
+    entry's ``M1`` copy (``M1e1`` for path 1, ``M1e2`` for path 2) and
+    then every word after the pair (paper Fig. 7)."""
+    if kind == "exec":
+        return list(range(block_words))
+    return [slot] + list(range(2, block_words))
 
 
 def token_sort_key(token: Token):
@@ -114,21 +140,12 @@ class Block:
         """Branch-target address selecting entry ``slot`` (paper §II-E)."""
         if self.base < 0:
             raise ValueError("block has no base address yet")
-        if self.kind is BlockKind.EXEC:
-            if slot != 0:
-                raise ValueError("execution blocks have a single entry")
-            return self.base
-        if slot == 0:
-            return self.base + 4   # branch to cM1e2 -> path 1
-        if slot == 1:
-            return self.base + 8   # branch to cM2 -> path 2
-        raise ValueError("multiplexor blocks have two entries")
-
-    def entry_word_index(self, slot: int) -> int:
-        """Word index of the M1 copy consumed by entry ``slot``."""
-        if self.kind is BlockKind.EXEC:
-            return 0
-        return slot  # M1e1 at word 0, M1e2 at word 1
+        offsets = ENTRY_OFFSETS[self.kind.value]
+        if not 0 <= slot < len(offsets):
+            raise ValueError("execution blocks have a single entry"
+                             if self.kind is BlockKind.EXEC
+                             else "multiplexor blocks have two entries")
+        return self.base + offsets[slot]
 
     def payload_word_index(self, payload_slot: int) -> int:
         """Word index of payload slot ``payload_slot`` within the block."""

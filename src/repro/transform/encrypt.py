@@ -13,6 +13,12 @@ the control-flow-dependent CTR keystream:
   (both paths agree on this — paper Fig. 8's footnote),
 * every other word chains on its predecessor word's address.
 
+:func:`chain_prev_pcs` is the single home of that chaining and
+:func:`traversal_edges` of a traversal's fetched words and their edges:
+the sealer, the renonce tool, the forgery hook, the simulated front-end,
+the offline verifier and the listing all derive their keystream edges
+from this pair.
+
 :func:`seal_block` / :func:`unseal_block` are the **single home** of the
 seal packing: every producer (the transformer, the renonce tool, the
 attack-synthesis forgery hook) and every consumer (the offline verifier,
@@ -40,7 +46,7 @@ from ..errors import EncodingError, TransformError
 from ..isa.encoding import encode
 from ..isa.program import (AsmProgram, CODE_BASE, DATA_BASE,
                            resolve_data_references)
-from .blocks import Block, BlockKind
+from .blocks import ENTRY_OFFSETS, Block, BlockKind, fetch_indices
 from .image import BlockRecord, FrontEndMemo, SofiaImage
 from .layout import Layout
 
@@ -139,22 +145,42 @@ def chain_prev_pcs(kind: str, base: int, total: int,
     every other word on its predecessor word.  The scheme is independent
     of the seal width — only the entry words and index 2 are special.
     """
-    prevs: List[int] = []
     if kind == "exec":
-        prevs.append(entry_prevs[0])
-        for j in range(1, total):
-            prevs.append(base + 4 * (j - 1))
-        return prevs
+        return [entry_prevs[0]] + list(range(base, base + 4 * (total - 1), 4))
     if len(entry_prevs) == 1:
         # a mux block always has two sealed entries; a single entry can
         # only happen through a construction bug.
         raise TransformError("multiplexor block with a single entry")
-    prevs.append(entry_prevs[0])          # M1e1: first predecessor
-    prevs.append(entry_prevs[1])          # M1e2: second predecessor
-    prevs.append(base + 4)                # index 2 chains on addr(M1e2)
-    for j in range(3, total):
-        prevs.append(base + 4 * (j - 1))
-    return prevs
+    # M1e1 and M1e2 on their predecessors, index 2 on addr(M1e2)
+    return [entry_prevs[0], entry_prevs[1], base + 4] + list(
+        range(base + 8, base + 4 * (total - 1), 4))
+
+
+def chain_edges(kind: str, base: int, total: int,
+                entry_prevs: List[int]) -> List[Tuple[int, int]]:
+    """The keystream edge ``(prevPC, address)`` of each word of a block,
+    in layout order (:func:`chain_prev_pcs` picks the prevPCs)."""
+    return [(prev, base + 4 * j) for j, prev
+            in enumerate(chain_prev_pcs(kind, base, total, entry_prevs))]
+
+
+def traversal_edges(kind: str, base: int, block_words: int, slot: int,
+                    prev_pc: int) -> List[Tuple[int, int]]:
+    """The keystream edge ``(prevPC, address)`` of each word one traversal
+    fetches, in fetch order.
+
+    The traversal enters through entry ``slot`` on the edge from
+    ``prev_pc``; :func:`~repro.transform.blocks.fetch_indices` picks the
+    words and :func:`chain_prev_pcs` their chaining, so every consumer
+    (the simulated front-end, the offline verifier, the listing) decrypts
+    exactly what the sealer encrypted.
+    """
+    # only the entered slot's word is fetched, so the other entry's
+    # prevPC never reaches the result
+    prevs = chain_prev_pcs(kind, base, block_words,
+                           [prev_pc] * len(ENTRY_OFFSETS[kind]))
+    return [(prevs[j], base + 4 * j)
+            for j in fetch_indices(kind, slot, block_words)]
 
 
 def block_plain_words(block: Block, keys: DeviceKeys) -> List[int]:
@@ -207,12 +233,10 @@ def reseal_block(image: SofiaImage, record: BlockRecord,
     macs = block_macs(record.kind, words, keys, profile.mac_words,
                       memo.seal_for(keys, profile.mac_words))
     plain = _interleave(record.kind, macs, words)
-    prevs = chain_prev_pcs(record.kind, base, len(plain),
-                           list(record.entry_prev_pcs))
     keystream = EdgeKeystream(keys.encryption_cipher, nonce,
                               cache=memo.keystream_for(keys, nonce))
-    stream = keystream.keystream_many(
-        (prev, base + 4 * j) for j, prev in enumerate(prevs))
+    stream = keystream.keystream_many(chain_edges(
+        record.kind, base, len(plain), list(record.entry_prev_pcs)))
     return [word ^ key for word, key in zip(plain, stream)]
 
 
@@ -240,10 +264,9 @@ def seal(layout: Layout, program: AsmProgram, keys: DeviceKeys,
         kind, payload = sealed
         block_plain = _interleave(kind, memo.seal[sealed], payload)
         entry_prevs = layout.entry_prev_pcs(block)
-        prevs = word_prev_pcs(block, entry_prevs)
         plain.extend(block_plain)
-        edges.extend((prev, block.base + 4 * j)
-                     for j, prev in enumerate(prevs))
+        edges.extend(chain_edges(kind, block.base, len(block_plain),
+                                 entry_prevs))
         records.append(BlockRecord(
             base=block.base, kind=kind, capacity=block.capacity,
             labels=tuple(block.labels), leader=block.leader,

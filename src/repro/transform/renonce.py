@@ -23,7 +23,7 @@ from typing import List
 from ..crypto.ctr import EdgeKeystream
 from ..crypto.keys import DeviceKeys
 from ..errors import ImageError
-from .encrypt import chain_prev_pcs
+from .encrypt import chain_edges
 from .image import FrontEndMemo, SofiaImage, keystream_tag
 
 
@@ -57,12 +57,8 @@ def reencrypt(image: SofiaImage, keys: DeviceKeys,
         if not record.entry_prev_pcs:
             raise ImageError(
                 f"block 0x{record.base:08x} has no sealed entry")
-        # every word's edge along the canonical chain (chain_prev_pcs is
-        # the single home of the per-word prevPC scheme)
-        prevs = chain_prev_pcs(record.kind, record.base, bw,
-                               list(record.entry_prev_pcs))
-        edges.extend((prev, record.base + 4 * j)
-                     for j, prev in enumerate(prevs))
+        edges.extend(chain_edges(record.kind, record.base, bw,
+                                 list(record.entry_prev_pcs)))
     old_keys = old_stream.keystream_many(edges)
     new_keys = new_stream.keystream_many(edges)
     words: List[int] = list(image.words)

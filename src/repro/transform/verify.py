@@ -20,13 +20,14 @@ device needs.  An empty finding list means the image is sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..crypto.ctr import EdgeKeystream
 from ..crypto.keys import DeviceKeys
 from ..errors import DecodingError
 from ..isa.encoding import decode
-from .encrypt import unseal_block
+from .blocks import classify_offset
+from .encrypt import traversal_edges, unseal_block
 from .image import BlockRecord, SofiaImage
 from .profile import store_forbidden_slots
 
@@ -60,40 +61,21 @@ class ImageVerifier:
 
     # -- decryption helpers ----------------------------------------------
 
-    def _decrypt_block(self, record: BlockRecord, entry_slot: int,
-                       prev_pc: int) -> Optional[List[int]]:
-        """Decrypt along one sealed edge; returns all words by index."""
-        bw = self.image.block_words
-        base = record.base
-        if record.kind == "exec":
-            indices = list(range(bw))
-        elif entry_slot == 0:
-            indices = [0] + list(range(2, bw))
-        else:
-            indices = list(range(1, bw))
-        words: Dict[int, int] = {}
-        for position, j in enumerate(indices):
-            address = base + 4 * j
-            if position == 0:
-                prev = prev_pc
-            elif record.kind == "mux" and j == 2:
-                prev = base + 4
-            else:
-                prev = base + 4 * (j - 1)
-            words[j] = self.keystream.decrypt_word(
-                self.image.word_at(address), prev, address)
-        return [words.get(j, 0) for j in range(bw)]
+    def decrypt_traversal(self, record: BlockRecord, slot: int,
+                          prev_pc: int) -> List[Tuple[int, int]]:
+        """``(address, plaintext word)`` of each word one traversal of
+        ``record`` through entry ``slot`` fetches, in fetch order."""
+        edges = traversal_edges(record.kind, record.base,
+                                self.image.block_words, slot, prev_pc)
+        stream = self.keystream.keystream_many(edges)
+        return [(address, self.image.word_at(address) ^ key)
+                for (_prev, address), key in zip(edges, stream)]
 
     def _verify_block_edges(self, record: BlockRecord) -> List[Finding]:
         findings = []
         for slot, prev_pc in enumerate(record.entry_prev_pcs):
-            words = self._decrypt_block(record, slot, prev_pc)
-            # fetch order: the entry's M1 copy first, then everything
-            # after the M1 pair (for exec blocks that is simply all words)
-            if record.kind == "exec":
-                fetched = words
-            else:
-                fetched = [words[slot]] + words[2:]
+            fetched = [word for _address, word
+                       in self.decrypt_traversal(record, slot, prev_pc)]
             _payload, stored, computed = unseal_block(
                 record.kind, fetched, self.keys, self.profile.mac_words)
             if stored != computed:
@@ -108,15 +90,11 @@ class ImageVerifier:
     def _entry_kind(self, address: int) -> Optional[str]:
         """'exec'/'mux' if ``address`` is a valid entry of some block."""
         offset = (address - self.image.code_base) % self.image.block_bytes
-        base = address - offset
-        record = self._records.get(base)
-        if record is None:
+        record = self._records.get(address - offset)
+        entry = classify_offset(offset)
+        if record is None or entry is None or entry[0] != record.kind:
             return None
-        if offset == 0 and record.kind == "exec":
-            return "exec"
-        if offset in (4, 8) and record.kind == "mux":
-            return "mux"
-        return None
+        return record.kind
 
     def _verify_block_payload(self, record: BlockRecord) -> List[Finding]:
         findings = []

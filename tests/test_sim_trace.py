@@ -1,12 +1,13 @@
 """Trace/listing tooling tests."""
 
-import pytest
+import re
 
 from repro.crypto import DeviceKeys
 from repro.isa import assemble_text, parse
 from repro.sim import (SofiaMachine, VanillaMachine, diff_traces,
-                       list_image, trace_sofia, trace_vanilla)
+                       list_image, trace)
 from repro.transform import transform
+from repro.workloads import make_workload
 
 KEYS = DeviceKeys.from_seed(0x7ACE)
 
@@ -25,36 +26,36 @@ main:
 class TestVanillaTrace:
     def test_trace_records_every_instruction(self):
         machine = VanillaMachine(assemble_text(SOURCE))
-        trace = trace_vanilla(machine)
-        assert len(trace) == 8  # li, li, add, mul, lui, ori, sw, halt
-        assert trace[0].text.startswith("addi")
-        assert trace[2].changed_reg == 14  # t2
-        assert trace[2].new_value == 7
+        entries = trace(machine)
+        assert len(entries) == 8  # li, li, add, mul, lui, ori, sw, halt
+        assert entries[0].text.startswith("addi")
+        assert entries[2].changed_reg == 14  # t2
+        assert entries[2].new_value == 7
 
     def test_trace_render(self):
         machine = VanillaMachine(assemble_text(SOURCE))
-        trace = trace_vanilla(machine, max_instructions=2)
-        line = trace[0].render()
+        entries = trace(machine, max_instructions=2)
+        line = entries[0].render()
         assert "00000000" in line and "t0" in line
 
     def test_trace_stops_at_budget(self):
         machine = VanillaMachine(assemble_text("main: jmp main\n"))
-        trace = trace_vanilla(machine, max_instructions=10)
-        assert len(trace) == 10
+        entries = trace(machine, max_instructions=10)
+        assert len(entries) == 10
 
 
 class TestSofiaTrace:
     def test_traces_align_after_nop_filtering(self):
         program = parse(SOURCE)
-        vanilla = trace_vanilla(VanillaMachine(assemble_text(SOURCE)))
+        vanilla = trace(VanillaMachine(assemble_text(SOURCE)))
         image = transform(program, KEYS, nonce=0x11)
-        sofia = trace_sofia(SofiaMachine(image, KEYS), KEYS)
+        sofia = trace(SofiaMachine(image, KEYS))
         assert diff_traces(vanilla, sofia) is None
 
     def test_diff_detects_divergence(self):
-        vanilla = trace_vanilla(VanillaMachine(assemble_text(SOURCE)))
+        vanilla = trace(VanillaMachine(assemble_text(SOURCE)))
         other_src = SOURCE.replace("li t0, 3", "li t0, 5")
-        other = trace_vanilla(VanillaMachine(assemble_text(other_src)))
+        other = trace(VanillaMachine(assemble_text(other_src)))
         divergence = diff_traces(vanilla, other)
         assert divergence is not None
         index, explanation = divergence
@@ -90,3 +91,13 @@ class TestListing:
         # some words no longer decode as instructions
         assert garbage != correct
         assert ".word" in garbage
+
+    def test_listing_shows_both_mux_m1_copies(self):
+        """Every mux block lists its M1e2 word as decrypted by path 2's
+        sealed edge, equal to the M1e1 copy path 1 decrypts."""
+        program = make_workload("crc32", "tiny").compile().program
+        text = list_image(transform(program, KEYS, nonce=0x15), KEYS)
+        m1e1 = re.findall(r"([0-9a-f]{8})  ; MAC word M1e1", text)
+        m1e2 = re.findall(r"([0-9a-f]{8})  ; MAC word M1e2", text)
+        assert m1e1 and m1e2 == m1e1
+        assert "00000000" not in m1e2

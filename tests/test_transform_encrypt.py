@@ -9,8 +9,11 @@ import pytest
 
 from repro.crypto import DeviceKeys, EdgeKeystream, mac_words
 from repro.isa import decode, parse
-from repro.transform import (BlockKind, DEFAULT_PROFILE, block_plain_words,
-                             prepare, transform, word_prev_pcs)
+from repro.transform import (BlockKind, DEFAULT_PROFILE, ImageVerifier,
+                             ProtectionProfile, block_plain_words, prepare,
+                             transform, word_prev_pcs)
+from repro.transform.blocks import classify_offset
+from repro.transform.encrypt import traversal_edges
 from repro.transform.profile import RESET_PREV_PC
 
 KEYS = DeviceKeys.from_seed(555)
@@ -28,6 +31,23 @@ f:
     addi a0, a0, 1
     ret
 """
+
+#: five predecessors of one leader: a two-level tree of mux forwarders
+MUX_HEAVY = """
+main:
+    li a0, 3
+    beq a0, zero, join
+    bne a0, zero, join
+    blt a0, zero, join
+    bge a0, zero, join
+    jmp join
+join:
+    halt
+"""
+
+#: two block sizes x two seal widths
+GEOMETRIES = [ProtectionProfile(mac_words=mac, block_words=bw)
+              for bw in (8, 6) for mac in (2, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +139,47 @@ class TestManualDecryption:
             m1 = words[0] if entry_word == 0 else words[1]
             payload = [words[j] for j in range(3, image.block_words)]
             assert mac_words(KEYS.mux_mac_cipher, payload) == (m1, words[2])
+
+    @pytest.mark.parametrize("profile", GEOMETRIES, ids=lambda p: p.label)
+    @pytest.mark.parametrize("source", [SOURCE, MUX_HEAVY],
+                             ids=["calls", "mux-heavy"])
+    def test_traversals_match_manual_decryption(self, source, profile):
+        """The shared traversal helper fetches the same words in the same
+        order and decrypts them to the same plaintext as the hand-written
+        reference, on every block and every sealed entry."""
+        image = transform(parse(source), KEYS, nonce=NONCE, profile=profile)
+        assert any(r.kind == "mux" for r in image.blocks)
+        ks = EdgeKeystream(KEYS.encryption_cipher, NONCE)
+        verifier = ImageVerifier(image, KEYS)
+        for record in image.blocks:
+            for slot, prev in enumerate(record.entry_prev_pcs):
+                manual = list(self._decrypt_block(
+                    image, record.base, record.kind, slot, prev).items())
+                edges = traversal_edges(record.kind, record.base,
+                                        image.block_words, slot, prev)
+                shared = [((addr - record.base) // 4,
+                           ks.decrypt_word(image.word_at(addr), edge, addr))
+                          for edge, addr in edges]
+                assert shared == manual
+                assert verifier.decrypt_traversal(record, slot, prev) == [
+                    (record.base + 4 * j, word) for j, word in manual]
+
+    @pytest.mark.parametrize("profile", GEOMETRIES, ids=lambda p: p.label)
+    def test_only_offsets_0_4_8_are_entries(self, profile):
+        valid = {0: ("exec", 0), 4: ("mux", 0), 8: ("mux", 1)}
+        for offset in range(0, profile.block_bytes, 4):
+            assert classify_offset(offset) == valid.get(offset)
+
+    @pytest.mark.parametrize("profile", GEOMETRIES, ids=lambda p: p.label)
+    def test_entry_addresses_classify_back(self, profile):
+        layout = prepare(parse(MUX_HEAVY), profile)
+        slots = {BlockKind.EXEC: [0], BlockKind.MUX: [0, 1]}
+        for block in layout.blocks:
+            for slot in slots[block.kind]:
+                offset = block.entry_address(slot) - block.base
+                assert classify_offset(offset) == (block.kind.value, slot)
+            with pytest.raises(ValueError):
+                block.entry_address(len(slots[block.kind]))
 
     def test_ciphertext_differs_from_plaintext(self, built):
         layout, image = built
