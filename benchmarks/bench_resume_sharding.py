@@ -41,27 +41,26 @@ def _timed(fn):
     return result, time.perf_counter() - started
 
 
-def test_resume_smoke(tmp_path):
-    """CI smoke: warm rerun replays from cache only — zero simulation."""
+def test_resume_smoke(tmp_path, monkeypatch):
+    """CI smoke: warm rerun replays from cache only — zero simulation,
+    neither a specimen nor the golden run."""
     store_dir = tmp_path / "store"
     cold = tmp_path / "cold.json"
     results, _ = _fault_campaign(store_dir, cold, per_model=4)
 
     store = ResultStore(store_dir)
-    assert len(store) == len(results)
+    assert len(store) == len(results) + 1  # and the golden summary
 
     import repro.faults.campaign as faults_campaign
-    real_run_fault_batch = faults_campaign.run_fault_batch
+    from repro.sim.batch import GoldenTrace
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("warm rerun must not simulate any specimen")
+        raise AssertionError("warm rerun must not simulate")
 
-    faults_campaign.run_fault_batch = forbidden
-    try:
-        warm = tmp_path / "warm.json"
-        _fault_campaign(store_dir, warm, per_model=4)
-    finally:
-        faults_campaign.run_fault_batch = real_run_fault_batch
+    monkeypatch.setattr(faults_campaign, "run_fault_batch", forbidden)
+    monkeypatch.setattr(GoldenTrace, "record", forbidden)
+    warm = tmp_path / "warm.json"
+    _fault_campaign(store_dir, warm, per_model=4)
     assert warm.read_bytes() == cold.read_bytes()
 
 
@@ -120,7 +119,8 @@ def test_shard_union_matches_serial(tmp_path):
         _fault_campaign_shard()
         shard_sizes.append(len(ResultStore(store_dir)))
 
-    assert sum(shard_sizes) == len(results)
+    # every shard stores the golden summary beside its slice
+    assert sum(shard_sizes) == len(results) + 3
     assert max(shard_sizes) - min(shard_sizes) <= 1  # balanced slices
 
     merge_stores(tmp_path / "merged",

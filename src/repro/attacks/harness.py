@@ -13,10 +13,10 @@ defender's goal is to prevent *any* effect of tampered code):
 The campaign is a task matrix (attack x target) dispatched through
 :mod:`repro.runner`: each cell applies one attack to a fresh machine, so
 cells are independent and ``run_campaign(jobs=N)`` fans
-them across worker processes.  Workers rebuild the four targets once per
-process from (seed, nonce) — the per-process build cache for this
-campaign — and results return in matrix order, making parallel outcomes
-identical to serial ones.
+them across worker processes.  The four targets, built and checked once
+in the parent, are the dispatch's context: workers inherit them
+through the fork, and results return in matrix order, making parallel
+outcomes identical to serial ones.
 """
 
 from __future__ import annotations
@@ -99,24 +99,10 @@ def verify_benign(targets: List[Target]) -> None:
                 f"output={result.output_ints}")
 
 
-# per-process target table, keyed by campaign seed.  The parent installs
-# it after the benign check; fork-started workers inherit the built
-# targets copy-on-write and never rebuild, while spawn-started workers
-# rebuild once per process via the initializer.
-_WORKER_TARGETS: Optional[Tuple[int, Dict[str, Target]]] = None
-
-
-def _init_attack_worker(seed: int) -> None:
-    global _WORKER_TARGETS
-    if _WORKER_TARGETS is None or _WORKER_TARGETS[0] != seed:
-        targets = build_targets(victim_program(), seed=seed)
-        _WORKER_TARGETS = (seed, {t.name: t for t in targets})
-
-
-def _attack_task(task: Tuple[int, str]) -> AttackResult:
+def _attack_task(targets: Dict[str, Target],
+                 task: Tuple[int, str]) -> AttackResult:
     attack_index, target_name = task
-    return run_attack(ATTACKS[attack_index],
-                      _WORKER_TARGETS[1][target_name])
+    return run_attack(ATTACKS[attack_index], targets[target_name])
 
 
 def run_campaign(seed: int = 1337, jobs: Optional[int] = 1,
@@ -129,20 +115,15 @@ def run_campaign(seed: int = 1337, jobs: Optional[int] = 1,
     order (identical to the serial traversal).  ``export_path`` writes
     the campaign as JSON.
     """
-    global _WORKER_TARGETS
     started = time.perf_counter()
     targets = build_targets(victim_program(), seed=seed)
     verify_benign(targets)
-    _WORKER_TARGETS = (seed, {t.name: t for t in targets})
     tasks = [(attack_index, target.name)
              for attack_index in range(len(ATTACKS))
              for target in targets]
-    try:
-        results = run_tasks_stored(_attack_task, tasks, jobs=jobs,
-                                   initializer=_init_attack_worker,
-                                   initargs=(seed,)).results
-    finally:
-        _WORKER_TARGETS = None  # release the builds pinned for the pool
+    results = run_tasks_stored(
+        _attack_task, tasks, jobs=jobs,
+        context=lambda: {t.name: t for t in targets}).results
     if export_path is not None:
         write_campaign(export_path, campaign_record(
             "attack-matrix",

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.isr import EcbIsrMachine, XorIsrMachine
 from ..crypto.keys import DeviceKeys, derive_key
 from ..errors import ReproError, check_count
-from ..eval.export import attacksynth_csv, attacksynth_json
+from ..eval.export import attacksynth_csv, record_json
 from ..fuzz.corpus import Corpus
 from ..fuzz.generators import Genome, generate, random_genome
 from ..fuzz.oracle import build_program
@@ -56,22 +57,18 @@ from .model import (EXPECT_BENIGN, EXPECT_DETECTED, EXPECT_EDGE_OK,
 DEFAULT_SEED = 0xA77AC2
 DEFAULT_PROGRAMS = 200
 
-# per-process context installed by the pool initializer
-_WORKER_CTX: Optional[tuple] = None
 
-
-def _init_synth_worker(key_seed: int, campaign_seed: int,
-                       per_program: Optional[int],
-                       include_baselines: bool,
-                       profile: ProtectionProfile) -> None:
-    global _WORKER_CTX
+def _synth_context(key_seed: int, campaign_seed: int,
+                   per_program: Optional[int], include_baselines: bool,
+                   profile: ProtectionProfile) -> tuple:
+    """What every program of one campaign shares."""
     # provision the device for the campaign's design point: the keys
     # bind to the profile's cipher exactly as a manufactured device would
     keys = DeviceKeys.from_seed(key_seed).for_profile(profile)
     xor_key = derive_key(key_seed, "xor-isr") & 0xFFFFFFFF
     ecb_key = derive_key(key_seed, "ecb-isr")
-    _WORKER_CTX = (keys, key_seed, campaign_seed, per_program,
-                   include_baselines, xor_key, ecb_key, profile)
+    return (keys, key_seed, campaign_seed, per_program,
+            include_baselines, xor_key, ecb_key, profile)
 
 
 def _clean_sofia(image: SofiaImage, keys: DeviceKeys):
@@ -107,10 +104,11 @@ def _sofia_instance_result(instance, image: SofiaImage, keys: DeviceKeys,
     return result, hijacked
 
 
-def _synth_task(task: Tuple[int, Genome]) -> ProgramOutcome:
+def _synth_task(context: tuple,
+                task: Tuple[int, Genome]) -> ProgramOutcome:
     """Worker: build one program, enumerate and run all its attacks."""
     (keys, key_seed, campaign_seed, per_program,
-     include_baselines, xor_key, ecb_key, profile) = _WORKER_CTX
+     include_baselines, xor_key, ecb_key, profile) = context
     index, genome = task
     outcome = ProgramOutcome(index=index,
                              label=_program_label(index, genome))
@@ -424,9 +422,8 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     with obs_phase(telemetry, "execute"):
         run = run_tasks_stored(
             _synth_task, tasks, keys, jobs=jobs,
-            initializer=_init_synth_worker,
-            initargs=(key_seed, seed, per_program, include_baselines,
-                      profile),
+            context=partial(_synth_context, key_seed, seed, per_program,
+                            include_baselines, profile),
             store=store, shard=shard, telemetry=telemetry)
     report.programs = [outcome for outcome in run.results
                        if outcome is not None]
@@ -488,6 +485,6 @@ def _export(report: SynthReport, export_path, csv_path) -> None:
     if report.instances == 0:
         return  # an empty campaign is an error, not an artifact
     if export_path is not None:
-        attacksynth_json(report.to_record(), export_path)
+        record_json(report.to_record(), export_path)
     if csv_path is not None:
         attacksynth_csv(report.matrix().csv_rows(), csv_path)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.keys import DeviceKeys
 from ..errors import ReproError
-from ..eval.export import DSE_HW_CSV_HEADER, dse_csv, dse_json
+from ..eval.export import DSE_HW_CSV_HEADER, dse_csv, record_json
 from ..eval.overhead import OverheadPoint, measure_point
 from ..faults.campaign import FaultOutcome
 from ..faults.campaign import run_campaign as run_fault_campaign
@@ -44,9 +44,6 @@ DEFAULT_WORKLOADS: Tuple[str, ...] = ("crc32", "rle", "sort")
 DEFAULT_SCALE = "tiny"
 DEFAULT_PROGRAMS = 5
 DEFAULT_PER_MODEL = 3
-
-# per-process context installed by the pool initializer
-_WORKER_CTX: Optional[tuple] = None
 
 
 @dataclass
@@ -220,20 +217,15 @@ def _hw_point_rows(profiles: Sequence[ProtectionProfile],
     return rows
 
 
-def _init_dse_worker(key_seed: int, seed: int, workloads: Tuple[str, ...],
-                     scale: str, programs: int, per_model: int) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = (key_seed, seed, workloads, scale, programs, per_model)
-
-
 def _round(value: float) -> float:
     """Stable rounding for exported floats (byte-deterministic JSON)."""
     return round(value, 6)
 
 
-def _dse_task(task: Tuple[int, ProtectionProfile]) -> DesignPointRow:
+def _dse_task(context: tuple,
+              task: Tuple[int, ProtectionProfile]) -> DesignPointRow:
     """Worker: evaluate one design point end to end."""
-    key_seed, seed, workloads, scale, programs, per_model = _WORKER_CTX
+    key_seed, seed, workloads, scale, programs, per_model = context
     _index, profile = task
     row = DesignPointRow(
         label=profile.label, cipher=profile.cipher,
@@ -538,9 +530,8 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
     with obs_phase(telemetry, "execute"):
         run = run_tasks_stored(
             _dse_task, tasks, keys, jobs=jobs,
-            initializer=_init_dse_worker,
-            initargs=(key_seed, seed, tuple(workloads), scale, programs,
-                      per_model),
+            context=lambda: (key_seed, seed, tuple(workloads), scale,
+                             programs, per_model),
             store=store, shard=shard, telemetry=telemetry)
     report.points = [point for point in run.results if point is not None]
     report.complete = run.complete
@@ -553,7 +544,7 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
     if run.complete:
         with obs_phase(telemetry, "export"):
             if export_path is not None:
-                dse_json(report.to_record(), export_path)
+                record_json(report.to_record(), export_path)
             if csv_path is not None:
                 if hw:
                     dse_csv(report.hw_csv_rows(), csv_path,

@@ -9,9 +9,9 @@ from .experiments import (AdpcmComparison, BlockSizePoint, CachePoint,
                           experiment_workloads, render_blocksize,
                           render_cache, render_muxtree, render_unroll,
                           render_workloads)
-from .export import (attacksynth_csv, attacksynth_json, batch_csv,
-                     batch_json, blocksize_csv, cache_csv, dse_csv,
-                     dse_json, muxtree_csv, overhead_csv)
+from .export import (attacksynth_csv, batch_csv, blocksize_csv,
+                     cache_csv, dse_csv, muxtree_csv, overhead_csv,
+                     record_json)
 from .overhead import (OverheadPoint, OverheadRow, format_overhead_rows,
                        measure_many, measure_overhead, measure_point)
 from .report import full_report, write_report
@@ -28,6 +28,5 @@ __all__ = [
     "full_report", "write_report",
     "experiment_cache", "render_cache", "CachePoint",
     "overhead_csv", "muxtree_csv", "blocksize_csv", "cache_csv",
-    "attacksynth_csv", "attacksynth_json", "dse_csv", "dse_json",
-    "batch_csv", "batch_json",
+    "attacksynth_csv", "dse_csv", "batch_csv", "record_json",
 ]

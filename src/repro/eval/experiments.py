@@ -6,9 +6,9 @@ side with the published values where applicable.
 
 Experiments that iterate over independent cells (workloads, block sizes,
 cache sizes, attack/target pairs, Monte-Carlo batches) express the loop
-as a task list for :mod:`repro.runner` and accept ``jobs``; the default
-``jobs=1`` runs the historical serial loop with identical results (the
-CLI's ``--jobs N`` sets it).
+as a task list for :mod:`repro.runner` and accept ``jobs``; every value
+returns identical results, the default ``jobs=1`` running the same tasks
+in-process (the CLI's ``--jobs N`` sets it).
 """
 
 from __future__ import annotations

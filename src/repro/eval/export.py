@@ -89,20 +89,6 @@ def attacksynth_csv(rows: Sequence[Dict[str, Any]],
                   path)
 
 
-def attacksynth_json(record: Dict[str, Any],
-                     path: Optional[str] = None) -> str:
-    """E16 campaign record as canonical JSON.
-
-    Keys are sorted and no wall-clock or worker-count field is included,
-    so the same campaign parameters produce byte-identical files at any
-    ``--jobs`` value — the determinism contract the CLI tests pin.
-    """
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        atomic_write_text(path, text)
-    return text
-
-
 #: column order of the E17 Pareto-table CSV (one row per design point);
 #: kept here so figure tooling and the DSE campaign agree on the schema
 DSE_CSV_HEADER = (
@@ -137,19 +123,6 @@ def dse_csv(rows: Sequence[Dict[str, Any]],
                   path)
 
 
-def dse_json(record: Dict[str, Any], path: Optional[str] = None) -> str:
-    """E17 campaign record as canonical JSON.
-
-    Keys are sorted and no wall-clock or worker-count field is included,
-    so the same sweep parameters produce byte-identical files at any
-    ``--jobs`` value — the determinism contract the CI smoke pins.
-    """
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        atomic_write_text(path, text)
-    return text
-
-
 #: column order of the E18 batch-lockstep CSV (one row per measured
 #: campaign workload); kept here so figure tooling and the benchmark
 #: agree on the schema
@@ -172,14 +145,14 @@ def batch_csv(rows: Sequence[Dict[str, Any]],
                   path)
 
 
-def batch_json(record: Dict[str, Any], path: Optional[str] = None) -> str:
-    """E18 campaign record as canonical JSON.
+def record_json(record: Dict[str, Any], path: Optional[str] = None) -> str:
+    """A campaign record (E16, E17, E18) as canonical JSON.
 
-    Only the deterministic fields (outcome counts, identity verdicts —
-    never the measured throughputs) belong in ``record``: keys are
-    sorted, so the same campaign parameters produce byte-identical
-    files at any ``--jobs`` value or batch width — the contract the
-    batch determinism suite pins.
+    Keys are sorted, and a record carries only deterministic fields (no
+    wall-clock, worker count or measured throughput), so the same
+    campaign parameters produce byte-identical files at any ``--jobs``
+    value or batch width — the contract the CLI tests, the CI smokes
+    and the batch determinism suite pin.
     """
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if path is not None:

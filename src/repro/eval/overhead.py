@@ -168,6 +168,10 @@ def measure_point(point: OverheadPoint) -> OverheadRow:
                      point.max_instructions, engine=point.engine)
 
 
+def _measure_task(_context, point: OverheadPoint) -> OverheadRow:
+    return measure_point(point)
+
+
 def measure_many(points: List[OverheadPoint], *,
                  jobs: Optional[int] = 1) -> List[OverheadRow]:
     """Measure a sweep, one row per point, in point order.
@@ -176,7 +180,7 @@ def measure_many(points: List[OverheadPoint], *,
     workers (``None``: one per CPU) fan points across processes, each
     caching its own builds.  Rows are deterministic either way.
     """
-    return run_tasks_stored(measure_point, points, jobs=jobs).results
+    return run_tasks_stored(_measure_task, points, jobs=jobs).results
 
 
 def format_overhead_rows(rows: List[OverheadRow]) -> str:

@@ -23,12 +23,14 @@ specimen forks off the golden run's nearest checkpoint before its
 trigger, byte-identical to per-specimen runs, and a specimen whose state
 rejoins the golden run at one of its checkpoints takes the golden
 outcome instead of simulating the rest
-(:class:`~repro.sim.batch.GoldenTrace`, recorded once per campaign).
-``run_campaign(jobs=N)`` fans the groups across a
-process pool via :mod:`repro.runner`; the image and the
-golden trace are built once in the parent and shipped to each worker
-through the pool initializer, and results come back in specimen order,
-so parallel classification counts are byte-identical to the serial ones.
+(:class:`~repro.sim.batch.GoldenTrace`, recorded at most once per
+campaign).  ``run_campaign(jobs=N)`` fans the groups across a process
+pool via :mod:`repro.runner`; the image and the golden trace are the
+dispatch's context, built in the parent and inherited by each worker,
+and results come back in specimen order, so parallel classification
+counts are byte-identical to the serial ones.  A store-backed campaign
+keeps the golden run's summary beside its results: a warm rerun plans
+from it and records no golden run at all.
 """
 
 from __future__ import annotations
@@ -228,20 +230,9 @@ def sample_faults(image: SofiaImage, total_instructions: int,
     return faults
 
 
-# per-process context installed by the pool initializer: the protected
-# image and run parameters shared by every specimen in the campaign
-_WORKER_CTX: Optional[tuple] = None
-
-
-def _init_fault_worker(image: SofiaImage, keys: DeviceKeys,
-                       golden_output: List[int], trace: GoldenTrace,
-                       max_instructions: int) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = (image, keys, golden_output, trace, max_instructions)
-
-
-def _fault_batch_task(group: List[FaultSpec]) -> List[FaultResult]:
-    image, keys, golden_output, trace, max_instructions = _WORKER_CTX
+def _fault_batch_task(context: tuple,
+                      group: List[FaultSpec]) -> List[FaultResult]:
+    image, keys, golden_output, trace, max_instructions = context
     return run_fault_batch(image, keys, group, golden_output, trace,
                            max_instructions)
 
@@ -260,10 +251,10 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                  ) -> "tuple[List[FaultResult], CampaignSummary]":
     """Full campaign on one program; returns per-fault results + summary.
 
-    The protected image is built and golden-checked exactly once; every
-    specimen then runs against it, in submission-order lockstep groups of
-    :data:`~repro.sim.batch.BATCH_WIDTH` (:func:`run_fault_batch`, one
-    pool task per group).  ``jobs`` worker processes run the groups
+    The protected image is built and golden-checked once; every
+    specimen then runs against it, in submission-order lockstep groups
+    of :data:`~repro.sim.batch.BATCH_WIDTH` (:func:`run_fault_batch`,
+    one pool task per group).  ``jobs`` worker processes run the groups
     (``1``, the default, runs them in-process; ``None`` means one per
     CPU); the partition depends only on the width, and grouping never
     changes a result, so serial and parallel runs classify identically
@@ -274,8 +265,10 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
 
     ``store_dir`` makes the campaign incremental: each specimen's result
     is content-addressed by (code version, image + run context, fault
-    spec) in a :class:`~repro.runner.store.ResultStore` there,
-    cached specimens are loaded instead of simulated, each group's
+    spec) in a :class:`~repro.runner.store.ResultStore` there, beside
+    the golden run's summary; the faults are planned from that summary,
+    the golden run is recorded only when a group has to run, cached
+    specimens are loaded instead of simulated, each group's
     results are stored as the group finishes, and a killed campaign
     resumed over the same store produces an export byte-identical to an
     uninterrupted run (store-backed exports are canonical: no wall-clock
@@ -291,47 +284,61 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     check_count("per_model", per_model)
     started = time.perf_counter()
     keys = keys.for_profile(profile)
+    store = ResultStore(store_dir) if store_dir is not None else None
     with obs_phase(telemetry, "build"):
         image = transform(program, keys, nonce=nonce, profile=profile)
-        trace = GoldenTrace.record(image, keys, max_instructions)
-        baseline = trace.result
-    if list(baseline.output_ints) != list(golden_output) or not baseline.ok:
-        raise AssertionError(
-            f"golden run broken: {baseline.summary()} "
-            f"{baseline.output_ints}")
+        golden = trace = None
+        if store is not None:
+            # everything the worker context contributes to one result: the
+            # image is the content-determined build artifact, the keys are
+            # named by their provisioned values (never digest live objects)
+            context = {
+                "image": hashlib.sha256(image.to_bytes()).hexdigest(),
+                "keys": [keys.k1, keys.k2, keys.k3,
+                         keys.cipher_factory.__name__],
+                "golden": list(golden_output),
+                "max_instructions": max_instructions,
+            }
+            golden_key = task_key("fault-golden", context, None)
+            golden = store.get(golden_key)
+        if golden is None:
+            trace = GoldenTrace.record(image, keys, max_instructions)
+            baseline = trace.result
+            if (list(baseline.output_ints) != list(golden_output)
+                    or not baseline.ok):
+                raise AssertionError(
+                    f"golden run broken: {baseline.summary()} "
+                    f"{baseline.output_ints}")
+            # the golden summary, primitives only: every shard stores
+            # the same bytes, and a warm rerun plans from it
+            golden = (baseline.instructions, list(baseline.output_ints),
+                      baseline.ok)
+            if store is not None:
+                store.put(golden_key, golden)
+    baseline_instructions = golden[0]
     with obs_phase(telemetry, "plan"):
-        faults = sample_faults(image, baseline.instructions,
+        faults = sample_faults(image, baseline_instructions,
                                per_model=per_model, seed=seed,
                                models=models, rng=rng)
-    store = ResultStore(store_dir) if store_dir is not None else None
     fault_keys = None
     if store is not None:
-        # everything the worker context contributes to one result: the
-        # image is the content-determined build artifact, the keys are
-        # named by their provisioned values (never digest live objects)
-        context = {
-            "image": hashlib.sha256(image.to_bytes()).hexdigest(),
-            "keys": [keys.k1, keys.k2, keys.k3,
-                     keys.cipher_factory.__name__],
-            "golden": list(golden_output),
-            "max_instructions": max_instructions,
-        }
         fault_keys = [task_key("fault-injection", context, fault)
                       for fault in faults]
-    global _WORKER_CTX
-    try:
-        # lockstep groups are byte-identical to per-specimen runs at any
-        # grouping, so grouping only the missing faults is safe
-        with obs_phase(telemetry, "execute"):
-            run = run_tasks_stored(
-                _fault_batch_task, faults, fault_keys, width=BATCH_WIDTH,
-                jobs=jobs, initializer=_init_fault_worker,
-                initargs=(image, keys, list(golden_output), trace,
-                          max_instructions),
-                store=store, shard=shard, telemetry=telemetry)
-        results = run.results
-    finally:
-        _WORKER_CTX = None  # release the image pinned by the serial path
+
+    def worker_context() -> tuple:
+        nonlocal trace
+        if trace is None:  # planned from the store, and a group to run
+            trace = GoldenTrace.record(image, keys, max_instructions)
+        return image, keys, list(golden_output), trace, max_instructions
+
+    # lockstep groups are byte-identical to per-specimen runs at any
+    # grouping, so grouping only the missing faults is safe
+    with obs_phase(telemetry, "execute"):
+        run = run_tasks_stored(
+            _fault_batch_task, faults, fault_keys, width=BATCH_WIDTH,
+            jobs=jobs, context=worker_context,
+            store=store, shard=shard, telemetry=telemetry)
+    results = run.results
     summary = CampaignSummary()
     for result in results:
         if result is not None:
@@ -339,7 +346,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     if export_path is not None and run.complete:
         parameters = {"nonce": nonce, "per_model": per_model, "seed": seed,
                       "max_instructions": max_instructions,
-                      "baseline_instructions": baseline.instructions}
+                      "baseline_instructions": baseline_instructions}
         if models is not None:
             # restricted populations record their surface; the default
             # all-models export layout is unchanged

@@ -4,8 +4,8 @@ A campaign is a sequence of fixed-size *batches*.  Each batch is an
 ordered list of genomes — fresh random ones plus mutations of corpus
 entries that exhibit the rarest coverage keys — dispatched through
 :func:`repro.runner.store.run_tasks_stored` exactly like the fault and
-attack campaigns: workers are pure (genome -> :class:`OracleReport`), shared
-context (device keys) travels once through the pool initializer, and
+attack campaigns: workers are pure (genome -> :class:`OracleReport`), the
+device keys are the dispatch's context, inherited once per worker, and
 results return in submission order.  All steering state — the coverage
 map, the corpus, failure collection — lives in the parent and is
 updated in task order, so a campaign is **deterministic in every knob
@@ -37,17 +37,9 @@ from .generators import SHAPES, Genome, generate, mutate, random_genome
 from .minimize import TriageRecord, triage, write_triage
 from .oracle import OracleReport, run_oracle
 
-# per-process context installed by the pool initializer
-_WORKER_CTX: Optional[tuple] = None
 
-
-def _init_fuzz_worker(keys: DeviceKeys, include_baselines: bool) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = (keys, include_baselines)
-
-
-def _fuzz_task(genome: Genome) -> OracleReport:
-    keys, include_baselines = _WORKER_CTX
+def _fuzz_task(context: tuple, genome: Genome) -> OracleReport:
+    keys, include_baselines = context
     return run_oracle(generate(genome), keys,
                       include_baselines=include_baselines)
 
@@ -194,8 +186,8 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
             genome_keys = [task_key("fuzz", context, genome)
                            for genome in genomes]
         run = run_tasks_stored(_fuzz_task, genomes, genome_keys,
-                               jobs=jobs, initializer=_init_fuzz_worker,
-                               initargs=(keys, include_baselines),
+                               jobs=jobs,
+                               context=lambda: (keys, include_baselines),
                                store=store, shard=shard,
                                telemetry=telemetry)
         if not run.complete:

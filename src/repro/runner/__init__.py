@@ -10,7 +10,9 @@ across CPU cores:
 :mod:`repro.runner.pool`
     ``run_tasks`` — stream an ordered task list through a process pool
     (or in-process, bit-identically, with ``jobs=1``) as ordered
-    ``(result, span)`` pairs, with chunked dispatch.
+    ``(result, span)`` pairs, with chunked dispatch; each task is called
+    as ``fn(context, task)`` with the value of the dispatch's lazily
+    called ``context`` factory.
 
 :mod:`repro.runner.seeding`
     ``task_seed`` / ``task_rng`` — deterministic per-task seed derivation
@@ -45,8 +47,8 @@ across CPU cores:
 Design contract (every caller relies on these):
 
 * **Determinism** — tasks must be pure functions of their payload plus
-  per-process context installed by an initializer; given the same task
-  list, serial and parallel execution return identical result lists.
+  the dispatch's context; given the same task list, serial and parallel
+  execution return identical result lists.
 * **Ordering** — results are returned in task-submission order, never in
   completion order.
 * **Graceful degradation** — on a single-core host (or ``jobs=1``) the

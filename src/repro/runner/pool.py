@@ -4,11 +4,10 @@
 picklable payloads into an ordered stream of ``(result, span)`` pairs,
 one per payload.  Serial and parallel dispatch differ only in which
 ``map`` produces the stream: one worker (``jobs=1``, or a single task)
-maps in-process after calling the initializer, more use
-``ProcessPoolExecutor.map`` with chunked dispatch.  Either way the
-stream arrives in submission order, so a consumer can act on each
-result — store it, report it — the moment it and all its predecessors
-are done.
+maps in-process, more use ``ProcessPoolExecutor.map`` with chunked
+dispatch.  Either way the stream arrives in submission order, so a
+consumer can act on each result — store it, report it — the moment it
+and all its predecessors are done.
 
 Every task runs under one worker-side wrapper that times it and
 returns the worker's span (pid, timing, counter deltas; see
@@ -16,12 +15,14 @@ returns the worker's span (pid, timing, counter deltas; see
 registry behind the deltas is installed only with ``metrics=True``;
 without it the simulator hook stays unset and the deltas are empty.
 
-Workers that need expensive shared context (a protected image, a target
-matrix) receive it through ``initializer``/``initargs``: the context is
-pickled once per worker process, not once per task, and module-global
-state installed by the initializer plays the role of the shared build
-cache.  On POSIX the pool uses the ``fork`` start method, so large
-read-only context is additionally shared copy-on-write.
+Every task is called as ``fn(context, task)``.  A campaign's shared
+context (a protected image and its golden trace, a target table, device
+keys) comes from one zero-argument factory per dispatch, called lazily
+in the dispatching process when the first task is about to run, so a
+dispatch with nothing to run builds nothing.  The serial path passes
+the value to each task; pool workers receive it once per process as
+they start.  On POSIX the pool uses the ``fork`` start method, so the
+value is inherited copy-on-write, never pickled.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
-from typing import (Callable, Iterable, Iterator, Optional, Tuple,
+from typing import (Any, Callable, Iterable, Iterator, Optional, Tuple,
                     TypeVar)
 
 from ..obs import worker as obs_worker
@@ -84,60 +85,78 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
-def _init_worker(metrics: bool, initializer: Optional[Callable],
-                 initargs: Tuple) -> None:
-    """Set up one worker (or the parent, serially): the metrics
-    registry when asked for, then the campaign's own initializer."""
+#: the dispatch's context in a pool worker, set once per process as the
+#: pool starts it (the serial path hands it to each task directly)
+_POOL_CONTEXT: Any = None
+
+
+def _init_worker(metrics: bool, context: Any) -> None:
+    """Set up one pool worker: the metrics registry when asked for, and
+    the dispatch's context, inherited through the fork."""
+    global _POOL_CONTEXT
     if metrics:
         obs_worker.install()
-    if initializer is not None:
-        initializer(*initargs)
+    _POOL_CONTEXT = context
 
 
-def _timed(fn: Callable[[T], R], task: T) -> Tuple[R, obs_worker.Span]:
+def _timed(fn: Callable[[Any, T], R], context: Any,
+           task: T) -> Tuple[R, obs_worker.Span]:
     """The worker-side wrapper: run one task and close its span."""
     start = time.perf_counter()
-    result = fn(task)
+    result = fn(context, task)
     return result, obs_worker.span(start, time.perf_counter())
 
 
+def _pooled(fn: Callable[[Any, T], R], task: T) -> Tuple[R, obs_worker.Span]:
+    """:func:`_timed` with the context this pool worker was started with."""
+    return _timed(fn, _POOL_CONTEXT, task)
+
+
 @contextmanager
-def _mapper(workers: int, num_tasks: int, metrics: bool,
-            initializer: Optional[Callable], initargs: Tuple):
-    """The ``map`` one dispatch runs: in-process after the initializer
-    for one worker, else a fork pool's chunked ``map``."""
-    setup = (metrics, initializer, initargs)
+def _mapper(workers: int, num_tasks: int, metrics: bool, context: Any):
+    """The ``map`` one dispatch runs over ``(result, span)`` wrappers:
+    in-process with the context bound for one worker, else a fork
+    pool's chunked ``map``."""
     if workers <= 1:
-        _init_worker(*setup)
+        if metrics:
+            obs_worker.install()
         try:
-            yield map
+            yield lambda fn, tasks: map(partial(_timed, fn, context), tasks)
         finally:
             if metrics:
                 obs_worker.uninstall()
         return
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_fork_context(),
-                             initializer=_init_worker,
-                             initargs=setup) as pool:
-        yield partial(pool.map,
-                      chunksize=default_chunksize(num_tasks, workers))
+    # each worker runs _init_worker once as it starts; a fork-started
+    # worker inherits its arguments, the context included, unpickled
+    with ProcessPoolExecutor(workers, _fork_context(), _init_worker,
+                             (metrics, context)) as pool:
+        yield lambda fn, tasks: pool.map(
+            partial(_pooled, fn), tasks,
+            chunksize=default_chunksize(num_tasks, workers))
 
 
-def run_tasks(fn: Callable[[T], R], tasks: Iterable[T], *,
+def run_tasks(fn: Callable[[Any, T], R], tasks: Iterable[T], *,
               jobs: Optional[int] = 1,
-              initializer: Optional[Callable] = None,
-              initargs: Tuple = (),
+              context: Optional[Callable[[], Any]] = None,
               metrics: bool = False
               ) -> Iterator[Tuple[R, obs_worker.Span]]:
-    """Stream ``(fn(task), span)`` for every task, in task order.
+    """Stream ``(fn(context, task), span)`` for every task, in task order.
 
     ``jobs`` is the worker count: ``1`` (the default) runs in-process,
     ``None`` means one worker per available CPU, and a single task never
     pays for a pool.  ``ProcessPoolExecutor.map`` yields in submission
     order regardless of which worker finishes first, so the stream is
-    the same at any worker count.  Nothing runs — not even the
-    initializer — until the stream is first advanced; a task that raises
-    ends the stream with its exception, after every earlier result.
+    the same at any worker count.  A task that raises ends the stream
+    with its exception, after every earlier result.
+
+    ``context`` is a zero-argument factory for what every task shares (a
+    protected image, a target table, device keys); each task receives
+    its value as ``fn``'s first argument, ``None`` without a factory.
+    Nothing runs until the stream is first advanced: the factory is then
+    called once, in this process, and never for an empty task list.
+    Pool workers inherit the value through the fork, once per process;
+    the serial path passes it straight to each task.  The stream keeps
+    no reference to it once it ends.
 
     ``metrics=True`` installs a process-local metrics registry in each
     worker (the parent, serially), so spans carry the simulator counter
@@ -145,6 +164,8 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T], *,
     """
     task_list = list(tasks)
     workers = min(resolve_jobs(jobs), len(task_list))
-    with _mapper(workers, len(task_list), metrics, initializer,
-                 initargs) as mapper:
-        yield from mapper(partial(_timed, fn), task_list)
+    if not task_list:
+        return
+    value = context() if context is not None else None
+    with _mapper(workers, len(task_list), metrics, value) as mapper:
+        yield from mapper(fn, task_list)

@@ -51,7 +51,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Iterator, List, Optional, Sequence,
-                    Tuple, TypeVar)
+                    TypeVar)
 
 from ..obs.telemetry import SILENT
 from .export import to_jsonable
@@ -265,8 +265,7 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
                      keys: Optional[Sequence[str]] = None, *,
                      width: Optional[int] = None,
                      jobs: Optional[int] = 1,
-                     initializer: Optional[Callable] = None,
-                     initargs: Tuple = (),
+                     context: Optional[Callable[[], Any]] = None,
                      store: Optional[ResultStore] = None,
                      shard: Optional[ShardSpec] = None,
                      telemetry=None) -> StoredRun:
@@ -274,12 +273,14 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
 
     Cached results are loaded first; the missing tasks — with a
     ``shard``, only the missing tasks it *owns* — are dispatched through
-    :func:`~repro.runner.pool.run_tasks` (``jobs``, ``initializer`` and
-    ``initargs`` as there), and each result is persisted the moment it
-    arrives, so a campaign killed mid-run keeps every finished unit.
+    :func:`~repro.runner.pool.run_tasks` (``jobs`` and ``context`` as
+    there), and each result is persisted the moment it arrives, so a
+    campaign killed mid-run keeps every finished unit.  The ``context``
+    factory runs only when at least one unit is dispatched: a warm store,
+    or a shard that owns no missing task, builds no worker context.
     Results always come back in submission order, so a complete run is
-    indistinguishable from ``[fn(task) for task in tasks]``.  Without a
-    ``store`` the same dispatch runs and nothing is persisted.
+    indistinguishable from ``[fn(context(), task) for task in tasks]``.
+    Without a ``store`` the same dispatch runs and nothing is persisted.
 
     A *unit* is what one dispatched call runs.  By default it is one
     task and ``fn`` maps it to its result; with ``width`` the owned
@@ -334,8 +335,7 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
     stream = run_tasks(
         fn, [[task_list[i] for i in unit] if width else task_list[unit[0]]
              for unit in units],
-        jobs=jobs, initializer=initializer, initargs=initargs,
-        metrics=telemetry.enabled)
+        jobs=jobs, context=context, metrics=telemetry.enabled)
     with closing(stream):
         for unit in units:
             telemetry.task_scheduled(unit[0])

@@ -6,18 +6,14 @@ who enumerates candidate MAC values for a tampered block needs on average
 small enough to brute-force (4..16 bits), and measure the probability that
 a random tamper slips past an n-bit verification (expected ``2^-n``).
 
-Both experiments take ``jobs``.  Any value but ``1`` dispatches fixed-size
-batches through :mod:`repro.runner` with per-task seeds derived by
-:func:`repro.runner.task_seed`, so batched results are deterministic and
-independent of the worker count.  The ``jobs=1`` default keeps the
-original single-stream sampling, bit-identical to the historical serial
-results (the two modes draw different — statistically equivalent —
-random populations).
+Both experiments take ``jobs`` and dispatch fixed-size batches through
+:mod:`repro.runner` with per-task seeds derived by
+:func:`repro.runner.task_seed`, so results are deterministic and the
+same at every worker count, ``jobs=1`` included.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,7 +55,7 @@ class ForgeryScaling:
         return self.mean_trials / self.expected_trials
 
 
-def _forgery_batch(task: Tuple[int, int, int, int]) -> int:
+def _forgery_batch(_context, task: Tuple[int, int, int, int]) -> int:
     """Total trials for one (bits, experiments) batch with a derived seed."""
     seed, bits, batch, experiments = task
     rng = task_rng(seed, "forgery", bits, batch)
@@ -71,9 +67,9 @@ def _forgery_batch(task: Tuple[int, int, int, int]) -> int:
     return total
 
 
-#: experiments per parallel Monte-Carlo batch (fixed so the task
-#: decomposition — and therefore the drawn population — is independent of
-#: the worker count)
+#: experiments per Monte-Carlo batch (fixed so the task decomposition —
+#: and therefore the drawn population — is independent of the worker
+#: count)
 _BATCH = 50
 
 
@@ -85,42 +81,27 @@ def forgery_scaling(bits_list: Sequence[int] = (4, 6, 8, 10, 12),
     """Mean trials-to-forge vs MAC width — should track 2^(n-1).
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    records the dispatch plan and per-batch spans on the batched path
-    (the ``jobs=1`` path is one untimed stream) — observationally only.
+    records the dispatch plan and per-batch spans — observationally only.
     """
-    if jobs != 1:
-        tasks = []
-        for bits in bits_list:
-            remaining = experiments
-            batch = 0
-            while remaining > 0:
-                tasks.append((seed, bits, batch, min(_BATCH, remaining)))
-                remaining -= _BATCH
-                batch += 1
-        with obs_phase(telemetry, "forgery-scaling"):
-            totals = run_tasks_stored(_forgery_batch, tasks, jobs=jobs,
-                                      telemetry=telemetry).results
-        by_bits = {bits: 0 for bits in bits_list}
-        for task, total in zip(tasks, totals):
-            by_bits[task[1]] += total
-        return [ForgeryScaling(
-            bits=bits, experiments=experiments,
-            mean_trials=by_bits[bits] / experiments,
-            expected_trials=float(1 << (bits - 1)))
-            for bits in bits_list]
-    rng = random.Random(seed)
-    results = []
+    tasks = []
     for bits in bits_list:
-        total = 0
-        for _ in range(experiments):
-            cipher = Rectangle80(rng.getrandbits(80))
-            words = [rng.getrandbits(32) for _ in range(6)]
-            total += forgery_trials(cipher, words, bits)
-        results.append(ForgeryScaling(
-            bits=bits, experiments=experiments,
-            mean_trials=total / experiments,
-            expected_trials=float(1 << (bits - 1))))
-    return results
+        remaining = experiments
+        batch = 0
+        while remaining > 0:
+            tasks.append((seed, bits, batch, min(_BATCH, remaining)))
+            remaining -= _BATCH
+            batch += 1
+    with obs_phase(telemetry, "forgery-scaling"):
+        totals = run_tasks_stored(_forgery_batch, tasks, jobs=jobs,
+                                  telemetry=telemetry).results
+    by_bits = {bits: 0 for bits in bits_list}
+    for task, total in zip(tasks, totals):
+        by_bits[task[1]] += total
+    return [ForgeryScaling(
+        bits=bits, experiments=experiments,
+        mean_trials=by_bits[bits] / experiments,
+        expected_trials=float(1 << (bits - 1)))
+        for bits in bits_list]
 
 
 @dataclass(frozen=True)
@@ -138,10 +119,10 @@ class TamperEscape:
         return 2.0 ** -self.bits
 
 
-def _tamper_batch(task: Tuple[int, int, int, int]) -> int:
+def _tamper_batch(cipher: Rectangle80,
+                  task: Tuple[int, int, int, int]) -> int:
     """Undetected count for one batch of tampers with a derived seed."""
     seed, bits, batch, tampers = task
-    cipher = Rectangle80(task_rng(seed, "tamper-key").getrandbits(80))
     rng = task_rng(seed, "tamper", bits, batch)
     undetected = 0
     for _ in range(tampers):
@@ -162,28 +143,17 @@ def tamper_detection(bits: int = 8, tampers: int = 4000,
     With an n-bit MAC an undetected tamper needs the tampered message to
     collide on the truncated MAC: probability 2^-n per attempt.
     """
-    if jobs != 1:
-        batch_size = _BATCH * 10
-        tasks = []
-        remaining, batch = tampers, 0
-        while remaining > 0:
-            tasks.append((seed, bits, batch, min(batch_size, remaining)))
-            remaining -= batch_size
-            batch += 1
-        with obs_phase(telemetry, "tamper-detection"):
-            undetected = sum(run_tasks_stored(
-                _tamper_batch, tasks, jobs=jobs,
-                telemetry=telemetry).results)
-        return TamperEscape(bits=bits, tampers=tampers,
-                            undetected=undetected)
-    rng = random.Random(seed)
-    cipher = Rectangle80(rng.getrandbits(80))
-    undetected = 0
-    for _ in range(tampers):
-        words = [rng.getrandbits(32) for _ in range(6)]
-        mac = truncated_mac(cipher, words, bits)
-        tampered = list(words)
-        tampered[rng.randrange(6)] ^= 1 << rng.randrange(32)
-        if truncated_mac(cipher, tampered, bits) == mac:
-            undetected += 1
+    batch_size = _BATCH * 10
+    tasks = []
+    remaining, batch = tampers, 0
+    while remaining > 0:
+        tasks.append((seed, bits, batch, min(batch_size, remaining)))
+        remaining -= batch_size
+        batch += 1
+    with obs_phase(telemetry, "tamper-detection"):
+        undetected = sum(run_tasks_stored(
+            _tamper_batch, tasks, jobs=jobs,
+            context=lambda: Rectangle80(
+                task_rng(seed, "tamper-key").getrandbits(80)),
+            telemetry=telemetry).results)
     return TamperEscape(bits=bits, tampers=tampers, undetected=undetected)

@@ -21,7 +21,7 @@ import pytest
 
 import repro.faults.campaign as fault_campaign
 from repro.crypto import DeviceKeys
-from repro.eval.export import batch_csv, batch_json
+from repro.eval.export import batch_csv, record_json
 from repro.faults.campaign import run_campaign, run_fault, sample_faults
 from repro.runner import campaign_record, run_tasks_stored, write_campaign
 from repro.sim import SofiaMachine
@@ -77,7 +77,7 @@ def units_of(items, width):
     """The units ``run_tasks_stored`` dispatches for ``items``."""
     units = []
 
-    def record(unit):
+    def record(_context, unit):
         units.append(unit)
         return unit
 
@@ -177,7 +177,7 @@ sort,16,20.0,100.0,5.0,1
 class TestE18ExportGoldens:
     def test_json_golden(self, tmp_path):
         path = tmp_path / "e18.json"
-        text = batch_json(_E18_RECORD, path)
+        text = record_json(_E18_RECORD, path)
         assert text == _E18_JSON_GOLDEN
         assert path.read_text() == _E18_JSON_GOLDEN
 

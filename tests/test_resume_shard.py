@@ -146,24 +146,53 @@ class TestKillResume:
         assert sum(n for per_model in summary.counts.values()
                    for n in per_model.values()) == len(results)
 
-    def test_warm_store_rerun_executes_nothing(self, tmp_path):
+    def test_warm_store_rerun_executes_nothing(self, tmp_path,
+                                               monkeypatch):
         export = tmp_path / "cold.json"
         _fault_campaign_store(tmp_path / "store", export)
         cold_bytes = export.read_bytes()
 
         import repro.faults.campaign as faults_campaign
-        real_run_fault_batch = faults_campaign.run_fault_batch
+        from repro.sim.batch import GoldenTrace
 
         def forbidden(*args, **kwargs):
             raise AssertionError("warm rerun must not simulate")
 
-        faults_campaign.run_fault_batch = forbidden
-        try:
-            warm = tmp_path / "warm.json"
-            _fault_campaign_store(tmp_path / "store", warm)
-        finally:
-            faults_campaign.run_fault_batch = real_run_fault_batch
+        monkeypatch.setattr(faults_campaign, "run_fault_batch", forbidden)
+        monkeypatch.setattr(GoldenTrace, "record", forbidden)
+        warm = tmp_path / "warm.json"
+        _fault_campaign_store(tmp_path / "store", warm)
         assert warm.read_bytes() == cold_bytes
+
+    def test_golden_run_is_recorded_once_and_only_when_needed(
+            self, tmp_path, monkeypatch):
+        from repro.sim.batch import GoldenTrace
+        real_record = GoldenTrace.record
+        recorded = []
+
+        def counting(*args, **kwargs):
+            recorded.append(args)
+            return real_record(*args, **kwargs)
+
+        monkeypatch.setattr(GoldenTrace, "record", counting)
+        golden = tmp_path / "golden.json"
+        _fault_campaign_store(tmp_path / "golden-store", golden,
+                              per_model=11)
+        assert len(recorded) == 1  # planning and forking share one trace
+
+        store_dir, export = tmp_path / "store", tmp_path / "final.json"
+        _fault_campaign_store(store_dir, None, per_model=11,
+                              shard=ShardSpec(index=1, count=2))
+        _fault_campaign_store(store_dir, None, per_model=11,
+                              shard=ShardSpec(index=1, count=2))
+        assert len(recorded) == 2  # a shard's rerun plans from the store
+        # the other half is missing: planned from the stored summary, the
+        # trace is recorded lazily for the group that has to run
+        _fault_campaign_store(store_dir, export, per_model=11)
+        assert len(recorded) == 3
+        assert export.read_bytes() == golden.read_bytes()
+        _fault_campaign_store(store_dir, export, per_model=11)
+        assert len(recorded) == 3
 
     def test_kill_inside_second_fault_group_keeps_the_first(self,
                                                             tmp_path):
@@ -172,7 +201,8 @@ class TestKillResume:
                               per_model=11)
         store_dir, export = tmp_path / "store", tmp_path / "resumed.json"
         partial = _killed_in_task("fault", 2, store_dir, export)
-        assert len(partial) == 64  # the whole first group, nothing more
+        # the golden summary and the whole first group, nothing more
+        assert len(partial) == 1 + 64
         _fault_campaign_store(store_dir, export, per_model=11)
         assert export.read_bytes() == golden.read_bytes()
 
@@ -190,13 +220,13 @@ class TestKillResume:
         assert export.read_bytes() == golden.read_bytes()
 
 
-def _fails_at_three(task):
+def _fails_at_three(_context, task):
     if task == 3:
         raise RuntimeError("no result for task 3")
     return task * 2
 
 
-def _interrupts_at_three(task):
+def _interrupts_at_three(_context, task):
     if task == 3:
         raise KeyboardInterrupt
     return task * 2

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from repro.isa import parse
 from repro.runner import (atomic_write_text, available_cpus, build_cache,
                           campaign_record, clear_build_cache,
                           default_chunksize, resolve_jobs, run_tasks,
-                          task_rng, task_seed, to_jsonable, write_campaign)
+                          run_tasks_stored, task_rng, task_seed,
+                          to_jsonable, write_campaign)
 from repro.security.montecarlo import forgery_scaling, tamper_detection
 from repro.transform import transform
 from repro.workloads import make_workload
@@ -32,20 +34,30 @@ from repro.workloads import make_workload
 KEYS = DeviceKeys.from_seed(0xFA)
 
 
-def _square(x):
+def _square(_context, x):
     return x * x
 
 
-_INIT_VALUE = None
+def _add_context(context, x):
+    return x + context
 
 
-def _install(value):
-    global _INIT_VALUE
-    _INIT_VALUE = value
+def _nested(context, task):
+    """A task that dispatches a campaign of its own, as a DSE point does."""
+    inner = run_tasks_stored(_add_context, [task, task],
+                             context=lambda: 1000).results
+    return context, inner
 
 
-def _add_context(x):
-    return x + _INIT_VALUE
+class _Context:
+    """A weak-referenceable shared context."""
+
+    def __init__(self, offset):
+        self.offset = offset
+
+
+def _add_offset(context, x):
+    return x + context.offset
 
 
 def _results(*args, **kwargs):
@@ -57,40 +69,84 @@ class TestPool:
     def test_serial_matches_plain_loop(self):
         tasks = list(range(10))
         assert _results(_square, tasks, jobs=1) == \
-            [_square(t) for t in tasks]
+            [t * t for t in tasks]
 
     def test_parallel_results_are_ordered(self):
         tasks = list(range(23))
         assert _results(_square, tasks, jobs=3) == \
-            [_square(t) for t in tasks]
+            [t * t for t in tasks]
 
-    def test_initializer_installs_worker_context(self):
+    def test_context_reaches_pool_workers(self):
         results = _results(_add_context, [1, 2, 3], jobs=2,
-                           initializer=_install, initargs=(100,))
+                           context=lambda: 100)
         assert results == [101, 102, 103]
 
-    def test_serial_path_also_runs_initializer(self):
+    def test_serial_path_passes_the_context(self):
         results = _results(_add_context, [5, 6], jobs=1,
-                           initializer=_install, initargs=(1000,))
+                           context=lambda: 1000)
         assert results == [1005, 1006]
 
+    def test_without_a_factory_tasks_get_none(self):
+        assert _results(lambda context, x: (context, x), [4]) == \
+            [(None, 4)]
+
     def test_stream_is_lazy_and_spans_are_timed(self):
-        global _INIT_VALUE
-        _INIT_VALUE = None
-        stream = run_tasks(_add_context, [2, 3], initializer=_install,
-                           initargs=(10,))
-        assert _INIT_VALUE is None  # nothing runs before the first pull
+        calls = []
+
+        def factory():
+            calls.append(os.getpid())
+            return 10
+
+        stream = run_tasks(_add_context, [2, 3], context=factory)
+        assert calls == []  # nothing runs before the first pull
         (first, span), (second, _) = list(stream)
         assert (first, second) == (12, 13)
         worker, start, end, deltas = span
         assert worker == os.getpid() and start <= end and deltas == {}
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_factory_runs_once_per_dispatch_in_this_process(self, jobs):
+        calls = []
+
+        def factory():
+            calls.append(os.getpid())
+            return 7
+
+        assert _results(_add_context, list(range(9)), jobs=jobs,
+                        context=factory) == list(range(7, 16))
+        assert calls == [os.getpid()]
+        assert _results(_add_context, [], jobs=jobs, context=factory) == []
+        assert calls == [os.getpid()]  # an empty dispatch builds nothing
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nested_dispatch_keeps_the_outer_context(self, jobs):
+        outer = run_tasks_stored(_nested, [1, 2, 3, 4], jobs=jobs,
+                                 context=lambda: "outer").results
+        assert outer == [("outer", [1000 + task] * 2)
+                         for task in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runner_keeps_no_reference_to_the_context(self, jobs):
+        refs = []
+
+        def factory():
+            value = _Context(5)
+            refs.append(weakref.ref(value))
+            return value
+
+        assert _results(_add_offset, [1, 2, 3], jobs=jobs,
+                        context=factory) == [6, 7, 8]
+        assert run_tasks_stored(_add_offset, [4], jobs=jobs,
+                                context=factory).results == [9]
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
 
     def test_metrics_registry_only_when_asked(self):
         from repro.obs import hook
         assert hook.SIM is None
         seen = []
 
-        def probe(task):
+        def probe(_context, task):
             seen.append(hook.SIM)
             return task
 
@@ -120,9 +176,9 @@ class TestPool:
         assert default_chunksize(160, 4) == 10
 
     def test_single_task_stays_in_process(self):
-        # one task never pays pool startup; context installed in-process
+        # one task never pays pool startup; it gets the context in-process
         assert _results(_add_context, [7], jobs=8,
-                        initializer=_install, initargs=(0,)) == [7]
+                        context=lambda: 0) == [7]
 
 
 class TestSeeding:
@@ -175,14 +231,14 @@ class TestCampaignEquivalence:
                 for r in parallel]
 
     def test_montecarlo_parallel_is_jobs_independent(self):
-        two = forgery_scaling(bits_list=(4, 6), experiments=60,
-                              jobs=2)
-        three = forgery_scaling(bits_list=(4, 6), experiments=60,
-                                jobs=3)
-        assert two == three
-        escape2 = tamper_detection(bits=4, tampers=800, jobs=2)
-        escape3 = tamper_detection(bits=4, tampers=800, jobs=3)
-        assert escape2 == escape3
+        one, two, three = (forgery_scaling(bits_list=(4, 6),
+                                           experiments=60, jobs=jobs)
+                           for jobs in (1, 2, 3))
+        assert one == two == three
+        escape1, escape2, escape3 = (
+            tamper_detection(bits=4, tampers=800, jobs=jobs)
+            for jobs in (1, 2, 3))
+        assert escape1 == escape2 == escape3
 
 
 class TestBuildCache:

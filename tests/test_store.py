@@ -71,8 +71,9 @@ class TestResultStore:
         store = ResultStore(tmp_path / "store")
         key = task_key("demo", {}, "none")
         store.put(key, None)
-        run = run_tasks_stored(lambda task: pytest.fail("cache miss"),
-                               ["none"], [key], store=store)
+        run = run_tasks_stored(
+            lambda _context, task: pytest.fail("cache miss"),
+            ["none"], [key], store=store)
         assert run.hits == 1 and run.executed == 0
         assert run.results == [None]
 
@@ -128,15 +129,54 @@ class TestMerge:
             merge_stores(tmp_path / "m", [tmp_path / "a", tmp_path / "b"])
 
 
-def _double(task):
+def _double(_context, task):
     return task * 2
 
 
-def _double_all(tasks):
+def _double_all(_context, tasks):
     return [t * 2 for t in tasks]
 
 
+def _add(context, task):
+    return context + task
+
+
 class TestRunTasksStored:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_context_is_built_only_for_a_dispatch_that_runs(self,
+                                                            tmp_path,
+                                                            jobs):
+        calls = []
+
+        def factory():
+            calls.append(len(calls))
+            return 10
+
+        tasks = list(range(4))
+        keys = [task_key("demo", {}, t) for t in tasks]
+        store = ResultStore(tmp_path / "store")
+        cold = run_tasks_stored(_add, tasks, keys, jobs=jobs, store=store,
+                                context=factory)
+        assert cold.results == [10, 11, 12, 13]
+        assert calls == [0]  # once per dispatch, not per task or worker
+        warm = run_tasks_stored(_add, tasks, keys, jobs=jobs, store=store,
+                                context=factory)
+        assert warm.hits == 4 and calls == [0]  # a warm store: never
+
+        partial = ResultStore(tmp_path / "partial")
+        partial.put(keys[1], 11)
+        partial.put(keys[3], 13)
+        idle = run_tasks_stored(_add, tasks, keys, jobs=jobs,
+                                store=partial, shard=ShardSpec(2, 2),
+                                context=factory)
+        assert (idle.executed, idle.skipped) == (0, 2)
+        assert calls == [0]  # a shard owning no missing task: never
+        busy = run_tasks_stored(_add, tasks, keys, jobs=jobs,
+                                store=partial, shard=ShardSpec(1, 2),
+                                context=factory)
+        assert busy.results == [10, 11, 12, 13] and busy.executed == 2
+        assert calls == [0, 1]
+
     def test_no_store_is_plain_execute(self):
         run = run_tasks_stored(_double, [1, 2, 3])
         assert run.results == [2, 4, 6]
@@ -150,9 +190,9 @@ class TestRunTasksStored:
         assert (cold.hits, cold.executed) == (0, 3)
         executed = []
 
-        def spy(task):
+        def spy(context, task):
             executed.append(task)
-            return _double(task)
+            return _double(context, task)
 
         warm = run_tasks_stored(spy, tasks, keys,
                                 store=ResultStore(tmp_path / "store"))
@@ -168,9 +208,9 @@ class TestRunTasksStored:
         store.put(keys[3], 8)
         executed = []
 
-        def spy(task):
+        def spy(context, task):
             executed.append(task)
-            return _double(task)
+            return _double(context, task)
 
         run = run_tasks_stored(spy, tasks, keys, store=store)
         assert run.results == [2, 4, 6, 8]
@@ -184,13 +224,13 @@ class TestRunTasksStored:
         store.put(keys[2], 4)
         units = []
 
-        def spy(unit):
+        def spy(context, unit):
             units.append(unit)
-            return _double_all(unit)
+            return _double_all(context, unit)
 
         run = run_tasks_stored(spy, tasks, keys, width=4, store=store)
         assert units == [[0, 1, 3, 4], [5, 6, 7, 8], [9]]
-        assert run.results == _double_all(tasks)
+        assert run.results == _double_all(None, tasks)
         assert run.executed == 9 and len(store) == 10
 
     def test_shard_executes_only_owned_missing(self, tmp_path):
@@ -214,10 +254,10 @@ class TestRunTasksStored:
                              shard=ShardSpec(index=index, count=2))
         merge_stores(tmp_path / "m", [tmp_path / "s1", tmp_path / "s2"])
         final = run_tasks_stored(
-            lambda task: pytest.fail("merged store must be complete"),
+            lambda _context, task: pytest.fail("merged store is complete"),
             tasks, keys, store=ResultStore(tmp_path / "m"))
         assert final.complete and final.hits == 7
-        assert final.results == _double_all(tasks)
+        assert final.results == _double_all(None, tasks)
 
     def test_shard_without_store_is_an_error(self):
         with pytest.raises(ValueError, match="store"):
@@ -232,7 +272,7 @@ class TestRunTasksStored:
     def test_execute_length_mismatch_is_an_error(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(ValueError, match="results"):
-            run_tasks_stored(lambda unit: [], [1],
+            run_tasks_stored(lambda _context, unit: [], [1],
                              [task_key("d", {}, 1)], width=2, store=store)
 
 
