@@ -36,7 +36,7 @@ from ..fuzz.generators import Genome, generate, random_genome
 from ..fuzz.oracle import build_program
 from ..isa.assembler import assemble
 from ..obs import phase as obs_phase
-from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_key,
+from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_keys,
                       task_rng)
 from ..runner.cache import DEFAULT_KEY_SEED
 from ..security.bounds import EmpiricalCheck, empirical_check
@@ -415,9 +415,9 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
         context = {"seed": seed, "key_seed": key_seed,
                    "per_program": per_program,
                    "baselines": include_baselines, "profile": profile}
-        keys = [task_key("attacksynth", context,
-                         {"index": index, "genome": genome})
-                for index, genome in tasks]
+        keys = task_keys("attacksynth", context,
+                         [{"index": index, "genome": genome}
+                          for index, genome in tasks])
 
     with obs_phase(telemetry, "execute"):
         run = run_tasks_stored(

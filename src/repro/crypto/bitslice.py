@@ -6,258 +6,227 @@ once per block.  Both ciphers are substitution-permutation networks over
 4-bit S-boxes, so the classic bit-slicing transform applies: pack bit
 ``b`` of up to :data:`WIDTH` independent blocks ("lanes") into one
 Python big-int plane, then run the round function on planes — XORs for
-AddRoundKey, a shared ~60-gate sum-of-minterms circuit for the S-box
-layer, and pure shifts for the linear layer — so one pass encrypts the
-whole batch.  RECTANGLE is itself specified bit-sliced (its ShiftRow
-rotates bit-planes), which is exactly why the paper's companion work
-picked it; this module applies the same idiom one level up.
+AddRoundKey, the cipher's straight-line bit-sliced S-box circuit (12
+operations for RECTANGLE, 14 for PRESENT) for the S-box layer, and
+shifts for the linear layer — so one pass encrypts the whole batch.
+RECTANGLE is itself specified bit-sliced (its ShiftRow rotates
+bit-planes, and its designers give the 12-operation S-box), which is
+exactly why the paper's companion work picked it; this module applies
+the same idiom one level up.
 
 Layouts
 -------
 * Lane/plane conversion is a 64x64 bit-matrix *transpose* of one
   4096-bit integer, done in 6 masked delta-swap steps (the
-  Hacker's-Delight block transpose, generalized to any power-of-two
-  ``n`` for the property tests).
-* RECTANGLE runs *wide-resident*: the state is 4 row planes of
-  ``16 * WIDTH`` bits — column ``c`` of lane ``j`` at bit ``c*WIDTH+j``
-  — so AddRoundKey is 4 XORs against precomputed wide key masks and
-  ShiftRow is a rotation by ``rot*WIDTH`` bits.
-* PRESENT keeps 64 individual planes: its pLayer is then a free
-  permutation of the plane list, and the S-layer gathers the planes
-  into 4 nibble-indexed wides for the shared circuit.
+  Hacker's-Delight block transpose).  Lanes go in and out through one
+  ``struct`` pack/unpack; after the transpose the 4096-bit *plane
+  order* integer holds plane ``b`` at bits ``[64*b, 64*b + 64)``.
+* RECTANGLE runs *row-sliced*: row ``r`` of the state is plane order's
+  contiguous 1024-bit slice ``r`` — column ``c`` of lane ``j`` at bit
+  ``c*WIDTH+j`` — so loading is four shifts, AddRoundKey is 4 XORs
+  against precomputed row key masks and ShiftRow is a rotation by
+  ``rot*WIDTH`` bits.
+* PRESENT keeps plane order between rounds.  Its pLayer sends bit
+  ``4*i + j`` to ``16*j + i``, which as a move of 64-bit planes
+  rotates the 6-bit plane index by two bits.  Four delta swaps
+  ("regroup") make that move before the S-box, putting nibble bit
+  ``j`` of all 16 nibbles into the contiguous slice ``j``; joining the
+  four S-box output slices is then already the permuted state.
 
 Correctness is gated lane-for-lane against the scalar ciphers
-(including PRESENT's published vector) by the batch differential suite.
+(including PRESENT's published vector) by ``tests/test_bitslice.py``
+and the batch differential suite.
 """
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .present import PERMUTATION
-from .present import ROUNDS as PRESENT_ROUNDS
-from .present import SBOX as PRESENT_SBOX
 from .present import Present80
-from .primitives import MASK16, MASK64, block_to_words, words_to_blocks
-from .rectangle import ROUNDS as RECTANGLE_ROUNDS
-from .rectangle import SBOX as RECTANGLE_SBOX
+from .primitives import MASK64, block_to_words, words_to_blocks
 from .rectangle import Rectangle80
 
 #: lanes per batch — one bit of every plane per specimen.
 WIDTH = 64
 
-_ONES = MASK64
 _STATE_BITS = 16 * WIDTH
 _STATE_MASK = (1 << _STATE_BITS) - 1
+#: ``word * _EVERY_LANE`` is a batch whose every lane holds ``word``
+_EVERY_LANE = sum(1 << (WIDTH * j) for j in range(WIDTH))
 
 
-# -- generic n x n bit-matrix transpose ------------------------------------
+# -- bit-index swaps and the n x n transpose --------------------------------
 #
-# One n^2-bit integer holds the matrix row-major (bit r*n+c = row r,
-# column c).  Each delta-swap step s exchanges bit s of every (row,
-# column) index pair; the steps touch disjoint index bits, so their
-# composition in any order is the full transpose.
+# A delta-swap step exchanges bits p and q of every bit *position* of an
+# integer (p < q): the bits whose position has bit p set and bit q clear
+# trade places with their partners ``(1 << q) - (1 << p)`` above.  Any
+# permutation of position bits is a sequence of such steps.
 
-_TRANSPOSE_STEPS: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-
-
-def _transpose_steps(n: int) -> Tuple[Tuple[int, int], ...]:
-    steps = _TRANSPOSE_STEPS.get(n)
-    if steps is None:
-        if n < 1 or n & (n - 1):
-            raise ValueError(f"transpose size must be a power of two, got {n}")
-        built = []
-        s = n >> 1
-        while s:
-            delta = s * (n - 1)
-            mask = 0
-            for r in range(n):
-                if r & s:
-                    continue
-                for c in range(n):
-                    if c & s:
-                        mask |= 1 << (r * n + c)
-            built.append((delta, mask))
-            s >>= 1
-        steps = _TRANSPOSE_STEPS[n] = tuple(built)
-    return steps
+@lru_cache(maxsize=None)
+def _swap_steps(pairs: Tuple[Tuple[int, int], ...],
+                size: int) -> Tuple[Tuple[int, int], ...]:
+    """``(delta, mask)`` of each position-bit swap, for ``size`` bits."""
+    def with_bit(p: int) -> int:
+        # runs of 2**p ones at odd multiples of 2**p, repeated to size
+        run = 1 << p
+        repunit = ((1 << size) - 1) // ((1 << (2 * run)) - 1)
+        return (((1 << run) - 1) << run) * repunit
+    return tuple(((1 << q) - (1 << p), with_bit(p) & ~with_bit(q))
+                 for p, q in pairs)
 
 
-def transpose_bits(x: int, n: int = WIDTH) -> int:
-    """Transpose an ``n x n`` bit matrix packed row-major into ``x``."""
-    for delta, mask in _transpose_steps(n):
+#: the transpose swaps column-index bit k of every bit position with
+#: row-index bit k (bit r*WIDTH + c holds row r, column c)
+_TRANSPOSE_PAIRS = tuple((k, k + WIDTH.bit_length() - 1)
+                         for k in range(WIDTH.bit_length() - 1))
+
+
+def transpose_bits(x: int) -> int:
+    """Transpose the ``WIDTH x WIDTH`` bit matrix packed row-major
+    into ``x``."""
+    for delta, mask in _swap_steps(_TRANSPOSE_PAIRS, WIDTH * WIDTH):
         t = (x ^ (x >> delta)) & mask
         x ^= t | (t << delta)
     return x
 
 
-def pack_planes(blocks: Sequence[int], n: int = WIDTH) -> List[int]:
-    """Lane values -> bit planes: bit ``j`` of plane ``b`` = bit ``b``
-    of ``blocks[j]``.  Missing lanes (``len(blocks) < n``) pack as zero.
-    """
-    if len(blocks) > n:
-        raise ValueError(f"at most {n} lanes, got {len(blocks)}")
-    mask = (1 << n) - 1
-    x = 0
-    for j, block in enumerate(blocks):
-        x |= (block & mask) << (n * j)
-    t = transpose_bits(x, n)
-    return [(t >> (n * b)) & mask for b in range(n)]
+def pack_planes(blocks: Sequence[int]) -> int:
+    """Up to :data:`WIDTH` 64-bit lanes -> the plane-order integer:
+    bit ``j`` of plane ``b`` (bit ``64*b + j``) is bit ``b`` of
+    ``blocks[j]``.  Missing lanes pack as zero."""
+    if len(blocks) > WIDTH:
+        raise ValueError(f"at most {WIDTH} lanes, got {len(blocks)}")
+    return transpose_bits(int.from_bytes(
+        struct.pack(f"<{len(blocks)}Q", *blocks), "little"))
 
 
-def unpack_planes(planes: Sequence[int], lanes: int, n: int = WIDTH) -> List[int]:
-    """Inverse of :func:`pack_planes`: recover the first ``lanes`` values."""
-    if len(planes) != n:
-        raise ValueError(f"expected {n} planes, got {len(planes)}")
-    x = 0
-    for b, plane in enumerate(planes):
-        x |= plane << (n * b)
-    t = transpose_bits(x, n)
-    mask = (1 << n) - 1
-    return [(t >> (n * j)) & mask for j in range(lanes)]
+def unpack_planes(planes: int, lanes: int) -> List[int]:
+    """Inverse of :func:`pack_planes`: the first ``lanes`` lanes."""
+    return list(struct.unpack_from(
+        f"<{lanes}Q", transpose_bits(planes).to_bytes(8 * WIDTH, "little")))
 
 
-# -- shared 4-bit S-box circuit --------------------------------------------
-
-def make_sbox_layer(sbox: Sequence[int]):
-    """Compile a 4-bit S-box table into a wide sum-of-minterms circuit.
-
-    The returned callable maps four input bit planes (plus an all-ones
-    plane of the same width) to four output planes: 16 disjoint minterms
-    are built from the shared half-products of ``(a1, a0)`` and
-    ``(a3, a2)``, and output bit ``b`` ORs the minterms whose S-box
-    image has bit ``b`` set — ~60 big-int operations for any table.
-    """
-    rows = tuple(tuple(v for v in range(16) if (sbox[v] >> bit) & 1)
-                 for bit in range(4))
-
-    def layer(a0: int, a1: int, a2: int, a3: int, ones: int):
-        n0 = a0 ^ ones
-        n1 = a1 ^ ones
-        n2 = a2 ^ ones
-        n3 = a3 ^ ones
-        lo = (n1 & n0, n1 & a0, a1 & n0, a1 & a0)
-        hi = (n3 & n2, n3 & a2, a3 & n2, a3 & a2)
-        minterms = [hi[v >> 2] & lo[v & 3] for v in range(16)]
-        out = []
-        for bits in rows:
-            acc = 0
-            for v in bits:
-                acc |= minterms[v]
-            out.append(acc)
-        return out
-
-    return layer
+def _key_planes(round_key: int) -> int:
+    """A round key as a plane-order mask: plane ``b`` is all ones
+    exactly where bit ``b`` of the key is set."""
+    return transpose_bits(round_key * _EVERY_LANE)
 
 
-# -- RECTANGLE-80, wide-resident -------------------------------------------
+# -- RECTANGLE-80, row-sliced ----------------------------------------------
 
 class BitslicedRectangle80:
     """Batch evaluator sharing the scalar cipher's key schedule."""
 
     #: lane crossover: fewer lanes run faster on the scalar cipher
-    #: (measured, CPython 3.11 on x86-64: 0.57x the scalar rate at 4
-    #: lanes, 1.05x at 8, 8.6x at 64)
-    min_lanes = 8
+    #: (measured, CPython 3.11 on x86-64, three runs: a batch costs
+    #: about 1.5 scalar encrypts at any width — 0.62-0.66x the scalar
+    #: rate at 1 lane, 1.31-1.47x at 2, 41-50x at 64)
+    min_lanes = 2
 
     def __init__(self, cipher: Rectangle80) -> None:
-        self._layer = make_sbox_layer(RECTANGLE_SBOX)
-        # round key row r expanded to a 16*WIDTH-bit mask: every set
-        # column bit becomes a full lane group of ones
-        wide_keys = []
-        for round_key in cipher._round_keys:
-            masks = []
-            for r in range(4):
-                key_row = (round_key >> (16 * r)) & MASK16
-                mask = 0
-                for c in range(16):
-                    if (key_row >> c) & 1:
-                        mask |= _ONES << (c * WIDTH)
-                masks.append(mask)
-            wide_keys.append(tuple(masks))
-        self._wide_keys = tuple(wide_keys)
+        # each round key as four wide rows, every set column bit a full
+        # lane group of ones
+        self._row_keys = tuple(
+            tuple((planes >> (_STATE_BITS * r)) & _STATE_MASK
+                  for r in range(4))
+            for planes in map(_key_planes, cipher._round_keys))
 
     def encrypt_batch(self, blocks: Sequence[int]) -> List[int]:
-        lanes = len(blocks)
-        planes = pack_planes(blocks)
+        t = pack_planes(blocks)
+        ones = _STATE_MASK
         # wide row r: column c's lane group at bits [c*WIDTH, (c+1)*WIDTH)
-        rows = []
-        for r in range(4):
-            base = 16 * r
-            acc = 0
-            for c in range(16):
-                acc |= planes[base + c] << (c * WIDTH)
-            rows.append(acc)
-        r0, r1, r2, r3 = rows
-        layer = self._layer
-        wide_keys = self._wide_keys
-        for rnd in range(RECTANGLE_ROUNDS):
-            k0, k1, k2, k3 = wide_keys[rnd]
-            r0, r1, r2, r3 = layer(r0 ^ k0, r1 ^ k1, r2 ^ k2, r3 ^ k3,
-                                   _STATE_MASK)
+        r0 = t & ones
+        r1 = (t >> _STATE_BITS) & ones
+        r2 = (t >> (2 * _STATE_BITS)) & ones
+        r3 = t >> (3 * _STATE_BITS)
+        row_keys = self._row_keys
+        for k0, k1, k2, k3 in row_keys[:-1]:
+            a0 = r0 ^ k0
+            a1 = r1 ^ k1
+            a2 = r2 ^ k2
+            a3 = r3 ^ k3
+            # SubColumn: the designers' 12-operation circuit
+            t1 = a1 ^ ones
+            t2 = a2 ^ a3
+            r0 = (a0 & t1) ^ t2
+            t6 = a0 ^ (a3 | t1)
+            r1 = a2 ^ t6
+            t8 = a1 ^ a2
+            r3 = t8 ^ (t2 & t6)
+            r2 = t6 ^ (r0 | t8)
             # ShiftRow: rotate the column groups left by (0, 1, 12, 13)
-            r1 = ((r1 << WIDTH) | (r1 >> (15 * WIDTH))) & _STATE_MASK
-            r2 = ((r2 << (12 * WIDTH)) | (r2 >> (4 * WIDTH))) & _STATE_MASK
-            r3 = ((r3 << (13 * WIDTH)) | (r3 >> (3 * WIDTH))) & _STATE_MASK
-        k0, k1, k2, k3 = wide_keys[RECTANGLE_ROUNDS]
-        rows = (r0 ^ k0, r1 ^ k1, r2 ^ k2, r3 ^ k3)
-        out_planes = [0] * WIDTH
-        for r in range(4):
-            wide = rows[r]
-            base = 16 * r
-            for c in range(16):
-                out_planes[base + c] = (wide >> (c * WIDTH)) & _ONES
-        return unpack_planes(out_planes, lanes)
+            r1 = ((r1 << WIDTH) | (r1 >> (15 * WIDTH))) & ones
+            r2 = ((r2 << (12 * WIDTH)) | (r2 >> (4 * WIDTH))) & ones
+            r3 = ((r3 << (13 * WIDTH)) | (r3 >> (3 * WIDTH))) & ones
+        k0, k1, k2, k3 = row_keys[-1]
+        return unpack_planes((r0 ^ k0) | ((r1 ^ k1) << _STATE_BITS)
+                             | ((r2 ^ k2) << (2 * _STATE_BITS))
+                             | ((r3 ^ k3) << (3 * _STATE_BITS)),
+                             len(blocks))
 
 
-# -- PRESENT-80, plane-resident --------------------------------------------
+# -- PRESENT-80, plane order -----------------------------------------------
+
+#: pLayer regroup: plane ``4*i + j`` -> ``16*j + i`` rotates the 6
+#: plane-index bits (position bits 6..11 of the 4096-bit integer) by
+#: two, done as these four position-bit swaps in this order
+_REGROUP_PAIRS = ((8, 10), (6, 10), (9, 11), (7, 11))
+
 
 class BitslicedPresent80:
     """Batch evaluator sharing the scalar cipher's key schedule."""
 
-    #: lane crossover (same host: 0.8x the scalar rate at 32 lanes,
-    #: 1.28x at 48, 1.7x at 64 — the table-driven scalar PRESENT is
-    #: relatively cheaper than the scalar RECTANGLE)
-    min_lanes = 40
+    #: lane crossover (same host and runs: a batch costs 5-6
+    #: table-driven scalar encrypts at any width — 0.95-1.11x the
+    #: scalar rate at 6 lanes, 1.13-1.36x at 7, 10-12x at 64; the
+    #: 4096-bit regroup makes a round cost ~2.5 RECTANGLE rounds)
+    min_lanes = 7
 
     def __init__(self, cipher: Present80) -> None:
-        self._layer = make_sbox_layer(PRESENT_SBOX)
-        self._key_bits = tuple(
-            tuple(b for b in range(64) if (key >> b) & 1)
-            for key in cipher._round_keys)
+        self._plane_keys = tuple(map(_key_planes, cipher._round_keys))
 
     def encrypt_batch(self, blocks: Sequence[int]) -> List[int]:
-        lanes = len(blocks)
-        planes = pack_planes(blocks)
-        layer = self._layer
-        key_bits = self._key_bits
-        perm = PERMUTATION
-        for rnd in range(PRESENT_ROUNDS):
-            for b in key_bits[rnd]:
-                planes[b] ^= _ONES
-            # gather nibble bit k of the 16 nibbles into wide k
-            w0 = w1 = w2 = w3 = 0
-            for i in range(16):
-                shift = i * WIDTH
-                base = 4 * i
-                w0 |= planes[base] << shift
-                w1 |= planes[base + 1] << shift
-                w2 |= planes[base + 2] << shift
-                w3 |= planes[base + 3] << shift
-            w0, w1, w2, w3 = layer(w0, w1, w2, w3, _STATE_MASK)
-            # scatter back through the (free) pLayer permutation
-            out = [0] * 64
-            for i in range(16):
-                shift = i * WIDTH
-                base = 4 * i
-                out[perm[base]] = (w0 >> shift) & _ONES
-                out[perm[base + 1]] = (w1 >> shift) & _ONES
-                out[perm[base + 2]] = (w2 >> shift) & _ONES
-                out[perm[base + 3]] = (w3 >> shift) & _ONES
-            planes = out
-        for b in key_bits[PRESENT_ROUNDS]:
-            planes[b] ^= _ONES
-        return unpack_planes(planes, lanes)
+        t = pack_planes(blocks)
+        ones = _STATE_MASK
+        (d0, m0), (d1, m1), (d2, m2), (d3, m3) = _swap_steps(
+            _REGROUP_PAIRS, WIDTH * WIDTH)
+        plane_keys = self._plane_keys
+        for key in plane_keys[:-1]:
+            x = t ^ key
+            # regroup: nibble bit j of nibble i to lane group 16*j + i
+            s = (x ^ (x >> d0)) & m0
+            x ^= s | (s << d0)
+            s = (x ^ (x >> d1)) & m1
+            x ^= s | (s << d1)
+            s = (x ^ (x >> d2)) & m2
+            x ^= s | (s << d2)
+            s = (x ^ (x >> d3)) & m3
+            x ^= s | (s << d3)
+            # sLayer: a 14-operation circuit, X0..X3 = nibble bits 3..0
+            x3 = x & ones
+            x2 = (x >> _STATE_BITS) & ones
+            x1 = (x >> (2 * _STATE_BITS)) & ones
+            x0 = x >> (3 * _STATE_BITS)
+            t1 = x2 ^ x1
+            t2 = x1 & t1
+            t3 = x0 ^ t2
+            y3 = x3 ^ t3
+            t2 = t1 & t3
+            t1 ^= y3
+            t2 ^= x1
+            t4 = x3 | t2
+            y2 = t1 ^ t4
+            t2 ^= x3 ^ ones
+            y0 = y2 ^ t2
+            t2 |= t1
+            y1 = t3 ^ t2
+            # output bit j of nibble i already sits at plane 16*j + i,
+            # where the pLayer sends it
+            t = (y3 | (y2 << _STATE_BITS) | (y1 << (2 * _STATE_BITS))
+                 | (y0 << (3 * _STATE_BITS)))
+        return unpack_planes(t ^ plane_keys[-1], len(blocks))
 
 
 # -- batch front door ------------------------------------------------------

@@ -33,7 +33,7 @@ from ..hwmodel.profilecost import (CYCLES_BUDGET, UnrollSpec, legal_unrolls,
                                    profile_cost, resolve_unrolls)
 from ..obs import phase as obs_phase
 from ..runner import (DEFAULT_KEY_SEED, ResultStore, ShardSpec,
-                      run_tasks_stored, task_key, task_seed)
+                      run_tasks_stored, task_keys, task_seed)
 from ..security.bounds import cfi_attack_years, si_forgery_years
 from ..transform.profile import ProtectionProfile
 from ..workloads.base import make_workload
@@ -524,8 +524,7 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
         context = {"seed": seed, "key_seed": key_seed, "scale": scale,
                    "workloads": list(workloads), "programs": programs,
                    "per_model": per_model}
-        keys = [task_key("dse", context, profile)
-                for _index, profile in tasks]
+        keys = task_keys("dse", context, profiles)
 
     with obs_phase(telemetry, "execute"):
         run = run_tasks_stored(

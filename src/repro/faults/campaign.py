@@ -48,7 +48,7 @@ from ..isa.program import AsmProgram
 from ..obs import hook as obs_hook
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, campaign_record,
-                      resolve_jobs, run_tasks_stored, task_key,
+                      resolve_jobs, run_tasks_stored, task_key, task_keys,
                       write_campaign)
 from ..sim.batch import BATCH_WIDTH, GoldenTrace
 from ..sim.result import Status
@@ -322,8 +322,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                                models=models, rng=rng)
     fault_keys = None
     if store is not None:
-        fault_keys = [task_key("fault-injection", context, fault)
-                      for fault in faults]
+        fault_keys = task_keys("fault-injection", context, faults)
 
     def worker_context() -> tuple:
         nonlocal trace

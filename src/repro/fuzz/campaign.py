@@ -28,7 +28,7 @@ from typing import List, Optional
 from ..crypto.keys import DeviceKeys
 from ..errors import check_count
 from ..obs import phase as obs_phase
-from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_key,
+from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_keys,
                       task_rng, write_campaign)
 from ..runner.cache import DEFAULT_KEY_SEED
 from .corpus import Corpus, specimen_sha
@@ -183,8 +183,7 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
                               report.coverage, report.corpus)
         genome_keys = None
         if store is not None:
-            genome_keys = [task_key("fuzz", context, genome)
-                           for genome in genomes]
+            genome_keys = task_keys("fuzz", context, genomes)
         run = run_tasks_stored(_fuzz_task, genomes, genome_keys,
                                jobs=jobs,
                                context=lambda: (keys, include_baselines),

@@ -31,7 +31,8 @@ across CPU cores:
     canonically ordered sets).
 
 :mod:`repro.runner.store`
-    ``ResultStore`` / ``task_key`` / ``run_tasks_stored`` — a
+    ``ResultStore`` / ``task_key`` / ``task_keys`` /
+    ``run_tasks_stored`` — a
     persistent, content-addressed result cache keyed by
     (code version, context digest, task digest), and the one dispatch
     path every campaign takes: cached results load, missing tasks
@@ -68,7 +69,7 @@ from .pool import available_cpus, default_chunksize, resolve_jobs, run_tasks
 from .seeding import task_rng, task_seed
 from .shard import ShardSpec, merge_stores, parse_shard, shard_partition
 from .store import (ResultStore, StoredRun, StoreStats, code_version,
-                    run_tasks_stored, stable_digest, task_key)
+                    run_tasks_stored, stable_digest, task_key, task_keys)
 
 __all__ = [
     "run_tasks", "resolve_jobs", "available_cpus", "default_chunksize",
@@ -78,6 +79,6 @@ __all__ = [
     "campaign_record", "write_campaign", "to_jsonable",
     "atomic_write_text",
     "ResultStore", "StoredRun", "StoreStats", "code_version",
-    "run_tasks_stored", "stable_digest", "task_key",
+    "run_tasks_stored", "stable_digest", "task_key", "task_keys",
     "ShardSpec", "parse_shard", "shard_partition", "merge_stores",
 ]

@@ -94,15 +94,16 @@ class TestTransposeAndPacking:
     @settings(max_examples=50, deadline=None)
     def test_pack_unpack_round_trip(self, blocks):
         planes = pack_planes(blocks)
-        assert len(planes) == 64
+        assert planes >> (64 * 64) == 0
         assert unpack_planes(planes, len(blocks)) == blocks
 
     def test_plane_bit_layout(self):
-        # lane j of plane b is bit b of block j
+        # lane j of plane b (bits [64*b, 64*b + 64)) is bit b of block j
         blocks = [1 << 5, 0, 1 << 5 | 1]
         planes = pack_planes(blocks)
-        assert planes[5] == 0b101
-        assert planes[0] == 0b100
+        assert (planes >> (64 * 5)) & ((1 << 64) - 1) == 0b101
+        assert planes & ((1 << 64) - 1) == 0b100
+        assert planes == (0b101 << (64 * 5)) | 0b100
 
 
 class TestBitslicedCiphers:

@@ -13,7 +13,8 @@ import pytest
 
 from repro.runner import (ResultStore, ShardSpec, code_version,
                           merge_stores, parse_shard, run_tasks_stored,
-                          shard_partition, stable_digest, task_key)
+                          shard_partition, stable_digest, task_key,
+                          task_keys)
 
 
 class TestCodeVersion:
@@ -53,6 +54,78 @@ class TestTaskKey:
         assert stable_digest({"a": 1, "b": 2}) == \
             stable_digest({"b": 2, "a": 1})
         assert stable_digest([1, 2]) != stable_digest([2, 1])
+
+
+class TestTaskKeys:
+    """``task_keys`` serializes the context once; every key must stay
+    byte-identical to :func:`task_key`'s."""
+
+    TASKS = [0, "x", None, 2.5, [1, {"b": 2, "a": 1}],
+             {"models": {"gamma", "alpha"}}, ("t", 1)]
+
+    @pytest.mark.parametrize("context", [
+        {}, {"seed": 1}, {"models": {"alpha", "beta", "gamma"}},
+        {"nested": {"z": [1, 2], "a": {"q", "p"}}, "\u00e9": "\u2603"},
+        [3, 1], None])
+    def test_equal_to_task_key(self, context):
+        assert task_keys("c", context, self.TASKS) == [
+            task_key("c", context, task) for task in self.TASKS]
+        assert task_keys("c", context, self.TASKS, code="pinned") == [
+            task_key("c", context, task, code="pinned")
+            for task in self.TASKS]
+
+    def test_set_ordering_is_canonical(self):
+        a = task_keys("c", {"models": {"alpha", "beta", "gamma"}},
+                      [{"s": {"b", "a"}}])
+        b = task_keys("c", {"models": {"gamma", "alpha", "beta"}},
+                      [{"s": {"a", "b"}}])
+        assert a == b == [task_key("c", {"models": {"beta", "gamma",
+                                                    "alpha"}},
+                                   {"s": {"a", "b"}})]
+
+    def test_no_tasks_no_keys(self):
+        assert task_keys("c", {"seed": 1}, []) == []
+
+    @pytest.mark.parametrize("campaign", ["fault", "attacksynth", "fuzz",
+                                          "dse"])
+    def test_every_campaign_context(self, campaign, tmp_path, monkeypatch):
+        # each campaign's real context and tasks, as it keys them
+        import importlib
+        package = "faults" if campaign == "fault" else campaign
+        module = importlib.import_module(f"repro.{package}.campaign")
+        calls = []
+
+        def checked(name, context, tasks, **kwargs):
+            keys = task_keys(name, context, tasks, **kwargs)
+            assert keys == [task_key(name, context, task, **kwargs)
+                            for task in tasks]
+            calls.append(len(keys))
+            return keys
+
+        monkeypatch.setattr(module, "task_keys", checked)
+        store_dir = tmp_path / "store"
+        if campaign == "fault":
+            from repro.crypto import DeviceKeys
+            from repro.workloads import make_workload
+            workload = make_workload("crc32", "tiny")
+            module.run_campaign(workload.compile().program,
+                                DeviceKeys.from_seed(0xFA),
+                                workload.expected_output, per_model=2,
+                                seed=9, store_dir=store_dir)
+        elif campaign == "attacksynth":
+            module.run_attacksynth(2, seed=21, per_program=2,
+                                   store_dir=store_dir)
+        elif campaign == "fuzz":
+            module.run_fuzz(4, batch=2, seed=7, store_dir=store_dir)
+        else:
+            from repro.transform.profile import ProtectionProfile
+            module.run_dse([ProtectionProfile(),
+                            ProtectionProfile(cipher="present-80",
+                                              mac_words=1,
+                                              renonce="fixed")],
+                           seed=77, workloads=("crc32",), scale="tiny",
+                           programs=1, per_model=1, store_dir=store_dir)
+        assert calls and all(calls)
 
 
 class TestResultStore:
