@@ -28,26 +28,27 @@ images embed their nonce and their :class:`ProtectionProfile`.
 ``protect``, ``attacksynth`` and ``dse`` accept profile specs like
 ``present-80:mac32:fixed`` (see :mod:`repro.dse.grid`); ``run-protected``
 provisions the device keys for the image's embedded profile.  The
-``attack``, ``experiments`` and ``dse`` commands accept ``--jobs N`` to
-fan their campaigns across N worker processes via :mod:`repro.runner`
-(``--jobs 0`` means one per CPU; the default of 1 runs the bit-identical
-serial path).  ``run`` and ``run-protected`` accept ``--engine
-reference`` to run the semantics oracle instead of the default fast
-engine (:data:`repro.sim.engine.ENGINES`); results are bit-identical
-either way.  ``dse --hw`` folds the profile-derived
+campaign commands (``attack``, ``attacksynth``, ``dse``,
+``experiments``, ``fault``, ``fuzz``, ``montecarlo``) accept ``--jobs
+N`` to fan their campaigns across N worker processes via
+:mod:`repro.runner` (``--jobs 0`` means one per CPU; the default of 1
+runs the bit-identical serial path).  ``run`` and ``run-protected``
+accept ``--engine reference`` to run the semantics oracle instead of the
+default fast engine (:data:`repro.sim.engine.ENGINES`); results are
+bit-identical either way.  ``dse --hw`` folds the profile-derived
 hardware cost model (:mod:`repro.hwmodel.profilecost`) into the sweep —
 ``--unroll LIST`` picks the cipher unroll factors (default ``min``, each
 cipher's fetch-sustaining minimum) — and the export becomes the unified
 3-way Pareto over overhead, forgery bound and area-delay.
 
-``fuzz``, ``attacksynth`` and ``dse`` also accept ``--resume DIR`` — a
-persistent result store (:mod:`repro.runner.store`) that makes the
-campaign incremental: kill it, rerun it, only unfinished tasks execute,
-and the final artifacts are byte-identical to an uninterrupted serial
-run — and ``--shard I/N`` (requires ``--resume``), which executes one
-deterministic slice of the task list so N hosts can split a campaign;
-``repro merge`` unions the shard stores and a final ``--resume`` pass
-emits the serial-identical artifact.
+``fault``, ``fuzz``, ``attacksynth`` and ``dse`` also accept ``--resume
+DIR`` — a persistent result store (:mod:`repro.runner.store`) that makes
+the campaign incremental: kill it, rerun it, only unfinished tasks
+execute, and the final artifacts are byte-identical to an uninterrupted
+serial run — and ``--shard I/N`` (requires ``--resume``), which executes
+one deterministic slice of the task list so N hosts can split a
+campaign; ``repro merge`` unions the shard stores and a final
+``--resume`` pass emits the serial-identical artifact.
 
 Every campaign command (``fault``, ``fuzz``, ``attacksynth``, ``dse``,
 ``montecarlo``) accepts ``--telemetry DIR`` (structured JSONL events,
@@ -56,22 +57,35 @@ merged metrics, and a chrome-trace timeline under DIR — summarize with
 with tasks/sec and ETA).  Telemetry is strictly observational: campaign
 artifacts are byte-identical with it on or off.  The global ``--quiet``
 flag silences the informational ``#``-prefixed stderr notes (errors and
-stdout artifacts are unaffected).  Exit
-status: 0 on success, 1 on a program error (assembly/compile/transform
-failure), 2 on bad usage.
+stdout artifacts are unaffected).
+
+Every failure ends in one ``error: ...`` line on stderr and this exit
+status (:func:`main` is the only place that prints it):
+
+====  ==============================================================
+0     success
+1     program, build or I/O error (assembly, compile, transform,
+      image, unusable path), or a campaign finding (a divergence, an
+      undetected attack or forgery, a failed verification)
+2     bad usage: an argparse error, or a value or flag combination a
+      command rejects
+130   interrupted (Ctrl-C); telemetry records ``status=interrupted``
+====  ==============================================================
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
 from . import core, obs
 from .attacks import format_matrix, run_campaign
 from .crypto.keys import DeviceKeys
-from .errors import ReproError
+from .errors import (CampaignError, ReproError, TransformError,
+                     UsageError, check_count)
 from .eval import (experiment_adpcm, experiment_blocksize,
                    experiment_muxtree, experiment_security,
                    experiment_table1, experiment_unroll,
@@ -126,35 +140,34 @@ def cmd_run(args) -> int:
 def _profile_arg(spec: Optional[str], **geometry) -> ProtectionProfile:
     """The design point a ``--profile`` spec names; without a spec, the
     paper's design point at ``geometry`` (``protect``'s
-    ``--block-words``/``--schedule-stores``).  Raises ``ValueError`` for
-    a bad spec or an impossible geometry."""
-    if spec is None:
-        return ProtectionProfile(**geometry)
-    from .dse.grid import parse_profile_spec
-    return parse_profile_spec(spec)
+    ``--block-words``/``--schedule-stores``).  Raises
+    :class:`~repro.errors.UsageError` for a bad spec or an impossible
+    geometry."""
+    try:
+        if spec is None:
+            return ProtectionProfile(**geometry)
+        from .dse.grid import parse_profile_spec
+        return parse_profile_spec(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_protect(args) -> int:
     if args.profile is not None and (args.block_words != 8
                                      or args.schedule_stores):
-        print("error: --profile already fixes the geometry; drop "
-              "--block-words/--schedule-stores (or fold them into "
-              "the spec as bw<N>/sched)", file=sys.stderr)
-        return 2
-    try:
-        profile = _profile_arg(args.profile, block_words=args.block_words,
-                               schedule_stores=args.schedule_stores)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError("--profile already fixes the geometry; drop "
+                         "--block-words/--schedule-stores (or fold them "
+                         "into the spec as bw<N>/sched)")
+    profile = _profile_arg(args.profile, block_words=args.block_words,
+                           schedule_stores=args.schedule_stores)
     program = _load_program(args.source, optimize=args.optimize)
     keys = DeviceKeys.from_seed(args.seed).for_profile(profile)
     image = core.protect(program, keys, nonce=args.nonce, profile=profile)
     findings = verify_image(image, keys)
     if findings:
-        for finding in findings:
-            print(str(finding), file=sys.stderr)
-        return 1
+        raise TransformError("\n".join(["the sealed image fails "
+                                        "verification:",
+                                        *map(str, findings)]))
     if args.list:
         print(list_image(image, keys))
     Path(args.output).write_bytes(image.to_bytes())
@@ -193,24 +206,26 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _jobs_arg(value: str) -> int:
-    """argparse type for ``--jobs``: a non-negative worker count."""
+def _jobs_arg(value: str) -> Optional[int]:
+    """argparse type for ``--jobs``: a non-negative worker count, as the
+    runner's ``jobs`` (``0``, one worker per CPU, becomes ``None``)."""
     jobs = int(value)
     if jobs < 0:
         raise argparse.ArgumentTypeError(
             f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
-    return jobs
+    return jobs or None
 
 
-def _count_arg(minimum: int = 0):
-    """argparse type for a count of at least ``minimum`` (a negative
-    count would silently shrink or empty a campaign, an empty batch
-    would never finish one)."""
+def _count_arg(minimum: int = 0, maximum: Optional[int] = None):
+    """argparse type for a count of at least ``minimum`` and at most
+    ``maximum`` (a negative count would silently shrink or empty a
+    campaign, an empty batch would never finish one)."""
     def count(value: str) -> int:
         number = int(value)
-        if number < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {number}")
+        try:
+            check_count("value", number, minimum, maximum)
+        except CampaignError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return number
     return count
 
@@ -224,14 +239,6 @@ def _shard_arg(value: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _check_shard(args) -> Optional[str]:
-    """Usage error for a ``--shard`` given without ``--resume``."""
-    if args.shard is not None and args.resume is None:
-        return ("--shard needs --resume DIR: without a result store the "
-                "shard's results would be lost")
-    return None
-
-
 def _shard_note(args, progress: str) -> None:
     """Progress note for a sharded (incomplete) campaign invocation."""
     obs.note(f"# shard {args.shard.label}: {progress} into {args.resume}; "
@@ -239,48 +246,21 @@ def _shard_note(args, progress: str) -> None:
              f"rerun with --resume only to emit the campaign artifacts")
 
 
-def _add_store_args(p) -> None:
-    """``--resume`` / ``--shard`` flags shared by campaign subcommands."""
-    p.add_argument("--resume", metavar="DIR", default=None,
-                   help="persistent result store: load cached task "
-                        "results from DIR and execute only the missing "
-                        "ones (created if absent)")
-    p.add_argument("--shard", type=_shard_arg, default=None,
-                   metavar="I/N",
-                   help="execute one deterministic slice of the task "
-                        "list: 1-based shard I of N (requires --resume)")
-
-
-def _add_obs_args(p) -> None:
-    """``--telemetry`` / ``--progress`` flags shared by campaign commands."""
-    p.add_argument("--telemetry", metavar="DIR", default=None,
-                   help="record structured events, merged metrics and a "
-                        "chrome-trace timeline under DIR (strictly "
-                        "observational; see `repro stats DIR`)")
-    p.add_argument("--progress", action="store_true",
-                   help="throttled stderr heartbeat: tasks done/total, "
-                        "tasks/sec, ETA (cache/shard aware)")
-
-
-def _make_telemetry(args):
-    """A :class:`repro.obs.Telemetry` for this invocation, or ``None``."""
-    if args.telemetry is None and not args.progress:
-        return None
-    return obs.Telemetry(directory=args.telemetry, progress=args.progress)
-
-
-def _parse_jobs(jobs: int) -> Optional[int]:
-    """CLI ``--jobs`` value -> the runner's ``jobs`` argument.
-
-    ``1`` (the default) runs in-process, ``0`` means one worker per CPU
-    (``None``), any other N means N workers.
-    """
-    return None if jobs == 0 else jobs
+@contextmanager
+def _campaign(args, name: str, **parameters):
+    """Open campaign ``name`` on the telemetry this invocation's
+    ``--telemetry``/``--progress`` ask for; yields that
+    :class:`repro.obs.Telemetry`, or ``None`` when neither is given."""
+    telemetry = None
+    if args.telemetry is not None or args.progress:
+        telemetry = obs.Telemetry(directory=args.telemetry,
+                                  progress=args.progress)
+    with obs.campaign(telemetry, name, {**parameters, "jobs": args.jobs}):
+        yield telemetry
 
 
 def cmd_attack(args) -> int:
-    jobs = _parse_jobs(args.jobs)
-    results = run_campaign(seed=args.seed, jobs=jobs,
+    results = run_campaign(seed=args.seed, jobs=args.jobs,
                            export_path=args.export)
     print(format_matrix(results))
     if args.export:
@@ -290,16 +270,7 @@ def cmd_attack(args) -> int:
 
 def cmd_attacksynth(args) -> int:
     from .attacksynth import run_attacksynth, run_attacksynth_image
-    jobs = _parse_jobs(args.jobs)
-    usage_error = _check_shard(args)
-    if usage_error:
-        print(f"error: {usage_error}", file=sys.stderr)
-        return 2
-    try:
-        profile = _profile_arg(args.profile)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    profile = _profile_arg(args.profile)
     if args.image is not None:
         conflicts = [flag for flag, given in
                      (("--programs", args.programs is not None),
@@ -312,10 +283,9 @@ def cmd_attacksynth(args) -> int:
                       ("--telemetry", args.telemetry is not None),
                       ("--progress", args.progress)) if given]
         if conflicts:
-            print(f"error: {', '.join(conflicts)} cannot be combined "
-                  f"with --image (single-image mode is serial and "
-                  f"observational)", file=sys.stderr)
-            return 2
+            raise UsageError(f"{', '.join(conflicts)} cannot be combined "
+                             f"with --image (single-image mode is serial "
+                             f"and observational)")
         image = SofiaImage.from_bytes(Path(args.image).read_bytes())
         report = run_attacksynth_image(
             image, seed=args.seed, per_program=args.per_program,
@@ -323,27 +293,24 @@ def cmd_attacksynth(args) -> int:
             csv_path=args.csv)
     else:
         programs = args.programs if args.programs is not None else 200
-        telemetry = _make_telemetry(args)
-        with obs.campaign(telemetry, "attacksynth",
-                          {"programs": programs, "seed": args.seed,
-                           "jobs": args.jobs}):
+        with _campaign(args, "attacksynth", programs=programs,
+                       seed=args.seed) as telemetry:
             report = run_attacksynth(
                 programs, seed=args.seed, per_program=args.per_program,
-                jobs=jobs, corpus_dir=args.corpus,
+                jobs=args.jobs, corpus_dir=args.corpus,
                 include_baselines=args.baselines, key_seed=args.key_seed,
                 profile=profile, export_path=args.export,
                 csv_path=args.csv,
                 store_dir=args.resume, shard=args.shard,
                 telemetry=telemetry)
     if report.instances == 0 and report.complete:
-        for label, error in report.build_errors:
-            print(f"error: {label}: {error}", file=sys.stderr)
         why = ("every program failed to build or run cleanly"
                if report.build_errors
                else "empty program set or zero per-program budget")
-        print(f"error: no attack instances enumerated ({why})",
-              file=sys.stderr)
-        return 2
+        raise UsageError("\n".join(
+            [f"no attack instances enumerated ({why})",
+             *(f"  {label}: {error}"
+               for label, error in report.build_errors)]))
     print(report.render())
     if not report.complete:
         _shard_note(args, f"{len(report.programs)} program(s) evaluated")
@@ -358,15 +325,9 @@ def cmd_dse(args) -> int:
     from .dse import resolve_profiles, run_dse
     from .dse.campaign import check_unroll_specs
     from .hwmodel.profilecost import parse_unroll_specs
-    jobs = _parse_jobs(args.jobs)
-    usage_error = _check_shard(args)
-    if usage_error:
-        print(f"error: {usage_error}", file=sys.stderr)
-        return 2
     if args.unroll is not None and not args.hw:
-        print("error: --unroll needs --hw (it parameterizes the "
-              "hardware axes)", file=sys.stderr)
-        return 2
+        raise UsageError("--unroll needs --hw (it parameterizes the "
+                         "hardware axes)")
     try:
         profiles = resolve_profiles(args.profiles, args.grid)
         unrolls = (parse_unroll_specs(args.unroll)
@@ -374,8 +335,7 @@ def cmd_dse(args) -> int:
         if unrolls is not None:
             check_unroll_specs(profiles, unrolls)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from exc
     workloads = ([w.strip() for w in args.workloads.split(",") if w.strip()]
                  if args.workloads else None)
     kwargs = {}
@@ -384,14 +344,12 @@ def cmd_dse(args) -> int:
     if args.hw:
         kwargs["hw"] = True
         kwargs["unrolls"] = unrolls
-    telemetry = _make_telemetry(args)
-    with obs.campaign(telemetry, "dse",
-                      {"profiles": len(profiles), "seed": args.seed,
-                       "scale": args.scale, "jobs": args.jobs}):
+    with _campaign(args, "dse", profiles=len(profiles), seed=args.seed,
+                   scale=args.scale) as telemetry:
         report = run_dse(profiles, seed=args.seed, key_seed=args.key_seed,
                          scale=args.scale, programs=args.programs,
                          per_model=args.per_model,
-                         jobs=jobs, export_path=args.export,
+                         jobs=args.jobs, export_path=args.export,
                          csv_path=args.csv,
                          store_dir=args.resume, shard=args.shard,
                          telemetry=telemetry, **kwargs)
@@ -408,18 +366,11 @@ def cmd_dse(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from .fuzz import run_fuzz
-    jobs = _parse_jobs(args.jobs)
-    usage_error = _check_shard(args)
-    if usage_error:
-        print(f"error: {usage_error}", file=sys.stderr)
-        return 2
-    telemetry = _make_telemetry(args)
-    with obs.campaign(telemetry, "fuzz",
-                      {"seeds": args.seeds, "seed": args.seed,
-                       "batch": args.batch, "jobs": args.jobs}):
+    with _campaign(args, "fuzz", seeds=args.seeds, seed=args.seed,
+                   batch=args.batch) as telemetry:
         report = run_fuzz(seeds=args.seeds, seed=args.seed,
                           batch=args.batch,
-                          jobs=jobs,
+                          jobs=args.jobs,
                           corpus_dir=args.corpus,
                           time_budget=args.time_budget,
                           include_baselines=args.baselines,
@@ -438,32 +389,19 @@ def cmd_fuzz(args) -> int:
 def cmd_fault(args) -> int:
     from .faults import run_campaign as run_fault_campaign
     from .workloads import make_workload, workload_names
-    jobs = _parse_jobs(args.jobs)
-    usage_error = _check_shard(args)
-    if usage_error:
-        print(f"error: {usage_error}", file=sys.stderr)
-        return 2
-    try:
-        profile = _profile_arg(args.profile)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    profile = _profile_arg(args.profile)
     try:
         victim = make_workload(args.workload, args.scale)
     except KeyError:
-        print(f"error: unknown workload {args.workload!r}; "
-              f"known: {workload_names()}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown workload {args.workload!r}; "
+                         f"known: {workload_names()}") from None
     keys = DeviceKeys.from_seed(args.key_seed)
-    telemetry = _make_telemetry(args)
-    with obs.campaign(telemetry, "fault",
-                      {"workload": args.workload, "scale": args.scale,
-                       "per_model": args.per_model, "seed": args.seed,
-                       "jobs": args.jobs}):
+    with _campaign(args, "fault", workload=args.workload, scale=args.scale,
+                   per_model=args.per_model, seed=args.seed) as telemetry:
         results, summary = run_fault_campaign(
             victim.compile().program, keys, victim.expected_output,
             per_model=args.per_model, seed=args.seed,
-            jobs=jobs, export_path=args.export,
+            jobs=args.jobs, export_path=args.export,
             profile=profile,
             store_dir=args.resume, shard=args.shard, telemetry=telemetry)
     print(summary.render())
@@ -478,18 +416,14 @@ def cmd_fault(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     from .security.montecarlo import forgery_scaling, tamper_detection
-    jobs = _parse_jobs(args.jobs)
-    telemetry = _make_telemetry(args)
-    with obs.campaign(telemetry, "montecarlo",
-                      {"experiments": args.experiments,
-                       "tampers": args.tampers, "seed": args.seed,
-                       "jobs": args.jobs}):
+    with _campaign(args, "montecarlo", experiments=args.experiments,
+                   tampers=args.tampers, seed=args.seed) as telemetry:
         scaling = forgery_scaling(experiments=args.experiments,
                                   seed=args.seed,
-                                  jobs=jobs, telemetry=telemetry)
+                                  jobs=args.jobs, telemetry=telemetry)
         escape = tamper_detection(bits=args.bits, tampers=args.tampers,
                                   seed=args.seed,
-                                  jobs=jobs, telemetry=telemetry)
+                                  jobs=args.jobs, telemetry=telemetry)
     print("Truncated-MAC Monte-Carlo (E9)")
     print(f"{'bits':>6s} {'mean trials':>14s} {'expected':>12s} "
           f"{'ratio':>7s}")
@@ -507,8 +441,7 @@ def cmd_stats(args) -> int:
     try:
         text, problems = summarize(args.directory)
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from exc
     print(text)
     return 1 if problems else 0
 
@@ -525,14 +458,11 @@ def cmd_merge(args) -> int:
     from .runner import merge_stores
     missing = [src for src in args.sources if not Path(src).is_dir()]
     if missing:
-        print(f"error: no such store: {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"no such store: {', '.join(missing)}")
     try:
         copied, present = merge_stores(args.dest, args.sources)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ReproError(str(exc)) from exc
     obs.note(f"# merged {len(args.sources)} store(s) into {args.dest}: "
              f"{copied} result(s) copied, {present} already present")
     return 0
@@ -561,16 +491,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    jobs = _parse_jobs(args.jobs)
     names = args.names or sorted(_EXPERIMENTS)
+    unknown = [name for name in names if name not in _EXPERIMENTS]
+    if unknown:
+        raise UsageError(f"unknown experiment {unknown[0]!r}; "
+                         f"known: {sorted(_EXPERIMENTS)}")
     for name in names:
-        runner = _EXPERIMENTS.get(name)
-        if runner is None:
-            print(f"unknown experiment {name!r}; "
-                  f"known: {sorted(_EXPERIMENTS)}", file=sys.stderr)
-            return 2
         print(f"==== {name} ====")
-        print(runner(jobs))
+        print(_EXPERIMENTS[name](args.jobs))
         print()
     return 0
 
@@ -582,6 +510,33 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress informational '#' notes on stderr "
                              "(errors and stdout artifacts unaffected)")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # the campaign flags, declared once: -j/--jobs for every campaign,
+    # --telemetry/--progress for the observed ones, --resume/--shard
+    # for the ones with a result store
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
+                      help="worker processes (0 = one per CPU, 1 = serial)")
+    observed = argparse.ArgumentParser(add_help=False, parents=[jobs])
+    observed.add_argument("--telemetry", metavar="DIR", default=None,
+                          help="record structured events, merged metrics "
+                               "and a chrome-trace timeline under DIR "
+                               "(strictly observational; see `repro stats "
+                               "DIR`)")
+    observed.add_argument("--progress", action="store_true",
+                          help="throttled stderr heartbeat: tasks "
+                               "done/total, tasks/sec, ETA (cache/shard "
+                               "aware)")
+    stored = argparse.ArgumentParser(add_help=False, parents=[observed])
+    stored.add_argument("--resume", metavar="DIR", default=None,
+                        help="persistent result store: load cached task "
+                             "results from DIR and execute only the "
+                             "missing ones (created if absent)")
+    stored.add_argument("--shard", type=_shard_arg, default=None,
+                        metavar="I/N",
+                        help="execute one deterministic slice of the task "
+                             "list: 1-based shard I of N (requires "
+                             "--resume)")
 
     p = sub.add_parser("compile", help="minicc C -> SRISC assembly")
     p.add_argument("source")
@@ -602,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=1,
                    help="device-key provisioning seed")
-    p.add_argument("--nonce", type=int, default=0x2016,
+    p.add_argument("--nonce", type=_count_arg(0, 0xFFFF), default=0x2016,
                    help="per-binary nonce (16 bits)")
     p.add_argument("--block-words", type=int, default=8)
     p.add_argument("--schedule-stores", action="store_true",
@@ -633,25 +588,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=200)
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("attack", help="run the attack campaign (E8)")
+    p = sub.add_parser("attack", help="run the attack campaign (E8)",
+                       parents=[jobs])
     p.add_argument("--seed", type=int, default=1337)
-    p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
-                   help="worker processes (0 = one per CPU, 1 = serial)")
     p.add_argument("--export", metavar="FILE",
                    help="write the campaign results as JSON")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser(
-        "attacksynth",
-        help="enumerate+run synthesized attacks (E16)")
+        "attacksynth", help="enumerate+run synthesized attacks (E16)",
+        parents=[stored])
     p.add_argument("--programs", type=_count_arg(), default=None,
                    help="fuzz-generated victim programs (default 200)")
     p.add_argument("--seed", type=int, default=0xA77AC2,
                    help="campaign seed (determines programs + sampling)")
     p.add_argument("--per-program", type=_count_arg(), default=None,
                    help="cap on attack instances per program")
-    p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
-                   help="worker processes (0 = one per CPU, 1 = serial)")
     p.add_argument("--corpus", metavar="DIR",
                    help="draw victim programs from a fuzzing corpus")
     p.add_argument("--image", metavar="FILE",
@@ -668,12 +620,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", metavar="SPEC",
                    help="seal the victims under this design point "
                         "(e.g. present-80:mac32:fixed)")
-    _add_store_args(p)
-    _add_obs_args(p)
     p.set_defaults(func=cmd_attacksynth)
 
     p = sub.add_parser(
-        "dse", help="design-space sweep over protection profiles (E17)")
+        "dse", help="design-space sweep over protection profiles (E17)",
+        parents=[stored])
     p.add_argument("--profiles", metavar="SPECS",
                    help="comma-separated design points (e.g. "
                         "rectangle-80:mac64:sequential,present-80:mac32:"
@@ -696,8 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attack-synthesis victims per design point")
     p.add_argument("--per-model", type=_count_arg(), default=3,
                    help="fault specimens per model per design point")
-    p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
-                   help="worker processes (0 = one per CPU, 1 = serial)")
     p.add_argument("--export", metavar="FILE",
                    help="write the sweep record as canonical JSON")
     p.add_argument("--csv", metavar="FILE",
@@ -710,12 +659,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cipher unroll factors and/or "
                         "'min' (requires --hw; default 'min' = each "
                         "cipher's fetch-sustaining minimum)")
-    _add_store_args(p)
-    _add_obs_args(p)
     p.set_defaults(func=cmd_dse)
 
     p = sub.add_parser("fuzz",
-                       help="coverage-guided differential fuzzing (E15)")
+                       help="coverage-guided differential fuzzing (E15)",
+                       parents=[stored])
     p.add_argument("--seeds", type=_count_arg(), default=500,
                    help="number of specimens to run (default 500)")
     p.add_argument("--seed", type=int, default=0x5EED,
@@ -723,8 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=None, metavar="SEC",
                    help="stop after SEC seconds (checked between batches; "
                         "makes the specimen count wall-clock dependent)")
-    p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
-                   help="worker processes (0 = one per CPU, 1 = serial)")
     p.add_argument("--corpus", metavar="DIR",
                    help="persist corpus/coverage/triage under DIR "
                         "(an existing corpus there is extended)")
@@ -732,12 +678,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="specimens per scheduling round (default 50)")
     p.add_argument("--baselines", action="store_true",
                    help="also lockstep the XOR/ECB ISR baseline machines")
-    _add_store_args(p)
-    _add_obs_args(p)
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(
-        "fault", help="fault-injection campaign on a workload (E11)")
+        "fault", help="fault-injection campaign on a workload (E11)",
+        parents=[stored])
     p.add_argument("--workload", default="crc32",
                    help="victim workload name (default crc32)")
     p.add_argument("--scale", default="tiny",
@@ -748,29 +693,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign seed (drives the fault sampler)")
     p.add_argument("--key-seed", type=int, default=0x50F1A,
                    help="device-key provisioning seed")
-    p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
-                   help="worker processes (0 = one per CPU, 1 = serial)")
     p.add_argument("--export", metavar="FILE",
                    help="write the campaign record as canonical JSON")
     p.add_argument("--profile", metavar="SPEC",
                    help="seal the victim under this design point "
                         "(e.g. present-80:mac32:fixed)")
-    _add_store_args(p)
-    _add_obs_args(p)
     p.set_defaults(func=cmd_fault)
 
     p = sub.add_parser(
-        "montecarlo", help="truncated-MAC Monte-Carlo experiments (E9)")
-    p.add_argument("--experiments", type=int, default=200,
+        "montecarlo", help="truncated-MAC Monte-Carlo experiments (E9)",
+        parents=[observed])
+    p.add_argument("--experiments", type=_count_arg(1), default=200,
                    help="forgeries per MAC width (default 200)")
-    p.add_argument("--tampers", type=int, default=4000,
+    p.add_argument("--tampers", type=_count_arg(1), default=4000,
                    help="random tampers for the escape-rate experiment")
-    p.add_argument("--bits", type=int, default=8,
+    p.add_argument("--bits", type=_count_arg(1, 64), default=8,
                    help="MAC width for the escape-rate experiment")
     p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
-                   help="worker processes (0 = one per CPU, 1 = serial)")
-    _add_obs_args(p)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser(
@@ -781,11 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard store directories to union into DEST")
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("experiments", help="regenerate paper artifacts")
+    p = sub.add_parser("experiments", help="regenerate paper artifacts",
+                       parents=[jobs])
     p.add_argument("names", nargs="*",
                    help=f"subset of {sorted(_EXPERIMENTS)}")
-    p.add_argument("-j", "--jobs", type=_jobs_arg, default=1,
-                   help="worker processes (0 = one per CPU, 1 = serial)")
     p.set_defaults(func=cmd_experiments)
 
     p = sub.add_parser("report", help="write the full evaluation report")
@@ -808,24 +746,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the CLI's only error boundary.  Handlers raise,
+    and every failure ends here in one ``error:`` line and the exit
+    status of the module docstring's table."""
+    args = build_parser().parse_args(argv)
     # reset per call: tests drive main() repeatedly in-process
-    obs.set_quiet(getattr(args, "quiet", False))
+    obs.set_quiet(args.quiet)
     try:
+        if getattr(args, "shard", None) is not None and args.resume is None:
+            raise UsageError("--shard needs --resume DIR: without a result "
+                             "store the shard's results would be lost")
         return args.func(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # stdout closed early (e.g. `repro stats DIR | head`); point the
         # fd at devnull so interpreter shutdown doesn't re-raise
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except UsageError as exc:
+        message, status = str(exc), 2
+    except (ReproError, OSError) as exc:
+        message, status = str(exc), 1
+    except KeyboardInterrupt:
+        message, status = "interrupted", 130
+    print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

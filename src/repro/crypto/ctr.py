@@ -34,6 +34,11 @@ ADDR_BITS = 24
 MAX_CODE_BYTES = 1 << (ADDR_BITS + 2)
 
 
+def _bad_nonce(nonce: int) -> ValueError:
+    return ValueError(f"nonce {nonce} is outside the {NONCE_BITS}-bit "
+                      f"range 0..0x{(1 << NONCE_BITS) - 1:x}")
+
+
 def pack_counter(nonce: int, prev_pc: int, pc: int) -> int:
     """Pack ``{omega || prevPC || PC}`` into a 64-bit cipher input block.
 
@@ -41,7 +46,7 @@ def pack_counter(nonce: int, prev_pc: int, pc: int) -> int:
     fit in the 24-bit word-address space.
     """
     if nonce >> NONCE_BITS:
-        raise ValueError(f"nonce 0x{nonce:x} exceeds {NONCE_BITS} bits")
+        raise _bad_nonce(nonce)
     for name, addr in (("prevPC", prev_pc), ("PC", pc)):
         if addr % 4:
             raise ValueError(f"{name}=0x{addr:x} is not word aligned")
@@ -56,7 +61,7 @@ class EdgeKeystream:
     def __init__(self, cipher: Rectangle80, nonce: int,
                  cache: Optional[Dict[Tuple[int, int], int]] = None) -> None:
         if nonce >> NONCE_BITS:
-            raise ValueError(f"nonce 0x{nonce:x} exceeds {NONCE_BITS} bits")
+            raise _bad_nonce(nonce)
         self.cipher = cipher
         self.nonce = nonce
         #: edge -> keystream word; ``cache`` must hold words of this

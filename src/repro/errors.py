@@ -8,6 +8,8 @@ violations raised by the simulated SOFIA hardware.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
@@ -63,11 +65,20 @@ class CampaignError(ReproError, ValueError):
     specimen count or an empty scheduling batch."""
 
 
-def check_count(name: str, value: int, minimum: int = 0) -> None:
+def check_count(name: str, value: int, minimum: int = 0,
+                maximum: Optional[int] = None) -> None:
     """Raise :class:`CampaignError` unless the count ``value`` is at
-    least ``minimum``."""
-    if value < minimum:
-        raise CampaignError(f"{name} must be >= {minimum}, got {value}")
+    least ``minimum`` (and at most ``maximum``, when given)."""
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = (f">= {minimum}" if maximum is None
+                 else f"in {minimum}..{maximum}")
+        raise CampaignError(f"{name} must be {bound}, got {value}")
+
+
+class UsageError(ReproError):
+    """Raised by the command-line interface for a flag value or a flag
+    combination it rejects; ``repro`` exits 2 on it, as on an argparse
+    error."""
 
 
 class HardwareModelError(ReproError, ValueError):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -91,9 +92,15 @@ _POOL_CONTEXT: Any = None
 
 
 def _init_worker(metrics: bool, context: Any) -> None:
-    """Set up one pool worker: the metrics registry when asked for, and
-    the dispatch's context, inherited through the fork."""
+    """Set up one pool worker: SIGINT ignored, the metrics registry when
+    asked for, and the dispatch's context, inherited through the fork.
+
+    Ctrl-C reaches the whole process group, and the dispatching process
+    alone acts on it: its ``map`` stops, unstarted chunks are cancelled
+    and the running ones finish.  A worker that took the interrupt too
+    would die idle with a traceback of its own."""
     global _POOL_CONTEXT
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if metrics:
         obs_worker.install()
     _POOL_CONTEXT = context

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..crypto.cbcmac import cbc_mac
 from ..crypto.rectangle import Rectangle80
+from ..errors import check_count
 from ..obs import phase as obs_phase
 from ..runner import run_tasks_stored, task_rng
 
@@ -26,8 +27,7 @@ from ..runner import run_tasks_stored, task_rng
 def truncated_mac(cipher: Rectangle80, words: Sequence[int],
                   bits: int) -> int:
     """CBC-MAC truncated to its ``bits`` least-significant bits."""
-    if not 1 <= bits <= 64:
-        raise ValueError("bits must be in 1..64")
+    check_count("bits", bits, 1, 64)
     return cbc_mac(cipher, words) & ((1 << bits) - 1)
 
 
@@ -82,7 +82,12 @@ def forgery_scaling(bits_list: Sequence[int] = (4, 6, 8, 10, 12),
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
     records the dispatch plan and per-batch spans — observationally only.
+    A width outside 1..64 or fewer than one experiment raises
+    :class:`~repro.errors.CampaignError`.
     """
+    check_count("experiments", experiments, 1)
+    for bits in bits_list:
+        check_count("bits", bits, 1, 64)
     tasks = []
     for bits in bits_list:
         remaining = experiments
@@ -141,8 +146,12 @@ def tamper_detection(bits: int = 8, tampers: int = 4000,
     """Fraction of random single-word tampers that pass n-bit verification.
 
     With an n-bit MAC an undetected tamper needs the tampered message to
-    collide on the truncated MAC: probability 2^-n per attempt.
+    collide on the truncated MAC: probability 2^-n per attempt.  A width
+    outside 1..64 or fewer than one tamper raises
+    :class:`~repro.errors.CampaignError`.
     """
+    check_count("bits", bits, 1, 64)
+    check_count("tampers", tampers, 1)
     batch_size = _BATCH * 10
     tasks = []
     remaining, batch = tampers, 0

@@ -1,20 +1,30 @@
-"""CLI tests (direct main() invocation; the bad-count cases run the real
-entry point in a subprocess, to see its exit code and stderr)."""
+"""CLI tests (direct main() invocation; the failure cases — bad counts,
+unusable paths, Ctrl-C — run the real entry point in a subprocess, to
+see its exit code and stderr)."""
 
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.attacksynth import run_attacksynth
 from repro.cli import main
+from repro.crypto.ctr import EdgeKeystream, pack_counter
 from repro.crypto.keys import DeviceKeys
+from repro.crypto.rectangle import Rectangle80
 from repro.errors import CampaignError
 from repro.faults.campaign import run_campaign as run_fault_campaign
 from repro.fuzz import run_fuzz
 from repro.isa import parse
+from repro.obs import read_events
+from repro.runner import ResultStore
+from repro.security.montecarlo import (forgery_scaling, tamper_detection,
+                                       truncated_mac)
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 C_SOURCE = "int main() { print_int(11 * 3); return 0; }\n"
 
@@ -25,6 +35,21 @@ main:
     sw t1, 0(t0)
     halt
 """
+
+
+def _repro(argv, cwd, timeout=120):
+    """Run ``python -m repro argv`` in ``cwd``."""
+    return subprocess.run([sys.executable, "-m", "repro", *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=SRC_DIR))
+
+
+def _assert_one_error(done, status):
+    """Exit ``status`` with exactly one ``error:`` line, no traceback."""
+    assert done.returncode == status, done.stderr
+    assert len([line for line in done.stderr.splitlines()
+                if "error:" in line]) == 1, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.fixture
@@ -247,27 +272,32 @@ class TestFuzz:
 
 
 class TestBadCounts:
-    """A count that would hang a campaign (an empty fuzz batch) or
-    silently shrink or empty it (a negative count) is a usage error: exit
-    2 with an ``error:`` line and no traceback, and the library raises
-    the typed :class:`~repro.errors.CampaignError`."""
+    """A count that would hang a campaign (an empty fuzz batch), silently
+    shrink or empty it (a negative count) or that no run can use (a MAC
+    width past 64 bits, a nonce past 16 bits, an unknown experiment) is a
+    usage error: exit 2 with one ``error:`` line and no traceback, and
+    the library raises the typed :class:`~repro.errors.CampaignError`."""
 
     CASES = [["fuzz", "--batch", "0"], ["fuzz", "--batch", "-1"],
              ["attacksynth", "--per-program", "-2"],
              ["fuzz", "--seeds", "-3"], ["fault", "--per-model", "-1"],
              ["attacksynth", "--programs", "-1"],
-             ["dse", "--per-model", "-1"]]
+             ["dse", "--per-model", "-1"],
+             ["montecarlo", "--experiments", "-1"],
+             ["montecarlo", "--experiments", "0"],
+             ["montecarlo", "--tampers", "0"],
+             ["montecarlo", "--bits", "0"], ["montecarlo", "--bits", "65"],
+             ["protect", "prog.s", "-o", "prog.sofia", "--nonce", "70000"],
+             ["protect", "prog.s", "-o", "prog.sofia", "--nonce", "-1"],
+             ["experiments", "nope"], ["experiments", "table1", "nope"]]
 
     @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-    def test_cli_exits_2(self, argv):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-m", "repro", *argv],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
-        assert done.returncode == 2
-        assert "error:" in done.stderr
-        assert "Traceback" not in done.stderr
+    def test_cli_exits_2(self, argv, tmp_path):
+        (tmp_path / "prog.s").write_text(ASM_SOURCE)
+        done = _repro(argv, tmp_path, timeout=60)
+        _assert_one_error(done, 2)
+        assert not done.stdout  # rejected before any work
+        assert not (tmp_path / "prog.sofia").exists()
 
     @pytest.mark.parametrize("campaign,args,kwargs", [
         (run_fuzz, (4,), {"batch": 0}), (run_fuzz, (-3,), {}),
@@ -284,3 +314,143 @@ class TestBadCounts:
         with pytest.raises(CampaignError, match="per_model"):
             run_fault_campaign(parse("main: halt\n"),
                                DeviceKeys.from_seed(1), [], per_model=-1)
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: forgery_scaling(experiments=0), "experiments"),
+        (lambda: forgery_scaling(bits_list=(4, 0), experiments=1), "bits"),
+        (lambda: tamper_detection(tampers=-1), "tampers"),
+        (lambda: tamper_detection(bits=65, tampers=1), "bits"),
+        (lambda: truncated_mac(Rectangle80(1), [0], 0), "bits"),
+    ], ids=["forgery-experiments-0", "forgery-bits-0",
+            "tamper-tampers-negative", "tamper-bits-65",
+            "truncated-mac-bits-0"])
+    def test_montecarlo_raises_a_typed_error(self, call, match):
+        with pytest.raises(CampaignError, match=match):
+            call()
+
+    @pytest.mark.parametrize("nonce", [-1, 1 << 16])
+    def test_nonce_message_names_the_range(self, nonce):
+        with pytest.raises(ValueError) as caught:
+            EdgeKeystream(Rectangle80(1), nonce)
+        assert str(caught.value) == (f"nonce {nonce} is outside the 16-bit "
+                                     f"range 0..0xffff")
+        with pytest.raises(ValueError) as again:
+            pack_counter(nonce, 0, 0)
+        assert str(again.value) == str(caught.value)
+
+
+class TestUnusablePaths:
+    """A path option pointed under a regular file — an output, a store,
+    a telemetry directory or an input — fails with one ``error:`` line
+    and exit 1, never a traceback, whether it fails before the campaign
+    or at its export."""
+
+    DSE = ["dse", "--profiles", "present-80:mac32:fixed", "--workloads",
+           "crc32", "--programs", "0", "--per-model", "0"]
+    CASES = [
+        ["fuzz", "--seeds", "2", "--corpus", "F/c"],
+        ["fuzz", "--seeds", "2", "--resume", "F/s"],
+        ["fuzz", "--seeds", "2", "--telemetry", "F/t"],
+        ["fault", "--per-model", "0", "--export", "F/x.json"],
+        ["fault", "--per-model", "0", "--resume", "F/s"],
+        ["fault", "--per-model", "0", "--telemetry", "F/t"],
+        ["attacksynth", "--programs", "1", "--per-program", "1",
+         "--export", "F/x.json"],
+        ["attacksynth", "--programs", "1", "--per-program", "1",
+         "--csv", "F/x.csv"],
+        ["attacksynth", "--programs", "1", "--resume", "F/s"],
+        ["attacksynth", "--programs", "1", "--telemetry", "F/t"],
+        ["attacksynth", "--image", "F/x.sofia"],
+        DSE + ["--export", "F/x.json"], DSE + ["--csv", "F/x.csv"],
+        DSE + ["--resume", "F/s"], DSE + ["--telemetry", "F/t"],
+        ["attack", "--export", "F/a.json"],
+        ["protect", "prog.s", "-o", "F/o.sofia"],
+        ["montecarlo", "--experiments", "1", "--tampers", "1",
+         "--telemetry", "F/t"],
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_cli_exits_1(self, argv, tmp_path):
+        (tmp_path / "F").write_text("a regular file\n")
+        (tmp_path / "prog.s").write_text(ASM_SOURCE)
+        done = _repro(argv, tmp_path)
+        _assert_one_error(done, 1)
+        assert "Not a directory" in done.stderr
+
+
+#: runs ``repro fuzz`` through ``main`` and sends SIGINT to its own
+#: process group, as Ctrl-C would, from inside the Nth specimen task of
+#: the first process to get there (a pool worker at ``--jobs 2``)
+_INTERRUPTED_FUZZ = textwrap.dedent("""
+    import os, signal, sys
+    import repro.fuzz.campaign as campaign
+    from repro.cli import main
+
+    leader = os.getpid()
+    if os.getpgid(0) != leader:
+        sys.exit("must lead its own process group")
+    flag, interrupt_on, argv = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+    real, calls = campaign._fuzz_task, [0]
+
+    def interrupting(*args):
+        calls[0] += 1
+        if calls[0] == interrupt_on:
+            try:
+                os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass  # another worker has interrupted already
+            else:
+                os.killpg(leader, signal.SIGINT)
+        return real(*args)
+
+    campaign._fuzz_task = interrupting
+    sys.exit(main(argv))
+""")
+
+
+class TestInterrupt:
+    """Ctrl-C in the middle of a dispatch exits 130 with one ``error:``
+    line, ends the telemetry campaign ``interrupted``, keeps every result
+    stored so far, and a ``--resume`` rerun writes the corpus an
+    uninterrupted run writes."""
+
+    FUZZ = ["fuzz", "--seeds", "150", "--seed", "11"]
+
+    @pytest.fixture(scope="class")
+    def golden(self, tmp_path_factory):
+        corpus = tmp_path_factory.mktemp("golden") / "corpus"
+        assert main(self.FUZZ + ["--corpus", str(corpus)]) == 0
+        return corpus
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sigint_resumes_byte_identical(self, jobs, golden, tmp_path,
+                                           capsys):
+        store, tel = tmp_path / "store", tmp_path / "tel"
+        corpus = tmp_path / "corpus"
+        argv = self.FUZZ + ["--jobs", jobs, "--resume", str(store),
+                            "--corpus", str(corpus)]
+        done = subprocess.run(
+            [sys.executable, "-c", _INTERRUPTED_FUZZ,
+             str(tmp_path / "interrupted"), "10", *argv,
+             "--telemetry", str(tel)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            start_new_session=True)
+        assert done.returncode == 130, done.stderr
+        assert done.stderr == "error: interrupted\n"
+        assert not done.stdout and not corpus.exists()
+        events = list(read_events(tel / "events.jsonl"))
+        assert (events[-1]["event"], events[-1]["status"]) == \
+            ("campaign-end", "interrupted")
+        stored = len(list(ResultStore(store).keys()))
+        assert stored == 9 if jobs == "1" else stored < 150
+
+        assert main(argv) == 0
+        capsys.readouterr()
+        files = sorted(p.relative_to(golden) for p in golden.rglob("*"))
+        assert sorted(p.relative_to(corpus)
+                      for p in corpus.rglob("*")) == files
+        for path in files:
+            if (golden / path).is_file():
+                assert (corpus / path).read_bytes() == \
+                    (golden / path).read_bytes(), path

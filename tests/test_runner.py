@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import weakref
 from pathlib import Path
 
@@ -179,6 +180,38 @@ class TestPool:
         # one task never pays pool startup; it gets the context in-process
         assert _results(_add_context, [7], jobs=8,
                         context=lambda: 0) == [7]
+
+    def test_ctrl_c_interrupts_only_the_dispatching_process(self):
+        # SIGINT to the whole process group (Ctrl-C) while one worker
+        # runs a task and the other idles: the dispatcher raises
+        # KeyboardInterrupt, and neither worker dies with a traceback
+        snippet = textwrap.dedent("""
+            import os, signal, sys, time
+            from repro.runner import run_tasks
+
+            leader = os.getpid()
+            if os.getpgid(0) != leader:
+                sys.exit("must lead its own process group")
+
+            def task(_context, n):
+                if n == 0:  # the other worker is idle by now
+                    time.sleep(0.5)
+                    os.killpg(leader, signal.SIGINT)
+                    time.sleep(0.5)
+                return n
+
+            try:
+                list(run_tasks(task, [0, 1], jobs=2))
+            except KeyboardInterrupt:
+                print("interrupted")
+        """)
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", snippet],
+                              env={**os.environ, "PYTHONPATH": src_dir},
+                              capture_output=True, text=True, timeout=60,
+                              start_new_session=True)
+        assert (proc.returncode, proc.stdout) == (0, "interrupted\n")
+        assert proc.stderr == ""
 
 
 class TestSeeding:
