@@ -88,7 +88,7 @@ def test_telemetry_overhead(tmp_path, bench_environment):
     telemetry = Telemetry(directory=tmp_path / "telemetry")
     started = time.perf_counter()
     with obs_campaign(telemetry, "fuzz", {"seeds": seeds, "seed": seed}):
-        observed = run_fuzz(seeds=seeds, seed=seed, telemetry=telemetry)
+        observed = run_fuzz(seeds=seeds, seed=seed)
     t_observed = time.perf_counter() - started
 
     # invisibility: the campaign outcome is identical either way

@@ -53,11 +53,6 @@ class AttackResult:
     status: Status
     detail: str = ""
 
-    @property
-    def prevented(self) -> bool:
-        """True when the defense deterministically stopped the attack."""
-        return self.outcome is Outcome.DETECTED
-
 
 def classify(result, benign_output: List[int]) -> Outcome:
     mmio = result.mmio

@@ -48,13 +48,8 @@ class Target:
 
 
 def build_targets(program: AsmProgram, seed: int = 1337,
-                  nonce: int = 0x50F1,
-                  engine: Optional[str] = None) -> List[Target]:
-    """Instantiate the victim under every defense.
-
-    ``engine`` pins the execution engine for every target machine (the
-    attack matrix is engine-independent; see :mod:`repro.sim.engine`).
-    """
+                  nonce: int = 0x50F1) -> List[Target]:
+    """Instantiate the victim under every defense."""
     exe = assemble(program)
     keys = DeviceKeys.from_seed(seed)
     image = transform(program, keys, nonce=nonce)
@@ -63,22 +58,22 @@ def build_targets(program: AsmProgram, seed: int = 1337,
 
     targets = [
         Target(name="vanilla",
-               make=lambda: VanillaMachine(exe, engine=engine),
+               make=lambda: VanillaMachine(exe),
                symbols=dict(exe.symbols), code_base=exe.code_base,
                code_words=len(exe.code_words), relocation_unit=1,
                executable=exe),
         Target(name="xor-isr",
-               make=lambda: XorIsrMachine(exe, xor_key, engine=engine),
+               make=lambda: XorIsrMachine(exe, xor_key),
                symbols=dict(exe.symbols), code_base=exe.code_base,
                code_words=len(exe.code_words), relocation_unit=1,
                executable=exe),
         Target(name="ecb-isr",
-               make=lambda: EcbIsrMachine(exe, ecb_key, engine=engine),
+               make=lambda: EcbIsrMachine(exe, ecb_key),
                symbols=dict(exe.symbols), code_base=exe.code_base,
                code_words=len(exe.code_words), relocation_unit=2,
                executable=exe),
         Target(name="sofia",
-               make=lambda: SofiaMachine(image, keys, engine=engine),
+               make=lambda: SofiaMachine(image, keys),
                symbols=dict(image.symbols), code_base=image.code_base,
                code_words=len(image.words),
                relocation_unit=image.block_words,

@@ -25,11 +25,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.isr import EcbIsrMachine, XorIsrMachine
 from ..crypto.keys import DeviceKeys, derive_key
-from ..errors import ReproError, check_count
+from ..errors import CampaignError, ReproError, check_count
 from ..eval.export import attacksynth_csv, record_json
 from ..fuzz.corpus import Corpus
 from ..fuzz.generators import Genome, generate, random_genome
@@ -355,6 +356,9 @@ def _campaign_genomes(programs: int, seed: int,
     genomes: List[Genome] = []
     source = "generated"
     if corpus_dir is not None:
+        if not Path(corpus_dir).is_dir():
+            # a mistyped path must not quietly run generated programs
+            raise CampaignError(f"no corpus directory at {corpus_dir}")
         genomes = Corpus.load(corpus_dir).genomes()[:programs]
         if genomes:
             source = "corpus"
@@ -376,8 +380,7 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
                     profile: ProtectionProfile = DEFAULT_PROFILE,
                     export_path=None, csv_path=None,
                     store_dir=None,
-                    shard: Optional[ShardSpec] = None,
-                    telemetry=None) -> SynthReport:
+                    shard: Optional[ShardSpec] = None) -> SynthReport:
     """Enumerate and run attacks over ``programs`` protected programs.
 
     ``profile`` seals every victim under that design point (the genome
@@ -392,17 +395,12 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     slice of the victim list (requires a store) — exports are skipped
     until a merged store completes the campaign, and are then
     byte-identical to an uninterrupted serial run.
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    records phases, per-victim spans, and simulator counters — strictly
-    observationally: the report and exports are byte-identical either
-    way.
     """
     check_count("programs", programs)
     if per_program is not None:
         check_count("per_program", per_program)
     started = time.perf_counter()
-    with obs_phase(telemetry, "plan"):
+    with obs_phase("plan"):
         source, genomes = _campaign_genomes(programs, seed, corpus_dir)
     report = SynthReport(seed=seed, key_seed=key_seed, source=source,
                          per_program=per_program,
@@ -419,18 +417,18 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
                          [{"index": index, "genome": genome}
                           for index, genome in tasks])
 
-    with obs_phase(telemetry, "execute"):
+    with obs_phase("execute"):
         run = run_tasks_stored(
             _synth_task, tasks, keys, jobs=jobs,
             context=partial(_synth_context, key_seed, seed, per_program,
                             include_baselines, profile),
-            store=store, shard=shard, telemetry=telemetry)
+            store=store, shard=shard)
     report.programs = [outcome for outcome in run.results
                        if outcome is not None]
     report.complete = run.complete
     report.elapsed_seconds = time.perf_counter() - started
     if run.complete:
-        with obs_phase(telemetry, "export"):
+        with obs_phase("export"):
             _export(report, export_path, csv_path)
     return report
 

@@ -19,7 +19,7 @@ Edge kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 EDGE_KINDS = ("fall", "taken", "jump", "call", "icall", "return", "reset")
 
@@ -79,10 +79,6 @@ class ControlFlowGraph:
         for edges in result.values():
             edges.sort(key=lambda e: (e.dst, e.kind))
         return result
-
-    def edge_set(self) -> FrozenSet[Tuple[int, int]]:
-        """The bare (src, dst) relation, ignoring kinds."""
-        return frozenset((e.src, e.dst) for e in self.edges)
 
     def reachable(self, start: Iterable[int] = ()) -> Set[int]:
         """Nodes reachable from ``start`` (default: the entry node)."""

@@ -54,13 +54,16 @@ Every campaign command (``fault``, ``fuzz``, ``attacksynth``, ``dse``,
 ``montecarlo``) accepts ``--telemetry DIR`` (structured JSONL events,
 merged metrics, and a chrome-trace timeline under DIR — summarize with
 ``repro stats DIR``) and ``--progress`` (a throttled stderr heartbeat
-with tasks/sec and ETA).  Telemetry is strictly observational: campaign
-artifacts are byte-identical with it on or off.  The global ``--quiet``
-flag silences the informational ``#``-prefixed stderr notes (errors and
-stdout artifacts are unaffected).
+with tasks/sec and ETA), opened with :func:`repro.obs.campaign`, which
+makes it current for the campaign's dispatches.  Telemetry is strictly
+observational: campaign artifacts are byte-identical with it on or off.
+The global ``--quiet`` flag silences the informational ``#``-prefixed
+stderr notes (errors and stdout artifacts are unaffected).
 
 Every failure ends in one ``error: ...`` line on stderr and this exit
-status (:func:`main` is the only place that prints it):
+status (:func:`main` is the only place that prints it).  An unusable
+``--export``/``--csv``/``-o`` path fails before any work, and a Ctrl-C
+that a finalizer swallows still stops a campaign after its task:
 
 ====  ==============================================================
 0     success
@@ -77,7 +80,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
@@ -92,6 +94,8 @@ from .eval import (experiment_adpcm, experiment_blocksize,
                    experiment_workloads, format_overhead_rows,
                    render_blocksize, render_muxtree, render_unroll)
 from .isa.disassembler import dump
+from .runner.export import atomic_write, check_writable
+from .runner.pool import recording_interrupts
 from .sim.engine import DEFAULT_ENGINE, ENGINES
 from .sim.trace import list_image, trace
 from .sim.vanilla import VanillaMachine
@@ -123,7 +127,7 @@ def cmd_compile(args) -> int:
     compiled = core.build_c(Path(args.source).read_text())
     output = compiled.asm_text
     if args.output:
-        Path(args.output).write_text(output)
+        atomic_write(args.output, output)
     else:
         print(output, end="")
     return 0
@@ -170,7 +174,7 @@ def cmd_protect(args) -> int:
                                         *map(str, findings)]))
     if args.list:
         print(list_image(image, keys))
-    Path(args.output).write_bytes(image.to_bytes())
+    atomic_write(args.output, image.to_bytes())
     stats = image.stats
     obs.note(f"# wrote {args.output}: {image.code_size_bytes} bytes, "
              f"{image.num_blocks} blocks "
@@ -246,17 +250,15 @@ def _shard_note(args, progress: str) -> None:
              f"rerun with --resume only to emit the campaign artifacts")
 
 
-@contextmanager
 def _campaign(args, name: str, **parameters):
-    """Open campaign ``name`` on the telemetry this invocation's
-    ``--telemetry``/``--progress`` ask for; yields that
-    :class:`repro.obs.Telemetry`, or ``None`` when neither is given."""
+    """Open campaign ``name``, observed by the telemetry this
+    invocation's ``--telemetry``/``--progress`` ask for (unobserved
+    when neither is given)."""
     telemetry = None
     if args.telemetry is not None or args.progress:
         telemetry = obs.Telemetry(directory=args.telemetry,
                                   progress=args.progress)
-    with obs.campaign(telemetry, name, {**parameters, "jobs": args.jobs}):
-        yield telemetry
+    return obs.campaign(telemetry, name, {**parameters, "jobs": args.jobs})
 
 
 def cmd_attack(args) -> int:
@@ -294,15 +296,14 @@ def cmd_attacksynth(args) -> int:
     else:
         programs = args.programs if args.programs is not None else 200
         with _campaign(args, "attacksynth", programs=programs,
-                       seed=args.seed) as telemetry:
+                       seed=args.seed):
             report = run_attacksynth(
                 programs, seed=args.seed, per_program=args.per_program,
                 jobs=args.jobs, corpus_dir=args.corpus,
                 include_baselines=args.baselines, key_seed=args.key_seed,
                 profile=profile, export_path=args.export,
                 csv_path=args.csv,
-                store_dir=args.resume, shard=args.shard,
-                telemetry=telemetry)
+                store_dir=args.resume, shard=args.shard)
     if report.instances == 0 and report.complete:
         why = ("every program failed to build or run cleanly"
                if report.build_errors
@@ -345,14 +346,13 @@ def cmd_dse(args) -> int:
         kwargs["hw"] = True
         kwargs["unrolls"] = unrolls
     with _campaign(args, "dse", profiles=len(profiles), seed=args.seed,
-                   scale=args.scale) as telemetry:
+                   scale=args.scale):
         report = run_dse(profiles, seed=args.seed, key_seed=args.key_seed,
                          scale=args.scale, programs=args.programs,
                          per_model=args.per_model,
                          jobs=args.jobs, export_path=args.export,
                          csv_path=args.csv,
-                         store_dir=args.resume, shard=args.shard,
-                         telemetry=telemetry, **kwargs)
+                         store_dir=args.resume, shard=args.shard, **kwargs)
     print(report.render())
     if not report.complete:
         _shard_note(args, f"{len(report.points)} design point(s) "
@@ -367,15 +367,14 @@ def cmd_dse(args) -> int:
 def cmd_fuzz(args) -> int:
     from .fuzz import run_fuzz
     with _campaign(args, "fuzz", seeds=args.seeds, seed=args.seed,
-                   batch=args.batch) as telemetry:
+                   batch=args.batch):
         report = run_fuzz(seeds=args.seeds, seed=args.seed,
                           batch=args.batch,
                           jobs=args.jobs,
                           corpus_dir=args.corpus,
                           time_budget=args.time_budget,
                           include_baselines=args.baselines,
-                          store_dir=args.resume, shard=args.shard,
-                          telemetry=telemetry)
+                          store_dir=args.resume, shard=args.shard)
     print(report.render())
     if report.pending:
         _shard_note(args, f"{report.specimens} specimen(s) replayed or "
@@ -397,13 +396,13 @@ def cmd_fault(args) -> int:
                          f"known: {workload_names()}") from None
     keys = DeviceKeys.from_seed(args.key_seed)
     with _campaign(args, "fault", workload=args.workload, scale=args.scale,
-                   per_model=args.per_model, seed=args.seed) as telemetry:
+                   per_model=args.per_model, seed=args.seed):
         results, summary = run_fault_campaign(
             victim.compile().program, keys, victim.expected_output,
             per_model=args.per_model, seed=args.seed,
             jobs=args.jobs, export_path=args.export,
             profile=profile,
-            store_dir=args.resume, shard=args.shard, telemetry=telemetry)
+            store_dir=args.resume, shard=args.shard)
     print(summary.render())
     if any(result is None for result in results):
         _shard_note(args, f"{sum(r is not None for r in results)} "
@@ -417,13 +416,11 @@ def cmd_fault(args) -> int:
 def cmd_montecarlo(args) -> int:
     from .security.montecarlo import forgery_scaling, tamper_detection
     with _campaign(args, "montecarlo", experiments=args.experiments,
-                   tampers=args.tampers, seed=args.seed) as telemetry:
+                   tampers=args.tampers, seed=args.seed):
         scaling = forgery_scaling(experiments=args.experiments,
-                                  seed=args.seed,
-                                  jobs=args.jobs, telemetry=telemetry)
+                                  seed=args.seed, jobs=args.jobs)
         escape = tamper_detection(bits=args.bits, tampers=args.tampers,
-                                  seed=args.seed,
-                                  jobs=args.jobs, telemetry=telemetry)
+                                  seed=args.seed, jobs=args.jobs)
     print("Truncated-MAC Monte-Carlo (E9)")
     print(f"{'bits':>6s} {'mean trials':>14s} {'expected':>12s} "
           f"{'ratio':>7s}")
@@ -756,7 +753,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "shard", None) is not None and args.resume is None:
             raise UsageError("--shard needs --resume DIR: without a result "
                              "store the shard's results would be lost")
-        return args.func(args)
+        # an unusable output path fails before any work is spent on it
+        for name in ("export", "csv", "output"):
+            if getattr(args, name, None):
+                check_writable(getattr(args, name))
+        with recording_interrupts():
+            return args.func(args)
     except BrokenPipeError:
         # stdout closed early (e.g. `repro stats DIR | head`); point the
         # fd at devnull so interpreter shutdown doesn't re-raise

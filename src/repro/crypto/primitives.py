@@ -6,7 +6,7 @@ masking explicit and centralized so the cipher and MAC code stays readable.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 MASK16 = 0xFFFF
 MASK32 = 0xFFFFFFFF
@@ -18,18 +18,6 @@ def rotl16(value: int, amount: int) -> int:
     amount %= 16
     value &= MASK16
     return ((value << amount) | (value >> (16 - amount))) & MASK16
-
-
-def rotr16(value: int, amount: int) -> int:
-    """Rotate a 16-bit value right by ``amount`` bits."""
-    return rotl16(value, 16 - (amount % 16))
-
-
-def rotl32(value: int, amount: int) -> int:
-    """Rotate a 32-bit value left by ``amount`` bits."""
-    amount %= 32
-    value &= MASK32
-    return ((value << amount) | (value >> (32 - amount))) & MASK32
 
 
 def words_to_block(high: int, low: int) -> int:
@@ -72,9 +60,3 @@ def words_to_blocks(words: Sequence[int]) -> List[int]:
 def hamming_weight(value: int) -> int:
     """Number of set bits in ``value``."""
     return bin(value & MASK64).count("1")
-
-
-def xor_words(a: Iterable[int], b: Iterable[int]) -> List[int]:
-    """Element-wise XOR of two equal-length 32-bit word sequences."""
-    result = [(x ^ y) & MASK32 for x, y in zip(a, b)]
-    return result

@@ -474,7 +474,7 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
             jobs: Optional[int] = 1,
             export_path=None, csv_path=None,
             store_dir=None, shard: Optional[ShardSpec] = None,
-            telemetry=None, hw: bool = False,
+            hw: bool = False,
             unrolls: Optional[Sequence[UnrollSpec]] = None) -> DseReport:
     """Sweep the profile list; one runner task per design point.
 
@@ -494,11 +494,6 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
     ``shard`` evaluates one deterministic ``i/n`` slice of the grid
     (requires a store) — exports wait for a merged store and are then
     byte-identical to an uninterrupted serial sweep.
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    records phases, per-point spans, and simulator counters — strictly
-    observationally: the report and exports are byte-identical either
-    way.
     """
     if not profiles:
         raise ValueError("the sweep needs at least one profile")
@@ -526,12 +521,12 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
                    "per_model": per_model}
         keys = task_keys("dse", context, profiles)
 
-    with obs_phase(telemetry, "execute"):
+    with obs_phase("execute"):
         run = run_tasks_stored(
             _dse_task, tasks, keys, jobs=jobs,
             context=lambda: (key_seed, seed, tuple(workloads), scale,
                              programs, per_model),
-            store=store, shard=shard, telemetry=telemetry)
+            store=store, shard=shard)
     report.points = [point for point in run.results if point is not None]
     report.complete = run.complete
     if hw:
@@ -541,7 +536,7 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
                                           unroll_specs)
     report.elapsed_seconds = time.perf_counter() - started
     if run.complete:
-        with obs_phase(telemetry, "export"):
+        with obs_phase("export"):
             if export_path is not None:
                 record_json(report.to_record(), export_path)
             if csv_path is not None:

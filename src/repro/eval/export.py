@@ -12,7 +12,7 @@ import io
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..runner.export import atomic_write_text
+from ..runner.export import atomic_write
 from .experiments import (BlockSizePoint, CachePoint, FanInPoint)
 from .overhead import OverheadRow
 
@@ -25,7 +25,7 @@ def _write(header: Sequence[str], rows: List[Sequence],
     writer.writerows(rows)
     text = buffer.getvalue()
     if path is not None:
-        atomic_write_text(path, text)
+        atomic_write(path, text)
     return text
 
 
@@ -156,7 +156,7 @@ def record_json(record: Dict[str, Any], path: Optional[str] = None) -> str:
     """
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if path is not None:
-        atomic_write_text(path, text)
+        atomic_write(path, text)
     return text
 
 

@@ -73,16 +73,14 @@ class OverheadRow:
 
 def _run_both(workload: Workload, exe: Executable, image: SofiaImage,
               keys: DeviceKeys, timing: TimingParams,
-              max_instructions: int,
-              engine: Optional[str] = None) -> OverheadRow:
+              max_instructions: int) -> OverheadRow:
     """Run both cores against a prepared build and assemble the row."""
-    vanilla = VanillaMachine(exe, timing, engine=engine).run(max_instructions)
+    vanilla = VanillaMachine(exe, timing).run(max_instructions)
     if vanilla.output_ints != workload.expected_output:
         raise SimulationError(
             f"{workload.name}: vanilla output {vanilla.output_ints} != "
             f"golden {workload.expected_output}")
-    sofia = SofiaMachine(image, keys, timing, engine=engine).run(
-        max_instructions)
+    sofia = SofiaMachine(image, keys, timing).run(max_instructions)
     if sofia.output_ints != workload.expected_output:
         raise SimulationError(
             f"{workload.name}: SOFIA output {sofia.output_ints} != "
@@ -109,23 +107,18 @@ def measure_overhead(workload: Workload,
                      timing: TimingParams = DEFAULT_TIMING,
                      nonce: int = 0x2016,
                      max_instructions: int = 50_000_000,
-                     engine: Optional[str] = None,
                      profile: ProtectionProfile = DEFAULT_PROFILE
                      ) -> OverheadRow:
     """Compile, run on both cores, verify outputs, return the metrics.
 
-    Rows are engine-independent by construction (the engines produce
-    bit-identical cycle counts); ``engine`` exists so sweeps can pin the
-    reference oracle when re-validating paper numbers.  ``profile``
-    measures a non-default design point and provisions the keys for its
-    cipher.
+    ``profile`` measures a non-default design point and provisions the
+    keys for its cipher.
     """
     keys = (keys or _DEFAULT_KEYS).for_profile(profile)
     compiled = workload.compile()
     exe = assemble(compiled.program)
     image = transform(compiled.program, keys, nonce=nonce, profile=profile)
-    return _run_both(workload, exe, image, keys, timing, max_instructions,
-                     engine=engine)
+    return _run_both(workload, exe, image, keys, timing, max_instructions)
 
 
 @dataclass(frozen=True)
@@ -144,9 +137,6 @@ class OverheadPoint:
     nonce: int = 0x2016
     timing: TimingParams = DEFAULT_TIMING
     max_instructions: int = 50_000_000
-    #: execution engine (None = the default fast engine); rows are
-    #: bit-identical across engines, this pins one for A/B validation
-    engine: Optional[str] = None
     profile: ProtectionProfile = DEFAULT_PROFILE
 
     @property
@@ -165,7 +155,7 @@ def measure_point(point: OverheadPoint) -> OverheadRow:
     """
     workload, exe, image, keys = build_cache().protected(point.build_spec)
     return _run_both(workload, exe, image, keys, point.timing,
-                     point.max_instructions, engine=point.engine)
+                     point.max_instructions)
 
 
 def _measure_task(_context, point: OverheadPoint) -> OverheadRow:

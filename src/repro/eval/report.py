@@ -8,12 +8,12 @@ document (the CLI's ``experiments`` command runs subsets; this is the
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import Optional
 
 from ..attacks.harness import format_matrix, run_campaign
 from ..crypto.keys import DeviceKeys
 from ..faults.campaign import run_campaign as run_fault_campaign
+from ..runner.export import atomic_write
 from ..sim.timing import LEON3_MINIMAL_TIMING
 from ..workloads.base import make_workload
 from .experiments import (experiment_adpcm, experiment_blocksize,
@@ -71,5 +71,5 @@ def write_report(path: str, scale: str = "tiny",
                  **kwargs) -> Optional[str]:
     """Generate and save the full report; returns the text."""
     text = full_report(scale=scale, **kwargs)
-    Path(path).write_text(text)
+    atomic_write(path, text)
     return text

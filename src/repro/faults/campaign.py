@@ -246,8 +246,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                  export_path=None,
                  profile: ProtectionProfile = DEFAULT_PROFILE,
                  models: Optional[Sequence[str]] = None,
-                 store_dir=None, shard: Optional[ShardSpec] = None,
-                 telemetry=None
+                 store_dir=None, shard: Optional[ShardSpec] = None
                  ) -> "tuple[List[FaultResult], CampaignSummary]":
     """Full campaign on one program; returns per-fault results + summary.
 
@@ -276,16 +275,12 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     execution to one deterministic slice of the specimen list; the
     summary then covers only the results present, and no export is
     written until a merged store makes the campaign complete.
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    records phases, per-task spans and simulator counters — strictly
-    observationally: results and exports are byte-identical either way.
     """
     check_count("per_model", per_model)
     started = time.perf_counter()
     keys = keys.for_profile(profile)
     store = ResultStore(store_dir) if store_dir is not None else None
-    with obs_phase(telemetry, "build"):
+    with obs_phase("build"):
         image = transform(program, keys, nonce=nonce, profile=profile)
         golden = trace = None
         if store is not None:
@@ -316,7 +311,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
             if store is not None:
                 store.put(golden_key, golden)
     baseline_instructions = golden[0]
-    with obs_phase(telemetry, "plan"):
+    with obs_phase("plan"):
         faults = sample_faults(image, baseline_instructions,
                                per_model=per_model, seed=seed,
                                models=models, rng=rng)
@@ -332,11 +327,11 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
 
     # lockstep groups are byte-identical to per-specimen runs at any
     # grouping, so grouping only the missing faults is safe
-    with obs_phase(telemetry, "execute"):
+    with obs_phase("execute"):
         run = run_tasks_stored(
             _fault_batch_task, faults, fault_keys, width=BATCH_WIDTH,
             jobs=jobs, context=worker_context,
-            store=store, shard=shard, telemetry=telemetry)
+            store=store, shard=shard)
     results = run.results
     summary = CampaignSummary()
     for result in results:
@@ -360,6 +355,6 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                 "fault-injection", parameters, results,
                 jobs=resolve_jobs(jobs),
                 elapsed_seconds=time.perf_counter() - started)
-        with obs_phase(telemetry, "export"):
+        with obs_phase("export"):
             write_campaign(export_path, record)
     return results, summary

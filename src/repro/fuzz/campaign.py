@@ -130,8 +130,7 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
              minimize_failures: bool = True,
              max_failures: int = 8,
              key_seed: int = DEFAULT_KEY_SEED,
-             store_dir=None, shard: Optional[ShardSpec] = None,
-             telemetry=None) -> FuzzReport:
+             store_dir=None, shard: Optional[ShardSpec] = None) -> FuzzReport:
     """Run a campaign of ``seeds`` specimens; returns the full report.
 
     ``corpus_dir`` persists the corpus, ``coverage.json``,
@@ -152,11 +151,6 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
     design.  Alternate the shards over a shared (or merged) store until
     a plain ``--resume`` pass replays the whole campaign; that pass is
     byte-identical to an uninterrupted serial run.
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    records per-specimen spans and simulator counters round by round —
-    strictly observationally: the report, corpus, and exports are
-    byte-identical either way.
     """
     check_count("seeds", seeds)
     check_count("batch", batch, 1)
@@ -187,8 +181,7 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
         run = run_tasks_stored(_fuzz_task, genomes, genome_keys,
                                jobs=jobs,
                                context=lambda: (keys, include_baselines),
-                               store=store, shard=shard,
-                               telemetry=telemetry)
+                               store=store, shard=shard)
         if not run.complete:
             # sync point: the steering update needs the whole batch in
             # task order, and the gaps belong to other shards
@@ -216,7 +209,7 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
         report.elapsed_seconds = time.perf_counter() - started
         return report
 
-    with obs_phase(telemetry, "triage"):
+    with obs_phase("triage"):
         for oracle_report in failing_reports[:max_failures]:
             report.failures.append(
                 triage(oracle_report, keys, do_minimize=minimize_failures))
@@ -227,7 +220,7 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
 
     report.elapsed_seconds = time.perf_counter() - started
     if corpus_dir is not None:
-        with obs_phase(telemetry, "export"):
+        with obs_phase("export"):
             root = report.corpus.save(corpus_dir)
             report.coverage.save(root / "coverage.json")
             write_campaign(root / "report.json", _campaign_record(report))

@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..runner.export import atomic_write
 from .generators import Genome, Specimen
 
 _SHA_CHARS = 16
@@ -107,7 +108,7 @@ class Corpus:
         directory = Path(root)
         directory.mkdir(parents=True, exist_ok=True)
         for entry in self.entries():
-            (directory / f"{entry.sha}.json").write_text(entry.to_json())
+            atomic_write(directory / f"{entry.sha}.json", entry.to_json())
         return directory
 
     @classmethod

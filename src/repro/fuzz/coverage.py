@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
+
+from ..runner.export import atomic_write
 
 #: feature-family prefixes, in render order
 FAMILIES: Tuple[str, ...] = ("bi", "mn", "bk", "lr", "oc")
@@ -172,9 +174,7 @@ class CoverageMap:
         return instance
 
     def save(self, path) -> Path:
-        target = Path(path)
-        target.write_text(self.to_json())
-        return target
+        return atomic_write(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "CoverageMap":

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional
 
 from ..crypto.keys import DeviceKeys
 from ..errors import ReproError
+from ..runner.export import atomic_write
 from .corpus import specimen_sha
 from .generators import Specimen
 from .oracle import OracleReport, reproduces_axis
@@ -177,6 +178,7 @@ def write_triage(record: TriageRecord, root) -> Path:
     directory = Path(root)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"triage-{record.sha}.json"
-    path.write_text(json.dumps(dataclasses.asdict(record), indent=2) + "\n")
-    (directory / f"triage-{record.sha}.txt").write_text(record.render())
+    atomic_write(path,
+                 json.dumps(dataclasses.asdict(record), indent=2) + "\n")
+    atomic_write(directory / f"triage-{record.sha}.txt", record.render())
     return path

@@ -49,10 +49,6 @@ class AsmProgram:
     data_symbols: Dict[str, int] = field(default_factory=dict)
     entry: str = "main"
 
-    def label_at(self, index: int) -> List[str]:
-        """All labels attached to instruction ``index``."""
-        return [name for name, i in self.labels.items() if i == index]
-
     def labels_by_index(self) -> Dict[int, List[str]]:
         """index -> labels map (stable order by name)."""
         result: Dict[int, List[str]] = {}
@@ -71,10 +67,6 @@ class AsmProgram:
         for name, offset in self.data_symbols.items():
             if not 0 <= offset <= len(self.data):
                 raise AssemblyError(f"data symbol {name!r} points outside .data")
-
-    def code_symbol_addresses(self, base: int = CODE_BASE) -> Dict[str, int]:
-        """Naive (untransformed) address of every code label."""
-        return {name: base + 4 * index for name, index in self.labels.items()}
 
 
 @dataclass

@@ -5,9 +5,9 @@ Public surface:
 - :class:`Telemetry` — per-campaign context created from ``--telemetry
   DIR`` / ``--progress``; owns the JSONL event log, the metrics
   registry, the chrome-trace timeline, and the stderr heartbeat.
-- :func:`campaign` / :func:`phase` — context managers that no-op when
-  handed ``telemetry=None``, so drivers thread telemetry without
-  branching.
+- :func:`campaign` / :func:`phase` — :func:`campaign` makes a
+  :class:`Telemetry` current while it is open; the dispatcher and
+  :func:`phase` report to it, and do nothing when none is open.
 - :func:`note` / :func:`set_quiet` — the single stderr diagnostics
   channel for the CLI, silenced by the global ``--quiet`` flag.
 - :mod:`~repro.obs.hook` — the nil-by-default simulator counter sink.

@@ -1,10 +1,11 @@
 """The campaign telemetry context.
 
 A :class:`Telemetry` object is created by the CLI (from ``--telemetry
-DIR`` / ``--progress``) and threaded — always optionally, default
-``None`` — through a campaign driver into
+DIR`` / ``--progress``) and opened with :func:`campaign`, which makes
+it the process's current telemetry: :func:`phase` and
 :func:`repro.runner.store.run_tasks_stored`, which labels every
-dispatched unit and feeds it here as its result arrives.  It owns:
+dispatched unit and feeds it here as its result arrives, report to it.
+It owns:
 
 - the **event log** (``DIR/events.jsonl``, schema in
   :mod:`repro.obs.events`),
@@ -16,10 +17,10 @@ dispatched unit and feeds it here as its result arrives.  It owns:
 - the optional stderr **progress heartbeat**.
 
 Everything here is observational: a campaign driver behaves — and its
-exported artifacts are byte-identical — whether ``telemetry`` is a
-live object or ``None``.  Timestamps in the event log are *parent
-observation times*; the precise per-task timings measured inside the
-workers live in the trace spans and the ``task.seconds`` histogram.
+exported artifacts are byte-identical — whether a campaign is open or
+not.  Timestamps in the event log are *parent observation times*; the
+precise per-task timings measured inside the workers live in the trace
+spans and the ``task.seconds`` histogram.
 
 While a campaign is open, a parent-side
 :class:`~repro.obs.metrics.MetricsRegistry` is installed into
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -104,9 +105,9 @@ class Telemetry:
         if self.progress is not None:
             self.progress.finish()
         if self.directory is not None:
-            from ..runner.export import atomic_write_text
-            atomic_write_text(self.directory / "metrics.json",
-                              self.metrics.render_json())
+            from ..runner.export import atomic_write
+            atomic_write(self.directory / "metrics.json",
+                         self.metrics.render_json())
             write_chrome_trace(self.directory / "trace.json",
                                self.spans, self.phases,
                                origin=self._origin)
@@ -208,22 +209,48 @@ class _Silent:
     plan = resume = shard_decision = store_hit = count = _drop
     task_scheduled = task_completed = task_failed = _drop
 
+    def phase(self, name: str):
+        return nullcontext()
 
-#: stands in for ``telemetry=None`` so dispatch code never branches on it
+
+#: the current telemetry when no campaign is open (and inside a task), so
+#: dispatch code never branches on it
 SILENT = _Silent()
+
+_CURRENT = SILENT
+
+
+def current():
+    """The telemetry of the campaign open in this process, or
+    :data:`SILENT`."""
+    return _CURRENT
+
+
+@contextmanager
+def observing(telemetry):
+    """Make ``telemetry`` the current telemetry for the block, then
+    restore the previous one."""
+    global _CURRENT
+    previous, _CURRENT = _CURRENT, telemetry
+    try:
+        yield telemetry
+    finally:
+        _CURRENT = previous
 
 
 @contextmanager
 def campaign(telemetry: Optional[Telemetry], name: str,
              parameters: Optional[dict] = None):
-    """Open/close a campaign on ``telemetry``; no-op when it is None."""
+    """Open campaign ``name`` on ``telemetry`` and make it the current
+    telemetry until the block ends; a no-op when it is None."""
     if telemetry is None:
         yield None
         return
     telemetry.begin(name, parameters)
     status = "completed"
     try:
-        yield telemetry
+        with observing(telemetry):
+            yield telemetry
     except KeyboardInterrupt:
         status = "interrupted"
         raise
@@ -234,14 +261,10 @@ def campaign(telemetry: Optional[Telemetry], name: str,
         telemetry.finish(status)
 
 
-@contextmanager
-def phase(telemetry: Optional[Telemetry], name: str):
-    """Time a phase on ``telemetry``; no-op when it is None."""
-    if telemetry is None:
-        yield
-        return
-    with telemetry.phase(name):
-        yield
+def phase(name: str):
+    """Time phase ``name`` of the current campaign; a no-op when none is
+    open."""
+    return _CURRENT.phase(name)
 
 
 def load_metrics(directory) -> dict:

@@ -61,9 +61,9 @@ def chrome_trace(spans: Iterable[Span], phases: Iterable[Phase] = (),
 def write_chrome_trace(path, spans: Sequence[Span],
                        phases: Sequence[Phase] = (),
                        origin: float = 0.0) -> None:
-    from ..runner.export import atomic_write_text
+    from ..runner.export import atomic_write
     payload = chrome_trace(spans, phases, origin=origin)
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    atomic_write(path, json.dumps(payload, indent=1) + "\n")
 
 
 def _us(instant: float, origin: float) -> float:

@@ -63,8 +63,8 @@ Design contract (every caller relies on these):
 
 from .cache import (DEFAULT_KEY_SEED, BuildCache, BuildSpec, CacheStats,
                     build_cache, clear_build_cache)
-from .export import (atomic_write_text, campaign_record, to_jsonable,
-                     write_campaign)
+from .export import (atomic_write, campaign_record, check_writable,
+                     to_jsonable, write_campaign)
 from .pool import available_cpus, default_chunksize, resolve_jobs, run_tasks
 from .seeding import task_rng, task_seed
 from .shard import ShardSpec, merge_stores, parse_shard, shard_partition
@@ -77,7 +77,7 @@ __all__ = [
     "BuildCache", "BuildSpec", "CacheStats", "build_cache",
     "clear_build_cache", "DEFAULT_KEY_SEED",
     "campaign_record", "write_campaign", "to_jsonable",
-    "atomic_write_text",
+    "atomic_write", "check_writable",
     "ResultStore", "StoredRun", "StoreStats", "code_version",
     "run_tasks_stored", "stable_digest", "task_key", "task_keys",
     "ShardSpec", "parse_shard", "shard_partition", "merge_stores",

@@ -28,7 +28,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 
 def to_jsonable(value: Any) -> Any:
@@ -54,19 +54,43 @@ def to_jsonable(value: Any) -> Any:
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> Path:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
+def _temp_beside(target: Path) -> "tuple[int, str]":
+    """A fresh temp file in ``target``'s directory: (fd, name)."""
+    try:
+        return tempfile.mkstemp(dir=target.parent,
+                                prefix=target.name + ".", suffix=".tmp")
+    except OSError as exc:
+        # name the path being written, not a random temp file beside it
+        raise type(exc)(exc.errno, exc.strerror, str(target)) from None
+
+
+def check_writable(path) -> None:
+    """Raise the :class:`OSError` an :func:`atomic_write` to ``path``
+    would, by making and removing the temp file it would write."""
+    fd, tmp_name = _temp_beside(Path(path))
+    os.close(fd)
+    os.unlink(tmp_name)
+
+
+def atomic_write(path, data) -> Path:
+    """Write ``data`` (bytes, or text as UTF-8) to ``path`` atomically
+    (temp file + ``os.replace``).
 
     A writer killed mid-call leaves either the previous content or
     nothing at the final path — never a truncated file that a later
-    ``--resume`` would try to parse.
+    ``--resume`` or ``--corpus`` run would try to parse.
     """
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent,
-                                    prefix=target.name + ".", suffix=".tmp")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    fd, tmp_name = _temp_beside(target)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        # mkstemp makes the file private: give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -101,5 +125,5 @@ def write_campaign(path, record: Dict[str, Any]) -> Path:
     The write is atomic: a campaign killed mid-export never leaves a
     truncated JSON document at the final path.
     """
-    return atomic_write_text(
+    return atomic_write(
         path, json.dumps(record, indent=2, sort_keys=False) + "\n")

@@ -38,6 +38,7 @@ from typing import (Any, Callable, Iterable, Iterator, Optional, Tuple,
                     TypeVar)
 
 from ..obs import worker as obs_worker
+from ..obs.telemetry import SILENT, observing
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -86,6 +87,41 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
+#: set by a SIGINT under :func:`recording_interrupts`, and kept even when
+#: the ``KeyboardInterrupt`` it raised was swallowed
+_INTERRUPTED = False
+
+
+def _record_interrupt(signum, frame) -> None:
+    global _INTERRUPTED
+    _INTERRUPTED = True
+    raise KeyboardInterrupt
+
+
+@contextmanager
+def recording_interrupts():
+    """Record every SIGINT for the block, then raise
+    :class:`KeyboardInterrupt` as Python's own handler does.  Python
+    drops an exception raised in a finalizer (a ``__del__``, a
+    ``weakref`` callback); recorded, a Ctrl-C that lands in one still
+    stops a dispatch at its next unit boundary (:func:`check_interrupt`).
+    """
+    global _INTERRUPTED
+    _INTERRUPTED = False
+    previous = signal.signal(signal.SIGINT, _record_interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        _INTERRUPTED = False
+
+
+def check_interrupt() -> None:
+    """Raise :class:`KeyboardInterrupt` if a SIGINT has been recorded."""
+    if _INTERRUPTED:
+        raise KeyboardInterrupt
+
+
 #: the dispatch's context in a pool worker, set once per process as the
 #: pool starts it (the serial path hands it to each task directly)
 _POOL_CONTEXT: Any = None
@@ -108,9 +144,12 @@ def _init_worker(metrics: bool, context: Any) -> None:
 
 def _timed(fn: Callable[[Any, T], R], context: Any,
            task: T) -> Tuple[R, obs_worker.Span]:
-    """The worker-side wrapper: run one task and close its span."""
+    """The worker-side wrapper: run one task with no campaign current
+    (a dispatch nested in it must not report into the caller's, here or
+    in a forked worker) and close its span."""
     start = time.perf_counter()
-    result = fn(context, task)
+    with observing(SILENT):
+        result = fn(context, task)
     return result, obs_worker.span(start, time.perf_counter())
 
 

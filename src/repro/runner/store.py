@@ -46,16 +46,15 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Iterator, List, Optional, Sequence,
                     TypeVar)
 
-from ..obs.telemetry import SILENT
-from .export import to_jsonable
-from .pool import run_tasks
+from ..obs.telemetry import current
+from .export import atomic_write, to_jsonable
+from .pool import check_interrupt, run_tasks
 from .shard import ShardSpec
 
 T = TypeVar("T")
@@ -204,22 +203,13 @@ class ResultStore:
 
     def put(self, key: str, value: Any) -> None:
         """Persist ``value`` under ``key`` atomically."""
+        self._write(key, pickle.dumps(value, protocol=4))
+        self.stats.puts += 1
+
+    def _write(self, key: str, payload: bytes) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(value, protocol=4)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.stats.puts += 1
+        atomic_write(path, payload)
 
     def absorb(self, source: "ResultStore") -> "tuple[int, int]":
         """Copy every entry of ``source`` absent here; (copied, present).
@@ -239,20 +229,7 @@ class ResultStore:
                         f"stores disagree (mixed code versions?)")
                 present += 1
                 continue
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                            prefix=path.name,
-                                            suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            self._write(key, payload)
             copied += 1
         return copied, present
 
@@ -290,8 +267,7 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
                      jobs: Optional[int] = 1,
                      context: Optional[Callable[[], Any]] = None,
                      store: Optional[ResultStore] = None,
-                     shard: Optional[ShardSpec] = None,
-                     telemetry=None) -> StoredRun:
+                     shard: Optional[ShardSpec] = None) -> StoredRun:
     """Run ``fn`` over ``tasks`` with store-backed memoization.
 
     Cached results are loaded first; the missing tasks — with a
@@ -311,14 +287,16 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
     and ``fn`` maps each list to the list of its results.  The grouping
     depends only on which tasks are missing, never on ``jobs``.
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
+    The telemetry of the open campaign (:func:`repro.obs.campaign`)
     records the dispatch plan, store hits, shard/resume decisions, and
     each unit as scheduled, completed or failed, labelled with its first
     task's index — purely observationally; it never changes which tasks
     run or what is stored.  A unit that raises is reported as failed and
-    its exception propagates unchanged.
+    its exception propagates unchanged.  A Ctrl-C that a finalizer
+    swallowed (:func:`~repro.runner.pool.recording_interrupts`) raises
+    :class:`KeyboardInterrupt` after the unit it landed in is stored.
     """
-    telemetry = telemetry or SILENT
+    telemetry = current()
     task_list = list(tasks)
     if shard is not None and store is None:
         raise ValueError("sharding requires a result store "
@@ -359,6 +337,7 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
         fn, [[task_list[i] for i in unit] if width else task_list[unit[0]]
              for unit in units],
         jobs=jobs, context=context, metrics=telemetry.enabled)
+    check_interrupt()
     with closing(stream):
         for unit in units:
             telemetry.task_scheduled(unit[0])
@@ -380,5 +359,6 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
                     store.put(key_list[index], results[index])
                 telemetry.count("store.puts", len(unit))
             telemetry.task_completed(span, unit[0], len(unit))
+            check_interrupt()
     return StoredRun(results=results, hits=len(cached),
                      executed=len(owned), skipped=skipped, shard=shard)

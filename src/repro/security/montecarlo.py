@@ -76,12 +76,9 @@ _BATCH = 50
 def forgery_scaling(bits_list: Sequence[int] = (4, 6, 8, 10, 12),
                     experiments: int = 200,
                     seed: int = 2016,
-                    jobs: Optional[int] = 1,
-                    telemetry=None) -> List[ForgeryScaling]:
+                    jobs: Optional[int] = 1) -> List[ForgeryScaling]:
     """Mean trials-to-forge vs MAC width — should track 2^(n-1).
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
-    records the dispatch plan and per-batch spans — observationally only.
     A width outside 1..64 or fewer than one experiment raises
     :class:`~repro.errors.CampaignError`.
     """
@@ -96,9 +93,8 @@ def forgery_scaling(bits_list: Sequence[int] = (4, 6, 8, 10, 12),
             tasks.append((seed, bits, batch, min(_BATCH, remaining)))
             remaining -= _BATCH
             batch += 1
-    with obs_phase(telemetry, "forgery-scaling"):
-        totals = run_tasks_stored(_forgery_batch, tasks, jobs=jobs,
-                                  telemetry=telemetry).results
+    with obs_phase("forgery-scaling"):
+        totals = run_tasks_stored(_forgery_batch, tasks, jobs=jobs).results
     by_bits = {bits: 0 for bits in bits_list}
     for task, total in zip(tasks, totals):
         by_bits[task[1]] += total
@@ -141,8 +137,7 @@ def _tamper_batch(cipher: Rectangle80,
 
 
 def tamper_detection(bits: int = 8, tampers: int = 4000,
-                     seed: int = 99, jobs: Optional[int] = 1,
-                     telemetry=None) -> TamperEscape:
+                     seed: int = 99, jobs: Optional[int] = 1) -> TamperEscape:
     """Fraction of random single-word tampers that pass n-bit verification.
 
     With an n-bit MAC an undetected tamper needs the tampered message to
@@ -159,10 +154,9 @@ def tamper_detection(bits: int = 8, tampers: int = 4000,
         tasks.append((seed, bits, batch, min(batch_size, remaining)))
         remaining -= batch_size
         batch += 1
-    with obs_phase(telemetry, "tamper-detection"):
+    with obs_phase("tamper-detection"):
         undetected = sum(run_tasks_stored(
             _tamper_batch, tasks, jobs=jobs,
             context=lambda: Rectangle80(
-                task_rng(seed, "tamper-key").getrandbits(80)),
-            telemetry=telemetry).results)
+                task_rng(seed, "tamper-key").getrandbits(80))).results)
     return TamperEscape(bits=bits, tampers=tampers, undetected=undetected)

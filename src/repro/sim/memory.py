@@ -288,8 +288,5 @@ class Memory:
 
     # -- test/debug helpers -------------------------------------------------
 
-    def read_data_word(self, address: int) -> int:
-        return self.load(address, 4, signed=False) & MASK32
-
     def write_data_word(self, address: int, value: int) -> None:
         self.store(address, value, 4)

@@ -234,6 +234,18 @@ class TestAttackSynth:
         assert main(["attacksynth", "--image", "/nonexistent.sofia"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corpus", ["missing", "F"])
+    def test_unusable_corpus_is_an_error(self, corpus, tmp_path, capsys):
+        # a missing corpus, or a regular file, must not quietly become a
+        # campaign over generated programs
+        (tmp_path / "F").write_text("a regular file\n")
+        assert main(["attacksynth", "--programs", "1", "--per-program", "1",
+                     "--corpus", str(tmp_path / corpus)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == \
+            f"error: no corpus directory at {tmp_path / corpus}\n"
+
     def test_image_mode_rejects_campaign_flags(self, capsys):
         assert main(["attacksynth", "--image", "x.sofia",
                      "--baselines", "--jobs", "4"]) == 2
@@ -377,6 +389,24 @@ class TestUnusablePaths:
         _assert_one_error(done, 1)
         assert "Not a directory" in done.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["fault", "--per-model", "1"],
+        ["attacksynth", "--programs", "1", "--per-program", "1"],
+        DSE[:-4] + ["--programs", "1", "--per-model", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_unusable_export_fails_before_the_campaign(self, argv,
+                                                       tmp_path):
+        # the export path is checked before the store is opened: nothing
+        # is simulated, and nothing is stored, for an artifact that
+        # cannot be written
+        (tmp_path / "F").write_text("a regular file\n")
+        done = _repro(argv + ["--resume", "S", "--export", "F/x.json"],
+                      tmp_path)
+        _assert_one_error(done, 1)
+        assert done.stderr == "error: [Errno 20] Not a directory: " \
+                              "'F/x.json'\n"
+        assert not list(tmp_path.glob("S/**/*.pkl"))
+
 
 #: runs ``repro fuzz`` through ``main`` and sends SIGINT to its own
 #: process group, as Ctrl-C would, from inside the Nth specimen task of
@@ -401,6 +431,32 @@ _INTERRUPTED_FUZZ = textwrap.dedent("""
                 pass  # another worker has interrupted already
             else:
                 os.killpg(leader, signal.SIGINT)
+        return real(*args)
+
+    campaign._fuzz_task = interrupting
+    sys.exit(main(argv))
+""")
+
+
+#: runs ``repro`` through ``main`` and raises SIGINT from a finalizer
+#: inside the Nth fuzz specimen task, where Python prints the
+#: ``KeyboardInterrupt`` as "Exception ignored" and drops it
+_SWALLOWED_FUZZ = textwrap.dedent("""
+    import signal, sys
+    import repro.fuzz.campaign as campaign
+    from repro.cli import main
+
+    interrupt_on, argv = int(sys.argv[1]), sys.argv[2:]
+    real, calls = campaign._fuzz_task, [0]
+
+    class Finalized:
+        def __del__(self):
+            signal.raise_signal(signal.SIGINT)
+
+    def interrupting(*args):
+        calls[0] += 1
+        if calls[0] == interrupt_on:
+            Finalized()  # dropped at once: its finalizer runs here
         return real(*args)
 
     campaign._fuzz_task = interrupting
@@ -454,3 +510,21 @@ class TestInterrupt:
             if (golden / path).is_file():
                 assert (corpus / path).read_bytes() == \
                     (golden / path).read_bytes(), path
+
+    def test_sigint_a_finalizer_swallows_still_interrupts(self, tmp_path):
+        # the dropped interrupt stops the campaign after the unit it
+        # landed in is stored, as an interrupt outside a finalizer would
+        store, tel = tmp_path / "store", tmp_path / "tel"
+        done = subprocess.run(
+            [sys.executable, "-c", _SWALLOWED_FUZZ, "10", *self.FUZZ,
+             "--resume", str(store), "--telemetry", str(tel)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        assert done.returncode == 130, done.stderr
+        assert "Exception ignored" in done.stderr
+        assert done.stderr.splitlines()[-1] == "error: interrupted"
+        assert not done.stdout
+        events = list(read_events(tel / "events.jsonl"))
+        assert (events[-1]["event"], events[-1]["status"]) == \
+            ("campaign-end", "interrupted")
+        assert len(list(ResultStore(store).keys())) == 10

@@ -11,6 +11,19 @@ from repro.obs import (EVENT_TYPES, DEFAULT_BOUNDS, EventLog, Histogram,
                        MetricsRegistry, ProgressMeter, Telemetry,
                        chrome_trace, counter_delta, load_metrics,
                        read_events, summarize, validate_event)
+from repro.obs.telemetry import SILENT, current
+from repro.runner import run_tasks_stored
+
+
+def _square(_context, task):
+    return task * task
+
+
+def _nested_dispatch(_context, task):
+    """Dispatch two tasks of its own; say whether the unit ran with no
+    campaign current."""
+    inner = run_tasks_stored(_square, [task, task + 1]).results
+    return current() is SILENT, inner
 
 
 class TestHistogram:
@@ -212,8 +225,7 @@ class TestTelemetry:
         with obs.campaign(telemetry, "fault", {}):
             results, _summary = run_campaign(
                 workload.compile().program, DeviceKeys.from_seed(0xFA),
-                workload.expected_output, per_model=11, seed=9,
-                telemetry=telemetry)
+                workload.expected_output, per_model=11, seed=9)
         assert len(results) == 66
         last = stream.getvalue().rstrip("\n").split("\r")[-1]
         assert last.startswith("# fault: 66/66 tasks ")
@@ -225,8 +237,33 @@ class TestTelemetry:
     def test_campaign_and_phase_noop_on_none(self):
         with obs.campaign(None, "x", {"a": 1}) as handle:
             assert handle is None
-            with obs.phase(None, "execute"):
+            with obs.phase("execute"):
                 pass
+
+    def test_an_open_campaign_is_current(self):
+        outer, inner = Telemetry(), Telemetry()
+        assert current() is SILENT
+        with obs.campaign(outer, "outer"):
+            assert current() is outer
+            with obs.campaign(inner, "inner"):
+                with obs.phase("execute"):
+                    assert current() is inner
+            assert current() is outer
+        assert current() is SILENT
+        assert [name for name, _start, _end in inner.phases] == ["execute"]
+        assert outer.phases == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_dispatched_unit_runs_unobserved(self, jobs):
+        # a dispatch nested in a task, as a design point runs campaigns
+        # of its own, sees no campaign and reports nothing into it
+        telemetry = Telemetry()
+        with obs.campaign(telemetry, "outer"):
+            results = run_tasks_stored(_nested_dispatch, [1, 2, 3],
+                                       jobs=jobs).results
+        assert results == [(True, [1, 4]), (True, [4, 9]), (True, [9, 16])]
+        assert telemetry.events.counts["tasks-planned"] == 1
+        assert telemetry.metrics.counters["tasks.completed"] == 3
 
 
 class TestFastEngineTelemetry:
@@ -243,8 +280,7 @@ class TestFastEngineTelemetry:
             with obs.campaign(telemetry, "attacksynth", {"label": label}):
                 run_attacksynth(1, seed=0x0B5, per_program=2,
                                 key_seed=0x50F1A,
-                                export_path=str(export),
-                                telemetry=telemetry)
+                                export_path=str(export))
             exports[label] = export.read_bytes()
             if telemetry is not None:
                 counters = dict(telemetry.metrics.counters)

@@ -59,7 +59,7 @@ class TestFaultInvisibility:
                 run_fault_campaign(
                     program, keys, golden, per_model=2, seed=SEED,
                     jobs=jobs, export_path=export,
-                    store_dir=store, telemetry=telemetry)
+                    store_dir=store)
             exports[label], counters[label] = _run(
                 tmp_path, label, with_telemetry, "fault", fn)
         assert len(set(exports.values())) == 1, \
@@ -87,7 +87,7 @@ class TestFaultInvisibility:
                 run_fault_campaign(
                     program, keys, golden, per_model=11, seed=SEED,
                     jobs=jobs, export_path=export,
-                    store_dir=store, telemetry=telemetry)
+                    store_dir=store)
             exports[label], counters[label] = _run(
                 tmp_path, label, True, "fault", fn)
         assert exports["j1-on"] == exports["j4-on"]
@@ -105,7 +105,7 @@ class TestAttacksynthInvisibility:
                 run_attacksynth(
                     2, seed=SEED, per_program=2, key_seed=KEY_SEED,
                     jobs=jobs, export_path=export,
-                    store_dir=store, telemetry=telemetry)
+                    store_dir=store)
             exports[label], counters[label] = _run(
                 tmp_path, label, with_telemetry, "attacksynth", fn)
         assert len(set(exports.values())) == 1, \
@@ -126,8 +126,7 @@ class TestDseInvisibility:
                 run_dse(profiles, seed=SEED, key_seed=KEY_SEED,
                         workloads=("crc32",), scale="tiny", programs=1,
                         per_model=1, jobs=jobs,
-                        export_path=export, store_dir=store,
-                        telemetry=telemetry)
+                        export_path=export, store_dir=store)
             exports[label], counters[label] = _run(
                 tmp_path, label, with_telemetry, "dse", fn)
         assert len(set(exports.values())) == 1, \

@@ -12,6 +12,7 @@ counts.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -28,6 +29,7 @@ from repro.fuzz import run_fuzz
 from repro.obs import Telemetry, read_events, summarize
 from repro.runner import (ResultStore, ShardSpec, merge_stores,
                           run_tasks_stored, task_key)
+from repro.runner.pool import recording_interrupts
 from repro.transform import ProtectionProfile
 from repro.workloads import make_workload
 
@@ -232,6 +234,20 @@ def _interrupts_at_three(_context, task):
     return task * 2
 
 
+class _Finalized:
+    """Raises SIGINT from its finalizer, where Python prints the
+    ``KeyboardInterrupt`` as "Exception ignored" and drops it."""
+
+    def __del__(self):
+        signal.raise_signal(signal.SIGINT)
+
+
+def _swallows_interrupt_at_three(_context, task):
+    if task == 3:
+        _Finalized()  # dropped at once: its finalizer runs here
+    return task * 2
+
+
 class TestFailedTask:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raising_task_is_reported_after_earlier_units_are_stored(
@@ -242,8 +258,7 @@ class TestFailedTask:
         with pytest.raises(RuntimeError, match="no result for task 3"):
             with obs.campaign(telemetry, "demo"):
                 run_tasks_stored(_fails_at_three, tasks, keys, jobs=jobs,
-                                 store=ResultStore(tmp_path / "store"),
-                                 telemetry=telemetry)
+                                 store=ResultStore(tmp_path / "store"))
         store = ResultStore(tmp_path / "store")
         assert sorted(store.keys()) == sorted(keys[:3])
         failed = [record for record in
@@ -258,6 +273,25 @@ class TestFailedTask:
         assert "task-failed      1" in text
         assert "status      failed" in text
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_interrupt_a_finalizer_swallowed_stops_the_dispatch(
+            self, tmp_path):
+        # the interrupt is dropped inside the fourth unit: that unit
+        # finishes and is stored, and the dispatch stops right after it
+        tasks = list(range(6))
+        keys = [task_key("demo", {}, task) for task in tasks]
+        telemetry = Telemetry(directory=tmp_path / "tel")
+        with pytest.raises(KeyboardInterrupt):
+            with recording_interrupts(), obs.campaign(telemetry, "demo"):
+                run_tasks_stored(_swallows_interrupt_at_three, tasks, keys,
+                                 store=ResultStore(tmp_path / "store"))
+        store = ResultStore(tmp_path / "store")
+        assert sorted(store.keys()) == sorted(keys[:4])
+        events = list(read_events(tmp_path / "tel" / "events.jsonl"))
+        assert (events[-1]["event"], events[-1]["status"]) == \
+            ("campaign-end", "interrupted")
+
     def test_interrupt_ends_the_campaign_interrupted(self, tmp_path):
         # Ctrl-C inside the fourth unit: the three before it are stored,
         # and the campaign still ends, says so and writes its metrics
@@ -267,8 +301,7 @@ class TestFailedTask:
         with pytest.raises(KeyboardInterrupt):
             with obs.campaign(telemetry, "demo"):
                 run_tasks_stored(_interrupts_at_three, tasks, keys, jobs=1,
-                                 store=ResultStore(tmp_path / "store"),
-                                 telemetry=telemetry)
+                                 store=ResultStore(tmp_path / "store"))
         store = ResultStore(tmp_path / "store")
         assert sorted(store.keys()) == sorted(keys[:3])
         events = list(read_events(tmp_path / "tel" / "events.jsonl"))

@@ -23,7 +23,7 @@ from repro.eval.overhead import (OverheadPoint, measure_many,
 from repro.faults import run_campaign as fault_campaign
 from repro.faults import sample_faults
 from repro.isa import parse
-from repro.runner import (atomic_write_text, available_cpus, build_cache,
+from repro.runner import (atomic_write, available_cpus, build_cache,
                           campaign_record, clear_build_cache,
                           default_chunksize, resolve_jobs, run_tasks,
                           run_tasks_stored, task_rng, task_seed,
@@ -386,18 +386,28 @@ class TestExport:
 
     def test_atomic_write_replaces_or_leaves_old_content(self, tmp_path):
         target = tmp_path / "artifact.json"
-        atomic_write_text(target, "first")
+        atomic_write(target, "first")
         assert target.read_text() == "first"
         # a writer that dies mid-call must leave the old content intact
         # at the final path, with no temp debris beside it
         with pytest.raises(TypeError):
-            atomic_write_text(target, 0xBAD)  # not str: write() raises
+            atomic_write(target, 0xBAD)  # not str: write() raises
         assert target.read_text() == "first"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_atomic_write_makes_what_a_plain_write_makes(self, tmp_path):
+        # the same bytes, text as UTF-8, and the same permission bits
+        plain, atomic = tmp_path / "plain", tmp_path / "atomic"
+        plain.write_text("caf\u00e9\n", encoding="utf-8")
+        atomic_write(atomic, "caf\u00e9\n")
+        assert atomic.read_bytes() == plain.read_bytes()
+        assert atomic.stat().st_mode == plain.stat().st_mode
+        atomic_write(atomic, b"\x00\xff")
+        assert atomic.read_bytes() == b"\x00\xff"
+
     def test_failed_write_to_fresh_path_leaves_nothing(self, tmp_path):
         with pytest.raises(TypeError):
-            atomic_write_text(tmp_path / "fresh.json", 0xBAD)
+            atomic_write(tmp_path / "fresh.json", 0xBAD)
         assert list(tmp_path.iterdir()) == []
 
 
