@@ -49,7 +49,7 @@ def test_resume_smoke(tmp_path, monkeypatch):
     results, _ = _fault_campaign(store_dir, cold, per_model=4)
 
     store = ResultStore(store_dir)
-    assert len(store) == len(results) + 1  # and the golden summary
+    assert len(store) == len(results) + 1  # and the golden trace
 
     import repro.faults.campaign as faults_campaign
     from repro.sim.batch import GoldenTrace
@@ -119,7 +119,7 @@ def test_shard_union_matches_serial(tmp_path):
         _fault_campaign_shard()
         shard_sizes.append(len(ResultStore(store_dir)))
 
-    # every shard stores the golden summary beside its slice
+    # every shard stores the golden trace beside its slice
     assert sum(shard_sizes) == len(results) + 3
     assert max(shard_sizes) - min(shard_sizes) <= 1  # balanced slices
 

@@ -11,8 +11,17 @@ import platform
 
 import pytest
 
+import repro.sim.batch as batch
 from repro.crypto import DeviceKeys
 from repro.runner import available_cpus
+
+
+@pytest.fixture(autouse=True)
+def fresh_golden_traces(monkeypatch):
+    """An empty per-process golden-trace cache for each benchmark, so a
+    cold campaign records its golden run whatever ran before it (see
+    :func:`repro.sim.batch.keep_trace`)."""
+    monkeypatch.setattr(batch, "_TRACES", {})
 
 
 @pytest.fixture(scope="session")

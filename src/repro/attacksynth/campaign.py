@@ -37,8 +37,8 @@ from ..fuzz.generators import Genome, generate, random_genome
 from ..fuzz.oracle import build_program
 from ..isa.assembler import assemble
 from ..obs import phase as obs_phase
-from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_keys,
-                      task_rng)
+from ..runner import (ResultStore, ShardSpec, check_writable,
+                      run_tasks_stored, task_keys, task_rng)
 from ..runner.cache import DEFAULT_KEY_SEED
 from ..security.bounds import EmpiricalCheck, empirical_check
 from ..sim.sofia import SofiaMachine
@@ -399,6 +399,7 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     check_count("programs", programs)
     if per_program is not None:
         check_count("per_program", per_program)
+    check_writable(export_path, csv_path)
     started = time.perf_counter()
     with obs_phase("plan"):
         source, genomes = _campaign_genomes(programs, seed, corpus_dir)
@@ -445,6 +446,7 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
     """
     if per_program is not None:
         check_count("per_program", per_program)
+    check_writable(export_path, csv_path)
     started = time.perf_counter()
     # provision for the image's embedded design point (cipher included)
     keys = DeviceKeys.from_seed(key_seed).for_profile(image.profile)

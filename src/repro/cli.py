@@ -754,9 +754,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise UsageError("--shard needs --resume DIR: without a result "
                              "store the shard's results would be lost")
         # an unusable output path fails before any work is spent on it
-        for name in ("export", "csv", "output"):
-            if getattr(args, name, None):
-                check_writable(getattr(args, name))
+        check_writable(*(getattr(args, name, None) or None
+                         for name in ("export", "csv", "output")))
         with recording_interrupts():
             return args.func(args)
     except BrokenPipeError:

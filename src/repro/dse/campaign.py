@@ -33,7 +33,8 @@ from ..hwmodel.profilecost import (CYCLES_BUDGET, UnrollSpec, legal_unrolls,
                                    profile_cost, resolve_unrolls)
 from ..obs import phase as obs_phase
 from ..runner import (DEFAULT_KEY_SEED, ResultStore, ShardSpec,
-                      run_tasks_stored, task_keys, task_seed)
+                      check_writable, run_tasks_stored, task_keys,
+                      task_seed)
 from ..security.bounds import cfi_attack_years, si_forgery_years
 from ..transform.profile import ProtectionProfile
 from ..workloads.base import make_workload
@@ -508,6 +509,7 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
         if not unroll_specs:
             raise ValueError("empty unroll list")
         check_unroll_specs(profiles, unroll_specs)
+    check_writable(export_path, csv_path)
     started = time.perf_counter()
     report = DseReport(seed=seed, key_seed=key_seed, scale=scale,
                        workloads=tuple(workloads), programs=programs,

@@ -23,14 +23,17 @@ specimen forks off the golden run's nearest checkpoint before its
 trigger, byte-identical to per-specimen runs, and a specimen whose state
 rejoins the golden run at one of its checkpoints takes the golden
 outcome instead of simulating the rest
-(:class:`~repro.sim.batch.GoldenTrace`, recorded at most once per
-campaign).  ``run_campaign(jobs=N)`` fans the groups across a process
-pool via :mod:`repro.runner`; the image and the golden trace are the
-dispatch's context, built in the parent and inherited by each worker,
-and results come back in specimen order, so parallel classification
-counts are byte-identical to the serial ones.  A store-backed campaign
-keeps the golden run's summary beside its results: a warm rerun plans
-from it and records no golden run at all.
+(:class:`~repro.sim.batch.GoldenTrace`).  The golden trace depends only
+on the sealed image's bytes, the keys and the budget, never on the
+campaign seed, so it is recorded once per image: a process keeps the
+traces it recorded or loaded (:func:`~repro.sim.batch.keep_trace`), and
+a store-backed campaign keeps its trace beside its results, so a
+rerun, another shard or another seed over the same store records none.
+``run_campaign(jobs=N)`` fans the groups across a process pool via
+:mod:`repro.runner`; the image and the golden trace are the dispatch's
+context, built in the parent and inherited by each worker, and results
+come back in specimen order, so parallel classification counts are
+byte-identical to the serial ones.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ from ..isa.program import AsmProgram
 from ..obs import hook as obs_hook
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, campaign_record,
-                      resolve_jobs, run_tasks_stored, task_key, task_keys,
-                      write_campaign)
-from ..sim.batch import BATCH_WIDTH, GoldenTrace
+                      check_writable, resolve_jobs, run_tasks_stored,
+                      task_key, task_keys, write_campaign)
+from ..sim.batch import BATCH_WIDTH, GoldenTrace, cached_trace, keep_trace
 from ..sim.result import Status
 from ..sim.sofia import SofiaMachine
 from ..transform.image import SofiaImage
@@ -146,8 +149,10 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
                     max_instructions: int = 2_000_000) -> List[FaultResult]:
     """Golden-trace-forked :func:`run_fault` over one specimen group.
 
-    ``trace`` is the clean run of this ``image`` under these ``keys``
-    (:meth:`GoldenTrace.record`).  Each specimen forks off it at its
+    ``trace`` is the clean run of this ``image`` (or of one with the same
+    bytes) under these ``keys`` (:meth:`GoldenTrace.record`; a trace
+    loaded from a store gets its golden blocks back first,
+    :meth:`GoldenTrace.warm`).  Each specimen forks off it at its
     trigger (:meth:`GoldenTrace.fork_at`: the nearest checkpoint plus at
     most one stint), injects, and resumes on its own machine; one
     that rejoins the golden run at a checkpoint takes its final result
@@ -163,6 +168,7 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
     depend only on the group, not on which groups a process ran before
     it, and their totals are the same at any ``--jobs``.
     """
+    trace.warm(image, keys)
     if image.front_end is not None:
         image = replace(image, front_end=image.front_end.copy())
     trace = trace.copy()
@@ -230,6 +236,47 @@ def sample_faults(image: SofiaImage, total_instructions: int,
     return faults
 
 
+def _golden_trace(image: SofiaImage, keys: DeviceKeys,
+                  golden_output: Sequence[int], max_instructions: int,
+                  key: str, store: Optional[ResultStore]) -> GoldenTrace:
+    """The golden trace of ``image``: the one this process keeps under
+    ``key``, else the one ``store`` holds under it, else recorded (and
+    checked against ``golden_output``); then kept in the process and in
+    the store.
+
+    Recording runs under no simulator sink, so the campaign's ``sim.*``
+    counters do not depend on where the trace came from; that shows only
+    in ``faults.golden_recorded`` or ``faults.golden_reused``, counted
+    once per campaign.
+    """
+    trace = cached_trace(key)
+    stored = False
+    if store is not None:
+        if trace is None:
+            trace = store.get(key)  # None when absent or unreadable
+            stored = trace is not None
+        else:
+            stored = key in store
+    recorded = trace is None
+    if recorded:
+        with obs_hook.detached():
+            trace = GoldenTrace.record(image, keys, max_instructions)
+        baseline = trace.result
+        if (list(baseline.output_ints) != list(golden_output)
+                or not baseline.ok):
+            raise AssertionError(
+                f"golden run broken: {baseline.summary()} "
+                f"{baseline.output_ints}")
+    if store is not None and not stored:
+        store.put(key, trace)
+    keep_trace(key, trace)
+    obs = obs_hook.SIM
+    if obs is not None:
+        obs.count("faults.golden_recorded" if recorded
+                  else "faults.golden_reused")
+    return trace
+
+
 def _fault_batch_task(context: tuple,
                       group: List[FaultSpec]) -> List[FaultResult]:
     image, keys, golden_output, trace, max_instructions = context
@@ -265,8 +312,8 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     ``store_dir`` makes the campaign incremental: each specimen's result
     is content-addressed by (code version, image + run context, fault
     spec) in a :class:`~repro.runner.store.ResultStore` there, beside
-    the golden run's summary; the faults are planned from that summary,
-    the golden run is recorded only when a group has to run, cached
+    the golden trace (under the same context), which any campaign on
+    this image, whatever its seed, loads instead of recording; cached
     specimens are loaded instead of simulated, each group's
     results are stored as the group finishes, and a killed campaign
     resumed over the same store produces an export byte-identical to an
@@ -277,40 +324,26 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     written until a merged store makes the campaign complete.
     """
     check_count("per_model", per_model)
+    check_writable(export_path)
     started = time.perf_counter()
     keys = keys.for_profile(profile)
     store = ResultStore(store_dir) if store_dir is not None else None
     with obs_phase("build"):
         image = transform(program, keys, nonce=nonce, profile=profile)
-        golden = trace = None
-        if store is not None:
-            # everything the worker context contributes to one result: the
-            # image is the content-determined build artifact, the keys are
-            # named by their provisioned values (never digest live objects)
-            context = {
-                "image": hashlib.sha256(image.to_bytes()).hexdigest(),
-                "keys": [keys.k1, keys.k2, keys.k3,
-                         keys.cipher_factory.__name__],
-                "golden": list(golden_output),
-                "max_instructions": max_instructions,
-            }
-            golden_key = task_key("fault-golden", context, None)
-            golden = store.get(golden_key)
-        if golden is None:
-            trace = GoldenTrace.record(image, keys, max_instructions)
-            baseline = trace.result
-            if (list(baseline.output_ints) != list(golden_output)
-                    or not baseline.ok):
-                raise AssertionError(
-                    f"golden run broken: {baseline.summary()} "
-                    f"{baseline.output_ints}")
-            # the golden summary, primitives only: every shard stores
-            # the same bytes, and a warm rerun plans from it
-            golden = (baseline.instructions, list(baseline.output_ints),
-                      baseline.ok)
-            if store is not None:
-                store.put(golden_key, golden)
-    baseline_instructions = golden[0]
+        # everything the worker context contributes to one result: the
+        # image is the content-determined build artifact, the keys are
+        # named by their provisioned values (never digest live objects)
+        context = {
+            "image": hashlib.sha256(image.to_bytes()).hexdigest(),
+            "keys": [keys.k1, keys.k2, keys.k3,
+                     keys.cipher_factory.__name__],
+            "golden": list(golden_output),
+            "max_instructions": max_instructions,
+        }
+        trace = _golden_trace(
+            image, keys, golden_output, max_instructions,
+            task_key("fault-golden-trace", context, None), store)
+    baseline_instructions = trace.result.instructions
     with obs_phase("plan"):
         faults = sample_faults(image, baseline_instructions,
                                per_model=per_model, seed=seed,
@@ -319,18 +352,14 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     if store is not None:
         fault_keys = task_keys("fault-injection", context, faults)
 
-    def worker_context() -> tuple:
-        nonlocal trace
-        if trace is None:  # planned from the store, and a group to run
-            trace = GoldenTrace.record(image, keys, max_instructions)
-        return image, keys, list(golden_output), trace, max_instructions
-
     # lockstep groups are byte-identical to per-specimen runs at any
     # grouping, so grouping only the missing faults is safe
     with obs_phase("execute"):
         run = run_tasks_stored(
             _fault_batch_task, faults, fault_keys, width=BATCH_WIDTH,
-            jobs=jobs, context=worker_context,
+            jobs=jobs,
+            context=lambda: (image, keys, list(golden_output), trace,
+                             max_instructions),
             store=store, shard=shard)
     results = run.results
     summary = CampaignSummary()

@@ -38,7 +38,7 @@ __all__ = [
     "DEFAULT_BOUNDS", "Histogram", "MetricsRegistry", "counter_delta",
     "ProgressMeter", "summarize", "Telemetry", "campaign", "phase",
     "load_metrics", "chrome_trace", "write_chrome_trace",
-    "hook", "note", "set_quiet", "is_quiet",
+    "hook", "note", "set_quiet",
 ]
 
 _QUIET = False
@@ -48,10 +48,6 @@ def set_quiet(quiet: bool) -> None:
     """Set the process-wide quiet flag (the CLI's global ``--quiet``)."""
     global _QUIET
     _QUIET = bool(quiet)
-
-
-def is_quiet() -> bool:
-    return _QUIET
 
 
 def note(text: str, stream=None) -> None:

@@ -16,12 +16,14 @@ The sink interface is a single method: ``sink.count(name, n=1)`` —
 :class:`repro.obs.metrics.MetricsRegistry` satisfies it.  Worker
 processes install a fresh per-process registry via
 :mod:`repro.obs.worker`; the parent installs a campaign-scoped registry
-through :class:`repro.obs.Telemetry` so serial-path simulation (golden
-runs, triage replays) is counted too.
+through :class:`repro.obs.Telemetry` so serial-path simulation (triage
+replays) is counted too; :func:`detached` keeps a block out of it (a
+fault campaign's golden run, which a process or store may already hold).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 #: the active simulator sink, or ``None`` (the default: no telemetry)
@@ -38,3 +40,17 @@ def uninstall() -> None:
     """Remove any installed sink (machines built afterwards count nothing)."""
     global SIM
     SIM = None
+
+
+@contextmanager
+def detached():
+    """Run a block with no sink installed: machines built in it count
+    nothing.  For work a campaign may or may not redo depending on what
+    an earlier campaign left behind (a golden trace found in a cache), so
+    that its counters depend only on the campaign itself."""
+    global SIM
+    previous, SIM = SIM, None
+    try:
+        yield
+    finally:
+        SIM = previous

@@ -79,6 +79,11 @@ def summarize(directory) -> Tuple[str, int]:
             out.append("  counters")
             for name in sorted(counters):
                 out.append(f"    {name:<32} {counters[name]:,d}")
+        recorded = counters.get("faults.golden_recorded", 0)
+        reused = counters.get("faults.golden_reused", 0)
+        if recorded or reused:
+            out.append(f"  golden      {recorded:,d} golden run(s) recorded, "
+                       f"{reused:,d} reused (process cache or store)")
         if "faults.converged" in counters:
             out.append(
                 f"  converged   {counters['faults.converged']:,d} fault "

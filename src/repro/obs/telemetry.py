@@ -24,9 +24,9 @@ spans and the ``task.seconds`` histogram.
 
 While a campaign is open, a parent-side
 :class:`~repro.obs.metrics.MetricsRegistry` is installed into
-:data:`repro.obs.hook.SIM` so simulation done outside the pool (golden
-runs, failure triage/minimization) is counted too; it is merged into
-the campaign metrics at :meth:`finish` under the same names.
+:data:`repro.obs.hook.SIM` so simulation done outside the pool (failure
+triage/minimization) is counted too; it is merged into the campaign
+metrics at :meth:`finish` under the same names.
 """
 
 from __future__ import annotations
@@ -189,12 +189,6 @@ class Telemetry:
 
     def count(self, name: str, n: int = 1) -> None:
         self.metrics.count(name, n)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name, value)
-
-    def note(self, text: str) -> None:
-        self.events.emit("note", text=text)
 
 
 class _Silent:

@@ -64,12 +64,15 @@ def _temp_beside(target: Path) -> "tuple[int, str]":
         raise type(exc)(exc.errno, exc.strerror, str(target)) from None
 
 
-def check_writable(path) -> None:
-    """Raise the :class:`OSError` an :func:`atomic_write` to ``path``
-    would, by making and removing the temp file it would write."""
-    fd, tmp_name = _temp_beside(Path(path))
-    os.close(fd)
-    os.unlink(tmp_name)
+def check_writable(*paths) -> None:
+    """Raise the :class:`OSError` an :func:`atomic_write` to any of
+    ``paths`` (``None`` skipped) would, by making and removing the temp
+    file it would write: a campaign calls it before any work."""
+    for path in paths:
+        if path is not None:
+            fd, tmp_name = _temp_beside(Path(path))
+            os.close(fd)
+            os.unlink(tmp_name)
 
 
 def atomic_write(path, data) -> Path:

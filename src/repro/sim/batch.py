@@ -34,17 +34,27 @@ outcome *is* the golden outcome.  A pending comparator glitch
 equal words, none of which fails its MAC.  A golden run that writes code
 never converges (its final block cache would under-report what it
 fetched), though its checkpoints still serve forks.
+
+A trace depends only on the sealed image's bytes, the keys and the
+budget, so a process records each one once: :func:`cached_trace` and
+:func:`keep_trace` keep the last :data:`TRACE_CACHE_ENTRIES` traces,
+blocks and compiled regions included, under a key the caller derives
+from those inputs.  A pickled trace (a campaign's store entry) drops its
+blocks but keeps their edges and their regions' member edges, and
+:meth:`GoldenTrace.warm` rebuilds them before its first fork.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.bitslice import WIDTH
+from ..obs import hook as obs_hook
+from . import fused
 from .memory import changed_pages
 from .result import ExecutionResult, Status
 from .sofia import SofiaMachine
@@ -55,6 +65,12 @@ BATCH_WIDTH = WIDTH
 #: instructions per golden-run stint: the spacing of the checkpoints
 #: forks start from and meet (a fixed constant, not a tuning option)
 CHECK_EVERY = 2048
+
+#: golden traces a process keeps (:func:`keep_trace`), oldest out first
+#: (a fixed constant, not a tuning option)
+TRACE_CACHE_ENTRIES = 8
+
+_TRACES: Dict[str, "GoldenTrace"] = {}
 
 
 def _join(total: Optional[ExecutionResult],
@@ -91,6 +107,41 @@ class Checkpoint:
     icache: tuple                     # (tags, hits, misses)
 
 
+def _block_plan(blocks: dict) -> tuple:
+    """``(block_edges, regions)`` of the golden ``blocks`` a fork keeps:
+    a block's region counts only if a fork holding ``blocks`` adopts it
+    (each member is one of them, with the payload it was compiled
+    from)."""
+    order: Dict[int, int] = {}
+    regions = []
+    edges = []
+    for key, block in blocks.items():
+        region, index = block.region, None
+        if region is not None and all(
+                edge in blocks and blocks[edge].payload is payload
+                for edge, payload in region.members):
+            index = order.get(id(region))
+            if index is None:
+                index = order[id(region)] = len(regions)
+                regions.append(tuple(edge for edge, _p in region.members))
+        edges.append((key, index))
+    return tuple(edges), tuple(regions)
+
+
+def cached_trace(key: str) -> Optional["GoldenTrace"]:
+    """The trace this process keeps under ``key``, if any."""
+    return _TRACES.get(key)
+
+
+def keep_trace(key: str, trace: "GoldenTrace") -> None:
+    """Keep ``trace`` under ``key`` (a digest of everything it depends
+    on: image bytes, keys, budget) for later campaigns in this process;
+    past :data:`TRACE_CACHE_ENTRIES` traces the oldest goes."""
+    if key not in _TRACES and len(_TRACES) >= TRACE_CACHE_ENTRIES:
+        del _TRACES[next(iter(_TRACES))]
+    _TRACES[key] = trace
+
+
 def _mmio_state(machine: SofiaMachine) -> tuple:
     mmio = machine.memory.mmio
     return (tuple(mmio.chars), tuple(mmio.ints), tuple(mmio.words),
@@ -106,10 +157,14 @@ class GoldenTrace:
     verified payload instruction of the run names as ``rs1``/``rs2``;
     ``code_at`` are the indices of every code word the run fetches or
     loads, ``code_words`` those words, ``written`` the indices it writes.
-    ``blocks``, the golden machine's final verified-block cache, stays in
-    its process: compiled handlers do not pickle, so pickling drops it
-    and forks verify afresh.  Record a trace with :meth:`record`, build
-    forks with :meth:`fork_at`, finish them with :meth:`resume`.
+    ``blocks`` is the golden machine's final verified-block cache.
+    Compiled handlers do not pickle, so pickling drops ``blocks`` and
+    keeps what :meth:`warm` rebuilds them from: ``block_edges``, the
+    edge of each block a fork keeps (none that fetches a written word)
+    with the index in ``regions`` of the region it carries, or ``None``,
+    and ``regions``, each such region's member edges.  Record a trace
+    with :meth:`record`, build forks with :meth:`fork_at`, finish them
+    with :meth:`resume`.
     """
 
     result: ExecutionResult
@@ -119,9 +174,13 @@ class GoldenTrace:
     checkpoints: Tuple[Checkpoint, ...]
     written: Tuple[int, ...]
     blocks: dict = field(default_factory=dict, compare=False, repr=False)
+    block_edges: Tuple[Tuple[Tuple[int, int], Optional[int]], ...] = ()
+    regions: Tuple[Tuple[Tuple[int, int], ...], ...] = ()
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
+        # the fields alone (not the derived ``counts``), so a trace
+        # pickles to the same bytes whatever it has done since
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
         state["blocks"] = {}
         return state
 
@@ -195,8 +254,33 @@ class GoldenTrace:
         code_at = tuple((address - code_base) >> 2
                         for address in sorted(fetched))
         code_words = tuple(memory.code[index] for index in code_at)
+        # fork_at's writes drop every block fetching a written word
+        stale = {code_base + 4 * index for index in written}
+        kept = {key: block for key, block in blocks.items()
+                if stale.isdisjoint(block.fetch_addresses)}
         return cls(result, read_regs, code_at, code_words,
-                   tuple(checkpoints), tuple(sorted(written)), blocks)
+                   tuple(checkpoints), tuple(sorted(written)), blocks,
+                   *_block_plan(kept))
+
+    def warm(self, image, keys) -> None:
+        """Give a pickled trace back its golden blocks, in place: verify
+        each on a fresh machine on ``image`` (the recorded image, or one
+        with the same bytes) and compile each region onto them, counting
+        nothing.  A no-op on a trace that has its blocks."""
+        if self.blocks or not self.block_edges:
+            return
+        with obs_hook.detached():
+            machine = SofiaMachine(image, keys)
+        blocks = {key: machine.decrypt_and_verify(*key)
+                  for key, _region in self.block_edges}
+        regions = [fused.compile_sofia_block(
+            [(key, blocks[key]) for key in members], machine.timing,
+            machine.icache, machine.memory, image.block_bytes)
+            for members in self.regions]
+        for key, region in self.block_edges:
+            if region is not None:
+                blocks[key].region = regions[region]
+        self.blocks.update(blocks)
 
     def copy(self) -> "GoldenTrace":
         """This trace with a shallow copy of every golden block: what the

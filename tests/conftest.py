@@ -17,10 +17,16 @@ On its first traversals a SOFIA edge has few verified successors, so
 multi-block regions a campaign runs: every new memoizing
 :class:`~repro.sim.SofiaMachine` first adopts the block cache of a warm
 interpret-only run of its image, then compiles on first traversal.
+
+Every test starts with an empty golden-trace cache (the autouse
+``fresh_golden_traces`` fixture), so how many golden runs a test records
+does not depend on the tests before it, and no trace whose regions were
+compiled under one pinned tier reaches a test pinned to another.
 """
 
 import pytest
 
+import repro.sim.batch as batch
 import repro.sim.fused as fused
 from repro.sim import SofiaMachine
 from repro.sim.engine import ENGINES
@@ -39,6 +45,13 @@ WARM_BUDGET = 500_000
 #: pinned to each tier
 ENGINE_CASES = ([(name, None) for name in ENGINES]
                 + [("fast", tier) for tier in sorted(TIER_THRESHOLDS)])
+
+
+@pytest.fixture(autouse=True)
+def fresh_golden_traces(monkeypatch):
+    """An empty per-process golden-trace cache for the test (see
+    :func:`repro.sim.batch.keep_trace`)."""
+    monkeypatch.setattr(batch, "_TRACES", {})
 
 
 def warm_start(monkeypatch):

@@ -17,7 +17,8 @@ Four layers, each held to byte-identity against its scalar twin:
   state a fresh scalar machine reaches after ``t`` instructions (every
   checkpoint count -1/+0/+1, the golden end and past it; the default
   design point, PRESENT-80 with 32-bit seals and a golden run that writes
-  code), and a fork's tampering never reaches the trace;
+  code), from a recorded trace and from one pickled and rebuilt
+  (``GoldenTrace.warm``), and a fork's tampering never reaches the trace;
 * **peel-off/merge** — ``run_fault_batch`` returns, in submission
   order, results field-for-field identical to per-specimen scalar runs.
 """
@@ -480,6 +481,36 @@ class TestGoldenFork:
         assert trace.result.ok and len(trace.checkpoints) >= 4
         for trigger in fork_triggers(trace):
             fork, absolute = trace.fork_at(image, keys, trigger)
+            fresh, executed = fresh_run(image, keys, trigger)
+            assert absolute == executed, trigger
+            assert machine_state(fork) == machine_state(fresh), trigger
+            assert result_fields(fork.run()) == result_fields(
+                fresh.run()), trigger
+
+    @pytest.mark.parametrize("design", ["default", "present",
+                                        "code-writer"])
+    def test_a_loaded_trace_forks_like_the_recorded_one(self, design):
+        image, keys, trace = fork_case(design)
+        payload = pickle.dumps(replace(trace))  # as recorded
+        trace.fork_at(image, keys, trace.counts[-1])
+        # a store entry's bytes do not depend on what the trace has done
+        assert pickle.dumps(trace) == payload
+        loaded = pickle.loads(payload)
+        assert loaded == trace and loaded.blocks == {}
+        assert pickle.dumps(loaded) == payload
+        loaded.warm(image, keys)
+        # the blocks a fork keeps, each with the region it carries
+        kept = {key for key, _region in trace.block_edges}
+        assert set(loaded.blocks) == kept <= set(trace.blocks)
+        for key in kept:
+            recorded, rebuilt = trace.blocks[key], loaded.blocks[key]
+            assert rebuilt.payload == recorded.payload
+            sources = [None if block.region is None
+                       else block.region.fn.__fused_source__
+                       for block in (recorded, rebuilt)]
+            assert sources[0] == sources[1], key
+        for trigger in fork_triggers(trace):
+            fork, absolute = loaded.fork_at(image, keys, trigger)
             fresh, executed = fresh_run(image, keys, trigger)
             assert absolute == executed, trigger
             assert machine_state(fork) == machine_state(fresh), trigger

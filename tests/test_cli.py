@@ -407,6 +407,79 @@ class TestUnusablePaths:
                               "'F/x.json'\n"
         assert not list(tmp_path.glob("S/**/*.pkl"))
 
+    @pytest.mark.parametrize("campaign, option", [
+        ("fault", "export_path"), ("attacksynth", "export_path"),
+        ("attacksynth", "csv_path"), ("dse", "export_path"),
+        ("dse", "csv_path")], ids="-".join)
+    def test_library_campaign_checks_its_paths_first(self, campaign,
+                                                     option, tmp_path):
+        # the same check, made by the campaign function itself: a library
+        # caller gets the error before anything is simulated or stored
+        from repro.dse import run_dse
+        from repro.dse.grid import parse_profile_spec
+        from repro.workloads import make_workload
+        (tmp_path / "F").write_text("a regular file\n")
+        paths = {option: tmp_path / "F" / "x.out",
+                 "store_dir": tmp_path / "S"}
+        with pytest.raises(NotADirectoryError):
+            if campaign == "fault":
+                workload = make_workload("crc32", "tiny")
+                run_fault_campaign(workload.compile().program,
+                                   DeviceKeys.from_seed(1),
+                                   workload.expected_output, per_model=1,
+                                   **paths)
+            elif campaign == "attacksynth":
+                run_attacksynth(1, per_program=1, **paths)
+            else:
+                run_dse([parse_profile_spec("present-80:mac32:fixed")],
+                        workloads=("crc32",), scale="tiny", programs=1,
+                        per_model=1, **paths)
+        assert not list(tmp_path.glob("S/**/*.pkl"))
+
+    @pytest.mark.parametrize("option", ["export_path", "csv_path"])
+    def test_image_sweep_checks_its_paths_first(self, option, tmp_path,
+                                                monkeypatch):
+        import repro.attacksynth.campaign as synth
+        from repro.transform import transform
+        image = transform(parse(ASM_SOURCE), DeviceKeys.from_seed(1),
+                          nonce=7)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may run before the path check")
+
+        monkeypatch.setattr(synth, "SofiaMachine", forbidden)
+        (tmp_path / "F").write_text("a regular file\n")
+        with pytest.raises(NotADirectoryError):
+            synth.run_attacksynth_image(
+                image, **{option: tmp_path / "F" / "x.out"})
+
+
+class TestCorruptStore:
+    def test_truncated_entries_are_rewritten(self, tmp_path):
+        # a torn copy of the golden-trace entry and of one specimen's:
+        # the rerun treats both as missing, recomputes and rewrites them
+        from repro.sim.batch import GoldenTrace
+        argv = ["fault", "--per-model", "2", "--seed", "5", "--resume", "S"]
+        done = _repro(argv + ["--export", "whole.json"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        store = ResultStore(tmp_path / "S")
+        entries = {key: store._path(key).read_bytes()
+                   for key in store.keys()}
+        [golden] = [key for key in entries
+                    if isinstance(store.get(key), GoldenTrace)]
+        specimen = next(key for key in entries if key != golden)
+        for key in (golden, specimen):
+            store._path(key).write_bytes(entries[key][:100])
+        assert store.get(golden) is None and store.get(specimen) is None
+
+        done = _repro(argv + ["--export", "again.json"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "error" not in done.stderr
+        assert {key: store._path(key).read_bytes()
+                for key in store.keys()} == entries
+        assert ((tmp_path / "again.json").read_bytes()
+                == (tmp_path / "whole.json").read_bytes())
+
 
 #: runs ``repro fuzz`` through ``main`` and sends SIGINT to its own
 #: process group, as Ctrl-C would, from inside the Nth specimen task of

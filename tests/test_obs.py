@@ -339,6 +339,25 @@ class TestFastEngineTelemetry:
         assert ("converged   27 fault specimen(s) rejoined the golden run; "
                 "1,900,000 golden instructions not simulated") in text
 
+    def test_stats_reports_where_the_golden_trace_came_from(self, tmp_path):
+        from repro.crypto.keys import DeviceKeys
+        from repro.faults import run_campaign
+        from repro.workloads import make_workload
+        workload = make_workload("crc32", "tiny")
+        program = workload.compile().program
+        for name in ("first", "second"):
+            telemetry = Telemetry(directory=tmp_path / name)
+            with obs.campaign(telemetry, "fault"):
+                run_campaign(program, DeviceKeys.from_seed(1),
+                             workload.expected_output, per_model=1)
+        first, problems = summarize(tmp_path / "first")
+        assert problems == 0
+        assert ("golden      1 golden run(s) recorded, 0 reused (process "
+                "cache or store)") in first
+        second, _ = summarize(tmp_path / "second")
+        assert "golden      0 golden run(s) recorded, 1 reused" in second
+        assert "faults.golden_reused" in second
+
 
 class TestNoteQuiet:
     def test_note_writes_unless_quiet(self, capsys):

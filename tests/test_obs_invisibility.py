@@ -12,7 +12,9 @@ serial run and a 4-worker run of the same campaign are identical (the
 fault campaign's lockstep groups, whose memos and golden blocks are per
 group, depend only on the batch width, never on the worker count, and
 whether a specimen rejoins the golden run depends only on the specimen
-and the trace).
+and the trace).  Nor do they depend on where a fault campaign found its
+golden trace — recorded, kept by the process, or loaded from a store —
+except for the two counters that say which.
 """
 
 import pytest
@@ -20,6 +22,8 @@ import pytest
 from repro.crypto.keys import DeviceKeys
 from repro.faults.campaign import run_campaign as run_fault_campaign
 from repro.obs import Telemetry, campaign as obs_campaign
+from repro.runner import ResultStore
+from repro.sim import batch
 from repro.workloads import make_workload
 
 SEED = 0x0B5
@@ -34,7 +38,9 @@ def _variants():
 
 def _run(tmp_path, label, with_telemetry, campaign_name, fn):
     """Run ``fn(telemetry, store_dir, export_path)``; return export bytes
-    and the telemetry counter totals (or None)."""
+    and the telemetry counter totals (or None).  Each run starts with no
+    golden trace kept, as a fresh process would."""
+    batch._TRACES.clear()
     export = tmp_path / f"{label}.json"
     store = tmp_path / f"store-{label}"
     telemetry = Telemetry() if with_telemetry else None
@@ -94,6 +100,37 @@ class TestFaultInvisibility:
         assert counters["j1-on"] == counters["j4-on"]
         assert counters["j1-on"]["tasks.completed"] == 2
         assert counters["j1-on"]["sim.lockstep.forks"] == 66
+
+    def test_counters_do_not_depend_on_where_the_trace_came_from(
+            self, tmp_path, victim):
+        program, golden, keys = victim
+
+        def counted(store):
+            telemetry = Telemetry()
+            with obs_campaign(telemetry, "fault"):
+                run_fault_campaign(program, keys, golden, per_model=11,
+                                   seed=SEED, store_dir=store)
+            return dict(telemetry.metrics.counters)
+
+        recorded = counted(tmp_path / "recorded")
+        cached = counted(tmp_path / "cached")
+        # a store holding the golden trace and no specimen, read by a
+        # process that keeps no trace
+        source = ResultStore(tmp_path / "recorded")
+        loaded_store = ResultStore(tmp_path / "loaded")
+        for key in source.keys():
+            value = source.get(key)
+            if isinstance(value, batch.GoldenTrace):
+                loaded_store.put(key, value)
+        assert len(loaded_store) == 1
+        batch._TRACES.clear()
+        loaded = counted(tmp_path / "loaded")
+
+        assert recorded.pop("faults.golden_recorded") == 1
+        assert cached.pop("faults.golden_reused") == 1
+        assert loaded.pop("faults.golden_reused") == 1
+        assert recorded == cached == loaded
+        assert recorded["sim.lockstep.forks"] == 66
 
 
 class TestAttacksynthInvisibility:

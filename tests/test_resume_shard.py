@@ -104,6 +104,68 @@ _KILLED_IN_TASK = textwrap.dedent("""
 """)
 
 
+#: runs a store-backed crc32-tiny fault campaign (per_model=2) with the
+#: given seed, store and export, then prints how many golden runs it
+#: recorded — a campaign in a process of its own
+_COUNTED_CAMPAIGN = textwrap.dedent("""
+    import sys
+    from repro.crypto import DeviceKeys
+    from repro.faults import run_campaign
+    from repro.sim.batch import GoldenTrace
+    from repro.workloads import make_workload
+
+    seed, store_dir, export = sys.argv[1:]
+    real_record = GoldenTrace.record
+    recorded = []
+
+    def counting(*args, **kwargs):
+        recorded.append(args)
+        return real_record(*args, **kwargs)
+
+    GoldenTrace.record = counting
+    workload = make_workload("crc32", "tiny")
+    run_campaign(workload.compile().program, DeviceKeys.from_seed(0xFA),
+                 workload.expected_output, per_model=2, seed=int(seed),
+                 store_dir=store_dir, export_path=export)
+    print(len(recorded))
+""")
+
+
+def _counted_campaign(seed, store_dir, export):
+    """Run :data:`_COUNTED_CAMPAIGN` in a fresh process; its record
+    count."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNTED_CAMPAIGN, str(seed),
+         str(store_dir), str(export)],
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        capture_output=True, text=True, check=True)
+    return int(proc.stdout)
+
+
+def _count_records(monkeypatch):
+    """Count ``GoldenTrace.record`` calls for the rest of the test."""
+    from repro.sim.batch import GoldenTrace
+    real_record = GoldenTrace.record
+    recorded = []
+
+    def counting(*args, **kwargs):
+        recorded.append(args)
+        return real_record(*args, **kwargs)
+
+    monkeypatch.setattr(GoldenTrace, "record", counting)
+    return recorded
+
+
+def _golden_entry(store_dir):
+    """The stored bytes of the golden trace in the store at
+    ``store_dir``."""
+    from repro.sim.batch import GoldenTrace
+    store = ResultStore(store_dir)
+    [key] = [key for key in store.keys()
+             if isinstance(store.get(key), GoldenTrace)]
+    return store._path(key).read_bytes()
+
+
 def _fault_campaign_store(store_dir, export_path, per_model=2, **kwargs):
     workload = make_workload("crc32", "tiny")
     return fault_campaign(workload.compile().program, KEYS,
@@ -168,33 +230,90 @@ class TestKillResume:
 
     def test_golden_run_is_recorded_once_and_only_when_needed(
             self, tmp_path, monkeypatch):
-        from repro.sim.batch import GoldenTrace
-        real_record = GoldenTrace.record
-        recorded = []
-
-        def counting(*args, **kwargs):
-            recorded.append(args)
-            return real_record(*args, **kwargs)
-
-        monkeypatch.setattr(GoldenTrace, "record", counting)
+        from repro.sim import batch
+        recorded = _count_records(monkeypatch)
         golden = tmp_path / "golden.json"
         _fault_campaign_store(tmp_path / "golden-store", golden,
                               per_model=11)
         assert len(recorded) == 1  # planning and forking share one trace
+        # another campaign on the image, with a fresh store: the process
+        # keeps the trace
+        _fault_campaign_store(tmp_path / "other-store", None, per_model=3)
+        assert len(recorded) == 1
+        # and stores it as it stored it the first time, forks and all
+        assert (_golden_entry(tmp_path / "other-store")
+                == _golden_entry(tmp_path / "golden-store"))
 
         store_dir, export = tmp_path / "store", tmp_path / "final.json"
         _fault_campaign_store(store_dir, None, per_model=11,
                               shard=ShardSpec(index=1, count=2))
+        assert len(recorded) == 1
+        # from here on each campaign starts as a new process would, with
+        # no trace kept: the store alone holds it
+        batch._TRACES.clear()
         _fault_campaign_store(store_dir, None, per_model=11,
                               shard=ShardSpec(index=1, count=2))
-        assert len(recorded) == 2  # a shard's rerun plans from the store
-        # the other half is missing: planned from the stored summary, the
-        # trace is recorded lazily for the group that has to run
+        assert len(recorded) == 1  # a shard's rerun loads the trace
+        batch._TRACES.clear()
+        # the other half is missing: its groups fork the stored trace
         _fault_campaign_store(store_dir, export, per_model=11)
-        assert len(recorded) == 3
+        assert len(recorded) == 1
         assert export.read_bytes() == golden.read_bytes()
+        batch._TRACES.clear()
         _fault_campaign_store(store_dir, export, per_model=11)
-        assert len(recorded) == 3
+        assert len(recorded) == 1
+
+    def test_the_process_keeps_a_bounded_number_of_traces(self):
+        from repro.sim import batch
+        traces = [object() for _ in range(batch.TRACE_CACHE_ENTRIES + 1)]
+        for index, trace in enumerate(traces):
+            batch.keep_trace(str(index), trace)
+        assert batch.cached_trace("0") is None  # the oldest went first
+        assert [batch.cached_trace(str(index))
+                for index in range(1, len(traces))] == traces[1:]
+
+    def test_two_seeds_over_one_store_record_once(self, tmp_path):
+        store_dir = tmp_path / "store"
+        assert _counted_campaign(9, store_dir, tmp_path / "a.json") == 1
+        assert _counted_campaign(10, store_dir, tmp_path / "b.json") == 0
+        # the second seed, recorded afresh, exports the same bytes
+        assert _counted_campaign(10, tmp_path / "fresh",
+                                 tmp_path / "c.json") == 1
+        assert ((tmp_path / "b.json").read_bytes()
+                == (tmp_path / "c.json").read_bytes())
+
+    def test_campaign_after_a_cache_hit_exports_fresh_bytes(
+            self, tmp_path, monkeypatch):
+        recorded = _count_records(monkeypatch)
+        _fault_campaign_store(tmp_path / "first", None, per_model=11)
+        export = tmp_path / "hit.json"
+        workload = make_workload("crc32", "tiny")
+        fault_campaign(workload.compile().program, KEYS,
+                       workload.expected_output, per_model=2, seed=10,
+                       store_dir=tmp_path / "second", export_path=export)
+        assert len(recorded) == 1
+        assert _counted_campaign(10, tmp_path / "fresh",
+                                 tmp_path / "fresh.json") == 1
+        assert export.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    @pytest.mark.parametrize("change", [
+        {"nonce": 0xFA18},
+        {"profile": ProtectionProfile(mac_words=3)},
+        {"keys": DeviceKeys.from_seed(0xFB)},
+        {"max_instructions": 1_000_000},
+    ], ids=["nonce", "profile", "keys", "budget"])
+    def test_each_trace_input_gets_its_own_record(self, monkeypatch,
+                                                  change):
+        recorded = _count_records(monkeypatch)
+        workload = make_workload("crc32", "tiny")
+        program = workload.compile().program
+        campaign = dict(keys=KEYS, golden_output=workload.expected_output,
+                        per_model=1)
+        fault_campaign(program, **campaign)
+        fault_campaign(program, **campaign)
+        assert len(recorded) == 1
+        fault_campaign(program, **dict(campaign, **change))
+        assert len(recorded) == 2
 
     def test_kill_inside_second_fault_group_keeps_the_first(self,
                                                             tmp_path):
@@ -203,7 +322,7 @@ class TestKillResume:
                               per_model=11)
         store_dir, export = tmp_path / "store", tmp_path / "resumed.json"
         partial = _killed_in_task("fault", 2, store_dir, export)
-        # the golden summary and the whole first group, nothing more
+        # the golden trace and the whole first group, nothing more
         assert len(partial) == 1 + 64
         _fault_campaign_store(store_dir, export, per_model=11)
         assert export.read_bytes() == golden.read_bytes()
