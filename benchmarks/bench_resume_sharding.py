@@ -15,6 +15,9 @@ the E19 table with cold/warm wall-clock per campaign.
 
 import time
 
+import repro.runner.store as store_module
+import repro.sim.batch as batch
+import repro.sim.fused as fused
 from repro.attacksynth import run_attacksynth
 from repro.crypto import DeviceKeys
 from repro.faults import run_campaign as fault_campaign
@@ -33,6 +36,24 @@ def _fault_campaign(store_dir, export_path, per_model=24):
                           workload.expected_output, per_model=per_model,
                           seed=SEED, store_dir=store_dir,
                           export_path=export_path)
+
+
+def _empty_process_caches(monkeypatch):
+    """Give the next campaign the per-process caches of a fresh process.
+
+    A campaign leaves the compiled region code (``sim/fused._CODE``),
+    the store's source digest (``runner/store._CODE_VERSION``) and its
+    golden traces (``sim/batch._TRACES``) behind.  A cold run that
+    inherits them from an earlier campaign in this process
+    (``test_resume_smoke`` runs the same workload) skips about 25 ms of
+    work, and a warm rerun that inherits them from its own cold run
+    skips the source hash a ``--resume`` rerun in a new process pays:
+    both runs of a pair start empty so the ratio compares two fresh
+    processes.
+    """
+    monkeypatch.setattr(fused, "_CODE", {})
+    monkeypatch.setattr(store_module, "_CODE_VERSION", None)
+    monkeypatch.setattr(batch, "_TRACES", {})
 
 
 def _timed(fn):
@@ -64,14 +85,16 @@ def test_resume_smoke(tmp_path, monkeypatch):
     assert warm.read_bytes() == cold.read_bytes()
 
 
-def test_warm_rerun_under_ten_percent(tmp_path):
+def test_warm_rerun_under_ten_percent(tmp_path, monkeypatch):
     """E19 gate: store-backed reruns cost < 10% of the cold campaign."""
     rows = []
 
+    _empty_process_caches(monkeypatch)
     cold_json = tmp_path / "fault-cold.json"
     (results, _), t_cold = _timed(
         lambda: _fault_campaign(tmp_path / "fault-store", cold_json))
     warm_json = tmp_path / "fault-warm.json"
+    _empty_process_caches(monkeypatch)
     _, t_warm = _timed(
         lambda: _fault_campaign(tmp_path / "fault-store", warm_json))
     assert warm_json.read_bytes() == cold_json.read_bytes()
@@ -79,10 +102,12 @@ def test_warm_rerun_under_ten_percent(tmp_path):
 
     synth_cold = tmp_path / "synth-cold.json"
     params = dict(programs=4, seed=21, per_program=6)
+    _empty_process_caches(monkeypatch)
     report, t_cold = _timed(lambda: run_attacksynth(
         store_dir=tmp_path / "synth-store", export_path=synth_cold,
         **params))
     synth_warm = tmp_path / "synth-warm.json"
+    _empty_process_caches(monkeypatch)
     _, t_warm = _timed(lambda: run_attacksynth(
         store_dir=tmp_path / "synth-store", export_path=synth_warm,
         **params))

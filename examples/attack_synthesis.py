@@ -19,8 +19,9 @@ CLI equivalent of step 4: ``python -m repro attacksynth --programs 50
 --jobs 2 --export synth.json``.
 """
 
-from repro.attacksynth import (enumerate_instances, run_attacksynth,
-                               run_sofia_instance, sealed_edges)
+from repro.attacksynth import (enumerate_instances, materialize_image,
+                               run_attacksynth, run_sofia_instance,
+                               sealed_edges)
 from repro.attacksynth.campaign import _clean_sofia
 from repro.attacksynth.classify import observables
 from repro.core import build_assembly
@@ -53,7 +54,7 @@ def main() -> None:
     program = build_assembly(VICTIM)
     exe = assemble(program)
     image = transform(program, KEYS, nonce=0x2016)
-    clean, traversed = _clean_sofia(image, KEYS)
+    clean, traversed, _edges = _clean_sofia(image, KEYS)
     instances = enumerate_instances(image, exe, KEYS, traversed,
                                     task_rng(1, "example"), KEY_SEED)
     print(f"{len(image.words)}-word image, "
@@ -68,20 +69,21 @@ def main() -> None:
     clean_obs = observables(clean)
     bend = next(i for i in instances
                 if i.family == "bend" and i.expected == "detected")
-    outcome, _, violation, _ = run_sofia_instance(bend, image, KEYS,
-                                                  clean_obs)
+    outcome, _, violation, _ = run_sofia_instance(
+        bend, materialize_image(bend, image, KEYS), KEYS, clean_obs)
     print(f"bend     {bend.description}")
     print(f"         -> {outcome} ({violation} violation)")
     benign = next(i for i in instances if i.expected == "benign")
-    outcome, _, _, _ = run_sofia_instance(benign, image, KEYS, clean_obs)
+    outcome, _, _, _ = run_sofia_instance(
+        benign, materialize_image(benign, image, KEYS), KEYS, clean_obs)
     print(f"replay   {benign.description}")
     print(f"         -> {outcome} (bit-identical run)")
     print()
 
     # -- 3: the successful-forgery model ---------------------------------
     forge = next(i for i in instances if i.family == "forge-store-slot")
-    outcome, _, violation, _ = run_sofia_instance(forge, image, KEYS,
-                                                  clean_obs)
+    outcome, _, violation, _ = run_sofia_instance(
+        forge, materialize_image(forge, image, KEYS), KEYS, clean_obs)
     print(f"forgery  {forge.description}")
     print(f"         -> {outcome}: the MAC verifies, the {violation} "
           f"check still resets")

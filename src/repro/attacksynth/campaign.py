@@ -46,14 +46,15 @@ from ..sim.vanilla import VanillaMachine
 from ..transform.image import SofiaImage
 from ..transform.profile import DEFAULT_PROFILE, ProtectionProfile
 from ..transform.transformer import transform
-from .classify import (PLAIN_BUDGET, SOFIA_BUDGET, observables,
-                       run_plain_instance, run_sofia_instance)
+from .classify import (PLAIN_BUDGET, SOFIA_BUDGET, materialize_images,
+                       observables, prefill_front_ends, run_plain_instance,
+                       run_sofia_instance)
 from .enumerate import enumerate_geometric, enumerate_instances
 from .matrix import DetectionMatrix
-from .model import (EXPECT_BENIGN, EXPECT_DETECTED, EXPECT_EDGE_OK,
-                    InstanceResult, OBS_NA, OBS_SURVIVED_DIVERGENT,
-                    ProgramOutcome, TARGET_ECB, TARGET_SOFIA,
-                    TARGET_VANILLA, TARGET_XOR)
+from .model import (AttackInstance, EXPECT_BENIGN, EXPECT_DETECTED,
+                    EXPECT_EDGE_OK, InstanceResult, OBS_NA,
+                    OBS_SURVIVED_DIVERGENT, ProgramOutcome, TARGET_ECB,
+                    TARGET_SOFIA, TARGET_VANILLA, TARGET_XOR)
 
 DEFAULT_SEED = 0xA77AC2
 DEFAULT_PROGRAMS = 200
@@ -73,16 +74,17 @@ def _synth_context(key_seed: int, campaign_seed: int,
 
 
 def _clean_sofia(image: SofiaImage, keys: DeviceKeys):
-    """Clean run + the traversed block bases.
+    """Clean run, the traversed block bases and the verified edges.
 
     A clean run verifies a block only to execute it, and commits at least
     one of its instructions unless the run fails, so the bases of the
     machine's verified blocks are the traversed ones: the run needs no
-    commit hook and takes the fast loop.
+    commit hook and takes the fast loop.  The edges ``(prevPC, entry
+    PC)`` it verified come in first-traversal order.
     """
     machine = SofiaMachine(image, keys)
     result = machine.run(max_instructions=SOFIA_BUDGET)
-    return result, machine.verified_bases()
+    return result, machine.verified_bases(), machine.verified_edges()
 
 
 def _program_label(index: int, genome: Genome) -> str:
@@ -90,19 +92,31 @@ def _program_label(index: int, genome: Genome) -> str:
             f"/bw{genome.block_words}")
 
 
-def _sofia_instance_result(instance, image: SofiaImage, keys: DeviceKeys,
-                           clean_obs) -> Tuple[InstanceResult, bool]:
-    """Run one instance on the SOFIA core into a fresh result record."""
-    result = InstanceResult(
-        family=instance.family, name=instance.name,
-        description=instance.description, expected=instance.expected,
-        expected_plain=instance.expected_plain)
-    sofia_out, hijacked, violation, edge_ok = run_sofia_instance(
-        instance, image, keys, clean_obs)
-    result.outcomes[TARGET_SOFIA] = sofia_out
-    result.violation = violation
-    result.edge_ok = edge_ok
-    return result, hijacked
+def _sofia_instance_results(instances: List[AttackInstance],
+                            image: SofiaImage, keys: DeviceKeys, clean_obs,
+                            clean_edges) -> List[Tuple[InstanceResult, bool]]:
+    """Run each instance on the SOFIA core into a fresh result record.
+
+    Every instance's image is materialized first and their first
+    traversals' cipher work done across lanes
+    (:func:`~repro.attacksynth.classify.prefill_front_ends`), so the
+    runs share the program's crypto instead of paying it one by one.
+    """
+    mutated = materialize_images(instances, image, keys)
+    prefill_front_ends(instances, mutated, keys, clean_edges)
+    results = []
+    for instance, instance_image in zip(instances, mutated):
+        result = InstanceResult(
+            family=instance.family, name=instance.name,
+            description=instance.description, expected=instance.expected,
+            expected_plain=instance.expected_plain)
+        sofia_out, hijacked, violation, edge_ok = run_sofia_instance(
+            instance, instance_image, keys, clean_obs)
+        result.outcomes[TARGET_SOFIA] = sofia_out
+        result.violation = violation
+        result.edge_ok = edge_ok
+        results.append((result, hijacked))
+    return results
 
 
 def _synth_task(context: tuple,
@@ -132,7 +146,7 @@ def _synth_task(context: tuple,
         plain_targets.append(
             (TARGET_ECB, lambda: EcbIsrMachine(exe, ecb_key)))
 
-    sofia_clean, traversed = _clean_sofia(image, keys)
+    sofia_clean, traversed, clean_edges = _clean_sofia(image, keys)
     plain_clean = {}
     for name, make in plain_targets:
         plain_clean[name] = make().run(max_instructions=PLAIN_BUDGET)
@@ -151,13 +165,10 @@ def _synth_task(context: tuple,
 
     rng = task_rng(campaign_seed, "attacksynth", index)
     instances = enumerate_instances(image, exe, keys, traversed, rng,
-                                    key_seed)
-    if per_program is not None:
-        instances = instances[:per_program]
-
-    for instance in instances:
-        result, hij = _sofia_instance_result(instance, image, keys,
-                                             sofia_obs)
+                                    key_seed, limit=per_program)
+    sofia_results = _sofia_instance_results(instances, image, keys,
+                                            sofia_obs, clean_edges)
+    for instance, (result, hij) in zip(instances, sofia_results):
         hijacked = [TARGET_SOFIA] if hij else []
         for name, make in plain_targets:
             if not instance.plain_applicable:
@@ -455,7 +466,7 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
                          profile=image.profile)
     outcome = ProgramOutcome(index=0, label="image")
     outcome.blocks = image.num_blocks
-    clean = SofiaMachine(image, keys).run(max_instructions=SOFIA_BUDGET)
+    clean, _traversed, clean_edges = _clean_sofia(image, keys)
     if not clean.ok:
         # without a clean baseline every mutated run "detects" too — a
         # wrong key seed must be an error, not a perfect-looking matrix
@@ -470,9 +481,8 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
     instances = enumerate_geometric(image, rng)
     if per_program is not None:
         instances = instances[:per_program]
-    for instance in instances:
-        result, hij = _sofia_instance_result(instance, image, keys,
-                                             clean_obs)
+    for result, hij in _sofia_instance_results(instances, image, keys,
+                                               clean_obs, clean_edges):
         result.hijacked = (TARGET_SOFIA,) if hij else ()
         outcome.instances.append(result)
     report.programs = [outcome]

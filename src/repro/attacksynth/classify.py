@@ -19,17 +19,29 @@ console ints/text/words, actuator writes, exit code).  Registers, PC and
 raw RAM are deliberately excluded — the protected layout legally changes
 code addresses, which leak into ``ra`` and spilled return addresses
 (same rule as the fuzzing oracle's cross-core axis).
+
+A program's instances share its cipher work.  :func:`materialize_images`
+builds every instance's mutated image up front, with one re-encryption
+per new nonce, and :func:`prefill_front_ends` then computes the
+keystream words and seals of each instance's first traversal of what it
+mutated, bit-sliced across all the instances at once, into the
+front-end memo planes their machines adopt.  Those are the values each
+machine would compute itself, so the runs cannot tell; they just find
+the work done.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..attacks.victim import UNLOCK_VALUE
+from ..crypto.ctr import EdgeKeystream
 from ..crypto.keys import DeviceKeys
 from ..sim.result import ExecutionResult, Status
 from ..sim.sofia import SofiaMachine
+from ..transform.encrypt import _batch_macs, traversal_ciphertext
 from ..transform.image import SofiaImage
+from ..transform.profile import RESET_PREV_PC
 from ..transform.renonce import reencrypt
 from .model import (AttackInstance, OBS_CRASHED, OBS_DETECTED, OBS_LIMIT,
                     OBS_SURVIVED_CLEAN, OBS_SURVIVED_DIVERGENT)
@@ -72,32 +84,115 @@ def hijacked(result: ExecutionResult) -> bool:
     return result.mmio is not None and UNLOCK_VALUE in result.mmio.actuator
 
 
+def materialize_images(instances: Sequence[AttackInstance],
+                       image: SofiaImage,
+                       keys: DeviceKeys) -> List[SofiaImage]:
+    """The mutated image each instance runs against (the original is
+    kept).  Instances that renonce to the same nonce share one
+    re-encryption, and with it the renonced image's front-end memo and
+    verified-block plane."""
+    renonced: Dict[int, SofiaImage] = {}
+    images: List[SofiaImage] = []
+    for instance in instances:
+        base = image
+        if instance.renonce is not None:
+            base = renonced.get(instance.renonce)
+            if base is None:
+                base = renonced[instance.renonce] = reencrypt(
+                    image, keys, instance.renonce)
+        if instance.writes:
+            words = list(base.words)
+            for address, word in instance.writes:
+                words[(address - base.code_base) // 4] = word & 0xFFFFFFFF
+            base = base.with_words(words)
+        images.append(base)
+    return images
+
+
 def materialize_image(instance: AttackInstance, image: SofiaImage,
                       keys: DeviceKeys) -> SofiaImage:
-    """The mutated image an instance runs against (the original is kept)."""
-    base = image
-    if instance.renonce is not None:
-        base = reencrypt(image, keys, instance.renonce)
-    if instance.writes:
-        words = list(base.words)
-        for address, word in instance.writes:
-            words[(address - base.code_base) // 4] = word & 0xFFFFFFFF
-        base = base.with_words(words)
-    return base
+    """The mutated image one instance runs against (the original is kept)."""
+    return materialize_images([instance], image, keys)[0]
 
 
-def run_sofia_instance(instance: AttackInstance, image: SofiaImage,
+def _first_traversals(instance: AttackInstance, image: SofiaImage,
+                      clean_edges: Sequence[Tuple[int, int]]
+                      ) -> List[Tuple[int, int]]:
+    """The ``(prevPC, entry PC)`` traversals on which a run of
+    ``instance`` first fetches what the instance changed: its bent edge,
+    or the clean run's edges into each block it writes (the run equals
+    the clean run up to that fetch)."""
+    if instance.entry_pc is not None:
+        prev_pc = (RESET_PREV_PC if instance.prev_pc is None
+                   else instance.prev_pc)
+        return [(prev_pc, instance.entry_pc)]
+    written = {image.block_base_of(address)
+               for address, _word in instance.writes}
+    return [edge for edge in clean_edges
+            if image.block_base_of(edge[1]) in written]
+
+
+def prefill_front_ends(instances: Sequence[AttackInstance],
+                       images: Sequence[SofiaImage], keys: DeviceKeys,
+                       clean_edges: Sequence[Tuple[int, int]]) -> None:
+    """Do the cipher work of every instance's first traversals at once.
+
+    ``images`` are the instances' materialized images
+    (:func:`materialize_images`) and ``clean_edges`` the clean run's
+    verified edges, in first-traversal order.  Each first traversal
+    (see :func:`_first_traversals`) gets its keystream words from one
+    :meth:`~repro.crypto.ctr.EdgeKeystream.keystream_many` call per
+    front-end memo and its seal from one bit-sliced CBC-MAC per (kind,
+    length) group, written into the memo planes the instances' machines
+    adopt.  These are the values each machine would compute itself on
+    that traversal, so no run can tell; the machines then find their
+    mutated blocks' cipher work done instead of paying it one scalar
+    chain at a time.
+    """
+    # front-end memo -> (an image of it, its traversals)
+    memos: Dict[int, Tuple[SofiaImage, list]] = {}
+    for instance, image in zip(instances, images):
+        memo = image.front_end_memo(keys, image.profile.mac_words)
+        _image, fetched = memos.setdefault(id(memo), (image, []))
+        for prev_pc, entry_pc in _first_traversals(instance, image,
+                                                   clean_edges):
+            traversal = traversal_ciphertext(image, prev_pc, entry_pc)
+            if traversal is not None:
+                fetched.append(traversal)
+    # seal plane -> (seal width, its (kind, payload) lanes)
+    seals: Dict[int, Tuple[Dict, int, list]] = {}
+    for image, fetched in memos.values():
+        memo = image.front_end
+        mac_words = image.profile.mac_words
+        stream = EdgeKeystream(keys.encryption_cipher, image.nonce,
+                               cache=memo.keystream_for(keys, image.nonce))
+        words = iter(stream.keystream_many(
+            edge for _kind, _ciphertext, edges in fetched
+            for edge in edges))
+        plane = memo.seal_for(keys, mac_words)
+        _plane, _width, lanes = seals.setdefault(id(plane),
+                                                 (plane, mac_words, []))
+        for kind, ciphertext, _edges in fetched:
+            plain = [word ^ next(words) for word in ciphertext]
+            lanes.append((kind, tuple(plain[mac_words:])))
+    for plane, mac_words, lanes in seals.values():
+        _batch_macs(keys, mac_words, lanes, plane)
+
+
+def run_sofia_instance(instance: AttackInstance, mutated: SofiaImage,
                        keys: DeviceKeys, clean: Observables,
                        max_instructions: int = SOFIA_BUDGET
                        ) -> Tuple[str, bool, Optional[str], Optional[bool]]:
     """Run one instance on the SOFIA core.
 
+    ``mutated`` is the instance's materialized image
+    (:func:`materialize_images` or :func:`materialize_image`).
     Returns ``(outcome, hijacked, violation_kind, edge_ok)`` where
     ``edge_ok`` (bend instances only) reports whether the *bent edge
     itself* passed the decrypt/verify front-end — a reset on the very
     first block traversal means it did not.
     """
-    machine = SofiaMachine(materialize_image(instance, image, keys), keys)
+    machine = SofiaMachine(mutated, keys)
     if instance.entry_pc is not None:
         machine.state.pc = instance.entry_pc
         if instance.prev_pc is not None:

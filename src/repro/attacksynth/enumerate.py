@@ -36,13 +36,18 @@ mapped into the vanilla executable's smaller address space) so the same
 logical attack also runs against the undefended and ISR-baseline cores.
 Enumeration is pure: the same image, executable and RNG state always
 yield the same instance list, which is what keeps campaigns
-deterministic at any ``--jobs`` value.
+deterministic at any ``--jobs`` value.  It is also lazy: instances are
+generated in order, each family's RNG draws just before its instances,
+so ``limit`` keeps a full enumeration's prefix and never builds the rest
+(a dropped forgery pays no :func:`~repro.transform.encrypt.reseal_block`,
+a dropped encrypted injection derives no attacker keys).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..attacks.actions import gadget_instructions, gadget_words
 from ..crypto.keys import DeviceKeys
@@ -166,7 +171,8 @@ def _forged_payload(kind: str, capacity: int,
 def enumerate_instances(image: SofiaImage, exe: Executable,
                         keys: DeviceKeys, traversed: Set[int],
                         rng: random.Random, key_seed: int,
-                        plan: Optional[Dict[str, int]] = None
+                        plan: Optional[Dict[str, int]] = None,
+                        limit: Optional[int] = None
                         ) -> List[AttackInstance]:
     """Enumerate concrete attacks against one metadata-carrying image.
 
@@ -174,7 +180,20 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
     it decides whether a block substitution is expected ``detected``
     (the tampered block will be fetched and must fail verification) or
     ``benign`` (it provably cannot influence the run).
+
+    ``limit`` keeps the first ``limit`` instances and never builds the
+    rest (no reseal, no attacker keys): the RNG draws happen in instance
+    order, so the kept ones equal a full enumeration's prefix.
     """
+    return list(islice(_instances(image, exe, keys, traversed, rng,
+                                  key_seed, plan), limit))
+
+
+def _instances(image: SofiaImage, exe: Executable, keys: DeviceKeys,
+               traversed: Set[int], rng: random.Random, key_seed: int,
+               plan: Optional[Dict[str, int]]
+               ) -> Iterator[AttackInstance]:
+    """:func:`enumerate_instances`, one instance at a time."""
     quotas = dict(DEFAULT_PLAN)
     quotas.update(plan or {})
     # every structural expectation (store slots, seal width, renonce
@@ -187,7 +206,6 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
     records = {record.base: record for record in image.blocks}
     traversed_bases = [b for b in bases if b in traversed]
     untraversed_bases = [b for b in bases if b not in traversed]
-    instances: List[AttackInstance] = []
 
     # -- control-flow bends ------------------------------------------------
     bend_candidates = [(src, target) for src in sources
@@ -195,18 +213,18 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
     detected_bends = [c for c in bend_candidates if c not in sealed]
     sealed_bends = [c for c in bend_candidates if c in sealed]
     for src, target in _sample(rng, detected_bends, quotas["bend"]):
-        instances.append(AttackInstance(
+        yield AttackInstance(
             family="bend", name=f"bend-{src:06x}-{target:06x}",
             description=f"divert CTI at 0x{src:08x} to entry 0x{target:08x}",
             expected=EXPECT_DETECTED, prev_pc=src, entry_pc=target,
-            plain_entry=_map_plain_word(target, image, exe)))
+            plain_entry=_map_plain_word(target, image, exe))
     for src, target in _sample(rng, sealed_bends, quotas["bend-benign"]):
-        instances.append(AttackInstance(
+        yield AttackInstance(
             family="bend", name=f"bend-sealed-{src:06x}-{target:06x}",
             description=(f"take the sealed edge 0x{src:08x} -> "
                          f"0x{target:08x} (legitimate CFG edge)"),
             expected=EXPECT_EDGE_OK, prev_pc=src, entry_pc=target,
-            plain_entry=_map_plain_word(target, image, exe)))
+            plain_entry=_map_plain_word(target, image, exe))
 
     # -- wrong entry offsets ----------------------------------------------
     if sources:
@@ -223,12 +241,12 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
         for target, why in _sample(rng, offset_candidates,
                                    quotas["bend-entry-offset"]):
             src = rng.choice(sources)
-            instances.append(AttackInstance(
+            yield AttackInstance(
                 family="bend-entry-offset",
                 name=f"bendoff-{src:06x}-{target:06x}",
                 description=f"divert CTI at 0x{src:08x} to {why}",
                 expected=EXPECT_DETECTED, prev_pc=src, entry_pc=target,
-                plain_entry=_map_plain_word(target, image, exe)))
+                plain_entry=_map_plain_word(target, image, exe))
 
     # -- block replay / splice --------------------------------------------
     def replay_instance(victim: int, expected: str,
@@ -257,11 +275,11 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
     for victim in _sample(rng, traversed_bases, quotas["replay"]):
         instance = replay_instance(victim, EXPECT_DETECTED, "")
         if instance is not None:
-            instances.append(instance)
+            yield instance
     for victim in _sample(rng, untraversed_bases, quotas["replay-benign"]):
         instance = replay_instance(victim, EXPECT_BENIGN, "-dead")
         if instance is not None:
-            instances.append(instance)
+            yield instance
 
     # -- stale-nonce replay across renonce epochs -------------------------
     # the cross-epoch surface only exists when the deployment rotates its
@@ -282,10 +300,10 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
                 plain_applicable=False)
 
         if quotas["stale-nonce"] > 0:
-            instances.append(stale_instance(entry_base, EXPECT_DETECTED, ""))
+            yield stale_instance(entry_base, EXPECT_DETECTED, "")
         for victim in _sample(rng, untraversed_bases,
                               quotas["stale-nonce-benign"]):
-            instances.append(stale_instance(victim, EXPECT_BENIGN, "-dead"))
+            yield stale_instance(victim, EXPECT_BENIGN, "-dead")
 
     # -- plaintext gadget injection ---------------------------------------
     gadget = gadget_words()
@@ -305,14 +323,14 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
         else:
             plain_base = _map_plain_span(base, len(gadget), image, exe)
             expected_plain = None
-        instances.append(AttackInstance(
+        yield AttackInstance(
             family="inject-plain", name=f"inject-plain-{base:06x}",
             description=(f"write the plaintext unlock gadget over "
                          f"block 0x{base:08x}"),
             expected=EXPECT_DETECTED, writes=_image_pokes(base, gadget),
             plain_writes=_plain_pokes(plain_base, gadget),
             plain_applicable=plain_base is not None,
-            expected_plain=expected_plain))
+            expected_plain=expected_plain)
 
     # -- attacker-encrypted injection -------------------------------------
     entry_record = records[entry_base]
@@ -324,14 +342,14 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
         payload.append(Instruction("halt"))
         forged = reseal_block(image, entry_record, payload, attacker_keys)
         plain_base = _map_plain_span(entry_base, len(forged), image, exe)
-        instances.append(AttackInstance(
+        yield AttackInstance(
             family="inject-enc", name=f"inject-enc-{entry_base:06x}",
             description=("seal the gadget over the entry block under "
                          "attacker-guessed keys"),
             expected=EXPECT_DETECTED,
             writes=_image_pokes(entry_base, forged),
             plain_writes=_plain_pokes(plain_base, forged),
-            plain_applicable=plain_base is not None))
+            plain_applicable=plain_base is not None)
 
     # -- slot-abuse forgeries (successful-forgery model, real keys) -------
     for kind, family, quota_key in (
@@ -351,16 +369,14 @@ def enumerate_instances(image: SofiaImage, exe: Executable,
                                      image, exe)
         what = ("a store in a forbidden slot" if kind == "store"
                 else "a control transfer in a mid-block slot")
-        instances.append(AttackInstance(
+        yield AttackInstance(
             family=family, name=f"{family}-{entry_base:06x}",
             description=(f"forge a validly-MACed entry block carrying "
                          f"{what}"),
             expected=EXPECT_DETECTED,
             writes=_image_pokes(entry_base, forged),
             plain_writes=_plain_pokes(plain_base, plain_words),
-            plain_applicable=plain_base is not None))
-
-    return instances
+            plain_applicable=plain_base is not None)
 
 
 def enumerate_geometric(image: SofiaImage, rng: random.Random,

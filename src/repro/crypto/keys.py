@@ -13,12 +13,17 @@ variable-length weakness (one key per message length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Dict, Iterator, Tuple
 
 from .rectangle import KEY_BITS, Rectangle80
 
 _KEY_MASK = (1 << KEY_BITS) - 1
+
+#: one keyed cipher per (implementation, key) in the process, like the
+#: batch evaluators of :mod:`repro.crypto.bitslice`: a keyed cipher is a
+#: pure function of the two, so every key set holding them shares it
+_CIPHERS: Dict[Tuple[type, int], object] = {}
 
 
 def derive_key(seed: int, label: str) -> int:
@@ -43,14 +48,15 @@ class DeviceKeys:
     ``cipher_factory`` selects the block-cipher implementation shared by
     CTR decryption and the CBC-MACs; the default is RECTANGLE-80 (the
     paper's choice), and :class:`repro.crypto.present.Present80` is the
-    drop-in alternative for the cipher-agility study.
+    drop-in alternative for the cipher-agility study.  Equal keys under
+    the same factory share one cipher object process-wide, so a key set
+    re-derived or re-bound (:meth:`for_profile`) pays no key schedule.
     """
 
     k1: int
     k2: int
     k3: int
     cipher_factory: type = Rectangle80
-    _ciphers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("k1", "k2", "k3"):
@@ -76,8 +82,7 @@ class DeviceKeys:
         profile (any object with a ``cipher_factory`` attribute, see
         :class:`repro.transform.profile.ProtectionProfile`) selects which
         datapath consumes them.  Returns ``self`` when the factory
-        already matches, so the default profile keeps the cached cipher
-        instances.
+        already matches.
         """
         factory = profile.cipher_factory
         if factory is self.cipher_factory:
@@ -85,27 +90,27 @@ class DeviceKeys:
         return DeviceKeys(k1=self.k1, k2=self.k2, k3=self.k3,
                           cipher_factory=factory)
 
-    def _cipher(self, name: str, key: int):
-        cipher = self._ciphers.get(name)
+    def _cipher(self, key: int):
+        table_key = (self.cipher_factory, key)
+        cipher = _CIPHERS.get(table_key)
         if cipher is None:
-            cipher = self.cipher_factory(key)
-            self._ciphers[name] = cipher
+            cipher = _CIPHERS[table_key] = self.cipher_factory(key)
         return cipher
 
     @property
     def encryption_cipher(self) -> Rectangle80:
         """Cipher instance keyed with k1 (CTR instruction encryption)."""
-        return self._cipher("k1", self.k1)
+        return self._cipher(self.k1)
 
     @property
     def exec_mac_cipher(self) -> Rectangle80:
         """Cipher instance keyed with k2 (execution-block CBC-MAC)."""
-        return self._cipher("k2", self.k2)
+        return self._cipher(self.k2)
 
     @property
     def mux_mac_cipher(self) -> Rectangle80:
         """Cipher instance keyed with k3 (multiplexor-block CBC-MAC)."""
-        return self._cipher("k3", self.k3)
+        return self._cipher(self.k3)
 
     def __iter__(self) -> Iterator[int]:
         return iter((self.k1, self.k2, self.k3))

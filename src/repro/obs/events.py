@@ -39,7 +39,6 @@ EVENT_TYPES = frozenset({
     "worker-exit",      # worker (pid)
     "shard-decision",   # shard=i/n, owned / skipped counts
     "resume",           # store=dir, hits already present
-    "note",             # free-form text=...
 })
 
 _RESERVED = ("ts", "event")

@@ -181,6 +181,12 @@ class SofiaMachine:
         return {block.base for block in self._block_cache.values()
                 if block.ok}
 
+    def verified_edges(self) -> List[Tuple[int, int]]:
+        """The ``(prevPC, entry PC)`` traversals this machine verified and
+        still holds, in the order it first took them."""
+        return [edge for edge, block in self._block_cache.items()
+                if block.ok]
+
     # -- the fetch/decrypt/verify unit -----------------------------------
 
     def decrypt_and_verify(self, prev_pc: int, entry_pc: int) -> _VerifiedBlock:

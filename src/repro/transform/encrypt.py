@@ -46,7 +46,8 @@ from ..errors import EncodingError, TransformError
 from ..isa.encoding import encode
 from ..isa.program import (AsmProgram, CODE_BASE, DATA_BASE,
                            resolve_data_references)
-from .blocks import ENTRY_OFFSETS, Block, BlockKind, fetch_indices
+from .blocks import (ENTRY_OFFSETS, Block, BlockKind, classify_offset,
+                     fetch_indices)
 from .image import BlockRecord, FrontEndMemo, SofiaImage
 from .layout import Layout
 
@@ -183,6 +184,26 @@ def traversal_edges(kind: str, base: int, block_words: int, slot: int,
             for j in fetch_indices(kind, slot, block_words)]
 
 
+def traversal_ciphertext(image: SofiaImage, prev_pc: int, entry_pc: int
+                         ) -> Optional[Tuple[str, List[int],
+                                             List[Tuple[int, int]]]]:
+    """``(kind, ciphertext words, keystream edges)`` of the traversal
+    entering ``entry_pc`` from ``prev_pc``, in fetch order, read from the
+    image's words; ``None`` when the front-end decrypts nothing there
+    (an invalid entry offset, or a fetch outside the image)."""
+    offset = (entry_pc - image.code_base) % image.block_bytes
+    entry = classify_offset(offset)
+    if entry is None:
+        return None
+    kind, slot = entry
+    edges = traversal_edges(kind, entry_pc - offset, image.block_words,
+                            slot, prev_pc)
+    indices = [(address - image.code_base) // 4 for _prev, address in edges]
+    if not all(0 <= index < len(image.words) for index in indices):
+        return None
+    return kind, [image.words[index] for index in indices], edges
+
+
 def block_plain_words(block: Block, keys: DeviceKeys) -> List[int]:
     """MAC words + payload words, in block layout order (plaintext)."""
     kind = block.kind.value
@@ -299,13 +320,14 @@ def _batch_macs(keys: DeviceKeys, mac_words: int,
                 mac_cache: Dict) -> None:
     """Fill ``mac_cache`` with the seal of every ``(kind, payload)``.
 
-    Distinct payloads are grouped by kind and length so every group's
-    CBC chains line up lane for lane in
+    Distinct payloads not in ``mac_cache`` yet are grouped by kind and
+    length so every group's CBC chains line up lane for lane in
     :func:`~repro.crypto.bitslice.batch_mac_stream`.
     """
     groups: Dict[Tuple[str, int], Dict[Tuple[int, ...], None]] = {}
     for kind, payload in payloads:
-        groups.setdefault((kind, len(payload)), {})[payload] = None
+        if (kind, payload) not in mac_cache:
+            groups.setdefault((kind, len(payload)), {})[payload] = None
     for (kind, _length), group in groups.items():
         ordered = list(group)
         macs = batch_mac_stream(block_mac_cipher(keys, kind), ordered,

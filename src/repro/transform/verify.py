@@ -24,10 +24,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..crypto.ctr import EdgeKeystream
 from ..crypto.keys import DeviceKeys
-from ..errors import DecodingError
+from ..errors import DecodingError, ImageError
 from ..isa.encoding import decode
-from .blocks import classify_offset
-from .encrypt import traversal_edges, unseal_block
+from .blocks import ENTRY_OFFSETS, classify_offset
+from .encrypt import traversal_ciphertext, unseal_block
 from .image import BlockRecord, SofiaImage
 from .profile import store_forbidden_slots
 
@@ -65,11 +65,15 @@ class ImageVerifier:
                           prev_pc: int) -> List[Tuple[int, int]]:
         """``(address, plaintext word)`` of each word one traversal of
         ``record`` through entry ``slot`` fetches, in fetch order."""
-        edges = traversal_edges(record.kind, record.base,
-                                self.image.block_words, slot, prev_pc)
+        entry_pc = record.base + ENTRY_OFFSETS[record.kind][slot]
+        traversal = traversal_ciphertext(self.image, prev_pc, entry_pc)
+        if traversal is None:
+            raise ImageError(f"block 0x{record.base:08x} reaches outside "
+                             f"the image")
+        _kind, words, edges = traversal
         stream = self.keystream.keystream_many(edges)
-        return [(address, self.image.word_at(address) ^ key)
-                for (_prev, address), key in zip(edges, stream)]
+        return [(address, word ^ key) for word, (_prev, address), key
+                in zip(words, edges, stream)]
 
     def _verify_block_edges(self, record: BlockRecord) -> List[Finding]:
         findings = []

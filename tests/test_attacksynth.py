@@ -15,7 +15,8 @@ from repro.attacksynth import (DetectionMatrix, enumerate_geometric,
                                run_attacksynth_image, sealed_edges,
                                cti_sources)
 from repro.attacksynth.campaign import _clean_sofia
-from repro.attacksynth.classify import (observables, run_plain_instance,
+from repro.attacksynth.classify import (materialize_image, observables,
+                                        run_plain_instance,
                                         run_sofia_instance)
 from repro.attacksynth.model import (EXPECT_BENIGN, EXPECT_DETECTED,
                                      EXPECT_EDGE_OK, OBS_DETECTED,
@@ -70,7 +71,7 @@ def built(keys):
 @pytest.fixture(scope="module")
 def enumerated(built, keys):
     exe, image = built
-    clean, traversed = _clean_sofia(image, keys)
+    clean, traversed, _edges = _clean_sofia(image, keys)
     assert clean.ok
     rng = task_rng(1, "test-enum")
     instances = enumerate_instances(image, exe, keys, traversed, rng,
@@ -109,7 +110,7 @@ class TestEnumeration:
 
     def test_enumeration_is_deterministic(self, built, keys):
         exe, image = built
-        _clean, traversed = _clean_sofia(image, keys)
+        _clean, traversed, _edges = _clean_sofia(image, keys)
         first = enumerate_instances(image, exe, keys, traversed,
                                     task_rng(1, "det"), KEY_SEED)
         second = enumerate_instances(image, exe, keys, traversed,
@@ -118,7 +119,7 @@ class TestEnumeration:
 
     def test_plan_quotas_can_disable_any_family(self, built, keys):
         exe, image = built
-        _clean, traversed = _clean_sofia(image, keys)
+        _clean, traversed, _edges = _clean_sofia(image, keys)
         instances = enumerate_instances(
             image, exe, keys, traversed, task_rng(1, "plan"), KEY_SEED,
             plan={"inject-plain": 0, "stale-nonce": 0,
@@ -146,7 +147,8 @@ class TestVerdicts:
                 continue
             attempts += 1
             outcome, _hij, _violation, _edge = run_sofia_instance(
-                instance, image, keys, clean_obs)
+                instance, materialize_image(instance, image, keys), keys,
+                clean_obs)
             assert outcome == OBS_DETECTED, instance.description
         assert attempts >= 10
 
@@ -157,7 +159,8 @@ class TestVerdicts:
         assert benign, "the victim has unreachable-at-runtime blocks"
         for instance in benign:
             outcome, _hij, _violation, _edge = run_sofia_instance(
-                instance, image, keys, clean_obs)
+                instance, materialize_image(instance, image, keys), keys,
+                clean_obs)
             assert outcome == OBS_SURVIVED_CLEAN, instance.description
 
     def test_sealed_edge_bends_pass_the_front_end(self, enumerated, keys):
@@ -167,7 +170,8 @@ class TestVerdicts:
         assert edges
         for instance in edges:
             _outcome, _hij, _violation, edge_ok = run_sofia_instance(
-                instance, image, keys, clean_obs)
+                instance, materialize_image(instance, image, keys), keys,
+                clean_obs)
             assert edge_ok is True, instance.description
 
     def test_entry_injection_is_viable_against_vanilla(self, enumerated):
@@ -192,7 +196,8 @@ class TestVerdicts:
             if not instance.family.startswith("forge-"):
                 continue
             outcome, _hij, violation, _edge = run_sofia_instance(
-                instance, image, keys, clean_obs)
+                instance, materialize_image(instance, image, keys), keys,
+                clean_obs)
             assert outcome == OBS_DETECTED
             kinds[instance.family] = violation
         # a validly-MACed forgery is caught by the *structural* hardware

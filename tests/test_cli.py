@@ -481,6 +481,58 @@ class TestCorruptStore:
                 == (tmp_path / "whole.json").read_bytes())
 
 
+#: runs ``repro`` through ``main`` with the attacksynth task of one
+#: program index raising a simulator error, in whichever process runs it
+_FAILING_SYNTH = textwrap.dedent("""
+    import sys
+    import repro.attacksynth.campaign as campaign
+    from repro.cli import main
+    from repro.errors import SimulationError
+
+    fail_on, argv = int(sys.argv[1]), sys.argv[2:]
+    real = campaign._synth_task
+
+    def failing(context, task):
+        if task[0] == fail_on:
+            raise SimulationError(f"injected failure in program {fail_on}")
+        return real(context, task)
+
+    campaign._synth_task = failing
+    sys.exit(main(argv))
+""")
+
+
+class TestFailingTask:
+    """A task that raises inside a store-backed ``repro attacksynth``
+    ends the campaign with exit 1 and one ``error:`` line; the programs
+    before it are stored, and a rerun without the fault exports what an
+    uninterrupted run does."""
+
+    ARGV = ["attacksynth", "--programs", "4", "--seed", "3606",
+            "--per-program", "6"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_task_exits_1_and_resumes(self, jobs, tmp_path):
+        whole = _repro(self.ARGV + ["--export", "whole.json"], tmp_path)
+        assert whole.returncode == 0, whole.stderr
+        store = tmp_path / "S"
+        argv = self.ARGV + ["--jobs", jobs, "--resume", str(store),
+                            "--export", "resumed.json"]
+        failed = subprocess.run(
+            [sys.executable, "-c", _FAILING_SYNTH, "2", *argv],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        _assert_one_error(failed, 1)
+        assert "error: injected failure in program 2" in failed.stderr
+        assert not (tmp_path / "resumed.json").exists()
+        assert len(ResultStore(store)) == 2  # the programs before it
+
+        rerun = _repro(argv, tmp_path)
+        assert rerun.returncode == 0, rerun.stderr
+        assert ((tmp_path / "resumed.json").read_bytes()
+                == (tmp_path / "whole.json").read_bytes())
+
+
 #: runs ``repro fuzz`` through ``main`` and sends SIGINT to its own
 #: process group, as Ctrl-C would, from inside the Nth specimen task of
 #: the first process to get there (a pool worker at ``--jobs 2``)

@@ -103,15 +103,17 @@ class TestMetricsRegistry:
 
 class TestEvents:
     def test_validate_accepts_good_event(self):
-        validate_event({"ts": 0.5, "event": "note", "text": "hi"})
+        validate_event({"ts": 0.5, "event": "resume", "store": "s",
+                        "hits": 2})
 
     @pytest.mark.parametrize("record", [
         "not a dict",
-        {"event": "note"},                        # missing ts
-        {"ts": -1.0, "event": "note"},            # negative ts
-        {"ts": True, "event": "note"},            # bool is not a time
+        {"event": "resume"},                      # missing ts
+        {"ts": -1.0, "event": "resume"},          # negative ts
+        {"ts": True, "event": "resume"},          # bool is not a time
         {"ts": 0.0, "event": "no-such-type"},     # unknown type
-        {"ts": 0.0, "event": "note", "x": [1]},   # non-scalar field
+        {"ts": 0.0, "event": "note", "text": "hi"},  # retired type
+        {"ts": 0.0, "event": "resume", "x": [1]},  # non-scalar field
     ])
     def test_validate_rejects_bad_events(self, record):
         with pytest.raises(ValueError):
@@ -121,25 +123,26 @@ class TestEvents:
         path = tmp_path / "events.jsonl"
         log = EventLog(path)
         log.emit("campaign-start", campaign="t")
-        log.emit("note", text="mid")
+        log.emit("phase-start", phase="mid")
         log.emit("campaign-end", seconds=0.0)
         log.close()
         records = list(read_events(path))
         assert [r["event"] for r in records] == [
-            "campaign-start", "note", "campaign-end"]
+            "campaign-start", "phase-start", "campaign-end"]
         stamps = [validate_event(r)["ts"] for r in records]
         assert stamps == sorted(stamps)
 
     def test_event_log_rejects_reserved_fields(self, tmp_path):
         log = EventLog(tmp_path / "e.jsonl")
         with pytest.raises(ValueError):
-            log.emit("note", ts=1.0)
+            log.emit("phase-start", ts=1.0)
         log.close()
 
     def test_event_types_cover_the_schema(self):
         assert "task-completed" in EVENT_TYPES
         assert "store-hit" in EVENT_TYPES
         assert "shard-decision" in EVENT_TYPES
+        assert "note" not in EVENT_TYPES  # nothing emits it
 
 
 class TestTrace:

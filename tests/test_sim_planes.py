@@ -374,7 +374,7 @@ class TestCleanRunTraversal:
             hooked.on_commit = lambda pc, _instr: traversed.add(
                 image.block_base_of(pc))
             expected = hooked.run(SOFIA_BUDGET)
-            result, bases = _clean_sofia(image, keys)
+            result, bases, _edges = _clean_sofia(image, keys)
             assert result.ok and expected.ok
             assert bases == traversed, genome
 
