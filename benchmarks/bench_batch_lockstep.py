@@ -110,14 +110,11 @@ def _measure(image, keys, faults, trace):
                       max_instructions=BUDGET) for f in faults]
     t_warm = time.perf_counter() - started
     sink = _ConvergedSink()
-    obs_hook.install(sink)
-    try:
+    with obs_hook.counting(sink):
         started = time.perf_counter()
         batch = run_fault_batch(image, keys, faults, golden.output_ints,
                                 trace, max_instructions=BUDGET)
         t_batch = time.perf_counter() - started
-    finally:
-        obs_hook.uninstall()
     identical = ([_fault_fields(r) for r in scalar]
                  == [_fault_fields(r) for r in warm]
                  == [_fault_fields(r) for r in batch])

@@ -259,7 +259,7 @@ def _golden_trace(image: SofiaImage, keys: DeviceKeys,
             stored = key in store
     recorded = trace is None
     if recorded:
-        with obs_hook.detached():
+        with obs_hook.counting(None):
             trace = GoldenTrace.record(image, keys, max_instructions)
         baseline = trace.result
         if (list(baseline.output_ints) != list(golden_output)
@@ -288,7 +288,6 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                  golden_output: Sequence[int], nonce: int = 0xFA17,
                  per_model: int = 25, seed: int = 2016,
                  max_instructions: int = 2_000_000,
-                 rng: Optional[random.Random] = None,
                  jobs: Optional[int] = 1,
                  export_path=None,
                  profile: ProtectionProfile = DEFAULT_PROFILE,
@@ -347,7 +346,7 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     with obs_phase("plan"):
         faults = sample_faults(image, baseline_instructions,
                                per_model=per_model, seed=seed,
-                               models=models, rng=rng)
+                               models=models)
     fault_keys = None
     if store is not None:
         fault_keys = task_keys("fault-injection", context, faults)

@@ -127,7 +127,6 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
              corpus_dir=None,
              time_budget: Optional[float] = None,
              include_baselines: bool = False,
-             minimize_failures: bool = True,
              max_failures: int = 8,
              key_seed: int = DEFAULT_KEY_SEED,
              store_dir=None, shard: Optional[ShardSpec] = None) -> FuzzReport:
@@ -137,7 +136,8 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
     ``report.json`` and any triage artifacts; an existing corpus there
     is loaded first, so campaigns accumulate across invocations.
     ``max_failures`` caps how many *distinct* failing specimens are
-    minimized and triaged (minimization re-runs the oracle many times).
+    minimized (minimization re-runs the oracle many times); every
+    distinct failure is triaged, the rest unminimized.
 
     ``store_dir`` caches every specimen's :class:`OracleReport` in a
     persistent :class:`~repro.runner.store.ResultStore` keyed by code
@@ -210,13 +210,9 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
         return report
 
     with obs_phase("triage"):
-        for oracle_report in failing_reports[:max_failures]:
-            report.failures.append(
-                triage(oracle_report, keys, do_minimize=minimize_failures))
-        if len(failing_reports) > max_failures:
-            for oracle_report in failing_reports[max_failures:]:
-                report.failures.append(
-                    triage(oracle_report, keys, do_minimize=False))
+        for position, oracle_report in enumerate(failing_reports):
+            report.failures.append(triage(
+                oracle_report, keys, do_minimize=position < max_failures))
 
     report.elapsed_seconds = time.perf_counter() - started
     if corpus_dir is not None:

@@ -16,8 +16,9 @@ Public surface:
 
 Design rule (see DESIGN.md "Observability"): telemetry is strictly
 observational.  No exported campaign artifact may differ by a byte
-between telemetry on and off; merges are order-independent so metric
-totals are stable across ``--jobs``.
+between telemetry on and off; each task counts into a registry of its
+own and the campaign sums them, so metric totals are stable across
+``--jobs``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import sys
 
 from . import hook
 from .events import EVENT_TYPES, EventLog, read_events, validate_event
-from .metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry, \
-    counter_delta
+from .metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
 from .progress import ProgressMeter
 from .stats import summarize
 from .telemetry import Telemetry, campaign, load_metrics, phase
@@ -35,7 +35,7 @@ from .trace import chrome_trace, write_chrome_trace
 
 __all__ = [
     "EVENT_TYPES", "EventLog", "read_events", "validate_event",
-    "DEFAULT_BOUNDS", "Histogram", "MetricsRegistry", "counter_delta",
+    "DEFAULT_BOUNDS", "Histogram", "MetricsRegistry",
     "ProgressMeter", "summarize", "Telemetry", "campaign", "phase",
     "load_metrics", "chrome_trace", "write_chrome_trace",
     "hook", "note", "set_quiet",

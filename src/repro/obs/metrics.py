@@ -1,42 +1,36 @@
-"""Counters, gauges and bounded histograms with deterministic merges.
+"""Counters and bounded histograms for one collection scope.
 
-The registry is the unit of collection: each worker process owns one
-(installed into :data:`repro.obs.hook.SIM` by the pool initializer), the
-parent owns one per campaign, and worker snapshots are merged into the
-parent's with operations chosen to be **order-independent**:
+A registry is the unit of collection.  The campaign owns one
+(:class:`repro.obs.Telemetry`), into which :func:`repro.obs.campaign`
+points :data:`repro.obs.hook.SIM` so simulation outside any task
+(triage, minimization, a dispatch's context factory) counts straight
+into it.  An observed dispatch runs each task under a fresh registry of
+its own (:mod:`repro.runner.pool`); the task's span carries that
+registry's plain counter dict back, and the campaign sums it in with
+:meth:`MetricsRegistry.merge_counters`.
 
-- counters merge by **sum**,
-- gauges merge by **max** (they record high-water marks),
-- histograms merge **bucketwise** over a fixed, shared bucket layout.
-
-Because every merge operator is commutative and associative, the merged
-totals are identical for any ``--jobs`` value and any task interleaving
-— the property the jobs-invariance tests pin down.  Workers report
-per-task counter *deltas* (:func:`counter_delta`) rather than cumulative
-snapshots so multi-round pools and reused worker processes cannot
-double-count.
+Counters only ever add, and a task's counters depend only on the task,
+so the campaign's totals are identical for any ``--jobs`` value and any
+task interleaving — the property the jobs-invariance tests pin down.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
-#: default histogram bucket upper bounds: powers of ten from 1 µs to
-#: 1000 s, a span that covers both single-task and whole-phase timings.
+#: histogram bucket upper bounds: powers of ten from 1 µs to 1000 s, a
+#: span that covers both single-task and whole-phase timings.
 DEFAULT_BOUNDS = tuple(10.0 ** e for e in range(-6, 4))
 
 
 class Histogram:
     """A bounded histogram: fixed bucket bounds, one overflow bucket."""
 
-    __slots__ = ("bounds", "buckets", "count", "total", "minimum", "maximum")
+    __slots__ = ("buckets", "count", "total", "minimum", "maximum")
 
-    def __init__(self, bounds: Iterable[float] = DEFAULT_BOUNDS) -> None:
-        self.bounds: List[float] = sorted(float(b) for b in bounds)
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.buckets: List[int] = [0] * (len(self.bounds) + 1)
+    def __init__(self) -> None:
+        self.buckets: List[int] = [0] * (len(DEFAULT_BOUNDS) + 1)
         self.count = 0
         self.total = 0.0
         self.minimum: Optional[float] = None
@@ -44,8 +38,8 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
+        index = len(DEFAULT_BOUNDS)
+        for i, bound in enumerate(DEFAULT_BOUNDS):
             if value <= bound:
                 index = i
                 break
@@ -63,7 +57,7 @@ class Histogram:
 
     def as_dict(self) -> dict:
         return {
-            "bounds": self.bounds,
+            "bounds": list(DEFAULT_BOUNDS),
             "buckets": list(self.buckets),
             "count": self.count,
             "total": self.total,
@@ -71,97 +65,44 @@ class Histogram:
             "max": self.maximum,
         }
 
-    def merge(self, other: Mapping) -> None:
-        """Merge a snapshot produced by :meth:`as_dict` into this one."""
-        if list(other["bounds"]) != self.bounds:
-            raise ValueError("histogram bucket layouts differ; "
-                             "merges require a shared layout")
-        for i, n in enumerate(other["buckets"]):
-            self.buckets[i] += int(n)
-        self.count += int(other["count"])
-        self.total += float(other["total"])
-        for key, pick in (("min", min), ("max", max)):
-            theirs = other.get(key)
-            if theirs is None:
-                continue
-            mine = self.minimum if key == "min" else self.maximum
-            merged = float(theirs) if mine is None \
-                else pick(mine, float(theirs))
-            if key == "min":
-                self.minimum = merged
-            else:
-                self.maximum = merged
-
 
 class MetricsRegistry:
-    """Named counters, gauges, and histograms for one collection scope.
+    """Named counters and histograms for one collection scope.
 
     Satisfies the :data:`repro.obs.hook.SIM` sink contract (``count``),
     and is what :class:`repro.obs.Telemetry` serializes to
     ``metrics.json``.
     """
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters", "histograms")
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
-        """Record a high-water mark: keeps the max of all reports."""
-        value = float(value)
-        existing = self.gauges.get(name)
-        self.gauges[name] = value if existing is None \
-            else max(existing, value)
-
-    def observe(self, name: str, value: float,
-                bounds: Iterable[float] = DEFAULT_BOUNDS) -> None:
+    def observe(self, name: str, value: float) -> None:
         histogram = self.histograms.get(name)
         if histogram is None:
-            histogram = self.histograms[name] = Histogram(bounds)
+            histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
 
     def snapshot(self) -> dict:
         """A JSON-ready snapshot with deterministic (sorted) key order."""
         return {
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
             "histograms": {k: self.histograms[k].as_dict()
                            for k in sorted(self.histograms)},
         }
 
-    def merge(self, snapshot: Mapping) -> None:
-        """Merge another registry's :meth:`snapshot` into this one."""
-        for name, n in snapshot.get("counters", {}).items():
-            self.count(name, int(n))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name, value)
-        for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                histogram = self.histograms[name] = \
-                    Histogram(data["bounds"])
-            histogram.merge(data)
-
-    def merge_counters(self, deltas: Mapping[str, int]) -> None:
-        """Sum a plain ``{name: delta}`` mapping into the counters."""
-        for name, n in deltas.items():
-            self.count(name, int(n))
+    def merge_counters(self, counters: Mapping[str, int]) -> None:
+        """Sum a task's plain ``{name: n}`` counters into these; a name
+        the task counted nothing under adds no key."""
+        for name, n in counters.items():
+            if n:
+                self.count(name, int(n))
 
     def render_json(self) -> str:
         return json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n"
-
-
-def counter_delta(current: Mapping[str, int],
-                  previous: Mapping[str, int]) -> Dict[str, int]:
-    """The per-span counter increments between two cumulative states."""
-    delta: Dict[str, int] = {}
-    for name, value in current.items():
-        change = value - previous.get(name, 0)
-        if change:
-            delta[name] = change
-    return delta

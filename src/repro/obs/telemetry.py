@@ -10,8 +10,7 @@ It owns:
 - the **event log** (``DIR/events.jsonl``, schema in
   :mod:`repro.obs.events`),
 - the campaign **metrics registry** (``DIR/metrics.json``), into which
-  worker counter deltas and task-duration observations are merged
-  deterministically,
+  each task's counters and duration are summed as its span arrives,
 - the collected **task spans** and **phase spans**, exported as a
   chrome ``trace_event`` timeline (``DIR/trace.json``),
 - the optional stderr **progress heartbeat**.
@@ -22,11 +21,11 @@ not.  Timestamps in the event log are *parent observation times*; the
 precise per-task timings measured inside the workers live in the trace
 spans and the ``task.seconds`` histogram.
 
-While a campaign is open, a parent-side
-:class:`~repro.obs.metrics.MetricsRegistry` is installed into
-:data:`repro.obs.hook.SIM` so simulation done outside the pool (failure
-triage/minimization) is counted too; it is merged into the campaign
-metrics at :meth:`finish` under the same names.
+While a campaign is open, :func:`campaign` counts simulation outside
+any task (failure triage/minimization, a dispatch's context factory)
+straight into the campaign registry through
+:func:`repro.obs.hook.counting`; each task of an observed dispatch counts
+into a registry of its own (:mod:`repro.runner.pool`).
 """
 
 from __future__ import annotations
@@ -42,13 +41,18 @@ from .events import EventLog
 from .metrics import MetricsRegistry
 from .progress import ProgressMeter
 from .trace import write_chrome_trace
-from .worker import Span
+
+#: one finished unit, as :func:`repro.runner.run_tasks` streams it beside
+#: the result and :meth:`Telemetry.task_completed` folds it in: worker
+#: pid, start and end (``perf_counter`` seconds) and the counters its
+#: tasks added
+Span = Tuple[int, float, float, Dict[str, int]]
 
 
 class Telemetry:
     """Event log + metrics + timeline + progress for one campaign run."""
 
-    #: dispatches install per-worker metric registries for this run
+    #: dispatches count each task into a registry of its own for this run
     enabled = True
 
     def __init__(self, directory=None, progress: bool = False,
@@ -68,8 +72,6 @@ class Telemetry:
         self.campaign: Optional[str] = None
         self._origin = time.perf_counter()
         self._workers: Dict[int, bool] = {}
-        self._sim: Optional[MetricsRegistry] = None
-        self._previous_sink = None
         self._finished = False
 
     # -- lifecycle ----------------------------------------------------
@@ -83,9 +85,6 @@ class Telemetry:
             fields[f"x_{key}" if key in ("ts", "event", "campaign")
                    else key] = value
         self.events.emit("campaign-start", campaign=campaign, **fields)
-        self._sim = MetricsRegistry()
-        self._previous_sink = hook.SIM
-        hook.install(self._sim)
 
     def finish(self, status: str = "completed") -> None:
         """Close the campaign; ``status`` is how it ended: ``completed``,
@@ -93,9 +92,6 @@ class Telemetry:
         if self._finished:
             return
         self._finished = True
-        hook.SIM = self._previous_sink
-        if self._sim is not None:
-            self.metrics.merge_counters(self._sim.counters)
         for worker in sorted(self._workers):
             self.events.emit("worker-exit", worker=worker)
         seconds = time.perf_counter() - self._origin
@@ -161,7 +157,7 @@ class Telemetry:
         index); ``size`` is how many tasks it ran, so progress advances
         by tasks while ``tasks.completed`` counts units.
         """
-        worker, start, end, deltas = span
+        worker, start, end, counters = span
         if worker not in self._workers:
             self._workers[worker] = True
             self.events.emit("worker-start", worker=worker)
@@ -171,7 +167,7 @@ class Telemetry:
                          size=size, seconds=round(seconds, 6))
         self.metrics.count("tasks.completed")
         self.metrics.observe("task.seconds", seconds)
-        self.metrics.merge_counters(deltas)
+        self.metrics.merge_counters(counters)
         self.spans.append((index, worker, start, end))
         if self.progress is not None:
             self.progress.tick(size)
@@ -193,7 +189,7 @@ class Telemetry:
 
 class _Silent:
     """The telemetry of an unobserved run: every dispatch hook of
-    :class:`Telemetry` accepted and dropped, and no worker registry."""
+    :class:`Telemetry` accepted and dropped, and no task registry."""
 
     enabled = False
 
@@ -236,14 +232,15 @@ def observing(telemetry):
 def campaign(telemetry: Optional[Telemetry], name: str,
              parameters: Optional[dict] = None):
     """Open campaign ``name`` on ``telemetry`` and make it the current
-    telemetry until the block ends; a no-op when it is None."""
+    telemetry, counting simulation into its metrics, until the block
+    ends; a no-op when it is None."""
     if telemetry is None:
         yield None
         return
     telemetry.begin(name, parameters)
     status = "completed"
     try:
-        with observing(telemetry):
+        with observing(telemetry), hook.counting(telemetry.metrics):
             yield telemetry
     except KeyboardInterrupt:
         status = "interrupted"

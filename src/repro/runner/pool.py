@@ -10,10 +10,13 @@ consumer can act on each result — store it, report it — the moment it
 and all its predecessors are done.
 
 Every task runs under one worker-side wrapper that times it and
-returns the worker's span (pid, timing, counter deltas; see
-:mod:`repro.obs.worker`) beside the result.  The per-worker metrics
-registry behind the deltas is installed only with ``metrics=True``;
-without it the simulator hook stays unset and the deltas are empty.
+returns its span (pid, timing, counters; see
+:meth:`repro.obs.Telemetry.task_completed`) beside the result.  With
+``metrics=True`` the wrapper runs the task under a fresh
+:class:`~repro.obs.metrics.MetricsRegistry`
+(:func:`repro.obs.hook.counting`), the same on the serial and the pool
+path, so the span carries exactly what that task counted; without it
+nothing is scoped and the counters are empty.
 
 Every task is called as ``fn(context, task)``.  A campaign's shared
 context (a protected image and its golden trace, a target table, device
@@ -32,13 +35,14 @@ import os
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from typing import (Any, Callable, Iterable, Iterator, Optional, Tuple,
                     TypeVar)
 
-from ..obs import worker as obs_worker
-from ..obs.telemetry import SILENT, observing
+from ..obs import hook as obs_hook
+from ..obs.metrics import MetricsRegistry
+from ..obs.telemetry import SILENT, Span, observing
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -127,9 +131,9 @@ def check_interrupt() -> None:
 _POOL_CONTEXT: Any = None
 
 
-def _init_worker(metrics: bool, context: Any) -> None:
-    """Set up one pool worker: SIGINT ignored, the metrics registry when
-    asked for, and the dispatch's context, inherited through the fork.
+def _init_worker(context: Any) -> None:
+    """Set up one pool worker: SIGINT ignored, and the dispatch's
+    context, inherited through the fork.
 
     Ctrl-C reaches the whole process group, and the dispatching process
     alone acts on it: its ``map`` stops, unstarted chunks are cancelled
@@ -137,25 +141,28 @@ def _init_worker(metrics: bool, context: Any) -> None:
     would die idle with a traceback of its own."""
     global _POOL_CONTEXT
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if metrics:
-        obs_worker.install()
     _POOL_CONTEXT = context
 
 
-def _timed(fn: Callable[[Any, T], R], context: Any,
-           task: T) -> Tuple[R, obs_worker.Span]:
+def _timed(fn: Callable[[Any, T], R], metrics: bool, context: Any,
+           task: T) -> Tuple[R, Span]:
     """The worker-side wrapper: run one task with no campaign current
     (a dispatch nested in it must not report into the caller's, here or
-    in a forked worker) and close its span."""
+    in a forked worker), under a registry of its own when ``metrics``
+    asks for one, and close its span."""
+    registry = MetricsRegistry() if metrics else None
     start = time.perf_counter()
-    with observing(SILENT):
+    with observing(SILENT), \
+            obs_hook.counting(registry) if metrics else nullcontext():
         result = fn(context, task)
-    return result, obs_worker.span(start, time.perf_counter())
+    return result, (os.getpid(), start, time.perf_counter(),
+                    registry.counters if metrics else {})
 
 
-def _pooled(fn: Callable[[Any, T], R], task: T) -> Tuple[R, obs_worker.Span]:
+def _pooled(fn: Callable[[Any, T], R], metrics: bool,
+            task: T) -> Tuple[R, Span]:
     """:func:`_timed` with the context this pool worker was started with."""
-    return _timed(fn, _POOL_CONTEXT, task)
+    return _timed(fn, metrics, _POOL_CONTEXT, task)
 
 
 @contextmanager
@@ -164,20 +171,15 @@ def _mapper(workers: int, num_tasks: int, metrics: bool, context: Any):
     in-process with the context bound for one worker, else a fork
     pool's chunked ``map``."""
     if workers <= 1:
-        if metrics:
-            obs_worker.install()
-        try:
-            yield lambda fn, tasks: map(partial(_timed, fn, context), tasks)
-        finally:
-            if metrics:
-                obs_worker.uninstall()
+        yield lambda fn, tasks: map(
+            partial(_timed, fn, metrics, context), tasks)
         return
     # each worker runs _init_worker once as it starts; a fork-started
     # worker inherits its arguments, the context included, unpickled
     with ProcessPoolExecutor(workers, _fork_context(), _init_worker,
-                             (metrics, context)) as pool:
+                             (context,)) as pool:
         yield lambda fn, tasks: pool.map(
-            partial(_pooled, fn), tasks,
+            partial(_pooled, fn, metrics), tasks,
             chunksize=default_chunksize(num_tasks, workers))
 
 
@@ -185,7 +187,7 @@ def run_tasks(fn: Callable[[Any, T], R], tasks: Iterable[T], *,
               jobs: Optional[int] = 1,
               context: Optional[Callable[[], Any]] = None,
               metrics: bool = False
-              ) -> Iterator[Tuple[R, obs_worker.Span]]:
+              ) -> Iterator[Tuple[R, Span]]:
     """Stream ``(fn(context, task), span)`` for every task, in task order.
 
     ``jobs`` is the worker count: ``1`` (the default) runs in-process,
@@ -204,9 +206,10 @@ def run_tasks(fn: Callable[[Any, T], R], tasks: Iterable[T], *,
     the serial path passes it straight to each task.  The stream keeps
     no reference to it once it ends.
 
-    ``metrics=True`` installs a process-local metrics registry in each
-    worker (the parent, serially), so spans carry the simulator counter
-    deltas of their task; otherwise no simulator sink is installed.
+    ``metrics=True`` runs each task under a fresh metrics registry, so
+    its span carries the simulator counters of that task alone; a
+    dispatch nested in the task counts into it too.  Otherwise the
+    wrapper sets no simulator sink and the span's counters are empty.
     """
     task_list = list(tasks)
     workers = min(resolve_jobs(jobs), len(task_list))

@@ -9,10 +9,10 @@ from repro import obs
 from repro.cli import main
 from repro.obs import (EVENT_TYPES, DEFAULT_BOUNDS, EventLog, Histogram,
                        MetricsRegistry, ProgressMeter, Telemetry,
-                       chrome_trace, counter_delta, load_metrics,
+                       chrome_trace, hook, load_metrics,
                        read_events, summarize, validate_event)
 from repro.obs.telemetry import SILENT, current
-from repro.runner import run_tasks_stored
+from repro.runner import run_tasks, run_tasks_stored
 
 
 def _square(_context, task):
@@ -26,6 +26,43 @@ def _nested_dispatch(_context, task):
     return current() is SILENT, inner
 
 
+def _count_probe(_context, task):
+    """Count ``task`` under ``probe`` into whatever sink is set."""
+    hook.SIM.count("probe", task)
+    return task
+
+
+def _nested_probes(_context, task):
+    """Dispatch two probes of its own, counting ``2 * task + 1``."""
+    return run_tasks_stored(_count_probe, [task, task + 1]).results
+
+
+def _raise(_context, task):
+    raise RuntimeError(f"task {task}")
+
+
+def _crc32_image():
+    from repro.crypto.keys import DeviceKeys
+    from repro.transform import transform
+    from repro.workloads import make_workload
+    keys = DeviceKeys.from_seed(1)
+    program = make_workload("crc32", "tiny").compile().program
+    return transform(program, keys, nonce=0x2016), keys
+
+
+def _run_once():
+    """A context factory that builds and runs one machine."""
+    from repro.sim import SofiaMachine
+    image, keys = _crc32_image()
+    assert SofiaMachine(image, keys).run(2_000_000).ok
+    return image, keys
+
+
+def _run_on_context(context, _task):
+    from repro.sim import SofiaMachine
+    return SofiaMachine(*context).run(2_000_000).instructions
+
+
 class TestHistogram:
     def test_observe_and_stats(self):
         h = Histogram()
@@ -36,61 +73,18 @@ class TestHistogram:
         assert h.maximum == 2.0
         assert h.mean == pytest.approx((0.5 + 1.5 + 2.0) / 3)
 
-    def test_merge_is_order_independent(self):
-        parts = []
-        for values in ((0.1, 10.0), (2.5,), (0.0001, 7.0, 300.0)):
-            h = Histogram()
-            for value in values:
-                h.observe(value)
-            parts.append(h.as_dict())
-        forward, backward = Histogram(), Histogram()
-        for part in parts:
-            forward.merge(part)
-        for part in reversed(parts):
-            backward.merge(part)
-        assert forward.as_dict() == backward.as_dict()
-        assert forward.count == 6
-
-    def test_merge_rejects_mismatched_bounds(self):
-        h = Histogram(bounds=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            h.merge(Histogram().as_dict())
-
 
 class TestMetricsRegistry:
     def test_counters_gauges_histograms(self):
         r = MetricsRegistry()
         r.count("a")
         r.count("a", 4)
-        r.gauge("g", 2.0)
-        r.gauge("g", 1.0)  # gauges keep the high-water mark
         r.observe("h", 0.5)
         snap = r.snapshot()
         assert snap["counters"] == {"a": 5}
-        assert snap["gauges"] == {"g": 2.0}
         assert snap["histograms"]["h"]["count"] == 1
-
-    def test_merge_is_order_independent(self):
-        snaps = []
-        for base in (1, 10, 100):
-            r = MetricsRegistry()
-            r.count("x", base)
-            r.gauge("peak", float(base))
-            r.observe("t", base / 10.0)
-            snaps.append(r.snapshot())
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for snap in snaps:
-            forward.merge(snap)
-        for snap in reversed(snaps):
-            backward.merge(snap)
-        assert forward.snapshot() == backward.snapshot()
-        assert forward.counters["x"] == 111
-        assert forward.gauges["peak"] == 100.0
-
-    def test_counter_delta(self):
-        previous = {"a": 2, "b": 5}
-        current = {"a": 7, "b": 5, "c": 1}
-        assert counter_delta(current, previous) == {"a": 5, "c": 1}
+        assert snap["histograms"]["h"]["bounds"] == list(DEFAULT_BOUNDS)
+        assert "gauges" not in snap
 
     def test_render_json_is_deterministic(self):
         r = MetricsRegistry()
@@ -204,6 +198,7 @@ class TestTelemetry:
             ("campaign-end", "completed")
 
         metrics = load_metrics(tmp_path / "tel")
+        assert sorted(metrics) == ["counters", "histograms"]
         assert metrics["counters"]["tasks.completed"] == 2
         assert metrics["counters"]["sim.runs.fast"] == 2
 
@@ -267,6 +262,61 @@ class TestTelemetry:
         assert results == [(True, [1, 4]), (True, [4, 9]), (True, [9, 16])]
         assert telemetry.events.counts["tasks-planned"] == 1
         assert telemetry.metrics.counters["tasks.completed"] == 3
+
+
+
+class TestCountingScope:
+    """One setter for the simulator sink: a campaign counts into its own
+    metrics, each task of an observed dispatch into a registry of its
+    own, and every scope restores the sink it found."""
+
+    def test_counting_restores_the_sink_when_its_block_raises(self):
+        outer, inner = MetricsRegistry(), MetricsRegistry()
+        assert hook.SIM is None
+        with hook.counting(outer):
+            with pytest.raises(RuntimeError):
+                with hook.counting(inner):
+                    assert hook.SIM is inner
+                    raise RuntimeError("boom")
+            assert hook.SIM is outer
+            with hook.counting(None):
+                assert hook.SIM is None
+            assert hook.SIM is outer
+        assert hook.SIM is None
+
+    def test_a_raising_task_leaves_the_sink_as_it_found_it(self):
+        outer = MetricsRegistry()
+        with hook.counting(outer):
+            stream = run_tasks(_raise, [1], metrics=True)
+            with pytest.raises(RuntimeError, match="task 1"):
+                next(stream)
+            assert hook.SIM is outer
+        assert outer.counters == {}
+        assert hook.SIM is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_context_machine_counts_once_in_the_campaign(self, jobs):
+        # the factory's run is counted once, straight into the campaign's
+        # metrics; each of the three tasks counts its own run in its span
+        telemetry = Telemetry()
+        with obs.campaign(telemetry, "demo"):
+            assert hook.SIM is telemetry.metrics
+            results = run_tasks_stored(_run_on_context, [0, 1, 2],
+                                       jobs=jobs, context=_run_once).results
+        assert hook.SIM is None
+        assert len(set(results)) == 1
+        counters = telemetry.metrics.counters
+        assert counters["sim.runs.fast"] == 4
+        assert counters["sim.instructions.fast"] == 4 * results[0]
+        assert counters["tasks.completed"] == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_nested_dispatch_counts_into_its_task_span(self, jobs):
+        spans = [span for _result, span in run_tasks(
+            _nested_probes, [1, 5, 9], jobs=jobs, metrics=True)]
+        assert [span[3] for span in spans] == \
+            [{"probe": 3}, {"probe": 11}, {"probe": 19}]
+        assert hook.SIM is None
 
 
 class TestFastEngineTelemetry:

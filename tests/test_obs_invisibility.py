@@ -170,3 +170,7 @@ class TestDseInvisibility:
             "dse export differs between telemetry/jobs variants"
         assert counters["j1-on"] == counters["j4-on"]
         assert counters["j1-on"]["tasks.completed"] == len(profiles)
+        # each point's own campaigns are dispatches nested in its task,
+        # so their simulation counts into that task's span
+        assert counters["j1-on"]["faults.golden_recorded"] == len(profiles)
+        assert counters["j1-on"]["sim.runs.fast"] > 0

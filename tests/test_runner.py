@@ -102,8 +102,8 @@ class TestPool:
         assert calls == []  # nothing runs before the first pull
         (first, span), (second, _) = list(stream)
         assert (first, second) == (12, 13)
-        worker, start, end, deltas = span
-        assert worker == os.getpid() and start <= end and deltas == {}
+        worker, start, end, counters = span
+        assert worker == os.getpid() and start <= end and counters == {}
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_factory_runs_once_per_dispatch_in_this_process(self, jobs):
