@@ -6,8 +6,8 @@ Demonstrates the ``--jobs``/``jobs=N`` surface end to end:
 1. a fault-injection campaign run serially and then across worker
    processes — identical classification counts, wall-clock reported;
 2. the E8 attack matrix fanned out cell-by-cell;
-3. an overhead sweep whose points share one protected build through the
-   runner's per-process image cache;
+3. an overhead sweep whose points share one protected build, made once
+   as the sweep's dispatch context;
 4. structured JSON export of a campaign.
 
 Worker counts are explicit here so the demo behaves the same everywhere;
@@ -24,7 +24,6 @@ from repro.attacks import run_campaign as attack_campaign
 from repro.crypto import DeviceKeys
 from repro.eval import OverheadPoint, measure_many
 from repro.faults import run_campaign as fault_campaign
-from repro.runner import build_cache, clear_build_cache
 from repro.sim.timing import TimingParams
 from repro.workloads import make_workload
 
@@ -61,15 +60,15 @@ def main() -> None:
     print(format_matrix(results))
     print()
 
-    # -- 3: overhead sweep sharing one build via the image cache ---------
-    clear_build_cache()
+    # -- 3: overhead sweep sharing one build ----------------------------
+    # the points differ only in timing, so the sweep builds its image
+    # once, before dispatch, and every point (in any worker) runs on it
     rows = measure_many([
         OverheadPoint(workload="crc32", scale="tiny",
                       timing=TimingParams(icache_lines=lines))
-        for lines in (8, 32, 128)])
-    stats = build_cache().stats
-    print("I-cache sweep through the build cache "
-          f"(image built {stats.image_misses}x, reused {stats.image_hits}x):")
+        for lines in (8, 32, 128)], jobs=JOBS)
+    print(f"I-cache sweep with jobs={JOBS} (image built once, shared by "
+          "every point):")
     for lines, row in zip((8, 32, 128), rows):
         print(f"  {lines:>4d} lines: sofia {row.sofia_cycles:,} cycles "
               f"({row.cycle_overhead:+.1%} vs vanilla)")

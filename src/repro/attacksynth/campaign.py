@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.isr import EcbIsrMachine, XorIsrMachine
-from ..crypto.keys import DeviceKeys, derive_key
+from ..crypto.keys import DEFAULT_KEY_SEED, DeviceKeys, derive_key
 from ..errors import CampaignError, ReproError, check_count
 from ..eval.export import attacksynth_csv, record_json
 from ..fuzz.corpus import Corpus
@@ -39,7 +39,6 @@ from ..isa.assembler import assemble
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, check_writable,
                       run_tasks_stored, task_keys, task_rng)
-from ..runner.cache import DEFAULT_KEY_SEED
 from ..security.bounds import EmpiricalCheck, empirical_check
 from ..sim.sofia import SofiaMachine
 from ..sim.vanilla import VanillaMachine

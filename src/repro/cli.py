@@ -85,7 +85,7 @@ from typing import List, Optional
 
 from . import core, obs
 from .attacks import format_matrix, run_campaign
-from .crypto.keys import DeviceKeys
+from .crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
 from .errors import (CampaignError, ReproError, TransformError,
                      UsageError, check_count)
 from .eval import (experiment_adpcm, experiment_blocksize,
@@ -606,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", metavar="FILE",
                    help="attack one .sofia image instead of generated "
                         "programs (metadata-less, observational)")
-    p.add_argument("--key-seed", type=int, default=0x50F1A,
+    p.add_argument("--key-seed", type=int, default=DEFAULT_KEY_SEED,
                    help="device-key provisioning seed")
     p.add_argument("--export", metavar="FILE",
                    help="write the campaign record as canonical JSON")
@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "32,64,96:sequential,fixed")
     p.add_argument("--seed", type=int, default=0xD5E17,
                    help="campaign seed (drives every per-point campaign)")
-    p.add_argument("--key-seed", type=int, default=0x50F1A,
+    p.add_argument("--key-seed", type=int, default=DEFAULT_KEY_SEED,
                    help="device-key provisioning seed")
     p.add_argument("--scale", default="tiny",
                    choices=("tiny", "small", "medium"),
@@ -688,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault specimens per fault model (default 25)")
     p.add_argument("--seed", type=int, default=2016,
                    help="campaign seed (drives the fault sampler)")
-    p.add_argument("--key-seed", type=int, default=0x50F1A,
+    p.add_argument("--key-seed", type=int, default=DEFAULT_KEY_SEED,
                    help="device-key provisioning seed")
     p.add_argument("--export", metavar="FILE",
                    help="write the campaign record as canonical JSON")

@@ -25,6 +25,9 @@ _KEY_MASK = (1 << KEY_BITS) - 1
 #: pure function of the two, so every key set holding them shares it
 _CIPHERS: Dict[Tuple[type, int], object] = {}
 
+#: the seed of the campaigns' and the overhead sweeps' default key set
+DEFAULT_KEY_SEED = 0x50F1A
+
 
 def derive_key(seed: int, label: str) -> int:
     """Deterministically derive an 80-bit key from a seed and a label.

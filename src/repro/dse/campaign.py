@@ -4,8 +4,8 @@ Each task of the sweep is one :class:`ProtectionProfile` and runs, inside
 its worker, the full per-point evaluation **serially** (the grid itself is
 what fans out across processes via :mod:`repro.runner`):
 
-* the workload suite on both cores (through the per-process build cache)
-  for cycle and code-size overheads,
+* the workload suite on both cores for cycle and code-size overheads
+  (each workload compiles once per process, through its own memo),
 * a scaled-down attack-synthesis campaign (E16 machinery) for the
   empirical detection rate against the profile's own §IV-A expectation,
 * a fault-injection campaign (E11 machinery) for the guarantee boundary,
@@ -23,18 +23,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..crypto.keys import DeviceKeys
+from ..crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
 from ..errors import ReproError
 from ..eval.export import DSE_HW_CSV_HEADER, dse_csv, record_json
-from ..eval.overhead import OverheadPoint, measure_point
+from ..eval.overhead import measure_overhead
 from ..faults.campaign import FaultOutcome
 from ..faults.campaign import run_campaign as run_fault_campaign
 from ..hwmodel.profilecost import (CYCLES_BUDGET, UnrollSpec, legal_unrolls,
                                    profile_cost, resolve_unrolls)
 from ..obs import phase as obs_phase
-from ..runner import (DEFAULT_KEY_SEED, ResultStore, ShardSpec,
-                      check_writable, run_tasks_stored, task_keys,
-                      task_seed)
+from ..runner import (ResultStore, ShardSpec, check_writable,
+                      run_tasks_stored, task_keys, task_seed)
 from ..security.bounds import cfi_attack_years, si_forgery_years
 from ..transform.profile import ProtectionProfile
 from ..workloads.base import make_workload
@@ -226,7 +225,7 @@ def _round(value: float) -> float:
 def _dse_task(context: tuple,
               task: Tuple[int, ProtectionProfile]) -> DesignPointRow:
     """Worker: evaluate one design point end to end."""
-    key_seed, seed, workloads, scale, programs, per_model = context
+    key_seed, seed, workloads, programs, per_model = context
     _index, profile = task
     row = DesignPointRow(
         label=profile.label, cipher=profile.cipher,
@@ -236,17 +235,16 @@ def _dse_task(context: tuple,
         si_years=si_forgery_years(profile.mac_bits),
         cfi_years=cfi_attack_years(profile.mac_bits))
     try:
+        keys = DeviceKeys.from_seed(key_seed).for_profile(profile)
         # -- workload suite: overheads at this design point ---------------
         ratios: List[float] = []
         overheads: List[float] = []
         for workload in workloads:
-            measured = measure_point(OverheadPoint(
-                workload=workload, scale=scale, key_seed=key_seed,
-                profile=profile))
+            measured = measure_overhead(workload, keys, profile=profile)
             ratios.append(measured.size_ratio)
             overheads.append(measured.cycle_overhead)
             row.workload_rows.append(
-                (workload, _round(measured.size_ratio),
+                (workload.name, _round(measured.size_ratio),
                  _round(measured.cycle_overhead)))
         row.size_ratio = _round(sum(ratios) / len(ratios))
         row.cycle_overhead = _round(sum(overheads) / len(overheads))
@@ -270,8 +268,7 @@ def _dse_task(context: tuple,
             + len(synth.build_errors))
 
         # -- guarantee boundary: fault campaign on the first workload -----
-        keys = DeviceKeys.from_seed(key_seed).for_profile(profile)
-        victim = make_workload(workloads[0], scale)
+        victim = workloads[0]
         _results, summary = run_fault_campaign(
             victim.compile().program, keys, victim.expected_output,
             per_model=per_model,
@@ -526,7 +523,9 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
     with obs_phase("execute"):
         run = run_tasks_stored(
             _dse_task, tasks, keys, jobs=jobs,
-            context=lambda: (key_seed, seed, tuple(workloads), scale,
+            context=lambda: (key_seed, seed,
+                             tuple(make_workload(name, scale)
+                                   for name in workloads),
                              programs, per_model),
             store=store, shard=shard)
     report.points = [point for point in run.results if point is not None]

@@ -13,12 +13,12 @@ from .export import (attacksynth_csv, batch_csv, blocksize_csv,
                      cache_csv, dse_csv, muxtree_csv, overhead_csv,
                      record_json)
 from .overhead import (OverheadPoint, OverheadRow, format_overhead_rows,
-                       measure_many, measure_overhead, measure_point)
+                       measure_many, measure_overhead)
 from .report import full_report, write_report
 
 __all__ = [
     "OverheadRow", "measure_overhead", "format_overhead_rows",
-    "OverheadPoint", "measure_point", "measure_many",
+    "OverheadPoint", "measure_many",
     "experiment_table1", "experiment_adpcm", "experiment_security",
     "experiment_blocksize", "experiment_muxtree", "experiment_attacks",
     "experiment_workloads", "experiment_unroll",

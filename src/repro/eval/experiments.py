@@ -256,8 +256,8 @@ def experiment_cache(scale: str = "tiny",
     SOFIA's ~2x code footprint stresses the I-cache harder than the
     vanilla binary, so small caches amplify the overhead — a deployment
     consideration the paper's single minimal configuration doesn't show.
-    All points share one protected build, so the sweep hits the runner's
-    image cache after the first point.
+    All points share one protected build, made once as the sweep's
+    dispatch context.
     """
     rows = measure_many(
         [OverheadPoint(workload=workload, scale=scale,

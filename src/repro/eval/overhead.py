@@ -12,31 +12,31 @@ workload:
 
 Sweeps over many (workload, profile, timing) points are expressed as
 :class:`OverheadPoint` task lists and dispatched via
-:func:`measure_many` through :mod:`repro.runner`; the per-process build
-cache ensures each protected image is compiled/transformed/encrypted
-once per distinct (workload, profile, nonce) — points that only vary
-timing parameters (e.g. the I-cache sweep) reuse the cached image.
+:func:`measure_many` through :mod:`repro.runner`.  The sweep's dispatch
+context holds its builds: each protected image is compiled, transformed
+and encrypted once per distinct :attr:`OverheadPoint.build`, in the
+dispatching process, and every point that only varies timing parameters
+(e.g. the I-cache sweep) runs on the shared image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..crypto.keys import DeviceKeys
+from ..crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
 from ..errors import SimulationError
 from ..hwmodel.design import table1
 from ..isa.assembler import assemble
 from ..isa.program import Executable
-from ..runner import (DEFAULT_KEY_SEED, BuildSpec, build_cache,
-                      run_tasks_stored)
+from ..runner import run_tasks_stored
 from ..sim.sofia import SofiaMachine
 from ..sim.timing import DEFAULT_TIMING, TimingParams
 from ..sim.vanilla import VanillaMachine
 from ..transform.image import SofiaImage
 from ..transform.profile import DEFAULT_PROFILE, ProtectionProfile
 from ..transform.transformer import transform
-from ..workloads.base import Workload
+from ..workloads.base import Workload, make_workload
 
 _DEFAULT_KEYS = DeviceKeys.from_seed(DEFAULT_KEY_SEED)
 
@@ -69,6 +69,20 @@ class OverheadRow:
     @property
     def exec_time_overhead(self) -> float:
         return (1.0 + self.cycle_overhead) * self.clock_ratio - 1.0
+
+
+def _build(workload: Workload, keys: DeviceKeys, nonce: int,
+           profile: ProtectionProfile
+           ) -> Tuple[Workload, Executable, SofiaImage, DeviceKeys]:
+    """Assemble and protect ``workload``: ``(workload, exe, image, keys)``.
+
+    The keys come back provisioned for ``profile``; the workload
+    compiles through its own memo.
+    """
+    keys = keys.for_profile(profile)
+    program = workload.compile().program
+    return (workload, assemble(program),
+            transform(program, keys, nonce=nonce, profile=profile), keys)
 
 
 def _run_both(workload: Workload, exe: Executable, image: SofiaImage,
@@ -114,11 +128,8 @@ def measure_overhead(workload: Workload,
     ``profile`` measures a non-default design point and provisions the
     keys for its cipher.
     """
-    keys = (keys or _DEFAULT_KEYS).for_profile(profile)
-    compiled = workload.compile()
-    exe = assemble(compiled.program)
-    image = transform(compiled.program, keys, nonce=nonce, profile=profile)
-    return _run_both(workload, exe, image, keys, timing, max_instructions)
+    return _run_both(*_build(workload, keys or _DEFAULT_KEYS, nonce,
+                             profile), timing, max_instructions)
 
 
 @dataclass(frozen=True)
@@ -126,9 +137,8 @@ class OverheadPoint:
     """One (workload, build, timing) cell of an overhead sweep.
 
     Points are plain picklable values, so a sweep is a task list for
-    :func:`repro.runner.run_tasks_stored`; the build stages are memoized
-    by the per-process cache keyed on the point's :class:`BuildSpec`
-    fields.
+    :func:`repro.runner.run_tasks_stored`; points with equal
+    :attr:`build` share one protected image.
     """
 
     workload: str
@@ -140,37 +150,42 @@ class OverheadPoint:
     profile: ProtectionProfile = DEFAULT_PROFILE
 
     @property
-    def build_spec(self) -> BuildSpec:
-        return BuildSpec(workload=self.workload, scale=self.scale,
-                         key_seed=self.key_seed, nonce=self.nonce,
-                         profile=self.profile)
+    def build(self) -> tuple:
+        """Everything that determines the point's protected build."""
+        return (self.workload, self.scale, self.key_seed, self.nonce,
+                self.profile)
 
 
-def measure_point(point: OverheadPoint) -> OverheadRow:
-    """Measure one sweep point through the per-process build cache.
+def _sweep_builds(points: List[OverheadPoint]) -> Dict[tuple, tuple]:
+    """One build per distinct point build, one workload per (name, scale)."""
+    workloads: Dict[Tuple[str, str], Workload] = {}
+    builds: Dict[tuple, tuple] = {}
+    for build in dict.fromkeys(point.build for point in points):
+        name, scale, key_seed, nonce, profile = build
+        if (name, scale) not in workloads:
+            workloads[name, scale] = make_workload(name, scale)
+        builds[build] = _build(workloads[name, scale],
+                               DeviceKeys.from_seed(key_seed), nonce, profile)
+    return builds
 
-    Identical to :func:`measure_overhead` on the equivalent arguments —
-    the cached build pipeline is deterministic — but repeated points that
-    share a build (e.g. a timing sweep) only transform/encrypt once.
-    """
-    workload, exe, image, keys = build_cache().protected(point.build_spec)
-    return _run_both(workload, exe, image, keys, point.timing,
+
+def _measure_task(builds: Dict[tuple, tuple],
+                  point: OverheadPoint) -> OverheadRow:
+    return _run_both(*builds[point.build], point.timing,
                      point.max_instructions)
-
-
-def _measure_task(_context, point: OverheadPoint) -> OverheadRow:
-    return measure_point(point)
 
 
 def measure_many(points: List[OverheadPoint], *,
                  jobs: Optional[int] = 1) -> List[OverheadRow]:
     """Measure a sweep, one row per point, in point order.
 
-    ``jobs=1`` measures points in order through the shared cache; more
-    workers (``None``: one per CPU) fan points across processes, each
-    caching its own builds.  Rows are deterministic either way.
+    The sweep's builds are its dispatch context, made once in this
+    process; ``jobs`` workers (``None``: one per CPU) inherit them and
+    build nothing.  Rows are deterministic at any ``jobs``.
     """
-    return run_tasks_stored(_measure_task, points, jobs=jobs).results
+    points = list(points)
+    return run_tasks_stored(_measure_task, points, jobs=jobs,
+                            context=lambda: _sweep_builds(points)).results
 
 
 def format_overhead_rows(rows: List[OverheadRow]) -> str:

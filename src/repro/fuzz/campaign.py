@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from ..crypto.keys import DeviceKeys
+from ..crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
 from ..errors import check_count
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, run_tasks_stored, task_keys,
                       task_rng, write_campaign)
-from ..runner.cache import DEFAULT_KEY_SEED
 from .corpus import Corpus, specimen_sha
 from .coverage import CoverageMap
 from .generators import SHAPES, Genome, generate, mutate, random_genome

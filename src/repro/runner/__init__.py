@@ -19,12 +19,6 @@ across CPU cores:
     so randomized campaigns are reproducible independent of worker count
     and scheduling order.
 
-:mod:`repro.runner.cache`
-    ``build_cache`` — a per-process memo of compiled workloads and
-    protected :class:`~repro.transform.image.SofiaImage` builds, so each
-    image is compiled/transformed/encrypted once per (workload, profile,
-    nonce) per process instead of once per specimen.
-
 :mod:`repro.runner.export`
     ``campaign_record`` / ``write_campaign`` — structured JSON export of
     any campaign's parameters and per-task results (atomic writes,
@@ -61,24 +55,20 @@ Design contract (every caller relies on these):
   serial run.
 """
 
-from .cache import (DEFAULT_KEY_SEED, BuildCache, BuildSpec, CacheStats,
-                    build_cache, clear_build_cache)
 from .export import (atomic_write, campaign_record, check_writable,
                      to_jsonable, write_campaign)
 from .pool import available_cpus, default_chunksize, resolve_jobs, run_tasks
 from .seeding import task_rng, task_seed
 from .shard import ShardSpec, merge_stores, parse_shard, shard_partition
-from .store import (ResultStore, StoredRun, StoreStats, code_version,
-                    run_tasks_stored, stable_digest, task_key, task_keys)
+from .store import (ResultStore, StoredRun, code_version, run_tasks_stored,
+                    stable_digest, task_key, task_keys)
 
 __all__ = [
     "run_tasks", "resolve_jobs", "available_cpus", "default_chunksize",
     "task_seed", "task_rng",
-    "BuildCache", "BuildSpec", "CacheStats", "build_cache",
-    "clear_build_cache", "DEFAULT_KEY_SEED",
     "campaign_record", "write_campaign", "to_jsonable",
     "atomic_write", "check_writable",
-    "ResultStore", "StoredRun", "StoreStats", "code_version",
+    "ResultStore", "StoredRun", "code_version",
     "run_tasks_stored", "stable_digest", "task_key", "task_keys",
     "ShardSpec", "parse_shard", "shard_partition", "merge_stores",
 ]

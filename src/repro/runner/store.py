@@ -148,19 +148,6 @@ def task_keys(campaign: str, context: Any, tasks: Sequence[Any], *,
     return keys
 
 
-@dataclass
-class StoreStats:
-    """Hit/miss/put counters (the warm-rerun-does-no-work proof hook)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-
-    def as_dict(self) -> "dict[str, int]":
-        return {"hits": self.hits, "misses": self.misses,
-                "puts": self.puts}
-
-
 class ResultStore:
     """A directory of content-addressed pickled task results."""
 
@@ -168,7 +155,6 @@ class ResultStore:
         self.root = Path(root)
         self._objects = self.root / "objects"
         self._objects.mkdir(parents=True, exist_ok=True)
-        self.stats = StoreStats()
 
     def _path(self, key: str) -> Path:
         return self._objects / key[:2] / f"{key}.pkl"
@@ -196,15 +182,12 @@ class ResultStore:
             value = pickle.loads(payload)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
-            self.stats.misses += 1
             return default
-        self.stats.hits += 1
         return value
 
     def put(self, key: str, value: Any) -> None:
         """Persist ``value`` under ``key`` atomically."""
         self._write(key, pickle.dumps(value, protocol=4))
-        self.stats.puts += 1
 
     def _write(self, key: str, payload: bytes) -> None:
         path = self._path(key)
@@ -244,21 +227,11 @@ class StoredRun:
     hits: int = 0
     executed: int = 0
     skipped: int = 0
-    shard: Optional[ShardSpec] = None
 
     @property
     def complete(self) -> bool:
         """Is every task's result present (loaded or computed)?"""
         return self.skipped == 0
-
-    def summary(self) -> str:
-        parts = [f"{len(self.results)} tasks", f"{self.hits} cached",
-                 f"{self.executed} executed"]
-        if self.skipped:
-            parts.append(f"{self.skipped} owned by other shards")
-        if self.shard is not None:
-            parts.append(f"shard {self.shard.label}")
-        return ", ".join(parts)
 
 
 def run_tasks_stored(fn: Callable, tasks: Sequence[T],
@@ -361,4 +334,4 @@ def run_tasks_stored(fn: Callable, tasks: Sequence[T],
             telemetry.task_completed(span, unit[0], len(unit))
             check_interrupt()
     return StoredRun(results=results, hits=len(cached),
-                     executed=len(owned), skipped=skipped, shard=shard)
+                     executed=len(owned), skipped=skipped)

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from repro.attacksynth import run_attacksynth
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.crypto.ctr import EdgeKeystream, pack_counter
-from repro.crypto.keys import DeviceKeys
+from repro.crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
 from repro.crypto.rectangle import Rectangle80
 from repro.errors import CampaignError
 from repro.faults.campaign import run_campaign as run_fault_campaign
@@ -349,6 +349,13 @@ class TestBadCounts:
         with pytest.raises(ValueError) as again:
             pack_counter(nonce, 0, 0)
         assert str(again.value) == str(caught.value)
+
+
+class TestKeySeed:
+    @pytest.mark.parametrize("command", ["attacksynth", "dse", "fault"])
+    def test_campaigns_default_to_the_one_device_seed(self, command):
+        args = build_parser().parse_args([command])
+        assert args.key_seed == DEFAULT_KEY_SEED
 
 
 class TestUnusablePaths:

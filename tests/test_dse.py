@@ -1,15 +1,20 @@
 """The E17 design-space engine: grid specs, Pareto logic, sweep + CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.crypto.keys import DEFAULT_KEY_SEED
 from repro.dse import (DseReport, default_grid, dominates, parse_grid,
                        parse_profile_spec, parse_profiles, pareto_mask,
                        resolve_profiles, run_dse)
+from repro.dse import campaign as dse_campaign
 from repro.transform import ProtectionProfile
+from repro.workloads import base as workloads_base
+from repro.workloads import make_workload
 
 
 class TestSpecs:
@@ -188,6 +193,37 @@ class TestSweep:
         args = dict(SWEEP_ARGS, workloads=())
         with pytest.raises(ValueError, match="at least one workload"):
             run_dse(PROFILES, **args)
+
+
+def _context(workloads):
+    return (DEFAULT_KEY_SEED, SWEEP_ARGS["seed"], tuple(workloads),
+            SWEEP_ARGS["programs"], SWEEP_ARGS["per_model"])
+
+
+class TestDesignPointTask:
+    def test_each_workload_compiles_once_per_process(self, monkeypatch):
+        calls = []
+        real = workloads_base.compile_source
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(workloads_base, "compile_source", counted)
+        context = _context(make_workload(name, "tiny")
+                           for name in ("crc32", "rle"))
+        rows = [dse_campaign._dse_task(context, (index, profile))
+                for index, profile in enumerate(PROFILES)]
+        assert [row.error for row in rows] == [None, None]
+        # the fault campaign reuses the suite's first compiled workload
+        assert len(calls) == 2
+
+    def test_compile_error_lands_in_the_point(self):
+        broken = dataclasses.replace(make_workload("crc32", "tiny"),
+                                     c_source="int main( {")
+        row = dse_campaign._dse_task(_context([broken]), (0, PROFILES[0]))
+        assert row.error.startswith("CompileError: ")
+        assert row.workload_rows == []
 
 
 class TestCli:

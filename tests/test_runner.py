@@ -1,8 +1,9 @@
 """Tests for the parallel campaign orchestrator (``repro.runner``).
 
 The runner's contract: ordered results, a bit-identical serial fallback,
-deterministic per-task seeding independent of worker count, and a
-per-process build cache that protects each image once per spec.
+deterministic per-task seeding independent of worker count, and
+overhead sweeps that protect each image once, in the dispatching
+process.
 """
 
 import json
@@ -18,18 +19,19 @@ import pytest
 
 from repro.attacks import run_campaign as attack_campaign
 from repro.crypto import DeviceKeys
-from repro.eval.overhead import (OverheadPoint, measure_many,
-                                 measure_overhead, measure_point)
+from repro.eval import overhead
+from repro.eval.overhead import OverheadPoint, measure_many, measure_overhead
 from repro.faults import run_campaign as fault_campaign
 from repro.faults import sample_faults
 from repro.isa import parse
-from repro.runner import (atomic_write, available_cpus, build_cache,
-                          campaign_record, clear_build_cache,
+from repro.runner import (atomic_write, available_cpus, campaign_record,
                           default_chunksize, resolve_jobs, run_tasks,
                           run_tasks_stored, task_rng, task_seed,
                           to_jsonable, write_campaign)
 from repro.security.montecarlo import forgery_scaling, tamper_detection
-from repro.transform import transform
+from repro.sim.timing import TimingParams
+from repro.transform import ProtectionProfile, transform
+from repro.workloads import base as workloads_base
 from repro.workloads import make_workload
 
 KEYS = DeviceKeys.from_seed(0xFA)
@@ -274,52 +276,58 @@ class TestCampaignEquivalence:
         assert escape1 == escape2 == escape3
 
 
-class TestBuildCache:
-    def setup_method(self):
-        clear_build_cache()
+def _counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(fn)
+        return fn(*args, **kwargs)
+    return counted
 
-    def teardown_method(self):
-        clear_build_cache()
 
-    def test_repeated_point_hits_image_cache(self):
-        point = OverheadPoint(workload="crc32", scale="tiny")
-        first = measure_point(point)
-        second = measure_point(OverheadPoint(workload="crc32",
-                                             scale="tiny"))
-        stats = build_cache().stats
-        assert first == second
-        assert stats.image_misses == 1
-        assert stats.image_hits == 1
-        assert stats.compile_misses == 1
-        assert stats.compile_hits == 1
+class TestOverheadSweep:
+    def test_workers_inherit_the_sweeps_build(self, monkeypatch):
+        parent = os.getpid()
+        calls = []
+        real = overhead.transform
 
-    def test_timing_variants_share_one_build(self):
-        from repro.sim.timing import TimingParams
-        points = [OverheadPoint(workload="crc32", scale="tiny",
-                                timing=TimingParams(icache_lines=lines))
-                  for lines in (8, 32, 128)]
-        rows = measure_many(points)
-        stats = build_cache().stats
-        assert len(rows) == 3
-        assert stats.image_misses == 1 and stats.image_hits == 2
+        def parent_only(*args, **kwargs):
+            assert os.getpid() == parent, "a pool worker transformed"
+            calls.append(parent)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(overhead, "transform", parent_only)
+        rows = measure_many(
+            [OverheadPoint(workload="crc32", scale="tiny",
+                           timing=TimingParams(icache_lines=lines))
+             for lines in (8, 32, 128, 512)], jobs=2)
+        assert len(rows) == 4
+        assert len(calls) == 1
         # smaller caches can only be slower
-        assert rows[0].sofia_cycles >= rows[2].sofia_cycles
+        assert rows[0].sofia_cycles >= rows[3].sofia_cycles
 
-    def test_distinct_configs_build_distinct_images(self):
-        from repro.transform import ProtectionProfile
-        measure_point(OverheadPoint(workload="crc32", scale="tiny"))
-        measure_point(OverheadPoint(
-            workload="crc32", scale="tiny",
-            profile=ProtectionProfile(block_words=6)))
-        stats = build_cache().stats
-        assert stats.image_misses == 2
-        assert stats.compile_misses == 1  # compile is profile-independent
+    def test_two_profiles_build_two_images_compile_once(self,
+                                                       monkeypatch):
+        compiles, transforms = [], []
+        monkeypatch.setattr(
+            workloads_base, "compile_source",
+            _counting(workloads_base.compile_source, compiles))
+        monkeypatch.setattr(overhead, "transform",
+                            _counting(overhead.transform, transforms))
+        rows = measure_many([
+            OverheadPoint(workload="crc32", scale="tiny"),
+            OverheadPoint(workload="crc32", scale="tiny",
+                          profile=ProtectionProfile(block_words=6))])
+        assert (len(compiles), len(transforms)) == (1, 2)
+        assert rows[0] != rows[1]
 
-    def test_cached_point_matches_uncached_measurement(self):
-        point = OverheadPoint(workload="crc32", scale="tiny")
-        cached = measure_point(point)
-        direct = measure_overhead(make_workload("crc32", "tiny"))
-        assert cached == direct
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_match_measure_overhead(self, jobs):
+        profiles = [ProtectionProfile(), ProtectionProfile(block_words=6)]
+        rows = measure_many(
+            [OverheadPoint(workload="crc32", scale="tiny", profile=profile)
+             for profile in profiles], jobs=jobs)
+        assert rows == [measure_overhead(make_workload("crc32", "tiny"),
+                                         profile=profile)
+                        for profile in profiles]
 
 
 class TestExport:

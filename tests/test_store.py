@@ -11,6 +11,8 @@ import pickle
 
 import pytest
 
+from repro import obs
+from repro.obs import Telemetry
 from repro.runner import (ResultStore, ShardSpec, code_version,
                           merge_stores, parse_shard, run_tasks_stored,
                           shard_partition, stable_digest, task_key,
@@ -167,15 +169,6 @@ class TestResultStore:
         leftovers = list((tmp_path / "store").rglob("*.tmp"))
         assert leftovers == []
 
-    def test_stats_count_hits_misses_puts(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        key = task_key("demo", {}, 3)
-        store.get(key)
-        store.put(key, 1)
-        store.get(key)
-        assert store.stats.as_dict() == \
-            {"hits": 1, "misses": 1, "puts": 1}
-
 
 class TestMerge:
     def _filled(self, root, items):
@@ -290,6 +283,21 @@ class TestRunTasksStored:
         assert executed == [1, 3]
         assert (run.hits, run.executed) == (2, 2)
 
+    def test_telemetry_counts_store_traffic(self, tmp_path):
+        # hits, misses and puts are counted once, by the campaign's
+        # telemetry, and agree with the run's own hit/executed counts
+        store = ResultStore(tmp_path / "store")
+        tasks = [1, 2, 3]
+        keys = [task_key("demo", {}, t) for t in tasks]
+        store.put(keys[0], 2)
+        telemetry = Telemetry()
+        with obs.campaign(telemetry, "demo"):
+            run = run_tasks_stored(_double, tasks, keys, store=store)
+        counters = telemetry.metrics.counters
+        assert (run.hits, run.executed) == (1, 2)
+        assert (counters["store.hits"], counters["store.misses"],
+                counters["store.puts"]) == (1, 2, 2)
+
     def test_width_groups_only_missing_tasks_in_order(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         tasks = list(range(10))
@@ -316,7 +324,6 @@ class TestRunTasksStored:
         assert not run.complete
         assert run.results == [None, 2, None, None, 8, None]
         assert (run.executed, run.skipped) == (2, 4)
-        assert "owned by other shards" in run.summary()
 
     def test_shard_union_completes(self, tmp_path):
         tasks = list(range(7))
