@@ -35,8 +35,8 @@ from . import core
 from .core import (build_assembly, build_c, link_vanilla, make_keys,
                    protect, protect_and_run, run_protected, run_vanilla)
 from .errors import (AssemblyError, CFGError, CompileError, DecodingError,
-                     EncodingError, ImageError, IntegrityViolation,
-                     ReproError, SimulationError, TransformError)
+                     EncodingError, ImageError, ReproError,
+                     SimulationError, TransformError)
 
 __version__ = "1.0.0"
 
@@ -45,6 +45,6 @@ __all__ = [
     "protect", "run_vanilla", "run_protected", "protect_and_run",
     "ReproError", "AssemblyError", "EncodingError", "DecodingError",
     "CompileError", "CFGError", "TransformError", "ImageError",
-    "SimulationError", "IntegrityViolation",
+    "SimulationError",
     "__version__",
 ]

@@ -67,13 +67,12 @@ def classify(result, benign_output: List[int]) -> Outcome:
     return Outcome.NO_EFFECT
 
 
-def run_attack(attack: Attack, target: Target,
-               benign_output: Optional[List[int]] = None) -> AttackResult:
+def run_attack(attack: Attack, target: Target) -> AttackResult:
     """Apply one attack to a fresh instance of one target and classify."""
     machine = target.make()
     attack.apply(machine, target)
     result = machine.run(max_instructions=_MAX_INSTRUCTIONS)
-    outcome = classify(result, benign_output or BENIGN_OUTPUT)
+    outcome = classify(result, BENIGN_OUTPUT)
     detail = ""
     if result.violation is not None:
         detail = str(result.violation)

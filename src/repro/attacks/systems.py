@@ -47,12 +47,11 @@ class Target:
         return address
 
 
-def build_targets(program: AsmProgram, seed: int = 1337,
-                  nonce: int = 0x50F1) -> List[Target]:
+def build_targets(program: AsmProgram, seed: int = 1337) -> List[Target]:
     """Instantiate the victim under every defense."""
     exe = assemble(program)
     keys = DeviceKeys.from_seed(seed)
-    image = transform(program, keys, nonce=nonce)
+    image = transform(program, keys, nonce=0x50F1)
     xor_key = derive_key(seed, "xor-isr") & 0xFFFFFFFF
     ecb_key = derive_key(seed, "ecb-isr")
 

@@ -180,8 +180,7 @@ def prefill_front_ends(instances: Sequence[AttackInstance],
 
 
 def run_sofia_instance(instance: AttackInstance, mutated: SofiaImage,
-                       keys: DeviceKeys, clean: Observables,
-                       max_instructions: int = SOFIA_BUDGET
+                       keys: DeviceKeys, clean: Observables
                        ) -> Tuple[str, bool, Optional[str], Optional[bool]]:
     """Run one instance on the SOFIA core.
 
@@ -197,7 +196,7 @@ def run_sofia_instance(instance: AttackInstance, mutated: SofiaImage,
         machine.state.pc = instance.entry_pc
         if instance.prev_pc is not None:
             machine.prev_pc = instance.prev_pc
-    result = machine.run(max_instructions=max_instructions)
+    result = machine.run(max_instructions=SOFIA_BUDGET)
     violation = result.violation.kind if result.violation else None
     edge_ok = None
     if instance.entry_pc is not None:
@@ -208,9 +207,7 @@ def run_sofia_instance(instance: AttackInstance, mutated: SofiaImage,
 
 
 def run_plain_instance(instance: AttackInstance, make_machine,
-                       clean: Observables,
-                       max_instructions: int = PLAIN_BUDGET
-                       ) -> Tuple[str, bool]:
+                       clean: Observables) -> Tuple[str, bool]:
     """Run the plaintext-analogue materialization on one undefended core.
 
     ``make_machine`` builds a fresh vanilla or ISR machine; the pokes go
@@ -222,5 +219,5 @@ def run_plain_instance(instance: AttackInstance, make_machine,
         machine.memory.poke_code(address, word)
     if instance.plain_entry is not None:
         machine.state.pc = instance.plain_entry
-    result = machine.run(max_instructions=max_instructions)
+    result = machine.run(max_instructions=PLAIN_BUDGET)
     return classify_result(result, clean), hijacked(result)

@@ -379,9 +379,8 @@ def _instances(image: SofiaImage, exe: Executable, keys: DeviceKeys,
             plain_applicable=plain_base is not None)
 
 
-def enumerate_geometric(image: SofiaImage, rng: random.Random,
-                        plan: Optional[Dict[str, int]] = None
-                        ) -> List[AttackInstance]:
+def enumerate_geometric(image: SofiaImage,
+                        rng: random.Random) -> List[AttackInstance]:
     """Metadata-less enumeration over a raw ``.sofia`` image.
 
     Deserialized images carry no block records, so expected verdicts are
@@ -389,8 +388,6 @@ def enumerate_geometric(image: SofiaImage, rng: random.Random,
     between block-shaped addresses, same-image replay, and plaintext
     injection at the entry block.  Outcomes are purely observational.
     """
-    quotas = dict(DEFAULT_PLAN)
-    quotas.update(plan or {})
     block_bytes = image.block_bytes
     bases = [image.code_base + block_bytes * i
              for i in range(image.num_blocks)]
@@ -399,7 +396,7 @@ def enumerate_geometric(image: SofiaImage, rng: random.Random,
     sources = [base + block_bytes - 4 for base in bases]
     targets = [base + offset for base in bases for offset in (0, 4, 8, 12)]
     instances: List[AttackInstance] = []
-    bend_quota = quotas["bend"] + quotas["bend-entry-offset"]
+    bend_quota = DEFAULT_PLAN["bend"] + DEFAULT_PLAN["bend-entry-offset"]
     candidates = [(s, t) for s in sources for t in targets]
     for src, target in _sample(rng, candidates, bend_quota):
         instances.append(AttackInstance(
@@ -407,7 +404,7 @@ def enumerate_geometric(image: SofiaImage, rng: random.Random,
             description=f"divert 0x{src:08x} to 0x{target:08x}",
             expected=None, prev_pc=src, entry_pc=target,
             plain_applicable=False))
-    for _ in range(quotas["replay"]):
+    for _ in range(DEFAULT_PLAN["replay"]):
         if len(bases) < 2:
             break
         donor, victim = rng.sample(bases, 2)
@@ -418,13 +415,11 @@ def enumerate_geometric(image: SofiaImage, rng: random.Random,
             expected=None,
             writes=_image_pokes(victim, image.block_words_at(donor)),
             plain_applicable=False))
-    if quotas["inject-plain"] > 0:
-        entry_base = image.block_base_of(image.entry)
-        instances.append(AttackInstance(
-            family="inject-plain",
-            name=f"inject-plain-{entry_base:06x}",
-            description=("write the plaintext unlock gadget over the "
-                         "entry block"),
-            expected=None, writes=_image_pokes(entry_base, gadget_words()),
-            plain_applicable=False))
+    entry_base = image.block_base_of(image.entry)
+    instances.append(AttackInstance(
+        family="inject-plain",
+        name=f"inject-plain-{entry_base:06x}",
+        description="write the plaintext unlock gadget over the entry block",
+        expected=None, writes=_image_pokes(entry_base, gadget_words()),
+        plain_applicable=False))
     return instances

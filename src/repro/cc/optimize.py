@@ -47,6 +47,9 @@ _SCRATCH_POOL = tuple(range(20, 28))
 #: the accumulator register pushed by the code generator
 _ACC = 12  # t0
 
+#: upper bound on rewrite passes (each pass removes one push/pop pair)
+_MAX_PASSES = 10_000
+
 
 def _is_push(a: Instruction, b: Instruction) -> bool:
     return (a.mnemonic == "addi" and a.rd == SP and a.rs1 == SP
@@ -151,11 +154,10 @@ def _apply_rewrite(program: AsmProgram, push_index: int, pop_index: int,
                       for name, index in program.labels.items()}
 
 
-def optimize_pushpop(program: AsmProgram,
-                     max_passes: int = 10_000) -> OptimizeStats:
+def optimize_pushpop(program: AsmProgram) -> OptimizeStats:
     """Rewrite push/pop pairs in place; returns what was done."""
     stats = OptimizeStats()
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         found = _find_rewritable_pair(program)
         if found is None:
             break

@@ -57,7 +57,7 @@ def returns_of(program: AsmProgram, start: int, end: int) -> List[int]:
             if is_return(program.instructions[i])]
 
 
-def build_cfg(program: AsmProgram, check_tail_calls: bool = True) -> ControlFlowGraph:
+def build_cfg(program: AsmProgram) -> ControlFlowGraph:
     """Construct the precise instruction-level CFG of ``program``."""
     program.validate()
     instructions = program.instructions
@@ -108,13 +108,12 @@ def build_cfg(program: AsmProgram, check_tail_calls: bool = True) -> ControlFlow
             if instr.symbol is None:
                 raise CFGError(f"jmp without symbolic target (line {instr.line})")
             dst = target_index(instr, instr.symbol)
-            if check_tail_calls:
-                src_fn = function_of(i, ranges)
-                dst_fn = function_of(dst, ranges)
-                if src_fn != dst_fn:
-                    raise CFGError(
-                        f"jmp from function {src_fn!r} into {dst_fn!r} "
-                        f"(tail call) is not supported (line {instr.line})")
+            src_fn = function_of(i, ranges)
+            dst_fn = function_of(dst, ranges)
+            if src_fn != dst_fn:
+                raise CFGError(
+                    f"jmp from function {src_fn!r} into {dst_fn!r} "
+                    f"(tail call) is not supported (line {instr.line})")
             cfg.add_edge(i, dst, "jump")
             continue
         if spec.is_call and not spec.is_indirect:  # call

@@ -19,7 +19,7 @@ Edge kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Dict, List, Set
 
 EDGE_KINDS = ("fall", "taken", "jump", "call", "icall", "return", "reset")
 
@@ -80,9 +80,9 @@ class ControlFlowGraph:
             edges.sort(key=lambda e: (e.dst, e.kind))
         return result
 
-    def reachable(self, start: Iterable[int] = ()) -> Set[int]:
-        """Nodes reachable from ``start`` (default: the entry node)."""
-        frontier = list(start) or [self.entry]
+    def reachable(self) -> Set[int]:
+        """Nodes reachable from the entry node."""
+        frontier = [self.entry]
         succ = self.successor_map()
         seen: Set[int] = set()
         while frontier:

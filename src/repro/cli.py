@@ -453,7 +453,8 @@ def cmd_version(args) -> int:
 
 def cmd_merge(args) -> int:
     from .runner import merge_stores
-    missing = [src for src in args.sources if not Path(src).is_dir()]
+    missing = [src for src in args.sources
+               if not (Path(src) / "objects").is_dir()]
     if missing:
         raise UsageError(f"no such store: {', '.join(missing)}")
     try:

@@ -51,15 +51,15 @@ KEY_BITS = 80
 BLOCK_BITS = 64
 
 
-def round_constants(count: int = ROUNDS) -> List[int]:
-    """Generate the 5-bit LFSR round constants RC[0..count-1].
+def round_constants() -> List[int]:
+    """Generate the 5-bit LFSR round constants RC[0..ROUNDS-1].
 
     The LFSR starts at 0b00001 and clocks ``rc <- (rc << 1) | (rc4 ^ rc2)``
     over 5-bit state, the feedback polynomial used by the RECTANGLE spec.
     """
     constants = []
     rc = 0x1
-    for _ in range(count):
+    for _ in range(ROUNDS):
         constants.append(rc)
         feedback = ((rc >> 4) ^ (rc >> 2)) & 1
         rc = ((rc << 1) | feedback) & 0x1F

@@ -16,8 +16,7 @@ from .campaign import (DEFAULT_PROGRAMS, DEFAULT_SCALE, DEFAULT_SEED,
                        HwPointRow, run_dse)
 from .grid import (default_grid, parse_grid, parse_hw_point,
                    parse_profile_spec, parse_profiles, resolve_profiles)
-from .pareto import (E17_SENSES, HW_SENSES, dominates, pareto_front,
-                     pareto_mask)
+from .pareto import E17_SENSES, HW_SENSES, dominates, pareto_mask
 
 __all__ = [
     "run_dse", "DseReport", "DesignPointRow", "HwPointRow",
@@ -25,6 +24,6 @@ __all__ = [
     "DEFAULT_PROGRAMS",
     "default_grid", "parse_grid", "parse_profiles", "parse_profile_spec",
     "parse_hw_point", "resolve_profiles",
-    "dominates", "pareto_mask", "pareto_front",
+    "dominates", "pareto_mask",
     "E17_SENSES", "HW_SENSES",
 ]

@@ -29,8 +29,9 @@ from ..eval.export import DSE_HW_CSV_HEADER, dse_csv, record_json
 from ..eval.overhead import measure_overhead
 from ..faults.campaign import FaultOutcome
 from ..faults.campaign import run_campaign as run_fault_campaign
-from ..hwmodel.profilecost import (CYCLES_BUDGET, UnrollSpec, legal_unrolls,
-                                   profile_cost, resolve_unrolls)
+from ..hwmodel.components import CYCLES_BUDGET
+from ..hwmodel.profilecost import (UnrollSpec, legal_unrolls, profile_cost,
+                                   resolve_unrolls)
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, check_writable,
                       run_tasks_stored, task_keys, task_seed)

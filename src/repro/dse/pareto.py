@@ -21,7 +21,7 @@ the same seal width.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: per-objective optimization direction, one entry per objective position
 Senses = Tuple[str, ...]
@@ -68,10 +68,3 @@ def pareto_mask(points: Sequence[Objectives],
     return [not any(dominates(other, point, senses)
                     for j, other in enumerate(points) if j != i)
             for i, point in enumerate(points)]
-
-
-def pareto_front(points: Iterable, senses: Senses = E17_SENSES) -> List:
-    """The non-dominated subset of objects carrying ``.objectives``."""
-    items = list(points)
-    mask = pareto_mask([item.objectives for item in items], senses)
-    return [item for item, keep in zip(items, mask) if keep]

@@ -2,8 +2,10 @@
 
 All library errors derive from :class:`ReproError` so callers can catch a
 single base class.  The hierarchy mirrors the subsystem layout: assembly and
-compilation problems, transformation problems, and run-time integrity
-violations raised by the simulated SOFIA hardware.
+compilation problems, transformation problems, and simulator misuse.  A
+run-time integrity violation is not an error: the simulated SOFIA core
+records it as the run's :class:`~repro.sim.result.ViolationRecord` and
+resets.
 """
 
 from __future__ import annotations
@@ -88,19 +90,3 @@ class HardwareModelError(ReproError, ValueError):
     the typed hierarchy and its callers (and tests) historically caught
     ``ValueError`` for bad unroll factors — both spellings keep working.
     """
-
-
-class IntegrityViolation(ReproError):
-    """Raised (or recorded) by the simulated SOFIA core on a violation.
-
-    Attributes mirror what the hardware knows at detection time.
-    """
-
-    def __init__(self, kind: str, pc: int, detail: str = "") -> None:
-        self.kind = kind
-        self.pc = pc
-        self.detail = detail
-        message = f"{kind} violation at pc=0x{pc:08x}"
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)

@@ -2,13 +2,12 @@
 
 from .experiments import (AdpcmComparison, BlockSizePoint, CachePoint,
                           FanInPoint, PAPER_ADPCM, SecurityExperiment,
-                          experiment_adpcm, experiment_attacks,
-                          experiment_blocksize, experiment_cache,
-                          experiment_muxtree, experiment_security,
-                          experiment_table1, experiment_unroll,
-                          experiment_workloads, render_blocksize,
-                          render_cache, render_muxtree, render_unroll,
-                          render_workloads)
+                          experiment_adpcm, experiment_blocksize,
+                          experiment_cache, experiment_muxtree,
+                          experiment_security, experiment_table1,
+                          experiment_unroll, experiment_workloads,
+                          render_blocksize, render_cache, render_muxtree,
+                          render_unroll)
 from .export import (attacksynth_csv, batch_csv, blocksize_csv,
                      cache_csv, dse_csv, muxtree_csv, overhead_csv,
                      record_json)
@@ -20,9 +19,9 @@ __all__ = [
     "OverheadRow", "measure_overhead", "format_overhead_rows",
     "OverheadPoint", "measure_many",
     "experiment_table1", "experiment_adpcm", "experiment_security",
-    "experiment_blocksize", "experiment_muxtree", "experiment_attacks",
+    "experiment_blocksize", "experiment_muxtree",
     "experiment_workloads", "experiment_unroll",
-    "render_blocksize", "render_muxtree", "render_workloads",
+    "render_blocksize", "render_muxtree",
     "render_unroll", "AdpcmComparison", "SecurityExperiment",
     "BlockSizePoint", "FanInPoint", "PAPER_ADPCM",
     "full_report", "write_report",

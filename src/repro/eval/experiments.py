@@ -5,10 +5,10 @@ data; ``render_*`` helpers print the same rows the paper reports, side by
 side with the published values where applicable.
 
 Experiments that iterate over independent cells (workloads, block sizes,
-cache sizes, attack/target pairs, Monte-Carlo batches) express the loop
-as a task list for :mod:`repro.runner` and accept ``jobs``; every value
-returns identical results, the default ``jobs=1`` running the same tasks
-in-process (the CLI's ``--jobs N`` sets it).
+cache sizes, Monte-Carlo batches) express the loop as a task list for
+:mod:`repro.runner` and accept ``jobs``; every value returns identical
+results, the default ``jobs=1`` running the same tasks in-process (the
+CLI's ``--jobs N`` sets it).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..attacks.harness import AttackResult, run_campaign
 from ..crypto.keys import DeviceKeys
 from ..hwmodel.design import Table1, UnrollPoint, table1, unroll_ablation
 from ..isa.assembler import parse
@@ -30,8 +29,8 @@ from ..sim.vanilla import VanillaMachine
 from ..transform.profile import ProtectionProfile, store_forbidden_slots
 from ..transform.transformer import transform
 from ..workloads.base import make_workload, workload_names
-from .overhead import (OverheadPoint, OverheadRow, format_overhead_rows,
-                       measure_many, measure_overhead)
+from .overhead import (OverheadPoint, OverheadRow, measure_many,
+                       measure_overhead)
 
 #: published §IV-B numbers for the ADPCM benchmark
 PAPER_ADPCM = {
@@ -71,18 +70,15 @@ class AdpcmComparison:
         ])
 
 
-def experiment_adpcm(scale: str = "small",
-                     timing: Optional[TimingParams] = None) -> AdpcmComparison:
-    """E2 with the LEON3-minimal timing calibration by default.
+def experiment_adpcm(scale: str = "small") -> AdpcmComparison:
+    """E2 under the LEON3-minimal timing calibration.
 
     The paper's baseline runs at an effective CPI well above 5 (114.2 M
     cycles for ADPCM on a minimal LEON3 config); SOFIA's extra fetch slots
-    are diluted accordingly.  Pass ``timing=DEFAULT_TIMING`` for the
-    low-CPI (aggressive-baseline) variant reported in EXPERIMENTS.md.
+    are diluted accordingly.
     """
-    if timing is None:
-        timing = LEON3_MINIMAL_TIMING
-    row = measure_overhead(make_workload("adpcm", scale), timing=timing)
+    row = measure_overhead(make_workload("adpcm", scale),
+                           timing=LEON3_MINIMAL_TIMING)
     return AdpcmComparison(measured=row, paper=PAPER_ADPCM)
 
 
@@ -187,10 +183,10 @@ lib:
 """
 
 
-def experiment_muxtree(fan_ins: Sequence[int] = (1, 2, 4, 8, 16, 32),
-                       seed: int = 7) -> List[FanInPoint]:
+def experiment_muxtree(fan_ins: Sequence[int] = (1, 2, 4, 8, 16, 32)
+                       ) -> List[FanInPoint]:
     """Cost of multiplexor trees vs number of callers (paper Fig. 9)."""
-    keys = DeviceKeys.from_seed(seed)
+    keys = DeviceKeys.from_seed(7)
     points = []
     for k in fan_ins:
         program = parse(_fan_in_program(k))
@@ -216,13 +212,6 @@ def render_muxtree(points: List[FanInPoint]) -> str:
     return "\n".join(lines)
 
 
-# -- E8: attack matrix ------------------------------------------------------------
-
-def experiment_attacks(seed: int = 1337,
-                       jobs: Optional[int] = 1) -> List[AttackResult]:
-    return run_campaign(seed=seed, jobs=jobs)
-
-
 # -- E10: workload sweep -----------------------------------------------------------
 
 def experiment_workloads(scale: str = "small",
@@ -232,10 +221,6 @@ def experiment_workloads(scale: str = "small",
         [OverheadPoint(workload=name, scale=scale, timing=timing)
          for name in workload_names()],
         jobs=jobs)
-
-
-def render_workloads(rows: List[OverheadRow]) -> str:
-    return format_overhead_rows(rows)
 
 
 # -- E14: I-cache sensitivity ---------------------------------------------------

@@ -40,6 +40,10 @@ from ..workloads.base import Workload, make_workload
 
 _DEFAULT_KEYS = DeviceKeys.from_seed(DEFAULT_KEY_SEED)
 
+#: the image nonce and per-core instruction budget of every measurement
+_NONCE = 0x2016
+_MAX_INSTRUCTIONS = 50_000_000
+
 
 @dataclass(frozen=True)
 class OverheadRow:
@@ -71,8 +75,7 @@ class OverheadRow:
         return (1.0 + self.cycle_overhead) * self.clock_ratio - 1.0
 
 
-def _build(workload: Workload, keys: DeviceKeys, nonce: int,
-           profile: ProtectionProfile
+def _build(workload: Workload, keys: DeviceKeys, profile: ProtectionProfile
            ) -> Tuple[Workload, Executable, SofiaImage, DeviceKeys]:
     """Assemble and protect ``workload``: ``(workload, exe, image, keys)``.
 
@@ -82,19 +85,18 @@ def _build(workload: Workload, keys: DeviceKeys, nonce: int,
     keys = keys.for_profile(profile)
     program = workload.compile().program
     return (workload, assemble(program),
-            transform(program, keys, nonce=nonce, profile=profile), keys)
+            transform(program, keys, nonce=_NONCE, profile=profile), keys)
 
 
 def _run_both(workload: Workload, exe: Executable, image: SofiaImage,
-              keys: DeviceKeys, timing: TimingParams,
-              max_instructions: int) -> OverheadRow:
+              keys: DeviceKeys, timing: TimingParams) -> OverheadRow:
     """Run both cores against a prepared build and assemble the row."""
-    vanilla = VanillaMachine(exe, timing).run(max_instructions)
+    vanilla = VanillaMachine(exe, timing).run(_MAX_INSTRUCTIONS)
     if vanilla.output_ints != workload.expected_output:
         raise SimulationError(
             f"{workload.name}: vanilla output {vanilla.output_ints} != "
             f"golden {workload.expected_output}")
-    sofia = SofiaMachine(image, keys, timing).run(max_instructions)
+    sofia = SofiaMachine(image, keys, timing).run(_MAX_INSTRUCTIONS)
     if sofia.output_ints != workload.expected_output:
         raise SimulationError(
             f"{workload.name}: SOFIA output {sofia.output_ints} != "
@@ -119,8 +121,6 @@ def _run_both(workload: Workload, exe: Executable, image: SofiaImage,
 def measure_overhead(workload: Workload,
                      keys: Optional[DeviceKeys] = None,
                      timing: TimingParams = DEFAULT_TIMING,
-                     nonce: int = 0x2016,
-                     max_instructions: int = 50_000_000,
                      profile: ProtectionProfile = DEFAULT_PROFILE
                      ) -> OverheadRow:
     """Compile, run on both cores, verify outputs, return the metrics.
@@ -128,8 +128,8 @@ def measure_overhead(workload: Workload,
     ``profile`` measures a non-default design point and provisions the
     keys for its cipher.
     """
-    return _run_both(*_build(workload, keys or _DEFAULT_KEYS, nonce,
-                             profile), timing, max_instructions)
+    return _run_both(*_build(workload, keys or _DEFAULT_KEYS, profile),
+                     timing)
 
 
 @dataclass(frozen=True)
@@ -143,17 +143,13 @@ class OverheadPoint:
 
     workload: str
     scale: str = "small"
-    key_seed: int = DEFAULT_KEY_SEED
-    nonce: int = 0x2016
     timing: TimingParams = DEFAULT_TIMING
-    max_instructions: int = 50_000_000
     profile: ProtectionProfile = DEFAULT_PROFILE
 
     @property
     def build(self) -> tuple:
         """Everything that determines the point's protected build."""
-        return (self.workload, self.scale, self.key_seed, self.nonce,
-                self.profile)
+        return (self.workload, self.scale, self.profile)
 
 
 def _sweep_builds(points: List[OverheadPoint]) -> Dict[tuple, tuple]:
@@ -161,18 +157,17 @@ def _sweep_builds(points: List[OverheadPoint]) -> Dict[tuple, tuple]:
     workloads: Dict[Tuple[str, str], Workload] = {}
     builds: Dict[tuple, tuple] = {}
     for build in dict.fromkeys(point.build for point in points):
-        name, scale, key_seed, nonce, profile = build
+        name, scale, profile = build
         if (name, scale) not in workloads:
             workloads[name, scale] = make_workload(name, scale)
-        builds[build] = _build(workloads[name, scale],
-                               DeviceKeys.from_seed(key_seed), nonce, profile)
+        builds[build] = _build(workloads[name, scale], _DEFAULT_KEYS,
+                               profile)
     return builds
 
 
 def _measure_task(builds: Dict[tuple, tuple],
                   point: OverheadPoint) -> OverheadRow:
-    return _run_both(*builds[point.build], point.timing,
-                     point.max_instructions)
+    return _run_both(*builds[point.build], point.timing)
 
 
 def measure_many(points: List[OverheadPoint], *,

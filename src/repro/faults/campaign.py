@@ -189,16 +189,14 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
 
 def sample_faults(image: SofiaImage, total_instructions: int,
                   per_model: int = 25, seed: int = 2016,
-                  models: Optional[Sequence[str]] = None,
-                  rng: Optional[random.Random] = None) -> List[FaultSpec]:
+                  models: Optional[Sequence[str]] = None) -> List[FaultSpec]:
     """Draw a randomized fault population over the run's dynamic window.
 
-    Randomness is fully injectable: pass either ``seed`` (a private
-    ``random.Random`` is created) or an explicit ``rng`` — never a shared
-    global stream — so concurrent campaigns draw reproducible, mutually
+    The draw uses a private ``random.Random(seed)``, never a shared
+    global stream, so concurrent campaigns draw reproducible, mutually
     independent populations.
     """
-    rng = rng if rng is not None else random.Random(seed)
+    rng = random.Random(seed)
     wanted = set(models or ("CodeBitFlip", "FetchGlitch", "PCGlitch",
                             "RegisterFault", "VerifySkip", "CombinedFault"))
     code_limit = image.code_base + 4 * len(image.words)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import List
 
 from ..crypto.keys import DeviceKeys
 from ..errors import ReproError
@@ -48,7 +48,7 @@ def _reduced(specimen: Specimen, source: str) -> Specimen:
 #: ceiling on reduction probes per failure; a cap this size is only
 #: reached by pathological specimens, where a partially reduced result
 #: beats an unbounded search
-DEFAULT_MAX_EVALS = 600
+MAX_EVALS = 600
 
 #: probe budgets scale with the original failing run (a deleted line can
 #: turn a terminating specimen into an endless loop; such candidates
@@ -64,34 +64,28 @@ def probe_budgets(instructions: int) -> "tuple[int, int]":
 
 
 def minimize(specimen: Specimen, keys: DeviceKeys, axis: str,
-             check: Optional[Callable[[Specimen], bool]] = None,
-             instructions: int = 0,
-             max_evals: int = DEFAULT_MAX_EVALS) -> Specimen:
+             instructions: int = 0) -> Specimen:
     """Greedily shrink a failing specimen while ``axis`` still diverges.
 
-    ``check`` overrides the reproduction predicate (tests use this to
-    minimize against a planted bug without a full oracle run);
     ``instructions`` is the original failure's dynamic length, used to
-    scale the probe budgets.  Within ``max_evals`` probes the result is
-    1-minimal and therefore idempotent.
+    scale the probe budgets.  Within :data:`MAX_EVALS` probes the result
+    is 1-minimal and therefore idempotent.
     """
     vanilla_budget, sofia_budget = probe_budgets(instructions)
-    fails = check if check is not None else (
-        lambda candidate: reproduces_axis(candidate, keys, axis,
-                                          vanilla_budget, sofia_budget))
     evals = [0]
 
     def budgeted_fails(candidate: Specimen) -> bool:
-        if evals[0] >= max_evals:
+        if evals[0] >= MAX_EVALS:
             return False
         evals[0] += 1
-        return fails(candidate)
+        return reproduces_axis(candidate, keys, axis, vanilla_budget,
+                               sofia_budget)
 
     current = _asm_source(specimen)
     if not budgeted_fails(_reduced(specimen, current)):
         return _reduced(specimen, current)  # not reproducible post-lowering
     changed = True
-    while changed and evals[0] < max_evals:
+    while changed and evals[0] < MAX_EVALS:
         changed = False
         lines = current.splitlines()
         index = 0

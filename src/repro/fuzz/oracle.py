@@ -34,7 +34,7 @@ from ..errors import ReproError
 from ..isa.assembler import assemble, parse
 from ..isa.program import AsmProgram
 from ..sim.sofia import SofiaMachine
-from ..sim.timing import DEFAULT_TIMING, TimingParams
+from ..sim.timing import DEFAULT_TIMING
 from ..sim.vanilla import VanillaMachine
 from ..transform.profile import DEFAULT_PROFILE
 from ..transform.transformer import transform
@@ -136,7 +136,6 @@ def build_program(specimen: Specimen) -> AsmProgram:
 
 
 def run_oracle(specimen: Specimen, keys: DeviceKeys,
-               timing: TimingParams = DEFAULT_TIMING,
                include_baselines: bool = False,
                vanilla_budget: int = VANILLA_BUDGET,
                sofia_budget: int = SOFIA_BUDGET) -> OracleReport:
@@ -162,16 +161,17 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
         return report
 
     report.features.extend(program_features(program.instructions))
-    report.features.extend(image_features(image, timing.icache_line_words))
+    report.features.extend(image_features(image,
+                                          DEFAULT_TIMING.icache_line_words))
 
     divergences = report.divergences
     _, vanilla = _compare_engines(
         "vanilla-engine",
-        lambda engine: VanillaMachine(executable, timing, engine=engine),
+        lambda engine: VanillaMachine(executable, engine=engine),
         vanilla_budget, divergences)
     _, sofia = _compare_engines(
         "sofia-engine",
-        lambda engine: SofiaMachine(image, keys, timing, engine=engine),
+        lambda engine: SofiaMachine(image, keys, engine=engine),
         sofia_budget, divergences)
 
     report.vanilla_status = vanilla.status.value
@@ -224,8 +224,7 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
 
 def reproduces_axis(specimen: Specimen, keys: DeviceKeys, axis: str,
                     vanilla_budget: int = VANILLA_BUDGET,
-                    sofia_budget: int = SOFIA_BUDGET,
-                    timing: TimingParams = DEFAULT_TIMING) -> bool:
+                    sofia_budget: int = SOFIA_BUDGET) -> bool:
     """Does the specimen still diverge on ``axis``?  (Minimizer probe.)
 
     Engine axes only build and run the machines they compare — a
@@ -242,7 +241,7 @@ def reproduces_axis(specimen: Specimen, keys: DeviceKeys, axis: str,
         divergences: List[Divergence] = []
         _compare_engines(
             axis,
-            lambda engine: VanillaMachine(executable, timing, engine=engine),
+            lambda engine: VanillaMachine(executable, engine=engine),
             vanilla_budget, divergences)
         return bool(divergences)
     if axis == "sofia-engine":
@@ -256,11 +255,11 @@ def reproduces_axis(specimen: Specimen, keys: DeviceKeys, axis: str,
         divergences = []
         _compare_engines(
             axis,
-            lambda engine: SofiaMachine(image, keys, timing, engine=engine),
+            lambda engine: SofiaMachine(image, keys, engine=engine),
             sofia_budget, divergences)
         return bool(divergences)
     try:
-        report = run_oracle(specimen, keys, timing,
+        report = run_oracle(specimen, keys,
                             vanilla_budget=vanilla_budget,
                             sofia_budget=sofia_budget)
     except ReproError:

@@ -32,6 +32,10 @@ CIPHER_ROUNDS = 26
 #: paper design point: 13 rounds per cycle -> 2 cycles per operation
 PAPER_UNROLL = 13
 
+#: fetch-sustaining budget: one 64-bit cipher operation per two cycles
+#: (CTR and CBC alternate; paper §III)
+CYCLES_BUDGET = 2
+
 #: calibrated datapath constants (RECTANGLE)
 SLICES_PER_ROUND = 86.0
 ROUND_DELAY_NS = 1.40
@@ -78,7 +82,8 @@ class CipherProfile:
         self._check_unroll(unroll)
         return -(-self.rounds // unroll)
 
-    def min_sustaining_unroll(self, cycles_budget: int = 2) -> int:
+    def min_sustaining_unroll(self, cycles_budget: int = CYCLES_BUDGET
+                              ) -> int:
         """Smallest unroll giving one operation per ``cycles_budget``."""
         if not isinstance(cycles_budget, int) or cycles_budget < 1:
             raise HardwareModelError(

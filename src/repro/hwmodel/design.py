@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..transform.profile import DEFAULT_PROFILE, ProtectionProfile
-from .components import (CIPHER_PROFILES, PAPER_UNROLL, Component,
-                         leon3_components)
+from .components import (CIPHER_PROFILES, CYCLES_BUDGET, PAPER_UNROLL,
+                         Component, leon3_components)
 from .profilecost import cipher_hw_profile, sofia_profile_components
 
 
@@ -74,11 +74,12 @@ class Table1:
         return "\n".join(lines)
 
 
-def table1(unroll: int = PAPER_UNROLL) -> Table1:
+def table1() -> Table1:
     """Regenerate Table I from the component model."""
     return Table1(
         vanilla=Table1Row("Vanilla", *_totals(leon3_components())),
-        sofia=Table1Row("SOFIA", *_sofia_totals(DEFAULT_PROFILE, unroll)))
+        sofia=Table1Row("SOFIA",
+                        *_sofia_totals(DEFAULT_PROFILE, PAPER_UNROLL)))
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def unroll_ablation() -> List[UnrollPoint]:
         cycles = hw.cycles_per_op(unroll)
         points.append(UnrollPoint(
             unroll=unroll, slices=slices, clock_mhz=clock_mhz,
-            cipher_cycles=cycles, sustains_fetch=cycles <= 2))
+            cipher_cycles=cycles, sustains_fetch=cycles <= CYCLES_BUDGET))
     return points
 
 
@@ -122,7 +123,8 @@ class CipherChoice:
                 f"{self.clock_mhz:5.1f} MHz")
 
 
-def cipher_ablation(cycles_budget: int = 2) -> List[CipherChoice]:
+def cipher_ablation(cycles_budget: int = CYCLES_BUDGET
+                    ) -> List[CipherChoice]:
     """Compare candidate ciphers at one operation per ``cycles_budget``.
 
     Reproduces the design rationale behind the paper's RECTANGLE choice:

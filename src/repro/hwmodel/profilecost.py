@@ -41,12 +41,8 @@ from typing import List, Sequence, Tuple, Union
 
 from ..errors import HardwareModelError
 from ..transform.profile import ProtectionProfile
-from .components import (CIPHER_PROFILES, CipherProfile, Component,
-                         leon3_components)
-
-#: fetch-sustaining budget: one 64-bit cipher operation per two cycles
-#: (CTR and CBC alternate; paper §III)
-CYCLES_BUDGET = 2
+from .components import (CIPHER_PROFILES, CYCLES_BUDGET, CipherProfile,
+                         Component, leon3_components)
 
 #: CBC-MAC compare/control calibration: ``base + per_word * mac_words``
 #: reproduces Table I's 182 slices at the paper's 2-word seal
@@ -75,20 +71,19 @@ def cipher_hw_profile(profile: ProtectionProfile) -> CipherProfile:
         f"(known: {sorted(p.name for p in CIPHER_PROFILES.values())})")
 
 
-def min_legal_unroll(profile: ProtectionProfile,
-                     cycles_budget: int = CYCLES_BUDGET) -> int:
+def min_legal_unroll(profile: ProtectionProfile) -> int:
     """Smallest fetch-sustaining unroll for this profile's cipher.
 
-    ``ceil(rounds / unroll) <= cycles_budget`` — the paper's
+    ``ceil(rounds / unroll) <= CYCLES_BUDGET`` — the paper's
     ``unroll >= 13`` for RECTANGLE, ``unroll >= 16`` for PRESENT.
     """
-    return cipher_hw_profile(profile).min_sustaining_unroll(cycles_budget)
+    return cipher_hw_profile(profile).min_sustaining_unroll()
 
 
 def legal_unrolls(profile: ProtectionProfile) -> range:
     """Every fetch-sustaining unroll factor for this profile's cipher."""
     hw = cipher_hw_profile(profile)
-    return range(hw.min_sustaining_unroll(CYCLES_BUDGET), hw.rounds + 1)
+    return range(hw.min_sustaining_unroll(), hw.rounds + 1)
 
 
 def resolve_unrolls(profile: ProtectionProfile,
@@ -185,7 +180,7 @@ def profile_cost(profile: ProtectionProfile,
     export.
     """
     hw = cipher_hw_profile(profile)
-    minimum = hw.min_sustaining_unroll(CYCLES_BUDGET)
+    minimum = hw.min_sustaining_unroll()
     if unroll is None:
         unroll = minimum
     if not isinstance(unroll, int) or unroll not in legal_unrolls(profile):

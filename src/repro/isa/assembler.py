@@ -313,17 +313,15 @@ def _lower(mnemonic: str, ops: List[str], line: int) -> List[Instruction]:
     raise AssertionError(f"unhandled format {spec.fmt}")
 
 
-def parse(text: str, entry: Optional[str] = None) -> AsmProgram:
+def parse(text: str) -> AsmProgram:
     """Parse assembly source into an :class:`AsmProgram`."""
     parser = _Parser()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parser.line(raw, line_no)
     program = parser.program
-    if entry is not None:
-        program.entry = entry
-    elif not parser.entry_set:
-        if "main" not in program.labels and "_start" in program.labels:
-            program.entry = "_start"
+    if (not parser.entry_set and "main" not in program.labels
+            and "_start" in program.labels):
+        program.entry = "_start"
     program.validate()
     _check_symbols(program)
     return program

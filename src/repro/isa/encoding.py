@@ -183,10 +183,10 @@ def decode(word: int, pc: int = 0) -> Instruction:
     raise AssertionError(f"unhandled format {spec.fmt}")
 
 
-def is_valid_word(word: int, pc: int = 0) -> bool:
+def is_valid_word(word: int) -> bool:
     """True when ``word`` decodes to a well-formed instruction."""
     try:
-        decode(word, pc)
+        decode(word)
     except DecodingError:
         return False
     return True

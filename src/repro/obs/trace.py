@@ -24,11 +24,11 @@ _PHASE_LANE = 0
 
 
 def chrome_trace(spans: Iterable[Span], phases: Iterable[Phase] = (),
-                 origin: float = 0.0, process_name: str = "repro") -> dict:
+                 origin: float = 0.0) -> dict:
     """Build the ``{"traceEvents": [...]}`` object (JSON-ready)."""
     events = [{
         "ph": "M", "name": "process_name", "pid": _PID, "tid": _PHASE_LANE,
-        "args": {"name": process_name},
+        "args": {"name": "repro"},
     }, {
         "ph": "M", "name": "thread_name", "pid": _PID, "tid": _PHASE_LANE,
         "args": {"name": "campaign phases"},

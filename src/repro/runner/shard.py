@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -80,10 +81,17 @@ def merge_stores(dest, sources) -> "tuple[int, int]":
     Conflicting entries — the same key bound to a different result —
     raise: for deterministic campaigns they can only mean the shards ran
     different code versions or corrupted stores, and silently preferring
-    one side would void the shard-union == serial-run proof.
+    one side would void the shard-union == serial-run proof.  A source
+    path without an ``objects/`` directory is not a store and raises
+    before anything is written.
     """
     from .store import ResultStore
 
+    sources = list(sources)
+    for source in sources:
+        if (not isinstance(source, ResultStore)
+                and not (Path(source) / "objects").is_dir()):
+            raise ValueError(f"not a result store: {source}")
     dest_store = dest if isinstance(dest, ResultStore) else \
         ResultStore(dest)
     copied = present = 0

@@ -43,21 +43,17 @@ def attack_years(attempts: int, cycles_per_attempt: int,
     return attack_seconds(attempts, cycles_per_attempt, clock_hz) / SECONDS_PER_YEAR
 
 
-def si_forgery_years(mac_bits: int = PAPER_MAC_BITS,
-                     verify_cycles: int = PAPER_VERIFY_CYCLES,
-                     clock_hz: float = PAPER_CLOCK_HZ) -> float:
+def si_forgery_years(mac_bits: int = PAPER_MAC_BITS) -> float:
     """§IV-A.1: expected years to forge an instruction/MAC pair online."""
     return attack_years(expected_forgery_attempts(mac_bits),
-                        verify_cycles, clock_hz)
+                        PAPER_VERIFY_CYCLES, PAPER_CLOCK_HZ)
 
 
-def cfi_attack_years(mac_bits: int = PAPER_MAC_BITS,
-                     diversion_cycles: int = PAPER_DIVERSION_CYCLES,
-                     verify_cycles: int = PAPER_VERIFY_CYCLES,
-                     clock_hz: float = PAPER_CLOCK_HZ) -> float:
+def cfi_attack_years(mac_bits: int = PAPER_MAC_BITS) -> float:
     """§IV-A.2: expected years to deviate control flow and forge the MAC."""
     return attack_years(expected_forgery_attempts(mac_bits),
-                        diversion_cycles + verify_cycles, clock_hz)
+                        PAPER_DIVERSION_CYCLES + PAPER_VERIFY_CYCLES,
+                        PAPER_CLOCK_HZ)
 
 
 def expected_undetected(attempts: int, mac_bits: int = PAPER_MAC_BITS) -> float:
@@ -130,10 +126,7 @@ class SecurityReport:
         ])
 
 
-def security_report(mac_bits: int = PAPER_MAC_BITS,
-                    clock_hz: float = PAPER_CLOCK_HZ) -> SecurityReport:
-    return SecurityReport(mac_bits=mac_bits, clock_hz=clock_hz,
-                          si_years=si_forgery_years(mac_bits,
-                                                    clock_hz=clock_hz),
-                          cfi_years=cfi_attack_years(mac_bits,
-                                                     clock_hz=clock_hz))
+def security_report() -> SecurityReport:
+    return SecurityReport(mac_bits=PAPER_MAC_BITS, clock_hz=PAPER_CLOCK_HZ,
+                          si_years=si_forgery_years(),
+                          cfi_years=cfi_attack_years())

@@ -8,19 +8,18 @@ from .engine import (DEFAULT_ENGINE, ENGINES, compile_handler, predecode,
 from .fused import compile_sofia_block, compile_vanilla_run
 from .memory import Memory, MMIODevice
 from .result import ExecutionResult, Status, ViolationRecord
-from .sofia import SofiaMachine, run_image
+from .sofia import SofiaMachine
 from .trace import TraceEntry, diff_traces, list_image, trace
 from .timing import (DEFAULT_TIMING, LEON3_MINIMAL_TIMING, TimingParams,
                      cycle_costs, instruction_cycles)
-from .vanilla import VanillaMachine, run_executable
+from .vanilla import VanillaMachine
 
 __all__ = [
     "CPUState", "ExecOutcome", "execute", "to_signed",
     "Memory", "MMIODevice",
     "DirectMappedCache", "CacheStats",
     "ExecutionResult", "Status", "ViolationRecord",
-    "VanillaMachine", "run_executable",
-    "SofiaMachine", "run_image",
+    "VanillaMachine", "SofiaMachine",
     "DEFAULT_ENGINE", "ENGINES", "resolve_engine",
     "BATCH_WIDTH", "GoldenTrace",
     "compile_sofia_block", "compile_vanilla_run",

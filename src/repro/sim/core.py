@@ -42,9 +42,9 @@ class CPUState:
     pc: int = 0
 
     @classmethod
-    def reset(cls, entry: int, stack_top: int = STACK_TOP) -> "CPUState":
+    def reset(cls, entry: int) -> "CPUState":
         state = cls(pc=entry)
-        state.regs[SP] = stack_top
+        state.regs[SP] = STACK_TOP
         return state
 
     def read(self, reg: int) -> int:

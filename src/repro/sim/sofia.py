@@ -708,12 +708,3 @@ class SofiaMachine:
                 key2 = (fallthrough_prev, fallthrough_pc)
         cycles = fetch_cycles if fetch_cycles > exec_cycles else exec_cycles
         return (executed, cycles, hits, misses, mac_cycles, 1, key2, arg)
-
-
-def run_image(image: SofiaImage, keys: DeviceKeys,
-              timing: TimingParams = DEFAULT_TIMING,
-              max_instructions: int = 50_000_000,
-              engine: Optional[str] = None) -> ExecutionResult:
-    """Convenience one-shot runner."""
-    return SofiaMachine(image, keys, timing, engine=engine).run(
-        max_instructions)

@@ -345,12 +345,3 @@ class VanillaMachine:
             if kind:
                 break
         return (n, cycles, hits, misses, pc, None)
-
-
-def run_executable(executable: Executable,
-                   timing: TimingParams = DEFAULT_TIMING,
-                   max_instructions: int = 50_000_000,
-                   engine: Optional[str] = None) -> ExecutionResult:
-    """Convenience one-shot runner."""
-    return VanillaMachine(executable, timing, engine=engine).run(
-        max_instructions)

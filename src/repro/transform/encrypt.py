@@ -221,8 +221,7 @@ def word_prev_pcs(block: Block, entry_prevs: List[int]) -> List[int]:
 
 
 def reseal_block(image: SofiaImage, record: BlockRecord,
-                 payload, keys: DeviceKeys,
-                 nonce: int = None) -> List[int]:
+                 payload, keys: DeviceKeys) -> List[int]:
     """Seal replacement ``payload`` instructions into ``record``'s slots.
 
     This is the provider-side (or successful-forger-side) mutation hook:
@@ -249,7 +248,7 @@ def reseal_block(image: SofiaImage, record: BlockRecord,
     for slot, instr in enumerate(payload):
         pc = base + 4 * (mac_count + slot)
         words.append(encode(instr, pc))
-    nonce = image.nonce if nonce is None else nonce
+    nonce = image.nonce
     memo = image.front_end_memo(keys, profile.mac_words)
     macs = block_macs(record.kind, words, keys, profile.mac_words,
                       memo.seal_for(keys, profile.mac_words))
@@ -262,7 +261,7 @@ def reseal_block(image: SofiaImage, record: BlockRecord,
 
 
 def seal(layout: Layout, program: AsmProgram, keys: DeviceKeys,
-         nonce: int, data_base: int = DATA_BASE) -> SofiaImage:
+         nonce: int) -> SofiaImage:
     """Produce the encrypted :class:`SofiaImage` for a layout.
 
     The layout's profile picks the cipher and seal width and becomes the
@@ -298,7 +297,7 @@ def seal(layout: Layout, program: AsmProgram, keys: DeviceKeys,
                               cache=memo.keystream)
     words = [word ^ key for word, key
              in zip(plain, keystream.keystream_many(edges))]
-    symbols: Dict[str, int] = dict(resolve_data_references(program, data_base))
+    symbols: Dict[str, int] = dict(resolve_data_references(program))
     for label, index in program.labels.items():
         located = layout.block_of_instr.get(index)
         if located is None:
@@ -310,7 +309,7 @@ def seal(layout: Layout, program: AsmProgram, keys: DeviceKeys,
             symbols[label] = block.payload_address(slot)
     return SofiaImage(words=words, code_base=CODE_BASE,
                       nonce=nonce, entry=layout.entry_address,
-                      data=bytes(program.data), data_base=data_base,
+                      data=bytes(program.data), data_base=DATA_BASE,
                       profile=profile, blocks=records, stats=layout.stats,
                       symbols=symbols, front_end=memo)
 

@@ -274,8 +274,7 @@ class _Chunker:
 
 
 def build_layout(program: AsmProgram, cfg: ControlFlowGraph,
-                 profile: ProtectionProfile,
-                 overrides_hint: Optional[Dict[str, int]] = None) -> Layout:
+                 profile: ProtectionProfile) -> Layout:
     """Run the full layout pipeline (chunk, forwarders, trees, resolve)."""
     leaders = compute_leaders(cfg)
     preds = compute_pred_tokens(program, cfg, leaders)
@@ -393,7 +392,7 @@ def build_layout(program: AsmProgram, cfg: ControlFlowGraph,
             entry.prev_pc = token_prev_pc(entry.edge[0], entry.edge[1])
 
     # --- step 4c: indirect-target overrides ---
-    overrides: Dict[str, int] = dict(overrides_hint or {})
+    overrides: Dict[str, int] = {}
     for (token, leader), (target_block, slot) in assignments.items():
         if token[0] != "ind":
             continue

@@ -228,8 +228,7 @@ DEFAULT_PROFILE = ProtectionProfile()
 def profile_grid(ciphers: Iterable[str] = ("rectangle-80", "present-80"),
                  mac_bits: Iterable[int] = (32, 64, 96),
                  renonce: Iterable[str] = RENONCE_POLICIES,
-                 block_words: Iterable[int] = (8,),
-                 schedule_stores: Iterable[bool] = (False,)
+                 block_words: Iterable[int] = (8,)
                  ) -> "list[ProtectionProfile]":
     """The cartesian profile grid, in deterministic axis order.
 
@@ -245,9 +244,7 @@ def profile_grid(ciphers: Iterable[str] = ("rectangle-80", "present-80"),
                                  f"of 32, got {bits}")
             for policy in renonce:
                 for bw in block_words:
-                    for sched in schedule_stores:
-                        grid.append(ProtectionProfile(
-                            cipher=cipher, mac_words=bits // 32,
-                            renonce=policy, schedule_stores=sched,
-                            block_words=bw))
+                    grid.append(ProtectionProfile(
+                        cipher=cipher, mac_words=bits // 32,
+                        renonce=policy, block_words=bw))
     return grid

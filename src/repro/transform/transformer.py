@@ -28,7 +28,7 @@ from ..cfg.graph import ControlFlowGraph
 from ..crypto.keys import DeviceKeys
 from ..errors import TransformError
 from ..isa.instructions import Instruction
-from ..isa.program import AsmProgram, DATA_BASE
+from ..isa.program import AsmProgram
 from .encrypt import seal
 from .image import SofiaImage
 from .layout import Layout, build_layout
@@ -122,7 +122,6 @@ def prepare(program: AsmProgram,
 
 
 def transform(program: AsmProgram, keys: DeviceKeys, nonce: int,
-              data_base: int = DATA_BASE,
               profile: ProtectionProfile = DEFAULT_PROFILE) -> SofiaImage:
     """Transform a parsed program into an encrypted SOFIA image.
 
@@ -135,4 +134,4 @@ def transform(program: AsmProgram, keys: DeviceKeys, nonce: int,
     cfg = build_cfg(canonical)
     rewrite_indirect_returns(canonical, cfg)
     layout = build_layout(canonical, cfg, profile)
-    return seal(layout, canonical, keys, nonce, data_base=data_base)
+    return seal(layout, canonical, keys, nonce)

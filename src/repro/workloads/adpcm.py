@@ -180,9 +180,9 @@ int main() {{
 """
 
 
-def make_adpcm(scale: str = "small", seed: int = 2016) -> Workload:
+def make_adpcm(scale: str = "small") -> Workload:
     n = _SCALE_SAMPLES[scale_index(scale)]
-    samples = pcm_signal(n, seed=seed)
+    samples = pcm_signal(n, seed=2016)
     codes, enc_valpred, _enc_index = encode(samples)
     decoded = decode(codes)
     expected = [

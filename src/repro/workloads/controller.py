@@ -160,9 +160,9 @@ int main() {{
 """
 
 
-def make_controller(scale: str = "small", seed: int = 86) -> Workload:
+def make_controller(scale: str = "small") -> Workload:
     ticks = _SCALE_TICKS[scale_index(scale)]
-    trace = sensor_trace(ticks, seed)
+    trace = sensor_trace(ticks, seed=86)
     expected = list(controller_reference(trace))
     source = _C_TEMPLATE.format(
         n=ticks, trace_def=format_int_array("sensors", trace),

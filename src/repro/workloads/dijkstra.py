@@ -102,9 +102,9 @@ int main() {{
 """
 
 
-def make_dijkstra(scale: str = "small", seed: int = 58) -> Workload:
+def make_dijkstra(scale: str = "small") -> Workload:
     nodes = _SCALE_NODES[scale_index(scale)]
-    matrix = generate_graph(nodes, seed)
+    matrix = generate_graph(nodes, seed=58)
     dist = dijkstra_reference(matrix, nodes, 0)
     finite = [d for d in dist if d < INF]
     expected = [len(finite), sum(finite), max(finite)]

@@ -20,7 +20,7 @@ from repro.faults.campaign import run_campaign as run_fault_campaign
 from repro.fuzz import run_fuzz
 from repro.isa import parse
 from repro.obs import read_events
-from repro.runner import ResultStore
+from repro.runner import ResultStore, merge_stores
 from repro.security.montecarlo import (forgery_scaling, tamper_detection,
                                        truncated_mac)
 
@@ -459,6 +459,33 @@ class TestUnusablePaths:
         with pytest.raises(NotADirectoryError):
             synth.run_attacksynth_image(
                 image, **{option: tmp_path / "F" / "x.out"})
+
+
+def _listing(root: Path):
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+class TestMerge:
+    def test_non_store_source_is_rejected_untouched(self, tmp_path):
+        source = tmp_path / "notastore"
+        source.mkdir()
+        (source / "notes.txt").write_text("not a result store\n")
+        before = _listing(source)
+        done = _repro(["merge", "dest", "notastore"], tmp_path)
+        _assert_one_error(done, 2)
+        assert "notastore" in done.stderr
+        with pytest.raises(ValueError, match="not a result store"):
+            merge_stores(tmp_path / "lib-dest", [source])
+        assert _listing(source) == before
+        assert not (tmp_path / "dest").exists()
+        assert not (tmp_path / "lib-dest").exists()
+
+    def test_empty_store_merges(self, tmp_path):
+        ResultStore(tmp_path / "empty")
+        done = _repro(["merge", "dest", "empty"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "0 result(s) copied" in done.stderr
+        assert len(ResultStore(tmp_path / "dest")) == 0
 
 
 class TestCorruptStore:

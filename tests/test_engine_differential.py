@@ -42,9 +42,9 @@ from repro.crypto import DeviceKeys
 from repro.isa import assemble, parse
 from repro.isa.encoding import encode, is_valid_word
 from repro.isa.program import CODE_BASE, MMIO_EXIT, Executable
+from repro import core
 from repro.sim import (DEFAULT_TIMING, LEON3_MINIMAL_TIMING, SofiaMachine,
-                       Status, VanillaMachine, fused, run_executable,
-                       run_image)
+                       Status, VanillaMachine, fused)
 from repro.sim.engine import ENGINES, SEMANTICS, Semantics, resolve_engine
 from repro.transform import profile_grid, transform
 from repro.workloads import make_workload, workload_names
@@ -169,8 +169,8 @@ class TestEngineSelection:
     def test_every_engine_selectable(self, engine):
         _, exe, image = build("sort")
         assert VanillaMachine(exe, engine=engine).engine == engine
-        assert run_executable(exe, engine=engine).ok
-        assert run_image(image, KEYS, engine=engine).ok
+        assert core.run_vanilla(exe, engine=engine).ok
+        assert core.run_protected(image, KEYS, engine=engine).ok
 
     def test_unknown_engine_rejected(self):
         _, exe, _ = build("sort")
