@@ -31,12 +31,15 @@ Quickstart::
     assert result.output_ints == [42]
 """
 
-from . import core
-from .core import (build_assembly, build_c, link_vanilla, make_keys,
-                   protect, protect_and_run, run_protected, run_vanilla)
-from .errors import (AssemblyError, CFGError, CompileError, DecodingError,
-                     EncodingError, ImageError, ReproError,
-                     SimulationError, TransformError)
+from ._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "core": ("make_keys", "build_c", "build_assembly", "link_vanilla",
+             "protect", "run_vanilla", "run_protected", "protect_and_run"),
+    "errors": ("ReproError", "AssemblyError", "EncodingError",
+               "DecodingError", "CompileError", "CFGError",
+               "TransformError", "ImageError", "SimulationError"),
+})
 
 __version__ = "1.0.0"
 

@@ -1,12 +1,16 @@
 """Attack framework: victim, defenses, attack catalogue, campaign."""
 
-from .actions import ATTACKS, Attack, gadget_instructions, gadget_words
-from .harness import (AttackResult, Outcome, campaign_matrix, classify,
-                      format_matrix, run_attack, run_campaign,
-                      verify_benign)
-from .systems import Target, build_targets
-from .victim import (BENIGN_OUTPUT, BUFFER_WORDS, RA_SLOT, UNLOCK_VALUE,
-                     VICTIM_ASM, victim_program)
+from .._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "actions": ("ATTACKS", "Attack", "gadget_instructions", "gadget_words"),
+    "harness": ("AttackResult", "Outcome", "campaign_matrix", "classify",
+                "format_matrix", "run_attack", "run_campaign",
+                "verify_benign"),
+    "systems": ("Target", "build_targets"),
+    "victim": ("BENIGN_OUTPUT", "BUFFER_WORDS", "RA_SLOT", "UNLOCK_VALUE",
+               "VICTIM_ASM", "victim_program"),
+})
 
 __all__ = [
     "Attack", "ATTACKS", "gadget_words", "gadget_instructions",

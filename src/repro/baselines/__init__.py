@@ -1,7 +1,11 @@
 """Baseline defenses for the attack-coverage comparison (experiment E8)."""
 
-from .isr import (EcbIsrMachine, XorIsrMachine, ecb_encrypt_words,
-                  xor_encrypt_words)
+from .._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "isr": ("EcbIsrMachine", "XorIsrMachine", "ecb_encrypt_words",
+            "xor_encrypt_words"),
+})
 
 __all__ = ["XorIsrMachine", "EcbIsrMachine", "xor_encrypt_words",
            "ecb_encrypt_words"]

@@ -17,7 +17,7 @@ Builtins map to the MMIO console: ``print_int(x)``, ``print_char(x)``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CompileError

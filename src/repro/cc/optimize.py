@@ -34,7 +34,7 @@ spans containing calls are rejected anyway).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..isa.instructions import (Instruction, registers_read,
                                 registers_written)

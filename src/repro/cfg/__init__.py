@@ -1,9 +1,13 @@
 """Instruction-granularity control flow graphs for SOFIA."""
 
-from .analysis import (CFGStats, fan_in, multi_predecessor_nodes, stats,
-                       unreachable_nodes)
-from .builder import build_cfg, function_ranges, is_return, returns_of
-from .graph import ControlFlowGraph, Edge, RESET_NODE
+from .._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "analysis": ("CFGStats", "fan_in", "multi_predecessor_nodes", "stats",
+                 "unreachable_nodes"),
+    "builder": ("build_cfg", "function_ranges", "is_return", "returns_of"),
+    "graph": ("ControlFlowGraph", "Edge", "RESET_NODE"),
+})
 
 __all__ = [
     "ControlFlowGraph", "Edge", "RESET_NODE",

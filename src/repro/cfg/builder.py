@@ -24,7 +24,7 @@ program are rejected.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CFGError
 from ..isa.instructions import Instruction

@@ -81,27 +81,21 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import core, obs
-from .attacks import format_matrix, run_campaign
-from .crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
+from . import obs
+from .crypto.keys import DEFAULT_KEY_SEED
 from .errors import (CampaignError, ReproError, TransformError,
                      UsageError, check_count)
-from .eval import (experiment_adpcm, experiment_blocksize,
-                   experiment_muxtree, experiment_security,
-                   experiment_table1, experiment_unroll,
-                   experiment_workloads, format_overhead_rows,
-                   render_blocksize, render_muxtree, render_unroll)
-from .isa.disassembler import dump
 from .runner.export import atomic_write, check_writable
 from .runner.pool import recording_interrupts
 from .sim.engine import DEFAULT_ENGINE, ENGINES
-from .sim.trace import list_image, trace
-from .sim.vanilla import VanillaMachine
-from .transform.image import SofiaImage
-from .transform.profile import ProtectionProfile
-from .transform.verify import verify_image
+
+if TYPE_CHECKING:
+    from .transform.profile import ProtectionProfile
+
+# Each handler imports the modules its command runs, so a call pays only
+# for what it uses (``--help`` builds the parser and nothing else).
 
 
 def _load_program(path: str, optimize: bool = False):
@@ -110,7 +104,8 @@ def _load_program(path: str, optimize: bool = False):
     if path.endswith(".c"):
         from .cc import compile_source
         return compile_source(text, optimize=optimize).program
-    return core.build_assembly(text)
+    from .isa.assembler import parse
+    return parse(text)
 
 
 def _print_result(result) -> int:
@@ -124,7 +119,8 @@ def _print_result(result) -> int:
 
 
 def cmd_compile(args) -> int:
-    compiled = core.build_c(Path(args.source).read_text())
+    from .cc import compile_source
+    compiled = compile_source(Path(args.source).read_text())
     output = compiled.asm_text
     if args.output:
         atomic_write(args.output, output)
@@ -134,6 +130,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import core
     program = _load_program(args.source, optimize=args.optimize)
     result = core.run_vanilla(core.link_vanilla(program),
                               max_instructions=args.max_instructions,
@@ -147,6 +144,7 @@ def _profile_arg(spec: Optional[str], **geometry) -> ProtectionProfile:
     ``--block-words``/``--schedule-stores``).  Raises
     :class:`~repro.errors.UsageError` for a bad spec or an impossible
     geometry."""
+    from .transform.profile import ProtectionProfile
     try:
         if spec is None:
             return ProtectionProfile(**geometry)
@@ -157,6 +155,10 @@ def _profile_arg(spec: Optional[str], **geometry) -> ProtectionProfile:
 
 
 def cmd_protect(args) -> int:
+    from . import core
+    from .crypto.keys import DeviceKeys
+    from .sim.trace import list_image
+    from .transform.verify import verify_image
     if args.profile is not None and (args.block_words != 8
                                      or args.schedule_stores):
         raise UsageError("--profile already fixes the geometry; drop "
@@ -184,6 +186,9 @@ def cmd_protect(args) -> int:
 
 
 def cmd_run_protected(args) -> int:
+    from . import core
+    from .crypto.keys import DeviceKeys
+    from .transform.image import SofiaImage
     image = SofiaImage.from_bytes(Path(args.image).read_bytes())
     # provision the device for the image's embedded design point (the
     # cipher datapath is fixed at manufacturing; the operator running
@@ -196,6 +201,8 @@ def cmd_run_protected(args) -> int:
 
 
 def cmd_disasm(args) -> int:
+    from . import core
+    from .isa.disassembler import dump
     program = _load_program(args.source)
     exe = core.link_vanilla(program)
     print(dump(exe.code_words, exe.code_base))
@@ -203,6 +210,9 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import core
+    from .sim.trace import trace
+    from .sim.vanilla import VanillaMachine
     program = _load_program(args.source)
     machine = VanillaMachine(core.link_vanilla(program))
     for entry in trace(machine, max_instructions=args.limit):
@@ -262,6 +272,7 @@ def _campaign(args, name: str, **parameters):
 
 
 def cmd_attack(args) -> int:
+    from .attacks import format_matrix, run_campaign
     results = run_campaign(seed=args.seed, jobs=args.jobs,
                            export_path=args.export)
     print(format_matrix(results))
@@ -272,6 +283,7 @@ def cmd_attack(args) -> int:
 
 def cmd_attacksynth(args) -> int:
     from .attacksynth import run_attacksynth, run_attacksynth_image
+    from .transform.image import SofiaImage
     profile = _profile_arg(args.profile)
     if args.image is not None:
         conflicts = [flag for flag, given in
@@ -386,6 +398,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_fault(args) -> int:
+    from .crypto.keys import DeviceKeys
     from .faults import run_campaign as run_fault_campaign
     from .workloads import make_workload, workload_names
     profile = _profile_arg(args.profile)
@@ -466,18 +479,20 @@ def cmd_merge(args) -> int:
     return 0
 
 
+#: experiment name -> its printed artifact, given the ``repro.eval``
+#: facade and ``--jobs``
 _EXPERIMENTS = {
-    "table1": lambda jobs: experiment_table1().render(),
-    "adpcm": lambda jobs: experiment_adpcm("small").render(),
-    "security": lambda jobs: experiment_security(
+    "table1": lambda ev, jobs: ev.experiment_table1().render(),
+    "adpcm": lambda ev, jobs: ev.experiment_adpcm("small").render(),
+    "security": lambda ev, jobs: ev.experiment_security(
         100, jobs=jobs).render(),
-    "blocksize": lambda jobs: render_blocksize(
-        experiment_blocksize("tiny", (6, 8), jobs=jobs)),
-    "muxtree": lambda jobs: render_muxtree(
-        experiment_muxtree((1, 2, 4, 8))),
-    "unroll": lambda jobs: render_unroll(experiment_unroll()),
-    "workloads": lambda jobs: format_overhead_rows(
-        experiment_workloads("tiny", jobs=jobs)),
+    "blocksize": lambda ev, jobs: ev.render_blocksize(
+        ev.experiment_blocksize("tiny", (6, 8), jobs=jobs)),
+    "muxtree": lambda ev, jobs: ev.render_muxtree(
+        ev.experiment_muxtree((1, 2, 4, 8))),
+    "unroll": lambda ev, jobs: ev.render_unroll(ev.experiment_unroll()),
+    "workloads": lambda ev, jobs: ev.format_overhead_rows(
+        ev.experiment_workloads("tiny", jobs=jobs)),
 }
 
 
@@ -489,6 +504,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_experiments(args) -> int:
+    from . import eval as evaluation
     names = args.names or sorted(_EXPERIMENTS)
     unknown = [name for name in names if name not in _EXPERIMENTS]
     if unknown:
@@ -496,7 +512,7 @@ def cmd_experiments(args) -> int:
                          f"known: {sorted(_EXPERIMENTS)}")
     for name in names:
         print(f"==== {name} ====")
-        print(_EXPERIMENTS[name](args.jobs))
+        print(_EXPERIMENTS[name](evaluation, args.jobs))
         print()
     return 0
 

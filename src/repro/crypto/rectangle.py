@@ -72,7 +72,7 @@ _RC = tuple(round_constants())
 #
 # _SPREAD[x]   : 16-bit row -> 64-bit value with bit i of x at position 4*i.
 # _SUB16[x]    : 16-bit chunk holding 4 column nibbles -> S-boxed chunk.
-# _SUB16_INV[x]: inverse substitution chunk table.
+# _SUB16_INV[x]: inverse substitution chunk table (first decrypt only).
 # _GATHER[k][x]: 16-bit chunk -> the 4 bits at nibble-offset k, packed.
 
 _SPREAD: Optional[List[int]] = None
@@ -81,34 +81,43 @@ _SUB16_INV: Optional[List[int]] = None
 _GATHER: Optional[List[List[int]]] = None
 
 
+def _combine(low: List[int], high: List[int], shift: int) -> List[int]:
+    """The 65536-entry table of ``high[i >> 8] << shift | low[i & 0xFF]``."""
+    return [h | lo for h in [v << shift for v in high] for lo in low]
+
+
 def _build_tables() -> None:
-    """Build the four 16-bit tables from 8-bit half tables.
+    """Build the 16-bit tables encryption uses from 8-bit half tables.
 
     Every table entry is a function of the two bytes of its index that
     lands in disjoint bit ranges, so each 65536-entry table is one
     comprehension over (high byte, low byte) pairs of 256-entry halves —
     about 65k list stores per table instead of a per-bit loop per entry.
     """
-    global _SPREAD, _SUB16, _SUB16_INV, _GATHER
+    global _SPREAD, _SUB16, _GATHER
     if _SPREAD is not None:
         return
     # byte -> its 8 bits at positions 4*i (the low half of a spread row)
     spread8 = [sum(((b >> i) & 1) << (4 * i) for i in range(8))
                for b in range(256)]
     sub8 = [SBOX[b & 0xF] | (SBOX[b >> 4] << 4) for b in range(256)]
-    sub8_inv = [SBOX_INV[b & 0xF] | (SBOX_INV[b >> 4] << 4)
-                for b in range(256)]
     # byte -> bits k and 4+k (nibble offset k of its two nibbles), packed
     gather8 = [[((b >> k) & 1) | (((b >> (4 + k)) & 1) << 1)
                 for b in range(256)] for k in range(4)]
+    _GATHER = [_combine(g, g, 2) for g in gather8]
+    _SUB16 = _combine(sub8, sub8, 8)
+    _SPREAD = _combine(spread8, spread8, 32)
 
-    def combine(low, high, shift):
-        return [h | lo for h in [v << shift for v in high] for lo in low]
 
-    _GATHER = [combine(g, g, 2) for g in gather8]
-    _SUB16 = combine(sub8, sub8, 8)
-    _SUB16_INV = combine(sub8_inv, sub8_inv, 8)
-    _SPREAD = combine(spread8, spread8, 32)
+def _sub16_inv() -> List[int]:
+    """The inverse substitution table, built on the first decrypt: SOFIA
+    runs RECTANGLE forward only (the CTR keystream and the CBC-MAC)."""
+    global _SUB16_INV
+    if _SUB16_INV is None:
+        sub8_inv = [SBOX_INV[b & 0xF] | (SBOX_INV[b >> 4] << 4)
+                    for b in range(256)]
+        _SUB16_INV = _combine(sub8_inv, sub8_inv, 8)
+    return _SUB16_INV
 
 
 def _rows_to_block(rows: Sequence[int]) -> int:
@@ -229,7 +238,7 @@ class Rectangle80:
         """Decrypt one 64-bit block (inverse of :meth:`encrypt`)."""
         r = block & MASK64
         spread = _SPREAD
-        sub_inv = _SUB16_INV
+        sub_inv = _sub16_inv()
         col_keys = self._col_keys
         c = (spread[r & 0xFFFF]
              | (spread[(r >> 16) & 0xFFFF] << 1)

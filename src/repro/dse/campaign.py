@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..attacksynth.campaign import run_attacksynth
 from ..crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
 from ..errors import ReproError
 from ..eval.export import DSE_HW_CSV_HEADER, dse_csv, record_json
@@ -251,9 +252,6 @@ def _dse_task(context: tuple,
         row.cycle_overhead = _round(sum(overheads) / len(overheads))
 
         # -- empirical detection: scaled-down attack synthesis ------------
-        # imported lazily: attacksynth pulls in the fuzz substrate, which
-        # the overhead-only callers of this module never need
-        from ..attacksynth.campaign import run_attacksynth
         synth = run_attacksynth(
             programs, seed=task_seed(seed, "dse-synth", profile.label),
             key_seed=key_seed, profile=profile)

@@ -19,13 +19,11 @@ from typing import Dict, List, Optional, Sequence
 from ..crypto.keys import DeviceKeys
 from ..hwmodel.design import Table1, UnrollPoint, table1, unroll_ablation
 from ..isa.assembler import parse
-from ..isa.assembler import assemble
 from ..security.bounds import SecurityReport, security_report
 from ..security.montecarlo import (ForgeryScaling, forgery_scaling,
                                    tamper_detection)
 from ..sim.sofia import SofiaMachine
 from ..sim.timing import DEFAULT_TIMING, LEON3_MINIMAL_TIMING, TimingParams
-from ..sim.vanilla import VanillaMachine
 from ..transform.profile import ProtectionProfile, store_forbidden_slots
 from ..transform.transformer import transform
 from ..workloads.base import make_workload, workload_names

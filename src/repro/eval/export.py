@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..runner.export import atomic_write
-from .experiments import (BlockSizePoint, CachePoint, FanInPoint)
-from .overhead import OverheadRow
+
+if TYPE_CHECKING:  # the row types, named by annotations only
+    from .experiments import BlockSizePoint, CachePoint, FanInPoint
+    from .overhead import OverheadRow
 
 
 def _write(header: Sequence[str], rows: List[Sequence],

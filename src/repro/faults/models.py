@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 from ..sim.sofia import SofiaMachine
 

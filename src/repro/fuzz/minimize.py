@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 from typing import List
 
+from ..cc import compile_source
 from ..crypto.keys import DeviceKeys
 from ..errors import ReproError
 from ..runner.export import atomic_write
@@ -36,7 +37,6 @@ from .oracle import OracleReport, reproduces_axis
 def _asm_source(specimen: Specimen) -> str:
     """The specimen's assembly view (compile mini-C once, then reduce)."""
     if specimen.language == "c":
-        from ..cc import compile_source
         return compile_source(specimen.source).asm_text
     return specimen.source
 

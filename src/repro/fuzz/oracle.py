@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from ..baselines.isr import EcbIsrMachine, XorIsrMachine
+from ..cc import compile_source
 from ..crypto.keys import DeviceKeys
 from ..errors import ReproError
 from ..isa.assembler import assemble, parse
@@ -130,7 +132,6 @@ def _compare_engines(axis: str, make_machine, budget: int,
 def build_program(specimen: Specimen) -> AsmProgram:
     """Lower a specimen to a parsed program (asm directly, C via minicc)."""
     if specimen.language == "c":
-        from ..cc import compile_source
         return compile_source(specimen.source).program
     return parse(specimen.source)
 
@@ -208,7 +209,6 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
                     "cross-core", name, f"vanilla={a!r} sofia={b!r}"))
 
     if include_baselines:
-        from ..baselines import EcbIsrMachine, XorIsrMachine
         _compare_engines(
             "baseline-xor",
             lambda engine: XorIsrMachine(executable, 0xA5A5F00D,

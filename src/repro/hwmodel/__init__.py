@@ -1,14 +1,18 @@
 """FPGA area/timing model (Table I substitute + profile-driven costing)."""
 
-from .components import (CIPHER_PROFILES, CIPHER_ROUNDS, CYCLES_BUDGET,
-                         CipherProfile, PAPER_UNROLL, PRESENT_PROFILE,
-                         RECTANGLE_PROFILE, Component, leon3_components)
-from .design import (CipherChoice, Table1, Table1Row, UnrollPoint,
-                     cipher_ablation, table1, unroll_ablation)
-from .profilecost import (ProfileHardware, cipher_hw_profile,
-                          hw_point_label, legal_unrolls, min_legal_unroll,
-                          parse_unroll_specs, profile_cost, profile_costs,
-                          resolve_unrolls, sofia_profile_components)
+from .._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "components": ("CIPHER_PROFILES", "CIPHER_ROUNDS", "CYCLES_BUDGET",
+                   "CipherProfile", "PAPER_UNROLL", "PRESENT_PROFILE",
+                   "RECTANGLE_PROFILE", "Component", "leon3_components"),
+    "design": ("CipherChoice", "Table1", "Table1Row", "UnrollPoint",
+               "cipher_ablation", "table1", "unroll_ablation"),
+    "profilecost": ("ProfileHardware", "cipher_hw_profile", "hw_point_label",
+                    "legal_unrolls", "min_legal_unroll", "parse_unroll_specs",
+                    "profile_cost", "profile_costs", "resolve_unrolls",
+                    "sofia_profile_components"),
+})
 
 __all__ = [
     "Component", "leon3_components", "CIPHER_ROUNDS", "PAPER_UNROLL",

@@ -19,7 +19,7 @@ the remaining I/M immediates are signed 16-bit; shift amounts are 0..31.
 from __future__ import annotations
 
 from ..errors import DecodingError, EncodingError
-from .instructions import (Instruction, OPCODE_TO_SPEC, SHIFT_IMMS, SPECS,
+from .instructions import (Instruction, OPCODE_TO_SPEC, SHIFT_IMMS,
                            ZERO_EXTENDED_IMM)
 
 WORD_MASK = 0xFFFFFFFF

@@ -25,13 +25,17 @@ from __future__ import annotations
 
 import sys
 
-from . import hook
-from .events import EVENT_TYPES, EventLog, read_events, validate_event
-from .metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
-from .progress import ProgressMeter
-from .stats import summarize
-from .telemetry import Telemetry, campaign, load_metrics, phase
-from .trace import chrome_trace, write_chrome_trace
+from .._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "events": ("EVENT_TYPES", "EventLog", "read_events", "validate_event"),
+    "hook": (),
+    "metrics": ("DEFAULT_BOUNDS", "Histogram", "MetricsRegistry"),
+    "progress": ("ProgressMeter",),
+    "stats": ("summarize",),
+    "telemetry": ("Telemetry", "campaign", "load_metrics", "phase"),
+    "trace": ("chrome_trace", "write_chrome_trace"),
+})
 
 __all__ = [
     "EVENT_TYPES", "EventLog", "read_events", "validate_event",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Optional
 
 
 def _format_eta(seconds: float) -> str:

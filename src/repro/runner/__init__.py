@@ -55,13 +55,18 @@ Design contract (every caller relies on these):
   serial run.
 """
 
-from .export import (atomic_write, campaign_record, check_writable,
-                     to_jsonable, write_campaign)
-from .pool import available_cpus, default_chunksize, resolve_jobs, run_tasks
-from .seeding import task_rng, task_seed
-from .shard import ShardSpec, merge_stores, parse_shard, shard_partition
-from .store import (ResultStore, StoredRun, code_version, run_tasks_stored,
-                    stable_digest, task_key, task_keys)
+from .._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "export": ("atomic_write", "campaign_record", "check_writable",
+               "to_jsonable", "write_campaign"),
+    "pool": ("available_cpus", "default_chunksize", "resolve_jobs",
+             "run_tasks"),
+    "seeding": ("task_rng", "task_seed"),
+    "shard": ("ShardSpec", "merge_stores", "parse_shard", "shard_partition"),
+    "store": ("ResultStore", "StoredRun", "code_version", "run_tasks_stored",
+              "stable_digest", "task_key", "task_keys"),
+})
 
 __all__ = [
     "run_tasks", "resolve_jobs", "available_cpus", "default_chunksize",

@@ -30,11 +30,9 @@ value is inherited copy-on-write, never pickled.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from typing import (Any, Callable, Iterable, Iterator, Optional, Tuple,
@@ -85,6 +83,7 @@ def default_chunksize(num_tasks: int, jobs: int) -> int:
 
 def _fork_context():
     """Prefer ``fork`` (cheap context sharing); fall back to the default."""
+    import multiprocessing
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -174,6 +173,8 @@ def _mapper(workers: int, num_tasks: int, metrics: bool, context: Any):
         yield lambda fn, tasks: map(
             partial(_timed, fn, metrics, context), tasks)
         return
+    # a serial dispatch never imports the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
     # each worker runs _init_worker once as it starts; a fork-started
     # worker inherits its arguments, the context included, unpickled
     with ProcessPoolExecutor(workers, _fork_context(), _init_worker,

@@ -1,18 +1,22 @@
 """Processor simulation substrate (vanilla LEON3-like core + SOFIA core)."""
 
-from .batch import BATCH_WIDTH, GoldenTrace
-from .cache import CacheStats, DirectMappedCache
-from .core import CPUState, ExecOutcome, execute, to_signed
-from .engine import (DEFAULT_ENGINE, ENGINES, compile_handler, predecode,
-                     resolve_engine)
-from .fused import compile_sofia_block, compile_vanilla_run
-from .memory import Memory, MMIODevice
-from .result import ExecutionResult, Status, ViolationRecord
-from .sofia import SofiaMachine
-from .trace import TraceEntry, diff_traces, list_image, trace
-from .timing import (DEFAULT_TIMING, LEON3_MINIMAL_TIMING, TimingParams,
-                     cycle_costs, instruction_cycles)
-from .vanilla import VanillaMachine
+from .._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "batch": ("BATCH_WIDTH", "GoldenTrace"),
+    "cache": ("CacheStats", "DirectMappedCache"),
+    "core": ("CPUState", "ExecOutcome", "execute", "to_signed"),
+    "engine": ("DEFAULT_ENGINE", "ENGINES", "compile_handler", "predecode",
+               "resolve_engine"),
+    "fused": ("compile_sofia_block", "compile_vanilla_run"),
+    "memory": ("Memory", "MMIODevice"),
+    "result": ("ExecutionResult", "Status", "ViolationRecord"),
+    "sofia": ("SofiaMachine",),
+    "trace": ("TraceEntry", "diff_traces", "list_image", "trace"),
+    "timing": ("DEFAULT_TIMING", "LEON3_MINIMAL_TIMING", "TimingParams",
+               "cycle_costs", "instruction_cycles"),
+    "vanilla": ("VanillaMachine",),
+})
 
 __all__ = [
     "CPUState", "ExecOutcome", "execute", "to_signed",

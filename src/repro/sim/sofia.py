@@ -36,7 +36,7 @@ attack instance re-verifies only the blocks its mutation changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..crypto.ctr import EdgeKeystream

@@ -1,16 +1,20 @@
 """SOFIA binary transformation toolchain."""
 
-from .blocks import Block, BlockKind, EntryAssignment
-from .encrypt import (block_plain_words, chain_prev_pcs, reseal_block,
-                      seal, seal_block, unseal_block, word_prev_pcs)
-from .image import BlockRecord, SofiaImage
-from .layout import Layout, LayoutStats, build_layout
-from .profile import (DEFAULT_PROFILE, ProtectionProfile, profile_grid,
-                      store_forbidden_slots)
-from .transformer import (canonicalize_returns, prepare,
-                          rewrite_indirect_returns, transform)
-from .renonce import reencrypt, rotate_nonce
-from .verify import Finding, ImageVerifier, verify_image
+from .._lazy import lazy_facade
+
+lazy_facade(__name__, {
+    "blocks": ("Block", "BlockKind", "EntryAssignment"),
+    "encrypt": ("block_plain_words", "chain_prev_pcs", "reseal_block", "seal",
+                "seal_block", "unseal_block", "word_prev_pcs"),
+    "image": ("BlockRecord", "SofiaImage"),
+    "layout": ("Layout", "LayoutStats", "build_layout"),
+    "profile": ("DEFAULT_PROFILE", "ProtectionProfile", "profile_grid",
+                "store_forbidden_slots"),
+    "renonce": ("reencrypt", "rotate_nonce"),
+    "transformer": ("canonicalize_returns", "prepare",
+                    "rewrite_indirect_returns", "transform"),
+    "verify": ("Finding", "ImageVerifier", "verify_image"),
+})
 
 __all__ = [
     "Block", "BlockKind", "EntryAssignment",

@@ -46,8 +46,7 @@ from ..errors import EncodingError, TransformError
 from ..isa.encoding import encode
 from ..isa.program import (AsmProgram, CODE_BASE, DATA_BASE,
                            resolve_data_references)
-from .blocks import (ENTRY_OFFSETS, Block, BlockKind, classify_offset,
-                     fetch_indices)
+from .blocks import ENTRY_OFFSETS, Block, classify_offset, fetch_indices
 from .image import BlockRecord, FrontEndMemo, SofiaImage
 from .layout import Layout
 

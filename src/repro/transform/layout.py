@@ -28,7 +28,7 @@ required by the CFI and SI mechanisms"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..cfg.builder import is_return

@@ -6,7 +6,7 @@ shape of embedded protocol/codec handlers.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from .base import Workload, _LCG, format_int_array, register, scale_index
 

@@ -6,6 +6,11 @@ validation, avalanche behaviour and key sensitivity — the PRP properties
 SOFIA's security argument relies on.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +126,7 @@ class TestTables:
 
     def test_every_entry_matches_its_definition(self):
         rectangle._build_tables()
+        sub16_inv = rectangle._sub16_inv()
         for x in range(1 << 16):
             bits = [(x >> i) & 1 for i in range(16)]
             nibbles = [(x >> (4 * i)) & 0xF for i in range(4)]
@@ -128,8 +134,25 @@ class TestTables:
                 bit << (4 * i) for i, bit in enumerate(bits))
             assert rectangle._SUB16[x] == sum(
                 SBOX[n] << (4 * i) for i, n in enumerate(nibbles))
-            assert rectangle._SUB16_INV[x] == sum(
+            assert sub16_inv[x] == sum(
                 SBOX_INV[n] << (4 * i) for i, n in enumerate(nibbles))
             for k in range(4):
                 assert rectangle._GATHER[k][x] == sum(
                     bits[4 * nib + k] << nib for nib in range(4))
+
+    def test_only_decryption_builds_the_inverse_table(self):
+        """SOFIA runs RECTANGLE forward only (the CTR keystream and the
+        CBC-MAC), so a process that never decrypts never pays for the
+        inverse S-box table.  A fresh interpreter, as this one may have
+        decrypted already."""
+        code = ("from repro.crypto import rectangle\n"
+                "cipher = rectangle.Rectangle80(5)\n"
+                "block = cipher.encrypt(123)\n"
+                "print(rectangle._SUB16_INV is None)\n"
+                "assert cipher.decrypt(block) == 123\n"
+                "print(rectangle._SUB16_INV is None)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.stdout.split() == ["True", "False"], done.stderr
