@@ -43,11 +43,5 @@ lazy_facade(__name__, {
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "core", "make_keys", "build_c", "build_assembly", "link_vanilla",
-    "protect", "run_vanilla", "run_protected", "protect_and_run",
-    "ReproError", "AssemblyError", "EncodingError", "DecodingError",
-    "CompileError", "CFGError", "TransformError", "ImageError",
-    "SimulationError",
-    "__version__",
-]
+# lazy_facade set __all__ from the map above
+__all__ += ["core", "__version__"]

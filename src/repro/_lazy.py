@@ -21,10 +21,12 @@ def lazy_facade(package: str, exports: Dict[str, Sequence[str]]) -> None:
 
     ``exports`` maps each submodule, by its name within the package, to
     the names the package re-exports from it; the submodule's own name
-    resolves to the submodule.  A public name that is also the name of
-    the submodule defining it (``repro.sim.trace``) keeps naming the
-    public object: the import system binds every submodule it loads on
-    its package, and the package ignores that binding for such a name.
+    resolves to the submodule.  The re-exported names, in map order,
+    become the package's ``__all__``.  A public name that is also the
+    name of the submodule defining it (``repro.sim.trace``) keeps naming
+    the public object: the import system binds every submodule it loads
+    on its package, and the package ignores that binding for such a
+    name.
     """
     module = sys.modules[package]
     origin = {name: sub for sub, names in exports.items() for name in names}
@@ -46,6 +48,7 @@ def lazy_facade(package: str, exports: Dict[str, Sequence[str]]) -> None:
 
     module.__getattr__ = __getattr__
     module.__dir__ = __dir__
+    module.__all__ = list(origin)
     shadowed = origin.keys() & exports.keys()
     if shadowed:
         class Facade(ModuleType):

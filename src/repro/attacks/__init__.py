@@ -11,12 +11,3 @@ lazy_facade(__name__, {
     "victim": ("BENIGN_OUTPUT", "BUFFER_WORDS", "RA_SLOT", "UNLOCK_VALUE",
                "VICTIM_ASM", "victim_program"),
 })
-
-__all__ = [
-    "Attack", "ATTACKS", "gadget_words", "gadget_instructions",
-    "AttackResult", "Outcome", "run_attack", "run_campaign",
-    "campaign_matrix", "format_matrix", "classify", "verify_benign",
-    "Target", "build_targets",
-    "victim_program", "VICTIM_ASM", "UNLOCK_VALUE", "BENIGN_OUTPUT",
-    "BUFFER_WORDS", "RA_SLOT",
-]

@@ -6,6 +6,3 @@ lazy_facade(__name__, {
     "isr": ("EcbIsrMachine", "XorIsrMachine", "ecb_encrypt_words",
             "xor_encrypt_words"),
 })
-
-__all__ = ["XorIsrMachine", "EcbIsrMachine", "xor_encrypt_words",
-           "ecb_encrypt_words"]

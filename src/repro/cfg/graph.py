@@ -71,24 +71,3 @@ class ControlFlowGraph:
         for edges in result.values():
             edges.sort(key=lambda e: (e.src, e.kind))
         return result
-
-    def successor_map(self) -> Dict[int, List[Edge]]:
-        result: Dict[int, List[Edge]] = {}
-        for edge in self.edges:
-            result.setdefault(edge.src, []).append(edge)
-        for edges in result.values():
-            edges.sort(key=lambda e: (e.dst, e.kind))
-        return result
-
-    def reachable(self) -> Set[int]:
-        """Nodes reachable from the entry node."""
-        frontier = [self.entry]
-        succ = self.successor_map()
-        seen: Set[int] = set()
-        while frontier:
-            node = frontier.pop()
-            if node in seen or node == RESET_NODE:
-                continue
-            seen.add(node)
-            frontier.extend(e.dst for e in succ.get(node, ()))
-        return seen

@@ -26,7 +26,8 @@ The toolchain workflow as a developer would drive it:
 Keys are derived from ``--seed`` (a stand-in for device provisioning);
 images embed their nonce and their :class:`ProtectionProfile`.
 ``protect``, ``attacksynth`` and ``dse`` accept profile specs like
-``present-80:mac32:fixed`` (see :mod:`repro.dse.grid`); ``run-protected``
+``present-80:mac32:fixed`` (see
+:func:`repro.transform.profile.parse_profile_spec`); ``run-protected``
 provisions the device keys for the image's embedded profile.  The
 campaign commands (``attack``, ``attacksynth``, ``dse``,
 ``experiments``, ``fault``, ``fuzz``, ``montecarlo``) accept ``--jobs
@@ -144,11 +145,10 @@ def _profile_arg(spec: Optional[str], **geometry) -> ProtectionProfile:
     ``--block-words``/``--schedule-stores``).  Raises
     :class:`~repro.errors.UsageError` for a bad spec or an impossible
     geometry."""
-    from .transform.profile import ProtectionProfile
+    from .transform.profile import ProtectionProfile, parse_profile_spec
     try:
         if spec is None:
             return ProtectionProfile(**geometry)
-        from .dse.grid import parse_profile_spec
         return parse_profile_spec(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -11,33 +11,5 @@ lazy_facade(__name__, {
     "present": ("Present80",),
     "rectangle": ("Rectangle80",),
     "registry": ("CIPHERS", "DEFAULT_CIPHER", "cipher_code",
-                 "cipher_from_code", "cipher_name", "cipher_names",
-                 "get_cipher"),
+                 "cipher_from_code", "cipher_names", "get_cipher"),
 })
-
-__all__ = [
-    "Rectangle80",
-    "Present80",
-    "EdgeKeystream",
-    "pack_counter",
-    "cbc_mac",
-    "mac_stream",
-    "WIDTH",
-    "encrypt_batch",
-    "batch_mac_stream",
-    "bitsliced_for",
-    "pack_planes",
-    "unpack_planes",
-    "transpose_bits",
-    "mac_words",
-    "verify",
-    "DeviceKeys",
-    "derive_key",
-    "CIPHERS",
-    "DEFAULT_CIPHER",
-    "get_cipher",
-    "cipher_name",
-    "cipher_names",
-    "cipher_code",
-    "cipher_from_code",
-]

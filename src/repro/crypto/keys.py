@@ -68,14 +68,13 @@ class DeviceKeys:
                 raise ValueError(f"{name} must be an unsigned {KEY_BITS}-bit integer")
 
     @classmethod
-    def from_seed(cls, seed: int,
-                  cipher_factory: type = Rectangle80) -> "DeviceKeys":
-        """Derive a full key set from one integer seed (tests/examples)."""
+    def from_seed(cls, seed: int) -> "DeviceKeys":
+        """Derive a full key set from one integer seed (tests/examples);
+        :meth:`for_profile` binds it to another cipher."""
         return cls(
             k1=derive_key(seed, "sofia-ctr-encryption"),
             k2=derive_key(seed, "sofia-cbcmac-execution"),
             k3=derive_key(seed, "sofia-cbcmac-multiplexor"),
-            cipher_factory=cipher_factory,
         )
 
     def for_profile(self, profile) -> "DeviceKeys":

@@ -31,18 +31,6 @@ def block_to_words(block: int) -> "tuple[int, int]":
     return (block >> 32) & MASK32, block & MASK32
 
 
-def bytes_to_block(data: bytes) -> int:
-    """Interpret 8 big-endian bytes as a 64-bit block."""
-    if len(data) != 8:
-        raise ValueError(f"expected 8 bytes, got {len(data)}")
-    return int.from_bytes(data, "big")
-
-
-def block_to_bytes(block: int) -> bytes:
-    """Serialize a 64-bit block as 8 big-endian bytes."""
-    return (block & MASK64).to_bytes(8, "big")
-
-
 def words_to_blocks(words: Sequence[int]) -> List[int]:
     """Pack a sequence of 32-bit words into 64-bit blocks.
 

@@ -50,14 +50,6 @@ def get_cipher(name: str) -> type:
             f"unknown cipher {name!r}; known: {cipher_names()}") from None
 
 
-def cipher_name(factory: type) -> str:
-    """The registered name of a cipher class (inverse of get_cipher)."""
-    for name, cls in CIPHERS.items():
-        if cls is factory:
-            return name
-    raise ValueError(f"cipher class {factory!r} is not registered")
-
-
 def cipher_code(name: str) -> int:
     """The stable serialization code of a registered cipher."""
     get_cipher(name)  # validates the name

@@ -14,8 +14,8 @@ Entry points: :func:`run_dse` (library), ``repro dse`` (CLI),
 from .campaign import (DEFAULT_PROGRAMS, DEFAULT_SCALE, DEFAULT_SEED,
                        DEFAULT_WORKLOADS, DesignPointRow, DseReport,
                        HwPointRow, run_dse)
-from .grid import (default_grid, parse_grid, parse_hw_point,
-                   parse_profile_spec, parse_profiles, resolve_profiles)
+from .grid import (default_grid, parse_grid, parse_profile_spec,
+                   parse_profiles, resolve_profiles)
 from .pareto import E17_SENSES, HW_SENSES, dominates, pareto_mask
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "DEFAULT_SEED", "DEFAULT_SCALE", "DEFAULT_WORKLOADS",
     "DEFAULT_PROGRAMS",
     "default_grid", "parse_grid", "parse_profiles", "parse_profile_spec",
-    "parse_hw_point", "resolve_profiles",
+    "resolve_profiles",
     "dominates", "pareto_mask",
     "E17_SENSES", "HW_SENSES",
 ]

@@ -38,7 +38,7 @@ from ..runner import (ResultStore, ShardSpec, check_writable,
                       run_tasks_stored, task_keys, task_seed)
 from ..security.bounds import cfi_attack_years, si_forgery_years
 from ..transform.profile import ProtectionProfile
-from ..workloads.base import make_workload
+from ..workloads import make_workload
 from .pareto import HW_SENSES, Objectives, pareto_mask
 
 DEFAULT_SEED = 0xD5E17
@@ -145,7 +145,7 @@ class HwPointRow:
 
     @property
     def label(self) -> str:
-        """``<profile>@u<N>`` — parseable by ``dse.grid.parse_hw_point``."""
+        """``<profile>@u<N>``, e.g. ``...sequential@u13``."""
         return f"{self.profile}@u{self.unroll}"
 
     @property

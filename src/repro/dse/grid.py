@@ -3,108 +3,26 @@
 Two spec languages, both tiny and both round-tripping through
 ``ProtectionProfile.label``:
 
-* **profile spec** — one design point as colon-separated tokens in any
-  order: a registered cipher name, ``mac<bits>``, a renonce policy,
-  optionally ``bw<N>`` and ``sched``.  ``rectangle-80/mac64/sequential``
-  (a label) parses too, so a label printed by any report can be fed
-  straight back to ``--profiles``.
+* **profile spec** — one design point, parsed by
+  :func:`repro.transform.profile.parse_profile_spec`; commas separate
+  profiles in a ``--profiles`` list.
 * **grid spec** — cartesian axes separated by ``:``, values by ``,``:
   ``<ciphers>:<mac_bits>:<renonce>[:<block_words>]``, e.g.
   ``rectangle-80,present-80:32,64:sequential,fixed``.
 
-Hardware design points (the E20 front) carry a third language on top: a
-profile spec/label plus an ``@u<N>`` unroll suffix, e.g.
-``rectangle-80/mac64/sequential@u13`` — :func:`parse_hw_point` round-trips
-the labels :func:`repro.hwmodel.hw_point_label` prints.
-
-Numeric fields are validated *here*, at parse time, with messages that
-name the offending token: ``mac0`` (zero is a multiple of 32),
-non-positive or absurd ``bw`` values and the like are rejected before
-they reach :class:`~repro.transform.profile.ProtectionProfile` (which
-refuses them too, with constructor-level messages).
+Numeric fields are validated at parse time, with messages that name
+the offending token, before they reach
+:class:`~repro.transform.profile.ProtectionProfile` (which refuses them
+too, with constructor-level messages).
 """
 
 from __future__ import annotations
 
-import re
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..crypto.registry import cipher_names
-from ..transform.profile import (MAX_BLOCK_WORDS, ProtectionProfile,
-                                 RENONCE_POLICIES, profile_grid)
-
-_MAC_RE = re.compile(r"^mac(\d+)$")
-_BW_RE = re.compile(r"^bw(\d+)$")
-_UNROLL_RE = re.compile(r"^u(\d+)$")
-
-
-def _parse_mac_bits(bits: int) -> int:
-    """Seal width in bits -> ``mac_words``, with parse-time messages."""
-    if bits <= 0 or bits % 32:
-        raise ValueError(
-            f"mac width must be a positive multiple of 32 bits, "
-            f"got {bits}")
-    return bits // 32
-
-
-def _check_block_words(value: int) -> int:
-    if not 0 < value <= MAX_BLOCK_WORDS:
-        raise ValueError(
-            f"block_words must be in 1..{MAX_BLOCK_WORDS}, got {value}")
-    return value
-
-
-def parse_profile_spec(spec: str) -> ProtectionProfile:
-    """Parse one design-point spec (or a profile label) into a profile."""
-    fields = {}
-    for token in re.split(r"[:/]", spec.strip()):
-        token = token.strip()
-        if not token:
-            continue
-        mac = _MAC_RE.match(token)
-        bw = _BW_RE.match(token)
-        if token in cipher_names():
-            fields["cipher"] = token
-        elif mac:
-            fields["mac_words"] = _parse_mac_bits(int(mac.group(1)))
-        elif token in RENONCE_POLICIES:
-            fields["renonce"] = token
-        elif bw:
-            fields["block_words"] = _check_block_words(int(bw.group(1)))
-        elif token == "sched":
-            fields["schedule_stores"] = True
-        else:
-            raise ValueError(
-                f"unknown profile token {token!r} in {spec!r} (expected a "
-                f"cipher {cipher_names()}, mac<bits>, a renonce policy "
-                f"{list(RENONCE_POLICIES)}, bw<N> or sched)")
-    return ProtectionProfile(**fields)
-
-
-def parse_hw_point(spec: str) -> Tuple[ProtectionProfile, int]:
-    """Parse ``<profile spec>[@u<N>]`` into (profile, unroll).
-
-    Without a suffix the unroll is the profile's minimum legal
-    (fetch-sustaining) factor; with one, the factor is validated against
-    the cipher's legal range.  Inverse of
-    :func:`repro.hwmodel.hw_point_label`.
-    """
-    from ..hwmodel.profilecost import legal_unrolls, min_legal_unroll
-    base, sep, suffix = spec.strip().partition("@")
-    profile = parse_profile_spec(base)
-    if not sep:
-        return profile, min_legal_unroll(profile)
-    match = _UNROLL_RE.match(suffix.strip())
-    if not match:
-        raise ValueError(
-            f"bad unroll suffix {suffix!r} in {spec!r} (expected u<N>)")
-    unroll = int(match.group(1))
-    legal = legal_unrolls(profile)
-    if unroll not in legal:
-        raise ValueError(
-            f"unroll {unroll} is not legal for {profile.cipher} "
-            f"(fetch-sustaining range {legal.start}..{legal[-1]})")
-    return profile, unroll
+from ..transform.profile import (ProtectionProfile, check_block_words,
+                                 parse_mac_bits, parse_profile_spec,
+                                 profile_grid)
 
 
 def parse_profiles(specs: str) -> List[ProtectionProfile]:
@@ -128,10 +46,10 @@ def parse_grid(spec: str) -> List[ProtectionProfile]:
             f"grid spec needs 3 or 4 axes "
             f"(ciphers:mac_bits:renonce[:block_words]), got {len(axes)}")
     ciphers = [c.strip() for c in axes[0].split(",") if c.strip()]
-    mac_bits = [32 * _parse_mac_bits(int(b))
+    mac_bits = [32 * parse_mac_bits(int(b))
                 for b in axes[1].split(",") if b.strip()]
     renonce = [r.strip() for r in axes[2].split(",") if r.strip()]
-    block_words = ([_check_block_words(int(b))
+    block_words = ([check_block_words(int(b))
                     for b in axes[3].split(",") if b.strip()]
                    if len(axes) == 4 else [8])
     return profile_grid(ciphers=ciphers, mac_bits=mac_bits,

@@ -26,7 +26,7 @@ from ..sim.sofia import SofiaMachine
 from ..sim.timing import DEFAULT_TIMING, LEON3_MINIMAL_TIMING, TimingParams
 from ..transform.profile import ProtectionProfile, store_forbidden_slots
 from ..transform.transformer import transform
-from ..workloads.base import make_workload, workload_names
+from ..workloads import make_workload, workload_names
 from .overhead import (OverheadPoint, OverheadRow, measure_many,
                        measure_overhead)
 

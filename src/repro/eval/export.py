@@ -1,8 +1,10 @@
-"""CSV export of experiment data (figure-ready artifacts).
+"""CSV and JSON export of campaign data (figure-ready artifacts).
 
-Each exporter turns one experiment's rows into a CSV file so downstream
-users can plot the reproduction's figures with their own tooling (the
-repository deliberately has no plotting dependency).
+Each exporter turns one campaign's rows (E16 attack synthesis, E17/E20
+design-space sweep, E18 batch throughput) into a CSV file, or its
+record into canonical JSON, so downstream users can plot the
+reproduction's figures with their own tooling (the repository
+deliberately has no plotting dependency).
 """
 
 from __future__ import annotations
@@ -10,13 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..runner.export import atomic_write
-
-if TYPE_CHECKING:  # the row types, named by annotations only
-    from .experiments import BlockSizePoint, CachePoint, FanInPoint
-    from .overhead import OverheadRow
 
 
 def _write(header: Sequence[str], rows: List[Sequence],
@@ -29,43 +27,6 @@ def _write(header: Sequence[str], rows: List[Sequence],
     if path is not None:
         atomic_write(path, text)
     return text
-
-
-def overhead_csv(rows: List[OverheadRow],
-                 path: Optional[str] = None) -> str:
-    """E2/E10 data: one row per workload."""
-    return _write(
-        ["workload", "vanilla_bytes", "sofia_bytes", "size_ratio",
-         "vanilla_cycles", "sofia_cycles", "cycle_overhead",
-         "exec_time_overhead", "blocks", "mux_blocks", "padding_nops"],
-        [[r.workload, r.vanilla_bytes, r.sofia_bytes,
-          round(r.size_ratio, 4), r.vanilla_cycles, r.sofia_cycles,
-          round(r.cycle_overhead, 4), round(r.exec_time_overhead, 4),
-          r.blocks, r.mux_blocks, r.padding_nops] for r in rows],
-        path)
-
-
-def muxtree_csv(points: List[FanInPoint],
-                path: Optional[str] = None) -> str:
-    """E7 data: multiplexor-tree cost vs fan-in."""
-    return _write(
-        ["fan_in", "tree_nodes", "mux_blocks", "code_bytes", "cycles"],
-        [[p.fan_in, p.tree_nodes, p.mux_blocks, p.code_bytes, p.cycles]
-         for p in points],
-        path)
-
-
-def blocksize_csv(points: List[BlockSizePoint],
-                  path: Optional[str] = None) -> str:
-    """E6 data: block geometry ablation."""
-    return _write(
-        ["block_words", "exec_capacity", "store_forbidden_slots",
-         "size_ratio", "cycle_overhead"],
-        [[p.block_words, p.exec_capacity,
-          " ".join(map(str, p.store_forbidden)),
-          round(p.row.size_ratio, 4), round(p.row.cycle_overhead, 4)]
-         for p in points],
-        path)
 
 
 #: column order of the E16 detection-matrix CSV (one row per
@@ -160,15 +121,3 @@ def record_json(record: Dict[str, Any], path: Optional[str] = None) -> str:
     if path is not None:
         atomic_write(path, text)
     return text
-
-
-def cache_csv(points: List[CachePoint],
-              path: Optional[str] = None) -> str:
-    """E14 data: I-cache sensitivity."""
-    return _write(
-        ["icache_lines", "icache_bytes", "vanilla_cycles", "sofia_cycles",
-         "cycle_overhead"],
-        [[p.lines, p.cache_bytes, p.row.vanilla_cycles,
-          p.row.sofia_cycles, round(p.row.cycle_overhead, 4)]
-         for p in points],
-        path)

@@ -36,7 +36,7 @@ from ..sim.vanilla import VanillaMachine
 from ..transform.image import SofiaImage
 from ..transform.profile import DEFAULT_PROFILE, ProtectionProfile
 from ..transform.transformer import transform
-from ..workloads.base import Workload, make_workload
+from ..workloads import Workload, make_workload
 
 _DEFAULT_KEYS = DeviceKeys.from_seed(DEFAULT_KEY_SEED)
 

@@ -15,7 +15,7 @@ from ..crypto.keys import DeviceKeys
 from ..faults.campaign import run_campaign as run_fault_campaign
 from ..runner.export import atomic_write
 from ..sim.timing import LEON3_MINIMAL_TIMING
-from ..workloads.base import make_workload
+from ..workloads import make_workload
 from .experiments import (experiment_adpcm, experiment_blocksize,
                           experiment_muxtree, experiment_security,
                           experiment_table1, experiment_unroll,

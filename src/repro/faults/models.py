@@ -24,7 +24,6 @@ attacks; register faults and checker glitches are outside the threat model
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from ..sim.sofia import SofiaMachine
@@ -125,8 +124,3 @@ class CombinedFault(FaultSpec):
 
     def inject(self, machine: SofiaMachine) -> str:
         return " + ".join(part.inject(machine) for part in self.parts)
-
-
-def with_trigger(spec: FaultSpec, trigger: int) -> FaultSpec:
-    """Copy of ``spec`` with a different trigger instant."""
-    return dataclasses.replace(spec, trigger_instructions=trigger)

@@ -8,19 +8,7 @@ lazy_facade(__name__, {
                    "RECTANGLE_PROFILE", "Component", "leon3_components"),
     "design": ("CipherChoice", "Table1", "Table1Row", "UnrollPoint",
                "cipher_ablation", "table1", "unroll_ablation"),
-    "profilecost": ("ProfileHardware", "cipher_hw_profile", "hw_point_label",
-                    "legal_unrolls", "min_legal_unroll", "parse_unroll_specs",
-                    "profile_cost", "profile_costs", "resolve_unrolls",
-                    "sofia_profile_components"),
+    "profilecost": ("ProfileHardware", "cipher_hw_profile", "legal_unrolls",
+                    "min_legal_unroll", "parse_unroll_specs", "profile_cost",
+                    "resolve_unrolls", "sofia_profile_components"),
 })
-
-__all__ = [
-    "Component", "leon3_components", "CIPHER_ROUNDS", "PAPER_UNROLL",
-    "CipherProfile", "CIPHER_PROFILES", "RECTANGLE_PROFILE",
-    "PRESENT_PROFILE", "CipherChoice", "cipher_ablation",
-    "Table1", "Table1Row", "table1", "UnrollPoint", "unroll_ablation",
-    "CYCLES_BUDGET", "ProfileHardware", "cipher_hw_profile",
-    "hw_point_label", "legal_unrolls", "min_legal_unroll",
-    "parse_unroll_specs", "profile_cost", "profile_costs",
-    "resolve_unrolls", "sofia_profile_components",
-]

@@ -82,14 +82,10 @@ class CipherProfile:
         self._check_unroll(unroll)
         return -(-self.rounds // unroll)
 
-    def min_sustaining_unroll(self, cycles_budget: int = CYCLES_BUDGET
-                              ) -> int:
-        """Smallest unroll giving one operation per ``cycles_budget``."""
-        if not isinstance(cycles_budget, int) or cycles_budget < 1:
-            raise HardwareModelError(
-                f"cycles_budget must be a positive integer, "
-                f"got {cycles_budget!r}")
-        return -(-self.rounds // cycles_budget)
+    def min_sustaining_unroll(self) -> int:
+        """Smallest unroll giving one operation per :data:`CYCLES_BUDGET`
+        cycles."""
+        return -(-self.rounds // CYCLES_BUDGET)
 
 
 RECTANGLE_PROFILE = CipherProfile("RECTANGLE-80", CIPHER_ROUNDS,

@@ -123,9 +123,9 @@ class CipherChoice:
                 f"{self.clock_mhz:5.1f} MHz")
 
 
-def cipher_ablation(cycles_budget: int = CYCLES_BUDGET
-                    ) -> List[CipherChoice]:
-    """Compare candidate ciphers at one operation per ``cycles_budget``.
+def cipher_ablation() -> List[CipherChoice]:
+    """Compare candidate ciphers at one operation per
+    :data:`~repro.hwmodel.components.CYCLES_BUDGET` cycles.
 
     Reproduces the design rationale behind the paper's RECTANGLE choice:
     both ciphers are 64-bit/80-bit, but PRESENT's 31 rounds need a deeper
@@ -133,7 +133,7 @@ def cipher_ablation(cycles_budget: int = CYCLES_BUDGET
     """
     choices = []
     for hw in CIPHER_PROFILES.values():
-        unroll = hw.min_sustaining_unroll(cycles_budget)
+        unroll = hw.min_sustaining_unroll()
         profile = ProtectionProfile(cipher=hw.name.lower())
         choices.append(CipherChoice(
             cipher=hw.name, unroll=unroll,

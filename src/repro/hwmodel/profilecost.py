@@ -105,11 +105,6 @@ def resolve_unrolls(profile: ProtectionProfile,
     return sorted(resolved)
 
 
-def hw_point_label(profile: ProtectionProfile, unroll: int) -> str:
-    """Label of one hardware design point, e.g. ``...sequential@u13``."""
-    return f"{profile.label}@u{unroll}"
-
-
 def sofia_profile_components(profile: ProtectionProfile,
                              unroll: int) -> List[Component]:
     """SOFIA additions for this profile at this unroll factor.
@@ -156,7 +151,7 @@ class ProfileHardware:
 
     @property
     def label(self) -> str:
-        """``<profile label>@u<unroll>`` — feeds back into ``--profiles``."""
+        """``<profile label>@u<unroll>``, e.g. ``...sequential@u13``."""
         return f"{self.profile_label}@u{self.unroll}"
 
     @property
@@ -199,14 +194,6 @@ def profile_cost(profile: ProtectionProfile,
         datapath_slices=hw.datapath_slices(unroll),
         sofia_slices=total - base_slices, slices=total,
         critical_path_ns=path, clock_mhz=1000.0 / path)
-
-
-def profile_costs(profile: ProtectionProfile,
-                  specs: Sequence[UnrollSpec] = ("min",)
-                  ) -> List[ProfileHardware]:
-    """Design points for every legal requested unroll, ascending."""
-    return [profile_cost(profile, unroll)
-            for unroll in resolve_unrolls(profile, specs)]
 
 
 def parse_unroll_specs(text: str) -> Tuple[UnrollSpec, ...]:

@@ -13,14 +13,3 @@ lazy_facade(__name__, {
     "registers": ("ALIASES", "NUM_REGISTERS", "parse_register",
                   "register_name"),
 })
-
-__all__ = [
-    "Instruction", "OpSpec", "SPECS", "NOP", "make_nop",
-    "encode", "decode", "is_valid_word",
-    "parse", "assemble", "assemble_text", "resolve_instruction",
-    "disassemble", "disassemble_word", "dump",
-    "AsmProgram", "Executable", "split_functions",
-    "CODE_BASE", "DATA_BASE", "STACK_TOP", "MMIO_BASE",
-    "MMIO_PUTCHAR", "MMIO_PUTINT", "MMIO_EXIT", "MMIO_PUTWORD",
-    "ALIASES", "NUM_REGISTERS", "parse_register", "register_name",
-]

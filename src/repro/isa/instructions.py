@@ -19,7 +19,7 @@ Formats
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .registers import register_name
@@ -134,12 +134,6 @@ class Instruction:
     @property
     def is_store(self) -> bool:
         return self.spec.is_store
-
-    def with_symbol(self, symbol: Optional[str]) -> "Instruction":
-        return replace(self, symbol=symbol)
-
-    def with_imm(self, imm: int) -> "Instruction":
-        return replace(self, imm=imm)
 
     def render(self) -> str:
         """Assembly text for this instruction."""

@@ -33,17 +33,12 @@ lazy_facade(__name__, {
     "metrics": ("DEFAULT_BOUNDS", "Histogram", "MetricsRegistry"),
     "progress": ("ProgressMeter",),
     "stats": ("summarize",),
-    "telemetry": ("Telemetry", "campaign", "load_metrics", "phase"),
+    "telemetry": ("Telemetry", "campaign", "phase"),
     "trace": ("chrome_trace", "write_chrome_trace"),
 })
 
-__all__ = [
-    "EVENT_TYPES", "EventLog", "read_events", "validate_event",
-    "DEFAULT_BOUNDS", "Histogram", "MetricsRegistry",
-    "ProgressMeter", "summarize", "Telemetry", "campaign", "phase",
-    "load_metrics", "chrome_trace", "write_chrome_trace",
-    "hook", "note", "set_quiet",
-]
+# lazy_facade set __all__ from the map above
+__all__ += ["hook", "note", "set_quiet"]
 
 _QUIET = False
 

@@ -30,7 +30,6 @@ into a registry of its own (:mod:`repro.runner.pool`).
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -256,9 +255,3 @@ def phase(name: str):
     """Time phase ``name`` of the current campaign; a no-op when none is
     open."""
     return _CURRENT.phase(name)
-
-
-def load_metrics(directory) -> dict:
-    """Read ``metrics.json`` from a telemetry directory."""
-    with open(Path(directory) / "metrics.json", encoding="utf-8") as handle:
-        return json.load(handle)

@@ -63,17 +63,7 @@ lazy_facade(__name__, {
     "pool": ("available_cpus", "default_chunksize", "resolve_jobs",
              "run_tasks"),
     "seeding": ("task_rng", "task_seed"),
-    "shard": ("ShardSpec", "merge_stores", "parse_shard", "shard_partition"),
+    "shard": ("ShardSpec", "merge_stores", "parse_shard"),
     "store": ("ResultStore", "StoredRun", "code_version", "run_tasks_stored",
-              "stable_digest", "task_key", "task_keys"),
+              "task_key", "task_keys"),
 })
-
-__all__ = [
-    "run_tasks", "resolve_jobs", "available_cpus", "default_chunksize",
-    "task_seed", "task_rng",
-    "campaign_record", "write_campaign", "to_jsonable",
-    "atomic_write", "check_writable",
-    "ResultStore", "StoredRun", "code_version",
-    "run_tasks_stored", "stable_digest", "task_key", "task_keys",
-    "ShardSpec", "parse_shard", "shard_partition", "merge_stores",
-]

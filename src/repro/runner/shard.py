@@ -26,9 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, TypeVar
-
-T = TypeVar("T")
 
 _SHARD_RE = re.compile(r"^(\d+)/(\d+)$")
 
@@ -52,10 +49,6 @@ class ShardSpec:
         """Does this shard execute the task at 0-based ``task_index``?"""
         return task_index % self.count == self.index - 1
 
-    def owned_indices(self, num_tasks: int) -> List[int]:
-        """The 0-based task positions this shard executes, in order."""
-        return list(range(self.index - 1, num_tasks, self.count))
-
     @property
     def label(self) -> str:
         return f"{self.index}/{self.count}"
@@ -68,11 +61,6 @@ def parse_shard(text: str) -> ShardSpec:
         raise ValueError(
             f"shard spec must look like i/n (e.g. 2/3), got {text!r}")
     return ShardSpec(index=int(match.group(1)), count=int(match.group(2)))
-
-
-def shard_partition(items: Sequence[T], shard: ShardSpec) -> List[T]:
-    """The sub-list of ``items`` owned by ``shard`` (submission order)."""
-    return [items[i] for i in shard.owned_indices(len(items))]
 
 
 def merge_stores(dest, sources) -> "tuple[int, int]":

@@ -99,13 +99,7 @@ def canonical_json(value: Any) -> str:
                       separators=(",", ":"))
 
 
-def stable_digest(value: Any) -> str:
-    """A host- and interpreter-independent SHA-256 of ``value``."""
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
-
-
-def task_key(campaign: str, context: Any, task: Any, *,
-             code: Optional[str] = None) -> str:
+def task_key(campaign: str, context: Any, task: Any) -> str:
     """The content address of one task's result.
 
     ``context`` is everything the worker context contributes to the
@@ -116,7 +110,7 @@ def task_key(campaign: str, context: Any, task: Any, *,
     """
     material = {
         "campaign": campaign,
-        "code": code if code is not None else code_version(),
+        "code": code_version(),
         "context": to_jsonable(context),
         "task": to_jsonable(task),
     }
@@ -125,8 +119,8 @@ def task_key(campaign: str, context: Any, task: Any, *,
         .encode("utf-8")).hexdigest()
 
 
-def task_keys(campaign: str, context: Any, tasks: Sequence[Any], *,
-              code: Optional[str] = None) -> List[str]:
+def task_keys(campaign: str, context: Any,
+              tasks: Sequence[Any]) -> List[str]:
     """:func:`task_key` of every task in ``tasks``, in order.
 
     A campaign's keys share everything but the task, so the canonical
@@ -138,7 +132,7 @@ def task_keys(campaign: str, context: Any, tasks: Sequence[Any], *,
     head = hashlib.sha256(
         ('{"campaign":%s,"code":%s,"context":%s,"task":' % (
             canonical_json(campaign),
-            canonical_json(code if code is not None else code_version()),
+            canonical_json(code_version()),
             canonical_json(context))).encode("utf-8"))
     keys = []
     for task in tasks:

@@ -11,12 +11,3 @@ lazy_facade(__name__, {
     "montecarlo": ("ForgeryScaling", "TamperEscape", "forgery_scaling",
                    "forgery_trials", "tamper_detection", "truncated_mac"),
 })
-
-__all__ = [
-    "expected_forgery_attempts", "attack_seconds", "attack_years",
-    "si_forgery_years", "cfi_attack_years", "security_report",
-    "SecurityReport", "PAPER_MAC_BITS", "PAPER_CLOCK_HZ",
-    "EmpiricalCheck", "empirical_check", "expected_undetected",
-    "truncated_mac", "forgery_trials", "forgery_scaling",
-    "ForgeryScaling", "tamper_detection", "TamperEscape",
-]

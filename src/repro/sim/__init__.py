@@ -12,24 +12,8 @@ lazy_facade(__name__, {
     "memory": ("Memory", "MMIODevice"),
     "result": ("ExecutionResult", "Status", "ViolationRecord"),
     "sofia": ("SofiaMachine",),
-    "trace": ("TraceEntry", "diff_traces", "list_image", "trace"),
+    "trace": ("TraceEntry", "list_image", "trace"),
     "timing": ("DEFAULT_TIMING", "LEON3_MINIMAL_TIMING", "TimingParams",
                "cycle_costs", "instruction_cycles"),
     "vanilla": ("VanillaMachine",),
 })
-
-__all__ = [
-    "CPUState", "ExecOutcome", "execute", "to_signed",
-    "Memory", "MMIODevice",
-    "DirectMappedCache", "CacheStats",
-    "ExecutionResult", "Status", "ViolationRecord",
-    "VanillaMachine", "SofiaMachine",
-    "DEFAULT_ENGINE", "ENGINES", "resolve_engine",
-    "BATCH_WIDTH", "GoldenTrace",
-    "compile_sofia_block", "compile_vanilla_run",
-    "compile_handler", "predecode",
-    "TimingParams", "DEFAULT_TIMING", "LEON3_MINIMAL_TIMING",
-    "instruction_cycles", "cycle_costs",
-    "TraceEntry", "trace", "diff_traces",
-    "list_image",
-]

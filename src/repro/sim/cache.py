@@ -20,10 +20,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class DirectMappedCache:
     """Tag-only direct-mapped cache (we model timing, not contents)."""

@@ -4,9 +4,6 @@ Debug tooling around the simulators:
 
 * :func:`trace` — run a vanilla or SOFIA machine and record every
   committed instruction (pc, disassembly, changed register);
-* :func:`diff_traces` — align a vanilla trace with a SOFIA trace by
-  filtering the padding nops, to localize the first divergence when a
-  transformation bug is suspected;
 * :func:`list_image` — a decrypted disassembly listing of a SOFIA image
   (requires the device keys), block by block, with MAC words and entry
   prevPCs annotated — the view the software provider's tooling shows.
@@ -15,7 +12,7 @@ Debug tooling around the simulators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..crypto.keys import DeviceKeys
 from ..errors import DecodingError
@@ -76,28 +73,6 @@ def trace(machine, max_instructions: int = 10_000) -> List[TraceEntry]:
     finally:
         machine.on_commit = None
     return entries
-
-
-def diff_traces(vanilla: List[TraceEntry],
-                sofia: List[TraceEntry]) -> Optional[Tuple[int, str]]:
-    """First semantic divergence between the two traces, if any.
-
-    Padding nops in the SOFIA trace are skipped; entries are compared by
-    instruction text and register effect (addresses necessarily differ).
-    Returns ``None`` when the filtered traces agree, else
-    ``(index, explanation)``.
-    """
-    meaningful = [e for e in sofia if e.text != "nop"]
-    plain = [e for e in vanilla if e.text != "nop"]
-    for i, (a, b) in enumerate(zip(plain, meaningful)):
-        same_effect = (a.changed_reg == b.changed_reg
-                       and a.new_value == b.new_value)
-        if a.text.split()[0] != b.text.split()[0] or not same_effect:
-            return i, (f"vanilla[{a.index}] {a.render()} vs "
-                       f"sofia[{b.index}] {b.render()}")
-    if len(plain) != len(meaningful):
-        return min(len(plain), len(meaningful)), "trace lengths differ"
-    return None
 
 
 def list_image(image: SofiaImage, keys: DeviceKeys) -> str:

@@ -15,18 +15,3 @@ lazy_facade(__name__, {
                     "rewrite_indirect_returns", "transform"),
     "verify": ("Finding", "ImageVerifier", "verify_image"),
 })
-
-__all__ = [
-    "Block", "BlockKind", "EntryAssignment",
-    "ProtectionProfile", "DEFAULT_PROFILE", "profile_grid",
-    "store_forbidden_slots",
-    "Layout", "LayoutStats", "build_layout",
-    "SofiaImage", "BlockRecord",
-    "seal", "block_plain_words", "word_prev_pcs",
-    "chain_prev_pcs", "reseal_block",
-    "seal_block", "unseal_block",
-    "transform", "prepare", "canonicalize_returns",
-    "rewrite_indirect_returns",
-    "verify_image", "ImageVerifier", "Finding",
-    "reencrypt", "rotate_nonce",
-]

@@ -47,11 +47,12 @@ simulator re-derives every check from the image's embedded profile.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Tuple
 
 from ..crypto.registry import (DEFAULT_CIPHER, cipher_code,
-                               cipher_from_code, get_cipher)
+                               cipher_from_code, cipher_names, get_cipher)
 
 #: renonce policies, in serialization-code order ("sequential" is the
 #: paper-faithful default: ω must be unique across program versions)
@@ -223,6 +224,62 @@ class ProtectionProfile:
 
 #: the paper's design point
 DEFAULT_PROFILE = ProtectionProfile()
+
+
+_MAC_RE = re.compile(r"^mac(\d+)$")
+_BW_RE = re.compile(r"^bw(\d+)$")
+
+
+def parse_mac_bits(bits: int) -> int:
+    """Seal width in bits -> ``mac_words``, with parse-time messages."""
+    if bits <= 0 or bits % 32:
+        raise ValueError(
+            f"mac width must be a positive multiple of 32 bits, "
+            f"got {bits}")
+    return bits // 32
+
+
+def check_block_words(value: int) -> int:
+    """``value`` as a block geometry, or a parse-time error."""
+    if not 0 < value <= MAX_BLOCK_WORDS:
+        raise ValueError(
+            f"block_words must be in 1..{MAX_BLOCK_WORDS}, got {value}")
+    return value
+
+
+def parse_profile_spec(spec: str) -> ProtectionProfile:
+    """Parse one design-point spec (or a :attr:`~ProtectionProfile.label`).
+
+    A spec is colon-separated tokens in any order: a registered cipher
+    name, ``mac<bits>``, a renonce policy, optionally ``bw<N>`` and
+    ``sched``.  ``rectangle-80/mac64/sequential`` (a label) parses too,
+    so a label printed by any report can be fed straight back to
+    ``--profile``/``--profiles``.  Numeric fields are checked here, with
+    messages that name the offending token (``mac0``, ``bw0``).
+    """
+    fields = {}
+    for token in re.split(r"[:/]", spec.strip()):
+        token = token.strip()
+        if not token:
+            continue
+        mac = _MAC_RE.match(token)
+        bw = _BW_RE.match(token)
+        if token in cipher_names():
+            fields["cipher"] = token
+        elif mac:
+            fields["mac_words"] = parse_mac_bits(int(mac.group(1)))
+        elif token in RENONCE_POLICIES:
+            fields["renonce"] = token
+        elif bw:
+            fields["block_words"] = check_block_words(int(bw.group(1)))
+        elif token == "sched":
+            fields["schedule_stores"] = True
+        else:
+            raise ValueError(
+                f"unknown profile token {token!r} in {spec!r} (expected a "
+                f"cipher {cipher_names()}, mac<bits>, a renonce policy "
+                f"{list(RENONCE_POLICIES)}, bw<N> or sched)")
+    return ProtectionProfile(**fields)
 
 
 def profile_grid(ciphers: Iterable[str] = ("rectangle-80", "present-80"),

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .base import (Workload, format_int_array, pcm_signal, register,
-                   scale_index)
+from .base import Workload, format_int_array, pcm_signal, scale_index
 
 INDEX_TABLE = [-1, -1, -1, -1, 2, 4, 6, 8, -1, -1, -1, -1, 2, 4, 6, 8]
 
@@ -200,8 +199,3 @@ def make_adpcm(scale: str = "small") -> Workload:
     return Workload(name="adpcm",
                     description="IMA ADPCM encode+decode (MediaBench-I)",
                     c_source=source, expected_output=expected)
-
-
-@register("adpcm")
-def _factory(scale: str) -> Workload:
-    return make_adpcm(scale)

@@ -11,7 +11,7 @@ end-to-end by comparing ``print_int`` streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import List
 
 from ..cc import CompiledProgram, compile_source
 
@@ -73,39 +73,6 @@ def format_int_array(name: str, values: List[int]) -> str:
     """Emit a minicc global array definition with initializers."""
     body = ", ".join(str(v) for v in values)
     return f"int {name}[{len(values)}] = {{{body}}};"
-
-
-#: registry of workload factories: name -> factory(scale) -> Workload
-_REGISTRY: Dict[str, Callable[[str], Workload]] = {}
-
-
-def register(name: str):
-    def wrap(factory: Callable[[str], Workload]):
-        _REGISTRY[name] = factory
-        return factory
-    return wrap
-
-
-def workload_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def make_workload(name: str, scale: str = "small") -> Workload:
-    """Instantiate a registered workload at a given scale.
-
-    Scales: ``tiny`` (unit tests), ``small`` (default benchmarks),
-    ``medium`` (longer runs for overhead measurements).
-    """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown workload {name!r}; "
-                       f"known: {workload_names()}") from None
-    return factory(scale)
-
-
-def all_workloads(scale: str = "small") -> List[Workload]:
-    return [make_workload(name, scale) for name in workload_names()]
 
 
 SCALE_SIZES = {"tiny": 0, "small": 1, "medium": 2}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .base import Workload, _LCG, format_int_array, register, scale_index
+from .base import Workload, _LCG, format_int_array, scale_index
 
 _SCALE_TICKS = (40, 200, 800)
 
@@ -173,8 +173,3 @@ def make_controller(scale: str = "small") -> Workload:
                     description="median-filtered PI controller with "
                                 "limp-home mode",
                     c_source=source, expected_output=expected)
-
-
-@register("controller")
-def _factory(scale: str) -> Workload:
-    return make_controller(scale)

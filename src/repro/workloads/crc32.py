@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import (Workload, _LCG, format_int_array, register, scale_index)
+from .base import Workload, _LCG, format_int_array, scale_index
 
 _SCALE_BYTES = (32, 256, 1024)
 POLY = 0xEDB88320
@@ -59,8 +59,3 @@ def make_crc32(scale: str = "small") -> Workload:
                     description="bitwise CRC-32 over a byte buffer",
                     c_source=source,
                     expected_output=[crc32_reference(data)])
-
-
-@register("crc32")
-def _factory(scale: str) -> Workload:
-    return make_crc32(scale)

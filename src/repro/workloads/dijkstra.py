@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import Workload, _LCG, format_int_array, register, scale_index
+from .base import Workload, _LCG, format_int_array, scale_index
 
 _SCALE_NODES = (8, 16, 28)
 INF = 0x3FFFFFFF
@@ -114,8 +114,3 @@ def make_dijkstra(scale: str = "small") -> Workload:
     return Workload(name="dijkstra",
                     description="Dijkstra shortest paths (dense graph)",
                     c_source=source, expected_output=expected)
-
-
-@register("dijkstra")
-def _factory(scale: str) -> Workload:
-    return make_dijkstra(scale)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import (Workload, format_int_array, pcm_signal, register,
-                   scale_index)
+from .base import Workload, format_int_array, pcm_signal, scale_index
 
 _SCALE_SAMPLES = (48, 300, 1500)
 TAPS = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8, 9, -7, 9, 3]
@@ -69,8 +68,3 @@ def make_fir(scale: str = "small") -> Workload:
         taps_def=format_int_array("taps", TAPS))
     return Workload(name="fir", description="16-tap integer FIR filter",
                     c_source=source, expected_output=expected)
-
-
-@register("fir")
-def _factory(scale: str) -> Workload:
-    return make_fir(scale)

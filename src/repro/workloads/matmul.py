@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .base import Workload, _LCG, format_int_array, register, scale_index
+from .base import Workload, _LCG, format_int_array, scale_index
 
 _SCALE_DIMS = (4, 8, 16)
 
@@ -68,8 +68,3 @@ def make_matmul(scale: str = "small") -> Workload:
     return Workload(name="matmul",
                     description=f"{dim}x{dim} integer matrix multiply",
                     c_source=source, expected_output=[trace, checksum])
-
-
-@register("matmul")
-def _factory(scale: str) -> Workload:
-    return make_matmul(scale)

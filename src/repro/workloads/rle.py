@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import Workload, _LCG, format_int_array, register, scale_index
+from .base import Workload, _LCG, format_int_array, scale_index
 
 _SCALE_BYTES = (48, 256, 1024)
 MAX_RUN = 255
@@ -115,8 +115,3 @@ def make_rle(scale: str = "small") -> Workload:
     return Workload(name="rle",
                     description="run-length encode/decode round trip",
                     c_source=source, expected_output=expected)
-
-
-@register("rle")
-def _factory(scale: str) -> Workload:
-    return make_rle(scale)

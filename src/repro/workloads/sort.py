@@ -6,7 +6,7 @@ that stress multiplexor blocks and return-point handling.
 
 from __future__ import annotations
 
-from .base import Workload, _LCG, format_int_array, register, scale_index
+from .base import Workload, _LCG, format_int_array, scale_index
 
 _SCALE_ELEMENTS = (24, 128, 512)
 
@@ -102,8 +102,3 @@ def make_sort(scale: str = "small") -> Workload:
     return Workload(name="sort",
                     description="recursive quicksort + binary search",
                     c_source=source, expected_output=expected)
-
-
-@register("sort")
-def _factory(scale: str) -> Workload:
-    return make_sort(scale)

@@ -1,9 +1,8 @@
-"""Tests for the instruction-level CFG builder and analyses."""
+"""Tests for the instruction-level CFG graph and builder."""
 
 import pytest
 
-from repro.cfg import (RESET_NODE, build_cfg, fan_in,
-                       multi_predecessor_nodes, stats, unreachable_nodes)
+from repro.cfg import RESET_NODE, build_cfg
 from repro.cfg.graph import ControlFlowGraph, Edge
 from repro.errors import CFGError
 from repro.isa import parse
@@ -33,11 +32,6 @@ class TestGraph:
         cfg.add_edge(0, 2, "jump")
         assert {e.dst for e in cfg.successors(0)} == {1, 2}
         assert {e.src for e in cfg.predecessors(2)} == {0, 1}
-
-    def test_reachable(self):
-        cfg = ControlFlowGraph(num_nodes=3, entry=0)
-        cfg.add_edge(0, 1, "fall")
-        assert cfg.reachable() == {0, 1}
 
 
 class TestBuilder:
@@ -166,8 +160,8 @@ class TestBuilder:
             build_cfg(program)
 
 
-class TestAnalysis:
-    def test_fan_in_counts_multi_pred(self):
+class TestJoins:
+    def test_join_has_both_predecessors(self):
         cfg = build_cfg(parse("""
         main:
             beq a0, a1, join
@@ -176,25 +170,4 @@ class TestAnalysis:
         join:
             halt
         """))
-        assert fan_in(cfg)[3] == 2
-        assert 3 in multi_predecessor_nodes(cfg)
-
-    def test_unreachable_nodes(self):
-        cfg = build_cfg(parse("""
-        main:
-            jmp end
-        dead:
-            nop
-            jmp end
-        end:
-            halt
-        """))
-        assert unreachable_nodes(cfg) == [1, 2]
-
-    def test_stats(self):
-        cfg = build_cfg(parse("main: nop\n halt\n"))
-        s = stats(cfg)
-        assert s.num_nodes == 2
-        assert s.reachable_nodes == 2
-        assert s.max_fan_out == 1
-        assert "nodes=2" in str(s)
+        assert {e.src for e in cfg.predecessors(3)} == {0, 2}

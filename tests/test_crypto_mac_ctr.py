@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import (DeviceKeys, EdgeKeystream, Rectangle80, cbc_mac,
                           derive_key, mac_words, pack_counter, verify)
-from repro.crypto.primitives import (MASK32, block_to_words, bytes_to_block,
-                                     block_to_bytes, words_to_block,
+from repro.crypto.primitives import (MASK32, block_to_words, words_to_block,
                                      words_to_blocks)
 
 WORDS = st.lists(st.integers(min_value=0, max_value=MASK32), min_size=1, max_size=8)
@@ -25,14 +24,6 @@ class TestPrimitives:
 
     def test_block_to_words_inverse(self):
         assert block_to_words(0x1122334455667788) == (0x11223344, 0x55667788)
-
-    def test_bytes_roundtrip(self):
-        block = 0x0102030405060708
-        assert bytes_to_block(block_to_bytes(block)) == block
-
-    def test_bytes_to_block_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            bytes_to_block(b"abc")
 
     def test_odd_word_count_pads_with_zero(self):
         assert words_to_blocks([0xAA]) == [0xAA << 32]

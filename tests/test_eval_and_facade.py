@@ -5,7 +5,7 @@ import pytest
 from repro import core
 from repro.errors import ReproError
 from repro.eval import (PAPER_ADPCM, experiment_blocksize,
-                        experiment_muxtree, experiment_security,
+                        experiment_cache, experiment_muxtree, experiment_security,
                         experiment_table1, format_overhead_rows,
                         measure_overhead, render_blocksize, render_muxtree,
                         render_unroll, experiment_unroll)
@@ -58,6 +58,11 @@ class TestExperiments:
         assert small.store_forbidden == ()
         assert large.store_forbidden == (0, 1)
         assert "Block-size" in render_blocksize(points)
+
+    def test_cache_sweep(self):
+        points = experiment_cache("tiny", (32, 128), "crc32")
+        assert [p.lines for p in points] == [32, 128]
+        assert points[0].cache_bytes == 32 * 32
 
     def test_muxtree_scaling_is_linear_in_fanin(self):
         points = experiment_muxtree(fan_ins=(2, 4, 8))

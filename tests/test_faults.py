@@ -5,8 +5,7 @@ import pytest
 from repro.crypto import DeviceKeys
 from repro.faults import (CodeBitFlip, CombinedFault, FaultOutcome,
                           PCGlitch, RegisterFault, VerifySkip,
-                          run_campaign, run_fault, sample_faults,
-                          with_trigger)
+                          run_campaign, run_fault, sample_faults)
 from repro.isa import parse
 from repro.sim import SofiaMachine, Status
 from repro.transform import transform
@@ -87,12 +86,6 @@ class TestFaultModels:
         assert result.outcome is not FaultOutcome.MASKED
         assert result.outcome in (FaultOutcome.DETECTED, FaultOutcome.SDC,
                                   FaultOutcome.CRASHED, FaultOutcome.HUNG)
-
-    def test_with_trigger_copies(self):
-        fault = CodeBitFlip(0, address=4, bit=1)
-        moved = with_trigger(fault, 99)
-        assert moved.trigger_instructions == 99
-        assert moved.address == 4
 
 
 class TestCampaign:

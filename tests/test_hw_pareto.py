@@ -2,8 +2,7 @@
 
 Covers the profile-driven hardware cost model
 (:mod:`repro.hwmodel.profilecost`), the sense-tuple generalization of the
-Pareto logic, the ``@u<N>`` hw-point label language, and the ``--hw``
-sweep/CLI integration — including the byte-determinism contract at any
+Pareto logic, and the ``--hw`` sweep/CLI integration — including the byte-determinism contract at any
 ``--jobs`` value.
 """
 
@@ -14,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.dse import (E17_SENSES, HW_SENSES, dominates, parse_hw_point,
-                       pareto_mask, run_dse)
+from repro.dse import (E17_SENSES, HW_SENSES, dominates, pareto_mask,
+                       run_dse)
 from repro.errors import HardwareModelError, ReproError
-from repro.hwmodel import (cipher_hw_profile, hw_point_label, legal_unrolls,
+from repro.hwmodel import (cipher_hw_profile, legal_unrolls,
                            min_legal_unroll, parse_unroll_specs,
-                           profile_cost, profile_costs, resolve_unrolls,
+                           profile_cost, resolve_unrolls,
                            sofia_profile_components)
 from repro.transform import ProtectionProfile
+from repro.transform.profile import parse_profile_spec
 
 DEFAULT = ProtectionProfile()
 PRESENT64 = ProtectionProfile(cipher="present-80")
@@ -75,7 +75,7 @@ class TestProfileCost:
         assert profile_cost(DEFAULT.with_block_words(32)).slices == 7_559
 
     def test_deeper_unroll_trades_area_for_clock(self):
-        costs = profile_costs(DEFAULT, specs=(13, 20, 26))
+        costs = [profile_cost(DEFAULT, unroll) for unroll in (13, 20, 26)]
         assert [c.unroll for c in costs] == [13, 20, 26]
         slices = [c.slices for c in costs]
         clocks = [c.clock_mhz for c in costs]
@@ -112,7 +112,7 @@ class TestProfileCost:
         assert cipher_hw_profile(PRESENT64).rounds == 31
 
 
-# -- the hw-point label language ------------------------------------------
+# -- the hw-point label ---------------------------------------------------
 
 profiles_st = st.builds(
     ProtectionProfile,
@@ -133,26 +133,15 @@ def hw_points_st(draw):
 
 class TestHwPointLabels:
     @given(hw_points_st())
-    def test_label_round_trips(self, point):
+    def test_label_is_the_profile_label_at_its_unroll(self, point):
         profile, unroll = point
-        label = hw_point_label(profile, unroll)
-        assert parse_hw_point(label) == (profile, unroll)
-        # and profile_cost agrees on the same label
-        assert profile_cost(profile, unroll).label == label
+        spec, suffix = profile_cost(profile, unroll).label.rsplit("@u", 1)
+        assert parse_profile_spec(spec) == profile
+        assert suffix == str(unroll)
 
     @given(profiles_st)
-    def test_bare_spec_means_minimum_unroll(self, profile):
-        parsed, unroll = parse_hw_point(profile.label)
-        assert parsed == profile
-        assert unroll == min_legal_unroll(profile)
-
-    def test_bad_suffixes_rejected(self):
-        with pytest.raises(ValueError, match="bad unroll suffix"):
-            parse_hw_point("rectangle-80:mac64@13")
-        with pytest.raises(ValueError, match="not legal"):
-            parse_hw_point("rectangle-80:mac64@u12")
-        with pytest.raises(ValueError, match="not legal"):
-            parse_hw_point("present-80:mac64@u13")
+    def test_default_unroll_is_the_minimum_legal(self, profile):
+        assert profile_cost(profile).unroll == min_legal_unroll(profile)
 
 
 # -- sense-tuple Pareto properties ----------------------------------------
@@ -241,6 +230,13 @@ class TestHwSweep:
             assert row.si_years == point.si_years
             assert row.area_delay == pytest.approx(
                 row.slices * row.path_ns, rel=1e-6)
+
+    def test_hw_rows_agree_with_the_cost_model(self, report):
+        # a sweep row renders its own label; it must name the same point
+        # profile_cost labels and prices
+        for row in report.hw_points:
+            hw = profile_cost(parse_profile_spec(row.profile), row.unroll)
+            assert (row.label, row.slices) == (hw.label, hw.slices)
 
     def test_record_carries_the_hw_block(self, report):
         record = report.to_record()

@@ -84,12 +84,8 @@ class TestComponents:
             RECTANGLE_PROFILE.cycles_per_op(-3)
 
     def test_min_sustaining_unroll(self):
-        assert RECTANGLE_PROFILE.min_sustaining_unroll(2) == 13
-        assert PRESENT_PROFILE.min_sustaining_unroll(2) == 16
-        assert RECTANGLE_PROFILE.min_sustaining_unroll(1) == 26
-        assert RECTANGLE_PROFILE.min_sustaining_unroll(100) == 1
-        with pytest.raises(HardwareModelError, match="cycles_budget"):
-            RECTANGLE_PROFILE.min_sustaining_unroll(0)
+        assert RECTANGLE_PROFILE.min_sustaining_unroll() == 13
+        assert PRESENT_PROFILE.min_sustaining_unroll() == 16
 
     def test_report_renders(self):
         for component in (leon3_components()

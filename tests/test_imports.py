@@ -3,22 +3,28 @@
 A package facade resolves its public names on first access
 (:func:`repro._lazy.lazy_facade`), a campaign package imports at load
 everything its campaign runs, and the CLI imports inside each handler.
-These tests pin the three import boundaries that rule buys, check that
-every public name still resolves to the object its defining module
-exports whatever was imported first, and keep ``src/repro`` free of
-imports nothing uses.  The boundaries run in fresh interpreters, since
-this process has imported everything by now.
+These tests pin the import boundaries that rule buys, check that every
+public name still resolves to the object its defining module exports
+whatever was imported first and that something outside the tests uses
+it, and keep ``src/repro`` free of imports nothing uses.  The boundaries
+run in fresh interpreters, since this process has imported everything
+by now.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
+
+from repro._lazy import lazy_facade
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "repro"
@@ -79,6 +85,30 @@ def test_cli_parser_loads_no_command_modules():
                    "repro.attacksynth", "repro.fuzz", "repro.faults",
                    "repro.workloads", "multiprocessing"):
         assert module not in loaded, module
+
+
+def test_protect_with_a_profile_loads_no_campaign(tmp_path):
+    """``--profile`` parsing lives beside ``ProtectionProfile``: naming a
+    design point loads none of the campaign packages."""
+    source = tmp_path / "p.s"
+    source.write_text("main:\n    halt\n")
+    argv = ["protect", str(source), "-o", str(tmp_path / "p.sofia"),
+            "--profile", "rectangle-80:mac64:sequential"]
+    loaded = _loaded_after(
+        f"import repro.cli; assert repro.cli.main({argv!r}) == 0")
+    assert sorted(name for name in loaded if name.startswith(
+        ("repro.dse", "repro.eval", "repro.faults",
+         "repro.attacksynth"))) == []
+
+
+def test_profile_spec_parser_has_one_definition():
+    """``repro.dse`` and ``repro.dse.grid`` re-export the parser that lives
+    beside ``ProtectionProfile``; none defines a second one."""
+    from repro import dse
+    from repro.dse import grid
+    from repro.transform import profile
+    assert dse.parse_profile_spec is profile.parse_profile_spec
+    assert grid.parse_profile_spec is profile.parse_profile_spec
 
 
 #: per campaign kind: what its set-up imports and builds, then one small
@@ -168,6 +198,90 @@ def test_public_names_survive_any_import_order():
         print(json.dumps(problems))
     """)
     assert problems == []
+
+
+def test_facades_declare_each_name_once():
+    """A lazy facade's exports map is its ``__all__``: no facade
+    ``__init__`` assigns a second list (``+=`` adds names the package
+    defines itself)."""
+    twice = []
+    for path in sorted(PACKAGE.rglob("__init__.py")):
+        text = path.read_text()
+        if "lazy_facade(" in text and any(
+                isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets)
+                for node in ast.parse(text).body):
+            twice.append(str(path.relative_to(SRC)))
+    assert twice == []
+
+
+def test_lazy_facade_all_is_its_exports_in_map_order(monkeypatch):
+    package = types.ModuleType("facade_under_test")
+    monkeypatch.setitem(sys.modules, package.__name__, package)
+    lazy_facade(package.__name__, {"later": ("zeta", "alpha"),
+                                   "early": ("mid",)})
+    assert package.__all__ == ["zeta", "alpha", "mid"]
+    assert [name for name in dir(package) if not name.startswith("_")] \
+        == ["alpha", "early", "later", "mid", "zeta"]
+    with pytest.raises(AttributeError, match="no attribute 'omega'"):
+        package.omega
+
+
+#: public names that nothing outside the tests uses, each with the
+#: reason it stays
+TEST_ONLY_NAMES = {
+    "repro.protect_and_run": "the repro.core facade: protect and run in "
+                             "one call",
+    "repro.isa.assemble_text": "test helper: parse and assemble in one call",
+    "repro.isa.is_valid_word": "test helper: keeps the decodable words of "
+                               "a random stream",
+    "repro.transform.block_plain_words": "test reference: a block's "
+                                         "plaintext, seal words first",
+    "repro.transform.word_prev_pcs": "test reference: the prevPC that "
+                                     "encrypts each word of a block",
+    "repro.transform.rotate_nonce": "test helper: renonce under the image "
+                                    "profile's policy",
+}
+
+#: where a caller of a public name may live besides ``src/repro``
+OUTSIDE_SRC = ("examples", "benchmarks", "perfbench", ".github")
+
+
+def _names_src_uses():
+    """Every name code under ``src/repro`` reads, calls or imports.
+    Definitions do not count, nor the re-exports of a package
+    ``__init__``; comments and strings are not code."""
+    used = set()
+    for path in PACKAGE.rglob("*.py"):
+        reexports = path.name == "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(
+                    node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and not reexports:
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public name stays only while ``src/repro`` uses it, or an
+    example, benchmark, perfbench or CI file names it; otherwise it is on
+    :data:`TEST_ONLY_NAMES` with its reason."""
+    used = _names_src_uses()
+    root = SRC.parent
+    outside = "\n".join(
+        path.read_text() for folder in OUTSIDE_SRC
+        for path in sorted((root / folder).rglob("*"))
+        if path.suffix in (".py", ".yml"))
+    uncalled = sorted(
+        f"{package}.{name}" for package in _packages()
+        for name in importlib.import_module(package).__all__
+        if name not in used
+        and not re.search(rf"\b{re.escape(name)}\b", outside))
+    assert uncalled == sorted(TEST_ONLY_NAMES)
 
 
 # -- unused imports --------------------------------------------------------

@@ -9,8 +9,8 @@ from repro import obs
 from repro.cli import main
 from repro.obs import (EVENT_TYPES, DEFAULT_BOUNDS, EventLog, Histogram,
                        MetricsRegistry, ProgressMeter, Telemetry,
-                       chrome_trace, hook, load_metrics,
-                       read_events, summarize, validate_event)
+                       chrome_trace, hook, read_events, summarize,
+                       validate_event)
 from repro.obs.telemetry import SILENT, current
 from repro.runner import run_tasks, run_tasks_stored
 
@@ -197,7 +197,7 @@ class TestTelemetry:
         assert (records[-1]["event"], records[-1]["status"]) == \
             ("campaign-end", "completed")
 
-        metrics = load_metrics(tmp_path / "tel")
+        metrics = json.loads((tmp_path / "tel" / "metrics.json").read_text())
         assert sorted(metrics) == ["counters", "histograms"]
         assert metrics["counters"]["tasks.completed"] == 2
         assert metrics["counters"]["sim.runs.fast"] == 2

@@ -294,7 +294,8 @@ class TestImageProfileEmbedding:
             SofiaImage.from_bytes(bytes(blob))
 
     def test_cipher_comes_from_the_profile_not_the_keys(self):
-        present_keys = DeviceKeys.from_seed(9, cipher_factory=Present80)
+        present_keys = DeviceKeys.from_seed(9).for_profile(
+            ProtectionProfile(cipher="present-80"))
         image = transform(parse(CALLS), present_keys, nonce=4)
         assert image.profile == DEFAULT_PROFILE
         rectangle_keys = DeviceKeys.from_seed(9)

@@ -99,7 +99,7 @@ class TestVanillaMachine:
         r = VanillaMachine(assemble_text(COUNTER)).run()
         assert r.icache is not None
         assert r.icache.accesses == r.instructions
-        assert r.icache.hit_rate > 0.9  # tight loop
+        assert r.icache.hits > 9 * r.icache.misses  # tight loop
 
     def test_self_modifying_code_sees_new_bytes(self, engine):
         # the decode cache must be invalidated by code writes

@@ -121,7 +121,6 @@ class TestICache:
         cache.access(4)
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
 
     def test_flush(self):
         cache = DirectMappedCache(lines=2, line_words=2)

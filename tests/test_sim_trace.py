@@ -4,8 +4,7 @@ import re
 
 from repro.crypto import DeviceKeys
 from repro.isa import assemble_text, parse
-from repro.sim import (SofiaMachine, VanillaMachine, diff_traces,
-                       list_image, trace)
+from repro.sim import SofiaMachine, VanillaMachine, list_image, trace
 from repro.transform import transform
 from repro.workloads import make_workload
 
@@ -46,20 +45,18 @@ class TestVanillaTrace:
 
 class TestSofiaTrace:
     def test_traces_align_after_nop_filtering(self):
+        # the SOFIA trace is the vanilla one plus padding nops: the same
+        # mnemonics with the same register effects (addresses differ)
         program = parse(SOURCE)
         vanilla = trace(VanillaMachine(assemble_text(SOURCE)))
         image = transform(program, KEYS, nonce=0x11)
         sofia = trace(SofiaMachine(image, KEYS))
-        assert diff_traces(vanilla, sofia) is None
 
-    def test_diff_detects_divergence(self):
-        vanilla = trace(VanillaMachine(assemble_text(SOURCE)))
-        other_src = SOURCE.replace("li t0, 3", "li t0, 5")
-        other = trace(VanillaMachine(assemble_text(other_src)))
-        divergence = diff_traces(vanilla, other)
-        assert divergence is not None
-        index, explanation = divergence
-        assert index == 0 and "vanilla[" in explanation
+        def effects(entries):
+            return [(e.text.split()[0], e.changed_reg, e.new_value)
+                    for e in entries if e.text != "nop"]
+
+        assert effects(sofia) == effects(vanilla)
 
 
 class TestListing:

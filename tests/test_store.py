@@ -15,8 +15,7 @@ from repro import obs
 from repro.obs import Telemetry
 from repro.runner import (ResultStore, ShardSpec, code_version,
                           merge_stores, parse_shard, run_tasks_stored,
-                          shard_partition, stable_digest, task_key,
-                          task_keys)
+                          task_key, task_keys)
 
 
 class TestCodeVersion:
@@ -37,13 +36,13 @@ class TestTaskKey:
         b = task_key("fault", {"seed": 1}, {"bit": 3})
         assert a == b and len(a) == 64
 
-    def test_sensitive_to_every_component(self):
+    def test_sensitive_to_every_component(self, monkeypatch):
         base = task_key("fault", {"seed": 1}, {"bit": 3})
         assert task_key("fuzz", {"seed": 1}, {"bit": 3}) != base
         assert task_key("fault", {"seed": 2}, {"bit": 3}) != base
         assert task_key("fault", {"seed": 1}, {"bit": 4}) != base
-        assert task_key("fault", {"seed": 1}, {"bit": 3},
-                        code="other") != base
+        monkeypatch.setenv("REPRO_CODE_VERSION", "other")
+        assert task_key("fault", {"seed": 1}, {"bit": 3}) != base
 
     def test_set_valued_context_is_order_free(self):
         # sets serialize canonically, so the same logical context always
@@ -51,11 +50,6 @@ class TestTaskKey:
         a = task_key("c", {"models": {"alpha", "beta", "gamma"}}, 0)
         b = task_key("c", {"models": {"gamma", "alpha", "beta"}}, 0)
         assert a == b
-
-    def test_stable_digest_matches_across_shapes(self):
-        assert stable_digest({"a": 1, "b": 2}) == \
-            stable_digest({"b": 2, "a": 1})
-        assert stable_digest([1, 2]) != stable_digest([2, 1])
 
 
 class TestTaskKeys:
@@ -69,12 +63,12 @@ class TestTaskKeys:
         {}, {"seed": 1}, {"models": {"alpha", "beta", "gamma"}},
         {"nested": {"z": [1, 2], "a": {"q", "p"}}, "\u00e9": "\u2603"},
         [3, 1], None])
-    def test_equal_to_task_key(self, context):
+    def test_equal_to_task_key(self, context, monkeypatch):
         assert task_keys("c", context, self.TASKS) == [
             task_key("c", context, task) for task in self.TASKS]
-        assert task_keys("c", context, self.TASKS, code="pinned") == [
-            task_key("c", context, task, code="pinned")
-            for task in self.TASKS]
+        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+        assert task_keys("c", context, self.TASKS) == [
+            task_key("c", context, task) for task in self.TASKS]
 
     def test_set_ordering_is_canonical(self):
         a = task_keys("c", {"models": {"alpha", "beta", "gamma"}},
@@ -369,8 +363,8 @@ class TestShardSpec:
 
     def test_partition_is_a_disjoint_cover(self):
         items = list(range(11))
-        slices = [shard_partition(items, ShardSpec(i, 3))
+        slices = [[x for x in items if ShardSpec(i, 3).owns(x)]
                   for i in (1, 2, 3)]
         union = sorted(x for part in slices for x in part)
         assert union == items
-        assert shard_partition(items, ShardSpec(1, 3)) == [0, 3, 6, 9]
+        assert slices[0] == [0, 3, 6, 9]

@@ -195,8 +195,6 @@ class TestInvariants:
 
     def test_program_without_terminator_rejected(self):
         program = parse("main: jmp main\n")
-        program.instructions = program.instructions[:0] + [
-            program.instructions[0].with_symbol(None).with_imm(0)]
         # craft: single addi with no terminator
         from repro.isa import Instruction
         program.instructions = [Instruction("addi", rd=4, rs1=4, imm=1)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import workloads
 from repro.crypto import DeviceKeys
 from repro.isa import assemble
 from repro.sim import SofiaMachine, VanillaMachine
@@ -20,8 +21,16 @@ class TestRegistry:
                                     "sort"]
 
     def test_unknown_workload(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="known: \\['adpcm'"):
             make_workload("doom")
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_name_resolves_to_its_own_factory(self, name):
+        # one table maps each name to make_<name>: a swapped or stale
+        # entry would hand back another program under this name
+        workload = make_workload(name, "tiny")
+        assert workload.name == name
+        assert workload == getattr(workloads, f"make_{name}")("tiny")
 
     def test_unknown_scale(self):
         with pytest.raises(ValueError):
