@@ -34,7 +34,7 @@ printed beside the gated one (``warm/s``, ``vs warm``) but not gated.
 ``test_batch_lockstep_smoke`` is the cheap CI guard: identity only, no
 timing.  The full gate (``test_fault_campaign_speedup``) prints the E18
 table and writes the JSON/CSV artifacts via
-:func:`repro.eval.export.record_json` / ``batch_csv``.
+:func:`repro.eval.export.record_json` / ``write_csv``.
 """
 
 import json
@@ -42,7 +42,7 @@ import time
 from dataclasses import replace
 
 from repro.crypto import DeviceKeys
-from repro.eval.export import batch_csv, record_json
+from repro.eval.export import BATCH_CSV_HEADER, record_json, write_csv
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
 from repro.obs import hook as obs_hook
 from repro.sim import GoldenTrace
@@ -167,7 +167,7 @@ def test_batch_lockstep_smoke():
 def test_fault_campaign_speedup(tmp_path, bench_environment):
     """E18 gate: >= 5x specimens/sec on the detect-heavy E15 population,
     plus an E17 design-point row and the mixed-model regime, all
-    byte-identical; artifacts exported through record_json/batch_csv."""
+    byte-identical; artifacts exported through record_json/write_csv."""
     rows = []
 
     # E15 victim, protected-surface population — the headline row
@@ -217,7 +217,7 @@ def test_fault_campaign_speedup(tmp_path, bench_environment):
     }
     text = record_json(record, tmp_path / "e18_batch.json")
     assert json.loads(text)["identical"] is True
-    batch_csv(rows, tmp_path / "e18_batch.csv")
+    write_csv(BATCH_CSV_HEADER, rows, tmp_path / "e18_batch.csv")
     assert (tmp_path / "e18_batch.csv").read_text().count("\n") == (
         len(rows) + 1)
 

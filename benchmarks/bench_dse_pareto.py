@@ -23,7 +23,7 @@ assertions pin the design-space shape rather than exact numbers:
 
 import json
 
-from repro.dse import default_grid, run_dse
+from repro.dse import run_dse
 from repro.transform import ProtectionProfile, profile_grid
 
 SMOKE_ARGS = dict(seed=0xE17, workloads=("crc32",), scale="tiny",
@@ -57,7 +57,7 @@ def test_dse_smoke(tmp_path):
 
 def test_dse_pareto_table():
     """The E17 artifact: the full grid and its Pareto front."""
-    grid = default_grid()
+    grid = profile_grid()
     report = run_dse(grid, seed=0xE171, workloads=("crc32", "rle"),
                      scale="tiny", programs=2, per_model=2)
     print("\n" + report.render())

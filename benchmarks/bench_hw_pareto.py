@@ -22,13 +22,13 @@ shape rather than exact numbers:
 import json
 
 from repro.dse import run_dse
-from repro.hwmodel import min_legal_unroll, profile_cost
+from repro.hwmodel import legal_unrolls, profile_cost
 from repro.transform import ProtectionProfile, profile_grid
 
 PAPER_HW_LABEL = "rectangle-80/mac64/sequential@u13"
 
 SMOKE_ARGS = dict(seed=0xE17, workloads=("crc32",), scale="tiny",
-                  programs=2, per_model=2, hw=True)
+                  programs=2, per_model=2, unrolls=("min",))
 
 
 def test_hw_pareto_smoke(tmp_path):
@@ -46,7 +46,7 @@ def test_hw_pareto_smoke(tmp_path):
     assert PAPER_HW_LABEL in front, front
     # every measured point got exactly its minimum-unroll variant
     assert ([row.label for row in report.hw_points]
-            == [f"{p.label}@u{min_legal_unroll(p)}" for p in grid])
+            == [profile_cost(p).label for p in grid])
     fanned = run_dse(grid, jobs=4,
                      export_path=tmp_path / "p.json",
                      csv_path=tmp_path / "p.csv", **SMOKE_ARGS)
@@ -60,15 +60,15 @@ def test_hw_pareto_table():
     grid = profile_grid()
     report = run_dse(grid, seed=0xE20, workloads=("crc32",),
                      scale="tiny", programs=2, per_model=2,
-                     hw=True, unrolls=("min", 20, 26))
+                     unrolls=("min", 20, 26))
     print("\n" + report.render())
     assert report.ok, report.render()
 
     # per-cipher fetch-sustaining minimum, straight from the round counts
     rect = ProtectionProfile()
     present = ProtectionProfile(cipher="present-80")
-    assert min_legal_unroll(rect) == 13
-    assert min_legal_unroll(present) == 16
+    assert legal_unrolls(rect).start == 13
+    assert legal_unrolls(present).start == 16
 
     # the cipher-choice argument: at the sustaining point RECTANGLE is
     # the faster (and cheaper, by area-delay) datapath
@@ -80,7 +80,8 @@ def test_hw_pareto_table():
     # area monotone, clock anti-monotone in unroll, per design point
     by_profile = {}
     for row in report.hw_points:
-        by_profile.setdefault(row.profile, []).append(row)
+        by_profile.setdefault(row.hardware.profile_label, []).append(
+            row.hardware)
     for rows in by_profile.values():
         assert [r.unroll for r in rows] == sorted(r.unroll for r in rows)
         slices = [r.slices for r in rows]

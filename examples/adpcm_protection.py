@@ -7,12 +7,13 @@ the published numbers (code size, cycle overhead, total execution-time
 overhead with the Table I clock ratio).
 """
 
-from repro.eval import experiment_adpcm, experiment_table1
+from repro.eval import experiment_adpcm
+from repro.hwmodel import table1
 from repro.workloads import make_workload
 
 
 def main() -> None:
-    table = experiment_table1()
+    table = table1()
     print(table.render())
     print()
 

@@ -20,9 +20,9 @@ dse.json --csv dse.csv``.
 
 from repro.dse import run_dse
 from repro.eval import (experiment_blocksize, experiment_cache,
-                        experiment_security, experiment_unroll,
-                        render_blocksize, render_cache, render_unroll)
-from repro.hwmodel import cipher_ablation
+                        experiment_security, render_blocksize, render_cache,
+                        render_unroll)
+from repro.hwmodel import cipher_ablation, unroll_ablation
 from repro.security import cfi_attack_years, si_forgery_years
 from repro.transform import profile_grid
 
@@ -32,7 +32,7 @@ def main() -> None:
         experiment_blocksize(scale="small", block_words=(6, 8))))
     print()
 
-    points = experiment_unroll()
+    points = unroll_ablation()
     shown = [p for p in points if p.unroll in (1, 6, 13, 26)]
     print(render_unroll(shown))
     chosen = next(p for p in points if p.unroll == 13)

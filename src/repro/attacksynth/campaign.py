@@ -22,7 +22,6 @@ Program sources, in precedence order:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from ..baselines.isr import EcbIsrMachine, XorIsrMachine
 from ..crypto.keys import DEFAULT_KEY_SEED, DeviceKeys, derive_key
 from ..errors import CampaignError, ReproError, check_count
-from ..eval.export import attacksynth_csv, record_json
+from ..eval.export import ATTACKSYNTH_CSV_HEADER, record_json, write_csv
 from ..fuzz.corpus import Corpus
 from ..fuzz.generators import Genome, generate, random_genome
 from ..fuzz.oracle import build_program
@@ -196,7 +195,6 @@ class SynthReport:
     #: cross-check uses its actual mac_bits, not the paper constant
     profile: ProtectionProfile = DEFAULT_PROFILE
     programs: List[ProgramOutcome] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
     #: ``False`` for a sharded invocation that skipped tasks owned by
     #: other shards: aggregation covers only the programs present, and
     #: no campaign artifact is exported until a merged store completes it
@@ -410,7 +408,6 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     if per_program is not None:
         check_count("per_program", per_program)
     check_writable(export_path, csv_path)
-    started = time.perf_counter()
     with obs_phase("plan"):
         source, genomes = _campaign_genomes(programs, seed, corpus_dir)
     report = SynthReport(seed=seed, key_seed=key_seed, source=source,
@@ -437,7 +434,6 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     report.programs = [outcome for outcome in run.results
                        if outcome is not None]
     report.complete = run.complete
-    report.elapsed_seconds = time.perf_counter() - started
     if run.complete:
         with obs_phase("export"):
             _export(report, export_path, csv_path)
@@ -457,7 +453,6 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
     if per_program is not None:
         check_count("per_program", per_program)
     check_writable(export_path, csv_path)
-    started = time.perf_counter()
     # provision for the image's embedded design point (cipher included)
     keys = DeviceKeys.from_seed(key_seed).for_profile(image.profile)
     report = SynthReport(seed=seed, key_seed=key_seed, source="image",
@@ -473,7 +468,6 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
             f"clean run of the image failed: {clean.summary()} "
             f"(wrong --key-seed, or a corrupt image?)")
         report.programs = [outcome]
-        report.elapsed_seconds = time.perf_counter() - started
         return report
     clean_obs = observables(clean)
     rng = task_rng(seed, "attacksynth-image")
@@ -485,7 +479,6 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
         result.hijacked = (TARGET_SOFIA,) if hij else ()
         outcome.instances.append(result)
     report.programs = [outcome]
-    report.elapsed_seconds = time.perf_counter() - started
     _export(report, export_path, csv_path)
     return report
 
@@ -496,4 +489,5 @@ def _export(report: SynthReport, export_path, csv_path) -> None:
     if export_path is not None:
         record_json(report.to_record(), export_path)
     if csv_path is not None:
-        attacksynth_csv(report.matrix().csv_rows(), csv_path)
+        write_csv(ATTACKSYNTH_CSV_HEADER, report.matrix().csv_rows(),
+                  csv_path)

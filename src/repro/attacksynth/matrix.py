@@ -67,7 +67,8 @@ class DetectionMatrix:
         return self._hijacked.get((family, target), 0)
 
     def csv_rows(self) -> List[Dict[str, int]]:
-        """Rows for :func:`repro.eval.export.attacksynth_csv`."""
+        """Rows for the E16 CSV
+        (:data:`repro.eval.export.ATTACKSYNTH_CSV_HEADER`)."""
         rows = []
         for family in self.families():
             for target in self.targets():

@@ -343,9 +343,10 @@ def cmd_dse(args) -> int:
                          "hardware axes)")
     try:
         profiles = resolve_profiles(args.profiles, args.grid)
-        unrolls = (parse_unroll_specs(args.unroll)
-                   if args.unroll is not None else None)
-        if unrolls is not None:
+        unrolls = None
+        if args.hw:
+            unrolls = parse_unroll_specs(
+                "min" if args.unroll is None else args.unroll)
             check_unroll_specs(profiles, unrolls)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -354,9 +355,6 @@ def cmd_dse(args) -> int:
     kwargs = {}
     if workloads:
         kwargs["workloads"] = workloads
-    if args.hw:
-        kwargs["hw"] = True
-        kwargs["unrolls"] = unrolls
     with _campaign(args, "dse", profiles=len(profiles), seed=args.seed,
                    scale=args.scale):
         report = run_dse(profiles, seed=args.seed, key_seed=args.key_seed,
@@ -364,7 +362,8 @@ def cmd_dse(args) -> int:
                          per_model=args.per_model,
                          jobs=args.jobs, export_path=args.export,
                          csv_path=args.csv,
-                         store_dir=args.resume, shard=args.shard, **kwargs)
+                         store_dir=args.resume, shard=args.shard,
+                         unrolls=unrolls, **kwargs)
     print(report.render())
     if not report.complete:
         _shard_note(args, f"{len(report.points)} design point(s) "
@@ -479,19 +478,19 @@ def cmd_merge(args) -> int:
     return 0
 
 
-#: experiment name -> its printed artifact, given the ``repro.eval``
-#: facade and ``--jobs``
+#: experiment name -> its printed artifact, given the ``repro.eval`` and
+#: ``repro.hwmodel`` facades and ``--jobs``
 _EXPERIMENTS = {
-    "table1": lambda ev, jobs: ev.experiment_table1().render(),
-    "adpcm": lambda ev, jobs: ev.experiment_adpcm("small").render(),
-    "security": lambda ev, jobs: ev.experiment_security(
+    "table1": lambda ev, hw, jobs: hw.table1().render(),
+    "adpcm": lambda ev, hw, jobs: ev.experiment_adpcm("small").render(),
+    "security": lambda ev, hw, jobs: ev.experiment_security(
         100, jobs=jobs).render(),
-    "blocksize": lambda ev, jobs: ev.render_blocksize(
+    "blocksize": lambda ev, hw, jobs: ev.render_blocksize(
         ev.experiment_blocksize("tiny", (6, 8), jobs=jobs)),
-    "muxtree": lambda ev, jobs: ev.render_muxtree(
+    "muxtree": lambda ev, hw, jobs: ev.render_muxtree(
         ev.experiment_muxtree((1, 2, 4, 8))),
-    "unroll": lambda ev, jobs: ev.render_unroll(ev.experiment_unroll()),
-    "workloads": lambda ev, jobs: ev.format_overhead_rows(
+    "unroll": lambda ev, hw, jobs: ev.render_unroll(hw.unroll_ablation()),
+    "workloads": lambda ev, hw, jobs: ev.format_overhead_rows(
         ev.experiment_workloads("tiny", jobs=jobs)),
 }
 
@@ -505,6 +504,7 @@ def cmd_report(args) -> int:
 
 def cmd_experiments(args) -> int:
     from . import eval as evaluation
+    from . import hwmodel
     names = args.names or sorted(_EXPERIMENTS)
     unknown = [name for name in names if name not in _EXPERIMENTS]
     if unknown:
@@ -512,7 +512,7 @@ def cmd_experiments(args) -> int:
                          f"known: {sorted(_EXPERIMENTS)}")
     for name in names:
         print(f"==== {name} ====")
-        print(_EXPERIMENTS[name](evaluation, args.jobs))
+        print(_EXPERIMENTS[name](evaluation, hwmodel, args.jobs))
         print()
     return 0
 

@@ -14,16 +14,14 @@ Entry points: :func:`run_dse` (library), ``repro dse`` (CLI),
 from .campaign import (DEFAULT_PROGRAMS, DEFAULT_SCALE, DEFAULT_SEED,
                        DEFAULT_WORKLOADS, DesignPointRow, DseReport,
                        HwPointRow, run_dse)
-from .grid import (default_grid, parse_grid, parse_profile_spec,
-                   parse_profiles, resolve_profiles)
+from .grid import parse_grid, parse_profiles, resolve_profiles
 from .pareto import E17_SENSES, HW_SENSES, dominates, pareto_mask
 
 __all__ = [
     "run_dse", "DseReport", "DesignPointRow", "HwPointRow",
     "DEFAULT_SEED", "DEFAULT_SCALE", "DEFAULT_WORKLOADS",
     "DEFAULT_PROGRAMS",
-    "default_grid", "parse_grid", "parse_profiles", "parse_profile_spec",
-    "resolve_profiles",
+    "parse_grid", "parse_profiles", "resolve_profiles",
     "dominates", "pareto_mask",
     "E17_SENSES", "HW_SENSES",
 ]

@@ -19,19 +19,20 @@ wall-clock or worker-count fields).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..attacksynth.campaign import run_attacksynth
 from ..crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
 from ..errors import ReproError
-from ..eval.export import DSE_HW_CSV_HEADER, dse_csv, record_json
+from ..eval.export import (DSE_CSV_HEADER, DSE_HW_CSV_HEADER,
+                           record_json, write_csv)
 from ..eval.overhead import measure_overhead
 from ..faults.campaign import FaultOutcome
 from ..faults.campaign import run_campaign as run_fault_campaign
 from ..hwmodel.components import CYCLES_BUDGET
-from ..hwmodel.profilecost import (UnrollSpec, legal_unrolls, profile_cost,
+from ..hwmodel.profilecost import (ProfileHardware, UnrollSpec,
+                                   legal_unrolls, profile_cost,
                                    resolve_unrolls)
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, check_writable,
@@ -121,7 +122,9 @@ class DesignPointRow:
 
 @dataclass
 class HwPointRow:
-    """One (design point, unroll) hardware variant of the E20 front.
+    """One (design point, unroll) hardware variant of the E20 front: the
+    priced :class:`~repro.hwmodel.profilecost.ProfileHardware` and the
+    measured objectives of its design point.
 
     Derived *after* the sweep by pure arithmetic on the profile
     (:func:`repro.hwmodel.profilecost.profile_cost`) — never stored, never
@@ -129,44 +132,36 @@ class HwPointRow:
     the hardware axes are byte-deterministic at any ``--jobs``.
     """
 
-    profile: str        # base profile label
-    cipher: str
-    unroll: int
-    min_unroll: int
-    cipher_cycles: int
-    datapath_slices: int
-    sofia_slices: int
-    slices: int
-    path_ns: float
-    clock_mhz: float
-    area_delay: float   # slices x path_ns, the scalar hardware cost
+    hardware: ProfileHardware
     cycle_overhead: float
     si_years: float
 
     @property
     def label(self) -> str:
-        """``<profile>@u<N>``, e.g. ``...sequential@u13``."""
-        return f"{self.profile}@u{self.unroll}"
+        return self.hardware.label
 
     @property
     def objectives(self) -> Objectives:
-        """(cycle_overhead min, si_years max, area_delay min)."""
-        return (self.cycle_overhead, self.si_years, self.area_delay)
+        """(cycle_overhead min, si_years max, area_delay min), on the
+        exported (rounded) area-delay."""
+        return (self.cycle_overhead, self.si_years,
+                _round(self.hardware.area_delay))
 
     def to_record(self) -> Dict:
+        hw = self.hardware
         return {
-            "label": self.label,
-            "profile": self.profile,
-            "cipher": self.cipher,
-            "unroll": self.unroll,
-            "min_unroll": self.min_unroll,
-            "cipher_cycles": self.cipher_cycles,
-            "datapath_slices": self.datapath_slices,
-            "sofia_slices": self.sofia_slices,
-            "slices": self.slices,
-            "path_ns": self.path_ns,
-            "clock_mhz": self.clock_mhz,
-            "area_delay": self.area_delay,
+            "label": hw.label,
+            "profile": hw.profile_label,
+            "cipher": hw.cipher,
+            "unroll": hw.unroll,
+            "min_unroll": hw.min_unroll,
+            "cipher_cycles": hw.cipher_cycles,
+            "datapath_slices": hw.datapath_slices,
+            "sofia_slices": hw.sofia_slices,
+            "slices": hw.slices,
+            "path_ns": _round(hw.critical_path_ns),
+            "clock_mhz": _round(hw.clock_mhz),
+            "area_delay": _round(hw.area_delay),
             "cycle_overhead": self.cycle_overhead,
             "si_years": self.si_years,
         }
@@ -176,9 +171,8 @@ def check_unroll_specs(profiles: Sequence[ProtectionProfile],
                         specs: Sequence[UnrollSpec]) -> None:
     """Reject an explicit unroll that no swept cipher can legally use."""
     for spec in specs:
-        if spec == "min":
-            continue
-        if not any(spec in legal_unrolls(profile) for profile in profiles):
+        if not any(resolve_unrolls(profile, (spec,))
+                   for profile in profiles):
             ranges = sorted({f"{profile.cipher} "
                              f"{legal_unrolls(profile).start}.."
                              f"{legal_unrolls(profile)[-1]}"
@@ -198,25 +192,11 @@ def _hw_point_rows(profiles: Sequence[ProtectionProfile],
     variants.
     """
     by_label = {profile.label: profile for profile in profiles}
-    rows: List[HwPointRow] = []
-    for point in points:
-        profile = by_label.get(point.label)
-        if point.error is not None or profile is None:
-            continue
-        for unroll in resolve_unrolls(profile, specs):
-            cost = profile_cost(profile, unroll)
-            rows.append(HwPointRow(
-                profile=point.label, cipher=point.cipher, unroll=unroll,
-                min_unroll=cost.min_unroll,
-                cipher_cycles=cost.cipher_cycles,
-                datapath_slices=cost.datapath_slices,
-                sofia_slices=cost.sofia_slices, slices=cost.slices,
-                path_ns=_round(cost.critical_path_ns),
-                clock_mhz=_round(cost.clock_mhz),
-                area_delay=_round(cost.area_delay),
-                cycle_overhead=point.cycle_overhead,
-                si_years=point.si_years))
-    return rows
+    return [HwPointRow(profile_cost(by_label[point.label], unroll),
+                       point.cycle_overhead, point.si_years)
+            for point in points
+            if point.error is None
+            for unroll in resolve_unrolls(by_label[point.label], specs)]
 
 
 def _round(value: float) -> float:
@@ -299,7 +279,6 @@ class DseReport:
     hw_unrolls: Optional[Tuple[UnrollSpec, ...]] = None
     #: hardware variants, one per (measured point, legal unroll)
     hw_points: List[HwPointRow] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
     #: ``False`` for a sharded invocation that skipped grid points owned
     #: by other shards; exports wait for a merged store
     complete: bool = True
@@ -392,26 +371,18 @@ class DseReport:
         hw_pareto = set(self.hw_pareto_labels())
         by_profile: Dict[str, List[HwPointRow]] = {}
         for row in self.hw_points:
-            by_profile.setdefault(row.profile, []).append(row)
+            by_profile.setdefault(row.hardware.profile_label, []).append(row)
         rows = []
         for p in self.points:
             variants = by_profile.get(p.label, [])
             if not variants:
                 rows.append(self._csv_base(p, pareto))
                 continue
-            for variant in variants:
-                base = self._csv_base(p, pareto)
-                base.update({
-                    "unroll": variant.unroll,
-                    "cipher_cycles": variant.cipher_cycles,
-                    "datapath_slices": variant.datapath_slices,
-                    "slices": variant.slices,
-                    "clock_mhz": variant.clock_mhz,
-                    "path_ns": variant.path_ns,
-                    "area_delay": variant.area_delay,
-                    "hw_pareto": int(variant.label in hw_pareto),
-                })
-                rows.append(base)
+            # the hardware columns come from the export record (the
+            # header picks them); the E17 columns win any shared key
+            rows.extend({**variant.to_record(), **self._csv_base(p, pareto),
+                         "hw_pareto": int(variant.label in hw_pareto)}
+                        for variant in variants)
         return rows
 
     def render(self) -> str:
@@ -450,10 +421,12 @@ class DseReport:
             lines.append(hw_header)
             lines.append("-" * len(hw_header))
             for row in self.hw_points:
+                record = row.to_record()
                 lines.append(
-                    f"{row.label:<44s} {row.slices:>7d} "
-                    f"{row.clock_mhz:>5.1f} MHz {row.cipher_cycles:>5d} "
-                    f"{row.area_delay:>12.1f} "
+                    f"{row.label:<44s} {record['slices']:>7d} "
+                    f"{record['clock_mhz']:>5.1f} MHz "
+                    f"{record['cipher_cycles']:>5d} "
+                    f"{record['area_delay']:>12.1f} "
                     f"{'*' if row.label in hw_pareto else ''}")
             lines.append("")
             lines.append(f"  hw Pareto front: "
@@ -471,19 +444,18 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
             jobs: Optional[int] = 1,
             export_path=None, csv_path=None,
             store_dir=None, shard: Optional[ShardSpec] = None,
-            hw: bool = False,
             unrolls: Optional[Sequence[UnrollSpec]] = None) -> DseReport:
     """Sweep the profile list; one runner task per design point.
 
-    ``hw=True`` folds the hardware axes in: every measured point gains
-    one :class:`HwPointRow` per requested ``unrolls`` entry (``"min"``,
-    the default, is the per-cipher minimum fetch-sustaining factor), the
-    report carries the unified 3-way E20 front (cycle overhead x forgery
-    bound x area-delay), and the exports switch to the extended schema.
+    ``unrolls`` folds the hardware axes in: every measured point gains
+    one :class:`HwPointRow` per requested entry (``"min"`` is the
+    per-cipher minimum fetch-sustaining factor), the report carries the
+    unified 3-way E20 front (cycle overhead x forgery bound x
+    area-delay), and the exports switch to the extended schema.
     Hardware costing is pure post-hoc arithmetic on the profile: it never
-    enters the result-store keys (one store serves ``hw`` on and off),
-    and with ``hw=False`` the exports stay byte-identical to pre-hardware
-    releases.
+    enters the result-store keys (one store serves the hardware axes on
+    and off), and with ``unrolls=None`` (axes off) the exports stay
+    byte-identical to pre-hardware releases.
 
     ``store_dir`` caches each grid point's :class:`DesignPointRow` in a
     persistent :class:`~repro.runner.store.ResultStore` (keyed by code
@@ -496,17 +468,12 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
         raise ValueError("the sweep needs at least one profile")
     if not workloads:
         raise ValueError("the sweep needs at least one workload")
-    if unrolls is not None and not hw:
-        raise ValueError("unroll factors need hw=True (--unroll "
-                         "parameterizes the hardware axes)")
-    unroll_specs: Optional[Tuple[UnrollSpec, ...]] = None
-    if hw:
-        unroll_specs = tuple(unrolls) if unrolls else ("min",)
-        if not unroll_specs:
+    if unrolls is not None:
+        unrolls = tuple(unrolls)
+        if not unrolls:
             raise ValueError("empty unroll list")
-        check_unroll_specs(profiles, unroll_specs)
+        check_unroll_specs(profiles, unrolls)
     check_writable(export_path, csv_path)
-    started = time.perf_counter()
     report = DseReport(seed=seed, key_seed=key_seed, scale=scale,
                        workloads=tuple(workloads), programs=programs,
                        per_model=per_model)
@@ -529,20 +496,18 @@ def run_dse(profiles: Sequence[ProtectionProfile], *,
             store=store, shard=shard)
     report.points = [point for point in run.results if point is not None]
     report.complete = run.complete
-    if hw:
+    if unrolls is not None:
         # post-hoc, simulation-free: the same cached rows serve hw on/off
-        report.hw_unrolls = unroll_specs
-        report.hw_points = _hw_point_rows(profiles, report.points,
-                                          unroll_specs)
-    report.elapsed_seconds = time.perf_counter() - started
+        report.hw_unrolls = unrolls
+        report.hw_points = _hw_point_rows(profiles, report.points, unrolls)
     if run.complete:
         with obs_phase("export"):
             if export_path is not None:
                 record_json(report.to_record(), export_path)
             if csv_path is not None:
-                if hw:
-                    dse_csv(report.hw_csv_rows(), csv_path,
-                            header=DSE_HW_CSV_HEADER)
+                if report.hw:
+                    write_csv(DSE_HW_CSV_HEADER, report.hw_csv_rows(),
+                              csv_path)
                 else:
-                    dse_csv(report.csv_rows(), csv_path)
+                    write_csv(DSE_CSV_HEADER, report.csv_rows(), csv_path)
     return report

@@ -56,19 +56,15 @@ def parse_grid(spec: str) -> List[ProtectionProfile]:
                         renonce=renonce, block_words=block_words)
 
 
-def default_grid() -> List[ProtectionProfile]:
-    """The E17 grid: 2 ciphers x {32,64,96}-bit seals x both policies."""
-    return profile_grid()
-
-
 def resolve_profiles(profiles: Optional[str] = None,
                      grid: Optional[str] = None
                      ) -> List[ProtectionProfile]:
-    """CLI argument resolution: explicit points, a grid, or the default."""
+    """CLI argument resolution: explicit points, a grid, or the default
+    E17 grid (:func:`~repro.transform.profile.profile_grid`)."""
     if profiles and grid:
         raise ValueError("--profiles and --grid are mutually exclusive")
     if profiles:
         return parse_profiles(profiles)
     if grid:
         return parse_grid(grid)
-    return default_grid()
+    return profile_grid()

@@ -7,11 +7,10 @@ lazy_facade(__name__, {
                     "FanInPoint", "PAPER_ADPCM", "SecurityExperiment",
                     "experiment_adpcm", "experiment_blocksize",
                     "experiment_cache", "experiment_muxtree",
-                    "experiment_security", "experiment_table1",
-                    "experiment_unroll", "experiment_workloads",
+                    "experiment_security", "experiment_workloads",
                     "render_blocksize", "render_cache", "render_muxtree",
                     "render_unroll"),
-    "export": ("attacksynth_csv", "batch_csv", "dse_csv", "record_json"),
+    "export": ("record_json", "write_csv"),
     "overhead": ("OverheadPoint", "OverheadRow", "format_overhead_rows",
                  "measure_many", "measure_overhead"),
     "report": ("full_report", "write_report"),

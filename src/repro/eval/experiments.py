@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..crypto.keys import DeviceKeys
-from ..hwmodel.design import Table1, UnrollPoint, table1, unroll_ablation
+from ..hwmodel.profilecost import ProfileHardware
 from ..isa.assembler import parse
 from ..security.bounds import SecurityReport, security_report
 from ..security.montecarlo import (ForgeryScaling, forgery_scaling,
@@ -40,12 +40,6 @@ PAPER_ADPCM = {
     "cycle_overhead": 130_840_013 / 114_188_673 - 1.0,
     "exec_time_overhead": 1.10,
 }
-
-
-# -- E1: Table I ------------------------------------------------------------
-
-def experiment_table1() -> Table1:
-    return table1()
 
 
 # -- E2: ADPCM overheads (§IV-B) ----------------------------------------------
@@ -265,11 +259,8 @@ def render_cache(points: List[CachePoint]) -> str:
 
 # -- hardware ablation -------------------------------------------------------------
 
-def experiment_unroll() -> List[UnrollPoint]:
-    return unroll_ablation()
-
-
-def render_unroll(points: List[UnrollPoint]) -> str:
+def render_unroll(points: List[ProfileHardware]) -> str:
+    """The unroll ablation (:func:`repro.hwmodel.unroll_ablation`)."""
     lines = ["Cipher unroll ablation (design choice, §III)",
              f"{'unroll':>7s} {'slices':>7s} {'MHz':>7s} "
              f"{'cipher cyc':>11s} {'fetch ok':>9s}"]

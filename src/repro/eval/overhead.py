@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..crypto.keys import DEFAULT_KEY_SEED, DeviceKeys
 from ..errors import SimulationError
-from ..hwmodel.design import table1
+from ..hwmodel.profilecost import table1
 from ..isa.assembler import assemble
 from ..isa.program import Executable
 from ..runner import run_tasks_stored

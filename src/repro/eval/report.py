@@ -13,12 +13,12 @@ from typing import Optional
 from ..attacks.harness import format_matrix, run_campaign
 from ..crypto.keys import DeviceKeys
 from ..faults.campaign import run_campaign as run_fault_campaign
+from ..hwmodel.profilecost import table1, unroll_ablation
 from ..runner.export import atomic_write
 from ..sim.timing import LEON3_MINIMAL_TIMING
 from ..workloads import make_workload
 from .experiments import (experiment_adpcm, experiment_blocksize,
                           experiment_muxtree, experiment_security,
-                          experiment_table1, experiment_unroll,
                           experiment_workloads, render_blocksize,
                           render_muxtree, render_unroll)
 from .overhead import format_overhead_rows
@@ -39,7 +39,7 @@ def full_report(scale: str = "tiny", fault_samples: int = 8,
         "",
     ]
     parts.append(_section("E1 — Table I: hardware comparison",
-                          experiment_table1().render()))
+                          table1().render()))
     parts.append(_section("E2 — ADPCM overheads (§IV-B)",
                           experiment_adpcm(scale).render()))
     parts.append(_section("E3/E4/E9 — security bounds + Monte-Carlo",
@@ -63,7 +63,7 @@ def full_report(scale: str = "tiny", fault_samples: int = 8,
     parts.append(_section("E11 — fault-injection campaign (§V future work)",
                           fault_summary.render()))
     parts.append(_section("hardware design space — cipher unroll (§III)",
-                          render_unroll(experiment_unroll())))
+                          render_unroll(unroll_ablation())))
     return "\n".join(parts)
 
 

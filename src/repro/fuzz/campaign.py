@@ -51,7 +51,6 @@ class FuzzReport:
     specimens: int = 0
     instructions: int = 0
     batches: int = 0
-    elapsed_seconds: float = 0.0
     coverage: CoverageMap = field(default_factory=CoverageMap)
     corpus: Corpus = field(default_factory=Corpus)
     failures: List[TriageRecord] = field(default_factory=list)
@@ -205,7 +204,6 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
         # a sync-pointed shard must not persist: a partial corpus or
         # triage directory would change the initial steering state of
         # the next invocation and break replay determinism
-        report.elapsed_seconds = time.perf_counter() - started
         return report
 
     with obs_phase("triage"):
@@ -213,7 +211,6 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
             report.failures.append(triage(
                 oracle_report, keys, do_minimize=position < max_failures))
 
-    report.elapsed_seconds = time.perf_counter() - started
     if corpus_dir is not None:
         with obs_phase("export"):
             root = report.corpus.save(corpus_dir)

@@ -15,8 +15,9 @@ shorten the critical path (faster clock) but increase the cycles per cipher
 operation; the paper needs a 64-bit operation every 2 cycles to keep the
 fetch stream moving, which forces ``ceil(26 / unroll) <= 2`` i.e.
 ``unroll >= 13`` — exactly the paper's design point.  The profile-aware
-form of that constraint (PRESENT's 31 rounds force ``unroll >= 16``)
-lives in :mod:`repro.hwmodel.profilecost`.
+form of that constraint (PRESENT's 31 rounds force ``unroll >= 16``),
+and the one function that prices a design point, live in
+:mod:`repro.hwmodel.profilecost`.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ class CipherProfile:
         """Cycles for one 64-bit operation at ``unroll`` rounds/cycle."""
         self._check_unroll(unroll)
         return -(-self.rounds // unroll)
-
-    def min_sustaining_unroll(self) -> int:
-        """Smallest unroll giving one operation per :data:`CYCLES_BUDGET`
-        cycles."""
-        return -(-self.rounds // CYCLES_BUDGET)
 
 
 RECTANGLE_PROFILE = CipherProfile("RECTANGLE-80", CIPHER_ROUNDS,

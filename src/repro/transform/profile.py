@@ -228,6 +228,8 @@ DEFAULT_PROFILE = ProtectionProfile()
 
 _MAC_RE = re.compile(r"^mac(\d+)$")
 _BW_RE = re.compile(r"^bw(\d+)$")
+#: the unroll suffix of a hardware design-point label (``...@u13``)
+_UNROLL_SUFFIX_RE = re.compile(r"@u(\d+)$")
 
 
 def parse_mac_bits(bits: int) -> int:
@@ -253,10 +255,21 @@ def parse_profile_spec(spec: str) -> ProtectionProfile:
     A spec is colon-separated tokens in any order: a registered cipher
     name, ``mac<bits>``, a renonce policy, optionally ``bw<N>`` and
     ``sched``.  ``rectangle-80/mac64/sequential`` (a label) parses too,
-    so a label printed by any report can be fed straight back to
-    ``--profile``/``--profiles``.  Numeric fields are checked here, with
-    messages that name the offending token (``mac0``, ``bw0``).
+    so a profile label printed by any report can be fed straight back to
+    ``--profile``/``--profiles``.  A hardware design-point label
+    (``...sequential@u13``) does not: its unroll factor is a hardware
+    axis, not a profile field, and the error names the suffix and the
+    ``dse --hw --unroll`` option that sweeps it.  Numeric fields are
+    checked here, with messages that name the offending token (``mac0``,
+    ``bw0``).
     """
+    unroll = _UNROLL_SUFFIX_RE.search(spec.strip())
+    if unroll:
+        raise ValueError(
+            f"{spec.strip()!r} is a hardware design-point label: its "
+            f"{unroll.group(0)!r} suffix is an unroll factor, not a "
+            f"profile field; drop it and sweep the factor with "
+            f"'dse --hw --unroll {unroll.group(1)}'")
     fields = {}
     for token in re.split(r"[:/]", spec.strip()):
         token = token.strip()

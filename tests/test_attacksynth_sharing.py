@@ -23,7 +23,7 @@ from repro.attacksynth.enumerate import ATTACKER_SEED_SALT
 from repro.attacksynth.model import TARGET_SOFIA
 from repro.crypto.keys import DeviceKeys
 from repro.crypto.present import Present80
-from repro.dse.grid import parse_profile_spec
+from repro.transform.profile import parse_profile_spec
 from repro.errors import ReproError
 from repro.fuzz.generators import generate
 from repro.fuzz.oracle import build_program

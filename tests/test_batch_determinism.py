@@ -21,7 +21,7 @@ import pytest
 
 import repro.faults.campaign as fault_campaign
 from repro.crypto import DeviceKeys
-from repro.eval.export import batch_csv, record_json
+from repro.eval.export import BATCH_CSV_HEADER, record_json, write_csv
 from repro.faults.campaign import run_campaign, run_fault, sample_faults
 from repro.runner import campaign_record, run_tasks_stored, write_campaign
 from repro.sim import SofiaMachine
@@ -193,6 +193,6 @@ class TestE18ExportGoldens:
              "identical": 1},
         ]
         path = tmp_path / "e18.csv"
-        text = batch_csv(rows, path)
+        text = write_csv(BATCH_CSV_HEADER, rows, path)
         assert text == _E18_CSV_GOLDEN
         assert path.read_text() == _E18_CSV_GOLDEN

@@ -423,7 +423,7 @@ class TestUnusablePaths:
         # the same check, made by the campaign function itself: a library
         # caller gets the error before anything is simulated or stored
         from repro.dse import run_dse
-        from repro.dse.grid import parse_profile_spec
+        from repro.transform.profile import parse_profile_spec
         from repro.workloads import make_workload
         (tmp_path / "F").write_text("a regular file\n")
         paths = {option: tmp_path / "F" / "x.out",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import DeviceKeys, Present80, Rectangle80
 from repro.crypto.present import PERMUTATION, PERMUTATION_INV, SBOX
-from repro.hwmodel import cipher_ablation
+from repro.hwmodel import cipher_ablation, profile_cost
 from repro.isa import parse
 from repro.sim import SofiaMachine
 from repro.transform import ProtectionProfile, transform, verify_image
@@ -87,9 +87,13 @@ class TestCipherAgility:
 class TestCipherAblation:
     def test_rectangle_wins_at_the_design_point(self):
         choices = cipher_ablation()
-        assert choices[0].cipher == "RECTANGLE-80"
+        assert choices[0].cipher == "rectangle-80"
         rectangle = choices[0]
-        present = next(c for c in choices if c.cipher == "PRESENT-80")
+        present = next(c for c in choices if c.cipher == "present-80")
         assert rectangle.clock_mhz > present.clock_mhz
         assert rectangle.unroll == 13
         assert present.unroll == 16
+        # each entry is the cipher's design point as profile_cost prices it
+        assert all(c.sustains_fetch for c in choices)
+        assert choices == [profile_cost(ProtectionProfile(cipher=c.cipher))
+                           for c in choices]

@@ -8,11 +8,11 @@ import pytest
 
 from repro.cli import main
 from repro.crypto.keys import DEFAULT_KEY_SEED
-from repro.dse import (DseReport, default_grid, dominates, parse_grid,
-                       parse_profile_spec, parse_profiles, pareto_mask,
-                       resolve_profiles, run_dse)
+from repro.dse import (DseReport, dominates, parse_grid, parse_profiles,
+                       pareto_mask, resolve_profiles, run_dse)
 from repro.dse import campaign as dse_campaign
-from repro.transform import ProtectionProfile
+from repro.transform import ProtectionProfile, profile_grid
+from repro.transform.profile import parse_profile_spec
 from repro.workloads import base as workloads_base
 from repro.workloads import make_workload
 
@@ -83,7 +83,7 @@ class TestSpecs:
             parse_grid("rectangle-80:64")
 
     def test_default_grid_is_the_e17_grid(self):
-        grid = default_grid()
+        grid = profile_grid()
         assert len(grid) == 12  # 2 ciphers x 3 widths x 2 policies
         assert ProtectionProfile() in grid
         assert len({p.label for p in grid}) == 12

@@ -6,9 +6,9 @@ from repro import core
 from repro.errors import ReproError
 from repro.eval import (PAPER_ADPCM, experiment_blocksize,
                         experiment_cache, experiment_muxtree, experiment_security,
-                        experiment_table1, format_overhead_rows,
-                        measure_overhead, render_blocksize, render_muxtree,
-                        render_unroll, experiment_unroll)
+                        format_overhead_rows, measure_overhead,
+                        render_blocksize, render_muxtree, render_unroll)
+from repro.hwmodel import table1, unroll_ablation
 from repro.workloads import make_workload
 
 
@@ -37,9 +37,9 @@ class TestOverheadMeasurement:
 
 class TestExperiments:
     def test_table1_shape(self):
-        t = experiment_table1()
-        assert t.vanilla.slices < t.sofia.slices
-        assert t.vanilla.clock_mhz > t.sofia.clock_mhz
+        t = table1()
+        assert t.vanilla_slices < t.sofia.slices
+        assert t.vanilla_clock_mhz > t.sofia.clock_mhz
 
     def test_paper_adpcm_constants(self):
         assert PAPER_ADPCM["size_ratio"] == pytest.approx(2.41, abs=0.01)
@@ -72,7 +72,7 @@ class TestExperiments:
         assert "fan-in" in render_muxtree(points)
 
     def test_unroll_render(self):
-        assert "unroll" in render_unroll(experiment_unroll())
+        assert "unroll" in render_unroll(unroll_ablation())
 
 
 class TestFacade:

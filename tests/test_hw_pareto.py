@@ -6,6 +6,7 @@ Pareto logic, and the ``--hw`` sweep/CLI integration — including the byte-dete
 ``--jobs`` value.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -17,8 +18,7 @@ from repro.dse import (E17_SENSES, HW_SENSES, dominates, pareto_mask,
                        run_dse)
 from repro.errors import HardwareModelError, ReproError
 from repro.hwmodel import (cipher_hw_profile, legal_unrolls,
-                           min_legal_unroll, parse_unroll_specs,
-                           profile_cost, resolve_unrolls,
+                           parse_unroll_specs, profile_cost, resolve_unrolls,
                            sofia_profile_components)
 from repro.transform import ProtectionProfile
 from repro.transform.profile import parse_profile_spec
@@ -50,8 +50,6 @@ class TestProfileCost:
 
     def test_min_legal_unroll_per_cipher(self):
         # ceil(rounds / 2): RECTANGLE 26 -> 13, PRESENT 31 -> 16
-        assert min_legal_unroll(DEFAULT) == 13
-        assert min_legal_unroll(PRESENT64) == 16
         assert legal_unrolls(DEFAULT) == range(13, 27)
         assert legal_unrolls(PRESENT64) == range(16, 32)
 
@@ -83,11 +81,20 @@ class TestProfileCost:
         assert clocks == sorted(clocks, reverse=True)
         assert costs[-1].cipher_cycles == 1  # fully unrolled: 1 op/cycle
 
-    def test_illegal_unroll_raises_typed_error(self):
-        with pytest.raises(HardwareModelError, match="13..26"):
-            profile_cost(DEFAULT, unroll=12)  # would stall fetch
-        with pytest.raises(HardwareModelError):
-            profile_cost(PRESENT64, unroll=13)  # legal for RECTANGLE only
+    def test_sustains_fetch_follows_the_legal_range(self):
+        # priced either way; only the legal range keeps fetch fed
+        assert not profile_cost(DEFAULT, unroll=12).sustains_fetch
+        assert profile_cost(DEFAULT, unroll=13).sustains_fetch
+        # 13 is legal for RECTANGLE only: PRESENT needs 3 cycles per op
+        present = profile_cost(PRESENT64, unroll=13)
+        assert not present.sustains_fetch and present.cipher_cycles == 3
+
+    @pytest.mark.parametrize("profile", [DEFAULT, PRESENT64])
+    def test_unroll_outside_the_datapath_raises_typed_error(self, profile):
+        rounds = cipher_hw_profile(profile).rounds
+        for unroll in (0, rounds + 1):
+            with pytest.raises(HardwareModelError, match=f"1..{rounds}"):
+                profile_cost(profile, unroll)
         # the typed error is both a ReproError and a ValueError
         assert issubclass(HardwareModelError, ReproError)
         assert issubclass(HardwareModelError, ValueError)
@@ -141,7 +148,16 @@ class TestHwPointLabels:
 
     @given(profiles_st)
     def test_default_unroll_is_the_minimum_legal(self, profile):
-        assert profile_cost(profile).unroll == min_legal_unroll(profile)
+        hw = profile_cost(profile)
+        assert hw.unroll == hw.min_unroll == legal_unrolls(profile).start
+        assert hw.sustains_fetch
+
+    @given(hw_points_st())
+    def test_a_hardware_label_is_refused_by_name(self, point):
+        profile, unroll = point
+        with pytest.raises(ValueError, match=(
+                f"'@u{unroll}' suffix.*--hw --unroll {unroll}")):
+            parse_profile_spec(profile_cost(profile, unroll).label)
 
 
 # -- sense-tuple Pareto properties ----------------------------------------
@@ -203,12 +219,36 @@ HW_PROFILES = [DEFAULT, PRESENT64]
 SWEEP_ARGS = dict(seed=77, workloads=("crc32",), scale="tiny",
                   programs=1, per_model=1)
 
+#: SHA-256 of the JSON and CSV exports of the ``SWEEP_ARGS`` sweep over
+#: ``HW_PROFILES``, with ``unrolls=("min", 13, 16)`` and without
+#: hardware axes: the exports stay byte-identical across refactors
+SWEEP_SHA256 = {
+    ("hw", "json"):
+        "794292820a36737990ef77f33c5f67e2c9ba814f70bdb962a6873fc781c5e612",
+    ("hw", "csv"):
+        "6c76bdad90c81fecfb780fec8675c8e3d99b3466599ed3d1f9d39eac0afabdeb",
+    ("plain", "json"):
+        "089303ee3dde5293a1e65fb59c2a1dab8098b5886c7aae779900eee00ba9662e",
+    ("plain", "csv"):
+        "330b980b050c93cd0081df520d6ccb6f410437cb8de9b6a1c3a7e16bb3482dad",
+}
+
+
+@pytest.mark.parametrize("axes, unrolls",
+                         [("hw", ("min", 13, 16)), ("plain", None)])
+def test_sweep_exports_are_pinned(axes, unrolls, tmp_path):
+    paths = {kind: tmp_path / f"sweep.{kind}" for kind in ("json", "csv")}
+    run_dse(HW_PROFILES, unrolls=unrolls, export_path=paths["json"],
+            csv_path=paths["csv"], **SWEEP_ARGS)
+    for kind, path in paths.items():
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == SWEEP_SHA256[axes, kind]), kind
+
 
 class TestHwSweep:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_dse(HW_PROFILES, hw=True, unrolls=("min", 13, 16),
-                       **SWEEP_ARGS)
+        return run_dse(HW_PROFILES, unrolls=("min", 13, 16), **SWEEP_ARGS)
 
     def test_hw_points_cover_legal_unrolls(self, report):
         assert report.hw
@@ -225,18 +265,22 @@ class TestHwSweep:
     def test_hw_rows_inherit_the_measured_objectives(self, report):
         measured = {p.label: p for p in report.points}
         for row in report.hw_points:
-            point = measured[row.profile]
+            point = measured[row.hardware.profile_label]
             assert row.cycle_overhead == point.cycle_overhead
             assert row.si_years == point.si_years
-            assert row.area_delay == pytest.approx(
-                row.slices * row.path_ns, rel=1e-6)
+            record = row.to_record()
+            assert record["area_delay"] == pytest.approx(
+                record["slices"] * record["path_ns"], rel=1e-6)
+            # the front ranks the exported (rounded) area-delay
+            assert row.objectives[2] == record["area_delay"]
 
     def test_hw_rows_agree_with_the_cost_model(self, report):
-        # a sweep row renders its own label; it must name the same point
-        # profile_cost labels and prices
+        # a sweep row wraps the design point profile_cost prices
         for row in report.hw_points:
-            hw = profile_cost(parse_profile_spec(row.profile), row.unroll)
-            assert (row.label, row.slices) == (hw.label, hw.slices)
+            hw = row.hardware
+            assert hw == profile_cost(parse_profile_spec(hw.profile_label),
+                                      hw.unroll)
+            assert row.label == hw.label
 
     def test_record_carries_the_hw_block(self, report):
         record = report.to_record()
@@ -256,20 +300,20 @@ class TestHwSweep:
         assert not report.hw
         assert "hw" not in report.to_record()
 
-    def test_unrolls_without_hw_rejected(self):
-        with pytest.raises(ValueError, match="hw"):
-            run_dse([DEFAULT], unrolls=(13,), **SWEEP_ARGS)
+    def test_empty_unroll_list_rejected(self):
+        with pytest.raises(ValueError, match="empty unroll list"):
+            run_dse([DEFAULT], unrolls=(), **SWEEP_ARGS)
 
     def test_illegal_unroll_for_every_cipher_rejected(self):
         with pytest.raises(ValueError, match="not legal for any"):
-            run_dse(HW_PROFILES, hw=True, unrolls=(5,), **SWEEP_ARGS)
+            run_dse(HW_PROFILES, unrolls=(5,), **SWEEP_ARGS)
 
     def test_hw_exports_deterministic_across_jobs(self, tmp_path):
         paths = {name: tmp_path / name
                  for name in ("s.json", "s.csv", "p.json", "p.csv")}
-        run_dse(HW_PROFILES, hw=True, export_path=paths["s.json"],
+        run_dse(HW_PROFILES, unrolls=("min",), export_path=paths["s.json"],
                 csv_path=paths["s.csv"], **SWEEP_ARGS)
-        run_dse(HW_PROFILES, hw=True, jobs=4,
+        run_dse(HW_PROFILES, unrolls=("min",), jobs=4,
                 export_path=paths["p.json"], csv_path=paths["p.csv"],
                 **SWEEP_ARGS)
         assert paths["s.json"].read_bytes() == paths["p.json"].read_bytes()
@@ -289,6 +333,14 @@ class TestHwCli:
         assert main(["dse", "--profiles", "rectangle-80:mac64",
                      "--hw", "--unroll", "5"]) == 2
         assert "not legal" in capsys.readouterr().err
+
+    def test_hw_label_as_profile_names_the_unroll_option(self, capsys):
+        # a label from the E20 front: the unroll suffix is a hardware
+        # axis, so --profiles refuses it and says which option sweeps it
+        assert main(["dse", "--profiles",
+                     "rectangle-80/mac64/sequential@u13"]) == 2
+        err = capsys.readouterr().err
+        assert "'@u13'" in err and "--hw --unroll 13" in err
 
     def test_hw_sweep_exports_the_unified_front(self, tmp_path, capsys):
         export = tmp_path / "hw.json"

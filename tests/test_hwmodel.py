@@ -1,5 +1,11 @@
 """Hardware model tests: Table I calibration and scaling structure."""
 
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import HardwareModelError, ReproError
@@ -8,12 +14,28 @@ from repro.hwmodel import (CIPHER_ROUNDS, PAPER_UNROLL, PRESENT_PROFILE,
                            sofia_profile_components, table1, unroll_ablation)
 from repro.transform.profile import DEFAULT_PROFILE
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: SHA-256 of the stdout of ``python -m repro experiments table1 unroll``
+#: (Table I and the unroll ablation); the CI smoke checks the same digest
+TABLE1_UNROLL_SHA256 = (
+    "69da5801a0e26b1b0f8edbd1941034bb1fa823fcb68b00d3ff728c19396dfdd9")
+
+
+def test_table1_and_unroll_stdout_is_pinned():
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "experiments", "table1", "unroll"],
+        capture_output=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == TABLE1_UNROLL_SHA256
+
 
 class TestTable1:
     def test_vanilla_matches_paper(self):
         t = table1()
-        assert t.vanilla.slices == 5_889
-        assert round(t.vanilla.clock_mhz, 1) == 92.3
+        assert t.vanilla_slices == 5_889
+        assert round(t.vanilla_clock_mhz, 1) == 92.3
 
     def test_sofia_matches_paper(self):
         t = table1()
@@ -37,9 +59,13 @@ class TestTable1:
 
 
 class TestComponents:
+    def test_sofia_row_is_the_paper_design_point(self):
+        assert table1().sofia == profile_cost(DEFAULT_PROFILE, PAPER_UNROLL)
+
     def test_sofia_is_vanilla_plus_additions(self):
         t = table1()
-        assert t.sofia.slices - t.vanilla.slices == 1_662
+        assert t.sofia.slices - t.vanilla_slices == 1_662
+        assert t.sofia.sofia_slices == 1_662
         additions = sofia_profile_components(DEFAULT_PROFILE, PAPER_UNROLL)
         assert sum(c.slices for c in additions) == 1_662
 
@@ -83,10 +109,6 @@ class TestComponents:
         with pytest.raises(HardwareModelError):
             RECTANGLE_PROFILE.cycles_per_op(-3)
 
-    def test_min_sustaining_unroll(self):
-        assert RECTANGLE_PROFILE.min_sustaining_unroll() == 13
-        assert PRESENT_PROFILE.min_sustaining_unroll() == 16
-
     def test_report_renders(self):
         for component in (leon3_components()
                           + sofia_profile_components(DEFAULT_PROFILE, 13)):
@@ -115,3 +137,10 @@ class TestUnrollAblation:
         points = unroll_ablation()
         slices = [p.slices for p in points]
         assert all(a <= b for a, b in zip(slices, slices[1:]))
+
+    def test_every_point_is_priced_by_profile_cost(self):
+        points = unroll_ablation()
+        assert [p.unroll for p in points] == list(range(1, CIPHER_ROUNDS + 1))
+        assert points == [profile_cost(DEFAULT_PROFILE, u)
+                          for u in range(1, CIPHER_ROUNDS + 1)]
+

@@ -101,16 +101,6 @@ def test_protect_with_a_profile_loads_no_campaign(tmp_path):
          "repro.attacksynth"))) == []
 
 
-def test_profile_spec_parser_has_one_definition():
-    """``repro.dse`` and ``repro.dse.grid`` re-export the parser that lives
-    beside ``ProtectionProfile``; none defines a second one."""
-    from repro import dse
-    from repro.dse import grid
-    from repro.transform import profile
-    assert dse.parse_profile_spec is profile.parse_profile_spec
-    assert grid.parse_profile_spec is profile.parse_profile_spec
-
-
 #: per campaign kind: what its set-up imports and builds, then one small
 #: campaign with a store and every export it writes
 CAMPAIGNS = {

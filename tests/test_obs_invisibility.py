@@ -154,7 +154,7 @@ class TestAttacksynthInvisibility:
 class TestDseInvisibility:
     def test_exports_and_merges(self, tmp_path):
         from repro.dse import run_dse
-        from repro.dse.grid import parse_profile_spec
+        from repro.transform.profile import parse_profile_spec
         profiles = [parse_profile_spec("rectangle-80:mac64:sequential"),
                     parse_profile_spec("present-80:mac32:fixed")]
         exports, counters = {}, {}

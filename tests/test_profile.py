@@ -21,7 +21,7 @@ from repro.isa import parse
 from repro.sim import SofiaMachine, Status
 from repro.sim.vanilla import VanillaMachine
 from repro.isa.assembler import assemble
-from repro.dse import parse_profile_spec
+from repro.transform.profile import parse_profile_spec
 from repro.transform import (DEFAULT_PROFILE, ProtectionProfile, SofiaImage,
                              profile_grid, seal_block, transform,
                              unseal_block, verify_image)
